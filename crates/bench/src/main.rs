@@ -60,7 +60,9 @@
 
 use leopard_harness::chaos::ChaosOverrides;
 use leopard_harness::experiments::{run_experiment_with, EXPERIMENT_IDS};
-use leopard_harness::report::{bench_records_to_json, peak_rss_bytes, BenchRecord};
+use leopard_harness::report::{
+    bench_records_to_json, peak_rss_bytes, reset_peak_rss, BenchRecord,
+};
 use leopard_harness::scenario::set_default_parallel;
 use leopard_harness::trajectory::{fold_document, render_trajectory};
 use leopard_simnet::global_events_processed;
@@ -159,6 +161,9 @@ fn main() {
     for id in ids {
         eprintln!("running experiment {id} ({}) ...", if full { "full" } else { "quick" });
         let events_before = global_events_processed();
+        // Per-experiment peak: without the reset every id reports the largest
+        // experiment that ran before it.
+        reset_peak_rss();
         let start = Instant::now();
         match run_experiment_with(id, !full, &chaos) {
             Some(table) => {

@@ -3,7 +3,7 @@
 //!
 //! The replica combines every component of the protocol:
 //!
-//! * the embedded client stub and mempool ([`crate::mempool`]),
+//! * the embedded client stub and mempool ([`leopard_simnet::mempool`]),
 //! * datablock generation and dissemination (Algorithm 1),
 //! * the ready round and the leader's BFTblock proposals,
 //! * the two-round agreement with threshold-signature aggregation (Algorithm 2),
@@ -16,7 +16,6 @@ use crate::byzantine::ByzantineBehavior;
 use crate::checkpoint::{checkpoint_digest, CheckpointState};
 use crate::config::{LeopardConfig, SharedKeys, WorkloadMode};
 use crate::instance::{LeaderInstance, ReplicaInstance};
-use crate::mempool::Mempool;
 use crate::messages::{ConfirmedEntry, LeopardMessage, NotarizedEntry, RetrievalPayload};
 use crate::pipeline::{Pipeline, StallReason};
 use crate::pool::{DatablockPool, ReadyTracker};
@@ -25,7 +24,9 @@ use crate::view_change::{timeout_digest, view_change_wire_size, ViewChangeState}
 use leopard_crypto::provider::{BatchOutcome, ComputeCost};
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{hash_parts, Digest};
-use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
+use leopard_simnet::{
+    Context, Mempool, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
+};
 use leopard_types::{BftBlock, BlockState, ClientId, Datablock, FastMap, NodeId, SeqNum, View, WireSize};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -1166,11 +1167,10 @@ impl LeopardReplica {
                 payload_bytes += datablock.payload_bytes() as u64;
                 // Acknowledge our own requests (client-side latency measurement).
                 if datablock.id.producer == self.id {
-                    for request in &datablock.requests {
-                        if let Some(latency) = self.mempool.acknowledge(&request.id, ctx.now()) {
-                            ctx.observe(ObservationKind::RequestLatency { nanos: latency });
-                        }
-                    }
+                    self.mempool
+                        .acknowledge(&datablock.requests, ctx.now(), |nanos, count| {
+                            ctx.observe(ObservationKind::RequestLatencies { nanos, count });
+                        });
                 }
                 // Latency breakdown for datablocks we produced.
                 if let Some(timing) = self.own_datablocks.remove(link) {

@@ -168,10 +168,10 @@ pub struct BenchRecord {
     /// engine-speed figure (as opposed to the protocol-throughput columns inside the
     /// table). `0.0` when the experiment ran no simulation (the analytical tables).
     pub events_per_sec: f64,
-    /// The process's peak resident set (bytes) observed after this experiment. The
-    /// kernel's high-water mark is monotone over the process lifetime, so this is
-    /// "the largest the suite had grown by the end of this experiment", not a
-    /// per-experiment delta.
+    /// The process's peak resident set (bytes) over this experiment: the
+    /// `experiments` binary calls [`reset_peak_rss`] before each one. Where the reset
+    /// is unavailable, and in documents recorded before PR 12, it is the running
+    /// maximum over the experiments so far.
     pub peak_memory_bytes: u64,
     /// The result table (throughput columns included).
     pub table: Table,
@@ -204,8 +204,9 @@ pub fn bench_records_to_json(profile: &str, records: &[BenchRecord]) -> String {
 }
 
 /// The process's peak resident set size in bytes (`VmHWM` from `/proc/self/status`).
-/// Monotone over the process lifetime. Returns 0 where procfs is unavailable
-/// (non-Linux), so callers can gate on a zero rather than an `Option`.
+/// Monotone since the process started or [`reset_peak_rss`] last succeeded. Returns 0
+/// where procfs is unavailable (non-Linux), so callers can gate on a zero rather than
+/// an `Option`.
 pub fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
@@ -217,6 +218,14 @@ pub fn peak_rss_bytes() -> u64 {
         .and_then(|kb| kb.parse::<u64>().ok())
         .map(|kb| kb * 1024)
         .unwrap_or(0)
+}
+
+/// Resets the mark [`peak_rss_bytes`] reads to the current resident set size, so a
+/// process that measures several things in a row reports a peak for each of them
+/// rather than the running maximum. Writing `5` to `/proc/self/clear_refs` does that
+/// on Linux ≥ 4.0; anywhere else the write fails and the mark stays process-wide.
+pub fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// Formats a requests-per-second figure the way the paper's plots label it (Kreqs/sec).
@@ -320,6 +329,11 @@ mod tests {
         if cfg!(target_os = "linux") {
             // A running test process has at least a page resident.
             assert!(rss > 4096, "peak RSS {rss}");
+        }
+        // Resetting never fails loudly and leaves a mark to read.
+        reset_peak_rss();
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_bytes() > 4096);
         }
     }
 }

@@ -934,35 +934,25 @@ impl ScenarioReport {
         }
     }
 
-    /// One pass over the observations grouping confirmations and latency samples by
-    /// region. Empty when the scenario has no topology.
+    /// Groups confirmations and latency samples by region. Empty when the scenario has
+    /// no topology.
     fn region_stats(config: &ScenarioConfig, sim: &SimulationReport) -> Vec<RegionStats> {
         let Some(topology) = &config.topology else {
             return Vec::new();
         };
         let r = topology.region_count();
         let duration_secs = sim.end_time.as_secs_f64();
-        let mut per_node_confirmed = vec![0u64; config.n];
         let mut latency_sum = vec![0f64; r];
         let mut latency_count = vec![0u64; r];
-        for observation in &sim.metrics.observations {
-            match observation.kind {
-                ObservationKind::RequestsConfirmed { count, .. } => {
-                    if let Some(slot) = per_node_confirmed.get_mut(observation.node.as_index()) {
-                        *slot += count;
-                    }
-                }
-                ObservationKind::RequestLatency { nanos } => {
-                    let region = topology.region_of(observation.node.as_index());
-                    latency_sum[region] += nanos as f64 / 1e9;
-                    latency_count[region] += 1;
-                }
-                _ => {}
-            }
+        for run in sim.metrics.latency_runs() {
+            let region = topology.region_of(run.node.as_index());
+            run.add_secs_to(&mut latency_sum[region]);
+            latency_count[region] += run.count;
         }
         let mut max_confirmed = vec![0u64; r];
         let mut nodes_per_region = vec![0usize; r];
-        for (node, &confirmed) in per_node_confirmed.iter().enumerate() {
+        for node in 0..config.n {
+            let confirmed = sim.metrics.confirmed_requests_at(NodeId(node as u32));
             let region = topology.region_of(node);
             max_confirmed[region] = max_confirmed[region].max(confirmed);
             nodes_per_region[region] += 1;

@@ -6,9 +6,10 @@ use crate::messages::HotStuffMessage;
 use leopard_crypto::provider::{BatchOutcome, ComputeCost};
 use leopard_crypto::threshold::SignatureShare;
 use leopard_crypto::Digest;
-use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
-use leopard_types::{ClientId, FastMap, FastSet, NodeId, Request, RequestId, View, WireSize};
-use std::collections::VecDeque;
+use leopard_simnet::{
+    Context, Mempool, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
+};
+use leopard_types::{ClientId, FastMap, FastSet, NodeId, Request, View, WireSize};
 use std::sync::Arc;
 
 const TOKEN_WORKLOAD: u64 = 1;
@@ -41,9 +42,7 @@ pub struct HotStuffReplica {
 
     view: View,
     /// Client stub (requests are submitted to the leader in HotStuff).
-    mempool: VecDeque<Request>,
-    outstanding: FastMap<RequestId, SimTime>,
-    next_request_seq: u64,
+    mempool: Mempool,
     injection_carry: f64,
 
     /// All blocks seen, by digest.
@@ -95,9 +94,7 @@ impl HotStuffReplica {
         Self {
             id,
             view: View::initial(),
-            mempool: VecDeque::new(),
-            outstanding: FastMap::default(),
-            next_request_seq: 0,
+            mempool: Mempool::new(ClientId(id.0), config.payload_size as u32),
             injection_carry: 0.0,
             blocks: FastMap::default(),
             certificates: FastMap::default(),
@@ -169,37 +166,15 @@ impl HotStuffReplica {
             self.config.aggregate_rps as f64 * WORKLOAD_TICK.as_secs_f64() + self.injection_carry;
         let whole = per_tick.floor() as usize;
         self.injection_carry = per_tick - whole as f64;
-        for _ in 0..whole {
-            let request = Request::new_synthetic(
-                ClientId(self.id.0),
-                self.next_request_seq,
-                self.config.payload_size as u32,
-            );
-            self.next_request_seq += 1;
-            self.outstanding.insert(request.id, ctx.now());
-            self.mempool.push_back(request);
-        }
+        self.mempool.inject(whole, ctx.now());
     }
 
     fn take_batch(&mut self, now: SimTime) -> Vec<Request> {
         if self.config.aggregate_rps == 0 {
             // Saturated mode: a full batch is always available.
-            let batch: Vec<Request> = (0..self.config.batch_size)
-                .map(|_| {
-                    let request = Request::new_synthetic(
-                        ClientId(self.id.0),
-                        self.next_request_seq,
-                        self.config.payload_size as u32,
-                    );
-                    self.next_request_seq += 1;
-                    self.outstanding.insert(request.id, now);
-                    request
-                })
-                .collect();
-            return batch;
+            self.mempool.inject(self.config.batch_size, now);
         }
-        let take = self.config.batch_size.min(self.mempool.len());
-        self.mempool.drain(..take).collect()
+        self.mempool.take_batch(self.config.batch_size)
     }
 
     // ------------------------------------------------------------------
@@ -416,13 +391,10 @@ impl HotStuffReplica {
             requests: count,
         });
         // Client-side latency: the leader's stub submitted these requests.
-        for request in &block.requests {
-            if let Some(submitted) = self.outstanding.remove(&request.id) {
-                ctx.observe(ObservationKind::RequestLatency {
-                    nanos: ctx.now().saturating_since(submitted).as_nanos(),
-                });
-            }
-        }
+        self.mempool
+            .acknowledge(&block.requests, ctx.now(), |nanos, count| {
+                ctx.observe(ObservationKind::RequestLatencies { nanos, count });
+            });
     }
 
     // ------------------------------------------------------------------
@@ -433,8 +405,7 @@ impl HotStuffReplica {
         // Clients keep submitting requests (to whoever leads), so a replica that has
         // never committed anything treats the view as stalled even before it received
         // any request of its own.
-        let outstanding = !self.outstanding.is_empty()
-            || !self.mempool.is_empty()
+        let outstanding = self.mempool.outstanding() > 0
             || self.high_qc.height > self.committed_height
             || self.committed_height == 0;
         let progressed = self.confirmed_requests > self.confirmed_at_last_check;

@@ -23,6 +23,9 @@
 //!   windows for Byzantine experiments ([`fault`]);
 //! * [`MetricsSink`], [`TrafficMatrix`] — per-node, per-category byte accounting and
 //!   protocol observations ([`metrics`]);
+//! * [`Mempool`] — the co-located client stub both protocols load themselves with:
+//!   pending requests and submission-to-execution latency, kept per run of
+//!   requests rather than per request ([`mempool`]);
 //! * [`runtime`] — a crossbeam-channel + thread runtime that drives the same
 //!   [`Protocol`] implementations in real time for the runnable examples.
 
@@ -31,6 +34,7 @@
 
 pub(crate) mod fanout;
 pub mod fault;
+pub mod mempool;
 pub mod metrics;
 pub mod network;
 pub mod protocol;
@@ -40,7 +44,10 @@ pub mod sim;
 pub mod time;
 
 pub use fault::{flapping_windows, CrashWindow, FaultPlan, MessageFate, PartitionWindow};
-pub use metrics::{LatencyHistogram, MetricsSink, Observation, ObservationKind, TrafficMatrix};
+pub use mempool::Mempool;
+pub use metrics::{
+    LatencyHistogram, LatencyRun, MetricsSink, Observation, ObservationKind, TrafficMatrix,
+};
 pub use network::{LinkConfig, NetworkConfig, ResolvedTopology, StragglerProfile, Topology};
 pub use protocol::{Context, ProgressProbe, Protocol, SimMessage};
 pub use sim::{global_events_processed, ExecutionMode, Simulation, SimulationReport};

@@ -24,6 +24,15 @@ pub enum ObservationKind {
         /// Latency in nanoseconds.
         nanos: u64,
     },
+    /// A client measured the same end-to-end latency for `count` requests at once —
+    /// what a datablock's worth of requests submitted at one instant and executed at
+    /// one instant yields. Equivalent to `count` [`Self::RequestLatency`] observations.
+    RequestLatencies {
+        /// Latency in nanoseconds, of each of the requests.
+        nanos: u64,
+        /// Number of requests.
+        count: u64,
+    },
     /// A BFTblock (or HotStuff block) reached the committed state at this node.
     BlockCommitted {
         /// The serial number / height of the block.
@@ -61,6 +70,31 @@ pub struct Observation {
     pub node: NodeId,
     /// The payload.
     pub kind: ObservationKind,
+}
+
+/// `count` request-latency samples of `nanos` each, measured at `node`: how
+/// [`MetricsSink`] keeps [`ObservationKind::RequestLatency`] and
+/// [`ObservationKind::RequestLatencies`] observations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencyRun {
+    /// Node whose client stub measured the samples.
+    pub node: NodeId,
+    /// Latency of every sample, in nanoseconds.
+    pub nanos: u64,
+    /// Number of samples.
+    pub count: u64,
+}
+
+impl LatencyRun {
+    /// Adds the run's samples, in seconds, to `sum` one sample at a time. Averages in
+    /// reports are f64 sums over samples in emission order; `secs * count` would
+    /// round differently and move table cells in their last digits.
+    pub fn add_secs_to(&self, sum: &mut f64) {
+        let secs = self.nanos as f64 / 1e9;
+        for _ in 0..self.count {
+            *sum += secs;
+        }
+    }
 }
 
 /// Per-node, per-category traffic counters (bytes and message counts).
@@ -301,8 +335,13 @@ impl LatencyHistogram {
 
     /// Records one latency sample.
     pub fn record(&mut self, nanos: u64) {
-        self.counts[Self::bucket_index(nanos)] += 1;
-        self.total += 1;
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `count` samples of the same latency.
+    pub fn record_n(&mut self, nanos: u64, count: u64) {
+        self.counts[Self::bucket_index(nanos)] += count;
+        self.total += count;
     }
 
     /// Number of samples recorded.
@@ -346,11 +385,15 @@ impl Default for LatencyHistogram {
 pub struct MetricsSink {
     /// Traffic counters.
     pub traffic: TrafficMatrix,
-    /// Ordered list of protocol observations.
+    /// Ordered list of protocol observations, request latencies excepted (see
+    /// [`Self::latency_runs`]).
     pub observations: Vec<Observation>,
-    /// O(1)-memory histogram of every [`ObservationKind::RequestLatency`] sample,
-    /// for percentile reporting.
+    /// O(1)-memory histogram of every request-latency sample, for percentile
+    /// reporting.
     pub latency_histogram: LatencyHistogram,
+    /// Request-latency samples in emission order, one entry per observation rather
+    /// than per request.
+    latency_runs: Vec<LatencyRun>,
     /// Running per-node confirmed-request totals, maintained incrementally on
     /// [`Self::observe`] so full-run throughput queries never rescan the (at large
     /// `n`, multi-million-entry) observation log.
@@ -373,20 +416,31 @@ impl MetricsSink {
         }
     }
 
-    /// Records an observation.
+    /// Records an observation. Request latencies go to the histogram and
+    /// [`Self::latency_runs`]; everything else is appended to [`Self::observations`].
     pub fn observe(&mut self, at: SimTime, node: NodeId, kind: ObservationKind) {
         match kind {
-            ObservationKind::RequestLatency { nanos } => self.latency_histogram.record(nanos),
+            ObservationKind::RequestLatency { nanos } => self.record_latencies(node, nanos, 1),
+            ObservationKind::RequestLatencies { nanos, count } => {
+                self.record_latencies(node, nanos, count)
+            }
             ObservationKind::RequestsConfirmed { count, .. } => {
                 let index = node.as_index();
                 if index >= self.confirmed_per_node.len() {
                     self.confirmed_per_node.resize(index + 1, 0);
                 }
                 self.confirmed_per_node[index] += count;
+                self.observations.push(Observation { at, node, kind });
             }
-            _ => {}
+            _ => self.observations.push(Observation { at, node, kind }),
         }
-        self.observations.push(Observation { at, node, kind });
+    }
+
+    fn record_latencies(&mut self, node: NodeId, nanos: u64, count: u64) {
+        if count > 0 {
+            self.latency_histogram.record_n(nanos, count);
+            self.latency_runs.push(LatencyRun { node, nanos, count });
+        }
     }
 
     /// Total confirmed requests across all [`ObservationKind::RequestsConfirmed`]
@@ -425,15 +479,18 @@ impl MetricsSink {
         per_node.into_iter().max().unwrap_or(0)
     }
 
-    /// All request latency samples in nanoseconds.
+    /// Request-latency samples in emission order, run-length encoded.
+    pub fn latency_runs(&self) -> &[LatencyRun] {
+        &self.latency_runs
+    }
+
+    /// All request latency samples in nanoseconds, in emission order.
     pub fn latency_samples(&self) -> Vec<u64> {
-        self.observations
-            .iter()
-            .filter_map(|o| match o.kind {
-                ObservationKind::RequestLatency { nanos } => Some(nanos),
-                _ => None,
-            })
-            .collect()
+        let mut samples = Vec::with_capacity(self.latency_histogram.total() as usize);
+        for run in &self.latency_runs {
+            samples.extend(std::iter::repeat_n(run.nanos, run.count as usize));
+        }
+        samples
     }
 
     /// Samples recorded under a custom label.
@@ -578,5 +635,37 @@ mod tests {
         );
         assert_eq!(sink.latency_histogram.total(), 2);
         assert_eq!(sink.latency_samples().len(), 2);
+    }
+
+    #[test]
+    fn counted_latencies_equal_that_many_single_ones() {
+        let mut counted = MetricsSink::new();
+        let mut single = MetricsSink::new();
+        for (node, nanos, count) in [(0, 2_000_000, 3), (1, 8_000_000, 2), (0, 2_000_000, 0), (0, 5, 1)] {
+            counted.observe(
+                SimTime(1),
+                NodeId(node),
+                ObservationKind::RequestLatencies { nanos, count },
+            );
+            for _ in 0..count {
+                single.observe(SimTime(1), NodeId(node), ObservationKind::RequestLatency { nanos });
+            }
+        }
+        // Same samples in the same order, same histogram; neither kind enters the log.
+        assert_eq!(counted.latency_samples(), single.latency_samples());
+        assert_eq!(
+            counted.latency_samples(),
+            vec![2_000_000, 2_000_000, 2_000_000, 8_000_000, 8_000_000, 5]
+        );
+        assert_eq!(counted.latency_histogram.total(), 6);
+        assert_eq!(counted.latency_histogram.percentile(0.5), single.latency_histogram.percentile(0.5));
+        assert!(counted.observations.is_empty() && single.observations.is_empty());
+        assert_eq!(counted.latency_runs().len(), 3);
+        assert_eq!(single.latency_runs().len(), 6);
+        // Summing sample by sample is what the per-request code did.
+        let (mut by_run, mut by_sample) = (0.0, 0.0);
+        counted.latency_runs().iter().for_each(|run| run.add_secs_to(&mut by_run));
+        single.latency_samples().iter().for_each(|&n| by_sample += n as f64 / 1e9);
+        assert_eq!(by_run.to_bits(), by_sample.to_bits());
     }
 }

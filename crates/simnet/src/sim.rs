@@ -1048,11 +1048,15 @@ impl SimulationReport {
     /// Average request latency in seconds over all latency samples, or `None` if no
     /// request completed.
     pub fn average_latency_secs(&self) -> Option<f64> {
-        let samples = self.metrics.latency_samples();
-        if samples.is_empty() {
+        let samples = self.metrics.latency_histogram.total();
+        if samples == 0 {
             return None;
         }
-        Some(samples.iter().map(|&n| n as f64 / 1e9).sum::<f64>() / samples.len() as f64)
+        let mut sum = 0.0;
+        for run in self.metrics.latency_runs() {
+            run.add_secs_to(&mut sum);
+        }
+        Some(sum / samples as f64)
     }
 
     /// The `p`-quantile (`p` in `[0, 1]`) of request latency in seconds, computed from
