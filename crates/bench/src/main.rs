@@ -8,6 +8,9 @@
 //! With no ids every experiment runs. `--full` selects the paper-scale parameter sets
 //! (slower); the default "quick" profile uses reduced scales suitable for a laptop.
 //! Each table is printed to stdout and written to `target/experiments/<id>.csv`.
+//! An argument that starts with `--` and is not one of the flags below is refused
+//! (exit 2) before anything runs. The tables come from here; performance claims come
+//! from `benchmark/ --compare` (see `EXPERIMENTS.md`).
 //!
 //! `--bench-json <path>` additionally writes a machine-readable JSON document with the
 //! wall-clock seconds and result table of every experiment run — the format of the
@@ -29,22 +32,6 @@
 //! performance regression in the simulator or a protocol hot path fails the build
 //! instead of quietly making every future benchmark run slower.
 //!
-//! `--parallel` runs every scenario on the parallel engine (shard-parallel rounds
-//! under the conservative-lookahead horizon; see `DESIGN.md` §10). Results are
-//! bit-identical to the default sequential engine — the flag is purely a wall-clock
-//! knob for large-`n` sweeps on multi-core machines.
-//!
-//! `--ab-compare <N>` turns the run into a same-process A/B benchmark: each selected
-//! experiment is run `N` times on the sequential engine and `N` times on the
-//! parallel engine, **interleaved** (A B A B …) so slow drift in the machine's
-//! background load lands on both sides equally, and the reported figure per side is
-//! the *minimum* wall clock and minimum CPU time over its `N` runs — the standard
-//! defence against scheduler noise (observed at ±13% on a busy 1-vCPU container;
-//! see `EXPERIMENTS.md`). CPU time is read from `/proc/self/stat` (utime + stime
-//! deltas around each run), so a parallel run that burns two cores to halve the
-//! wall clock is visible as such. The tables and CSVs of the measured runs are not
-//! written — `--ab-compare` prints one comparison table instead.
-//!
 //! `--min-events-per-sec <threshold>` makes the binary exit non-zero if any selected
 //! experiment's engine events/sec figure lands below the threshold — the CI floor
 //! that catches an engine-speed collapse (used with `fig9xlsmoke`; see the note in
@@ -63,11 +50,15 @@ use leopard_harness::experiments::{run_experiment_with, EXPERIMENT_IDS};
 use leopard_harness::report::{
     bench_records_to_json, peak_rss_bytes, reset_peak_rss, BenchRecord,
 };
-use leopard_harness::scenario::set_default_parallel;
 use leopard_harness::trajectory::{fold_document, render_trajectory};
 use leopard_simnet::global_events_processed;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// Every flag `main` accepts, for the unknown-flag error.
+const VALID_FLAGS: &str = "--full, --bench-json <path>, --require-nonzero <substr>, \
+     --max-wall-clock <secs>, --min-events-per-sec <threshold>, --schedules <N>, \
+     --chaos-seed <S>, --chaos-case <K>";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,14 +67,12 @@ fn main() {
     let mut require_nonzero: Option<String> = None;
     let mut max_wall_clock: Option<f64> = None;
     let mut min_events_per_sec: Option<f64> = None;
-    let mut ab_compare: Option<usize> = None;
     let mut chaos = ChaosOverrides::default();
     let mut requested: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--full" => {}
-            "--parallel" => set_default_parallel(true),
             "--bench-json" => match iter.next() {
                 Some(path) => bench_json = Some(PathBuf::from(path)),
                 None => {
@@ -112,13 +101,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--ab-compare" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(rounds) if rounds > 0 => ab_compare = Some(rounds),
-                _ => {
-                    eprintln!("--ab-compare requires a positive round-count argument");
-                    std::process::exit(2);
-                }
-            },
             "--schedules" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(count) => chaos.schedules = Some(count),
                 None => {
@@ -140,6 +122,10 @@ fn main() {
                     std::process::exit(2);
                 }
             },
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag}; valid flags: {VALID_FLAGS}");
+                std::process::exit(2);
+            }
             _ => requested.push(arg),
         }
     }
@@ -151,9 +137,6 @@ fn main() {
     } else {
         requested.iter().map(String::as_str).collect()
     };
-    if let Some(rounds) = ab_compare {
-        std::process::exit(run_ab_compare(&ids, rounds, full, &chaos));
-    }
 
     let out_dir = PathBuf::from("target/experiments");
     let mut records: Vec<BenchRecord> = Vec::new();
@@ -268,105 +251,6 @@ fn check_nonzero_columns(table: &leopard_harness::report::Table, substr: &str) -
         }
     }
     failures
-}
-
-/// Process CPU seconds so far (utime + stime from `/proc/self/stat`, at the
-/// kernel's 100 Hz USER_HZ). Returns 0.0 where procfs is unavailable, which turns
-/// the A/B CPU columns into zeros instead of failing the run.
-fn cpu_seconds() -> f64 {
-    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
-        return 0.0;
-    };
-    // The comm field (2) is parenthesised and may itself contain spaces or parens;
-    // everything after the *last* ')' is fields 3..=52, whitespace-separated, so
-    // utime (field 14) and stime (15) are at post-paren indices 11 and 12.
-    let Some((_, rest)) = stat.rsplit_once(')') else {
-        return 0.0;
-    };
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let ticks = |index: usize| fields.get(index).and_then(|f| f.parse::<u64>().ok()).unwrap_or(0);
-    (ticks(11) + ticks(12)) as f64 / 100.0
-}
-
-/// `--ab-compare <rounds>`: interleaved sequential-vs-parallel engine benchmark over
-/// the selected experiments (see the module docs). Returns the process exit code.
-fn run_ab_compare(ids: &[&str], rounds: usize, full: bool, chaos: &ChaosOverrides) -> i32 {
-    /// Per-side minima over the interleaved rounds.
-    struct Side {
-        label: &'static str,
-        parallel: bool,
-        min_wall: f64,
-        min_cpu: f64,
-        events: u64,
-    }
-    let mut failures = 0;
-    let mut table = leopard_harness::report::Table::new(
-        format!(
-            "A/B engine comparison — min over {rounds} interleaved round(s) per side ({} profile)",
-            if full { "full" } else { "quick" }
-        ),
-        &["experiment", "engine", "min wall (s)", "min CPU (s)", "events", "engine (Mev/s)", "wall speedup"],
-    );
-    for id in ids {
-        let mut sides = [
-            Side { label: "sequential", parallel: false, min_wall: f64::INFINITY, min_cpu: f64::INFINITY, events: 0 },
-            Side { label: "parallel", parallel: true, min_wall: f64::INFINITY, min_cpu: f64::INFINITY, events: 0 },
-        ];
-        eprintln!("ab-compare {id}: {rounds} interleaved round(s) per engine ...");
-        for round in 0..rounds {
-            for side in sides.iter_mut() {
-                set_default_parallel(side.parallel);
-                let events_before = global_events_processed();
-                let cpu_before = cpu_seconds();
-                let start = Instant::now();
-                let ran = run_experiment_with(id, !full, chaos).is_some();
-                let wall = start.elapsed().as_secs_f64();
-                let cpu = cpu_seconds() - cpu_before;
-                let events = global_events_processed() - events_before;
-                if !ran {
-                    eprintln!("  unknown experiment id: {id}");
-                    failures += 1;
-                    break;
-                }
-                side.min_wall = side.min_wall.min(wall);
-                side.min_cpu = side.min_cpu.min(cpu);
-                side.events = events;
-                eprintln!(
-                    "  round {}/{} {}: wall {wall:.3}s cpu {cpu:.3}s ({} events)",
-                    round + 1, rounds, side.label, events
-                );
-            }
-        }
-        set_default_parallel(false);
-        if sides.iter().any(|s| s.min_wall.is_infinite()) {
-            continue; // unknown id, already counted
-        }
-        if sides[0].events != sides[1].events {
-            eprintln!(
-                "AB-COMPARE FAILED: {id} event counts diverged ({} sequential vs {} parallel) — engines are not equivalent",
-                sides[0].events, sides[1].events
-            );
-            failures += 1;
-        }
-        let sequential_wall = sides[0].min_wall;
-        for side in &sides {
-            table.push_row(vec![
-                id.to_string(),
-                side.label.to_string(),
-                format!("{:.3}", side.min_wall),
-                format!("{:.3}", side.min_cpu),
-                side.events.to_string(),
-                format!("{:.2}", side.events as f64 / side.min_wall / 1e6),
-                format!("{:.2}x", sequential_wall / side.min_wall),
-            ]);
-        }
-    }
-    println!("{}", table.to_text());
-    if failures > 0 {
-        1
-    } else {
-        0
-    }
 }
 
 /// The `bench-trajectory` subcommand: folds every `BENCH_PR*.json` in the current

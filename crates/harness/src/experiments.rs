@@ -1,9 +1,8 @@
 //! One function per table/figure of the paper's evaluation section (§VI).
 //!
 //! Every function returns a [`Table`] whose rows mirror the corresponding plot or table
-//! in the paper. `quick = true` selects reduced scales / durations suitable for CI and
-//! criterion benchmarks; `quick = false` selects the scales reported in
-//! `EXPERIMENTS.md`.
+//! in the paper. `quick = true` selects reduced scales / durations suitable for CI;
+//! `quick = false` selects the scales reported in `EXPERIMENTS.md`.
 
 use crate::analysis;
 use crate::chaos::{chaos_experiment, ChaosOptions, ChaosOverrides};
@@ -1119,7 +1118,7 @@ mod tests {
     fn dispatcher_knows_every_id() {
         for id in EXPERIMENT_IDS {
             // Only run the cheap analytical ones here; the rest are covered by the
-            // integration tests and benches.
+            // integration tests and the CI smokes.
             if *id == "tab1" || *id == "tab2" {
                 assert!(run_experiment(id, true).is_some());
             }

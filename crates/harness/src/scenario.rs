@@ -8,24 +8,10 @@ use leopard_core::{config::WorkloadMode, LeopardConfig, LeopardReplica};
 use leopard_crypto::provider::CryptoMode;
 use leopard_hotstuff::{HotStuffConfig, HotStuffReplica};
 use leopard_simnet::{
-    ExecutionMode, FaultPlan, NetworkConfig, ObservationKind, ProgressProbe, SimDuration, SimTime,
-    Simulation, SimulationReport, StragglerProfile, Topology,
+    FaultPlan, NetworkConfig, ObservationKind, ProgressProbe, SimDuration, SimTime, Simulation,
+    SimulationReport, StragglerProfile, Topology,
 };
 use leopard_types::{CostModelKind, NodeId, ProtocolParams};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for [`ScenarioConfig::parallel`], set by the experiments
-/// binary's `--parallel` flag. The engines are bit-identical, so flipping this can
-/// never change a result — only the wall clock.
-static DEFAULT_PARALLEL: AtomicBool = AtomicBool::new(false);
-
-/// Makes every subsequently constructed [`ScenarioConfig`] default to the parallel
-/// engine ([`leopard_simnet::ExecutionMode::Parallel`], threads auto-sized). The
-/// opt-in behind the experiments binary's `--parallel` flag; individual scenarios can
-/// still override with [`ScenarioConfig::with_parallel`].
-pub fn set_default_parallel(parallel: bool) {
-    DEFAULT_PARALLEL.store(parallel, Ordering::Relaxed);
-}
 
 /// Description of one experiment run.
 #[derive(Debug, Clone)]
@@ -110,10 +96,9 @@ pub struct ScenarioConfig {
     /// [`Self::duration`] (see [`Self::with_workload_stop`]); `None` offers load for
     /// the whole run.
     pub workload_stop: Option<SimDuration>,
-    /// Executes same-instant event batches on worker threads
-    /// ([`leopard_simnet::ExecutionMode::Parallel`]). Bit-identical to the default
-    /// sequential engine by construction — `tests/engine_equivalence.rs` guards it —
-    /// so this is purely a wall-clock knob for large-`n` sweeps.
+    /// Reserved, always `false`: the simulator has one event engine, and the
+    /// runners panic if this is set. Read only by the benchmark's mirror
+    /// (`benchmark/src/mirror.rs`); goes with the mirror (ROADMAP item 6).
     pub parallel: bool,
     /// Number of concurrent BFTblock proposers (the PR 9 multi-proposer agreement
     /// plane). `1` is the classic single-leader protocol, bit for bit.
@@ -142,8 +127,8 @@ impl ScenarioConfig {
             selective_attackers: 0,
             max_events: 50_000_000,
             // Metered crypto above the equivalence-validated scale: identical modeled
-            // schedule, a fraction of the wall-clock (the full fig9 sweep's acceptance
-            // criterion).
+            // schedule, a fraction of the wall-clock (the full fig9 sweep's time
+            // budget depends on it).
             crypto_mode: if n > 64 { CryptoMode::Metered } else { CryptoMode::Real },
             cost_model: CostModelKind::Calibrated,
             slow_replicas: 0,
@@ -158,7 +143,7 @@ impl ScenarioConfig {
             view_thrash_bound: None,
             progress_timeout: None,
             workload_stop: None,
-            parallel: DEFAULT_PARALLEL.load(Ordering::Relaxed),
+            parallel: false,
             proposers: 1,
             cores: 1,
         }
@@ -193,7 +178,7 @@ impl ScenarioConfig {
             view_thrash_bound: None,
             progress_timeout: None,
             workload_stop: None,
-            parallel: DEFAULT_PARALLEL.load(Ordering::Relaxed),
+            parallel: false,
             proposers: 1,
             cores: 1,
         }
@@ -329,14 +314,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Runs the simulation's same-instant event batches on worker threads (thread
-    /// count auto-sized to the machine). The schedule, metrics and RNG draws stay
-    /// bit-identical to the sequential engine.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Overrides the event budget (the runaway-configuration safety valve). The
     /// `fig9xl` sweep raises it: at n = 4000 a single dissemination wave alone is
     /// tens of millions of events, comfortably past the default 50 M cap.
@@ -353,15 +330,6 @@ impl ScenarioConfig {
     pub fn with_workload_stop(mut self, stop: SimDuration) -> Self {
         self.workload_stop = Some(stop);
         self
-    }
-
-    /// The execution mode the runners hand to the simulator.
-    fn execution_mode(&self) -> ExecutionMode {
-        if self.parallel {
-            ExecutionMode::Parallel { threads: 0 }
-        } else {
-            ExecutionMode::Sequential
-        }
     }
 
     /// A flapping link between `region_a` and `region_b` of the scenario's
@@ -1015,6 +983,17 @@ impl ScenarioReport {
     }
 }
 
+/// Refuses a scenario that sets the reserved [`ScenarioConfig::parallel`] field:
+/// silently running it on the one engine would misreport what was measured.
+fn refuse_parallel(config: &ScenarioConfig) {
+    assert!(
+        !config.parallel,
+        "ScenarioConfig::parallel is reserved and must stay false: the simulator has one event \
+         engine (the shard-round parallel mode measured 0.4-0.6x of it and was removed, see \
+         DESIGN.md §10); the field remains only because the benchmark's mirror reads it"
+    );
+}
+
 /// Runs Leopard under the given scenario and asserts the invariant checker found
 /// nothing: any safety fork, post-quiesce liveness stall, unretrievable datablock or
 /// view-change thrash panics with the rendered violations. Every experiment goes through this runner, so
@@ -1022,7 +1001,8 @@ impl ScenarioReport {
 ///
 /// # Panics
 ///
-/// Panics if the run violates any invariant (see [`crate::invariants`]).
+/// Panics if the run violates any invariant (see [`crate::invariants`]), or if the
+/// reserved [`ScenarioConfig::parallel`] field is set.
 pub fn run_leopard_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let report = run_leopard_scenario_unchecked(config);
     assert!(
@@ -1038,7 +1018,12 @@ pub fn run_leopard_scenario(config: &ScenarioConfig) -> ScenarioReport {
 /// instead of asserting: violations land in [`ScenarioReport::violations`]. This is
 /// the escape hatch for harness tests that deliberately provoke violations; everything
 /// else should use [`run_leopard_scenario`].
+///
+/// # Panics
+///
+/// Panics if the reserved [`ScenarioConfig::parallel`] field is set.
 pub fn run_leopard_scenario_unchecked(config: &ScenarioConfig) -> ScenarioReport {
+    refuse_parallel(config);
     let leopard_config = config.leopard_config();
     let stall_bound = config
         .liveness_bound
@@ -1053,7 +1038,6 @@ pub fn run_leopard_scenario_unchecked(config: &ScenarioConfig) -> ScenarioReport
         }
         LeopardReplica::new(id, replica_config, shared.clone())
     });
-    sim.set_execution_mode(config.execution_mode());
     sim.run_until(SimTime::ZERO + config.duration, config.max_events);
     let snapshot = SystemSnapshot::capture(
         &sim,
@@ -1071,13 +1055,17 @@ pub fn run_leopard_scenario_unchecked(config: &ScenarioConfig) -> ScenarioReport
 }
 
 /// Runs the HotStuff baseline under the given scenario.
+///
+/// # Panics
+///
+/// Panics if the reserved [`ScenarioConfig::parallel`] field is set.
 pub fn run_hotstuff_scenario(config: &ScenarioConfig) -> ScenarioReport {
+    refuse_parallel(config);
     let hotstuff_config = config.hotstuff_config();
     let keys = hotstuff_config.shared_keys(config.seed);
     let sim = Simulation::new(config.network(), config.faults(), move |id| {
         HotStuffReplica::new(id, hotstuff_config.clone(), keys.clone())
-    })
-    .with_execution_mode(config.execution_mode());
+    });
     let report = sim.run_to_report(SimTime::ZERO + config.duration, config.max_events);
     ScenarioReport::from_sim("hotstuff", config, report)
 }
@@ -1104,6 +1092,22 @@ mod tests {
         assert_eq!(report.protocol, "hotstuff");
         assert!(report.confirmed_requests > 0);
         assert!(report.average_latency_secs.is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "ScenarioConfig::parallel is reserved")]
+    fn leopard_runner_refuses_the_reserved_parallel_field() {
+        let mut config = ScenarioConfig::small(4);
+        config.parallel = true;
+        run_leopard_scenario(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "ScenarioConfig::parallel is reserved")]
+    fn hotstuff_runner_refuses_the_reserved_parallel_field() {
+        let mut config = ScenarioConfig::small(4);
+        config.parallel = true;
+        run_hotstuff_scenario(&config);
     }
 
     #[test]

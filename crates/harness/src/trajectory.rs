@@ -342,8 +342,9 @@ pub fn render_trajectory(mut rows: Vec<TrajectoryRow>) -> String {
          simulating wall time, *not* a mean of per-experiment rates. Schema-v1\n\
          documents (PR 2–5) predate the engine-speed fields, so those cells read\n\
          `-`. Numbers from different PRs were recorded on that PR's reference\n\
-         machine; treat cross-PR deltas as indicative, and rerun `--ab-compare`\n\
-         for a same-machine comparison (see `EXPERIMENTS.md`).\n\n",
+         machine; treat cross-PR deltas as indicative, and run\n\
+         `benchmark/run.sh --twice` for a same-machine comparison (see\n\
+         `EXPERIMENTS.md`).\n\n",
     );
     out.push_str("| PR | file | profile | wall (s) | engine (Mev/s) | peak RSS (MB) | experiments |\n");
     out.push_str("|----|------|---------|----------|----------------|---------------|-------------|\n");

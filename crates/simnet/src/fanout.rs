@@ -112,25 +112,8 @@ impl<M> FanoutTable<M> {
         }
     }
 
-    /// The sending node of the slot.
-    pub(crate) fn sender(&self, id: u32) -> NodeId {
-        let slot = &self.slots[id as usize];
-        debug_assert!(slot.message.is_some(), "lookup on a reclaimed fan-out slot");
-        slot.from
-    }
-
-    /// The shared envelope (read-only; used by the parallel round's workers, which
-    /// defer all reference accounting to the sequential apply phase).
-    pub(crate) fn message(&self, id: u32) -> &Arc<M> {
-        self.slots[id as usize]
-            .message
-            .as_ref()
-            .expect("message lookup on a reclaimed fan-out slot")
-    }
-
-    /// Returns one reference without taking the message (crashed receiver, or the
-    /// apply-phase mirror of a worker-side consumption); reclaims the slot when the
-    /// last reference returns.
+    /// Returns one reference without taking the message (a crashed receiver swallowed
+    /// the event); reclaims the slot when the last reference returns.
     pub(crate) fn release(&mut self, id: u32) {
         let slot = &mut self.slots[id as usize];
         debug_assert!(slot.refs > 0, "release on an unreferenced fan-out slot");

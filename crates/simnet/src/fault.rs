@@ -77,10 +77,8 @@ pub struct CrashWindow {
 }
 
 impl CrashWindow {
-    /// True if this window has `node` down at `now`. The single source of truth for
-    /// crash coverage: [`FaultPlan::is_crashed`] and the simulator's parallel batch
-    /// workers (which only see the plain crash-window slice, never the full plan)
-    /// both go through it.
+    /// True if this window has `node` down at `now` — the crash-coverage rule behind
+    /// [`FaultPlan::is_crashed`].
     pub fn covers(&self, node: NodeId, now: SimTime) -> bool {
         self.node == node && now >= self.at && self.until.map_or(true, |until| now < until)
     }

@@ -50,5 +50,5 @@ pub use metrics::{
 };
 pub use network::{LinkConfig, NetworkConfig, ResolvedTopology, StragglerProfile, Topology};
 pub use protocol::{Context, ProgressProbe, Protocol, SimMessage};
-pub use sim::{global_events_processed, ExecutionMode, Simulation, SimulationReport};
+pub use sim::{global_events_processed, Simulation, SimulationReport};
 pub use time::{SimDuration, SimTime};

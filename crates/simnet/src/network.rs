@@ -426,11 +426,6 @@ pub struct ResolvedTopology {
     pub jitter_nanos: Vec<u64>,
     /// Per-node deterministic straggler extra latency in nanoseconds.
     pub extra_nanos: Vec<u64>,
-    /// The smallest entry of `base_nanos` — a conservative lower bound on how soon a
-    /// message sent between two distinct nodes can arrive (straggler extras, jitter
-    /// and uplink serialisation only add to it). The simulator's sharded event queue
-    /// uses it as the shard-run lookahead (see `DESIGN.md` §10).
-    pub min_cross_base_nanos: u64,
 }
 
 impl ResolvedTopology {
@@ -663,7 +658,6 @@ impl NetworkConfig {
                 base_nanos: vec![self.base_latency.as_nanos()],
                 jitter_nanos: vec![self.jitter.as_nanos()],
                 extra_nanos: vec![0; n],
-                min_cross_base_nanos: self.base_latency.as_nanos(),
             };
         };
         let r = topology.region_count();
@@ -694,20 +688,15 @@ impl NetworkConfig {
             node_region.push(region as u32);
             extra_nanos.push(straggler.map_or(0, |p| p.extra_latency.as_nanos()));
         }
-        let base_nanos: Vec<u64> = topology.base.iter().map(|d| d.as_nanos()).collect();
-        // The diagonal counts too: two distinct nodes of one region exchange
-        // messages at the intra-region latency.
-        let min_cross_base_nanos = base_nanos.iter().copied().min().unwrap_or(0);
         ResolvedTopology {
             links,
             cpu_speeds,
             cores: (0..n).map(|i| self.node_cores(i)).collect(),
             node_region,
             region_count: r,
-            base_nanos,
+            base_nanos: topology.base.iter().map(|d| d.as_nanos()).collect(),
             jitter_nanos: topology.jitter.iter().map(|d| d.as_nanos()).collect(),
             extra_nanos,
-            min_cross_base_nanos,
         }
     }
 

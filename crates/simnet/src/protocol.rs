@@ -17,9 +17,8 @@ use rand::RngCore;
 /// (paper, Table III); it should be a small, fixed set of labels such as
 /// `"datablock"`, `"bftblock"`, `"vote"`, `"proof"`.
 ///
-/// `Send + Sync` because one `Arc`'d envelope of a multicast may be delivered from
-/// several worker threads of the simulator's parallel execution mode (and the
-/// thread-based runtime moves messages across channels).
+/// `Send + Sync` because the thread-based [`crate::runtime`] moves messages across
+/// channels between node threads; the single-threaded simulator needs neither.
 pub trait SimMessage: Clone + WireSize + Send + Sync + 'static {
     /// The accounting category of this message.
     fn category(&self) -> &'static str;
@@ -135,10 +134,8 @@ impl ProgressProbe {
 
 /// A sans-IO protocol state machine.
 ///
-/// `Send` because both drivers move state machines across threads: the thread-based
-/// [`crate::runtime`] gives each node its own thread, and the simulator's parallel
-/// execution mode executes same-instant callbacks of different nodes on a worker
-/// pool (each node's state is only ever touched by one thread at a time).
+/// `Send` because the thread-based [`crate::runtime`] gives each node its own
+/// thread; the simulator runs every state machine on the calling thread.
 pub trait Protocol: Send {
     /// The message type exchanged between nodes running this protocol.
     type Message: SimMessage;

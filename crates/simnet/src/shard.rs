@@ -20,20 +20,6 @@
 //! shard's head replays only its leaf-to-root path: `log2(shards)` integer compares
 //! on a flat 8 KB array, with none of the sift-down element movement or stale-entry
 //! bookkeeping a candidate heap would need.
-//!
-//! # Conservative lookahead (rounds, not runs)
-//!
-//! The classical conservative-lookahead argument — a cross-shard event created at
-//! `t` cannot land before `t + minimum cross-shard latency`, and any event created
-//! at exactly that instant carries a larger `seq` and sorts after everything already
-//! queued — is applied at *round* granularity by the parallel engine (`crate::sim`):
-//! every shard whose head lies inside the horizon is drained concurrently. The
-//! sequential engine deliberately does **not** exploit it per shard: a run-based API
-//! that drained one shard without consulting the merge tree was measured at 1.1–1.3
-//! events per run on the fig9xl scales (saturated shards interleave at nearly
-//! identical instants, so the cross-shard bound kills a run immediately) and its
-//! park/restore leaf repairs cost more than the plain merge pop they replaced — see
-//! [`ShardedQueue::pop_min`].
 
 use crate::sim::{EventKind, QueuedEvent};
 use crate::time::SimTime;
@@ -45,13 +31,13 @@ pub(crate) type EventKey = (SimTime, u64);
 
 /// Packs an event key into a single integer preserving `(time, seq)` order.
 #[inline]
-pub(crate) fn pack(at: SimTime, seq: u64) -> u128 {
+fn pack(at: SimTime, seq: u64) -> u128 {
     (u128::from(at.as_nanos()) << 64) | u128::from(seq)
 }
 
 /// Unpacks a [`pack`]ed key.
 #[inline]
-pub(crate) fn unpack(key: u128) -> EventKey {
+fn unpack(key: u128) -> EventKey {
     (SimTime((key >> 64) as u64), key as u64)
 }
 
@@ -77,7 +63,7 @@ const EMPTY: u128 = u128::MAX;
 /// moves payloads at all was measured and rejected: with per-shard heaps this
 /// shallow, the extra random-access load per pop costs more than the rotation it
 /// saves.)
-pub(crate) struct QuadHeap {
+struct QuadHeap {
     keys: Vec<u128>,
     kinds: Vec<EventKind>,
 }
@@ -91,7 +77,7 @@ impl QuadHeap {
     }
 
     #[inline]
-    pub(crate) fn peek_key(&self) -> Option<u128> {
+    fn peek_key(&self) -> Option<u128> {
         self.keys.first().copied()
     }
 
@@ -132,7 +118,7 @@ impl QuadHeap {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<(u128, EventKind)> {
+    fn pop(&mut self) -> Option<(u128, EventKind)> {
         let len = self.keys.len();
         if len == 0 {
             return None;
@@ -193,7 +179,7 @@ impl QuadHeap {
 /// itself), and the shard's head is the smaller of the heap head and the FIFO
 /// front. Self-deliveries (whose completion instants are *not* monotone — compute
 /// lanes can reorder them) and everything else stay in the heap.
-pub(crate) struct Shard {
+struct Shard {
     heap: QuadHeap,
     /// Packed `(time, seq)` keys of the deliver FIFO, nondecreasing.
     fifo_keys: VecDeque<u128>,
@@ -215,7 +201,7 @@ impl Shard {
 
     /// The shard's minimal key over both stores.
     #[inline]
-    pub(crate) fn peek_key(&self) -> Option<u128> {
+    fn peek_key(&self) -> Option<u128> {
         match (self.heap.peek_key(), self.fifo_keys.front().copied()) {
             (Some(heap), Some(fifo)) => Some(heap.min(fifo)),
             (Some(heap), None) => Some(heap),
@@ -227,7 +213,7 @@ impl Shard {
     /// Pops the shard's minimal event. FIFO deliveries win ties by construction:
     /// keys are unique, so a tie cannot happen and the comparison is strict.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(u128, EventKind)> {
+    fn pop(&mut self) -> Option<(u128, EventKind)> {
         let take_fifo = match (self.heap.peek_key(), self.fifo_keys.front()) {
             (Some(heap), Some(&fifo)) => fifo < heap,
             (None, Some(_)) => true,
@@ -275,8 +261,7 @@ impl Shard {
 pub(crate) struct ShardedQueue {
     /// One store per owning node.
     shards: Vec<Shard>,
-    /// Per-shard packed head key (`EMPTY` when the shard has no events or its leaf
-    /// is parked by an active run).
+    /// Per-shard packed head key (`EMPTY` when the shard has no events).
     keys: Vec<u128>,
     /// Winner tree over `keys`: `tree[j]` for `1 ≤ j < leaves` is the shard index
     /// with the smaller key among the leaves of `j`'s subtree; leaf `i` sits at
@@ -378,14 +363,13 @@ impl ShardedQueue {
     /// shard pop plus a single leaf-to-root replay.
     ///
     /// A conservative-lookahead *run* API (`begin_run`/`pop_run`/`end_run`) used to
-    /// sit here so the sequential engine could drain a shard without consulting the
+    /// sit here so the engine could drain a shard without consulting the
     /// merge tree. Measured run lengths at the fig9xl scales are 1.1–1.3 events —
     /// saturated shards interleave at nearly identical instants, so a run died on
     /// the cross-shard bound almost immediately and every event paid *two* leaf
     /// repairs (park + restore) plus a failed continuation probe. The classic merge
     /// pop dispatches the exact same `(time, seq)` sequence for one repair and no
-    /// bookkeeping; the lookahead argument lives on in the parallel round engine,
-    /// where it fences whole rounds instead of single-shard runs.
+    /// bookkeeping.
     pub fn pop_min(&mut self, deadline: SimTime) -> Option<QueuedEvent> {
         let shard = self.tree[1];
         let key = self.keys[shard as usize];
@@ -398,26 +382,6 @@ impl ShardedQueue {
         self.update_leaf(shard, head);
         let (at, seq) = unpack(key);
         Some(QueuedEvent { at, seq, kind })
-    }
-
-    /// Direct mutable access to the per-shard stores, for the parallel round
-    /// engine: each round worker drains its own shard without touching the merge
-    /// tree. The caller must call [`Self::settle_round`] afterwards to restore the
-    /// leaf/merge invariants and the length bookkeeping.
-    pub fn shards_mut(&mut self) -> &mut [Shard] {
-        &mut self.shards
-    }
-
-    /// Appends (ascending) the indices of every shard whose current head is at or
-    /// below `cutoff` — the shards that participate in a parallel round. Leaf keys
-    /// are accurate between runs, so this is a linear scan, no heap traffic.
-    pub fn shards_at_or_below(&self, cutoff: SimTime, out: &mut Vec<u32>) {
-        let fence = pack(cutoff, u64::MAX);
-        for (i, &key) in self.keys.iter().enumerate() {
-            if key <= fence {
-                out.push(i as u32);
-            }
-        }
     }
 
     /// Visits every queued event's kind — heap entries and deliver-FIFO entries
@@ -435,20 +399,6 @@ impl ShardedQueue {
                     fanout,
                     to: NodeId(shard.node),
                 });
-            }
-        }
-    }
-
-    /// Restores the queue invariants after a parallel round: deducts the `drained`
-    /// events the round's workers popped directly from their heaps and rewrites
-    /// every stale leaf (both the drained shards and any shard the apply phase
-    /// pushed to while its leaf was inaccurate).
-    pub fn settle_round(&mut self, drained: usize) {
-        self.len -= drained;
-        for shard in 0..self.shards.len() as u32 {
-            let key = self.shards[shard as usize].peek_key().unwrap_or(EMPTY);
-            if key != self.keys[shard as usize] {
-                self.update_leaf(shard, key);
             }
         }
     }

@@ -31,11 +31,11 @@
 //! seed and protocol, the event order is completely reproducible.
 
 use crate::fanout::FanoutTable;
-use crate::fault::{CrashWindow, FaultPlan, MessageFate};
+use crate::fault::{FaultPlan, MessageFate};
 use crate::metrics::{MetricsSink, ObservationKind};
 use crate::network::{NetworkConfig, ResolvedTopology};
 use crate::protocol::{Context, Protocol, SimMessage};
-use crate::shard::{pack, unpack, Shard, ShardedQueue};
+use crate::shard::ShardedQueue;
 use crate::time::{SimDuration, SimTime};
 use leopard_types::{NodeId, WireSize};
 use rand::rngs::StdRng;
@@ -51,27 +51,6 @@ static EVENTS_PROCESSED: AtomicU64 = AtomicU64::new(0);
 /// Total events processed by all [`Simulation`] runs in this process so far.
 pub fn global_events_processed() -> u64 {
     EVENTS_PROCESSED.load(Ordering::Relaxed)
-}
-
-/// How [`Simulation::run_until`] executes the event schedule. Both modes produce
-/// bit-identical reports; `Parallel` trades single-thread speed for multi-core
-/// scaling on wide same-instant batches (large fan-out start-ups, synchronized
-/// timer storms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// One event at a time in `(time, seq)` order, with conservative-lookahead shard
-    /// runs keeping the merge heap off the hot path. The default.
-    Sequential,
-    /// Shard rounds: every shard whose head event lies inside the conservative
-    /// lookahead horizon is drained up to that horizon by a worker thread that owns
-    /// all of the shard's per-node state; every engine-side effect (net-RNG draws,
-    /// the stateful fault judge, metrics, event sequence numbers, fan-out reference
-    /// accounting) is recorded and replayed sequentially in the exact `(time, seq)`
-    /// order afterwards, so the schedule stays bit-identical to `Sequential`.
-    Parallel {
-        /// Worker thread count; `0` means `std::thread::available_parallelism()`.
-        threads: usize,
-    },
 }
 
 /// What a queued event does when it fires.
@@ -223,626 +202,13 @@ impl<M> ActionBuffer<M> {
     }
 }
 
-/// One protocol-callback invocation in engine event terms, shared by the sequential
-/// dispatcher and the parallel round workers. `Message` carries the
+/// One protocol-callback invocation in engine event terms. `Message` carries the
 /// already-materialised owned message (see [`FanoutTable::consume`]).
 enum Invoke<M> {
     Start,
     Restart,
     Message { from: NodeId, message: M },
     Timer { token: u64 },
-}
-
-// ---------------------------------------------------------------------------
-// Parallel shard rounds.
-//
-// `ExecutionMode::Parallel` executes *shard rounds*: every shard whose head event
-// lies at or below a common horizon (`round start + conservative lookahead`, the
-// same bound the sequential shard runs use — see `crate::shard`) is drained up to
-// that horizon by a worker that owns all of the shard's per-node state (protocol,
-// node RNG, timer epoch, link horizons, compute lanes, the shard's event heap).
-// Everything global — the net RNG, event sequence numbers, metrics, the stateful
-// fault filter, the fan-out table — is *recorded* as a per-dispatch effect list and
-// replayed afterwards in exact `(time, seq)` order, so the schedule, every RNG
-// draw, and every metric stays bit-identical to the sequential engine
-// (`tests/engine_equivalence.rs` holds the goldens).
-//
-// Why the horizon proof carries over: a worker executes only events at or below
-// `cutoff = round start + lookahead`. Any *cross-shard* event such an execution
-// creates arrives no earlier than its dispatch time plus the minimum cross-shard
-// base latency, i.e. at or beyond `cutoff` — and with a larger seq than everything
-// already queued — so it belongs to a later round no matter which shard it lands
-// on. Events a dispatch schedules on its *own* shard (timers, self-deliveries, the
-// downlink leg of an arrival) can land inside the horizon; the worker executes
-// those itself from a local overlay heap, ordered by creation index — which equals
-// `seq` order, because the replay assigns sequence numbers in the same order the
-// worker recorded the pushes.
-// ---------------------------------------------------------------------------
-
-/// A sequence-number reference in a round's dispatch stream: either the real seq a
-/// queued event carried, or the index of a round-local push whose seq the replay
-/// assigns (and records) when it reaches the push.
-#[derive(Clone, Copy)]
-enum SeqRef {
-    Queued(u64),
-    Local(u32),
-}
-
-/// A fan-out table reference usable before the replay has interned this round's new
-/// fan-outs: `Shared` is a real table id (from a previous round or the sequential
-/// engine), `Local` indexes the round's own intern list.
-#[derive(Clone, Copy)]
-enum FanoutRef {
-    Shared(u32),
-    Local(u32),
-}
-
-/// A fan-out interned by a round worker; the message is taken by the replay's
-/// `Intern` effect, which assigns the real table id.
-struct LocalFanout<M> {
-    message: Option<M>,
-}
-
-/// An own-shard event created and executed inside the same round (never queued).
-enum LocalKind {
-    Timer { token: u64, epoch: u32 },
-    Deliver { fanout: FanoutRef },
-}
-
-/// Overlay-heap entry: round-local events fire in `(at, id)` order, and `id` is the
-/// creation index, which the replay maps to ascending sequence numbers — so the
-/// overlay order IS `(time, seq)` order (queued events always win ties on `at`
-/// because every queued seq predates every round-local one).
-struct LocalEvent {
-    at: SimTime,
-    id: u32,
-    kind: LocalKind,
-}
-
-impl PartialEq for LocalEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
-    }
-}
-impl Eq for LocalEvent {}
-impl PartialOrd for LocalEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LocalEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.id).cmp(&(other.at, other.id))
-    }
-}
-
-/// One deferred engine-side effect recorded by a round worker, replayed by the
-/// coordinator in global `(time, seq)` dispatch order. Effects within a dispatch
-/// are replayed in recorded order, which mirrors the sequential engine's effect
-/// order exactly (observations, then timers, then sends; `judge` before anything
-/// else inside a route).
-enum RunEffect {
-    /// `metrics.observe(at, node, observation)` — `at` is the compute-completion
-    /// instant of the recording callback.
-    Observe {
-        at: SimTime,
-        observation: ObservationKind,
-    },
-    /// Assign the next seq to round-local push `id` (a timer the worker executed
-    /// itself).
-    LocalTimer { id: u32 },
-    /// Assign the next seq to round-local push `id` and take one fan-out reference
-    /// (a self-delivery the worker executed itself).
-    LocalDeliverNew { id: u32, fanout: FanoutRef },
-    /// Assign the next seq to round-local push `id`; the reference transfers from
-    /// the `Arrive` handle that matured (the worker executed the delivery itself).
-    LocalDeliverXfer { id: u32 },
-    /// A timer beyond the horizon: a real queue push.
-    PushTimer { at: SimTime, token: u64, epoch: u32 },
-    /// A self-delivery beyond the horizon: a real queue push taking one reference.
-    PushDeliverNew {
-        at: SimTime,
-        to: NodeId,
-        fanout: FanoutRef,
-    },
-    /// A downlink leg crossing the horizon: a real queue push, reference transfers.
-    PushDeliverXfer {
-        at: SimTime,
-        to: NodeId,
-        fanout: FanoutRef,
-    },
-    /// Intern round-local fan-out `id` into the real table.
-    Intern { id: u32 },
-    /// The global tail of a cross-shard route: the stateful fault judge, the
-    /// partition check, traffic metrics, the jitter draw(s), and the `Arrive` push.
-    /// `departure` was computed by the worker from its own uplink horizon.
-    Route {
-        to: NodeId,
-        fanout: FanoutRef,
-        size: u32,
-        category: &'static str,
-        at: SimTime,
-        departure: SimTime,
-    },
-    /// A route whose sender was crashed: the judge still runs (its stateful filter
-    /// must see every send in global order), nothing else happens.
-    RouteCrashed {
-        to: NodeId,
-        size: u32,
-        category: &'static str,
-        at: SimTime,
-    },
-    /// A delivery the worker consumed (it cloned the envelope): return the
-    /// reference.
-    Consume { fanout: FanoutRef },
-    /// A crashed receiver swallowed an `Arrive`/`Deliver`: return the reference.
-    Release { fanout: FanoutRef },
-    /// End of a fan-out loop: reclaim the slot if no copy survived routing.
-    ReleaseIfUnused { fanout: FanoutRef },
-}
-
-/// One dispatch record of a round's per-shard stream. Only dispatches that recorded
-/// at least one effect are kept; `effects_end` is the exclusive end of this
-/// dispatch's slice of the round's flat effect stream.
-#[derive(Clone, Copy)]
-struct DispatchRec {
-    at: SimTime,
-    seq: SeqRef,
-    effects_end: u32,
-}
-
-/// Everything one shard produced during a parallel round.
-struct ShardRound<M> {
-    shard: u32,
-    dispatches: Vec<DispatchRec>,
-    effects: Vec<RunEffect>,
-    local_fanouts: Vec<LocalFanout<M>>,
-    /// Filled by the replay: seq assigned to round-local push `id`.
-    local_seqs: Vec<u64>,
-    /// Filled by the replay: real table id of round-local fan-out `id`.
-    fanout_ids: Vec<u32>,
-    /// Events drained from the shard's real heap (for queue length bookkeeping).
-    popped: usize,
-    /// Events executed, including overlay events and swallowed ones.
-    dispatched: u64,
-    max_at: SimTime,
-}
-
-impl<M> ShardRound<M> {
-    fn new(shard: u32) -> Self {
-        Self {
-            shard,
-            dispatches: Vec::new(),
-            effects: Vec::new(),
-            local_fanouts: Vec::new(),
-            local_seqs: Vec::new(),
-            fanout_ids: Vec::new(),
-            popped: 0,
-            dispatched: 0,
-            max_at: SimTime::ZERO,
-        }
-    }
-
-    fn resolve(&self, fanout: FanoutRef) -> u32 {
-        match fanout {
-            FanoutRef::Shared(id) => id,
-            FanoutRef::Local(id) => self.fanout_ids[id as usize],
-        }
-    }
-
-    /// Reserves a round-local push id (creation order = replayed seq order).
-    fn alloc_local(&mut self) -> u32 {
-        let id = self.local_seqs.len() as u32;
-        self.local_seqs.push(0);
-        id
-    }
-}
-
-/// Read-only inputs shared by every round worker.
-struct RoundCtx<'a, M> {
-    cutoff: SimTime,
-    node_count: usize,
-    half_duplex: bool,
-    crashes: &'a [CrashWindow],
-    resolved: &'a ResolvedTopology,
-    fanouts: &'a FanoutTable<M>,
-}
-
-/// The disjoint per-shard mutable state a round worker owns, carved out of the
-/// engine's `Vec`s with `split_at_mut` — no locks, no unsafe code.
-struct WorkerShard<'a, P: Protocol> {
-    node: NodeId,
-    shard_queue: &'a mut Shard,
-    protocol: &'a mut P,
-    rng: &'a mut StdRng,
-    epoch: &'a mut u32,
-    uplink_free: &'a mut SimTime,
-    downlink_free: &'a mut SimTime,
-    lanes: &'a mut Vec<SimTime>,
-    lane_busy: &'a mut Vec<u64>,
-}
-
-#[inline]
-fn is_down(crashes: &[CrashWindow], node: NodeId, at: SimTime) -> bool {
-    crashes.iter().any(|window| window.covers(node, at))
-}
-
-/// Executes one shard's slice of a parallel round: drains the shard's heap (and the
-/// overlay of round-local events) up to the horizon, running callbacks against the
-/// shard's own state and recording every global effect for the replay.
-fn run_round_shard<P: Protocol>(
-    ws: &mut WorkerShard<'_, P>,
-    ctx: &RoundCtx<'_, P::Message>,
-    round: &mut ShardRound<P::Message>,
-) {
-    let mut overlay: std::collections::BinaryHeap<std::cmp::Reverse<LocalEvent>> =
-        std::collections::BinaryHeap::new();
-    let mut actions = ActionBuffer::default();
-    loop {
-        let queued_at = ws.shard_queue.peek_key().map(|key| SimTime((key >> 64) as u64));
-        let local_at = overlay.peek().map(|std::cmp::Reverse(event)| event.at);
-        let take_queued = match (queued_at, local_at) {
-            (None, None) => break,
-            (Some(at), None) => {
-                if at > ctx.cutoff {
-                    break;
-                }
-                true
-            }
-            (None, Some(at)) => {
-                if at > ctx.cutoff {
-                    break;
-                }
-                false
-            }
-            (Some(queued), Some(local)) => {
-                if queued.min(local) > ctx.cutoff {
-                    break;
-                }
-                // Queued events win ties: every queued seq predates every
-                // round-local push.
-                queued <= local
-            }
-        };
-        round.dispatched += 1;
-        let effects_start = round.effects.len();
-        let (at, seq) = if take_queued {
-            let (key, kind) = ws.shard_queue.pop().expect("peeked head");
-            round.popped += 1;
-            let (at, seq) = unpack(key);
-            match kind {
-                EventKind::Start(_) => {
-                    if !is_down(ctx.crashes, ws.node, at) {
-                        round_callback(ws, ctx, round, &mut overlay, &mut actions, at, Invoke::Start);
-                    }
-                }
-                EventKind::Restart(_) => {
-                    if !is_down(ctx.crashes, ws.node, at) {
-                        // The process died: its armed timers died with it.
-                        *ws.epoch += 1;
-                        round_callback(ws, ctx, round, &mut overlay, &mut actions, at, Invoke::Restart);
-                    }
-                }
-                EventKind::Timer { token, epoch, .. } => {
-                    if !is_down(ctx.crashes, ws.node, at) && epoch == *ws.epoch {
-                        round_callback(
-                            ws,
-                            ctx,
-                            round,
-                            &mut overlay,
-                            &mut actions,
-                            at,
-                            Invoke::Timer { token },
-                        );
-                    }
-                }
-                EventKind::Arrive { fanout, size, .. } => {
-                    round_arrive(ws, ctx, round, &mut overlay, at, fanout, size)
-                }
-                EventKind::Deliver { fanout, .. } => round_deliver(
-                    ws,
-                    ctx,
-                    round,
-                    &mut overlay,
-                    &mut actions,
-                    at,
-                    FanoutRef::Shared(fanout),
-                ),
-            }
-            (at, SeqRef::Queued(seq))
-        } else {
-            let std::cmp::Reverse(event) = overlay.pop().expect("peeked head");
-            let at = event.at;
-            match event.kind {
-                LocalKind::Timer { token, epoch } => {
-                    if !is_down(ctx.crashes, ws.node, at) && epoch == *ws.epoch {
-                        round_callback(
-                            ws,
-                            ctx,
-                            round,
-                            &mut overlay,
-                            &mut actions,
-                            at,
-                            Invoke::Timer { token },
-                        );
-                    }
-                }
-                LocalKind::Deliver { fanout } => {
-                    round_deliver(ws, ctx, round, &mut overlay, &mut actions, at, fanout)
-                }
-            }
-            (at, SeqRef::Local(event.id))
-        };
-        round.max_at = round.max_at.max(at);
-        if round.effects.len() > effects_start {
-            round.dispatches.push(DispatchRec {
-                at,
-                seq,
-                effects_end: round.effects.len() as u32,
-            });
-        }
-    }
-}
-
-/// The worker half of `apply_arrive`: downlink reservation on own state; the
-/// matured `Deliver` either joins the overlay (inside the horizon) or becomes a
-/// deferred push effect.
-fn round_arrive<P: Protocol>(
-    ws: &mut WorkerShard<'_, P>,
-    ctx: &RoundCtx<'_, P::Message>,
-    round: &mut ShardRound<P::Message>,
-    overlay: &mut std::collections::BinaryHeap<std::cmp::Reverse<LocalEvent>>,
-    at: SimTime,
-    fanout: u32,
-    size: u32,
-) {
-    if is_down(ctx.crashes, ws.node, at) {
-        round.effects.push(RunEffect::Release {
-            fanout: FanoutRef::Shared(fanout),
-        });
-        return;
-    }
-    let link = ctx.resolved.links[ws.node.as_index()];
-    let start = at.max(*ws.downlink_free);
-    let delivery = start + SimDuration::transmission(size as usize, link.downlink_bps);
-    *ws.downlink_free = delivery;
-    if ctx.half_duplex {
-        *ws.uplink_free = (*ws.uplink_free).max(delivery);
-    }
-    if delivery <= ctx.cutoff {
-        let id = round.alloc_local();
-        overlay.push(std::cmp::Reverse(LocalEvent {
-            at: delivery,
-            id,
-            kind: LocalKind::Deliver {
-                fanout: FanoutRef::Shared(fanout),
-            },
-        }));
-        round.effects.push(RunEffect::LocalDeliverXfer { id });
-    } else {
-        round.effects.push(RunEffect::PushDeliverXfer {
-            at: delivery,
-            to: ws.node,
-            fanout: FanoutRef::Shared(fanout),
-        });
-    }
-}
-
-/// The worker half of a `Deliver` dispatch: crash swallow or callback, with the
-/// message cloned from the shared table (or the round's own intern list) and the
-/// reference accounting deferred to the replay.
-fn round_deliver<P: Protocol>(
-    ws: &mut WorkerShard<'_, P>,
-    ctx: &RoundCtx<'_, P::Message>,
-    round: &mut ShardRound<P::Message>,
-    overlay: &mut std::collections::BinaryHeap<std::cmp::Reverse<LocalEvent>>,
-    actions: &mut ActionBuffer<P::Message>,
-    at: SimTime,
-    fanout: FanoutRef,
-) {
-    if is_down(ctx.crashes, ws.node, at) {
-        round.effects.push(RunEffect::Release { fanout });
-        return;
-    }
-    let (from, message) = match fanout {
-        FanoutRef::Shared(id) => {
-            (ctx.fanouts.sender(id), (**ctx.fanouts.message(id)).clone())
-        }
-        FanoutRef::Local(id) => {
-            let local = &round.local_fanouts[id as usize];
-            let message = local
-                .message
-                .as_ref()
-                .expect("round-local fan-out outlives its deliveries")
-                .clone();
-            (ws.node, message)
-        }
-    };
-    round.effects.push(RunEffect::Consume { fanout });
-    round_callback(ws, ctx, round, overlay, actions, at, Invoke::Message { from, message });
-}
-
-/// The worker counterpart of `run_callback` + `finish_callback` + `apply_actions`:
-/// runs the protocol callback on the shard's own state, settles compute on the
-/// shard's own lanes, and turns every output into either a round-local overlay
-/// event (inside the horizon, own shard) or a deferred effect for the replay.
-fn round_callback<P: Protocol>(
-    ws: &mut WorkerShard<'_, P>,
-    ctx: &RoundCtx<'_, P::Message>,
-    round: &mut ShardRound<P::Message>,
-    overlay: &mut std::collections::BinaryHeap<std::cmp::Reverse<LocalEvent>>,
-    actions: &mut ActionBuffer<P::Message>,
-    at: SimTime,
-    invoke: Invoke<P::Message>,
-) {
-    {
-        let mut sim_ctx = SimContext {
-            now: at,
-            node: ws.node,
-            node_count: ctx.node_count,
-            actions,
-            rng: ws.rng,
-        };
-        match invoke {
-            Invoke::Start => ws.protocol.on_start(&mut sim_ctx),
-            Invoke::Restart => ws.protocol.on_restart(&mut sim_ctx),
-            Invoke::Message { from, message } => ws.protocol.on_message(from, message, &mut sim_ctx),
-            Invoke::Timer { token } => ws.protocol.on_timer(token, &mut sim_ctx),
-        }
-    }
-    let epoch = *ws.epoch;
-    let done = if actions.compute.as_nanos() == 0 {
-        at
-    } else {
-        let speed = ctx.resolved.cpu_speeds[ws.node.as_index()];
-        let scaled = (actions.compute.as_nanos() as f64 / speed).round() as u64;
-        dispatch_on(ws.lanes, ws.lane_busy, at, scaled)
-    };
-    for observation in actions.observations.drain(..) {
-        round.effects.push(RunEffect::Observe {
-            at: done,
-            observation,
-        });
-    }
-    for (delay, token) in actions.timers.drain(..) {
-        let fire = done + delay;
-        if fire <= ctx.cutoff {
-            let id = round.alloc_local();
-            overlay.push(std::cmp::Reverse(LocalEvent {
-                at: fire,
-                id,
-                kind: LocalKind::Timer { token, epoch },
-            }));
-            round.effects.push(RunEffect::LocalTimer { id });
-        } else {
-            round.effects.push(RunEffect::PushTimer {
-                at: fire,
-                token,
-                epoch,
-            });
-        }
-    }
-    // `drain(..)` would hold `actions` borrowed across the route calls; swap the
-    // sends out instead (the allocation returns via the scratch-restoring clear).
-    let mut sends = std::mem::take(&mut actions.sends);
-    for outgoing in sends.drain(..) {
-        match outgoing {
-            Outgoing::Unicast(to, message) => {
-                let (fanout, size, category, uplink_tx) = round_intern(ws, ctx, round, message);
-                round_route(ws, ctx, round, overlay, fanout, to, size, category, done, uplink_tx);
-                round.effects.push(RunEffect::ReleaseIfUnused { fanout });
-            }
-            Outgoing::Multicast(message) => {
-                let (fanout, size, category, uplink_tx) = round_intern(ws, ctx, round, message);
-                for index in 0..ctx.node_count {
-                    let peer = NodeId(index as u32);
-                    if peer != ws.node {
-                        round_route(
-                            ws, ctx, round, overlay, fanout, peer, size, category, done, uplink_tx,
-                        );
-                    }
-                }
-                round.effects.push(RunEffect::ReleaseIfUnused { fanout });
-            }
-            Outgoing::Broadcast(message) => {
-                let (fanout, size, category, uplink_tx) = round_intern(ws, ctx, round, message);
-                for index in 0..ctx.node_count {
-                    let peer = NodeId(index as u32);
-                    if peer != ws.node {
-                        round_route(
-                            ws, ctx, round, overlay, fanout, peer, size, category, done, uplink_tx,
-                        );
-                    }
-                }
-                round_route(
-                    ws, ctx, round, overlay, fanout, ws.node, size, category, done, uplink_tx,
-                );
-                round.effects.push(RunEffect::ReleaseIfUnused { fanout });
-            }
-        }
-    }
-    actions.sends = sends;
-    actions.clear();
-}
-
-/// Registers one logical fan-out in the round's intern list (the replay interns it
-/// into the real table) and computes the per-copy costs once.
-fn round_intern<P: Protocol>(
-    ws: &WorkerShard<'_, P>,
-    ctx: &RoundCtx<'_, P::Message>,
-    round: &mut ShardRound<P::Message>,
-    message: P::Message,
-) -> (FanoutRef, usize, &'static str, SimDuration) {
-    let size = message.wire_size();
-    let category = message.category();
-    let uplink_tx =
-        SimDuration::transmission(size, ctx.resolved.links[ws.node.as_index()].uplink_bps);
-    let id = round.local_fanouts.len() as u32;
-    round.local_fanouts.push(LocalFanout {
-        message: Some(message),
-    });
-    round.fanout_ids.push(0);
-    round.effects.push(RunEffect::Intern { id });
-    (FanoutRef::Local(id), size, category, uplink_tx)
-}
-
-/// The worker half of `route`: self-deliveries join the overlay (or defer to a
-/// push); cross-shard copies reserve the sender's own uplink and defer the global
-/// tail (judge, partition, metrics, jitter, `Arrive` push) to the replay.
-#[allow(clippy::too_many_arguments)]
-fn round_route<P: Protocol>(
-    ws: &mut WorkerShard<'_, P>,
-    ctx: &RoundCtx<'_, P::Message>,
-    round: &mut ShardRound<P::Message>,
-    overlay: &mut std::collections::BinaryHeap<std::cmp::Reverse<LocalEvent>>,
-    fanout: FanoutRef,
-    to: NodeId,
-    size: usize,
-    category: &'static str,
-    at: SimTime,
-    uplink_tx: SimDuration,
-) {
-    if to == ws.node {
-        // Local delivery: no bandwidth cost, a negligible scheduling delay.
-        if at <= ctx.cutoff {
-            let id = round.alloc_local();
-            overlay.push(std::cmp::Reverse(LocalEvent {
-                at,
-                id,
-                kind: LocalKind::Deliver { fanout },
-            }));
-            round.effects.push(RunEffect::LocalDeliverNew { id, fanout });
-        } else {
-            round.effects.push(RunEffect::PushDeliverNew { at, to, fanout });
-        }
-        return;
-    }
-    if is_down(ctx.crashes, ws.node, at) {
-        // The judge must still run in global order (stateful filter) — deferred.
-        round.effects.push(RunEffect::RouteCrashed {
-            to,
-            size: size as u32,
-            category,
-            at,
-        });
-        return;
-    }
-    // Uplink serialisation at the sender — own-node state, reserved here exactly as
-    // the sequential engine does before it knows the message's fate.
-    let uplink_start = at.max(*ws.uplink_free);
-    let departure = uplink_start + uplink_tx;
-    *ws.uplink_free = departure;
-    if ctx.half_duplex {
-        *ws.downlink_free = (*ws.downlink_free).max(departure);
-    }
-    round.effects.push(RunEffect::Route {
-        to,
-        fanout,
-        size: size as u32,
-        category,
-        at,
-        departure,
-    });
 }
 
 /// The [`Context`] implementation handed to protocols during callbacks.
@@ -906,11 +272,10 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
 /// The per-node worker-lane compute model: each node owns a fixed set of lanes
 /// (one per configured core) and every charged callback is dispatched to the
 /// **earliest-free lane**, ties broken by the **lowest lane index**. Both rules
-/// are deterministic functions of prior history, so the model needs no RNG and
-/// commutes with [`ExecutionMode`]. With a single lane the dispatch degenerates
-/// to `start = max(now, free[0])` — exactly the pre-multi-core scalar
-/// `cpu_free` horizon — which is what keeps `cores = 1` runs bit-identical to
-/// the historical goldens.
+/// are deterministic functions of prior history, so the model needs no RNG. With
+/// a single lane the dispatch degenerates to `start = max(now, free[0])` —
+/// exactly the pre-multi-core scalar `cpu_free` horizon — which is what keeps
+/// `cores = 1` runs bit-identical to the historical goldens.
 #[derive(Debug, Clone)]
 pub(crate) struct ComputeLanes {
     /// `free[node][lane]`: how far into the virtual future the lane is committed.
@@ -934,13 +299,18 @@ impl ComputeLanes {
     /// `[max(now, free[lane]), +scaled]` of the earliest-free lane (lowest
     /// index on ties).
     pub(crate) fn dispatch(&mut self, node: usize, now: SimTime, scaled: u64) -> SimTime {
-        dispatch_on(&mut self.free[node], &mut self.busy[node], now, scaled)
-    }
-
-    /// Splits the model into its per-node lane arrays so the parallel round engine
-    /// can carve disjoint `&mut` views per shard (one `Vec` of lanes per node).
-    pub(crate) fn parts_mut(&mut self) -> (&mut [Vec<SimTime>], &mut [Vec<u64>]) {
-        (&mut self.free, &mut self.busy)
+        let lanes = &mut self.free[node];
+        let mut lane = 0;
+        for i in 1..lanes.len() {
+            if lanes[i] < lanes[lane] {
+                lane = i;
+            }
+        }
+        let start = now.max(lanes[lane]);
+        let done = start + SimDuration::from_nanos(scaled);
+        lanes[lane] = done;
+        self.busy[node][lane] += scaled;
+        done
     }
 
     /// The node's nearest-free-lane horizon: the earliest instant any lane can
@@ -953,23 +323,6 @@ impl ComputeLanes {
     pub(crate) fn busy_nanos(&self, node: usize) -> u64 {
         self.busy[node].iter().sum()
     }
-}
-
-/// The lane-dispatch rule of [`ComputeLanes`], usable on one node's carved-out lane
-/// state (the parallel round workers own exactly their shard's lanes).
-#[inline]
-fn dispatch_on(lanes: &mut [SimTime], busy: &mut [u64], now: SimTime, scaled: u64) -> SimTime {
-    let mut lane = 0;
-    for i in 1..lanes.len() {
-        if lanes[i] < lanes[lane] {
-            lane = i;
-        }
-    }
-    let start = now.max(lanes[lane]);
-    let done = start + SimDuration::from_nanos(scaled);
-    lanes[lane] = done;
-    busy[lane] += scaled;
-    done
 }
 
 /// Summary of a finished simulation run.
@@ -1149,11 +502,6 @@ pub struct Simulation<P: Protocol> {
     fanouts: FanoutTable<P::Message>,
     /// Reused across callbacks so steady-state dispatch allocates nothing.
     scratch: ActionBuffer<P::Message>,
-    mode: ExecutionMode,
-    /// The conservative shard-run lookahead: no event can schedule work on another
-    /// shard less than this far into the future (the minimum region-pair base
-    /// latency; uplink serialisation, straggler extras and jitter only add to it).
-    lookahead: SimDuration,
     now: SimTime,
     seq: u64,
     events: u64,
@@ -1212,8 +560,6 @@ impl<P: Protocol> Simulation<P> {
             queue: ShardedQueue::new(n),
             fanouts: FanoutTable::new(),
             scratch: ActionBuffer::default(),
-            mode: ExecutionMode::Sequential,
-            lookahead: SimDuration::from_nanos(resolved.min_cross_base_nanos),
             now: SimTime::ZERO,
             seq: 0,
             events: 0,
@@ -1226,18 +572,6 @@ impl<P: Protocol> Simulation<P> {
             resolved,
             config,
         }
-    }
-
-    /// Sets how [`Self::run_until`] executes the schedule (builder form). Both modes
-    /// are bit-identical; see [`ExecutionMode`].
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the execution mode in place.
-    pub fn set_execution_mode(&mut self, mode: ExecutionMode) {
-        self.mode = mode;
     }
 
     /// Current simulated time.
@@ -1349,33 +683,11 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Runs until the event queue is exhausted, `deadline` is reached, or `max_events`
-    /// events have been processed. Returns the report so far without consuming the
-    /// simulation.
+    /// events have been processed: classic merge pops in exact `(time, seq)` order
+    /// (see `ShardedQueue::pop_min` in `shard.rs`). The simulation is not consumed, so
+    /// a run can be resumed with a later deadline or inspected in between.
     pub fn run_until(&mut self, deadline: SimTime, max_events: u64) {
         self.ensure_started();
-        let processed = match self.mode {
-            ExecutionMode::Sequential => self.run_sequential(deadline, max_events),
-            ExecutionMode::Parallel { threads } => {
-                let threads = if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |t| t.get())
-                } else {
-                    threads
-                };
-                self.run_parallel(deadline, max_events, threads)
-            }
-        };
-        self.events += processed;
-        EVENTS_PROCESSED.fetch_add(processed, Ordering::Relaxed);
-        // Advance the clock to the deadline if we stopped because the queue ran dry or
-        // only future events remain; throughput is measured against wall-clock windows.
-        if self.queue.peek_key().map_or(true, |(at, _)| at > deadline) {
-            self.now = self.now.max(deadline);
-        }
-    }
-
-    /// The sequential engine: classic merge pops in exact `(time, seq)` order (see
-    /// [`crate::shard::ShardedQueue::pop_min`]).
-    fn run_sequential(&mut self, deadline: SimTime, max_events: u64) -> u64 {
         let mut processed = 0u64;
         while processed < max_events {
             let Some(event) = self.queue.pop_min(deadline) else {
@@ -1385,329 +697,12 @@ impl<P: Protocol> Simulation<P> {
             self.dispatch(event.kind);
             processed += 1;
         }
-        processed
-    }
-
-    /// Classic-pop drain for a narrow parallel round: dispatches events at or below
-    /// `cutoff` (the round horizon), at most `budget` of them, in `(time, seq)`
-    /// order. Returns 0 when nothing is at or below the cutoff.
-    fn drain_to_cutoff(&mut self, cutoff: SimTime, budget: u64) -> u64 {
-        let mut processed = 0u64;
-        while processed < budget {
-            let Some(event) = self.queue.pop_min(cutoff) else {
-                break;
-            };
-            self.now = event.at.max(self.now);
-            self.dispatch(event.kind);
-            processed += 1;
-        }
-        processed
-    }
-
-    /// The parallel engine: shard rounds (see the module-level commentary above
-    /// [`SeqRef`]). Each iteration picks the same horizon a sequential shard run
-    /// would use, drains **every** shard with work inside it on scoped worker
-    /// threads, then replays the recorded engine-side effects in `(time, seq)`
-    /// order. Narrow rounds fall back to a classic-pop drain of the same horizon —
-    /// bit-identical output either way, no thread cost when there is nothing to
-    /// parallelise.
-    fn run_parallel(&mut self, deadline: SimTime, max_events: u64, threads: usize) -> u64 {
-        /// Below this many active shards the scoped-thread round trip costs more
-        /// than the callbacks it spreads out.
-        const MIN_ROUND_SHARDS: usize = 4;
-        /// A round executes every event inside its horizon and cannot stop partway
-        /// like the sequential engine; within this margin of the event budget, run
-        /// sequentially so the budget is honoured exactly.
-        const BUDGET_GUARD: u64 = 1 << 20;
-
-        let mut processed = 0u64;
-        let mut active: Vec<u32> = Vec::new();
-        while processed < max_events {
-            let t_min = match self.queue.peek_key() {
-                Some((at, _)) if at <= deadline => at,
-                _ => break,
-            };
-            let remaining = max_events - processed;
-            if threads <= 1 || remaining < BUDGET_GUARD {
-                processed += self.run_sequential(deadline, remaining);
-                break;
-            }
-            let cutoff =
-                SimTime(t_min.as_nanos().saturating_add(self.lookahead.as_nanos())).min(deadline);
-            active.clear();
-            self.queue.shards_at_or_below(cutoff, &mut active);
-            if active.len() < MIN_ROUND_SHARDS {
-                let step = self.drain_to_cutoff(cutoff, remaining);
-                if step == 0 {
-                    break;
-                }
-                processed += step;
-                continue;
-            }
-            let round = self.run_round(cutoff, &active, threads);
-            assert!(
-                round <= remaining,
-                "parallel round of {round} events exceeded the {remaining}-event budget \
-                 (guard {BUDGET_GUARD})"
-            );
-            processed += round;
-        }
-        processed
-    }
-
-    /// Executes one parallel shard round up to `cutoff`. Phase A: carve each active
-    /// shard's state out of the engine and drain the shards on scoped worker
-    /// threads, recording every global effect. Phase B: merge the per-shard dispatch
-    /// streams by `(time, seq)` and replay the effects, so sequence numbers, net-RNG
-    /// draws, the stateful fault judge, metrics and fan-out reference accounting all
-    /// happen in exactly the sequential engine's order.
-    fn run_round(&mut self, cutoff: SimTime, active: &[u32], threads: usize) -> u64 {
-        let mut rounds: Vec<ShardRound<P::Message>> =
-            active.iter().map(|&shard| ShardRound::new(shard)).collect();
-        {
-            let ctx = RoundCtx {
-                cutoff,
-                node_count: self.config.nodes,
-                half_duplex: self.config.half_duplex,
-                crashes: self.faults.crash_windows(),
-                resolved: &self.resolved,
-                fanouts: &self.fanouts,
-            };
-            // Carve the disjoint per-shard `&mut` state in ascending shard order.
-            let (all_lanes, all_busy) = self.compute.parts_mut();
-            let mut shards_rest: &mut [Shard] = self.queue.shards_mut();
-            let mut nodes_rest: &mut [P] = &mut self.nodes;
-            let mut rngs_rest: &mut [StdRng] = &mut self.node_rngs;
-            let mut epochs_rest: &mut [u32] = &mut self.timer_epochs;
-            let mut up_rest: &mut [SimTime] = &mut self.uplink_free;
-            let mut down_rest: &mut [SimTime] = &mut self.downlink_free;
-            let mut lanes_rest: &mut [Vec<SimTime>] = all_lanes;
-            let mut busy_rest: &mut [Vec<u64>] = all_busy;
-            let mut consumed = 0usize;
-            let mut workers: Vec<WorkerShard<'_, P>> = Vec::with_capacity(active.len());
-            for &shard in active {
-                let offset = shard as usize - consumed;
-                macro_rules! carve {
-                    ($rest:ident) => {{
-                        let (head, tail) = $rest.split_at_mut(offset + 1);
-                        $rest = tail;
-                        head.last_mut().expect("split kept the shard")
-                    }};
-                }
-                let shard_queue = carve!(shards_rest);
-                let protocol = carve!(nodes_rest);
-                let rng = carve!(rngs_rest);
-                let epoch = carve!(epochs_rest);
-                let uplink_free = carve!(up_rest);
-                let downlink_free = carve!(down_rest);
-                let lanes = carve!(lanes_rest);
-                let lane_busy = carve!(busy_rest);
-                consumed = shard as usize + 1;
-                workers.push(WorkerShard {
-                    node: NodeId(shard),
-                    shard_queue,
-                    protocol,
-                    rng,
-                    epoch,
-                    uplink_free,
-                    downlink_free,
-                    lanes,
-                    lane_busy,
-                });
-            }
-            // Round-robin the shards across the workers; results are indexed by the
-            // shard's position in `active`, so thread scheduling cannot reorder them.
-            let worker_count = threads.min(workers.len()).max(1);
-            let mut buckets: Vec<Vec<(WorkerShard<'_, P>, &mut ShardRound<P::Message>)>> =
-                (0..worker_count).map(|_| Vec::new()).collect();
-            for (index, pair) in workers.into_iter().zip(rounds.iter_mut()).enumerate() {
-                buckets[index % worker_count].push(pair);
-            }
-            std::thread::scope(|scope| {
-                let ctx = &ctx;
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            for (mut ws, round) in bucket {
-                                run_round_shard(&mut ws, ctx, round);
-                            }
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("round worker panicked");
-                }
-            });
-        }
-        // Phase B: replay in global `(time, seq)` order.
-        let mut drained = 0usize;
-        let mut processed = 0u64;
-        let mut max_at = SimTime::ZERO;
-        for round in &rounds {
-            drained += round.popped;
-            processed += round.dispatched;
-            max_at = max_at.max(round.max_at);
-        }
-        // The effect streams move out so the replay can fill each round's resolution
-        // tables (`local_seqs`, `fanout_ids`) while reading them.
-        let streams: Vec<Vec<RunEffect>> = rounds
-            .iter_mut()
-            .map(|round| std::mem::take(&mut round.effects))
-            .collect();
-        let mut cursors = vec![0usize; rounds.len()];
-        let mut merge: std::collections::BinaryHeap<std::cmp::Reverse<(u128, usize)>> =
-            std::collections::BinaryHeap::with_capacity(rounds.len());
-        for (index, round) in rounds.iter().enumerate() {
-            if let Some(first) = round.dispatches.first() {
-                let SeqRef::Queued(seq) = first.seq else {
-                    unreachable!("a round's first dispatch pops from the real heap");
-                };
-                merge.push(std::cmp::Reverse((pack(first.at, seq), index)));
-            }
-        }
-        while let Some(std::cmp::Reverse((_, index))) = merge.pop() {
-            let position = cursors[index];
-            cursors[index] = position + 1;
-            let round = &mut rounds[index];
-            let record = round.dispatches[position];
-            let start = if position == 0 {
-                0
-            } else {
-                round.dispatches[position - 1].effects_end as usize
-            };
-            for effect in &streams[index][start..record.effects_end as usize] {
-                self.replay_effect(effect, round);
-            }
-            if let Some(next) = round.dispatches.get(position + 1) {
-                // A `Local` seq here is always already resolved: the push that created
-                // it was recorded by an earlier dispatch of this same stream.
-                let seq = match next.seq {
-                    SeqRef::Queued(seq) => seq,
-                    SeqRef::Local(id) => round.local_seqs[id as usize],
-                };
-                merge.push(std::cmp::Reverse((pack(next.at, seq), index)));
-            }
-        }
-        self.queue.settle_round(drained);
-        self.now = self.now.max(max_at);
-        processed
-    }
-
-    /// Replays one recorded worker effect on the engine's global state. See
-    /// [`RunEffect`]; the call order (global `(time, seq)` dispatch order, recorded
-    /// order within a dispatch) reproduces the sequential engine's effect sequence
-    /// exactly.
-    fn replay_effect(&mut self, effect: &RunEffect, round: &mut ShardRound<P::Message>) {
-        let node = NodeId(round.shard);
-        match *effect {
-            RunEffect::Observe {
-                at,
-                ref observation,
-            } => {
-                self.metrics.observe(at, node, observation.clone());
-            }
-            RunEffect::LocalTimer { id } | RunEffect::LocalDeliverXfer { id } => {
-                // The worker already executed the pushed event; only its seq exists
-                // globally. (A transferred `Deliver` reference also stays put.)
-                self.seq += 1;
-                round.local_seqs[id as usize] = self.seq;
-            }
-            RunEffect::LocalDeliverNew { id, fanout } => {
-                self.fanouts.incref(round.resolve(fanout));
-                self.seq += 1;
-                round.local_seqs[id as usize] = self.seq;
-            }
-            RunEffect::PushTimer { at, token, epoch } => {
-                self.push_event(at, EventKind::Timer { node, token, epoch });
-            }
-            RunEffect::PushDeliverNew { at, to, fanout } => {
-                let fanout = round.resolve(fanout);
-                self.fanouts.incref(fanout);
-                self.push_event(at, EventKind::Deliver { fanout, to });
-            }
-            RunEffect::PushDeliverXfer { at, to, fanout } => {
-                // Reference transfer from the matured `Arrive` handle: no count
-                // change. Replayed in global `(time, seq)` order, so the per-shard
-                // FIFO monotonicity carries over from the sequential engine.
-                let fanout = round.resolve(fanout);
-                self.push_deliver_event(at, fanout, to);
-            }
-            RunEffect::Intern { id } => {
-                let local = &mut round.local_fanouts[id as usize];
-                let message = local.message.take().expect("each local fan-out interns once");
-                round.fanout_ids[id as usize] =
-                    self.fanouts.intern(node, Arc::new(message));
-            }
-            RunEffect::Route {
-                to,
-                fanout,
-                size,
-                category,
-                at,
-                departure,
-            } => {
-                let size = size as usize;
-                let mut fate = self.faults.judge(at, node, to, category, size);
-                if fate == MessageFate::Deliver && self.faults.has_partitions() {
-                    let from_region = self.resolved.node_region[node.as_index()] as usize;
-                    let to_region = self.resolved.node_region[to.as_index()] as usize;
-                    if self.faults.is_partitioned(at, from_region, to_region) {
-                        fate = MessageFate::Drop;
-                    }
-                }
-                // The worker reserved the sender's uplink (own-node state); the
-                // global tail happens here, in `(time, seq)` order.
-                self.metrics.traffic.record_sent(node, category, size as u64);
-                if fate == MessageFate::Drop {
-                    return;
-                }
-                let (base_nanos, jitter_bound) =
-                    self.resolved.delay_parts(node.as_index(), to.as_index());
-                let jitter_nanos = if jitter_bound == 0 {
-                    0
-                } else {
-                    self.net_rng.gen_range(0..=jitter_bound)
-                };
-                let mut latency = SimDuration::from_nanos(base_nanos + jitter_nanos);
-                if at < self.config.gst && self.config.pre_gst_extra_delay.as_nanos() > 0 {
-                    latency = latency
-                        + SimDuration::from_nanos(
-                            self.net_rng
-                                .gen_range(0..=self.config.pre_gst_extra_delay.as_nanos()),
-                        );
-                }
-                let arrival = departure + latency;
-                self.metrics.traffic.record_received(to, category, size as u64);
-                let fanout = round.resolve(fanout);
-                self.fanouts.incref(fanout);
-                self.push_event(
-                    arrival,
-                    EventKind::Arrive {
-                        fanout,
-                        to,
-                        size: size as u32,
-                    },
-                );
-            }
-            RunEffect::RouteCrashed {
-                to,
-                size,
-                category,
-                at,
-            } => {
-                // Mirror the sequential path for a crashed sender: the judge runs
-                // (and returns `Drop` before consulting the filter), nothing else.
-                let _ = self.faults.judge(at, node, to, category, size as usize);
-            }
-            RunEffect::Consume { fanout } | RunEffect::Release { fanout } => {
-                // The worker cloned the envelope itself (or the receiver swallowed
-                // the event); either way one reference comes back.
-                self.fanouts.release(round.resolve(fanout));
-            }
-            RunEffect::ReleaseIfUnused { fanout } => {
-                self.fanouts.release_if_unused(round.resolve(fanout));
-            }
+        self.events += processed;
+        EVENTS_PROCESSED.fetch_add(processed, Ordering::Relaxed);
+        // Advance the clock to the deadline if we stopped because the queue ran dry or
+        // only future events remain; throughput is measured against wall-clock windows.
+        if self.queue.peek_key().map_or(true, |(at, _)| at > deadline) {
+            self.now = self.now.max(deadline);
         }
     }
 
@@ -1824,8 +819,7 @@ impl<P: Protocol> Simulation<P> {
                 }
             }
         }
-        let epoch = self.timer_epochs[node.as_index()];
-        self.finish_callback(node, &mut actions, epoch);
+        self.finish_callback(node, &mut actions);
         actions.clear();
         self.scratch = actions;
     }
@@ -1855,10 +849,8 @@ impl<P: Protocol> Simulation<P> {
     /// and every output of the callback (sends, timers, observations) takes effect
     /// at the completion instant. With nothing charged the completion instant is
     /// `now` and the engine behaves exactly as it did before the compute-resource
-    /// model existed. `epoch` is the node's timer epoch as of the callback (after
-    /// any `Restart` bump) — passed in, not re-read, so the parallel executor's
-    /// deferred applies arm timers in the same epoch the sequential engine would.
-    fn finish_callback(&mut self, node: NodeId, actions: &mut ActionBuffer<P::Message>, epoch: u32) {
+    /// model existed.
+    fn finish_callback(&mut self, node: NodeId, actions: &mut ActionBuffer<P::Message>) {
         let done = if actions.compute.as_nanos() == 0 {
             self.now
         } else {
@@ -1866,19 +858,14 @@ impl<P: Protocol> Simulation<P> {
             let scaled = (actions.compute.as_nanos() as f64 / speed).round() as u64;
             self.compute.dispatch(node.as_index(), self.now, scaled)
         };
-        self.apply_actions(node, actions, done, epoch);
+        self.apply_actions(node, actions, done);
     }
 
-    fn apply_actions(
-        &mut self,
-        node: NodeId,
-        actions: &mut ActionBuffer<P::Message>,
-        at: SimTime,
-        epoch: u32,
-    ) {
+    fn apply_actions(&mut self, node: NodeId, actions: &mut ActionBuffer<P::Message>, at: SimTime) {
         for observation in actions.observations.drain(..) {
             self.metrics.observe(at, node, observation);
         }
+        let epoch = self.timer_epochs[node.as_index()];
         for (delay, token) in actions.timers.drain(..) {
             self.push_event(at + delay, EventKind::Timer { node, token, epoch });
         }

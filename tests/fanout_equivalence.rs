@@ -1,19 +1,17 @@
-//! Fan-out side-table equivalence properties (PR 10).
+//! Fan-out side-table properties (PR 10) under fuzzed fault schedules.
 //!
 //! The compressed event queue (see `DESIGN.md` §10) interns each logical fan-out
 //! once in a per-run side table and queues `{fanout, receiver}` handles in place of
 //! the expanded per-copy `{from, to, Arc<message>, size}` events. The expanded
 //! representation no longer exists in the code, but its observable behaviour is
-//! pinned twice over: the constants in `tests/determinism_golden.rs` were captured
-//! from it, and `tests/engine_equivalence.rs` holds the parallel engine to the same
-//! stream. This file adds the *property* layer on top of those point checks: across
+//! pinned by the constants in `tests/determinism_golden.rs`, which were captured
+//! from it. This file adds the *property* layer on top of those point checks: across
 //! fuzzed seeds, fault schedules and topologies (the chaos generator's space —
-//! WAN/LAN, crash windows, region partitions, Byzantine proposers), the compressed
-//! queue must
+//! WAN/LAN, crash windows, region partitions, Byzantine proposers), a run must
 //!
-//! * produce the same observation stream on both engines (sequential and parallel
-//!   take entirely different paths through the table — immediate refcounting vs
-//!   worker-side reads with deferred accounting in the replay), and
+//! * be deterministic: a second run of the same fuzzed config yields the identical
+//!   observation stream (the goldens pin this under faults only at chaos case 142),
+//!   and
 //! * pass the fan-out reference audit at the end of the run: every slot's refcount
 //!   equals the number of `Arrive`/`Deliver` handles still queued against it (runs
 //!   cut off at their deadline legitimately end with handles in flight, so "live
@@ -29,7 +27,7 @@
 //! referenced.
 
 use leopard::harness::chaos::FaultScheduleGenerator;
-use leopard::harness::scenario::{run_leopard_scenario_unchecked, ScenarioConfig, ScenarioReport};
+use leopard::harness::scenario::{run_leopard_scenario_unchecked, ScenarioReport};
 use proptest::prelude::*;
 
 /// The full observable surface of a run: headline totals plus the complete
@@ -62,10 +60,6 @@ fn fingerprint(report: &ScenarioReport) -> Fingerprint {
     }
 }
 
-fn run(config: &ScenarioConfig, parallel: bool) -> ScenarioReport {
-    run_leopard_scenario_unchecked(&config.clone().with_parallel(parallel))
-}
-
 proptest::proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -81,48 +75,40 @@ proptest::proptest! {
     ) {
         let config = FaultScheduleGenerator::new(n, master_seed).schedule(case).to_config();
 
-        let sequential = run(&config, false);
+        let first = run_leopard_scenario_unchecked(&config);
         prop_assert!(
-            sequential.sim.fanouts_balanced,
-            "sequential run failed the reference audit ({} live, peak {})",
-            sequential.sim.fanouts_live, sequential.sim.fanouts_peak
+            first.sim.fanouts_balanced,
+            "run failed the reference audit ({} live, peak {})",
+            first.sim.fanouts_live, first.sim.fanouts_peak
         );
 
-        let parallel = run(&config, true);
-        prop_assert!(
-            parallel.sim.fanouts_balanced,
-            "parallel run failed the reference audit ({} live, peak {})",
-            parallel.sim.fanouts_live, parallel.sim.fanouts_peak
-        );
-
+        let second = run_leopard_scenario_unchecked(&config);
         prop_assert_eq!(
-            fingerprint(&sequential),
-            fingerprint(&parallel),
-            "engines diverged on a fuzzed schedule"
+            fingerprint(&first),
+            fingerprint(&second),
+            "two runs of one fuzzed schedule diverged"
         );
-        // The slot *lifecycle* must also agree: live count and peak table size are
-        // functions of the (identical) event schedule, not of which engine ran it.
-        prop_assert_eq!(sequential.sim.fanouts_live, parallel.sim.fanouts_live);
-        prop_assert_eq!(sequential.sim.fanouts_peak, parallel.sim.fanouts_peak);
-        prop_assert_eq!(sequential.violations, parallel.violations);
+        // The slot *lifecycle* must also repeat: live count and peak table size are
+        // functions of the (identical) event schedule.
+        prop_assert_eq!(first.sim.fanouts_live, second.sim.fanouts_live);
+        prop_assert_eq!(first.sim.fanouts_peak, second.sim.fanouts_peak);
+        prop_assert_eq!(first.violations, second.violations);
     }
 }
 
 /// Deterministic regression anchor next to the fuzzed property: the recovery-wedging
 /// chaos schedule (seed 7, case 142 — the PR 7 reproducer) passes the reference
-/// audit on both engines even though crashes and partitions drop receivers
-/// mid-flight (the crash-path `release` must return exactly the dropped handles).
+/// audit even though crashes and partitions drop receivers mid-flight (the
+/// crash-path `release` must return exactly the dropped handles).
 #[test]
 fn chaos_reproducer_balances_every_slot() {
     let config = FaultScheduleGenerator::new(16, 7).schedule(142).to_config();
-    for parallel in [false, true] {
-        let report = run(&config, parallel);
-        assert!(
-            report.sim.fanouts_balanced,
-            "parallel={parallel}: reference audit failed ({} live, peak {})",
-            report.sim.fanouts_live,
-            report.sim.fanouts_peak
-        );
-        assert!(report.sim.fanouts_peak > 0, "parallel={parallel}: table never used");
-    }
+    let report = run_leopard_scenario_unchecked(&config);
+    assert!(
+        report.sim.fanouts_balanced,
+        "reference audit failed ({} live, peak {})",
+        report.sim.fanouts_live,
+        report.sim.fanouts_peak
+    );
+    assert!(report.sim.fanouts_peak > 0, "table never used");
 }
