@@ -6,9 +6,8 @@
 //! proof advances the low watermark `lw` and lets replicas prune executed datablocks and
 //! instances below it.
 
-use crate::instance::ShareCollector;
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
-use leopard_crypto::{hash_parts, Digest};
+use leopard_crypto::{hash_parts, Digest, ShareCollector};
 use leopard_types::{FastMap, SeqNum};
 
 /// The digest replicas sign for a checkpoint at `seq` with execution-state digest
@@ -66,7 +65,7 @@ impl CheckpointState {
         if seq <= self.stable {
             return None;
         }
-        let entry = self.collecting.entry((seq, state)).or_insert_with(ShareCollector::new);
+        let entry = self.collecting.entry((seq, state)).or_default();
         let count = entry.add(share);
         if count == quorum {
             Some(entry.shares().to_vec())

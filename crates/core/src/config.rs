@@ -2,12 +2,9 @@
 //! and the shared key material.
 
 use crate::byzantine::ByzantineBehavior;
-use leopard_crypto::provider::{CryptoMode, CryptoProvider};
-use leopard_crypto::threshold::{ThresholdKeyPair, ThresholdScheme};
+use leopard_crypto::provider::{CryptoMode, SharedKeys};
 use leopard_simnet::SimDuration;
 use leopard_types::{CostModelKind, ProtocolParams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// How client requests enter the system.
@@ -33,9 +30,6 @@ pub enum WorkloadMode {
         /// Minimum interval between two datablocks from the same replica.
         pacing: SimDuration,
     },
-    /// No client traffic at all (used by targeted unit tests and the view-change /
-    /// retrieval micro-benchmarks that inject blocks manually).
-    Idle,
 }
 
 /// Full configuration of one Leopard replica.
@@ -73,7 +67,8 @@ pub struct LeopardConfig {
 
 impl LeopardConfig {
     /// A configuration following the paper's defaults for scale `n`, with an open-loop
-    /// workload of `aggregate_rps` requests per second.
+    /// workload of `aggregate_rps` requests per second. (The harness keeps the timers
+    /// and replaces the workload with [`WorkloadMode::Saturated`] paced to that rate.)
     pub fn paper(n: usize, aggregate_rps: u64) -> Self {
         let params = ProtocolParams::paper_defaults(n);
         Self {
@@ -137,21 +132,15 @@ impl LeopardConfig {
         self
     }
 
-    /// Overrides the compute-cost calibration.
-    pub fn with_cost_model(mut self, kind: CostModelKind) -> Self {
-        self.cost_model = kind;
-        self
-    }
-
     /// Generates the shared key material (crypto provider + per-replica key pairs) for
     /// a system with this configuration, honouring its crypto mode and cost model.
     pub fn shared_keys(config: &LeopardConfig, seed: u64) -> Arc<SharedKeys> {
-        Arc::new(SharedKeys::generate_with(
+        Arc::new(SharedKeys::generate(
             config.params.quorum(),
             config.params.n,
             seed,
             config.crypto_mode,
-            config.cost_model,
+            config.cost_model.model(),
         ))
     }
 
@@ -169,53 +158,6 @@ impl LeopardConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// The key material shared by all replicas of one deployment: the crypto provider
-/// (threshold scheme + mode + cost model) plus every replica's key pair.
-///
-/// In a real deployment each replica would hold only its own key pair; bundling them is
-/// a simulation convenience (replicas only ever read their own entry).
-#[derive(Debug)]
-pub struct SharedKeys {
-    /// The crypto provider every operation goes through.
-    pub provider: CryptoProvider,
-    /// Per-replica key pairs, indexed by replica index.
-    pub keypairs: Vec<ThresholdKeyPair>,
-}
-
-impl SharedKeys {
-    /// Runs the trusted setup for an `(threshold, n)` deployment with real crypto and
-    /// the calibrated cost model.
-    pub fn generate(threshold: usize, n: usize, seed: u64) -> Self {
-        Self::generate_with(threshold, n, seed, CryptoMode::Real, CostModelKind::Calibrated)
-    }
-
-    /// Runs the trusted setup with an explicit crypto mode and cost calibration.
-    pub fn generate_with(
-        threshold: usize,
-        n: usize,
-        seed: u64,
-        mode: CryptoMode,
-        cost_model: CostModelKind,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (scheme, keypairs) = ThresholdScheme::trusted_setup(threshold, n, &mut rng);
-        Self {
-            provider: CryptoProvider::new(scheme, mode, cost_model.model()),
-            keypairs,
-        }
-    }
-
-    /// The underlying threshold scheme (public verification values).
-    pub fn scheme(&self) -> &ThresholdScheme {
-        self.provider.scheme()
-    }
-
-    /// The key pair of replica `index`.
-    pub fn keypair(&self, index: usize) -> &ThresholdKeyPair {
-        &self.keypairs[index]
     }
 }
 
@@ -251,7 +193,7 @@ mod tests {
         let config = LeopardConfig::small_test(7);
         let keys = LeopardConfig::shared_keys(&config, 1);
         assert_eq!(keys.keypairs.len(), 7);
-        assert_eq!(keys.scheme().threshold(), 5);
+        assert_eq!(keys.provider.scheme().threshold(), 5);
         assert_eq!(keys.keypair(3).index, 4); // 1-based signer index
     }
 

@@ -1,57 +1,11 @@
 //! Per-serial-number agreement instance bookkeeping (Algorithm 2), for both the leader
 //! and non-leader replicas.
 
-use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
-use leopard_crypto::Digest;
+use leopard_crypto::threshold::CombinedSignature;
+use leopard_crypto::{Digest, ShareCollector};
 use leopard_simnet::SimTime;
 use leopard_types::{BftBlock, BlockState, FastSet};
 use std::sync::Arc;
-
-/// A set of signature shares with signer de-duplication.
-#[derive(Debug, Default, Clone)]
-pub struct ShareCollector {
-    shares: Vec<SignatureShare>,
-    signers: FastSet<usize>,
-}
-
-impl ShareCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a share unless the signer already contributed; returns the new count.
-    pub fn add(&mut self, share: SignatureShare) -> usize {
-        if self.signers.insert(share.signer) {
-            self.shares.push(share);
-        }
-        self.shares.len()
-    }
-
-    /// Number of distinct shares collected.
-    pub fn len(&self) -> usize {
-        self.shares.len()
-    }
-
-    /// True if no shares were collected.
-    pub fn is_empty(&self) -> bool {
-        self.shares.is_empty()
-    }
-
-    /// Borrows the collected shares.
-    pub fn shares(&self) -> &[SignatureShare] {
-        &self.shares
-    }
-
-    /// Drops the shares of the given signers after a failed batch verification located
-    /// them as forged. The signers stay *marked* as having contributed: an honest
-    /// signer sends at most one share, so a replacement can only be the same forgery
-    /// again — keeping the mark stops a replayed forgery from re-triggering a batch
-    /// check on every arrival. The quorum re-forms from the remaining honest voters.
-    pub fn remove_signers(&mut self, signers: &[usize]) {
-        self.shares.retain(|share| !signers.contains(&share.signer));
-    }
-}
 
 /// The leader's state for one agreement instance.
 ///
@@ -86,10 +40,10 @@ impl LeaderInstance {
         Self {
             block,
             block_digest,
-            prepares: ShareCollector::new(),
+            prepares: ShareCollector::default(),
             notarization: None,
             notarization_digest: None,
-            commits: ShareCollector::new(),
+            commits: ShareCollector::default(),
             confirmation: None,
             proposed_at,
         }
@@ -174,26 +128,7 @@ impl ReplicaInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leopard_crypto::hash_bytes;
-    use leopard_crypto::threshold::ThresholdScheme;
     use leopard_types::{SeqNum, View};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn share_collector_deduplicates_by_signer() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (scheme, keys) = ThresholdScheme::trusted_setup(3, 4, &mut rng);
-        let msg = hash_bytes(b"block");
-        let mut collector = ShareCollector::new();
-        assert!(collector.is_empty());
-        assert_eq!(collector.add(scheme.sign_share(&keys[0], &msg)), 1);
-        assert_eq!(collector.add(scheme.sign_share(&keys[0], &msg)), 1);
-        assert_eq!(collector.add(scheme.sign_share(&keys[1], &msg)), 2);
-        assert_eq!(collector.add(scheme.sign_share(&keys[2], &msg)), 3);
-        assert_eq!(collector.len(), 3);
-        assert!(scheme.combine(collector.shares(), &msg).is_ok());
-    }
 
     #[test]
     fn leader_instance_tracks_confirmation() {

@@ -50,7 +50,8 @@ pub mod replica;
 pub mod retrieval;
 pub mod view_change;
 
-pub use config::{LeopardConfig, SharedKeys, WorkloadMode};
+pub use config::{LeopardConfig, WorkloadMode};
+pub use leopard_crypto::SharedKeys;
 pub use messages::LeopardMessage;
 pub use pipeline::{Pipeline, StallReason};
 pub use replica::LeopardReplica;

@@ -14,16 +14,16 @@
 
 use crate::byzantine::ByzantineBehavior;
 use crate::checkpoint::{checkpoint_digest, CheckpointState};
-use crate::config::{LeopardConfig, SharedKeys, WorkloadMode};
+use crate::config::{LeopardConfig, WorkloadMode};
 use crate::instance::{LeaderInstance, ReplicaInstance};
 use crate::messages::{ConfirmedEntry, LeopardMessage, NotarizedEntry, RetrievalPayload};
 use crate::pipeline::{Pipeline, StallReason};
 use crate::pool::{DatablockPool, ReadyTracker};
 use crate::retrieval::{ChunkOutcome, RetrievalManager};
 use crate::view_change::{timeout_digest, view_change_wire_size, ViewChangeState};
-use leopard_crypto::provider::{BatchOutcome, ComputeCost};
+use leopard_crypto::provider::ComputeCost;
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
-use leopard_crypto::{hash_parts, Digest};
+use leopard_crypto::{hash_parts, Digest, SharedKeys};
 use leopard_simnet::{
     Context, Mempool, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
 };
@@ -44,9 +44,6 @@ const TOKEN_RETRIEVAL: u64 = 5;
 /// couple of view transitions arriving back-to-back. Beyond the cap, entries are
 /// dropped — the view-change stall path recovers the loss, just more slowly.
 const DEFERRED_PRE_PREPARE_CAP: usize = 256;
-
-/// Interval of the client-stub injection timer in the open-loop workload.
-const WORKLOAD_TICK: SimDuration = SimDuration(10_000_000); // 10 ms
 
 /// Latency-breakdown bookkeeping for a datablock this replica produced.
 #[derive(Debug, Clone, Copy)]
@@ -134,9 +131,6 @@ pub struct LeopardReplica {
     state_sync_peers: Vec<NodeId>,
     state_sync_view_claims: Vec<(NodeId, u64)>,
     state_sync_round: u64,
-
-    // --- client-stub pacing ---
-    injection_carry: f64,
 }
 
 impl std::fmt::Debug for LeopardReplica {
@@ -158,28 +152,6 @@ fn charge(ctx: &mut Ctx<'_>, cost: ComputeCost) {
     if !cost.is_zero() {
         ctx.charge_compute(SimDuration::from_nanos(cost.as_nanos()));
     }
-}
-
-/// The leader's quorum settlement, shared by both vote rounds: batch-verifies the
-/// collected shares (randomized linear combination — one batch check instead of `2f`
-/// scheme verifications), purges located forgeries so the quorum can re-form from
-/// honest votes (returning `None`), and combines the pre-verified quorum. Modeled
-/// costs are charged for both steps.
-fn batch_combine(
-    keys: &SharedKeys,
-    collector: &mut crate::instance::ShareCollector,
-    digest: &Digest,
-    ctx: &mut Ctx<'_>,
-) -> Option<CombinedSignature> {
-    let (outcome, cost) = keys.provider.verify_shares_batch(collector.shares(), digest);
-    charge(ctx, cost);
-    if let BatchOutcome::Invalid(bad) = outcome {
-        collector.remove_signers(&bad);
-        return None;
-    }
-    let (combined, cost) = keys.provider.combine_preverified(collector.shares(), digest);
-    charge(ctx, cost);
-    combined.ok()
 }
 
 impl LeopardReplica {
@@ -224,7 +196,6 @@ impl LeopardReplica {
             state_sync_peers: Vec::new(),
             state_sync_view_claims: Vec::new(),
             state_sync_round: 0,
-            injection_carry: 0.0,
             view: View::initial(),
             config,
             keys,
@@ -309,9 +280,6 @@ impl LeopardReplica {
     /// before.
     fn proposer_for_digest(&self, digest: &Digest) -> NodeId {
         let p = self.proposer_count();
-        if p <= 1 {
-            return self.leader();
-        }
         let mut prefix = [0u8; 8];
         prefix.copy_from_slice(&digest.as_bytes()[..8]);
         let j = u64::from_le_bytes(prefix) % p;
@@ -461,13 +429,8 @@ impl LeopardReplica {
             return;
         }
         let producers = (self.n() - self.config.params.proposers).max(1);
-        let per_replica = aggregate_rps as f64 / producers as f64;
-        let per_tick = per_replica * WORKLOAD_TICK.as_secs_f64() + self.injection_carry;
-        let whole = per_tick.floor() as usize;
-        self.injection_carry = per_tick - whole as f64;
-        if whole > 0 {
-            self.mempool.inject(whole, ctx.now());
-        }
+        self.mempool
+            .inject_tick(aggregate_rps as f64 / producers as f64, ctx.now());
     }
 
     fn generate_datablocks(&mut self, ctx: &mut Ctx<'_>) {
@@ -931,8 +894,9 @@ impl LeopardReplica {
         if instance.prepares.add(share) < quorum {
             return;
         }
-        let Some(proof) = batch_combine(&self.keys, &mut instance.prepares, &block_digest, ctx)
-        else {
+        let (proof, cost) = instance.prepares.settle(&self.keys.provider, &block_digest);
+        charge(ctx, cost);
+        let Some(proof) = proof else {
             return;
         };
         instance.notarization = Some(proof);
@@ -1079,8 +1043,9 @@ impl LeopardReplica {
         if instance.commits.add(share) < quorum {
             return;
         }
-        let Some(proof) = batch_combine(&self.keys, &mut instance.commits, &proof_digest, ctx)
-        else {
+        let (proof, cost) = instance.commits.settle(&self.keys.provider, &proof_digest);
+        charge(ctx, cost);
+        let Some(proof) = proof else {
             return;
         };
         self.pipeline.record_confirmation(seq, proof);
@@ -1151,10 +1116,9 @@ impl LeopardReplica {
                 }
             }
             if !missing.is_empty() {
+                // The periodic retrieval timer picks these up; nothing to arm here.
                 for link in missing {
-                    if self.retrieval.note_missing(link, next, ctx.now()) {
-                        // The retrieval timer is periodic; nothing else to arm here.
-                    }
+                    self.retrieval.note_missing(link, next, ctx.now());
                 }
                 break;
             }
@@ -1826,7 +1790,6 @@ impl LeopardReplica {
             ctx.send(proposer, message.clone());
         }
         // The replica stops participating in the old view; it resumes on new-view.
-        let _ = old_view;
     }
 
     fn handle_view_change(
@@ -1996,7 +1959,7 @@ impl LeopardReplica {
         } else {
             SimDuration::ZERO
         };
-        ctx.set_timer(WORKLOAD_TICK, TOKEN_WORKLOAD);
+        ctx.set_timer(Mempool::TICK, TOKEN_WORKLOAD);
         ctx.set_timer(stagger, TOKEN_BATCH);
         ctx.set_timer(self.config.propose_interval, TOKEN_PROPOSE);
         ctx.set_timer(self.config.progress_timeout, TOKEN_PROGRESS);
@@ -2104,7 +2067,7 @@ impl Protocol for LeopardReplica {
         match token {
             TOKEN_WORKLOAD => {
                 self.inject_workload(ctx);
-                ctx.set_timer(WORKLOAD_TICK, TOKEN_WORKLOAD);
+                ctx.set_timer(Mempool::TICK, TOKEN_WORKLOAD);
             }
             TOKEN_BATCH => {
                 self.generate_datablocks(ctx);

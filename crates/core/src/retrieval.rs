@@ -202,11 +202,6 @@ impl RetrievalManager {
         Self::default()
     }
 
-    /// Number of datablocks currently being retrieved.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Registers that BFTblock `seq` needs the missing datablock `digest`.
     ///
     /// Returns true if this is the first time the datablock is reported missing (i.e.

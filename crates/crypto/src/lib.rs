@@ -34,7 +34,10 @@ pub mod threshold;
 
 pub use hash::{hash_bytes, hash_pair, hash_parts, Digest, DIGEST_LEN};
 pub use merkle::{MerkleProof, MerkleTree};
-pub use provider::{BatchOutcome, ComputeCost, CryptoCostModel, CryptoMode, CryptoProvider};
+pub use provider::{
+    BatchOutcome, ComputeCost, CryptoCostModel, CryptoMode, CryptoProvider, ShareCollector,
+    SharedKeys,
+};
 pub use threshold::{
     CombinedSignature, SignatureShare, ThresholdError, ThresholdKeyPair, ThresholdScheme,
     DEFAULT_SIGNATURE_WIRE_BYTES,

@@ -4,7 +4,7 @@
 //! `n` chunks, builds a Merkle tree over the chunks, and ships each chunk together with
 //! its Merkle proof so the querier can validate chunks individually before decoding.
 
-use crate::hash::{hash_bytes, hash_pair, Digest};
+use crate::hash::{hash_bytes, Digest};
 
 /// Domain separation prefixes so that a leaf hash can never collide with an interior
 /// node hash (second-preimage hardening, as in RFC 6962).
@@ -195,12 +195,6 @@ impl MerkleProof {
         }
         acc == root
     }
-}
-
-/// Convenience helper combining [`hash_pair`] for callers that only need a two-leaf
-/// commitment (e.g. chaining block hashes).
-pub fn commit_pair(left: &Digest, right: &Digest) -> Digest {
-    hash_pair(left, right)
 }
 
 #[cfg(test)]

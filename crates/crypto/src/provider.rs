@@ -26,6 +26,8 @@ use crate::hash::Digest;
 use crate::threshold::{
     CombinedSignature, SignatureShare, ThresholdError, ThresholdKeyPair, ThresholdScheme,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Modeled CPU time of one operation, in nanoseconds of replica compute.
 ///
@@ -432,6 +434,96 @@ impl CryptoProvider {
     }
 }
 
+/// The key material shared by all replicas of one deployment, of either protocol: the
+/// crypto provider (threshold scheme + mode + cost model) plus every replica's key pair.
+///
+/// In a real deployment each replica would hold only its own key pair; bundling them is
+/// a simulation convenience (replicas only ever read their own entry).
+#[derive(Debug)]
+pub struct SharedKeys {
+    /// The crypto provider every operation goes through.
+    pub provider: CryptoProvider,
+    /// Per-replica key pairs, indexed by replica index.
+    pub keypairs: Vec<ThresholdKeyPair>,
+}
+
+impl SharedKeys {
+    /// Runs the trusted setup for a `(threshold, n)` deployment, seeded by `seed`.
+    pub fn generate(
+        threshold: usize,
+        n: usize,
+        seed: u64,
+        mode: CryptoMode,
+        model: CryptoCostModel,
+    ) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (scheme, keypairs) = ThresholdScheme::trusted_setup(threshold, n, &mut rng);
+        Self {
+            provider: CryptoProvider::new(scheme, mode, model),
+            keypairs,
+        }
+    }
+
+    /// The key pair of replica `index`.
+    pub fn keypair(&self, index: usize) -> &ThresholdKeyPair {
+        &self.keypairs[index]
+    }
+}
+
+/// A quorum in the making: the signature shares collected for one message, at most one
+/// per signer, and their settlement into a combined signature. Both protocols' leaders
+/// use it for every vote round.
+///
+/// Callers check `share.signer` against the sender's identity before [`Self::add`];
+/// the collector itself never sizes anything by a signer index.
+#[derive(Debug, Default, Clone)]
+pub struct ShareCollector {
+    shares: Vec<SignatureShare>,
+    /// Every signer that ever contributed, sorted. A signer whose share was purged as
+    /// forged stays listed (see [`Self::settle`]).
+    signers: Vec<usize>,
+}
+
+impl ShareCollector {
+    /// Adds a share unless the signer already contributed; returns the new count.
+    pub fn add(&mut self, share: SignatureShare) -> usize {
+        if let Err(position) = self.signers.binary_search(&share.signer) {
+            self.signers.insert(position, share.signer);
+            self.shares.push(share);
+        }
+        self.shares.len()
+    }
+
+    /// Borrows the collected shares.
+    pub fn shares(&self) -> &[SignatureShare] {
+        &self.shares
+    }
+
+    /// The quorum settlement: batch-verifies the collected shares over `digest`
+    /// (randomized linear combination — one batch check instead of one scheme
+    /// verification per share) and combines the pre-verified quorum. Returns the proof,
+    /// if one formed, and the modeled cost of the work done.
+    ///
+    /// When the batch check locates forged shares they are dropped and `None` is
+    /// returned, so the quorum re-forms from the remaining honest voters. The forgers
+    /// stay *marked* as having contributed: an honest signer sends at most one share,
+    /// so a replacement can only be another attempt by the forger — keeping the mark
+    /// stops a replayed forgery from re-triggering a batch check on every arrival.
+    pub fn settle(
+        &mut self,
+        provider: &CryptoProvider,
+        digest: &Digest,
+    ) -> (Option<CombinedSignature>, ComputeCost) {
+        let (outcome, verify_cost) = provider.verify_shares_batch(&self.shares, digest);
+        if let BatchOutcome::Invalid(forgers) = outcome {
+            self.shares.retain(|share| !forgers.contains(&share.signer));
+            return (None, verify_cost);
+        }
+        let (combined, combine_cost) = provider.combine_preverified(&self.shares, digest);
+        (combined.ok(), verify_cost + combine_cost)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,6 +601,67 @@ mod tests {
         let dup = [shares[0], shares[0], shares[1], shares[2], shares[3]];
         let (dup_result, _) = metered.combine_preverified(&dup, &msg);
         assert_eq!(dup_result, Err(ThresholdError::DuplicateSigner(1)));
+    }
+
+    #[test]
+    fn share_collector_deduplicates_by_signer() {
+        let (provider, keys) = provider(CryptoMode::Real);
+        let msg = hash_bytes(b"block");
+        let share = |k: usize| provider.sign_share(&keys[k], &msg).0;
+        let mut collector = ShareCollector::default();
+        assert!(collector.shares().is_empty());
+        assert_eq!(collector.add(share(0)), 1);
+        assert_eq!(collector.add(share(0)), 1);
+        // Arrival order is kept, whatever the signer order.
+        for (count, k) in [(2, 4), (3, 1), (4, 3), (4, 4), (5, 2)] {
+            assert_eq!(collector.add(share(k)), count);
+        }
+        let signers: Vec<usize> = collector.shares().iter().map(|s| s.signer).collect();
+        assert_eq!(signers, vec![1, 5, 2, 4, 3]); // signer indices are 1-based
+        assert!(provider.scheme().combine(collector.shares(), &msg).is_ok());
+    }
+
+    #[test]
+    fn settle_purges_a_forged_share_and_reforms_the_quorum() {
+        let model = CryptoCostModel {
+            verify_share_nanos: 20,
+            batch_verify_base_nanos: 100,
+            batch_verify_per_share_nanos: 3,
+            combine_base_nanos: 50,
+            combine_per_share_nanos: 2,
+            ..CryptoCostModel::free()
+        };
+        let keys = SharedKeys::generate(5, 7, 7, CryptoMode::Real, model);
+        let provider = &keys.provider;
+        let msg = hash_bytes(b"vote");
+        let share = |k: usize| provider.sign_share(keys.keypair(k), &msg).0;
+        let mut forged = share(2);
+        forged.value += Fp::one();
+
+        // 5-of-7: the first five arrivals hold one forgery. Settling costs the batch
+        // check plus the per-share localisation, and no combine.
+        let mut collector = ShareCollector::default();
+        for s in [share(0), share(1), forged, share(3)] {
+            collector.add(s);
+        }
+        assert_eq!(collector.add(share(4)), 5);
+        let (proof, cost) = collector.settle(provider, &msg);
+        assert_eq!(proof, None);
+        assert_eq!(cost.as_nanos(), (100 + 5 * 3) + 5 * 20);
+        assert_eq!(collector.shares().len(), 4);
+        assert!(collector.shares().iter().all(|s| s.signer != forged.signer));
+
+        // The forger stays marked: neither the forgery nor an honest share re-enters.
+        assert_eq!(collector.add(forged), 4);
+        assert_eq!(collector.add(share(2)), 4);
+
+        // A fifth honest voter completes a quorum that combines (batch check + combine)
+        // into a proof that verifies.
+        assert_eq!(collector.add(share(5)), 5);
+        let (proof, cost) = collector.settle(provider, &msg);
+        assert_eq!(cost.as_nanos(), (100 + 5 * 3) + (50 + 5 * 2));
+        let proof = proof.expect("five honest shares form a quorum");
+        assert!(provider.verify_combined(&proof, &msg).0);
     }
 
     #[test]

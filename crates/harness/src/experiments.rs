@@ -351,26 +351,21 @@ fn fig9xl_row(n: usize) -> Vec<String> {
 /// figures. The quick profile covers {600, 1000}; the full profile adds {2000, 4000}
 /// (see `EXPERIMENTS.md` for the scale-selection notes).
 pub fn fig9xl_scaling(quick: bool) -> Table {
-    let mut table = Table::new(
+    fig9xl_table(
         "Fig. 9 XL — Leopard at n ≥ 600 with engine events/sec and peak RSS",
-        FIG9XL_HEADERS,
-    );
-    for n in scales(quick, &[600, 1000], &[600, 1000, 2000, 4000]) {
-        table.push_row(fig9xl_row(n));
-    }
-    table
+        &scales(quick, &[600, 1000], &[600, 1000, 2000, 4000]),
+    )
 }
 
-/// Fig. 9 XL smoke point — the single n = 1000 cell, always at full scale (ignoring
-/// `quick`). CI runs it under `--require-nonzero Leopard` and `--max-wall-clock`, so
-/// both a protocol collapse at n = 1000 and an engine-speed regression fail the build;
-/// the events/sec column lands in the CI log via the printed table.
-pub fn fig9xl_smoke(_quick: bool) -> Table {
-    let mut table = Table::new(
-        "Fig. 9 XL smoke — Leopard must confirm at n = 1000",
-        FIG9XL_HEADERS,
-    );
-    table.push_row(fig9xl_row(1000));
+/// The Fig. 9 XL table over the given scales. `fig9xlsmoke` is the single n = 1000
+/// row (whatever the profile): CI runs it under `--require-nonzero Leopard`,
+/// `--max-wall-clock` and `--min-events-per-sec`, so both a protocol collapse at
+/// n = 1000 and an engine-speed regression fail the build.
+fn fig9xl_table(title: &str, scales: &[usize]) -> Table {
+    let mut table = Table::new(title, FIG9XL_HEADERS);
+    for &n in scales {
+        table.push_row(fig9xl_row(n));
+    }
     table
 }
 
@@ -833,7 +828,7 @@ fn fault_handling_kb(report: &ScenarioReport, n: usize) -> f64 {
     bytes as f64 / 1024.0
 }
 
-/// The Fig. 13 recovery-matrix column set, shared with the `fig13smoke` CI point.
+/// The Fig. 13 recovery-matrix column set.
 const FIG13_HEADERS: &[&str] = &[
     "scenario",
     "n",
@@ -990,26 +985,16 @@ fn fig13_row(name: &str, config: &ScenarioConfig) -> Vec<String> {
 /// extra communication under the adversarial & recovery scenario suite (§VI-D failure
 /// figures). Every run goes through the always-on invariant checker; a safety fork,
 /// post-quiesce stall or unretrievable datablock fails the experiment outright.
+///
+/// `fig13smoke` is this table at its reduced (quick) scales regardless of `--full`,
+/// for the CI step that guards post-recovery throughput: every scenario must end with
+/// non-zero post-recovery throughput and zero invariant violations.
 pub fn fig13_recovery(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 13 (recovery) — adversarial & recovery scenario matrix",
         FIG13_HEADERS,
     );
     for (name, config) in fig13_matrix(quick) {
-        table.push_row(fig13_row(name, &config));
-    }
-    table
-}
-
-/// Fig. 13 smoke — the recovery matrix at its reduced (quick) scales regardless of the
-/// `--full` flag, for the CI step that guards post-recovery throughput: every scenario
-/// must end with non-zero post-recovery throughput and zero invariant violations.
-pub fn fig13_smoke(_quick: bool) -> Table {
-    let mut table = Table::new(
-        "Fig. 13 smoke — every recovery scenario must recover (reduced scales)",
-        FIG13_HEADERS,
-    );
-    for (name, config) in fig13_matrix(true) {
         table.push_row(fig13_row(name, &config));
     }
     table
@@ -1074,7 +1059,9 @@ pub fn run_experiment_with(id: &str, quick: bool, chaos: &ChaosOverrides) -> Opt
         "fig9" => fig9_throughput_scaling(quick),
         "fig9smoke" => fig9_smoke(quick),
         "fig9xl" => fig9xl_scaling(quick),
-        "fig9xlsmoke" => fig9xl_smoke(quick),
+        "fig9xlsmoke" => {
+            fig9xl_table("Fig. 9 XL smoke — Leopard must confirm at n = 1000", &[1000])
+        }
         "fig9cpu" => fig9cpu_compute_bound(quick),
         "fig9mp" => fig9mp_multi_proposer(quick),
         "fig9mpsmoke" => fig9mp_smoke(quick),
@@ -1085,7 +1072,7 @@ pub fn run_experiment_with(id: &str, quick: bool, chaos: &ChaosOverrides) -> Opt
         "fig11" => fig11_leader_bandwidth(quick),
         "fig12" => fig12_retrieval(quick),
         "fig13" => fig13_recovery(quick),
-        "fig13smoke" => fig13_smoke(quick),
+        "fig13smoke" => fig13_recovery(true),
         "fig13vc" => fig13_view_change(quick),
         _ => return None,
     };

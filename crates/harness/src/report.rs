@@ -228,21 +228,6 @@ pub fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// Formats a requests-per-second figure the way the paper's plots label it (Kreqs/sec).
-pub fn format_kreqs(rps: f64) -> String {
-    format!("{:.1}", rps / 1_000.0)
-}
-
-/// Formats a bits-per-second figure in Mbps.
-pub fn format_mbps(bps: f64) -> String {
-    format!("{:.1}", bps / 1_000_000.0)
-}
-
-/// Formats a byte count in KB.
-pub fn format_kb(bytes: f64) -> String {
-    format!("{:.1}", bytes / 1024.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,13 +270,6 @@ mod tests {
         let path = table.write_csv(&dir, "unit").unwrap();
         assert!(path.exists());
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(format_kreqs(125_000.0), "125.0");
-        assert_eq!(format_mbps(20_000_000.0), "20.0");
-        assert_eq!(format_kb(2048.0), "2.0");
     }
 
     #[test]

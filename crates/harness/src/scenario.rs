@@ -57,17 +57,13 @@ pub struct ScenarioConfig {
     pub slow_replicas: usize,
     /// CPU speed factor of the slow replicas (`1.0` = no slowdown).
     pub slow_cpu_factor: f64,
-    /// Geo-distributed topology (regions, pairwise latency matrix, bandwidth classes).
-    /// `None` keeps the paper's flat LAN. See [`Self::with_topology`] and the `wan` /
-    /// `two_dc` builders.
+    /// Geo-distributed topology (regions, pairwise latency matrix). `None` keeps the
+    /// paper's flat LAN. See [`Self::with_topology`] and [`Self::with_wan_regions`].
     pub topology: Option<Topology>,
     /// Fraction of the replicas (highest ids first, skipping the initial leader, count
-    /// rounded up) degraded with [`Self::straggler_profile`] — Raptr-style stragglers
-    /// that are network- and CPU-slow at once. `0.0` disables stragglers.
+    /// rounded up) degraded with [`StragglerProfile::wan_default`] — Raptr-style
+    /// stragglers that are network- and CPU-slow at once. `0.0` disables stragglers.
     pub straggler_fraction: f64,
-    /// The degradation applied to each straggler (see
-    /// [`StragglerProfile::wan_default`]).
-    pub straggler_profile: StragglerProfile,
     /// Replicas running a protocol-level Byzantine behaviour (equivocation, vote
     /// withholding, silence — see [`ByzantineBehavior`]). These replicas are excluded
     /// from the invariant checker's honest set.
@@ -135,7 +131,6 @@ impl ScenarioConfig {
             slow_cpu_factor: 1.0,
             topology: None,
             straggler_fraction: 0.0,
-            straggler_profile: StragglerProfile::wan_default(),
             byzantine: Vec::new(),
             crash_restarts: Vec::new(),
             partitions: Vec::new(),
@@ -149,38 +144,18 @@ impl ScenarioConfig {
         }
     }
 
-    /// A small, fast configuration for unit tests and doc examples.
+    /// A small, fast configuration for unit tests and doc examples: [`Self::paper`]
+    /// with a light workload, small batches, a short run and real crypto.
     pub fn small(n: usize) -> Self {
         Self {
-            n,
             workload: WorkloadConfig::small(),
-            bandwidth_mbps: None,
             duration: SimDuration::from_secs(2),
-            warmup: None,
             datablock_size: 16,
             bftblock_size: 8,
             hotstuff_batch: 16,
-            seed: 0xBEEF,
-            leader_crash_at: None,
-            selective_attackers: 0,
             max_events: 5_000_000,
             crypto_mode: CryptoMode::Real,
-            cost_model: CostModelKind::Calibrated,
-            slow_replicas: 0,
-            slow_cpu_factor: 1.0,
-            topology: None,
-            straggler_fraction: 0.0,
-            straggler_profile: StragglerProfile::wan_default(),
-            byzantine: Vec::new(),
-            crash_restarts: Vec::new(),
-            partitions: Vec::new(),
-            liveness_bound: None,
-            view_thrash_bound: None,
-            progress_timeout: None,
-            workload_stop: None,
-            parallel: false,
-            proposers: 1,
-            cores: 1,
+            ..Self::paper(n)
         }
     }
 
@@ -463,23 +438,11 @@ impl ScenarioConfig {
         self.with_topology(Topology::wan(regions))
     }
 
-    /// Splits the replicas over two datacenters with `intra` latency inside each and
-    /// `inter` latency across the pair (see [`Topology::two_dc`]).
-    pub fn with_two_dc(self, intra: SimDuration, inter: SimDuration) -> Self {
-        self.with_topology(Topology::two_dc(intra, inter))
-    }
-
     /// Degrades `ceil(fraction · n)` replicas (highest ids first, skipping the initial
-    /// leader) with the current [`Self::straggler_profile`] — slow link, slow CPU and
-    /// extra one-way latency at once, the Raptr straggler scenario.
+    /// leader) with [`StragglerProfile::wan_default`] — slow link, slow CPU and extra
+    /// one-way latency at once, the Raptr straggler scenario.
     pub fn with_straggler_fraction(mut self, fraction: f64) -> Self {
         self.straggler_fraction = fraction;
-        self
-    }
-
-    /// Overrides the degradation profile used by [`Self::with_straggler_fraction`].
-    pub fn with_straggler_profile(mut self, profile: StragglerProfile) -> Self {
-        self.straggler_profile = profile;
         self
     }
 
@@ -507,7 +470,8 @@ impl ScenarioConfig {
                 Topology::flat(base.base_latency, base.jitter)
             });
             for node in self.highest_non_leader_ids(stragglers) {
-                with_stragglers = with_stragglers.with_straggler(node, self.straggler_profile);
+                with_stragglers =
+                    with_stragglers.with_straggler(node, StragglerProfile::wan_default());
             }
             topology = Some(with_stragglers);
         }
@@ -581,6 +545,11 @@ impl ScenarioConfig {
     }
 
     fn leopard_config(&self) -> LeopardConfig {
+        assert!(
+            self.workload.aggregate_rps > 0,
+            "ScenarioConfig: workload.aggregate_rps must be positive (the saturated pacing \
+             divides by it)"
+        );
         let mut config = LeopardConfig::paper(self.n, self.workload.aggregate_rps);
         config.params.payload_size = self.workload.payload_size;
         config.params.datablock_size = self.datablock_size;
@@ -591,7 +560,7 @@ impl ScenarioConfig {
         // datablocks, so the per-producer pacing spreads over `n − p` replicas.
         let producers = (self.n - self.proposers.max(1)).max(1) as f64;
         let pacing_secs =
-            producers * self.datablock_size as f64 / self.workload.aggregate_rps.max(1) as f64;
+            producers * self.datablock_size as f64 / self.workload.aggregate_rps as f64;
         config.workload = WorkloadMode::Saturated {
             pacing: SimDuration::from_secs_f64(pacing_secs),
         };
@@ -611,7 +580,7 @@ impl ScenarioConfig {
         // genuine loss detector (fig12's retrieval runs use small datablocks, where
         // the 100 ms floor still applies).
         // Under a topology the slowest producer's uplink bounds honest dissemination
-        // (a straggler's 1 Gbps NIC, a throttled region class), and WAN propagation
+        // (a straggler's 1 Gbps NIC), and WAN propagation
         // adds up to `max_one_way_latency` per hop of query/response — so the timeout
         // gets four one-way latencies of deterministic headroom on top. For a flat
         // network both terms collapse to exactly the pre-topology formula.
@@ -1133,6 +1102,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "workload.aggregate_rps must be positive")]
+    fn zero_offered_load_panics_with_the_field_name() {
+        let mut config = ScenarioConfig::small(4);
+        config.workload.aggregate_rps = 0;
+        run_leopard_scenario(&config);
+    }
+
+    #[test]
     fn builders_compose() {
         let config = ScenarioConfig::paper(16)
             .with_bandwidth_mbps(100)
@@ -1151,18 +1128,17 @@ mod tests {
     fn topology_builders_compose() {
         let config = ScenarioConfig::paper(16)
             .with_wan_regions(&["us-east", "eu-west"])
-            .with_straggler_fraction(0.10)
-            .with_straggler_profile(StragglerProfile::slow_path(SimDuration::from_millis(10)));
+            .with_straggler_fraction(0.10);
         assert_eq!(config.topology.as_ref().unwrap().region_count(), 2);
         assert_eq!(config.straggler_count(), 2);
         let topology = config.effective_topology().unwrap();
         assert_eq!(topology.stragglers().len(), 2);
+        assert_eq!(topology.stragglers()[0].1, StragglerProfile::wan_default());
         assert!(config.network().validate().is_ok());
 
-        let dc = ScenarioConfig::small(4)
-            .with_two_dc(SimDuration::from_micros(200), SimDuration::from_millis(5));
-        assert_eq!(dc.topology.as_ref().unwrap().region_count(), 2);
-        assert!(dc.effective_topology().is_some());
+        // Stragglers without a topology ride a flat stand-in for the scenario's LAN.
+        let lan = ScenarioConfig::small(4).with_straggler_fraction(0.25);
+        assert_eq!(lan.effective_topology().unwrap().region_count(), 1);
 
         // No topology, no stragglers: the network stays the flat scalar model.
         let flat = ScenarioConfig::small(4);

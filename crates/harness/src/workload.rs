@@ -39,11 +39,6 @@ impl WorkloadConfig {
             payload_size: 128,
         }
     }
-
-    /// Offered load expressed in payload bits per second.
-    pub fn offered_bps(&self) -> u64 {
-        self.aggregate_rps * self.payload_size as u64 * 8
-    }
 }
 
 impl Default for WorkloadConfig {
@@ -58,12 +53,10 @@ mod tests {
 
     #[test]
     fn offered_bandwidth_math() {
-        let workload = WorkloadConfig {
-            aggregate_rps: 1_000,
-            payload_size: 128,
-        };
-        assert_eq!(workload.offered_bps(), 1_024_000);
-        assert_eq!(WorkloadConfig::default(), WorkloadConfig::paper_default());
+        // The calibrated saturation rate offers 133 Mbps of payload system-wide.
+        let paper = WorkloadConfig::paper_default();
+        assert_eq!(paper.aggregate_rps * paper.payload_size as u64 * 8, 133_120_000);
+        assert_eq!(WorkloadConfig::default(), paper);
         assert!(WorkloadConfig::large_payload().payload_size > WorkloadConfig::small().payload_size);
     }
 }

@@ -1,11 +1,8 @@
 //! HotStuff baseline configuration.
 
-use leopard_crypto::provider::{CryptoMode, CryptoProvider};
-use leopard_crypto::threshold::{ThresholdKeyPair, ThresholdScheme};
+use leopard_crypto::provider::{CryptoMode, SharedKeys};
 use leopard_simnet::SimDuration;
 use leopard_types::CostModelKind;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Configuration of one HotStuff replica.
@@ -17,8 +14,7 @@ pub struct HotStuffConfig {
     pub payload_size: usize,
     /// Number of requests batched into one block.
     pub batch_size: usize,
-    /// Offered client load in requests per second (clients submit to the leader); `0`
-    /// means the leader's mempool is saturated.
+    /// Offered client load in requests per second (clients submit to the leader).
     pub aggregate_rps: u64,
     /// Leader proposal pacing.
     pub propose_interval: SimDuration,
@@ -62,30 +58,6 @@ impl HotStuffConfig {
         }
     }
 
-    /// Overrides the batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Overrides the offered load.
-    pub fn with_rate(mut self, aggregate_rps: u64) -> Self {
-        self.aggregate_rps = aggregate_rps;
-        self
-    }
-
-    /// Overrides the crypto mode (real vs metered execution).
-    pub fn with_crypto_mode(mut self, mode: CryptoMode) -> Self {
-        self.crypto_mode = mode;
-        self
-    }
-
-    /// Overrides the compute-cost calibration.
-    pub fn with_cost_model(mut self, kind: CostModelKind) -> Self {
-        self.cost_model = kind;
-        self
-    }
-
     /// Number of tolerated faults `f`.
     pub fn f(&self) -> usize {
         (self.n - 1) / 3
@@ -98,13 +70,13 @@ impl HotStuffConfig {
 
     /// Generates the shared threshold-signature key material for this configuration,
     /// honouring its crypto mode and cost model.
-    pub fn shared_keys(&self, seed: u64) -> Arc<HotStuffKeys> {
-        Arc::new(HotStuffKeys::generate_with(
+    pub fn shared_keys(&self, seed: u64) -> Arc<SharedKeys> {
+        Arc::new(SharedKeys::generate(
             self.quorum(),
             self.n,
             seed,
             self.crypto_mode,
-            self.cost_model,
+            self.cost_model.model(),
         ))
     }
 
@@ -121,44 +93,10 @@ impl HotStuffConfig {
         if self.payload_size == 0 {
             return Err("payload_size must be positive".to_string());
         }
-        Ok(())
-    }
-}
-
-/// Shared key material for a HotStuff deployment.
-#[derive(Debug)]
-pub struct HotStuffKeys {
-    /// The crypto provider every operation goes through.
-    pub provider: CryptoProvider,
-    /// Per-replica key pairs.
-    pub keypairs: Vec<ThresholdKeyPair>,
-}
-
-impl HotStuffKeys {
-    /// Runs the trusted setup with real crypto and the calibrated cost model.
-    pub fn generate(threshold: usize, n: usize, seed: u64) -> Self {
-        Self::generate_with(threshold, n, seed, CryptoMode::Real, CostModelKind::Calibrated)
-    }
-
-    /// Runs the trusted setup with an explicit crypto mode and cost calibration.
-    pub fn generate_with(
-        threshold: usize,
-        n: usize,
-        seed: u64,
-        mode: CryptoMode,
-        cost_model: CostModelKind,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (scheme, keypairs) = ThresholdScheme::trusted_setup(threshold, n, &mut rng);
-        Self {
-            provider: CryptoProvider::new(scheme, mode, cost_model.model()),
-            keypairs,
+        if self.aggregate_rps == 0 {
+            return Err("aggregate_rps must be positive".to_string());
         }
-    }
-
-    /// The underlying threshold scheme (public verification values).
-    pub fn scheme(&self) -> &ThresholdScheme {
-        self.provider.scheme()
+        Ok(())
     }
 }
 
@@ -177,13 +115,19 @@ mod tests {
         let mut config = HotStuffConfig::small_test(4);
         config.n = 3;
         assert!(config.validate().is_err());
-        let config = HotStuffConfig::small_test(4).with_batch_size(0);
+        let mut config = HotStuffConfig::small_test(4);
+        config.batch_size = 0;
         assert!(config.validate().is_err());
+        // Zero offered load is a misconfiguration, not a mode.
+        let mut config = HotStuffConfig::small_test(4);
+        config.aggregate_rps = 0;
+        let message = config.validate().unwrap_err();
+        assert!(message.contains("aggregate_rps"), "{message}");
     }
 
     #[test]
     fn quorum_math() {
-        let config = HotStuffConfig::paper(301, 0);
+        let config = HotStuffConfig::paper(301, 100_000);
         assert_eq!(config.f(), 100);
         assert_eq!(config.quorum(), 201);
     }
@@ -193,6 +137,6 @@ mod tests {
         let config = HotStuffConfig::small_test(7);
         let keys = config.shared_keys(3);
         assert_eq!(keys.keypairs.len(), 7);
-        assert_eq!(keys.scheme().threshold(), 5);
+        assert_eq!(keys.provider.scheme().threshold(), 5);
     }
 }

@@ -1,22 +1,20 @@
 //! The HotStuff replica state machine.
 
 use crate::block::{HotStuffBlock, QuorumCertificate};
-use crate::config::{HotStuffConfig, HotStuffKeys};
+use crate::config::HotStuffConfig;
 use crate::messages::HotStuffMessage;
-use leopard_crypto::provider::{BatchOutcome, ComputeCost};
+use leopard_crypto::provider::ComputeCost;
 use leopard_crypto::threshold::SignatureShare;
-use leopard_crypto::Digest;
+use leopard_crypto::{Digest, ShareCollector, SharedKeys};
 use leopard_simnet::{
     Context, Mempool, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
 };
-use leopard_types::{ClientId, FastMap, FastSet, NodeId, Request, View, WireSize};
+use leopard_types::{ClientId, FastMap, FastSet, NodeId, View, WireSize};
 use std::sync::Arc;
 
 const TOKEN_WORKLOAD: u64 = 1;
 const TOKEN_PROPOSE: u64 = 2;
 const TOKEN_PROGRESS: u64 = 3;
-
-const WORKLOAD_TICK: SimDuration = SimDuration(10_000_000); // 10 ms
 
 type Ctx<'a> = dyn Context<Message = HotStuffMessage> + 'a;
 
@@ -27,23 +25,15 @@ fn charge(ctx: &mut Ctx<'_>, cost: ComputeCost) {
     }
 }
 
-/// Vote collection state for one proposed block (leader side).
-#[derive(Debug, Default)]
-struct VoteSet {
-    shares: Vec<SignatureShare>,
-    voters: FastSet<usize>,
-}
-
 /// A chained-HotStuff replica.
 pub struct HotStuffReplica {
     id: NodeId,
     config: HotStuffConfig,
-    keys: Arc<HotStuffKeys>,
+    keys: Arc<SharedKeys>,
 
     view: View,
     /// Client stub (requests are submitted to the leader in HotStuff).
     mempool: Mempool,
-    injection_carry: f64,
 
     /// All blocks seen, by digest.
     blocks: FastMap<Digest, Arc<HotStuffBlock>>,
@@ -52,7 +42,7 @@ pub struct HotStuffReplica {
     /// The highest QC known.
     high_qc: QuorumCertificate,
     /// Leader: collected votes per block digest.
-    votes: FastMap<Digest, VoteSet>,
+    votes: FastMap<Digest, ShareCollector>,
     /// Leader: digest of the proposal still waiting for its QC.
     awaiting_qc: Option<Digest>,
     /// When `awaiting_qc` was last set (progress-probe bookkeeping).
@@ -87,7 +77,7 @@ impl HotStuffReplica {
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn new(id: NodeId, config: HotStuffConfig, keys: Arc<HotStuffKeys>) -> Self {
+    pub fn new(id: NodeId, config: HotStuffConfig, keys: Arc<SharedKeys>) -> Self {
         config
             .validate()
             .unwrap_or_else(|message| panic!("invalid HotStuff config: {message}"));
@@ -95,7 +85,6 @@ impl HotStuffReplica {
             id,
             view: View::initial(),
             mempool: Mempool::new(ClientId(id.0), config.payload_size as u32),
-            injection_carry: 0.0,
             blocks: FastMap::default(),
             certificates: FastMap::default(),
             high_qc: QuorumCertificate::genesis(),
@@ -143,38 +132,14 @@ impl HotStuffReplica {
         self.confirmed_requests
     }
 
-    fn keypair(&self) -> &leopard_crypto::threshold::ThresholdKeyPair {
-        &self.keys.keypairs[self.id.as_index()]
-    }
-
     /// Signs `digest` with this replica's key share, charging the modeled cost.
     fn sign(&self, digest: &Digest, ctx: &mut Ctx<'_>) -> SignatureShare {
-        let (share, cost) = self.keys.provider.sign_share(self.keypair(), digest);
+        let (share, cost) = self
+            .keys
+            .provider
+            .sign_share(self.keys.keypair(self.id.as_index()), digest);
         charge(ctx, cost);
         share
-    }
-
-    // ------------------------------------------------------------------
-    // Client stub (clients submit to the leader)
-    // ------------------------------------------------------------------
-
-    fn inject_workload(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.is_leader() || self.config.aggregate_rps == 0 {
-            return;
-        }
-        let per_tick =
-            self.config.aggregate_rps as f64 * WORKLOAD_TICK.as_secs_f64() + self.injection_carry;
-        let whole = per_tick.floor() as usize;
-        self.injection_carry = per_tick - whole as f64;
-        self.mempool.inject(whole, ctx.now());
-    }
-
-    fn take_batch(&mut self, now: SimTime) -> Vec<Request> {
-        if self.config.aggregate_rps == 0 {
-            // Saturated mode: a full batch is always available.
-            self.mempool.inject(self.config.batch_size, now);
-        }
-        self.mempool.take_batch(self.config.batch_size)
     }
 
     // ------------------------------------------------------------------
@@ -186,7 +151,7 @@ impl HotStuffReplica {
             return;
         }
         let pipeline_pending = self.high_qc.height > self.committed_height;
-        let batch = self.take_batch(ctx.now());
+        let batch = self.mempool.take_batch(self.config.batch_size);
         if batch.is_empty() && !pipeline_pending {
             return;
         }
@@ -286,28 +251,12 @@ impl HotStuffReplica {
         }
         let quorum = self.config.quorum();
         let votes = self.votes.entry(block_digest).or_default();
-        if !votes.voters.insert(share.signer) {
+        if votes.add(share) < quorum {
             return;
         }
-        votes.shares.push(share);
-        if votes.shares.len() < quorum {
-            return;
-        }
-        let (outcome, cost) = self
-            .keys
-            .provider
-            .verify_shares_batch(&votes.shares, &block_digest);
+        let (proof, cost) = votes.settle(&self.keys.provider, &block_digest);
         charge(ctx, cost);
-        if let BatchOutcome::Invalid(bad) = outcome {
-            votes.shares.retain(|s| !bad.contains(&s.signer));
-            return;
-        }
-        let (combined, cost) = self
-            .keys
-            .provider
-            .combine_preverified(&votes.shares, &block_digest);
-        charge(ctx, cost);
-        let Ok(proof) = combined else {
+        let Some(proof) = proof else {
             return;
         };
         let qc = QuorumCertificate {
@@ -450,7 +399,7 @@ impl Protocol for HotStuffReplica {
     type Message = HotStuffMessage;
 
     fn on_start(&mut self, ctx: &mut dyn Context<Message = HotStuffMessage>) {
-        ctx.set_timer(WORKLOAD_TICK, TOKEN_WORKLOAD);
+        ctx.set_timer(Mempool::TICK, TOKEN_WORKLOAD);
         ctx.set_timer(self.config.propose_interval, TOKEN_PROPOSE);
         ctx.set_timer(self.config.progress_timeout, TOKEN_PROGRESS);
     }
@@ -479,8 +428,12 @@ impl Protocol for HotStuffReplica {
     fn on_timer(&mut self, token: u64, ctx: &mut dyn Context<Message = HotStuffMessage>) {
         match token {
             TOKEN_WORKLOAD => {
-                self.inject_workload(ctx);
-                ctx.set_timer(WORKLOAD_TICK, TOKEN_WORKLOAD);
+                // The client stub: clients submit to the leader.
+                if self.is_leader() {
+                    self.mempool
+                        .inject_tick(self.config.aggregate_rps as f64, ctx.now());
+                }
+                ctx.set_timer(Mempool::TICK, TOKEN_WORKLOAD);
             }
             TOKEN_PROPOSE => {
                 self.try_propose(ctx);
@@ -549,13 +502,6 @@ mod tests {
     fn seven_replicas_commit_requests() {
         let report = run(7, HotStuffConfig::small_test(7), FaultPlan::none(), 2);
         assert!(report.metrics.max_confirmed_requests(7) > 100);
-    }
-
-    #[test]
-    fn saturated_mode_commits_full_batches() {
-        let config = HotStuffConfig::small_test(4).with_rate(0).with_batch_size(32);
-        let report = run(4, config, FaultPlan::none(), 2);
-        assert!(report.metrics.max_confirmed_requests(4) >= 32);
     }
 
     #[test]

@@ -16,8 +16,7 @@ use leopard_types::NodeId;
 /// The severed windows of a flapping partition: `cycles` repetitions of
 /// `period`, each severed for the first `duty` fraction and healed for the rest.
 /// Cycle `k` is severed over `[start + k·period, start + k·period + duty·period)`.
-/// Shared by [`FaultPlan::with_flapping_partition`] and the harness scenario builder
-/// so both validate identically.
+/// The harness scenario builder feeds each window to [`FaultPlan::with_partition`].
 ///
 /// # Panics
 ///
@@ -221,32 +220,6 @@ impl FaultPlan {
         self
     }
 
-    /// A flapping link: `cycles` repeated partition/heal windows between `region_a`
-    /// and `region_b`, starting at `start`, one per `period`, each severed for the
-    /// first `duty` fraction of its period (see [`flapping_windows`]). Repeated
-    /// partition/heal cycles stress the state-sync cooldown far harder than one long
-    /// partition healed once.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`flapping_windows`] validity rules, plus the usual
-    /// [`Self::with_partition`] rules for each generated window (distinct regions;
-    /// region-range validation happens in [`crate::Simulation::new`]).
-    pub fn with_flapping_partition(
-        mut self,
-        region_a: usize,
-        region_b: usize,
-        start: SimTime,
-        period: SimDuration,
-        duty: f64,
-        cycles: usize,
-    ) -> Self {
-        for (at, until) in flapping_windows(start, period, duty, cycles) {
-            self = self.with_partition(region_a, region_b, at, until);
-        }
-        self
-    }
-
     /// The selective attack of the paper: every faulty replica (the first `f` non-leader
     /// replicas by convention of the experiments) sends messages of the given category
     /// only to the `keep` lowest-numbered replicas (which include the leader), and drops
@@ -413,17 +386,20 @@ mod tests {
         let _ = FaultPlan::none().with_partition(1, 1, SimTime(0), SimTime(100));
     }
 
+    /// One [`FaultPlan::with_partition`] window per [`flapping_windows`] cycle of
+    /// 1000 ns, as the harness scenario builder assembles a flapping link.
+    fn flapping_plan(region_a: usize, region_b: usize, start: SimTime, duty: f64, cycles: usize) -> FaultPlan {
+        flapping_windows(start, SimDuration::from_nanos(1000), duty, cycles)
+            .into_iter()
+            .fold(FaultPlan::none(), |plan, (at, until)| {
+                plan.with_partition(region_a, region_b, at, until)
+            })
+    }
+
     #[test]
     fn flapping_partition_severs_and_heals_each_cycle() {
         // 3 cycles of 1000 ns, severed for the first 400 ns of each.
-        let plan = FaultPlan::none().with_flapping_partition(
-            0,
-            1,
-            SimTime(2000),
-            SimDuration::from_nanos(1000),
-            0.4,
-            3,
-        );
+        let plan = flapping_plan(0, 1, SimTime(2000), 0.4, 3);
         assert_eq!(plan.partitions().len(), 3);
         for k in 0..3u64 {
             let base = 2000 + k * 1000;
@@ -473,14 +449,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "with_partition: cannot partition region 2 from itself")]
     fn self_region_flapping_panics() {
-        let _ = FaultPlan::none().with_flapping_partition(
-            2,
-            2,
-            SimTime(0),
-            SimDuration::from_nanos(1000),
-            0.5,
-            2,
-        );
+        let _ = flapping_plan(2, 2, SimTime(0), 0.5, 2);
     }
 
     #[test]

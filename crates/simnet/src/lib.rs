@@ -14,18 +14,18 @@
 //! * [`Protocol`] / [`Context`] — the sans-IO interface protocol state machines
 //!   implement ([`protocol`]);
 //! * [`Simulation`] — the deterministic discrete-event engine ([`sim`]);
-//! * [`NetworkConfig`] / [`LinkConfig`] — bandwidth, latency and partial-synchrony
-//!   parameters ([`network`]);
+//! * [`NetworkConfig`] / [`LinkConfig`] — bandwidth, latency, CPU speed and core
+//!   count ([`network`]);
 //! * [`Topology`] / [`StragglerProfile`] — geo-distributed deployments: named regions,
-//!   a pairwise latency/jitter matrix, per-region bandwidth classes and per-node
-//!   stragglers that are network- and CPU-slow at once ([`network`]);
+//!   a pairwise latency/jitter matrix and per-node stragglers that are network- and
+//!   CPU-slow at once ([`network`]);
 //! * [`FaultPlan`] — message filters, crash/restart schedules and region partition
 //!   windows for Byzantine experiments ([`fault`]);
 //! * [`MetricsSink`], [`TrafficMatrix`] — per-node, per-category byte accounting and
 //!   protocol observations ([`metrics`]);
 //! * [`Mempool`] — the co-located client stub both protocols load themselves with:
-//!   pending requests and submission-to-execution latency, kept per run of
-//!   requests rather than per request ([`mempool`]);
+//!   the open-loop injector, pending requests and submission-to-execution latency,
+//!   kept per run of requests rather than per request ([`mempool`]);
 //! * [`runtime`] — a crossbeam-channel + thread runtime that drives the same
 //!   [`Protocol`] implementations in real time for the runnable examples.
 

@@ -11,7 +11,7 @@
 //! what is outstanding are both kept as *runs* `(first id, count)`; a `Request` value
 //! exists only inside the batch `take_batch` hands to a datablock.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use leopard_types::{ClientId, Request, RequestId};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -46,6 +46,9 @@ pub struct Mempool {
     runs: BTreeMap<RequestId, Run>,
     /// Requests in `runs`.
     outstanding: usize,
+    /// Fraction of a request the open-loop injector still owes (see
+    /// [`Self::inject_tick`]).
+    carry: f64,
 }
 
 impl Mempool {
@@ -59,6 +62,7 @@ impl Mempool {
             pending: 0,
             runs: BTreeMap::new(),
             outstanding: 0,
+            carry: 0.0,
         }
     }
 
@@ -104,8 +108,20 @@ impl Mempool {
         self.next_seq += count;
     }
 
-    /// Injects an externally supplied request (used by tests and the real-time examples
-    /// that drive the mempool with inline payloads). Submitting an id again restarts
+    /// Interval of the open-loop injection timer both replicas arm.
+    pub const TICK: SimDuration = SimDuration(10_000_000); // 10 ms
+
+    /// One tick of the open-loop client stub: injects what `rps` requests per second
+    /// offer over [`Self::TICK`], carrying the fractional request over to the next tick.
+    pub fn inject_tick(&mut self, rps: f64, now: SimTime) {
+        let per_tick = rps * Self::TICK.as_secs_f64() + self.carry;
+        let whole = per_tick.floor() as usize;
+        self.carry = per_tick - whole as f64;
+        self.inject(whole, now);
+    }
+
+    /// Injects an externally supplied request (today only tests do; it is the entry
+    /// point an external client needs). Submitting an id again restarts
     /// its latency clock; an id of the local client must be one [`Self::inject`] has
     /// already handed out.
     pub fn submit(&mut self, request: Request, now: SimTime) {
@@ -271,6 +287,27 @@ mod tests {
             .collect();
         assert_eq!(batch, expected);
         assert_eq!(pool.take_batch(1)[0].id.seq, 4);
+    }
+
+    #[test]
+    fn inject_tick_carries_the_fraction() {
+        // 250 requests/s is 2.5 per 10 ms tick: 2, 3, 2, 3 — and nothing is lost.
+        let mut pool = Mempool::new(ClientId(0), 128);
+        let mut per_tick = Vec::new();
+        for tick in 0..4u64 {
+            let before = pool.injected();
+            pool.inject_tick(250.0, SimTime(tick * Mempool::TICK.as_nanos()));
+            per_tick.push(pool.injected() - before);
+        }
+        assert_eq!(per_tick, vec![2, 3, 2, 3]);
+        // Below one request per tick the carry accumulates until a whole one is due.
+        let mut slow = Mempool::new(ClientId(0), 128);
+        for _ in 0..3 {
+            slow.inject_tick(25.0, SimTime(0));
+            assert_eq!(slow.injected(), 0);
+        }
+        slow.inject_tick(25.0, SimTime(0));
+        assert_eq!(slow.injected(), 1);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl LatencyRun {
 /// ≤ ~12 labels instead, and query/iteration APIs sort on demand so the observable
 /// order (node-major, categories alphabetical, only touched cells) is exactly the
 /// old map iteration order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TrafficMatrix {
     /// Interned category labels, in first-seen order.
     categories: Vec<&'static str>,
@@ -122,25 +122,25 @@ pub struct TrafficMatrix {
 }
 
 impl TrafficMatrix {
-    /// Creates an empty matrix.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty matrix pre-sized for `nodes` nodes, so recording never
-    /// reshapes the counter rows mid-run.
+    /// Creates an empty matrix for `nodes` nodes.
     pub fn with_nodes(nodes: usize) -> Self {
         Self {
+            categories: Vec::new(),
             nodes,
-            ..Self::default()
+            sent: Vec::new(),
+            received: Vec::new(),
+            total_sent: 0,
+            total_received: 0,
         }
     }
 
-    /// The flat index for `(node, category)`, growing the table as needed.
+    /// The flat index for `(node, category)`, interning the category if it is new.
     fn slot(&mut self, node: usize, category: &'static str) -> usize {
-        if node >= self.nodes {
-            self.grow_nodes(node + 1);
-        }
+        assert!(
+            node < self.nodes,
+            "traffic matrix sized for {} nodes, got node {node}",
+            self.nodes
+        );
         // Categories are `'static` literals from a handful of call sites, so the
         // pointer comparison almost always hits before the content fallback (which
         // stays for the correctness of distinct-address equal-content strings).
@@ -159,22 +159,6 @@ impl TrafficMatrix {
             }
         };
         slot * self.nodes + node
-    }
-
-    /// Reshapes the counter rows for a larger node count (only ever needed when the
-    /// matrix was built without [`Self::with_nodes`]).
-    fn grow_nodes(&mut self, at_least: usize) {
-        let new_nodes = at_least.max(self.nodes * 2);
-        let reshape = |old: &[(u64, u64)], old_nodes: usize| {
-            let mut grown = vec![(0, 0); self.categories.len() * new_nodes];
-            for (slot, row) in old.chunks(old_nodes.max(1)).enumerate() {
-                grown[slot * new_nodes..slot * new_nodes + row.len()].copy_from_slice(row);
-            }
-            grown
-        };
-        self.sent = reshape(&self.sent, self.nodes);
-        self.received = reshape(&self.received, self.nodes);
-        self.nodes = new_nodes;
     }
 
     /// Records a sent message.
@@ -236,31 +220,18 @@ impl TrafficMatrix {
         self.bytes_in(&self.received, node.as_index(), category)
     }
 
-    /// Touched cells of `counters` in the old map order: node-major, categories
-    /// alphabetical within a node.
-    fn iter_counters<'a>(
-        &'a self,
-        counters: &'a [(u64, u64)],
-    ) -> impl Iterator<Item = (NodeId, &'static str, u64, u64)> + 'a {
+    /// Iterates over `(node, category, bytes, messages)` for sent traffic: the touched
+    /// cells, node-major, categories alphabetical within a node.
+    pub fn iter_sent(&self) -> impl Iterator<Item = (NodeId, &'static str, u64, u64)> + '_ {
         let mut order: Vec<usize> = (0..self.categories.len()).collect();
         order.sort_unstable_by_key(|&slot| self.categories[slot]);
         (0..self.nodes).flat_map(move |node| {
             order.clone().into_iter().filter_map(move |slot| {
-                let (bytes, messages) = counters[slot * self.nodes + node];
+                let (bytes, messages) = self.sent[slot * self.nodes + node];
                 (messages > 0)
                     .then(|| (NodeId(node as u32), self.categories[slot], bytes, messages))
             })
         })
-    }
-
-    /// Iterates over `(node, category, bytes, messages)` for sent traffic.
-    pub fn iter_sent(&self) -> impl Iterator<Item = (NodeId, &'static str, u64, u64)> + '_ {
-        self.iter_counters(&self.sent)
-    }
-
-    /// Iterates over `(node, category, bytes, messages)` for received traffic.
-    pub fn iter_received(&self) -> impl Iterator<Item = (NodeId, &'static str, u64, u64)> + '_ {
-        self.iter_counters(&self.received)
     }
 
     /// All categories that appear anywhere in the matrix (a category is interned the
@@ -381,7 +352,7 @@ impl Default for LatencyHistogram {
 }
 
 /// Collects traffic counters and observations during a run.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsSink {
     /// Traffic counters.
     pub traffic: TrafficMatrix,
@@ -401,18 +372,15 @@ pub struct MetricsSink {
 }
 
 impl MetricsSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty sink pre-sized for `nodes` nodes: the traffic matrix rows and
-    /// the per-node confirmation counters are allocated up front.
+    /// Creates an empty sink for `nodes` nodes: the traffic matrix rows and the
+    /// per-node confirmation counters are allocated up front.
     pub fn with_nodes(nodes: usize) -> Self {
         Self {
             traffic: TrafficMatrix::with_nodes(nodes),
+            observations: Vec::new(),
+            latency_histogram: LatencyHistogram::new(),
+            latency_runs: Vec::new(),
             confirmed_per_node: vec![0; nodes],
-            ..Self::default()
         }
     }
 
@@ -511,7 +479,7 @@ mod tests {
 
     #[test]
     fn traffic_matrix_accumulates_by_node_and_category() {
-        let mut matrix = TrafficMatrix::new();
+        let mut matrix = TrafficMatrix::with_nodes(2);
         matrix.record_sent(NodeId(0), "datablock", 100);
         matrix.record_sent(NodeId(0), "datablock", 50);
         matrix.record_sent(NodeId(0), "vote", 10);
@@ -526,12 +494,11 @@ mod tests {
         assert_eq!(matrix.total_sent_bytes(), 160);
         assert_eq!(matrix.total_received_bytes(), 150);
         assert_eq!(matrix.iter_sent().count(), 2);
-        assert_eq!(matrix.iter_received().count(), 1);
     }
 
     #[test]
     fn node_ranges_do_not_bleed_into_each_other() {
-        let mut matrix = TrafficMatrix::new();
+        let mut matrix = TrafficMatrix::with_nodes(3);
         matrix.record_sent(NodeId(1), "a", 5);
         matrix.record_sent(NodeId(2), "a", 7);
         assert_eq!(matrix.sent_bytes(NodeId(1)), 5);
@@ -540,7 +507,7 @@ mod tests {
 
     #[test]
     fn sink_aggregates_observations() {
-        let mut sink = MetricsSink::new();
+        let mut sink = MetricsSink::with_nodes(2);
         sink.observe(
             SimTime(10),
             NodeId(0),
@@ -625,7 +592,7 @@ mod tests {
 
     #[test]
     fn sink_feeds_latency_samples_into_the_histogram() {
-        let mut sink = MetricsSink::new();
+        let mut sink = MetricsSink::with_nodes(2);
         sink.observe(SimTime(1), NodeId(0), ObservationKind::RequestLatency { nanos: 2_000_000 });
         sink.observe(SimTime(2), NodeId(1), ObservationKind::RequestLatency { nanos: 8_000_000 });
         sink.observe(
@@ -639,8 +606,8 @@ mod tests {
 
     #[test]
     fn counted_latencies_equal_that_many_single_ones() {
-        let mut counted = MetricsSink::new();
-        let mut single = MetricsSink::new();
+        let mut counted = MetricsSink::with_nodes(2);
+        let mut single = MetricsSink::with_nodes(2);
         for (node, nanos, count) in [(0, 2_000_000, 3), (1, 8_000_000, 2), (0, 2_000_000, 0), (0, 5, 1)] {
             counted.observe(
                 SimTime(1),

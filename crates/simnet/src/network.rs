@@ -1,9 +1,8 @@
-//! Network model configuration: per-node link capacities, propagation latency, the
-//! partial-synchrony (GST) model, and the geo-distributed [`Topology`] abstraction
-//! (named regions, a pairwise latency/jitter matrix, per-region bandwidth classes and
-//! per-node straggler profiles).
+//! Network model configuration: link capacities, propagation latency, and the
+//! geo-distributed [`Topology`] abstraction (named regions, a pairwise latency/jitter
+//! matrix and per-node straggler profiles).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Capacity of one node's network interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,20 +79,10 @@ impl StragglerProfile {
             extra_latency: SimDuration::from_millis(25),
         }
     }
-
-    /// A straggler that is only latency-degraded (link and CPU untouched).
-    pub fn slow_path(extra_latency: SimDuration) -> Self {
-        Self {
-            link: None,
-            cpu_factor: 1.0,
-            extra_latency,
-        }
-    }
 }
 
 /// A geo-distributed network topology: named regions, a symmetric pairwise
-/// latency/jitter matrix between regions, optional per-region bandwidth classes, and
-/// per-node straggler profiles.
+/// latency/jitter matrix between regions, and per-node straggler profiles.
 ///
 /// Nodes are assigned to regions round-robin (`node % region_count`), so every region
 /// holds an equal share of the replicas regardless of `n` and region membership never
@@ -113,9 +102,6 @@ pub struct Topology {
     base: Vec<SimDuration>,
     /// Maximum uniform jitter between region pairs, row-major `r × r`, symmetric.
     jitter: Vec<SimDuration>,
-    /// Per-region NIC class (an assignment, replacing [`NetworkConfig::links`] for
-    /// the region's nodes); `None` falls back to [`NetworkConfig::links`].
-    region_links: Vec<Option<LinkConfig>>,
     /// Straggler profiles, sorted by node index.
     stragglers: Vec<(usize, StragglerProfile)>,
 }
@@ -163,7 +149,6 @@ impl Topology {
             regions: vec!["flat".to_string()],
             base: vec![base],
             jitter: vec![jitter],
-            region_links: vec![None],
             stragglers: Vec::new(),
         }
     }
@@ -188,22 +173,8 @@ impl Topology {
             regions: names.iter().map(|n| n.to_string()).collect(),
             base,
             jitter: vec![jitter; r * r],
-            region_links: vec![None; r],
             stragglers: Vec::new(),
         }
-    }
-
-    /// Two datacenters (`dc-a`, `dc-b`) with `intra` latency inside each and `inter`
-    /// latency across the pair; jitter is a tenth of the respective base latency.
-    pub fn two_dc(intra: SimDuration, inter: SimDuration) -> Self {
-        let mut topology = Self::uniform(&["dc-a", "dc-b"], intra, inter, SimDuration::ZERO);
-        for i in 0..2 {
-            for j in 0..2 {
-                let base = topology.base[i * 2 + j];
-                topology.jitter[i * 2 + j] = SimDuration::from_nanos(base.as_nanos() / 10);
-            }
-        }
-        topology
     }
 
     /// A WAN topology over the named regions, with representative public-cloud
@@ -230,45 +201,8 @@ impl Topology {
             regions: names.iter().map(|n| n.to_string()).collect(),
             base,
             jitter,
-            region_links: vec![None; r],
             stragglers: Vec::new(),
         }
-    }
-
-    /// Sets the latency between regions `a` and `b` (symmetrically, both directions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either region index is out of range.
-    pub fn with_latency(mut self, a: usize, b: usize, base: SimDuration, jitter: SimDuration) -> Self {
-        let r = self.regions.len();
-        assert!(a < r && b < r, "region index out of range: {a}, {b} (have {r} regions)");
-        self.base[a * r + b] = base;
-        self.base[b * r + a] = base;
-        self.jitter[a * r + b] = jitter;
-        self.jitter[b * r + a] = jitter;
-        self
-    }
-
-    /// Gives every node of `region` the NIC class `link`, **replacing**
-    /// [`NetworkConfig::links`] for those nodes — a region class is an assignment
-    /// ("this region's machines have these NICs"), so it may be slower *or* faster
-    /// than the fleet default (a throttled satellite region, a well-provisioned core
-    /// region). Contrast [`StragglerProfile::link`], which is a *cap* and only ever
-    /// degrades: use a straggler profile, not a region class, to model a degraded
-    /// node inside an otherwise-throttled fleet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region index is out of range.
-    pub fn with_region_link(mut self, region: usize, link: LinkConfig) -> Self {
-        assert!(
-            region < self.regions.len(),
-            "region index out of range: {region} (have {} regions)",
-            self.regions.len()
-        );
-        self.region_links[region] = Some(link);
-        self
     }
 
     /// Attaches a straggler profile to `node` (replacing any previous profile).
@@ -284,11 +218,6 @@ impl Topology {
     /// Number of regions.
     pub fn region_count(&self) -> usize {
         self.regions.len()
-    }
-
-    /// Region names in index order.
-    pub fn region_names(&self) -> &[String] {
-        &self.regions
     }
 
     /// The name of region `index`.
@@ -313,11 +242,6 @@ impl Topology {
     /// Maximum uniform jitter between regions `a` and `b`.
     pub fn jitter_between(&self, a: usize, b: usize) -> SimDuration {
         self.jitter[a * self.regions.len() + b]
-    }
-
-    /// The NIC class of region `index`, if one was set.
-    pub fn region_link(&self, index: usize) -> Option<LinkConfig> {
-        self.region_links[index]
     }
 
     /// The straggler profile of `node`, if any.
@@ -370,12 +294,6 @@ impl Topology {
                 self.jitter.len()
             ));
         }
-        if self.region_links.len() != r {
-            return Err(format!(
-                "topology must have {r} region link entries, got {}",
-                self.region_links.len()
-            ));
-        }
         for i in 0..r {
             for j in 0..i {
                 if self.base[i * r + j] != self.base[j * r + i]
@@ -410,7 +328,7 @@ impl Topology {
 /// per node. Built once by [`NetworkConfig::resolve`] at [`crate::Simulation::new`].
 #[derive(Debug, Clone)]
 pub struct ResolvedTopology {
-    /// Effective NIC of each node (straggler override > region class > shared links).
+    /// Effective NIC of each node (the configured link, capped by a straggler profile).
     pub links: Vec<LinkConfig>,
     /// Effective CPU speed factor of each node (straggler factor already multiplied in).
     pub cpu_speeds: Vec<f64>,
@@ -447,10 +365,9 @@ impl ResolvedTopology {
 /// sender's uplink and the receiver's downlink (FIFO queues), plus a propagation delay
 /// drawn uniformly from `[base, base + jitter]`, where `base` and `jitter` come from
 /// the scalar [`Self::base_latency`]/[`Self::jitter`] pair when [`Self::topology`] is
-/// `None`, and from the topology's region-pair matrix otherwise. Before
-/// [`NetworkConfig::gst`] an additional asynchronous delay of up to
-/// `pre_gst_extra_delay` is added to every message, modelling the unstable period of
-/// the partial-synchrony model of Dwork et al.
+/// `None`, and from the topology's region-pair matrix otherwise. The network is
+/// synchronous from the start: asynchrony is injected as explicit faults
+/// ([`crate::FaultPlan`] partitions, crashes, filters), not as a pre-GST delay.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of nodes.
@@ -462,10 +379,6 @@ pub struct NetworkConfig {
     pub base_latency: SimDuration,
     /// Maximum additional random latency (uniform jitter) of the flat scalar model.
     pub jitter: SimDuration,
-    /// Global stabilisation time; before this instant messages suffer the extra delay.
-    pub gst: SimTime,
-    /// Maximum extra delay applied to messages sent before GST.
-    pub pre_gst_extra_delay: SimDuration,
     /// Seed for the simulation's deterministic randomness.
     pub seed: u64,
     /// When true a node's uplink and downlink share one serialisation queue, i.e. the
@@ -480,15 +393,12 @@ pub struct NetworkConfig {
     /// [`Self::links`]. A factor below `1.0` models a slower core (the heterogeneous-
     /// CPU experiments), above `1.0` a faster one.
     pub cpu_speeds: Vec<f64>,
-    /// Per-node compute worker-lane counts (multi-core replicas): modeled compute is
-    /// dispatched to the earliest-free of a node's `cores` lanes (ties broken by the
-    /// lowest lane index). Either empty (every node single-core), one entry shared by
-    /// every node, or one entry per node — the same convention as [`Self::cpu_speeds`].
-    /// With one lane the dispatch degenerates to the sequential compute queue, so a
-    /// `cores = 1` configuration is bit-identical to the pre-multi-core model.
-    pub cores: Vec<usize>,
-    /// Geo-distributed topology (regions, pairwise latency matrix, bandwidth classes,
-    /// stragglers). `None` selects the flat scalar model of
+    /// Compute worker lanes (cores) of every node: modeled compute is dispatched to
+    /// the earliest-free of a node's `cores` lanes (ties broken by the lowest lane
+    /// index). With one lane the dispatch degenerates to the sequential compute queue,
+    /// so `cores = 1` is bit-identical to the pre-multi-core model.
+    pub cores: usize,
+    /// Geo-distributed topology (regions, pairwise latency matrix, stragglers). `None` selects the flat scalar model of
     /// [`Self::base_latency`]/[`Self::jitter`]; a flat single-region topology is
     /// bit-identical to `None` by construction.
     pub topology: Option<Topology>,
@@ -496,19 +406,17 @@ pub struct NetworkConfig {
 
 impl NetworkConfig {
     /// A LAN-like datacenter network of `nodes` replicas with the paper's 9.8 Gbps NICs
-    /// and 500 µs one-way latency, already synchronous from the start (GST = 0).
+    /// and 500 µs one-way latency.
     pub fn datacenter(nodes: usize) -> Self {
         Self {
             nodes,
             links: vec![LinkConfig::paper_default()],
             base_latency: SimDuration::from_micros(500),
             jitter: SimDuration::from_micros(50),
-            gst: SimTime::ZERO,
-            pre_gst_extra_delay: SimDuration::ZERO,
             seed: 0xC0FFEE,
             half_duplex: true,
             cpu_speeds: Vec::new(),
-            cores: Vec::new(),
+            cores: 1,
             topology: None,
         }
     }
@@ -521,41 +429,9 @@ impl NetworkConfig {
         config
     }
 
-    /// Overrides the link configuration of a single node (e.g. to model a slow replica).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range for this network.
-    pub fn with_node_link(mut self, node: usize, link: LinkConfig) -> Self {
-        assert!(
-            node < self.nodes,
-            "with_node_link: node {node} out of range for a {}-node network",
-            self.nodes
-        );
-        if self.links.len() != self.nodes {
-            let shared = self.links.first().copied().unwrap_or_default();
-            self.links = vec![shared; self.nodes];
-        }
-        self.links[node] = link;
-        self
-    }
-
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets GST and the pre-GST extra delay.
-    pub fn with_gst(mut self, gst: SimTime, extra: SimDuration) -> Self {
-        self.gst = gst;
-        self.pre_gst_extra_delay = extra;
-        self
-    }
-
-    /// Sets one shared CPU speed factor for every node.
-    pub fn with_cpu_speed(mut self, speed: f64) -> Self {
-        self.cpu_speeds = vec![speed];
         self
     }
 
@@ -578,28 +454,9 @@ impl NetworkConfig {
         self
     }
 
-    /// Sets one shared compute worker-lane count for every node.
+    /// Sets the compute worker-lane count of every node.
     pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = vec![cores];
-        self
-    }
-
-    /// Overrides the compute worker-lane count of a single node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range for this network.
-    pub fn with_node_cores(mut self, node: usize, cores: usize) -> Self {
-        assert!(
-            node < self.nodes,
-            "with_node_cores: node {node} out of range for a {}-node network",
-            self.nodes
-        );
-        if self.cores.len() != self.nodes {
-            let shared = self.cores.first().copied().unwrap_or(1);
-            self.cores = vec![shared; self.nodes];
-        }
-        self.cores[node] = cores;
+        self.cores = cores;
         self
     }
 
@@ -620,17 +477,8 @@ impl NetworkConfig {
         }
     }
 
-    /// The compute worker-lane count of `node` (`1` when no counts are configured).
-    pub fn node_cores(&self, node: usize) -> usize {
-        if self.cores.len() == self.nodes {
-            self.cores[node]
-        } else {
-            self.cores.first().copied().unwrap_or(1)
-        }
-    }
-
     /// The link configuration of `node` from [`Self::links`] alone. Does not include
-    /// region classes or straggler overrides from a [`Self::topology`] — use
+    /// straggler caps from a [`Self::topology`] — use
     /// [`Self::resolve`] for the effective per-node view.
     pub fn link(&self, node: usize) -> LinkConfig {
         if self.links.len() == self.nodes {
@@ -641,24 +489,20 @@ impl NetworkConfig {
     }
 
     /// Resolves the configuration into the per-node view the engine consults on the
-    /// hot path: effective links (straggler override > region class > [`Self::links`]),
+    /// hot path: effective links ([`Self::links`], capped by a straggler profile),
     /// effective CPU speeds ([`Self::cpu_speeds`] × straggler factor), region
-    /// membership and the latency matrix in nanoseconds. Without a topology this is
-    /// the flat single-region view of [`Self::base_latency`]/[`Self::jitter`], which
-    /// reproduces the scalar model bit-identically.
+    /// membership and the latency matrix in nanoseconds. Without a topology this
+    /// resolves the [`Topology::flat`] of [`Self::base_latency`]/[`Self::jitter`]:
+    /// the scalar model is the single-region case of the same code.
     pub fn resolve(&self) -> ResolvedTopology {
         let n = self.nodes;
-        let Some(topology) = &self.topology else {
-            return ResolvedTopology {
-                links: (0..n).map(|i| self.link(i)).collect(),
-                cpu_speeds: (0..n).map(|i| self.cpu_speed(i)).collect(),
-                cores: (0..n).map(|i| self.node_cores(i)).collect(),
-                node_region: vec![0; n],
-                region_count: 1,
-                base_nanos: vec![self.base_latency.as_nanos()],
-                jitter_nanos: vec![self.jitter.as_nanos()],
-                extra_nanos: vec![0; n],
-            };
+        let flat;
+        let topology = match &self.topology {
+            Some(topology) => topology,
+            None => {
+                flat = Topology::flat(self.base_latency, self.jitter);
+                &flat
+            }
         };
         let r = topology.region_count();
         let mut links = Vec::with_capacity(n);
@@ -674,7 +518,7 @@ impl NetworkConfig {
         for i in 0..n {
             let region = topology.region_of(i);
             let straggler = topology.straggler(i);
-            let base = topology.region_link(region).unwrap_or_else(|| self.link(i));
+            let base = self.link(i);
             let link = match straggler.and_then(|p| p.link) {
                 // A straggler cap only ever degrades the node's link.
                 Some(cap) => LinkConfig {
@@ -691,7 +535,7 @@ impl NetworkConfig {
         ResolvedTopology {
             links,
             cpu_speeds,
-            cores: (0..n).map(|i| self.node_cores(i)).collect(),
+            cores: vec![self.cores; n],
             node_region,
             region_count: r,
             base_nanos: topology.base.iter().map(|d| d.as_nanos()).collect(),
@@ -730,14 +574,7 @@ impl NetworkConfig {
         if self.cpu_speeds.iter().any(|s| !s.is_finite() || *s <= 0.0) {
             return Err("cpu_speeds must be positive and finite".to_string());
         }
-        if !self.cores.is_empty() && self.cores.len() != 1 && self.cores.len() != self.nodes {
-            return Err(format!(
-                "cores must have 0, 1 or {} entries, got {}",
-                self.nodes,
-                self.cores.len()
-            ));
-        }
-        if self.cores.iter().any(|&c| c == 0) {
+        if self.cores == 0 {
             return Err("cores must be at least 1".to_string());
         }
         if let Some(topology) = &self.topology {
@@ -773,20 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn per_node_override() {
-        let config = NetworkConfig::datacenter(4).with_node_link(2, LinkConfig::symmetric_mbps(10));
-        assert_eq!(config.link(2).uplink_bps, 10_000_000);
-        assert_eq!(config.link(0), LinkConfig::paper_default());
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "with_node_link: node 4 out of range for a 4-node network")]
-    fn node_link_out_of_range_panics_with_context() {
-        let _ = NetworkConfig::datacenter(4).with_node_link(4, LinkConfig::unlimited());
-    }
-
-    #[test]
     #[should_panic(expected = "with_node_cpu_speed: node 9 out of range for a 4-node network")]
     fn node_cpu_out_of_range_panics_with_context() {
         let _ = NetworkConfig::datacenter(4).with_node_cpu_speed(9, 0.5);
@@ -796,12 +619,11 @@ mod tests {
     fn cpu_speed_overrides() {
         let config = NetworkConfig::datacenter(4);
         assert_eq!(config.cpu_speed(2), 1.0);
-        let config = NetworkConfig::datacenter(4).with_cpu_speed(0.5);
+        let mut config = NetworkConfig::datacenter(4);
+        config.cpu_speeds = vec![0.5];
         assert_eq!(config.cpu_speed(0), 0.5);
         assert_eq!(config.cpu_speed(3), 0.5);
-        let config = NetworkConfig::datacenter(4)
-            .with_cpu_speed(1.0)
-            .with_node_cpu_speed(2, 0.25);
+        let config = NetworkConfig::datacenter(4).with_node_cpu_speed(2, 0.25);
         assert_eq!(config.cpu_speed(1), 1.0);
         assert_eq!(config.cpu_speed(2), 0.25);
         assert!(config.validate().is_ok());
@@ -815,30 +637,17 @@ mod tests {
     }
 
     #[test]
-    fn core_count_overrides() {
+    fn core_count_applies_to_every_node() {
         let config = NetworkConfig::datacenter(4);
-        assert_eq!(config.node_cores(2), 1);
+        assert_eq!(config.resolve().cores, vec![1; 4]);
         let config = NetworkConfig::datacenter(4).with_cores(4);
-        assert_eq!(config.node_cores(0), 4);
-        assert_eq!(config.node_cores(3), 4);
-        let config = NetworkConfig::datacenter(4).with_cores(2).with_node_cores(1, 8);
-        assert_eq!(config.node_cores(0), 2);
-        assert_eq!(config.node_cores(1), 8);
         assert!(config.validate().is_ok());
-        assert_eq!(config.resolve().cores, vec![2, 8, 2, 2]);
+        assert_eq!(config.resolve().cores, vec![4; 4]);
+        // The count does not depend on the topology either.
+        let wan = config.with_topology(Topology::wan(&["us-east", "eu-west"]));
+        assert_eq!(wan.resolve().cores, vec![4; 4]);
 
-        let mut bad = NetworkConfig::datacenter(4);
-        bad.cores = vec![2, 2];
-        assert!(bad.validate().is_err());
-        let mut bad = NetworkConfig::datacenter(4);
-        bad.cores = vec![0];
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "with_node_cores: node 7 out of range for a 4-node network")]
-    fn node_cores_out_of_range_panics_with_context() {
-        let _ = NetworkConfig::datacenter(4).with_node_cores(7, 2);
+        assert!(NetworkConfig::datacenter(4).with_cores(0).validate().is_err());
     }
 
     #[test]
@@ -903,9 +712,8 @@ mod tests {
     fn straggler_profiles_resolve_onto_links_cpu_and_latency() {
         let topology = Topology::wan(&["us-east", "eu-west"])
             .with_straggler(3, StragglerProfile::wan_default());
-        let config = NetworkConfig::datacenter(4)
-            .with_cpu_speed(0.8)
-            .with_topology(topology);
+        let mut config = NetworkConfig::datacenter(4).with_topology(topology);
+        config.cpu_speeds = vec![0.8];
         let resolved = config.resolve();
         assert_eq!(resolved.links[3], LinkConfig::symmetric_mbps(1_000));
         assert_eq!(resolved.links[2], LinkConfig::paper_default());
@@ -932,25 +740,19 @@ mod tests {
         // An unlimited base link takes the cap; an uncapped profile keeps the base.
         let topology = Topology::flat(SimDuration::ZERO, SimDuration::ZERO)
             .with_straggler(0, StragglerProfile::wan_default())
-            .with_straggler(2, StragglerProfile::slow_path(SimDuration::from_millis(1)));
+            .with_straggler(
+                2,
+                StragglerProfile {
+                    link: None,
+                    cpu_factor: 1.0,
+                    extra_latency: SimDuration::from_millis(1),
+                },
+            );
         let mut config = NetworkConfig::datacenter(4).with_topology(topology);
         config.links = vec![LinkConfig::unlimited()];
         let resolved = config.resolve();
         assert_eq!(resolved.links[0], LinkConfig::symmetric_mbps(1_000));
         assert_eq!(resolved.links[2], LinkConfig::unlimited());
-    }
-
-    #[test]
-    fn region_link_classes_apply_to_member_nodes() {
-        let topology = Topology::two_dc(SimDuration::from_micros(200), SimDuration::from_millis(5))
-            .with_region_link(1, LinkConfig::symmetric_mbps(100));
-        let resolved = NetworkConfig::datacenter(4).with_topology(topology).resolve();
-        assert_eq!(resolved.links[0], LinkConfig::paper_default());
-        assert_eq!(resolved.links[1], LinkConfig::symmetric_mbps(100));
-        assert_eq!(resolved.links[3], LinkConfig::symmetric_mbps(100));
-        let (base, jitter) = resolved.delay_parts(0, 1);
-        assert_eq!(base, 5_000_000);
-        assert_eq!(jitter, 500_000);
     }
 
     #[test]
@@ -999,9 +801,16 @@ mod tests {
         assert_eq!(topology.base_between(0, 2), SimDuration::from_millis(2));
         assert_eq!(topology.jitter_between(0, 2), SimDuration::from_micros(10));
 
-        let dc = Topology::two_dc(SimDuration::from_micros(500), SimDuration::from_millis(10));
+        // Two datacenters are the two-region case of the same builder.
+        let dc = Topology::uniform(
+            &["dc-a", "dc-b"],
+            SimDuration::from_micros(500),
+            SimDuration::from_millis(10),
+            SimDuration::from_micros(50),
+        );
         assert_eq!(dc.region_count(), 2);
-        assert_eq!(dc.jitter_between(0, 1), SimDuration::from_millis(1));
-        assert_eq!(dc.jitter_between(0, 0), SimDuration::from_micros(50));
+        assert_eq!(dc.base_between(0, 1), SimDuration::from_millis(10));
+        assert_eq!(dc.base_between(1, 1), SimDuration::from_micros(500));
+        assert_eq!(dc.region_of(3), 1);
     }
 }

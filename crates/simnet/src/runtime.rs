@@ -142,7 +142,7 @@ where
     }
     let shared = Arc::new(Shared {
         senders,
-        metrics: Mutex::new(MetricsSink::new()),
+        metrics: Mutex::new(MetricsSink::with_nodes(n)),
         epoch: Instant::now(),
     });
 

@@ -6,8 +6,8 @@
 //!
 //! 1. The message queues at `a`'s uplink: it departs at
 //!    `departure = max(t, uplink_free[a]) + s·8 / uplink_bps`.
-//! 2. It propagates for `base + U(0, jitter)` (plus `U(0, pre_gst_extra_delay)` before
-//!    GST), where `base` and `jitter` come from the flat scalar
+//! 2. It propagates for `base + U(0, jitter)`, where `base` and `jitter` come from the
+//!    flat scalar
 //!    `base_latency`/`jitter` pair, or — when the configuration carries a
 //!    [`crate::network::Topology`] — from the region-pair latency matrix, plus the
 //!    deterministic straggler extras of both endpoints. Exactly one uniform jitter
@@ -315,7 +315,8 @@ impl ComputeLanes {
 
     /// The node's nearest-free-lane horizon: the earliest instant any lane can
     /// accept new work. With one lane this is the old scalar `cpu_free`.
-    pub(crate) fn horizon(&self, node: usize) -> SimTime {
+    #[cfg(test)]
+    fn horizon(&self, node: usize) -> SimTime {
         self.free[node].iter().copied().min().unwrap_or(SimTime::ZERO)
     }
 
@@ -445,22 +446,6 @@ impl SimulationReport {
         }
         self.compute_busy_nanos
             .get(node.as_index())
-            .copied()
-            .unwrap_or(0) as f64
-            / total as f64
-    }
-
-    /// Fraction of the run one worker lane of `node` was busy, in `[0, 1]` under
-    /// steady state. Returns 0 for out-of-range lanes or hand-built reports that
-    /// carry no per-lane breakdown.
-    pub fn lane_utilization(&self, node: NodeId, lane: usize) -> f64 {
-        let total = self.end_time.as_nanos();
-        if total == 0 {
-            return 0.0;
-        }
-        self.lane_busy_nanos
-            .get(node.as_index())
-            .and_then(|lanes| lanes.get(lane))
             .copied()
             .unwrap_or(0) as f64
             / total as f64
@@ -614,28 +599,14 @@ impl<P: Protocol> Simulation<P> {
         &self.faults
     }
 
-    /// Mutable access to the fault plan (e.g. to add crashes mid-run).
-    pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
-    }
-
     /// The `(uplink_free, downlink_free)` serialisation horizons of `node` — how far
     /// into the (virtual) future the node's FIFO link queues are already committed.
-    /// A horizon far beyond [`Self::now`] means the link is backlogged.
-    pub fn link_horizons(&self, node: NodeId) -> (SimTime, SimTime) {
+    #[cfg(test)]
+    fn link_horizons(&self, node: NodeId) -> (SimTime, SimTime) {
         (
             self.uplink_free[node.as_index()],
             self.downlink_free[node.as_index()],
         )
-    }
-
-    /// How far into the (virtual) future `node`'s compute queue is already
-    /// committed — the CPU analogue of [`Self::link_horizons`]. With multiple
-    /// worker lanes this is the **earliest-free lane's** horizon (the next
-    /// instant the node can start new modeled work); with one lane it is the old
-    /// sequential `cpu_free` scalar.
-    pub fn compute_horizon(&self, node: NodeId) -> SimTime {
-        self.compute.horizon(node.as_index())
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -982,14 +953,7 @@ impl<P: Protocol> Simulation<P> {
         } else {
             self.net_rng.gen_range(0..=jitter_bound)
         };
-        let mut latency = SimDuration::from_nanos(base_nanos + jitter_nanos);
-        if at < self.config.gst && self.config.pre_gst_extra_delay.as_nanos() > 0 {
-            latency = latency
-                + SimDuration::from_nanos(
-                    self.net_rng.gen_range(0..=self.config.pre_gst_extra_delay.as_nanos()),
-                );
-        }
-        let arrival = departure + latency;
+        let arrival = departure + SimDuration::from_nanos(base_nanos + jitter_nanos);
         self.metrics.traffic.record_received(to, category, size as u64);
 
         // Downlink serialisation is reserved when the bytes actually arrive (the
@@ -1152,7 +1116,7 @@ mod tests {
             nodes: 1,
             end_time: SimTime(SimDuration::from_secs(10).as_nanos()),
             events: 0,
-            metrics: MetricsSink::new(),
+            metrics: MetricsSink::with_nodes(1),
             probes: Vec::new(),
             compute_busy_nanos: Vec::new(),
             lane_busy_nanos: Vec::new(),
@@ -1266,53 +1230,66 @@ mod tests {
         );
     }
 
+    /// Node 0 sends `requests` pings to node 1 at start; node 1 charges `charge` of
+    /// modeled work per ping and acks; node 0 observes each ack as
+    /// `ack_at = now · 1000 + hops` (acks carry `100 + request index` hops).
+    #[derive(Debug)]
+    struct ChargingEcho {
+        requests: u32,
+        charge: SimDuration,
+    }
+    impl Protocol for ChargingEcho {
+        type Message = PingMessage;
+
+        fn on_start(&mut self, ctx: &mut dyn Context<Message = PingMessage>) {
+            if ctx.node_id() == NodeId(0) {
+                for hops in 0..self.requests {
+                    ctx.send(NodeId(1), PingMessage::Ping { hops, payload: 8 });
+                }
+            }
+        }
+
+        fn on_message(
+            &mut self,
+            from: NodeId,
+            message: PingMessage,
+            ctx: &mut dyn Context<Message = PingMessage>,
+        ) {
+            match (ctx.node_id(), message) {
+                (NodeId(1), PingMessage::Ping { hops, .. }) => {
+                    ctx.charge_compute(self.charge);
+                    ctx.send(from, PingMessage::Ping { hops: 100 + hops, payload: 8 });
+                }
+                (NodeId(0), PingMessage::Ping { hops, .. }) => {
+                    ctx.observe(ObservationKind::Custom {
+                        label: "ack_at",
+                        value: ctx.now().as_nanos() * 1000 + u64::from(hops),
+                    });
+                }
+                _ => {}
+            }
+        }
+
+        fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Context<Message = PingMessage>) {}
+    }
+
+    /// Two back-to-back requests, 10 ms of modeled work each.
+    fn two_charged_requests(_: NodeId) -> ChargingEcho {
+        ChargingEcho {
+            requests: 2,
+            charge: SimDuration::from_millis(10),
+        }
+    }
+
     /// The compute queue is a scheduled resource: charged work serialises FIFO per
     /// node, defers the callback's outputs, scales with the node's CPU speed, and is
     /// reported as utilization.
     #[test]
     fn charged_compute_defers_outputs_and_reports_utilization() {
-        #[derive(Debug)]
-        struct ChargingEcho;
-        impl Protocol for ChargingEcho {
-            type Message = PingMessage;
-
-            fn on_start(&mut self, ctx: &mut dyn Context<Message = PingMessage>) {
-                if ctx.node_id() == NodeId(0) {
-                    // Two back-to-back requests to the worker node.
-                    ctx.send(NodeId(1), PingMessage::Ping { hops: 0, payload: 8 });
-                    ctx.send(NodeId(1), PingMessage::Ping { hops: 1, payload: 8 });
-                }
-            }
-
-            fn on_message(
-                &mut self,
-                from: NodeId,
-                message: PingMessage,
-                ctx: &mut dyn Context<Message = PingMessage>,
-            ) {
-                match (ctx.node_id(), message) {
-                    // The worker charges 10 ms of modeled work per request, then acks.
-                    (NodeId(1), PingMessage::Ping { hops, .. }) => {
-                        ctx.charge_compute(SimDuration::from_millis(10));
-                        ctx.send(from, PingMessage::Ping { hops: 100 + hops, payload: 8 });
-                    }
-                    (NodeId(0), PingMessage::Ping { hops, .. }) => {
-                        ctx.observe(ObservationKind::Custom {
-                            label: "ack_at",
-                            value: ctx.now().as_nanos() * 1000 + u64::from(hops),
-                        });
-                    }
-                    _ => {}
-                }
-            }
-
-            fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Context<Message = PingMessage>) {}
-        }
-
         let run = |speed: f64| {
             let mut config = two_node_config(0);
             config = config.with_node_cpu_speed(1, speed);
-            let sim = Simulation::new(config, FaultPlan::none(), |_| ChargingEcho);
+            let sim = Simulation::new(config, FaultPlan::none(), two_charged_requests);
             sim.run_to_report(SimTime(SimDuration::from_secs(1).as_nanos()), 10_000)
         };
 
@@ -1359,44 +1336,8 @@ mod tests {
     /// charge per lane, and utilization is normalised by the core count.
     #[test]
     fn two_lanes_overlap_charged_work_and_report_per_lane_busy() {
-        #[derive(Debug)]
-        struct ChargingEcho;
-        impl Protocol for ChargingEcho {
-            type Message = PingMessage;
-
-            fn on_start(&mut self, ctx: &mut dyn Context<Message = PingMessage>) {
-                if ctx.node_id() == NodeId(0) {
-                    ctx.send(NodeId(1), PingMessage::Ping { hops: 0, payload: 8 });
-                    ctx.send(NodeId(1), PingMessage::Ping { hops: 1, payload: 8 });
-                }
-            }
-
-            fn on_message(
-                &mut self,
-                from: NodeId,
-                message: PingMessage,
-                ctx: &mut dyn Context<Message = PingMessage>,
-            ) {
-                match (ctx.node_id(), message) {
-                    (NodeId(1), PingMessage::Ping { hops, .. }) => {
-                        ctx.charge_compute(SimDuration::from_millis(10));
-                        ctx.send(from, PingMessage::Ping { hops: 100 + hops, payload: 8 });
-                    }
-                    (NodeId(0), PingMessage::Ping { hops, .. }) => {
-                        ctx.observe(ObservationKind::Custom {
-                            label: "ack_at",
-                            value: ctx.now().as_nanos() * 1000 + u64::from(hops),
-                        });
-                    }
-                    _ => {}
-                }
-            }
-
-            fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Context<Message = PingMessage>) {}
-        }
-
-        let config = two_node_config(0).with_node_cores(1, 2);
-        let sim = Simulation::new(config, FaultPlan::none(), |_| ChargingEcho);
+        let config = two_node_config(0).with_cores(2);
+        let sim = Simulation::new(config, FaultPlan::none(), two_charged_requests);
         let report = sim.run_to_report(SimTime(SimDuration::from_secs(1).as_nanos()), 10_000);
         let acks = report.metrics.custom_samples("ack_at");
         assert_eq!(acks.len(), 2);
@@ -1411,11 +1352,9 @@ mod tests {
         // utilization 20 ms / (1 s × 2 cores) = 1%.
         assert_eq!(report.compute_busy_nanos[1], 20_000_000);
         assert_eq!(report.lane_busy_nanos[1], vec![10_000_000, 10_000_000]);
-        assert_eq!(report.cores, vec![1, 2]);
+        assert_eq!(report.lane_busy_nanos[0], vec![0, 0]);
+        assert_eq!(report.cores, vec![2, 2]);
         assert!((report.compute_utilization(NodeId(1)) - 0.01).abs() < 1e-9);
-        assert!((report.lane_utilization(NodeId(1), 0) - 0.01).abs() < 1e-9);
-        assert!((report.lane_utilization(NodeId(1), 1) - 0.01).abs() < 1e-9);
-        assert_eq!(report.lane_utilization(NodeId(1), 2), 0.0);
     }
 
     /// The k = 1 lane-equivalence gate: a run with an explicit `cores = 1` through
@@ -1424,49 +1363,15 @@ mod tests {
     /// pre-multi-core goldens were captured against).
     #[test]
     fn single_lane_run_is_bit_identical_to_the_default_model() {
-        #[derive(Debug)]
-        struct ChargingEcho;
-        impl Protocol for ChargingEcho {
-            type Message = PingMessage;
-
-            fn on_start(&mut self, ctx: &mut dyn Context<Message = PingMessage>) {
-                if ctx.node_id() == NodeId(0) {
-                    for hops in 0..4 {
-                        ctx.send(NodeId(1), PingMessage::Ping { hops, payload: 8 });
-                    }
-                }
-            }
-
-            fn on_message(
-                &mut self,
-                from: NodeId,
-                message: PingMessage,
-                ctx: &mut dyn Context<Message = PingMessage>,
-            ) {
-                match (ctx.node_id(), message) {
-                    (NodeId(1), PingMessage::Ping { hops, .. }) => {
-                        ctx.charge_compute(SimDuration::from_millis(3));
-                        ctx.send(from, PingMessage::Ping { hops: 100 + hops, payload: 8 });
-                    }
-                    (NodeId(0), PingMessage::Ping { .. }) => {
-                        ctx.observe(ObservationKind::Custom {
-                            label: "ack_at",
-                            value: ctx.now().as_nanos(),
-                        });
-                    }
-                    _ => {}
-                }
-            }
-
-            fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Context<Message = PingMessage>) {}
-        }
-
         let run = |explicit_single_core: bool| {
             let mut config = two_node_config(7);
             if explicit_single_core {
                 config = config.with_cores(1);
             }
-            let sim = Simulation::new(config, FaultPlan::none(), |_| ChargingEcho);
+            let sim = Simulation::new(config, FaultPlan::none(), |_| ChargingEcho {
+                requests: 4,
+                charge: SimDuration::from_millis(3),
+            });
             let report = sim.run_to_report(SimTime(SimDuration::from_secs(1).as_nanos()), 10_000);
             (
                 report.events,
@@ -1599,7 +1504,14 @@ mod tests {
             SimDuration::from_millis(5),
             SimDuration::ZERO,
         )
-        .with_straggler(3, StragglerProfile::slow_path(SimDuration::from_millis(25)));
+        .with_straggler(
+            3,
+            StragglerProfile {
+                link: None,
+                cpu_factor: 1.0,
+                extra_latency: SimDuration::from_millis(25),
+            },
+        );
         let mut config = NetworkConfig::datacenter(4).with_topology(topology);
         config.links = vec![LinkConfig::unlimited()];
         config.half_duplex = false;

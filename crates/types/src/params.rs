@@ -8,8 +8,6 @@ use leopard_crypto::provider::CryptoCostModel;
 /// Which per-operation compute-cost calibration a run charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostModelKind {
-    /// Charge nothing (the pre-compute-model behaviour; replica CPU stays free).
-    Free,
     /// Charge the timings measured from this repository's real in-process
     /// implementations ([`calibrated_crypto_costs`]). The default: crypto work is
     /// charged at exactly the rate the simulator would spend executing it.
@@ -26,7 +24,6 @@ impl CostModelKind {
     /// The cost model this kind selects.
     pub fn model(&self) -> CryptoCostModel {
         match self {
-            CostModelKind::Free => CryptoCostModel::free(),
             CostModelKind::Calibrated => calibrated_crypto_costs(),
             CostModelKind::BlsPaper => bls_paper_crypto_costs(),
         }
@@ -157,11 +154,9 @@ impl ProtocolParams {
     /// interpolating the paper's reported values for untested scales.
     pub fn table2_batches(n: usize) -> (usize, usize) {
         match n {
-            0..=32 => (2000, 100),
-            33..=64 => (2000, 100),
+            0..=64 => (2000, 100),
             65..=128 => (3000, 300),
-            129..=256 => (4000, 300),
-            257..=399 => (4000, 300),
+            129..=399 => (4000, 300),
             _ => (4000, 400),
         }
     }
@@ -256,7 +251,6 @@ mod tests {
 
     #[test]
     fn cost_model_kinds_resolve() {
-        assert_eq!(CostModelKind::Free.model(), CryptoCostModel::free());
         assert_eq!(CostModelKind::default(), CostModelKind::Calibrated);
         let calibrated = CostModelKind::Calibrated.model();
         let bls = CostModelKind::BlsPaper.model();
