@@ -3,7 +3,8 @@
 //! The paper relies on three cryptographic building blocks:
 //!
 //! * a collision-resistant hash function `H(·)` (SHA-256 in the original prototype) —
-//!   implemented from scratch in [`sha256`] and wrapped by [`hash::Digest`];
+//!   implemented from scratch in [`sha256`] (the x86 SHA extensions where the CPU has
+//!   them, the portable reference rounds elsewhere) and wrapped by [`hash::Digest`];
 //! * Merkle trees over erasure-coded chunks for the datablock retrieval mechanism —
 //!   implemented in [`merkle`];
 //! * a `(2f+1, n)` threshold signature scheme `TS = (TSig, TVrf, TSR)` (threshold BLS in
@@ -21,8 +22,17 @@
 //! fault-injection code, never by an untrusted peer, so unforgeability is not load
 //! bearing while the combination algebra (Lagrange interpolation over a quorum) is
 //! exercised for real.
+//!
+//! # Unsafe code
+//!
+//! The crate is `#![deny(unsafe_code)]`, not `forbid`, so that exactly one private
+//! module can opt out: `sha256::x86`, the SHA-extensions compression function. Its
+//! `unsafe` is one call into a `#[target_feature]` function behind
+//! `is_x86_feature_detected!` and the unaligned loads of the message words; everything
+//! else in the crate, the scalar reference path included, is safe code (see
+//! `DESIGN.md` §5.8 for the inventory).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod field;

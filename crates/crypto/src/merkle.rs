@@ -4,7 +4,7 @@
 //! `n` chunks, builds a Merkle tree over the chunks, and ships each chunk together with
 //! its Merkle proof so the querier can validate chunks individually before decoding.
 
-use crate::hash::{hash_bytes, Digest};
+use crate::hash::{hash_parts, Digest};
 
 /// Domain separation prefixes so that a leaf hash can never collide with an interior
 /// node hash (second-preimage hardening, as in RFC 6962).
@@ -12,18 +12,11 @@ const LEAF_PREFIX: &[u8] = &[0x00];
 const NODE_PREFIX: &[u8] = &[0x01];
 
 fn hash_leaf(data: &[u8]) -> Digest {
-    let mut bytes = Vec::with_capacity(1 + data.len());
-    bytes.extend_from_slice(LEAF_PREFIX);
-    bytes.extend_from_slice(data);
-    hash_bytes(&bytes)
+    hash_parts([LEAF_PREFIX, data])
 }
 
 fn hash_node(left: &Digest, right: &Digest) -> Digest {
-    let mut bytes = Vec::with_capacity(1 + 64);
-    bytes.extend_from_slice(NODE_PREFIX);
-    bytes.extend_from_slice(left.as_bytes());
-    bytes.extend_from_slice(right.as_bytes());
-    hash_bytes(&bytes)
+    hash_parts([NODE_PREFIX, left.as_bytes(), right.as_bytes()])
 }
 
 /// A full Merkle tree, retaining every level so proofs can be generated for any leaf.

@@ -1,10 +1,22 @@
-//! A from-scratch implementation of the SHA-256 compression function and streaming
-//! hasher (FIPS 180-4).
+//! A from-scratch SHA-256 (FIPS 180-4): streaming hasher over one block-compression
+//! entry point.
 //!
-//! The implementation favours clarity over raw speed; it is nonetheless fast enough for
-//! the simulator, where hashing is a small fraction of the work. Correctness is checked
-//! against the official FIPS test vectors in the unit tests below and against random
-//! cross-checks in the property tests of the crate.
+//! SHA-256 is on every workload's host path — each datablock digest, and with real
+//! crypto every Merkle leaf of every erasure-coded response — so [`Sha256::update`]
+//! hands all whole 64-byte blocks of its input, borrowed, to `compress_blocks`, which
+//! picks the implementation at run time from the CPU's feature bits:
+//!
+//! * on x86-64 with `sha`, `ssse3` and `sse4.1` detected, the SHA extensions
+//!   (`sha256rnds2` / `sha256msg1` / `sha256msg2`) in the private `x86` module — the one
+//!   place in this crate where `unsafe` is allowed;
+//! * everywhere else `compress_scalar`, the portable rounds. They are the reference the
+//!   accelerated path is tested against, so they stay compiled and tested on every
+//!   target.
+//!
+//! Both compute the same function, so a digest never depends on the machine. The unit
+//! tests below check the FIPS vectors through each path explicitly and the two paths
+//! against each other at every length, split and alignment that reaches a different
+//! branch.
 
 /// Initial hash values: the first 32 bits of the fractional parts of the square roots of
 /// the first 8 primes.
@@ -82,43 +94,34 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
         }
 
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        // Whole blocks are compressed where they lie; only the tail is buffered.
+        let (blocks, tail) = input.split_at(input.len() - input.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Padding: a single 0x80 byte, zeroes, then the 64-bit big-endian length.
-        self.raw_update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.raw_update(&[0]);
-        }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        // Padding: a single 0x80 byte, zeroes, then the 64-bit big-endian length — one
+        // block if the buffered tail leaves room for all nine bytes, two otherwise.
+        let mut padded = [0u8; 128];
+        padded[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        padded[self.buffer_len] = 0x80;
+        let end = if self.buffer_len < 56 { 64 } else { 128 };
+        padded[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &padded[..end]);
+        state_bytes(&self.state)
     }
 
     /// Convenience one-shot digest.
@@ -127,22 +130,32 @@ impl Sha256 {
         hasher.update(data);
         hasher.finalize()
     }
+}
 
-    /// Like [`Sha256::update`] but without counting towards the message length; used for
-    /// padding during finalisation.
-    fn raw_update(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buffer[self.buffer_len] = byte;
-            self.buffer_len += 1;
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
+/// The digest a final state stands for: its eight words, big-endian.
+fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
+    out
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Folds `blocks` — a whole number of 64-byte blocks — into `state`, on the fastest
+/// path this CPU has.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress_blocks(state, blocks) {
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The portable rounds of FIPS 180-4 §6.2.2: the reference implementation, and the only
+/// path on CPUs without SHA extensions.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -156,7 +169,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -180,14 +193,111 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// The SHA-extensions path. The only module of this crate allowed to use `unsafe`:
+/// one call into a `#[target_feature]` function behind run-time detection, and the
+/// unaligned 16-byte loads of the message words.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Compresses `blocks` into `state` with the SHA extensions and returns `true`, or
+    /// returns `false` untouched if this CPU lacks them.
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !(is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1"))
+        {
+            return false;
+        }
+        // SAFETY: every feature `compress_sha_ni` enables was detected on this CPU by
+        // the `is_x86_feature_detected!` checks just above (`sse2` is x86-64 baseline).
+        unsafe { compress_sha_ni(state, blocks) };
+        true
+    }
+
+    /// `sha256rnds2` takes the state as two vectors, `ABEF` and `CDGH` (`A` / `C` in the
+    /// highest lane), and performs two rounds per call from the low two lanes of
+    /// `W + K`; `sha256msg1` / `sha256msg2` extend the message schedule four words at a
+    /// time.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        // Byte shuffle that turns four big-endian message words into four lanes.
+        let big_endian = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Four vectors of four schedule words each: `w0` holds W[t-16 .. t-12] when
+            // the words at `t` are due, `w3` holds W[t-4 .. t].
+            let [mut w0, mut w1, mut w2, mut w3] = [0, 16, 32, 48].map(|at| {
+                let words = &block[at..at + 16];
+                // SAFETY: `words` is a 16-byte subslice (the indexing above checked
+                // it), exactly what the load reads; `_mm_loadu_si128` has no alignment
+                // requirement.
+                let raw = unsafe { _mm_loadu_si128(words.as_ptr().cast()) };
+                _mm_shuffle_epi8(raw, big_endian)
+            });
+            four_rounds(&mut abef, &mut cdgh, w0, 0);
+            four_rounds(&mut abef, &mut cdgh, w1, 1);
+            four_rounds(&mut abef, &mut cdgh, w2, 2);
+            four_rounds(&mut abef, &mut cdgh, w3, 3);
+            for group in [4, 8, 12] {
+                w0 = next_words(w0, w1, w2, w3);
+                four_rounds(&mut abef, &mut cdgh, w0, group);
+                w1 = next_words(w1, w2, w3, w0);
+                four_rounds(&mut abef, &mut cdgh, w1, group + 1);
+                w2 = next_words(w2, w3, w0, w1);
+                four_rounds(&mut abef, &mut cdgh, w2, group + 2);
+                w3 = next_words(w3, w0, w1, w2);
+                four_rounds(&mut abef, &mut cdgh, w3, group + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|word| word as u32);
+    }
+
+    /// Rounds `4·group .. 4·group + 4` from the four schedule words in `w`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn four_rounds(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, group: usize) {
+        let k = &K[4 * group..4 * group + 4];
+        let wk = _mm_add_epi32(
+            w,
+            _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+        );
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four schedule words, `W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]`,
+    /// from the sixteen before them (`w16` = `W[t-16 .. t-12]`, …, `w4` = `W[t-4 .. t]`).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn next_words(w16: __m128i, w12: __m128i, w8: __m128i, w4: __m128i) -> __m128i {
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
+        _mm_sha256msg2_epu32(partial, w4)
     }
 }
 
@@ -197,6 +307,110 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    /// One-shot digest through an explicitly chosen compression function, with its own
+    /// naive padding — independent of [`Sha256`]'s buffering and of the dispatch.
+    fn digest_with(compress: Compress, data: &[u8]) -> [u8; 32] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &padded);
+        state_bytes(&state)
+    }
+
+    /// Every compression path this runner can execute: always the scalar reference,
+    /// plus the SHA extensions where detected (a runner without them says so).
+    fn paths() -> Vec<(&'static str, Compress)> {
+        let mut paths: Vec<(&'static str, Compress)> = vec![("scalar", compress_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if x86::compress_blocks(&mut H0.clone(), &[]) {
+            paths.push(("sha_ni", |state, blocks| {
+                assert!(x86::compress_blocks(state, blocks));
+            }));
+        }
+        if paths.len() == 1 {
+            println!("skipped: sha_ni not detected");
+        }
+        paths
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + i / 251) as u8).collect()
+    }
+
+    #[test]
+    fn fips_vectors_through_each_path() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 6] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &[0x61; 55],
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                &[0x61; 56],
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (name, compress) in paths() {
+            for (message, expected) in vectors {
+                assert_eq!(
+                    hex(&digest_with(compress, message)),
+                    expected,
+                    "{name}, {} bytes",
+                    message.len()
+                );
+            }
+        }
+    }
+
+    /// The dispatched hasher and every explicit path agree with the scalar reference
+    /// at every length around the block and padding boundaries, and at every buffer
+    /// offset (the accelerated loads are unaligned by design).
+    #[test]
+    fn every_path_matches_the_scalar_reference_at_every_length_and_alignment() {
+        let buffer = pattern((1 << 20) + 4);
+        let paths = paths();
+        for len in (0..=257).chain([1 << 20]) {
+            for offset in 0..4 {
+                let message = &buffer[offset..offset + len];
+                let reference = digest_with(compress_scalar, message);
+                assert_eq!(
+                    Sha256::digest(message),
+                    reference,
+                    "dispatched, len {len} offset {offset}"
+                );
+                for (name, compress) in &paths[1..] {
+                    assert_eq!(
+                        digest_with(*compress, message),
+                        reference,
+                        "{name}, len {len} offset {offset}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -234,14 +448,18 @@ mod tests {
         );
     }
 
+    /// Every two-way split of a message — every buffered-tail length meeting every
+    /// remainder — against the one-shot digest and the scalar reference.
     #[test]
     fn incremental_matches_one_shot() {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        for split in [0usize, 1, 17, 63, 64, 65, 500, 999, 1000] {
+        let data = pattern(1000);
+        let reference = digest_with(compress_scalar, &data);
+        assert_eq!(Sha256::digest(&data), reference);
+        for split in 0..=data.len() {
             let mut hasher = Sha256::new();
             hasher.update(&data[..split]);
             hasher.update(&data[split..]);
-            assert_eq!(hasher.finalize(), Sha256::digest(&data), "split at {split}");
+            assert_eq!(hasher.finalize(), reference, "split at {split}");
         }
     }
 

@@ -136,6 +136,29 @@ pub struct ThresholdScheme {
     lambda_cache: Arc<Mutex<HashMap<Vec<u32>, Arc<[Fp]>>>>,
 }
 
+/// The polynomial's values at `1..=n`: Horner's rule over four points per pass.
+///
+/// One evaluation is a chain of `coefficients.len()` dependent multiply-reduce steps;
+/// walking the coefficients once per *group* of points gives the CPU four independent
+/// chains to overlap. Each value is the same field element [`poly_eval`] returns.
+fn shamir_shares(coefficients: &[Fp], n: usize) -> Vec<Fp> {
+    let mut shares = Vec::with_capacity(n + 3);
+    for first in (1..=n as u64).step_by(4) {
+        let points: [Fp; 4] = std::array::from_fn(|lane| Fp::new(first + lane as u64));
+        let mut values = [Fp::zero(); 4];
+        for &coefficient in coefficients.iter().rev() {
+            for (value, &x) in values.iter_mut().zip(&points) {
+                *value = *value * x + coefficient;
+            }
+        }
+        shares.extend_from_slice(&values);
+    }
+    // The last group may have reached past `n`; the surplus points are simply dropped.
+    shares.truncate(n);
+    debug_assert!((1..=n).all(|i| shares[i - 1] == poly_eval(coefficients, Fp::new(i as u64))));
+    shares
+}
+
 /// Entry cap for the combine cache; distinct signer sets beyond this flush the cache
 /// (quorum sets repeat heavily in practice, so this is a memory backstop, not a policy).
 const LAMBDA_CACHE_CAP: usize = 4096;
@@ -165,16 +188,15 @@ impl ThresholdScheme {
             .collect();
         let master = coefficients[0];
 
-        let mut shares = Vec::with_capacity(n);
-        let mut verification = Vec::with_capacity(n);
-        for i in 1..=n {
-            let share = poly_eval(&coefficients, Fp::new(i as u64));
-            verification.push(share);
-            shares.push(ThresholdKeyPair {
-                index: i,
-                secret_share: share,
-            });
-        }
+        let verification = shamir_shares(&coefficients, n);
+        let shares = verification
+            .iter()
+            .enumerate()
+            .map(|(i, &secret_share)| ThresholdKeyPair {
+                index: i + 1,
+                secret_share,
+            })
+            .collect();
 
         (
             Self {
@@ -358,6 +380,29 @@ mod tests {
     fn setup(threshold: usize, n: usize) -> (ThresholdScheme, Vec<ThresholdKeyPair>) {
         let mut rng = StdRng::seed_from_u64(42);
         ThresholdScheme::trusted_setup(threshold, n, &mut rng)
+    }
+
+    /// The four-points-per-pass evaluation yields, bit for bit, the shares of one
+    /// `poly_eval` per point — for every remainder of `n` modulo the group size, in
+    /// release builds too (where the `debug_assert!` inside is compiled out).
+    #[test]
+    fn grouped_evaluation_yields_the_shares_of_poly_eval() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in [1usize, 2, 3, 4, 5, 7, 32, 400] {
+            let threshold = 2 * ((n - 1) / 3) + 1;
+            let coefficients: Vec<Fp> = (0..threshold)
+                .map(|_| Fp::new(rng.gen_range(0..crate::field::MODULUS)))
+                .collect();
+            let shares = shamir_shares(&coefficients, n);
+            assert_eq!(shares.len(), n);
+            for (i, share) in shares.iter().enumerate() {
+                assert_eq!(
+                    *share,
+                    poly_eval(&coefficients, Fp::new(i as u64 + 1)),
+                    "n={n} i={i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! provides that code from scratch:
 //!
 //! * [`gf256`] — arithmetic in GF(2^8) with the AES polynomial `x^8+x^4+x^3+x+1`,
-//!   log/antilog tables built at runtime;
+//!   log/antilog tables built at runtime; the bulk multiply-accumulate runs an AVX2
+//!   kernel where the CPU has one and a table-row loop elsewhere;
 //! * [`matrix`] — dense matrices over GF(2^8) with Gaussian-elimination inversion;
 //! * [`ReedSolomon`] — a systematic encoder (Vandermonde-derived encoding matrix) and a
 //!   decoder that recovers the original data shards from any `data_shards` surviving
@@ -27,8 +28,17 @@
 //! let recovered = rs.decode_payload(&surviving, payload.len()).unwrap();
 //! assert_eq!(recovered, payload);
 //! ```
+//!
+//! # Unsafe code
+//!
+//! The crate is `#![deny(unsafe_code)]`, not `forbid`, so that exactly one private
+//! module can opt out: `gf256::x86`, the AVX2 kernel of [`gf256::mul_add_slice`]. Its
+//! `unsafe` is one call into a `#[target_feature]` function behind
+//! `is_x86_feature_detected!` and the unaligned loads and stores of 32-byte blocks;
+//! everything else in the crate, the scalar path included, is safe code (see
+//! `DESIGN.md` §5.8 for the inventory).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gf256;

@@ -278,20 +278,36 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
 /// `cores = 1` runs bit-identical to the historical goldens.
 #[derive(Debug, Clone)]
 pub(crate) struct ComputeLanes {
-    /// `free[node][lane]`: how far into the virtual future the lane is committed.
-    free: Vec<Vec<SimTime>>,
-    /// `busy[node][lane]`: modeled CPU nanoseconds the lane has retired.
-    busy: Vec<Vec<u64>>,
+    /// Node `i` owns lanes `offsets[i]..offsets[i + 1]` of the two flat vectors below
+    /// (three allocations per simulation instead of two per node).
+    offsets: Vec<usize>,
+    /// Per lane: how far into the virtual future the lane is committed.
+    free: Vec<SimTime>,
+    /// Per lane: modeled CPU nanoseconds the lane has retired.
+    busy: Vec<u64>,
 }
 
 impl ComputeLanes {
     /// One entry of `cores` per node; every count must be at least 1 (enforced
     /// upstream by [`crate::NetworkConfig::validate`]).
     pub(crate) fn new(cores: &[usize]) -> Self {
-        Self {
-            free: cores.iter().map(|&k| vec![SimTime::ZERO; k]).collect(),
-            busy: cores.iter().map(|&k| vec![0u64; k]).collect(),
+        let mut offsets = Vec::with_capacity(cores.len() + 1);
+        let mut total = 0;
+        offsets.push(total);
+        for &k in cores {
+            total += k;
+            offsets.push(total);
         }
+        Self {
+            offsets,
+            free: vec![SimTime::ZERO; total],
+            busy: vec![0; total],
+        }
+    }
+
+    /// `node`'s lanes, as indices into `free` and `busy`.
+    fn lanes(&self, node: usize) -> std::ops::Range<usize> {
+        self.offsets[node]..self.offsets[node + 1]
     }
 
     /// Dispatches `scaled` nanoseconds of modeled work arriving at `now` on
@@ -299,17 +315,17 @@ impl ComputeLanes {
     /// `[max(now, free[lane]), +scaled]` of the earliest-free lane (lowest
     /// index on ties).
     pub(crate) fn dispatch(&mut self, node: usize, now: SimTime, scaled: u64) -> SimTime {
-        let lanes = &mut self.free[node];
-        let mut lane = 0;
-        for i in 1..lanes.len() {
-            if lanes[i] < lanes[lane] {
+        let lanes = self.lanes(node);
+        let mut lane = lanes.start;
+        for i in lanes.start + 1..lanes.end {
+            if self.free[i] < self.free[lane] {
                 lane = i;
             }
         }
-        let start = now.max(lanes[lane]);
+        let start = now.max(self.free[lane]);
         let done = start + SimDuration::from_nanos(scaled);
-        lanes[lane] = done;
-        self.busy[node][lane] += scaled;
+        self.free[lane] = done;
+        self.busy[lane] += scaled;
         done
     }
 
@@ -317,12 +333,18 @@ impl ComputeLanes {
     /// accept new work. With one lane this is the old scalar `cpu_free`.
     #[cfg(test)]
     fn horizon(&self, node: usize) -> SimTime {
-        self.free[node].iter().copied().min().unwrap_or(SimTime::ZERO)
+        let lanes = &self.free[self.lanes(node)];
+        lanes.iter().copied().min().unwrap_or(SimTime::ZERO)
+    }
+
+    /// Modeled CPU nanoseconds each of `node`'s lanes retired.
+    pub(crate) fn lane_busy_nanos(&self, node: usize) -> &[u64] {
+        &self.busy[self.lanes(node)]
     }
 
     /// Total modeled CPU nanoseconds `node` retired, summed over its lanes.
     pub(crate) fn busy_nanos(&self, node: usize) -> u64 {
-        self.busy[node].iter().sum()
+        self.lane_busy_nanos(node).iter().sum()
     }
 }
 
@@ -708,7 +730,9 @@ impl<P: Protocol> Simulation<P> {
             metrics: self.metrics,
             probes,
             compute_busy_nanos: (0..n).map(|i| self.compute.busy_nanos(i)).collect(),
-            lane_busy_nanos: self.compute.busy,
+            lane_busy_nanos: (0..n)
+                .map(|i| self.compute.lane_busy_nanos(i).to_vec())
+                .collect(),
             cores: self.resolved.cores,
             fanouts_live: self.fanouts.live(),
             fanouts_peak: self.fanouts.peak(),
@@ -1400,6 +1424,7 @@ mod tests {
             let mut scalar_free = SimTime::ZERO;
             let mut now = SimTime::ZERO;
             let mut last_done = SimTime::ZERO;
+            let mut charged = 0u64;
             for (gap, cost) in ops {
                 now = now + SimDuration::from_nanos(gap);
                 let done = lanes.dispatch(0, now, cost);
@@ -1410,10 +1435,9 @@ mod tests {
                 proptest::prop_assert!(done >= last_done, "completions reordered");
                 last_done = done;
                 proptest::prop_assert_eq!(lanes.horizon(0), scalar_free);
-                proptest::prop_assert_eq!(lanes.busy_nanos(0), {
-                    let b: u64 = lanes.busy[0].iter().sum();
-                    b
-                });
+                charged += cost;
+                proptest::prop_assert_eq!(lanes.busy_nanos(0), charged);
+                proptest::prop_assert_eq!(lanes.lane_busy_nanos(0), &[charged][..]);
             }
         }
     }
@@ -1422,16 +1446,26 @@ mod tests {
     /// ties — three equal charges at t = 0 on two lanes go lane 0, lane 1, lane 0.
     #[test]
     fn lane_dispatch_breaks_ties_by_lowest_index() {
-        let mut lanes = ComputeLanes::new(&[2]);
-        assert_eq!(lanes.free[0].len(), 2);
+        // A one-lane neighbour on either side: the flat layout must keep node 1's two
+        // lanes to itself.
+        let mut lanes = ComputeLanes::new(&[1, 2, 1]);
+        assert_eq!(lanes.lane_busy_nanos(1).len(), 2);
+        let at = |nanos: u64| SimTime(SimDuration::from_nanos(nanos).as_nanos());
         // Both lanes free at ZERO: lane 0 wins the tie.
-        assert_eq!(lanes.dispatch(0, SimTime::ZERO, 10), SimTime(SimDuration::from_nanos(10).as_nanos()));
+        assert_eq!(lanes.dispatch(1, SimTime::ZERO, 10), at(10));
         // Lane 1 is now strictly earlier-free.
-        assert_eq!(lanes.dispatch(0, SimTime::ZERO, 10), SimTime(SimDuration::from_nanos(10).as_nanos()));
+        assert_eq!(lanes.dispatch(1, SimTime::ZERO, 10), at(10));
         // Both free at 10 again: lane 0 wins, so its busy total doubles.
-        assert_eq!(lanes.dispatch(0, SimTime::ZERO, 10), SimTime(SimDuration::from_nanos(20).as_nanos()));
-        assert_eq!(lanes.busy[0], vec![20, 10]);
-        assert_eq!(lanes.horizon(0), SimTime(SimDuration::from_nanos(10).as_nanos()));
+        assert_eq!(lanes.dispatch(1, SimTime::ZERO, 10), at(20));
+        assert_eq!(lanes.lane_busy_nanos(1), [20, 10]);
+        assert_eq!(lanes.busy_nanos(1), 30);
+        assert_eq!(lanes.horizon(1), at(10));
+        // The neighbours saw none of it, and their own work stays theirs.
+        assert_eq!((lanes.busy_nanos(0), lanes.busy_nanos(2)), (0, 0));
+        assert_eq!(lanes.dispatch(2, SimTime::ZERO, 7), at(7));
+        assert_eq!(lanes.lane_busy_nanos(2), [7]);
+        assert_eq!(lanes.lane_busy_nanos(1), [20, 10]);
+        assert_eq!(lanes.horizon(0), SimTime::ZERO);
     }
 
     /// A flat single-region [`Topology`] must reproduce the scalar model's schedule
