@@ -3,33 +3,52 @@
 
 use crate::byzantine::ByzantineBehavior;
 use leopard_crypto::provider::{CryptoMode, SharedKeys};
+use leopard_erasure::ReedSolomon;
 use leopard_simnet::SimDuration;
 use leopard_types::{CostModelKind, ProtocolParams};
 use std::sync::Arc;
 
 /// How client requests enter the system.
 ///
-/// In the paper clients are separate machines submitting to their neighbouring replica
-/// (with the deterministic assignment function `µ(req)` balancing load). In this
-/// reproduction the client stub lives inside each replica: it injects synthetic requests
-/// into the replica's mempool and measures acknowledgement latency, which keeps the
-/// simulation's event count proportional to protocol messages rather than requests.
+/// As in the paper's evaluation (Algorithm 1, §VI), every non-proposer replica is a
+/// saturated producer: it always has a full datablock's worth of requests and packs one
+/// datablock per `pacing` period, numbering the requests itself and measuring their
+/// latency from the datablock's creation to its execution.
+///
+/// `#[non_exhaustive]` because the benchmark's `mirror.rs` matches it with a wildcard
+/// arm, which a one-variant enum would otherwise turn into an unreachable-pattern
+/// warning.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[non_exhaustive]
 pub enum WorkloadMode {
-    /// Clients submit an aggregate of `aggregate_rps` requests per second, spread evenly
-    /// over the non-leader replicas (open loop).
-    OpenLoop {
-        /// Total offered load in requests per second across the whole system.
-        aggregate_rps: u64,
-    },
-    /// Every non-leader replica always has enough pending requests to fill a datablock
-    /// (the paper's "saturated request rate" stress test). `pacing` bounds how often a
-    /// replica may emit a datablock, modelling the per-datablock CPU cost measured in
-    /// Table IV.
+    /// Every non-proposer replica always has enough pending requests to fill a
+    /// datablock (the paper's "saturated request rate" stress test). `pacing` bounds
+    /// how often a replica emits a datablock, modelling the per-datablock CPU cost
+    /// measured in Table IV.
     Saturated {
-        /// Minimum interval between two datablocks from the same replica.
+        /// Interval between two datablocks from the same replica.
         pacing: SimDuration,
     },
+}
+
+impl WorkloadMode {
+    /// The saturated pacing at which the `n − p` producers of `params` together offer
+    /// `aggregate_rps` requests per second in full datablocks (proposers produce none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `aggregate_rps` is zero (the pacing divides by it).
+    pub fn paced(params: &ProtocolParams, aggregate_rps: u64) -> Self {
+        assert!(
+            aggregate_rps > 0,
+            "saturated pacing: aggregate_rps must be positive"
+        );
+        let producers = (params.n - params.proposers.max(1)).max(1) as f64;
+        let pacing_secs = producers * params.datablock_size as f64 / aggregate_rps as f64;
+        WorkloadMode::Saturated {
+            pacing: SimDuration::from_secs_f64(pacing_secs),
+        }
+    }
 }
 
 /// Full configuration of one Leopard replica.
@@ -37,10 +56,8 @@ pub enum WorkloadMode {
 pub struct LeopardConfig {
     /// Structural protocol parameters (n, f, batch sizes, payload and header sizes).
     pub params: ProtocolParams,
-    /// Workload model of the embedded client stub.
+    /// How often each producer packs a datablock.
     pub workload: WorkloadMode,
-    /// How often a non-leader replica flushes a partially filled datablock.
-    pub batch_timeout: SimDuration,
     /// How often the leader checks whether it can propose a new BFTblock.
     pub propose_interval: SimDuration,
     /// How long a replica waits for a missing datablock before querying the committee.
@@ -54,8 +71,6 @@ pub struct LeopardConfig {
     /// fraction of the run, so load must stop early enough that in-flight datablocks
     /// land before the end-of-run invariant snapshot judges availability.
     pub workload_stop: Option<SimDuration>,
-    /// Checkpoint period in BFTblocks (the paper uses `k / 2`).
-    pub checkpoint_interval: u64,
     /// Byzantine behaviour injected into this replica (honest by default).
     pub byzantine: ByzantineBehavior,
     /// Whether crypto executes its field/erasure work for real or skips it while
@@ -66,16 +81,17 @@ pub struct LeopardConfig {
 }
 
 impl LeopardConfig {
-    /// A configuration following the paper's defaults for scale `n`, with an open-loop
-    /// workload of `aggregate_rps` requests per second. (The harness keeps the timers
-    /// and replaces the workload with [`WorkloadMode::Saturated`] paced to that rate.)
+    /// A configuration following the paper's defaults for scale `n`, with saturated
+    /// producers paced to offer `aggregate_rps` requests per second altogether.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `aggregate_rps` is zero.
     pub fn paper(n: usize, aggregate_rps: u64) -> Self {
         let params = ProtocolParams::paper_defaults(n);
         Self {
-            checkpoint_interval: (params.max_parallel_instances as u64 / 2).max(1),
+            workload: WorkloadMode::paced(&params, aggregate_rps),
             params,
-            workload: WorkloadMode::OpenLoop { aggregate_rps },
-            batch_timeout: SimDuration::from_millis(50),
             propose_interval: SimDuration::from_millis(20),
             retrieval_timeout: SimDuration::from_millis(100),
             progress_timeout: SimDuration::from_secs(2),
@@ -86,31 +102,29 @@ impl LeopardConfig {
         }
     }
 
-    /// A small, fast configuration for unit and integration tests.
+    /// A small, fast configuration for unit and integration tests (2,000 requests per
+    /// second in datablocks of 8).
     pub fn small_test(n: usize) -> Self {
         let mut params = ProtocolParams::paper_defaults(n);
         params.datablock_size = 8;
         params.bftblock_size = 4;
         params.max_parallel_instances = 16;
         Self {
+            workload: WorkloadMode::paced(&params, 2_000),
             params,
-            workload: WorkloadMode::OpenLoop { aggregate_rps: 2_000 },
-            batch_timeout: SimDuration::from_millis(20),
             propose_interval: SimDuration::from_millis(10),
             retrieval_timeout: SimDuration::from_millis(50),
             progress_timeout: SimDuration::from_millis(500),
             workload_stop: None,
-            checkpoint_interval: 8,
             byzantine: ByzantineBehavior::Honest,
             crypto_mode: CryptoMode::Real,
             cost_model: CostModelKind::Calibrated,
         }
     }
 
-    /// Overrides the workload mode.
-    pub fn with_workload(mut self, workload: WorkloadMode) -> Self {
-        self.workload = workload;
-        self
+    /// Checkpoint period in BFTblocks: `k / 2`, as in the paper.
+    pub fn checkpoint_interval(&self) -> u64 {
+        (self.params.max_parallel_instances as u64 / 2).max(1)
     }
 
     /// Overrides the number of concurrent proposers `p` (the PR 9 multi-proposer
@@ -149,13 +163,19 @@ impl LeopardConfig {
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         self.params.validate()?;
-        if self.checkpoint_interval == 0 {
-            return Err("checkpoint_interval must be positive".to_string());
+        let WorkloadMode::Saturated { pacing } = self.workload;
+        if pacing == SimDuration::ZERO {
+            return Err("the saturated pacing must be positive".to_string());
         }
-        if let WorkloadMode::OpenLoop { aggregate_rps } = self.workload {
-            if aggregate_rps == 0 {
-                return Err("aggregate_rps must be positive for an open-loop workload".to_string());
-            }
+        // Retrieval erasure-codes a datablock into one shard per replica; real bytes
+        // stop at the field's size, while metered crypto only charges the cost.
+        if self.crypto_mode == CryptoMode::Real && self.params.n > ReedSolomon::MAX_SHARDS {
+            return Err(format!(
+                "real crypto supports at most {} replicas (retrieval's Reed–Solomon code \
+                 works over GF(2^8)), got n = {}; use metered crypto above that",
+                ReedSolomon::MAX_SHARDS,
+                self.params.n
+            ));
         }
         Ok(())
     }
@@ -170,22 +190,42 @@ mod tests {
         let config = LeopardConfig::paper(64, 100_000);
         assert!(config.validate().is_ok());
         assert_eq!(config.params.datablock_size, 2000);
-        assert_eq!(config.checkpoint_interval, 50);
+        assert_eq!(config.checkpoint_interval(), 50);
+        // 63 producers × 2000 requests / 100,000 requests per second.
+        assert_eq!(
+            config.workload,
+            WorkloadMode::Saturated {
+                pacing: SimDuration::from_millis(1_260)
+            }
+        );
     }
 
     #[test]
     fn small_test_config_is_valid() {
         assert!(LeopardConfig::small_test(4).validate().is_ok());
         assert!(LeopardConfig::small_test(7).validate().is_ok());
+        assert_eq!(LeopardConfig::small_test(4).checkpoint_interval(), 8);
     }
 
     #[test]
-    fn validation_rejects_zero_rate_and_zero_interval() {
-        let config = LeopardConfig::small_test(4).with_workload(WorkloadMode::OpenLoop { aggregate_rps: 0 });
-        assert!(config.validate().is_err());
+    fn validation_rejects_zero_pacing() {
         let mut config = LeopardConfig::small_test(4);
-        config.checkpoint_interval = 0;
-        assert!(config.validate().is_err());
+        config.workload = WorkloadMode::Saturated {
+            pacing: SimDuration::ZERO,
+        };
+        let message = config.validate().unwrap_err();
+        assert!(message.contains("pacing"), "{message}");
+    }
+
+    #[test]
+    fn real_crypto_is_rejected_above_the_erasure_field() {
+        let message = LeopardConfig::paper(257, 100_000).validate().unwrap_err();
+        assert!(message.contains("GF(2^8)"), "{message}");
+        assert!(LeopardConfig::paper(256, 100_000).validate().is_ok());
+        assert!(LeopardConfig::paper(257, 100_000)
+            .with_crypto_mode(CryptoMode::Metered)
+            .validate()
+            .is_ok());
     }
 
     #[test]
@@ -200,16 +240,9 @@ mod tests {
     #[test]
     fn builder_style_overrides() {
         let config = LeopardConfig::small_test(4)
-            .with_workload(WorkloadMode::Saturated {
-                pacing: SimDuration::from_millis(5),
-            })
+            .with_proposers(2)
             .with_byzantine(ByzantineBehavior::SilentLeader);
-        assert_eq!(
-            config.workload,
-            WorkloadMode::Saturated {
-                pacing: SimDuration::from_millis(5)
-            }
-        );
+        assert_eq!(config.params.proposers, 2);
         assert_eq!(config.byzantine, ByzantineBehavior::SilentLeader);
     }
 }

@@ -5,7 +5,8 @@
 //! proposals into two planes:
 //!
 //! * **datablocks** — batches of client requests, produced and multicast by *every*
-//!   non-leader replica ([`leopard_simnet::mempool`], Algorithm 1 of the paper);
+//!   non-leader replica, a saturated producer paced by [`config::WorkloadMode`]
+//!   (Algorithm 1 of the paper);
 //! * **BFTblocks** — tiny index blocks containing only datablock hashes, proposed by the
 //!   leader and agreed on with a PBFT-style two-round voting protocol whose votes are
 //!   aggregated with threshold signatures ([`instance`], Algorithm 2).

@@ -3,8 +3,7 @@
 //!
 //! The replica combines every component of the protocol:
 //!
-//! * the embedded client stub and mempool ([`leopard_simnet::mempool`]),
-//! * datablock generation and dissemination (Algorithm 1),
+//! * the saturated producer: datablock generation and dissemination (Algorithm 1),
 //! * the ready round and the leader's BFTblock proposals,
 //! * the two-round agreement with threshold-signature aggregation (Algorithm 2),
 //! * datablock retrieval (Algorithm 3),
@@ -24,16 +23,15 @@ use crate::view_change::{timeout_digest, view_change_wire_size, ViewChangeState}
 use leopard_crypto::provider::ComputeCost;
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{hash_parts, Digest, SharedKeys};
-use leopard_simnet::{
-    Context, Mempool, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
+use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
+use leopard_types::{
+    BftBlock, BlockState, ClientId, Datablock, FastMap, NodeId, Request, SeqNum, View, WireSize,
 };
-use leopard_types::{BftBlock, BlockState, ClientId, Datablock, FastMap, NodeId, SeqNum, View, WireSize};
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Periodic timer tokens.
-const TOKEN_WORKLOAD: u64 = 1;
 const TOKEN_BATCH: u64 = 2;
 const TOKEN_PROPOSE: u64 = 3;
 const TOKEN_PROGRESS: u64 = 4;
@@ -45,11 +43,11 @@ const TOKEN_RETRIEVAL: u64 = 5;
 /// dropped — the view-change stall path recovers the loss, just more slowly.
 const DEFERRED_PRE_PREPARE_CAP: usize = 256;
 
-/// Latency-breakdown bookkeeping for a datablock this replica produced.
+/// Latency bookkeeping for a datablock this replica produced (its requests were
+/// created with it).
 #[derive(Debug, Clone, Copy)]
 struct DatablockTiming {
     created_at: SimTime,
-    oldest_request_at: SimTime,
     linked_at: Option<SimTime>,
 }
 
@@ -61,7 +59,6 @@ pub struct LeopardReplica {
 
     // --- normal-case state ---
     view: View,
-    mempool: Mempool,
     pool: DatablockPool,
     ready: ReadyTracker,
     pipeline: Pipeline,
@@ -164,10 +161,8 @@ impl LeopardReplica {
         config
             .validate()
             .unwrap_or_else(|message| panic!("invalid Leopard config: {message}"));
-        let payload_size = config.params.payload_size as u32;
         let mut replica = Self {
             id,
-            mempool: Mempool::new(ClientId(id.0), payload_size),
             pool: DatablockPool::new(),
             ready: ReadyTracker::new(),
             pipeline: Pipeline::new(config.params.max_parallel_instances),
@@ -416,24 +411,13 @@ impl LeopardReplica {
     }
 
     // ------------------------------------------------------------------
-    // Client stub & datablock generation (Algorithm 1)
+    // Saturated producer: datablock generation (Algorithm 1)
     // ------------------------------------------------------------------
 
-    fn inject_workload(&mut self, ctx: &mut Ctx<'_>) {
-        let WorkloadMode::OpenLoop { aggregate_rps } = self.config.workload else {
-            return;
-        };
-        if self.is_proposer() {
-            // Clients pick non-proposer replicas (µ excludes the proposer window,
-            // which is just the leader when `proposers = 1`).
-            return;
-        }
-        let producers = (self.n() - self.config.params.proposers).max(1);
-        self.mempool
-            .inject_tick(aggregate_rps as f64 / producers as f64, ctx.now());
-    }
-
-    fn generate_datablocks(&mut self, ctx: &mut Ctx<'_>) {
+    /// Packs one full datablock. A saturated producer always has `D` requests ready:
+    /// datablock `k` holds this replica's requests `(k − 1)·D .. k·D`, so request ids,
+    /// and with them digests and stripe routing, are a function of `k` alone.
+    fn generate_datablock(&mut self, ctx: &mut Ctx<'_>) {
         if self.is_proposer() || self.in_view_change {
             return;
         }
@@ -444,41 +428,29 @@ impl LeopardReplica {
                 return;
             }
         }
-        if let WorkloadMode::Saturated { .. } = self.config.workload {
-            // Saturated clients always have a full datablock's worth of requests ready.
-            self.mempool.inject(self.config.params.datablock_size, ctx.now());
-        }
-        loop {
-            let available = self.mempool.len();
-            if available == 0 {
-                break;
-            }
-            let full = available >= self.config.params.datablock_size;
-            let requests = self.mempool.take_batch(self.config.params.datablock_size);
-            let oldest = ctx.now(); // queueing delay folded into the generation stage
-            let datablock = Arc::new(Datablock::new(self.id, self.datablock_counter, requests));
-            self.datablock_counter += 1;
-            let digest = datablock.digest();
-            // Producing the datablock hashes its encoded bytes once.
-            charge(ctx, self.keys.provider.model().hash(datablock.wire_size()));
-            self.own_datablocks.insert(
-                digest,
-                DatablockTiming {
-                    created_at: ctx.now(),
-                    oldest_request_at: oldest,
-                    linked_at: None,
-                },
-            );
-            self.pool.insert(datablock.clone());
-            ctx.multicast(LeopardMessage::Datablock(datablock));
-            if !self.behaviour().withholds_votes() {
-                let linker = self.proposer_for_digest(&digest);
-                ctx.send(linker, LeopardMessage::Ready { digest });
-            }
-            if !full {
-                // Only one partial datablock per flush.
-                break;
-            }
+        let size = self.config.params.datablock_size as u64;
+        let payload_size = self.config.params.payload_size as u32;
+        let first_seq = (self.datablock_counter - 1) * size;
+        let requests = (first_seq..first_seq + size)
+            .map(|seq| Request::new_synthetic(ClientId(self.id.0), seq, payload_size))
+            .collect();
+        let datablock = Arc::new(Datablock::new(self.id, self.datablock_counter, requests));
+        self.datablock_counter += 1;
+        let digest = datablock.digest();
+        // Producing the datablock hashes its encoded bytes once.
+        charge(ctx, self.keys.provider.model().hash(datablock.wire_size()));
+        self.own_datablocks.insert(
+            digest,
+            DatablockTiming {
+                created_at: ctx.now(),
+                linked_at: None,
+            },
+        );
+        self.pool.insert(datablock.clone());
+        ctx.multicast(LeopardMessage::Datablock(datablock));
+        if !self.behaviour().withholds_votes() {
+            let linker = self.proposer_for_digest(&digest);
+            ctx.send(linker, LeopardMessage::Ready { digest });
         }
     }
 
@@ -1129,25 +1101,20 @@ impl LeopardReplica {
                 let datablock = self.pool.get(link).expect("checked above").clone();
                 request_count += datablock.len() as u64;
                 payload_bytes += datablock.payload_bytes() as u64;
-                // Acknowledge our own requests (client-side latency measurement).
-                if datablock.id.producer == self.id {
-                    self.mempool
-                        .acknowledge(&datablock.requests, ctx.now(), |nanos, count| {
-                            ctx.observe(ObservationKind::RequestLatencies { nanos, count });
-                        });
-                }
-                // Latency breakdown for datablocks we produced.
+                // Latency of our own requests, then its breakdown by stage.
                 if let Some(timing) = self.own_datablocks.remove(link) {
-                    let generation = timing
-                        .created_at
-                        .saturating_since(timing.oldest_request_at)
-                        .as_nanos();
+                    ctx.observe(ObservationKind::RequestLatencies {
+                        nanos: ctx.now().saturating_since(timing.created_at).as_nanos(),
+                        count: datablock.len() as u64,
+                    });
                     let linked = timing.linked_at.unwrap_or(ctx.now());
                     let dissemination = linked.saturating_since(timing.created_at).as_nanos();
                     let agreement = ctx.now().saturating_since(linked).as_nanos();
+                    // A saturated producer's requests are created with their datablock:
+                    // the generation stage is always zero.
                     ctx.observe(ObservationKind::Custom {
                         label: "latency_generation",
-                        value: generation,
+                        value: 0,
                     });
                     ctx.observe(ObservationKind::Custom {
                         label: "latency_dissemination",
@@ -1174,7 +1141,7 @@ impl LeopardReplica {
             self.last_confirmation_at = Some(ctx.now());
 
             // Checkpoint (Algorithm 4).
-            if CheckpointState::is_checkpoint_height(next, self.config.checkpoint_interval)
+            if CheckpointState::is_checkpoint_height(next, self.config.checkpoint_interval())
                 && !self.behaviour().withholds_votes()
             {
                 // An equivocating checkpointer claims a divergent execution state. The
@@ -1626,7 +1593,7 @@ impl LeopardReplica {
         // A confirmed instance whose block never arrived still owes work: execution
         // is stuck at it, and only a state sync can fill it. Without counting it the
         // replica believes it is idle and never repairs the gap.
-        self.mempool.outstanding() > 0
+        !self.own_datablocks.is_empty()
             || self
                 .replica_instances
                 .values()
@@ -1950,16 +1917,8 @@ impl LeopardReplica {
         // full interval pushed it past the end of a 3 s run, which is exactly the
         // "Leopard confirms nothing at n ≥ 128" collapse: the leader's Ready queue
         // stayed empty forever while every downstream stage waited on it.
-        let batch_interval = match self.config.workload {
-            WorkloadMode::Saturated { pacing } => pacing,
-            _ => self.config.batch_timeout,
-        };
-        let stagger = if batch_interval.as_nanos() > 0 {
-            SimDuration::from_nanos(ctx.rng().gen_range(0..batch_interval.as_nanos()))
-        } else {
-            SimDuration::ZERO
-        };
-        ctx.set_timer(Mempool::TICK, TOKEN_WORKLOAD);
+        let WorkloadMode::Saturated { pacing } = self.config.workload;
+        let stagger = SimDuration::from_nanos(ctx.rng().gen_range(0..pacing.as_nanos()));
         ctx.set_timer(stagger, TOKEN_BATCH);
         ctx.set_timer(self.config.propose_interval, TOKEN_PROPOSE);
         ctx.set_timer(self.config.progress_timeout, TOKEN_PROGRESS);
@@ -2065,17 +2024,10 @@ impl Protocol for LeopardReplica {
 
     fn on_timer(&mut self, token: u64, ctx: &mut dyn Context<Message = LeopardMessage>) {
         match token {
-            TOKEN_WORKLOAD => {
-                self.inject_workload(ctx);
-                ctx.set_timer(Mempool::TICK, TOKEN_WORKLOAD);
-            }
             TOKEN_BATCH => {
-                self.generate_datablocks(ctx);
-                let interval = match self.config.workload {
-                    WorkloadMode::Saturated { pacing } => pacing,
-                    _ => self.config.batch_timeout,
-                };
-                ctx.set_timer(interval, TOKEN_BATCH);
+                self.generate_datablock(ctx);
+                let WorkloadMode::Saturated { pacing } = self.config.workload;
+                ctx.set_timer(pacing, TOKEN_BATCH);
             }
             TOKEN_PROPOSE => {
                 // The batch-flush tick: the pipeline is event-driven (see `propose`);
@@ -2164,6 +2116,40 @@ mod tests {
         }
         // Latency samples exist (clients got acknowledgements).
         assert!(!report.metrics.latency_samples().is_empty());
+    }
+
+    /// Datablock `(p, k)` carries `ClientId(p)`'s requests `(k − 1)·D .. k·D`, wherever
+    /// it is pooled: the numbering its digest and Ready route are a function of.
+    #[test]
+    fn producer_numbers_requests_by_datablock_counter() {
+        let n = 4;
+        let config = LeopardConfig::small_test(n);
+        let (size, payload) = (
+            config.params.datablock_size as u64,
+            config.params.payload_size as u32,
+        );
+        let keys = LeopardConfig::shared_keys(&config, 7);
+        let mut sim = Simulation::new(NetworkConfig::datacenter(n), FaultPlan::none(), move |id| {
+            LeopardReplica::new(id, config.clone(), keys.clone())
+        });
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(100), 10_000_000);
+        let mut checked = 0;
+        for node in 0..n as u32 {
+            let pool = sim.node(NodeId(node)).pool();
+            for digest in pool.digests() {
+                let datablock = pool.get(digest).expect("a listed digest");
+                let (producer, k) = (datablock.id.producer, datablock.id.counter);
+                let expected: Vec<Request> = ((k - 1) * size..k * size)
+                    .map(|seq| Request::new_synthetic(ClientId(producer.0), seq, payload))
+                    .collect();
+                assert_eq!(
+                    datablock.requests, expected,
+                    "datablock ({producer:?}, {k}) pooled at replica {node}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 3 * n, "only {checked} pooled datablocks checked");
     }
 
     #[test]

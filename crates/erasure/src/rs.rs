@@ -90,14 +90,21 @@ pub struct ReedSolomon {
 const DECODE_CACHE_CAP: usize = 1024;
 
 impl ReedSolomon {
+    /// The most shards a code over GF(2^8) can have: one distinct evaluation point per
+    /// field element.
+    pub const MAX_SHARDS: usize = 256;
+
     /// Creates a code with the given parameters.
     ///
     /// # Errors
     ///
     /// Returns [`ErasureError::InvalidParameters`] unless
-    /// `0 < data_shards <= total_shards <= 256`.
+    /// `0 < data_shards <= total_shards <=` [`Self::MAX_SHARDS`].
     pub fn new(data_shards: usize, total_shards: usize) -> Result<Self, ErasureError> {
-        if data_shards == 0 || total_shards == 0 || data_shards > total_shards || total_shards > 256
+        if data_shards == 0
+            || total_shards == 0
+            || data_shards > total_shards
+            || total_shards > Self::MAX_SHARDS
         {
             return Err(ErasureError::InvalidParameters {
                 data_shards,

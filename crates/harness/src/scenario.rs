@@ -556,14 +556,9 @@ impl ScenarioConfig {
         config.params.bftblock_size = self.bftblock_size;
         config.params.proposers = self.proposers;
         // Saturated pacing calibrated so the aggregate datablock production matches the
-        // offered load (see EXPERIMENTS.md, "calibration"). Proposers do not produce
-        // datablocks, so the per-producer pacing spreads over `n − p` replicas.
-        let producers = (self.n - self.proposers.max(1)).max(1) as f64;
-        let pacing_secs =
-            producers * self.datablock_size as f64 / self.workload.aggregate_rps as f64;
-        config.workload = WorkloadMode::Saturated {
-            pacing: SimDuration::from_secs_f64(pacing_secs),
-        };
+        // offered load (see EXPERIMENTS.md, "calibration"), re-derived for the
+        // overridden datablock size and proposer count.
+        config.workload = WorkloadMode::paced(&config.params, self.workload.aggregate_rps);
         config.crypto_mode = self.crypto_mode;
         config.cost_model = self.cost_model;
         if let Some(timeout) = self.progress_timeout {

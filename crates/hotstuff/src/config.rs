@@ -16,8 +16,6 @@ pub struct HotStuffConfig {
     pub batch_size: usize,
     /// Offered client load in requests per second (clients submit to the leader).
     pub aggregate_rps: u64,
-    /// Leader proposal pacing.
-    pub propose_interval: SimDuration,
     /// Pacemaker timeout: the view is abandoned if no block commits for this long while
     /// requests are outstanding.
     pub progress_timeout: SimDuration,
@@ -37,7 +35,6 @@ impl HotStuffConfig {
             payload_size: 128,
             batch_size: 800,
             aggregate_rps,
-            propose_interval: SimDuration::from_millis(10),
             progress_timeout: SimDuration::from_secs(2),
             crypto_mode: CryptoMode::Real,
             cost_model: CostModelKind::Calibrated,
@@ -51,7 +48,6 @@ impl HotStuffConfig {
             payload_size: 128,
             batch_size: 16,
             aggregate_rps: 2_000,
-            propose_interval: SimDuration::from_millis(10),
             progress_timeout: SimDuration::from_millis(500),
             crypto_mode: CryptoMode::Real,
             cost_model: CostModelKind::Calibrated,

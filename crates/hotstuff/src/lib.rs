@@ -24,6 +24,7 @@
 
 pub mod block;
 pub mod config;
+mod mempool;
 pub mod messages;
 pub mod replica;
 

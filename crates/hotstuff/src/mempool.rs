@@ -1,28 +1,18 @@
-//! The embedded client stub and per-replica mempool, shared by both protocols.
+//! The HotStuff leader's co-located client stub and mempool.
 //!
-//! Clients in the paper are separate machines that pick a responsible replica with the
-//! deterministic function `µ(req)` and re-submit on timeout. In this reproduction the
-//! client stub is co-located with each replica (see `DESIGN.md` §3): it injects
-//! synthetic requests into the local mempool at the configured rate and measures the
-//! submission → execution latency of exactly the requests it injected.
+//! Clients in HotStuff submit to the leader. In this reproduction the client stub is
+//! co-located with each replica (see `DESIGN.md` §3): while the replica leads, it
+//! injects synthetic requests at the configured rate and measures the submission →
+//! execution latency of exactly the requests it injected.
 //!
-//! Nothing here is per-request for synthetic load (`DESIGN.md` §5). The stub injects
-//! requests with contiguous sequence numbers at one instant, so what is pending and
-//! what is outstanding are both kept as *runs* `(first id, count)`; a `Request` value
-//! exists only inside the batch `take_batch` hands to a datablock.
+//! Nothing here is per-request (`DESIGN.md` §5). The stub injects requests with
+//! contiguous sequence numbers at one instant, so what is pending is one range of
+//! sequence numbers and what is outstanding is kept as *runs* `(first id, count)`; a
+//! `Request` value exists only inside the batch `take_batch` hands to a block.
 
-use crate::time::{SimDuration, SimTime};
+use leopard_simnet::{SimDuration, SimTime};
 use leopard_types::{ClientId, Request, RequestId};
-use std::collections::{BTreeMap, VecDeque};
-
-/// Requests waiting to be batched, in submission order.
-#[derive(Debug)]
-enum Pending {
-    /// `count` synthetic requests of the local client starting at sequence `first_seq`.
-    Synthetic { first_seq: u64, count: u64 },
-    /// An externally supplied request.
-    External(Request),
-}
+use std::collections::BTreeMap;
 
 /// The tail of an outstanding run: how many requests follow its first id with
 /// contiguous sequence numbers, and when all of them were submitted.
@@ -32,15 +22,16 @@ struct Run {
     submitted_at: SimTime,
 }
 
-/// Pending-request buffer plus the client stub's latency bookkeeping.
+/// Pending-request counter plus the client stub's latency bookkeeping.
 #[derive(Debug)]
-pub struct Mempool {
+pub(crate) struct Mempool {
     client: ClientId,
     payload_size: u32,
+    /// Sequence number of the next request to inject.
     next_seq: u64,
-    queue: VecDeque<Pending>,
-    /// Requests in `queue`.
-    pending: usize,
+    /// Sequence number of the first request not yet handed to a batch: the pending
+    /// requests are `batched .. next_seq`.
+    batched: u64,
     /// Submitted requests that have not been executed yet: disjoint runs keyed by
     /// the id of their first request.
     runs: BTreeMap<RequestId, Run>,
@@ -52,113 +43,54 @@ pub struct Mempool {
 }
 
 impl Mempool {
+    /// Interval of the injection timer the replica arms.
+    pub(crate) const TICK: SimDuration = SimDuration(10_000_000); // 10 ms
+
     /// Creates an empty mempool whose client stub signs requests as `client`.
-    pub fn new(client: ClientId, payload_size: u32) -> Self {
+    pub(crate) fn new(client: ClientId, payload_size: u32) -> Self {
         Self {
             client,
             payload_size,
             next_seq: 0,
-            queue: VecDeque::new(),
-            pending: 0,
+            batched: 0,
             runs: BTreeMap::new(),
             outstanding: 0,
             carry: 0.0,
         }
     }
 
-    /// Number of pending (not yet batched) requests.
-    pub fn len(&self) -> usize {
-        self.pending
-    }
-
-    /// True if no requests are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-
     /// Number of submitted requests whose acknowledgement is still outstanding.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.outstanding
     }
 
     /// Injects `count` synthetic requests at time `now`.
-    pub fn inject(&mut self, count: usize, now: SimTime) {
+    fn inject(&mut self, count: usize, now: SimTime) {
         if count == 0 {
             return;
         }
-        let first_seq = self.next_seq;
-        let first = RequestId::new(self.client, first_seq);
-        debug_assert!(
-            self.runs
-                .range(first..)
-                .next()
-                .is_none_or(|(id, _)| id.client != self.client),
-            "an external request ran ahead of the local stub's sequence numbers"
-        );
         let count = count as u64;
-        match self.queue.back_mut() {
-            Some(Pending::Synthetic {
-                first_seq: queued_from,
-                count: queued,
-            }) if *queued_from + *queued == first_seq => *queued += count,
-            _ => self.queue.push_back(Pending::Synthetic { first_seq, count }),
-        }
-        self.pending += count as usize;
-        self.track(first, count, now);
+        self.track(RequestId::new(self.client, self.next_seq), count, now);
         self.next_seq += count;
     }
 
-    /// Interval of the open-loop injection timer both replicas arm.
-    pub const TICK: SimDuration = SimDuration(10_000_000); // 10 ms
-
     /// One tick of the open-loop client stub: injects what `rps` requests per second
     /// offer over [`Self::TICK`], carrying the fractional request over to the next tick.
-    pub fn inject_tick(&mut self, rps: f64, now: SimTime) {
+    pub(crate) fn inject_tick(&mut self, rps: f64, now: SimTime) {
         let per_tick = rps * Self::TICK.as_secs_f64() + self.carry;
         let whole = per_tick.floor() as usize;
         self.carry = per_tick - whole as f64;
         self.inject(whole, now);
     }
 
-    /// Injects an externally supplied request (today only tests do; it is the entry
-    /// point an external client needs). Submitting an id again restarts
-    /// its latency clock; an id of the local client must be one [`Self::inject`] has
-    /// already handed out.
-    pub fn submit(&mut self, request: Request, now: SimTime) {
-        if let Some((first, run)) = self.run_containing(request.id) {
-            self.untrack(first, run, request.id.seq, 1);
-        }
-        self.track(request.id, 1, now);
-        self.queue.push_back(Pending::External(request));
-        self.pending += 1;
-    }
-
-    /// Extracts up to `max` requests for a new datablock.
-    pub fn take_batch(&mut self, max: usize) -> Vec<Request> {
-        let take = max.min(self.pending);
-        let mut batch = Vec::with_capacity(take);
+    /// Extracts up to `max` pending requests, oldest first, for a new block.
+    pub(crate) fn take_batch(&mut self, max: usize) -> Vec<Request> {
+        let first = self.batched;
+        self.batched = self.next_seq.min(first.saturating_add(max as u64));
         let (client, size) = (self.client, self.payload_size);
-        let synthetic = |first_seq: u64, count: u64| {
-            (first_seq..first_seq + count).map(move |seq| Request::new_synthetic(client, seq, size))
-        };
-        while batch.len() < take {
-            let room = (take - batch.len()) as u64;
-            match self.queue.front_mut() {
-                Some(Pending::Synthetic { first_seq, count }) if *count > room => {
-                    batch.extend(synthetic(*first_seq, room));
-                    *first_seq += room;
-                    *count -= room;
-                }
-                _ => match self.queue.pop_front().expect("pending counts the queue") {
-                    Pending::Synthetic { first_seq, count } => {
-                        batch.extend(synthetic(first_seq, count));
-                    }
-                    Pending::External(request) => batch.push(request),
-                },
-            }
-        }
-        self.pending -= take;
-        batch
+        (first..self.batched)
+            .map(|seq| Request::new_synthetic(client, seq, size))
+            .collect()
     }
 
     /// Marks `requests` as executed at `now`, walking them once. Calls
@@ -167,7 +99,7 @@ impl Mempool {
     /// submission-to-execution latency is `nanos` — in the order of `requests`.
     /// Requests that are not outstanding (other clients', or acknowledged before) are
     /// skipped.
-    pub fn acknowledge(
+    pub(crate) fn acknowledge(
         &mut self,
         requests: &[Request],
         now: SimTime,
@@ -193,11 +125,6 @@ impl Mempool {
             latencies(now.saturating_since(run.submitted_at).as_nanos(), taken);
             rest = &rest[taken as usize..];
         }
-    }
-
-    /// Total injected so far (for tests).
-    pub fn injected(&self) -> u64 {
-        self.next_seq
     }
 
     /// The outstanding run that holds `id`, with the id of its first request.
@@ -258,7 +185,19 @@ impl Mempool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, VecDeque};
+
+    impl Mempool {
+        /// Number of pending (not yet batched) requests.
+        fn len(&self) -> usize {
+            (self.next_seq - self.batched) as usize
+        }
+
+        /// Total injected so far.
+        fn injected(&self) -> u64 {
+            self.next_seq
+        }
+    }
 
     /// Acknowledges `requests` and returns the `(nanos, count)` stretches reported.
     fn acknowledge(pool: &mut Mempool, requests: &[Request], now: SimTime) -> Vec<(u64, u64)> {
@@ -270,7 +209,7 @@ mod tests {
     #[test]
     fn inject_and_batch() {
         let mut pool = Mempool::new(ClientId(3), 128);
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         pool.inject(10, SimTime(0));
         assert_eq!(pool.len(), 10);
         assert_eq!(pool.outstanding(), 10);
@@ -315,7 +254,7 @@ mod tests {
         let mut pool = Mempool::new(ClientId(0), 128);
         pool.inject(3, SimTime(0));
         assert_eq!(pool.take_batch(100).len(), 3);
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         assert!(pool.take_batch(5).is_empty());
     }
 
@@ -335,19 +274,6 @@ mod tests {
         pool.inject(1, SimTime(9_000));
         assert_eq!(acknowledge(&mut pool, &foreign, SimTime(9_000)), vec![]);
         assert_eq!(pool.outstanding(), 1);
-    }
-
-    #[test]
-    fn submit_external_request() {
-        let mut pool = Mempool::new(ClientId(1), 128);
-        let request = Request::new_inline(ClientId(7), 3, b"external".to_vec());
-        pool.submit(request.clone(), SimTime(10));
-        assert_eq!(pool.len(), 1);
-        assert_eq!(pool.take_batch(1), vec![request.clone()]);
-        assert_eq!(
-            acknowledge(&mut pool, &[request], SimTime(30)),
-            vec![(20, 1)]
-        );
     }
 
     #[test]
@@ -378,8 +304,8 @@ mod tests {
         );
     }
 
-    /// A saturated producer's cycle leaves nothing behind: no queue slots and no map
-    /// buckets that scale with the requests that went through.
+    /// A saturated producer's cycle leaves nothing behind: no map buckets that scale
+    /// with the requests that went through.
     #[test]
     fn saturated_cycles_hold_constant_heap() {
         let mut pool = Mempool::new(ClientId(5), 128);
@@ -394,22 +320,13 @@ mod tests {
             );
         }
         assert_eq!(pool.injected(), 200_000);
-        assert_eq!((pool.outstanding(), pool.runs.len()), (0, 0));
-        assert!(
-            pool.queue.capacity() <= 8,
-            "queue kept {} slots",
-            pool.queue.capacity()
-        );
+        assert_eq!((pool.outstanding(), pool.runs.len(), pool.len()), (0, 0, 0));
     }
 
     /// One step of a random schedule, decoded from a `(selector, a, b)` triple.
     #[derive(Debug)]
     enum Op {
         Inject(usize),
-        Submit {
-            client: u32,
-            seq: u64,
-        },
         Take(usize),
         /// Acknowledge `len` of the taken-but-unacknowledged requests from `start`
         /// (both modulo what is there), reversed if `reverse`, then keep or forget them.
@@ -426,14 +343,10 @@ mod tests {
     }
 
     fn decode((selector, a, b): (u8, u16, u16)) -> Op {
-        match selector % 8 {
+        match selector % 7 {
             0 | 1 => Op::Inject(a as usize % 40),
-            2 => Op::Submit {
-                client: 5 + u32::from(a % 3),
-                seq: u64::from(b % 24),
-            },
-            3 | 4 => Op::Take(a as usize % 50),
-            5 | 6 => Op::Acknowledge {
+            2 | 3 => Op::Take(a as usize % 50),
+            4 | 5 => Op::Acknowledge {
                 start: a as usize,
                 len: b as usize % 64,
                 reverse: a % 5 == 0,
@@ -475,22 +388,6 @@ mod tests {
                             model_outstanding.insert(request.id, now);
                             model_queue.push_back(request);
                         }
-                    }
-                    Op::Submit { client, seq } => {
-                        // External ids collide with each other, and as re-submissions
-                        // with injected ones (never ahead of the stub's own numbering).
-                        let seq = if ClientId(client) == OWN {
-                            if model_next_seq == 0 {
-                                continue;
-                            }
-                            seq % model_next_seq
-                        } else {
-                            seq
-                        };
-                        let request = Request::new_inline(ClientId(client), seq, vec![1, 2, 3]);
-                        pool.submit(request.clone(), now);
-                        model_outstanding.insert(request.id, now);
-                        model_queue.push_back(request);
                     }
                     Op::Take(max) => {
                         let batch = pool.take_batch(max);

@@ -2,19 +2,21 @@
 
 use crate::block::{HotStuffBlock, QuorumCertificate};
 use crate::config::HotStuffConfig;
+use crate::mempool::Mempool;
 use crate::messages::HotStuffMessage;
 use leopard_crypto::provider::ComputeCost;
 use leopard_crypto::threshold::SignatureShare;
 use leopard_crypto::{Digest, ShareCollector, SharedKeys};
-use leopard_simnet::{
-    Context, Mempool, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
-};
+use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
 use leopard_types::{ClientId, FastMap, FastSet, NodeId, View, WireSize};
 use std::sync::Arc;
 
 const TOKEN_WORKLOAD: u64 = 1;
 const TOKEN_PROPOSE: u64 = 2;
 const TOKEN_PROGRESS: u64 = 3;
+
+/// How often the leader tries to propose.
+const PROPOSE_INTERVAL: SimDuration = SimDuration(10_000_000); // 10 ms
 
 type Ctx<'a> = dyn Context<Message = HotStuffMessage> + 'a;
 
@@ -400,7 +402,7 @@ impl Protocol for HotStuffReplica {
 
     fn on_start(&mut self, ctx: &mut dyn Context<Message = HotStuffMessage>) {
         ctx.set_timer(Mempool::TICK, TOKEN_WORKLOAD);
-        ctx.set_timer(self.config.propose_interval, TOKEN_PROPOSE);
+        ctx.set_timer(PROPOSE_INTERVAL, TOKEN_PROPOSE);
         ctx.set_timer(self.config.progress_timeout, TOKEN_PROGRESS);
     }
 
@@ -437,7 +439,7 @@ impl Protocol for HotStuffReplica {
             }
             TOKEN_PROPOSE => {
                 self.try_propose(ctx);
-                ctx.set_timer(self.config.propose_interval, TOKEN_PROPOSE);
+                ctx.set_timer(PROPOSE_INTERVAL, TOKEN_PROPOSE);
             }
             TOKEN_PROGRESS => {
                 self.fire_progress_timer(ctx);

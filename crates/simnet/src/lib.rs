@@ -23,9 +23,6 @@
 //!   windows for Byzantine experiments ([`fault`]);
 //! * [`MetricsSink`], [`TrafficMatrix`] — per-node, per-category byte accounting and
 //!   protocol observations ([`metrics`]);
-//! * [`Mempool`] — the co-located client stub both protocols load themselves with:
-//!   the open-loop injector, pending requests and submission-to-execution latency,
-//!   kept per run of requests rather than per request ([`mempool`]);
 //! * [`runtime`] — a crossbeam-channel + thread runtime that drives the same
 //!   [`Protocol`] implementations in real time for the runnable examples.
 
@@ -34,7 +31,6 @@
 
 pub(crate) mod fanout;
 pub mod fault;
-pub mod mempool;
 pub mod metrics;
 pub mod network;
 pub mod protocol;
@@ -44,7 +40,6 @@ pub mod sim;
 pub mod time;
 
 pub use fault::{flapping_windows, CrashWindow, FaultPlan, MessageFate, PartitionWindow};
-pub use mempool::Mempool;
 pub use metrics::{
     LatencyHistogram, LatencyRun, MetricsSink, Observation, ObservationKind, TrafficMatrix,
 };

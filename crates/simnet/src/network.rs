@@ -365,7 +365,9 @@ impl ResolvedTopology {
 /// sender's uplink and the receiver's downlink (FIFO queues), plus a propagation delay
 /// drawn uniformly from `[base, base + jitter]`, where `base` and `jitter` come from
 /// the scalar [`Self::base_latency`]/[`Self::jitter`] pair when [`Self::topology`] is
-/// `None`, and from the topology's region-pair matrix otherwise. The network is
+/// `None`, and from the topology's region-pair matrix otherwise. A node's uplink and
+/// downlink are coupled (half duplex): the link capacity bounds the *total* bits the
+/// node moves per second, as the paper's `C` does. The network is
 /// synchronous from the start: asynchrony is injected as explicit faults
 /// ([`crate::FaultPlan`] partitions, crashes, filters), not as a pre-GST delay.
 #[derive(Debug, Clone)]
@@ -381,11 +383,6 @@ pub struct NetworkConfig {
     pub jitter: SimDuration,
     /// Seed for the simulation's deterministic randomness.
     pub seed: u64,
-    /// When true a node's uplink and downlink share one serialisation queue, i.e. the
-    /// link capacity bounds the *total* bits the node moves per second. This matches the
-    /// paper's cost model, where `C` is "the number of bits that can be transmitted per
-    /// second at each replica" and the predicted scaling-up gain of Leopard is `C/2`.
-    pub half_duplex: bool,
     /// Per-node CPU speed factors for the compute-resource model: modeled compute
     /// charged via [`crate::Context::charge_compute`] occupies `cost / speed` of the
     /// node's sequential compute queue. Either empty (every node at speed `1.0`), one
@@ -414,7 +411,6 @@ impl NetworkConfig {
             base_latency: SimDuration::from_micros(500),
             jitter: SimDuration::from_micros(50),
             seed: 0xC0FFEE,
-            half_duplex: true,
             cpu_speeds: Vec::new(),
             cores: 1,
             topology: None,

@@ -22,8 +22,10 @@
 //!    messages routed later but arriving earlier, an artificial head-of-line blocking
 //!    that starved votes and collapsed Leopard's throughput at n ≥ 128.)
 //!
-//! In half-duplex mode (the paper's cost model, where `C` is the total bits a replica
-//! can move per second) the uplink and downlink of a node share one queue.
+//! A node's uplink and downlink are coupled (half duplex, the paper's cost model, where
+//! `C` is the total bits a replica can move per second and Leopard's predicted
+//! scaling-up gain is `C/2`): a departure pushes the sender's downlink horizon to it
+//! and a delivery pushes the receiver's uplink horizon to it.
 //!
 //! The model is a *fluid approximation*: queue occupancy is tracked through the
 //! `*_free` horizons rather than per-packet, which is exact for FIFO links and accurate
@@ -832,9 +834,7 @@ impl<P: Protocol> Simulation<P> {
         let start = self.now.max(self.downlink_free[to.as_index()]);
         let delivery = start + SimDuration::transmission(size as usize, to_link.downlink_bps);
         self.downlink_free[to.as_index()] = delivery;
-        if self.config.half_duplex {
-            self.uplink_free[to.as_index()] = self.uplink_free[to.as_index()].max(delivery);
-        }
+        self.uplink_free[to.as_index()] = self.uplink_free[to.as_index()].max(delivery);
         self.push_deliver_event(delivery, fanout, to);
     }
 
@@ -959,10 +959,7 @@ impl<P: Protocol> Simulation<P> {
         let uplink_start = at.max(self.uplink_free[from.as_index()]);
         let departure = uplink_start + uplink_tx;
         self.uplink_free[from.as_index()] = departure;
-        if self.config.half_duplex {
-            self.downlink_free[from.as_index()] =
-                self.downlink_free[from.as_index()].max(departure);
-        }
+        self.downlink_free[from.as_index()] = self.downlink_free[from.as_index()].max(departure);
         self.metrics.traffic.record_sent(from, category, size as u64);
 
         if fate == MessageFate::Drop {
@@ -1006,7 +1003,6 @@ mod tests {
         config.links = vec![LinkConfig::symmetric(bps)];
         config.jitter = SimDuration::ZERO;
         config.base_latency = SimDuration::from_micros(100);
-        config.half_duplex = false;
         config
     }
 
@@ -1108,8 +1104,7 @@ mod tests {
     #[test]
     fn deterministic_given_a_seed() {
         let run = |seed: u64| {
-            let mut config = NetworkConfig::datacenter(2).with_seed(seed);
-            config.half_duplex = false;
+            let config = NetworkConfig::datacenter(2).with_seed(seed);
             let sim = Simulation::new(config, FaultPlan::none(), pingpong_factory(20, 256));
             let report = sim.run_to_report(SimTime(SimDuration::from_secs(1).as_nanos()), 100_000);
             (
@@ -1230,7 +1225,6 @@ mod tests {
         config.links = vec![LinkConfig::symmetric(10_000_000)];
         config.jitter = SimDuration::ZERO;
         config.base_latency = SimDuration::from_micros(100);
-        config.half_duplex = false;
         let mut sim = Simulation::new(config, FaultPlan::none(), |_| BulkThenPing {
             small_delivered: false,
         });
@@ -1548,7 +1542,6 @@ mod tests {
         );
         let mut config = NetworkConfig::datacenter(4).with_topology(topology);
         config.links = vec![LinkConfig::unlimited()];
-        config.half_duplex = false;
         let mut sim = Simulation::new(config, FaultPlan::none(), |_| Fanout);
         sim.run_until(SimTime(SimDuration::from_secs(1).as_nanos()), 1_000);
         let mut arrivals: Vec<(u64, u64)> = sim
@@ -1681,7 +1674,6 @@ mod tests {
         );
         let mut config = NetworkConfig::datacenter(2).with_topology(topology);
         config.links = vec![LinkConfig::unlimited()];
-        config.half_duplex = false;
         let faults = FaultPlan::none().with_partition(
             0,
             1,
@@ -1729,28 +1721,19 @@ mod tests {
         let _ = Simulation::new(config, faults, pingpong_factory(1, 8));
     }
 
+    /// Uplink and downlink are one budget: a sender's downlink is busy while its copy
+    /// departs, and a receiver's uplink while the copy is delivered.
     #[test]
-    fn half_duplex_couples_the_two_directions() {
-        // With half-duplex links, a node that is busy sending delays its receives too.
-        let mut config = two_node_config(1_000_000);
-        config.half_duplex = true;
-        let sim = Simulation::new(config, FaultPlan::none(), pingpong_factory(2, 12_492));
-        let report = sim.run_to_report(SimTime(SimDuration::from_secs(10).as_nanos()), 10_000);
-
-        let mut config_full = two_node_config(1_000_000);
-        config_full.half_duplex = false;
-        let sim_full = Simulation::new(config_full, FaultPlan::none(), pingpong_factory(2, 12_492));
-        let report_full = sim_full.run_to_report(SimTime(SimDuration::from_secs(10).as_nanos()), 10_000);
-
-        let done = |r: &SimulationReport| {
-            r.metrics
-                .observations
-                .iter()
-                .find(|o| matches!(o.kind, ObservationKind::Custom { label: "pingpong_done", .. }))
-                .map(|o| o.at.as_nanos())
-                .unwrap()
-        };
-        assert!(done(&report) >= done(&report_full));
+    fn uplink_and_downlink_horizons_are_coupled() {
+        // 12,500 bytes at 1 Mbps: 100 ms of serialisation on each side.
+        let config = two_node_config(1_000_000);
+        let mut sim = Simulation::new(config, FaultPlan::none(), pingpong_factory(1, 12_492));
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(150), 10_000);
+        let at = |micros| SimTime::ZERO + SimDuration::from_micros(micros);
+        // Node 0's copy departs at 100 ms; node 1 reserves its downlink when the bytes
+        // arrive (100.1 ms) through their delivery at 200.1 ms.
+        assert_eq!(sim.link_horizons(NodeId(0)), (at(100_000), at(100_000)));
+        assert_eq!(sim.link_horizons(NodeId(1)), (at(200_100), at(200_100)));
     }
 }
 

@@ -65,26 +65,9 @@ impl Request {
         }
     }
 
-    /// A collision-resistant digest of the request, used by the deterministic assignment
-    /// function `µ(req)` and for deduplication.
+    /// A collision-resistant digest of the request, for deduplication.
     pub fn digest(&self) -> Digest {
         hash_bytes(&self.encode_to_vec())
-    }
-
-    /// The deterministic assignment function `µ(req)` of the paper: maps a request to the
-    /// replica responsible for packing it, excluding the current leader.
-    ///
-    /// `attempt` selects the next responsible replica after a timeout; the client
-    /// increments it on each re-submission (up to `f` times ensures an honest replica).
-    pub fn responsible_replica(&self, n: usize, leader_index: usize, attempt: usize) -> usize {
-        debug_assert!(n >= 2);
-        let base = (self.id.client.0 as usize + self.id.seq as usize + attempt) % (n - 1);
-        // Skip over the leader so a non-leader replica is always selected.
-        if base >= leader_index {
-            base + 1
-        } else {
-            base
-        }
     }
 }
 
@@ -171,29 +154,6 @@ mod tests {
     fn wire_size_of_inline_matches_encoding_length() {
         let request = Request::new_inline(ClientId(3), 9, vec![0u8; 300]);
         assert_eq!(request.wire_size(), request.encode_to_vec().len());
-    }
-
-    #[test]
-    fn responsible_replica_never_selects_leader() {
-        let n = 7;
-        for leader in 0..n {
-            for seq in 0..50u64 {
-                for attempt in 0..3 {
-                    let request = Request::new_synthetic(ClientId(2), seq, 128);
-                    let replica = request.responsible_replica(n, leader, attempt);
-                    assert_ne!(replica, leader);
-                    assert!(replica < n);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resubmission_changes_responsible_replica() {
-        let request = Request::new_synthetic(ClientId(0), 0, 128);
-        let first = request.responsible_replica(10, 0, 0);
-        let second = request.responsible_replica(10, 0, 1);
-        assert_ne!(first, second);
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! cargo run --release --example realtime_cluster
 //! ```
 
-use leopard::core::{config::WorkloadMode, LeopardConfig, LeopardReplica};
+use leopard::core::{LeopardConfig, LeopardReplica};
 use leopard::simnet::runtime::run_threaded;
 use leopard::simnet::SimDuration;
 use std::time::Duration;
 
 fn main() {
     let n = 4;
-    let mut config = LeopardConfig::small_test(n);
-    config.workload = WorkloadMode::OpenLoop { aggregate_rps: 3_000 };
+    let config = LeopardConfig::small_test(n);
     let shared = LeopardConfig::shared_keys(&config, 2026);
 
     println!("starting {n} Leopard replicas on OS threads for 2 seconds of wall-clock time ...");

@@ -17,6 +17,11 @@
 //! scenario resolves to a single-region topology whose delivery path draws the same
 //! jitter values in the same order as the old scalar model. The `fig9geo` golden below
 //! was captured once when the geo-distributed path landed.
+//!
+//! When the Leopard replica lost its open-loop client stub, the four Leopard `events`
+//! constants dropped by exactly the removed 10 ms workload ticks (a timer chain whose
+//! handler did nothing under the saturated producer); every other constant passed
+//! uncaptured.
 
 use leopard::harness::chaos::FaultScheduleGenerator;
 use leopard::harness::scenario::{
@@ -57,7 +62,9 @@ fn leopard_quick_scale_matches_recaptured_golden() {
         "leopard paper(16) seed 0xA5A5",
         &report,
         &Golden {
-            events: 49_883,
+            // 45,083 = 49,883 − 16 · 300: the removed 10 ms workload tick, 300 per
+            // replica over the 3 s run.
+            events: 45_083,
             confirmed: 386_000,
             sent_bytes: 845_385_150,
             recv_bytes: 845_385_150,
@@ -89,7 +96,9 @@ fn leopard_small_scale_matches_recaptured_golden() {
         "leopard small(7) seed 0xD00D",
         &report,
         &Golden {
-            events: 25_058,
+            // 23,658 = 25,058 − 7 · 200: the removed 10 ms workload tick, 200 per
+            // replica over the 2 s run.
+            events: 23_658,
             confirmed: 3_984,
             sent_bytes: 4_230_750,
             recv_bytes: 4_230_750,
@@ -128,7 +137,9 @@ fn leopard_fig9geo_point_matches_captured_golden() {
         "leopard fig9geo paper(16) wan4 +10% stragglers seed 0x6E0",
         &report,
         &Golden {
-            events: 32_974,
+            // 28,174 = 32,974 − 16 · 300: the removed 10 ms workload tick, 300 per
+            // replica over the 3 s run.
+            events: 28_174,
             confirmed: 294_000,
             sent_bytes: 844_733_759,
             recv_bytes: 844_733_759,
@@ -156,7 +167,12 @@ fn chaos_case_matches_captured_golden() {
     let schedule = FaultScheduleGenerator::new(16, 7).schedule(142);
     let report = run_leopard_scenario_unchecked(&schedule.to_config());
     assert_eq!(report.violations, Vec::<String>::new(), "chaos case 142 regressed");
-    assert_eq!(report.sim.events, 88_251, "chaos golden: events drifted");
+    // 78,756 = 88,251 − 9,495 removed 10 ms workload ticks over the 6 s run: 600 on
+    // each of the 14 replicas that never crash; 535 on replica 5 (49 before its crash
+    // at 492 ms, one that fires into the crash window, 485 after its restart at
+    // 1,145 ms) and 560 on replica 13 (65 + 1 + 494 around its [655 ms, 1,053 ms)
+    // window).
+    assert_eq!(report.sim.events, 78_756, "chaos golden: events drifted");
     assert_eq!(report.confirmed_requests, 65_200, "chaos golden: confirmed drifted");
     assert_eq!(
         report.sim.metrics.traffic.total_sent_bytes(),

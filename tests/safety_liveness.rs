@@ -9,6 +9,7 @@ mod common;
 
 use common::{assert_logs_consistent, build_simulation, build_simulation_with, run};
 use leopard::core::byzantine::ByzantineBehavior;
+use leopard::core::config::WorkloadMode;
 use leopard::core::LeopardConfig;
 use leopard::crypto::provider::CryptoMode;
 use leopard::harness::experiments::FIG9GEO_REGIONS;
@@ -85,15 +86,17 @@ fn watermark_advances_through_checkpoints() {
     assert!(advanced, "no replica ever advanced its checkpoint watermark");
 }
 
-/// The `small_test` defaults with metered crypto, coarser blocks and a slower batch
+/// The `small_test` defaults with metered crypto, coarser blocks and a fixed datablock
 /// cadence: at n = 128 the dominant cost is the per-node datablock multicast (O(n)
-/// messages each), so flushing every 100 ms instead of every 20 ms cuts the event
-/// count ~5× and keeps the run within a few seconds of wall clock.
+/// messages each), so one datablock per producer every 100 ms keeps the run within a
+/// few seconds of wall clock.
 fn large_scale_config(n: usize) -> LeopardConfig {
     let mut config = LeopardConfig::small_test(n).with_crypto_mode(CryptoMode::Metered);
     config.params.datablock_size = 64;
     config.params.bftblock_size = 8;
-    config.batch_timeout = SimDuration::from_millis(100);
+    config.workload = WorkloadMode::Saturated {
+        pacing: SimDuration::from_millis(100),
+    };
     config.propose_interval = SimDuration::from_millis(20);
     config
 }
