@@ -19,8 +19,7 @@
 //! ([`view_change`]) replaces faulty leaders.
 //!
 //! The replica is a sans-IO state machine ([`replica::LeopardReplica`]) implementing
-//! [`leopard_simnet::Protocol`], so it runs both under the bandwidth-accurate simulator
-//! and under the thread-based real-time runtime.
+//! [`leopard_simnet::Protocol`], so it runs under the bandwidth-accurate simulator.
 //!
 //! ```
 //! use leopard_core::{config::LeopardConfig, replica::LeopardReplica};

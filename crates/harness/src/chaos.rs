@@ -4,7 +4,7 @@
 //! windows, flapping region partitions over the WAN topology, straggler assignments and
 //! Byzantine role draws (including the recovery-plane attackers of
 //! [`ByzantineBehavior::all_byzantine`]) — and the `chaos` experiment pushes hundreds of
-//! them through [`run_leopard_scenario_unchecked`] and the invariant checker.
+//! them through [`run_scenario`] and the invariant checker.
 //!
 //! Every generated schedule satisfies two validity constraints *by construction*:
 //!
@@ -28,9 +28,10 @@ use std::time::Instant;
 
 use crate::experiments::FIG9GEO_REGIONS;
 use crate::report::Table;
-use crate::scenario::{run_leopard_scenario_unchecked, ScenarioConfig, ScenarioReport};
+use crate::scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 use crate::workload::WorkloadConfig;
 use leopard_core::byzantine::ByzantineBehavior;
+use leopard_core::LeopardReplica;
 use leopard_crypto::provider::CryptoMode;
 use leopard_simnet::{flapping_windows, SimDuration, SimTime};
 use leopard_types::NodeId;
@@ -261,10 +262,10 @@ pub fn reproducer(master_seed: u64, case_index: usize) -> String {
     )
 }
 
-/// Runs a schedule through the unchecked scenario runner; `report.violations` carries
-/// whatever the invariant checker found.
+/// Runs a schedule through [`run_scenario`]; `report.violations` carries whatever the
+/// invariant checker found.
 pub fn run_schedule(schedule: &ChaosSchedule) -> ScenarioReport {
-    run_leopard_scenario_unchecked(&schedule.to_config())
+    run_scenario::<LeopardReplica>(&schedule.to_config())
 }
 
 /// Seeded generator of valid adversarial schedules at a fixed scale. The same
@@ -502,8 +503,8 @@ pub const CHAOS_HEADERS: &[&str] = &[
     "schedules/sec",
 ];
 
-/// The `chaos` experiment: run every generated schedule through the unchecked runner
-/// and the invariant checker, one row per scale. Any violating case is shrunk to a
+/// The `chaos` experiment: run every generated schedule through [`run_scenario`] and
+/// the invariant checker, one row per scale. Any violating case is shrunk to a
 /// 1-minimal schedule and printed with its one-line reproducer.
 pub fn chaos_experiment(options: &ChaosOptions) -> Table {
     let mut table = Table::new(

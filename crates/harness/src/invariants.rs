@@ -1,11 +1,14 @@
-//! The always-on invariant checker: every Leopard scenario run ends with a pure
-//! check over a snapshot of the replicas' states, and any violation fails the run.
+//! The always-on invariant checker: every scenario run, Leopard or HotStuff, ends with
+//! a pure check over a snapshot of the replicas' states, and any violation fails the
+//! run.
 //!
 //! Four invariant families are checked (see `DESIGN.md` §8):
 //!
-//! * **Safety** — no two honest replicas hold conflicting BFTblocks at the same
-//!   serial number, ever. A fork here would mean the quorum intersection argument
-//!   of the protocol was broken (or the implementation equivocated its own log).
+//! * **Safety** — no two honest replicas confirm conflicting content at the same
+//!   serial number, ever: the linked datablocks of a Leopard BFTblock, the block
+//!   digest of a HotStuff height. A fork here would mean the quorum intersection
+//!   argument of the protocol was broken (or the implementation equivocated its own
+//!   log).
 //! * **Liveness** — after the system has quiesced (the last scheduled fault has
 //!   fired, every partition has healed), every honest live replica keeps
 //!   confirming requests; none may stall longer than a configurable bound.
@@ -13,6 +16,7 @@
 //!   above a replica's low watermark is either already in that replica's pool or
 //!   still recoverable from the pools of at least `f + 1` honest live replicas
 //!   (the erasure-coded retrieval plane needs `f + 1` honest chunks to rebuild).
+//!   HotStuff blocks carry their own payload, so this clause has nothing to check there.
 //! * **View-change thrash** — the number of views honest replicas burn through is
 //!   bounded by the number of scheduled disturbances: a recovery that consumes
 //!   views far in excess of the faults that provoked them is a view-change
@@ -23,7 +27,7 @@
 //! mutation tests below can seed known-bad states (a forked log, a permanent
 //! stall, an unretrievable datablock) and prove the checker flags each one.
 
-use leopard_core::LeopardReplica;
+use crate::scenario::ScenarioProtocol;
 use leopard_crypto::Digest;
 use leopard_simnet::{SimDuration, SimTime, Simulation};
 use leopard_types::{FastSet, NodeId};
@@ -32,7 +36,7 @@ use std::fmt;
 /// One invariant violation found by [`SystemSnapshot::check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
-    /// Two honest replicas confirmed conflicting BFTblocks at the same serial.
+    /// Two honest replicas confirmed conflicting blocks at the same serial.
     SafetyFork {
         /// The serial number both replicas hold a block for.
         seq: u64,
@@ -154,10 +158,35 @@ pub struct ReplicaSnapshot {
     pub last_confirmation_at: Option<SimTime>,
     /// The view the replica ended the run in (views start at 1).
     pub view: u64,
-    /// The confirmed log: `(seq, block digest, linked datablock digests)`.
-    pub log: Vec<(u64, Digest, Vec<Digest>)>,
+    /// The confirmed log.
+    pub log: ConfirmedLog,
     /// Digests of the datablocks in the replica's pool.
     pub pool: FastSet<Digest>,
+}
+
+/// A replica's confirmed log, in its protocol's shape.
+#[derive(Debug, Clone)]
+pub enum ConfirmedLog {
+    /// Leopard: `(seq, BFTblock digest, linked datablock digests)`. Honest replicas
+    /// must agree on the links: a view change re-proposes the same links under a new
+    /// block digest (the digest covers the view).
+    Linked(Vec<(u64, Digest, Vec<Digest>)>),
+    /// HotStuff: `(height, block digest)`. Honest replicas must agree on the digest:
+    /// chained blocks are never re-proposed.
+    Chained(Vec<(u64, Digest)>),
+}
+
+impl ConfirmedLog {
+    /// `(seq, block digest, what honest replicas must agree on)` per entry.
+    fn entries(&self) -> impl Iterator<Item = (u64, Digest, &[Digest])> + '_ {
+        // One chain over both shapes, the other one empty, so both arms share a type.
+        let (linked, chained) = match self {
+            Self::Linked(log) => (&log[..], &[][..]),
+            Self::Chained(log) => (&[][..], &log[..]),
+        };
+        let chained = chained.iter().map(|(seq, d)| (*seq, *d, std::slice::from_ref(d)));
+        linked.iter().map(|(seq, digest, links)| (*seq, *digest, &links[..])).chain(chained)
+    }
 }
 
 /// A checkable snapshot of the whole system at the end of a run.
@@ -188,10 +217,10 @@ impl SystemSnapshot {
     /// Extracts a snapshot from a finished (but not yet consumed) simulation.
     ///
     /// `quiet_after` should be the latest instant any scheduled fault acts (see
-    /// [`crate::ScenarioConfig`]'s runner); `stall_bound` the longest tolerated
+    /// [`crate::ScenarioConfig::quiet_after`]); `stall_bound` the longest tolerated
     /// post-quiesce confirmation gap.
-    pub fn capture(
-        sim: &Simulation<LeopardReplica>,
+    pub fn capture<P: ScenarioProtocol>(
+        sim: &Simulation<P>,
         n: usize,
         quiet_after: SimTime,
         stall_bound: SimDuration,
@@ -200,24 +229,9 @@ impl SystemSnapshot {
     ) -> Self {
         let end_time = sim.now();
         let f = (n - 1) / 3;
-        let replicas = (0..n)
-            .map(|i| {
-                let node = NodeId(i as u32);
-                let replica = sim.node(node);
-                ReplicaSnapshot {
-                    node,
-                    honest: !replica.config().byzantine.is_byzantine(),
-                    live: !sim.faults().is_crashed(node, end_time),
-                    low_watermark: replica.low_watermark().0,
-                    last_confirmation_at: replica.last_confirmation_at(),
-                    view: replica.view().0,
-                    log: replica
-                        .log_entries()
-                        .map(|(seq, block)| (seq.0, block.digest(), block.links.clone()))
-                        .collect(),
-                    pool: replica.pool().digests().copied().collect(),
-                }
-            })
+        let replicas = (0..n as u32)
+            .map(NodeId)
+            .map(|node| sim.node(node).snapshot(node, !sim.faults().is_crashed(node, end_time)))
             .collect();
         Self {
             n,
@@ -246,33 +260,29 @@ impl SystemSnapshot {
     }
 
     /// Safety: for every serial number, all honest replicas that hold a confirmed
-    /// block there committed the *same content* (the same linked datablocks).
+    /// block there committed the *same content* (see [`ConfirmedLog`]: the linked
+    /// datablocks of Leopard, the block digest of HotStuff). Divergent content —
+    /// including a Leopard dummy block replacing a confirmed one — is the violation.
     /// Crashed replicas are included — a crash must never un-confirm anything.
     fn check_safety(&self, violations: &mut Vec<Violation>) {
         use std::collections::HashMap;
-        // seq -> first (node, digest, links) seen; every later holder must commit the
-        // same *content* (linked datablocks). The block digest also covers the view
-        // the block was proposed in, and a view change legitimately re-proposes the
-        // surviving blocks under the new view — same links, different digest — so
-        // comparing digests would flag every healthy re-proposal as a fork. Divergent
-        // links (including a dummy block replacing a confirmed one) are the real
-        // safety violation.
+        // seq -> first (node, digest, content) seen; every later holder must match it.
         let mut canonical: HashMap<u64, (NodeId, Digest, &[Digest])> = HashMap::new();
         let mut forked: FastSet<u64> = FastSet::default();
         for replica in self.honest_replicas() {
-            for (seq, digest, links) in &replica.log {
-                match canonical.get(seq) {
+            for (seq, digest, content) in replica.log.entries() {
+                match canonical.get(&seq) {
                     None => {
-                        canonical.insert(*seq, (replica.node, *digest, links));
+                        canonical.insert(seq, (replica.node, digest, content));
                     }
-                    Some(&(node_a, digest_a, links_a)) => {
-                        if links_a != links.as_slice() && forked.insert(*seq) {
+                    Some(&(node_a, digest_a, content_a)) => {
+                        if content_a != content && forked.insert(seq) {
                             violations.push(Violation::SafetyFork {
-                                seq: *seq,
+                                seq,
                                 node_a,
                                 digest_a,
                                 node_b: replica.node,
-                                digest_b: *digest,
+                                digest_b: digest,
                             });
                         }
                     }
@@ -311,7 +321,10 @@ impl SystemSnapshot {
     fn check_retrieval(&self, violations: &mut Vec<Violation>) {
         let needed = self.f + 1;
         for replica in self.honest_replicas().filter(|r| r.live) {
-            for (seq, _, links) in &replica.log {
+            let ConfirmedLog::Linked(log) = &replica.log else {
+                continue;
+            };
+            for (seq, _, links) in log {
                 if *seq <= replica.low_watermark {
                     continue;
                 }
@@ -366,6 +379,13 @@ mod tests {
         hash_bytes(tag.as_bytes())
     }
 
+    fn linked(replica: &mut ReplicaSnapshot) -> &mut Vec<(u64, Digest, Vec<Digest>)> {
+        match &mut replica.log {
+            ConfirmedLog::Linked(log) => log,
+            ConfirmedLog::Chained(_) => unreachable!("the healthy snapshot is Leopard-shaped"),
+        }
+    }
+
     /// A healthy 4-replica system: identical logs, every link everywhere, fresh
     /// confirmations.
     fn healthy_snapshot() -> SystemSnapshot {
@@ -381,7 +401,10 @@ mod tests {
                 low_watermark: 0,
                 last_confirmation_at: Some(SimTime(4_900_000_000)),
                 view: 1,
-                log: vec![(1, block_1, vec![link_a]), (2, block_2, vec![link_b])],
+                log: ConfirmedLog::Linked(vec![
+                    (1, block_1, vec![link_a]),
+                    (2, block_2, vec![link_b]),
+                ]),
                 pool: [link_a, link_b].into_iter().collect(),
             })
             .collect();
@@ -407,8 +430,8 @@ mod tests {
         let mut snapshot = healthy_snapshot();
         // Mutation: replica 3 confirmed a different block at seq 2 — different
         // digest AND different committed content.
-        snapshot.replicas[3].log[1].1 = digest("evil-block-2");
-        snapshot.replicas[3].log[1].2 = vec![digest("evil-payload-2")];
+        let evil = (2, digest("evil-block-2"), vec![digest("evil-payload-2")]);
+        linked(&mut snapshot.replicas[3])[1] = evil;
         let violations = snapshot.check();
         assert!(
             violations.iter().any(|v| matches!(
@@ -429,7 +452,7 @@ mod tests {
     fn byzantine_logs_are_excluded_from_safety() {
         let mut snapshot = healthy_snapshot();
         snapshot.replicas[3].honest = false;
-        snapshot.replicas[3].log[1].1 = digest("evil-block-2");
+        linked(&mut snapshot.replicas[3])[1].1 = digest("evil-block-2");
         assert_eq!(snapshot.check(), Vec::new());
     }
 
@@ -463,8 +486,31 @@ mod tests {
         let mut snapshot = healthy_snapshot();
         // A view change re-proposed seq 2 under the new view at replica 3: the block
         // digest changes (it covers the view) but the committed content is identical.
-        snapshot.replicas[3].log[1].1 = digest("block-2-view-2");
+        linked(&mut snapshot.replicas[3])[1].1 = digest("block-2-view-2");
         assert_eq!(snapshot.check(), Vec::new());
+    }
+
+    #[test]
+    fn hotstuff_logs_fork_on_differing_block_digests() {
+        let mut snapshot = healthy_snapshot();
+        let chain = |tip| ConfirmedLog::Chained(vec![(1, digest("block-1")), (2, digest(tip))]);
+        for replica in &mut snapshot.replicas {
+            replica.log = chain("block-2");
+            replica.pool.clear(); // HotStuff blocks carry their payload: nothing to retrieve
+        }
+        assert_eq!(snapshot.check(), Vec::new());
+        // Mutation: replica 3 committed a different block at height 2.
+        snapshot.replicas[3].log = chain("evil-block-2");
+        assert_eq!(
+            snapshot.check(),
+            vec![Violation::SafetyFork {
+                seq: 2,
+                node_a: NodeId(0),
+                digest_a: digest("block-2"),
+                node_b: NodeId(3),
+                digest_b: digest("evil-block-2"),
+            }]
+        );
     }
 
     #[test]
@@ -483,8 +529,8 @@ mod tests {
         snapshot.replicas[2].last_confirmation_at = None;
         assert_eq!(snapshot.check(), Vec::new());
         // ... but its confirmed log still participates in the fork check.
-        snapshot.replicas[2].log[0].1 = digest("evil-block-1");
-        snapshot.replicas[2].log[0].2 = vec![digest("evil-payload-1")];
+        let evil = (1, digest("evil-block-1"), vec![digest("evil-payload-1")]);
+        linked(&mut snapshot.replicas[2])[0] = evil;
         assert!(snapshot
             .check()
             .iter()

@@ -1,10 +1,10 @@
 //! Experiment harness: everything needed to regenerate the paper's tables and figures.
 //!
 //! * [`workload`] — workload descriptions shared by the two protocols;
-//! * [`scenario`] — end-to-end scenario runners (`n` replicas, bandwidth, faults →
-//!   throughput / latency / bandwidth report) for Leopard and HotStuff;
+//! * [`scenario`] — the end-to-end scenario runner (`n` replicas, bandwidth, faults →
+//!   throughput / latency / bandwidth report), one body for Leopard and HotStuff;
 //! * [`invariants`] — the always-on invariant checker (safety, liveness, retrieval
-//!   completeness, view-change thrash) every Leopard scenario run passes through;
+//!   completeness, view-change thrash) every scenario run of either protocol passes;
 //! * [`chaos`] — the chaos engine: a seeded generator of valid adversarial fault
 //!   schedules, an auto-shrinker for violating seeds, and the `chaos` experiment
 //!   that fuzzes the invariant checker with hundreds of schedules per scale;
@@ -29,7 +29,7 @@ pub use chaos::{ChaosFault, ChaosOptions, ChaosSchedule, FaultScheduleGenerator}
 pub use invariants::{SystemSnapshot, Violation};
 pub use report::Table;
 pub use scenario::{
-    run_hotstuff_scenario, run_leopard_scenario, run_leopard_scenario_unchecked, ScenarioConfig,
+    run_hotstuff_scenario, run_leopard_scenario, run_scenario, ScenarioConfig, ScenarioProtocol,
     ScenarioReport,
 };
 pub use workload::WorkloadConfig;

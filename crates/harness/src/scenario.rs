@@ -1,17 +1,18 @@
 //! End-to-end scenario runners: configure a system (scale, bandwidth, batches, faults),
-//! run it on the simulator, and distil the metrics the paper plots.
+//! run it on the simulator, check its invariants, and distil the metrics the paper
+//! plots. One runner body, [`run_scenario`], serves both protocols.
 
-use crate::invariants::SystemSnapshot;
+use crate::invariants::{ConfirmedLog, ReplicaSnapshot, SystemSnapshot};
 use crate::workload::WorkloadConfig;
 use leopard_core::byzantine::ByzantineBehavior;
 use leopard_core::{config::WorkloadMode, LeopardConfig, LeopardReplica};
 use leopard_crypto::provider::CryptoMode;
 use leopard_hotstuff::{HotStuffConfig, HotStuffReplica};
 use leopard_simnet::{
-    FaultPlan, NetworkConfig, ObservationKind, ProgressProbe, SimDuration, SimTime, Simulation,
-    SimulationReport, StragglerProfile, Topology,
+    FaultPlan, NetworkConfig, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
+    Simulation, SimulationReport, StragglerProfile, Topology,
 };
-use leopard_types::{CostModelKind, NodeId, ProtocolParams};
+use leopard_types::{CostModelKind, FastSet, NodeId, ProtocolParams};
 
 /// Description of one experiment run.
 #[derive(Debug, Clone)]
@@ -94,7 +95,7 @@ pub struct ScenarioConfig {
     pub workload_stop: Option<SimDuration>,
     /// Reserved, always `false`: the simulator has one event engine, and the
     /// runners panic if this is set. Read only by the benchmark's mirror
-    /// (`benchmark/src/mirror.rs`); goes with the mirror (ROADMAP item 6).
+    /// (`benchmark/src/mirror.rs`); goes with the mirror (ROADMAP item 2(d)).
     pub parallel: bool,
     /// Number of concurrent BFTblock proposers (the PR 9 multi-proposer agreement
     /// plane). `1` is the classic single-leader protocol, bit for bit.
@@ -382,20 +383,18 @@ impl ScenarioConfig {
         instants
     }
 
-    /// The instant the last scheduled disturbance acts: crash instants, restart
-    /// instants and partition heals. The liveness invariant only binds after this.
+    /// The instant the last scheduled disturbance acts within the run: the latest
+    /// crash instant, restart instant or partition edge up to [`Self::duration`]. The
+    /// liveness invariant only binds after this. A restart or heal scheduled past the
+    /// end never acts, so its window is a permanent fault of the run, like
+    /// [`Self::leader_crash_at`].
     pub fn quiet_after(&self) -> SimTime {
-        let mut quiet = SimTime::ZERO;
-        if let Some(at) = self.leader_crash_at {
-            quiet = quiet.max(SimTime::ZERO + at);
-        }
-        for &(_, at, until) in &self.crash_restarts {
-            quiet = quiet.max(SimTime::ZERO + at).max(SimTime::ZERO + until);
-        }
-        for &(_, _, _, until) in &self.partitions {
-            quiet = quiet.max(SimTime::ZERO + until);
-        }
-        quiet
+        let end = SimTime::ZERO + self.duration;
+        self.disturbance_instants()
+            .into_iter()
+            .filter(|&at| at <= end)
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 
     /// Overrides the seed.
@@ -580,25 +579,13 @@ impl ScenarioConfig {
         // gets four one-way latencies of deterministic headroom on top. For a flat
         // network both terms collapse to exactly the pre-topology formula.
         let network = self.network();
-        let resolved = network.resolve();
-        let min_uplink_bps = resolved
-            .links
-            .iter()
-            .map(|link| {
-                if link.uplink_bps == 0 {
-                    u64::MAX // unlimited
-                } else {
-                    link.uplink_bps
-                }
-            })
-            .min()
-            .unwrap_or(u64::MAX);
+        // An uplink of 0 bps is unlimited; with no limited link dissemination is
+        // instant and the floor applies.
+        let links = network.resolve().links;
+        let min_uplink_bps = links.iter().map(|link| link.uplink_bps).filter(|&bps| bps > 0).min();
         let datablock_bytes = (self.datablock_size * self.workload.payload_size) as f64;
-        let dissemination_secs = if min_uplink_bps == u64::MAX {
-            0.0 // unlimited link: dissemination is instant, the floor applies
-        } else {
-            (self.n - 1) as f64 * datablock_bytes * 8.0 / min_uplink_bps as f64
-        };
+        let dissemination_secs = min_uplink_bps
+            .map_or(0.0, |bps| (self.n - 1) as f64 * datablock_bytes * 8.0 / bps as f64);
         let wan_headroom = network
             .topology
             .as_ref()
@@ -611,12 +598,103 @@ impl ScenarioConfig {
     }
 
     fn hotstuff_config(&self) -> HotStuffConfig {
+        for (field, set) in [
+            ("byzantine", !self.byzantine.is_empty()),
+            ("selective_attackers", self.selective_attackers > 0),
+            ("proposers", self.proposers != 1),
+            ("workload_stop", self.workload_stop.is_some()),
+        ] {
+            assert!(!set, "ScenarioConfig::{field} is Leopard-only; keep its default for HotStuff");
+        }
         let mut config = HotStuffConfig::paper(self.n, self.workload.aggregate_rps);
         config.payload_size = self.workload.payload_size;
         config.batch_size = self.hotstuff_batch;
         config.crypto_mode = self.crypto_mode;
         config.cost_model = self.cost_model;
+        if let Some(timeout) = self.progress_timeout {
+            config.progress_timeout = timeout;
+        }
         config
+    }
+}
+
+/// A protocol [`run_scenario`] can run: it builds its simulation from a
+/// [`ScenarioConfig`] and shows each replica to the invariant checker.
+pub trait ScenarioProtocol: Protocol + Sized {
+    /// The protocol's name in [`ScenarioReport::protocol`].
+    const NAME: &'static str;
+
+    /// Builds the simulation of `config`, returned with the protocol's progress
+    /// timeout (four of them are the checker's default stall bound).
+    fn build(config: &ScenarioConfig) -> (Simulation<Self>, SimDuration);
+
+    /// This replica's state as the invariant checker reads it; `node` and `live` come
+    /// from the simulation.
+    fn snapshot(&self, node: NodeId, live: bool) -> ReplicaSnapshot;
+}
+
+impl ScenarioProtocol for LeopardReplica {
+    const NAME: &'static str = "leopard";
+
+    fn build(config: &ScenarioConfig) -> (Simulation<Self>, SimDuration) {
+        let leopard_config = config.leopard_config();
+        let progress_timeout = leopard_config.progress_timeout;
+        let shared = LeopardConfig::shared_keys(&leopard_config, config.seed);
+        let byzantine = config.byzantine.clone();
+        let sim = Simulation::new(config.network(), config.faults(), move |id| {
+            let mut replica_config = leopard_config.clone();
+            if let Some(&(_, behaviour)) = byzantine.iter().find(|(node, _)| *node == id) {
+                replica_config = replica_config.with_byzantine(behaviour);
+            }
+            LeopardReplica::new(id, replica_config, shared.clone())
+        });
+        (sim, progress_timeout)
+    }
+
+    fn snapshot(&self, node: NodeId, live: bool) -> ReplicaSnapshot {
+        ReplicaSnapshot {
+            node,
+            honest: !self.config().byzantine.is_byzantine(),
+            live,
+            low_watermark: self.low_watermark().0,
+            last_confirmation_at: self.last_confirmation_at(),
+            view: self.view().0,
+            log: ConfirmedLog::Linked(
+                self.log_entries()
+                    .map(|(seq, block)| (seq.0, block.digest(), block.links.clone()))
+                    .collect(),
+            ),
+            pool: self.pool().digests().copied().collect(),
+        }
+    }
+}
+
+impl ScenarioProtocol for HotStuffReplica {
+    const NAME: &'static str = "hotstuff";
+
+    fn build(config: &ScenarioConfig) -> (Simulation<Self>, SimDuration) {
+        let hotstuff_config = config.hotstuff_config();
+        let progress_timeout = hotstuff_config.progress_timeout;
+        let keys = hotstuff_config.shared_keys(config.seed);
+        let sim = Simulation::new(config.network(), config.faults(), move |id| {
+            HotStuffReplica::new(id, hotstuff_config.clone(), keys.clone())
+        });
+        (sim, progress_timeout)
+    }
+
+    /// Every HotStuff replica is honest (the build rejects Byzantine roles) and keeps
+    /// no checkpoint or datablock pool: its blocks carry their own payload.
+    fn snapshot(&self, node: NodeId, live: bool) -> ReplicaSnapshot {
+        ReplicaSnapshot {
+            node,
+            honest: true,
+            live,
+            low_watermark: 0,
+            last_confirmation_at: self.last_confirmation_at(),
+            view: self.view().0,
+            log: ConfirmedLog::Chained(self.committed_blocks().collect()),
+            pool: FastSet::default(),
+        }
     }
 }
 
@@ -714,9 +792,9 @@ pub struct ScenarioReport {
     /// The mean per-replica compute utilization of the run.
     pub mean_compute_utilization: f64,
     /// Invariant violations found by the always-on checker (rendered, one per line).
-    /// Always empty for reports returned by [`run_leopard_scenario`], which panics on
-    /// any violation; populated (when violations exist) only by
-    /// [`run_leopard_scenario_unchecked`]. HotStuff runs are not instrumented.
+    /// Always empty for reports returned by [`run_leopard_scenario`] and
+    /// [`run_hotstuff_scenario`], which panic on any violation; [`run_scenario`]
+    /// reports them here instead.
     pub violations: Vec<String>,
     /// The raw simulation report (traffic matrix, observations) for detailed breakdowns.
     pub sim: SimulationReport,
@@ -729,18 +807,14 @@ impl ScenarioReport {
         let throughput_rps = sim.throughput_rps();
         let warmup = config.effective_warmup();
         let steady_state_throughput_rps = sim.steady_state_throughput_rps(warmup);
-        let leader_probe = sim
-            .probes
-            .get(config.initial_leader().as_index())
-            .cloned()
-            .flatten();
+        let leader = config.initial_leader();
+        let leader_probe = sim.probes.get(leader.as_index()).cloned().flatten();
         let payload_bits = confirmed as f64 * config.workload.payload_size as f64 * 8.0;
         let throughput_bps = if duration_secs > 0.0 {
             payload_bits / duration_secs
         } else {
             0.0
         };
-        let leader = config.initial_leader();
         let leader_bandwidth_bps = sim.node_bandwidth_bps(leader);
         let average_latency_secs = sim.average_latency_secs();
         let latency_p50_secs = sim.latency_percentile_secs(0.50);
@@ -751,19 +825,15 @@ impl ScenarioReport {
         let max_compute_utilization = sim.max_compute_utilization();
         let mean_compute_utilization = sim.mean_compute_utilization();
 
-        let view_changes = sim
-            .metrics
-            .observations
-            .iter()
-            .filter(|o| matches!(o.kind, ObservationKind::ViewChange { .. }))
-            .count() as u64;
-        // Distinct views entered (with the instant the first replica entered each),
-        // and the densest disturbance window. A healthy recovery enters one or two
-        // views per disturbance; thrash shows up here long before the invariant fires.
-        let mut first_entered: std::collections::BTreeMap<u64, SimTime> =
-            std::collections::BTreeMap::new();
+        // Every view change, the distinct views entered (with the instant the first
+        // replica entered each), and the densest disturbance window. A healthy recovery
+        // enters one or two views per disturbance; thrash shows up here long before the
+        // invariant fires.
+        let mut view_changes = 0u64;
+        let mut first_entered = std::collections::BTreeMap::<u64, SimTime>::new();
         for observation in &sim.metrics.observations {
             if let ObservationKind::ViewChange { view } = observation.kind {
+                view_changes += 1;
                 let at = first_entered.entry(view).or_insert(observation.at);
                 *at = (*at).min(observation.at);
             }
@@ -783,15 +853,11 @@ impl ScenarioReport {
             })
             .max()
             .unwrap_or(0);
-        let view_change_samples: Vec<u64> = sim.metrics.custom_samples("view_change_nanos");
-        let average_view_change_secs = if view_change_samples.is_empty() {
-            None
-        } else {
-            Some(
-                view_change_samples.iter().map(|&v| v as f64 / 1e9).sum::<f64>()
-                    / view_change_samples.len() as f64,
-            )
+        let average = |values: &[f64]| {
+            (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
         };
+        let view_change_nanos = sim.metrics.custom_samples("view_change_nanos");
+        let view_change_secs: Vec<f64> = view_change_nanos.iter().map(|&ns| ns as f64 / 1e9).collect();
         let view_change_bytes: u64 = (0..config.n as u32)
             .map(|node| {
                 sim.metrics.traffic.sent_bytes_in(NodeId(node), "viewchange")
@@ -812,13 +878,6 @@ impl ScenarioReport {
             }
         }
         let retrievals = retrieval_times.len() as u64;
-        let average = |values: &[f64]| {
-            if values.is_empty() {
-                None
-            } else {
-                Some(values.iter().sum::<f64>() / values.len() as f64)
-            }
-        };
         // Responder cost: average bytes of a single retrieval response (one erasure-coded
         // chunk plus its Merkle proof) — the per-replica "cost on responding" of Fig. 12.
         let (retrieval_bytes_sent, retrieval_messages) = sim
@@ -827,11 +886,8 @@ impl ScenarioReport {
             .iter_sent()
             .filter(|(_, category, _, _)| *category == "retrieval")
             .fold((0u64, 0u64), |(bytes, count), (_, _, b, c)| (bytes + b, count + c));
-        let average_responder_bytes = if retrieval_messages > 0 {
-            Some(retrieval_bytes_sent as f64 / retrieval_messages as f64)
-        } else {
-            None
-        };
+        let average_responder_bytes = (retrieval_messages > 0)
+            .then(|| retrieval_bytes_sent as f64 / retrieval_messages as f64);
 
         Self {
             protocol,
@@ -851,7 +907,7 @@ impl ScenarioReport {
             view_changes,
             views_entered,
             max_views_per_disturbance,
-            average_view_change_secs,
+            average_view_change_secs: average(&view_change_secs),
             view_change_bytes,
             retrievals,
             average_retrieval_secs: average(&retrieval_times),
@@ -958,80 +1014,69 @@ fn refuse_parallel(config: &ScenarioConfig) {
     );
 }
 
-/// Runs Leopard under the given scenario and asserts the invariant checker found
-/// nothing: any safety fork, post-quiesce liveness stall, unretrievable datablock or
-/// view-change thrash panics with the rendered violations. Every experiment goes through this runner, so
-/// all published figures come from runs that passed the checker.
+/// Runs protocol `P` under the given scenario and checks every invariant of
+/// [`crate::invariants`] on the finished simulation; violations land in
+/// [`ScenarioReport::violations`]. Harness tests that provoke violations and the chaos
+/// engine call this; everything else goes through [`run_leopard_scenario`] or
+/// [`run_hotstuff_scenario`].
 ///
 /// # Panics
 ///
-/// Panics if the run violates any invariant (see [`crate::invariants`]), or if the
-/// reserved [`ScenarioConfig::parallel`] field is set.
-pub fn run_leopard_scenario(config: &ScenarioConfig) -> ScenarioReport {
-    let report = run_leopard_scenario_unchecked(config);
+/// Panics if the reserved [`ScenarioConfig::parallel`] field is set, or if the
+/// scenario sets a field protocol `P` has no counterpart for.
+pub fn run_scenario<P: ScenarioProtocol>(config: &ScenarioConfig) -> ScenarioReport {
+    refuse_parallel(config);
+    let (mut sim, progress_timeout) = P::build(config);
+    sim.run_until(SimTime::ZERO + config.duration, config.max_events);
+    let snapshot = SystemSnapshot::capture(
+        &sim,
+        config.n,
+        config.quiet_after(),
+        config.liveness_bound.unwrap_or_else(|| progress_timeout.saturating_mul(4)),
+        config.disturbance_count(),
+        config.effective_view_thrash_bound(),
+    );
+    let violations = snapshot.check().iter().map(ToString::to_string).collect();
+    let mut report = ScenarioReport::from_sim(P::NAME, config, sim.into_report());
+    report.violations = violations;
+    report
+}
+
+/// [`run_scenario`], asserting the invariant checker found nothing: any safety fork,
+/// post-quiesce liveness stall, unretrievable datablock or view-change thrash panics
+/// with the rendered violations.
+fn run_checked<P: ScenarioProtocol>(config: &ScenarioConfig) -> ScenarioReport {
+    let report = run_scenario::<P>(config);
     assert!(
         report.violations.is_empty(),
-        "scenario violated {} invariant(s):\n{}",
+        "{} scenario violated {} invariant(s):\n{}",
+        P::NAME,
         report.violations.len(),
         report.violations.join("\n")
     );
     report
 }
 
-/// Runs Leopard under the given scenario with the invariant checker *reporting*
-/// instead of asserting: violations land in [`ScenarioReport::violations`]. This is
-/// the escape hatch for harness tests that deliberately provoke violations; everything
-/// else should use [`run_leopard_scenario`].
+/// Runs Leopard under the given scenario and asserts the invariant checker found
+/// nothing. Every experiment goes through this runner or [`run_hotstuff_scenario`], so
+/// all published figures come from runs that passed the checker.
 ///
 /// # Panics
 ///
-/// Panics if the reserved [`ScenarioConfig::parallel`] field is set.
-pub fn run_leopard_scenario_unchecked(config: &ScenarioConfig) -> ScenarioReport {
-    refuse_parallel(config);
-    let leopard_config = config.leopard_config();
-    let stall_bound = config
-        .liveness_bound
-        .unwrap_or_else(|| leopard_config.progress_timeout.saturating_mul(4));
-    let shared = LeopardConfig::shared_keys(&leopard_config, config.seed);
-    let byzantine = config.byzantine.clone();
-    let factory_config = leopard_config;
-    let mut sim = Simulation::new(config.network(), config.faults(), move |id| {
-        let mut replica_config = factory_config.clone();
-        if let Some(&(_, behaviour)) = byzantine.iter().find(|(node, _)| *node == id) {
-            replica_config = replica_config.with_byzantine(behaviour);
-        }
-        LeopardReplica::new(id, replica_config, shared.clone())
-    });
-    sim.run_until(SimTime::ZERO + config.duration, config.max_events);
-    let snapshot = SystemSnapshot::capture(
-        &sim,
-        config.n,
-        config.quiet_after(),
-        stall_bound,
-        config.disturbance_count(),
-        config.effective_view_thrash_bound(),
-    );
-    let violations: Vec<String> = snapshot.check().iter().map(ToString::to_string).collect();
-    let report = sim.into_report();
-    let mut report = ScenarioReport::from_sim("leopard", config, report);
-    report.violations = violations;
-    report
+/// As [`run_scenario`], and if the run violates any invariant.
+pub fn run_leopard_scenario(config: &ScenarioConfig) -> ScenarioReport {
+    run_checked::<LeopardReplica>(config)
 }
 
-/// Runs the HotStuff baseline under the given scenario.
+/// Runs the HotStuff baseline under the given scenario and asserts the invariant
+/// checker found nothing.
 ///
 /// # Panics
 ///
-/// Panics if the reserved [`ScenarioConfig::parallel`] field is set.
+/// As [`run_scenario`] — HotStuff rejects `byzantine`, `selective_attackers`,
+/// `proposers != 1` and `workload_stop` — and if the run violates any invariant.
 pub fn run_hotstuff_scenario(config: &ScenarioConfig) -> ScenarioReport {
-    refuse_parallel(config);
-    let hotstuff_config = config.hotstuff_config();
-    let keys = hotstuff_config.shared_keys(config.seed);
-    let sim = Simulation::new(config.network(), config.faults(), move |id| {
-        HotStuffReplica::new(id, hotstuff_config.clone(), keys.clone())
-    });
-    let report = sim.run_to_report(SimTime::ZERO + config.duration, config.max_events);
-    ScenarioReport::from_sim("hotstuff", config, report)
+    run_checked::<HotStuffReplica>(config)
 }
 
 #[cfg(test)]
@@ -1238,21 +1283,70 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_runner_reports_a_real_liveness_loss() {
+    fn run_scenario_reports_a_real_liveness_loss() {
         // Two vote withholders exceed f = 1 at n = 4: the quorum of 3 is unreachable,
-        // nothing ever confirms, and the two honest replicas stall from t = 0. The
-        // unchecked runner must surface that as liveness violations (one per honest
-        // live replica) instead of panicking.
+        // nothing ever confirms, and the two honest replicas stall from t = 0.
+        // run_scenario must surface that as liveness violations (one per honest live
+        // replica) instead of panicking.
         let config = ScenarioConfig::small(4)
             .with_byzantine_replica(NodeId(1), ByzantineBehavior::WithholdVotes)
             .with_byzantine_replica(NodeId(2), ByzantineBehavior::WithholdVotes)
             .with_duration(SimDuration::from_secs(4))
             // The default bound (four 2 s progress timeouts) outlasts this short run.
             .with_liveness_bound(SimDuration::from_secs(2));
-        let report = run_leopard_scenario_unchecked(&config);
+        let report = run_scenario::<LeopardReplica>(&config);
         assert_eq!(report.confirmed_requests, 0);
         assert_eq!(report.violations.len(), 2, "violations: {:?}", report.violations);
         assert!(report.violations.iter().all(|v| v.contains("liveness stall")));
+    }
+
+    #[test]
+    fn hotstuff_leader_crash_passes_the_checker() {
+        let config = ScenarioConfig::small(4)
+            .with_leader_crash_at(SimDuration::from_millis(300))
+            .with_duration(SimDuration::from_secs(5));
+        let report = run_hotstuff_scenario(&config);
+        assert!(report.views_entered >= 1, "the pacemaker never rotated the leader");
+        assert!(report.confirmed_requests > 0);
+    }
+
+    #[test]
+    fn hotstuff_liveness_loss_is_reported_and_asserted() {
+        // Two of four replicas down for the whole run exceed f = 1: no quorum, no
+        // commit, and the two live replicas stall from t = 0. Node 2's restart lies
+        // past the end of the run, so its crash is permanent and the checker judges.
+        let config = ScenarioConfig::small(4)
+            .with_leader_crash_at(SimDuration::ZERO)
+            .with_crash_restart(NodeId(2), SimDuration::ZERO, SimDuration::from_secs(10))
+            .with_duration(SimDuration::from_secs(5))
+            .with_liveness_bound(SimDuration::from_secs(2));
+        let report = run_scenario::<HotStuffReplica>(&config);
+        assert_eq!(report.confirmed_requests, 0);
+        assert_eq!(report.violations.len(), 2, "violations: {:?}", report.violations);
+        assert!(report.violations.iter().all(|v| v.contains("liveness stall")));
+        let panic = std::panic::catch_unwind(|| run_hotstuff_scenario(&config))
+            .expect_err("the checked HotStuff runner must panic on a violation");
+        let message = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(message.contains("hotstuff scenario violated 2 invariant(s)"), "{message}");
+    }
+
+    #[test]
+    fn hotstuff_rejects_leopard_only_fields() {
+        let base = ScenarioConfig::small(4);
+        let silent = ByzantineBehavior::SilentLeader;
+        let rejected = [
+            ("byzantine", base.clone().with_byzantine_replica(NodeId(2), silent)),
+            ("selective_attackers", base.clone().with_selective_attackers(1)),
+            ("proposers", base.clone().with_proposers(2)),
+            ("workload_stop", base.with_workload_stop(SimDuration::from_secs(1))),
+        ];
+        for (field, config) in rejected {
+            let panic = std::panic::catch_unwind(|| run_hotstuff_scenario(&config));
+            let panic = panic.expect_err(field);
+            let message = panic.downcast_ref::<String>().expect("formatted panic message");
+            let expected = format!("ScenarioConfig::{field} is Leopard-only");
+            assert!(message.contains(&expected), "{message}");
+        }
     }
 
     #[test]

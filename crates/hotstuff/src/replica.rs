@@ -134,6 +134,19 @@ impl HotStuffReplica {
         self.confirmed_requests
     }
 
+    /// When this replica last executed a block, if ever.
+    pub fn last_confirmation_at(&self) -> Option<SimTime> {
+        self.last_confirmation_at
+    }
+
+    /// `(height, digest)` of every block this replica executed — its committed chain,
+    /// in no particular order.
+    pub fn committed_blocks(&self) -> impl Iterator<Item = (u64, Digest)> + '_ {
+        self.executed
+            .iter()
+            .map(|digest| (self.blocks[digest].height, *digest))
+    }
+
     /// Signs `digest` with this replica's key share, charging the modeled cost.
     fn sign(&self, digest: &Digest, ctx: &mut Ctx<'_>) -> SignatureShare {
         let (share, cost) = self

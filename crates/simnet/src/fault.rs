@@ -115,7 +115,7 @@ impl PartitionWindow {
 /// protocol message type.
 pub struct FaultPlan {
     #[allow(clippy::type_complexity)]
-    filter: Option<Box<dyn FnMut(SimTime, NodeId, NodeId, &'static str, usize) -> MessageFate + Send>>,
+    filter: Option<Box<dyn FnMut(SimTime, NodeId, NodeId, &'static str, usize) -> MessageFate>>,
     crashes: Vec<CrashWindow>,
     partitions: Vec<PartitionWindow>,
 }
@@ -149,7 +149,7 @@ impl FaultPlan {
     /// Installs a message filter.
     pub fn with_filter<F>(mut self, filter: F) -> Self
     where
-        F: FnMut(SimTime, NodeId, NodeId, &'static str, usize) -> MessageFate + Send + 'static,
+        F: FnMut(SimTime, NodeId, NodeId, &'static str, usize) -> MessageFate + 'static,
     {
         self.filter = Some(Box::new(filter));
         self

@@ -1,13 +1,13 @@
-//! A bandwidth-accurate discrete-event network simulator (and a small thread-based
-//! real-time runtime) for sans-IO BFT protocol state machines.
+//! A bandwidth-accurate discrete-event network simulator for sans-IO BFT protocol
+//! state machines.
 //!
 //! The paper evaluates Leopard and HotStuff on up to 600 EC2 instances whose 9.8 Gbps
 //! NICs are the binding resource; this crate is the substitute substrate (see
 //! `DESIGN.md` §3). Every message a protocol sends is charged its exact wire size
 //! against the sender's uplink and the receiver's downlink, modelled as FIFO
 //! serialisation queues, plus a propagation delay. Throughput, latency, per-category
-//! bandwidth utilisation and leader-bottleneck effects then emerge from the same
-//! protocol code that also runs on the thread-based runtime.
+//! bandwidth utilisation and leader-bottleneck effects then emerge from the protocol
+//! code itself.
 //!
 //! # Architecture
 //!
@@ -22,9 +22,7 @@
 //! * [`FaultPlan`] — message filters, crash/restart schedules and region partition
 //!   windows for Byzantine experiments ([`fault`]);
 //! * [`MetricsSink`], [`TrafficMatrix`] — per-node, per-category byte accounting and
-//!   protocol observations ([`metrics`]);
-//! * [`runtime`] — a crossbeam-channel + thread runtime that drives the same
-//!   [`Protocol`] implementations in real time for the runnable examples.
+//!   protocol observations ([`metrics`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +32,6 @@ pub mod fault;
 pub mod metrics;
 pub mod network;
 pub mod protocol;
-pub mod runtime;
 pub(crate) mod shard;
 pub mod sim;
 pub mod time;

@@ -2,9 +2,8 @@
 //!
 //! A [`Protocol`] never performs IO: it reacts to `on_start`, `on_message` and
 //! `on_timer` callbacks by calling methods on a [`Context`] (send, multicast, set a
-//! timer, emit an observation). The same implementation therefore runs unchanged under
-//! the deterministic discrete-event [`crate::Simulation`] and under the thread-based
-//! [`crate::runtime`].
+//! timer, emit an observation), which the deterministic discrete-event
+//! [`crate::Simulation`] implements.
 
 use crate::metrics::ObservationKind;
 use crate::time::{SimDuration, SimTime};
@@ -16,10 +15,7 @@ use rand::RngCore;
 /// `category()` labels each message for the bandwidth-utilisation breakdown
 /// (paper, Table III); it should be a small, fixed set of labels such as
 /// `"datablock"`, `"bftblock"`, `"vote"`, `"proof"`.
-///
-/// `Send + Sync` because the thread-based [`crate::runtime`] moves messages across
-/// channels between node threads; the single-threaded simulator needs neither.
-pub trait SimMessage: Clone + WireSize + Send + Sync + 'static {
+pub trait SimMessage: Clone + WireSize + 'static {
     /// The accounting category of this message.
     fn category(&self) -> &'static str;
 }
@@ -29,7 +25,7 @@ pub trait Context {
     /// The message type of the protocol.
     type Message: SimMessage;
 
-    /// Current (simulated or wall-clock) time.
+    /// Current simulated time.
     fn now(&self) -> SimTime;
 
     /// This node's identifier.
@@ -42,19 +38,9 @@ pub trait Context {
     /// locally without charging any bandwidth.
     fn send(&mut self, to: NodeId, message: Self::Message);
 
-    /// Sends a message to every other node (not to oneself).
-    ///
-    /// The default implementation performs `node_count() - 1` unicast sends, which is
-    /// exactly how the bandwidth cost of a multicast is charged in the paper's model.
-    fn multicast(&mut self, message: Self::Message) {
-        let me = self.node_id();
-        for index in 0..self.node_count() {
-            let peer = NodeId(index as u32);
-            if peer != me {
-                self.send(peer, message.clone());
-            }
-        }
-    }
+    /// Sends a message to every other node (not to oneself), charged as
+    /// `node_count() - 1` unicasts — exactly how the paper's model costs a multicast.
+    fn multicast(&mut self, message: Self::Message);
 
     /// Sends a message to every node **including oneself**; the self-delivery is local
     /// (no bandwidth charged), the other `node_count() - 1` deliveries are charged as
@@ -64,10 +50,7 @@ pub trait Context {
     /// path should prefer this over `multicast(m.clone()); send(self, m)`: the
     /// simulation engine shares one envelope across the whole fan-out, so no extra
     /// clone of the message is made for the self-delivery.
-    fn broadcast(&mut self, message: Self::Message) {
-        self.multicast(message.clone());
-        self.send(self.node_id(), message);
-    }
+    fn broadcast(&mut self, message: Self::Message);
 
     /// Schedules `on_timer(token)` to fire after `delay`.
     fn set_timer(&mut self, delay: SimDuration, token: u64);
@@ -80,11 +63,7 @@ pub trait Context {
     /// [`crate::NetworkConfig::with_cores`]) starting at `max(now, lane_free)`, and
     /// every *output* of the current callback (sends, timers, observations) takes
     /// effect only once the work completes. Charges accumulate within one callback.
-    /// The thread-based runtime ignores charges (real CPU time passes for real there),
-    /// which is also the default implementation.
-    fn charge_compute(&mut self, cost: SimDuration) {
-        let _ = cost;
-    }
+    fn charge_compute(&mut self, cost: SimDuration);
 
     /// Emits a protocol observation (confirmed requests, view changes, stage latencies…)
     /// for the metrics sink.
@@ -133,10 +112,7 @@ impl ProgressProbe {
 }
 
 /// A sans-IO protocol state machine.
-///
-/// `Send` because the thread-based [`crate::runtime`] gives each node its own
-/// thread; the simulator runs every state machine on the calling thread.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// The message type exchanged between nodes running this protocol.
     type Message: SimMessage;
 
@@ -175,7 +151,7 @@ pub trait Protocol: Send {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    //! A tiny ping/pong protocol used by the simulator and runtime unit tests.
+    //! A tiny ping/pong protocol used by the simulator unit tests.
 
     use super::*;
 

@@ -248,9 +248,9 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
     }
 
     fn broadcast(&mut self, message: M) {
-        // Fast path: one envelope for the whole fan-out *and* the self-delivery — the
-        // default `multicast(m.clone()) + send(self, m)` implementation would clone the
-        // message once more just to hand it back to the sender.
+        // Fast path: one envelope for the whole fan-out *and* the self-delivery —
+        // `multicast(m.clone()) + send(self, m)` would clone the message once more
+        // just to hand it back to the sender.
         self.actions.sends.push(Outgoing::Broadcast(message));
     }
 

@@ -8,8 +8,8 @@ use leopard_crypto::{hash_bytes, Digest};
 ///
 /// Large-scale simulations (hundreds of replicas, millions of requests) do not
 /// materialise payload bytes; they only carry the declared size so that bandwidth
-/// accounting stays exact while memory stays bounded. Correctness tests and the
-/// real-time runtime use inline payloads end-to-end.
+/// accounting stays exact while memory stays bounded. Correctness tests use inline
+/// payloads end-to-end.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RequestPayload {
     /// Real bytes, hashed into the request digest.

@@ -2,9 +2,9 @@
 //! accounting.
 //!
 //! The simulator charges every message its wire size against the sender's uplink and the
-//! receiver's downlink; the thread-based runtime actually serialises messages through
-//! this codec. Keeping both paths on the same encoding guarantees that the simulated
-//! bandwidth numbers describe real bytes.
+//! receiver's downlink; the retrieval plane erasure-codes datablocks in this encoding,
+//! and the codec's tests pin wire sizes to encoded lengths, so the simulated bandwidth
+//! numbers describe real bytes.
 //!
 //! The encoding is deliberately simple: fixed-width little-endian integers, length-
 //! prefixed byte strings, no varints, no schema evolution. It is not a public

@@ -23,10 +23,9 @@
 //! handler did nothing under the saturated producer); every other constant passed
 //! uncaptured.
 
+use leopard::core::LeopardReplica;
 use leopard::harness::chaos::FaultScheduleGenerator;
-use leopard::harness::scenario::{
-    run_hotstuff_scenario, run_leopard_scenario, run_leopard_scenario_unchecked, ScenarioConfig,
-};
+use leopard::harness::scenario::{run_hotstuff_scenario, run_leopard_scenario, run_scenario, ScenarioConfig};
 use leopard::harness::experiments::FIG9GEO_REGIONS;
 
 struct Golden {
@@ -165,7 +164,7 @@ fn leopard_fig9geo_point_matches_captured_golden() {
 #[test]
 fn chaos_case_matches_captured_golden() {
     let schedule = FaultScheduleGenerator::new(16, 7).schedule(142);
-    let report = run_leopard_scenario_unchecked(&schedule.to_config());
+    let report = run_scenario::<LeopardReplica>(&schedule.to_config());
     assert_eq!(report.violations, Vec::<String>::new(), "chaos case 142 regressed");
     // 78,756 = 88,251 − 9,495 removed 10 ms workload ticks over the 6 s run: 600 on
     // each of the 14 replicas that never crash; 535 on replica 5 (49 before its crash
@@ -194,7 +193,7 @@ fn chaos_case_matches_captured_golden() {
 fn repeated_chaos_runs_are_bit_identical() {
     let run = || {
         let schedule = FaultScheduleGenerator::new(16, 7).schedule(17);
-        let report = run_leopard_scenario_unchecked(&schedule.to_config());
+        let report = run_scenario::<LeopardReplica>(&schedule.to_config());
         (
             report.sim.events,
             report.confirmed_requests,

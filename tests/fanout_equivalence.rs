@@ -27,7 +27,8 @@
 //! referenced.
 
 use leopard::harness::chaos::FaultScheduleGenerator;
-use leopard::harness::scenario::{run_leopard_scenario_unchecked, ScenarioReport};
+use leopard::core::LeopardReplica;
+use leopard::harness::scenario::{run_scenario, ScenarioReport};
 use proptest::prelude::*;
 
 /// The full observable surface of a run: headline totals plus the complete
@@ -75,14 +76,14 @@ proptest::proptest! {
     ) {
         let config = FaultScheduleGenerator::new(n, master_seed).schedule(case).to_config();
 
-        let first = run_leopard_scenario_unchecked(&config);
+        let first = run_scenario::<LeopardReplica>(&config);
         prop_assert!(
             first.sim.fanouts_balanced,
             "run failed the reference audit ({} live, peak {})",
             first.sim.fanouts_live, first.sim.fanouts_peak
         );
 
-        let second = run_leopard_scenario_unchecked(&config);
+        let second = run_scenario::<LeopardReplica>(&config);
         prop_assert_eq!(
             fingerprint(&first),
             fingerprint(&second),
@@ -103,7 +104,7 @@ proptest::proptest! {
 #[test]
 fn chaos_reproducer_balances_every_slot() {
     let config = FaultScheduleGenerator::new(16, 7).schedule(142).to_config();
-    let report = run_leopard_scenario_unchecked(&config);
+    let report = run_scenario::<LeopardReplica>(&config);
     assert!(
         report.sim.fanouts_balanced,
         "reference audit failed ({} live, peak {})",

@@ -6,7 +6,8 @@ mod common;
 
 use common::{assert_logs_consistent, build_simulation, run};
 use leopard::core::byzantine::ByzantineBehavior;
-use leopard::harness::scenario::{run_leopard_scenario, run_leopard_scenario_unchecked, ScenarioConfig};
+use leopard::core::LeopardReplica;
+use leopard::harness::scenario::{run_leopard_scenario, run_scenario, ScenarioConfig};
 use leopard::harness::workload::WorkloadConfig;
 use leopard::simnet::{FaultPlan, SimDuration, SimTime};
 use leopard::types::NodeId;
@@ -176,7 +177,7 @@ fn view_change_thrash_flag_trips_when_bound_is_exceeded() {
         .with_leader_crash_at(SimDuration::from_millis(400))
         .with_view_thrash_bound(0)
         .with_duration(SimDuration::from_secs(6));
-    let report = run_leopard_scenario_unchecked(&config);
+    let report = run_scenario::<LeopardReplica>(&config);
     assert!(
         report.violations.iter().any(|v| v.contains("view-change thrash")),
         "thrash violation not reported: {:?}",
