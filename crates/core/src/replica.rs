@@ -25,7 +25,7 @@ use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{hash_parts, Digest, SharedKeys};
 use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
 use leopard_types::{
-    BftBlock, BlockState, ClientId, Datablock, FastMap, NodeId, Request, SeqNum, View, WireSize,
+    BftBlock, BlockState, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum, View, WireSize,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -428,13 +428,14 @@ impl LeopardReplica {
                 return;
             }
         }
-        let size = self.config.params.datablock_size as u64;
-        let payload_size = self.config.params.payload_size as u32;
-        let first_seq = (self.datablock_counter - 1) * size;
-        let requests = (first_seq..first_seq + size)
-            .map(|seq| Request::new_synthetic(ClientId(self.id.0), seq, payload_size))
-            .collect();
-        let datablock = Arc::new(Datablock::new(self.id, self.datablock_counter, requests));
+        let count = self.config.params.datablock_size as u32;
+        let requests = RequestRun {
+            client: ClientId(self.id.0),
+            first_seq: (self.datablock_counter - 1) * u64::from(count),
+            count,
+            size: self.config.params.payload_size as u32,
+        };
+        let datablock = Arc::new(Datablock::from_run(self.id, self.datablock_counter, requests));
         self.datablock_counter += 1;
         let digest = datablock.digest();
         // Producing the datablock hashes its encoded bytes once.
@@ -2125,7 +2126,7 @@ mod tests {
         let n = 4;
         let config = LeopardConfig::small_test(n);
         let (size, payload) = (
-            config.params.datablock_size as u64,
+            config.params.datablock_size as u32,
             config.params.payload_size as u32,
         );
         let keys = LeopardConfig::shared_keys(&config, 7);
@@ -2139,9 +2140,12 @@ mod tests {
             for digest in pool.digests() {
                 let datablock = pool.get(digest).expect("a listed digest");
                 let (producer, k) = (datablock.id.producer, datablock.id.counter);
-                let expected: Vec<Request> = ((k - 1) * size..k * size)
-                    .map(|seq| Request::new_synthetic(ClientId(producer.0), seq, payload))
-                    .collect();
+                let expected = RequestRun {
+                    client: ClientId(producer.0),
+                    first_seq: (k - 1) * u64::from(size),
+                    count: size,
+                    size: payload,
+                };
                 assert_eq!(
                     datablock.requests, expected,
                     "datablock ({producer:?}, {k}) pooled at replica {node}"

@@ -517,7 +517,7 @@ mod tests {
             NodeId(2),
             1,
             (0..requests)
-                .map(|i| Request::new_inline(ClientId(1), i as u64, vec![i as u8; 128]))
+                .map(|i| Request::new_synthetic(ClientId(1), i as u64, 128))
                 .collect(),
         )
     }

@@ -308,42 +308,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// A flapping link between `region_a` and `region_b` of the scenario's
-    /// [`Self::topology`]: `cycles` partition windows starting at `start`, one per
-    /// `period`, each severed for the first `duty` fraction of its period. Composes
-    /// with [`Self::with_partition_window`] — every severed window lands in
-    /// [`Self::partitions`], so [`Self::quiet_after`] sees the final heal.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`leopard_simnet::flapping_windows`] validity rules (positive
-    /// period, at least one cycle, duty strictly between 0 and 1) or if the regions
-    /// are equal.
-    pub fn with_flapping_partition(
-        mut self,
-        region_a: usize,
-        region_b: usize,
-        start: SimDuration,
-        period: SimDuration,
-        duty: f64,
-        cycles: usize,
-    ) -> Self {
-        assert!(
-            region_a != region_b,
-            "with_flapping_partition: cannot partition region {region_a} from itself"
-        );
-        for (at, until) in leopard_simnet::flapping_windows(SimTime::ZERO + start, period, duty, cycles)
-        {
-            self.partitions.push((
-                region_a,
-                region_b,
-                at.saturating_since(SimTime::ZERO),
-                until.saturating_since(SimTime::ZERO),
-            ));
-        }
-        self
-    }
-
     /// Number of scheduled disturbances: the leader crash, each crash-restart window,
     /// each partition window and each Byzantine replica. The default view-change
     /// thrash bound scales with this.
@@ -1202,50 +1166,6 @@ mod tests {
         let plan = config.faults();
         assert_eq!(plan.crash_windows().len(), 1);
         assert_eq!(plan.partitions().len(), 1);
-    }
-
-    #[test]
-    fn flapping_partition_builder_expands_to_cycle_windows() {
-        let config = ScenarioConfig::small(8)
-            .with_wan_regions(&["us-east", "eu-west"])
-            .with_flapping_partition(
-                0,
-                1,
-                SimDuration::from_millis(500),
-                SimDuration::from_millis(400),
-                0.5,
-                3,
-            );
-        assert_eq!(config.partitions.len(), 3);
-        assert_eq!(
-            config.partitions[0],
-            (0, 1, SimDuration::from_millis(500), SimDuration::from_millis(700))
-        );
-        assert_eq!(
-            config.partitions[2],
-            (0, 1, SimDuration::from_millis(1300), SimDuration::from_millis(1500))
-        );
-        // quiet_after is the LAST heal of the flap.
-        assert_eq!(config.quiet_after(), SimTime::ZERO + SimDuration::from_millis(1500));
-        // 3 partition windows = 3 disturbances; default thrash bound scales with them.
-        assert_eq!(config.disturbance_count(), 3);
-        assert_eq!(config.effective_view_thrash_bound(), 16);
-        assert_eq!(config.disturbance_instants().len(), 6);
-        let plan = config.faults();
-        assert_eq!(plan.partitions().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "with_flapping_partition: cannot partition region 0 from itself")]
-    fn flapping_partition_builder_rejects_self_region() {
-        let _ = ScenarioConfig::small(8).with_flapping_partition(
-            0,
-            0,
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(400),
-            0.5,
-            3,
-        );
     }
 
     #[test]

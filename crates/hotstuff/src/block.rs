@@ -2,7 +2,7 @@
 
 use leopard_crypto::threshold::CombinedSignature;
 use leopard_crypto::{hash_parts, Digest};
-use leopard_types::{Request, View, WireSize};
+use leopard_types::{RequestRun, View, WireSize};
 
 /// A quorum certificate: `2f+1` combined votes on a block at a given height.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,11 +48,9 @@ pub struct HotStuffBlock {
     /// Digest of the parent block.
     pub parent: Digest,
     /// The request batch carried by the block.
-    pub requests: Vec<Request>,
+    pub requests: RequestRun,
     /// Lazily computed digest; shared clones (e.g. through `Arc`) compute it once.
     cached_digest: std::sync::OnceLock<Digest>,
-    /// Lazily computed wire size (the batch sum is `O(requests)` per call otherwise).
-    cached_wire_size: std::sync::OnceLock<usize>,
 }
 
 impl PartialEq for HotStuffBlock {
@@ -68,14 +66,13 @@ impl Eq for HotStuffBlock {}
 
 impl HotStuffBlock {
     /// Creates a block.
-    pub fn new(height: u64, view: View, parent: Digest, requests: Vec<Request>) -> Self {
+    pub fn new(height: u64, view: View, parent: Digest, requests: RequestRun) -> Self {
         Self {
             height,
             view,
             parent,
             requests,
             cached_digest: std::sync::OnceLock::new(),
-            cached_wire_size: std::sync::OnceLock::new(),
         }
     }
 
@@ -91,9 +88,9 @@ impl HotStuffBlock {
             id_bytes.extend_from_slice(&self.height.to_le_bytes());
             id_bytes.extend_from_slice(&self.view.0.to_le_bytes());
             id_bytes.extend_from_slice(self.parent.as_bytes());
-            for request in &self.requests {
-                id_bytes.extend_from_slice(&request.id.client.0.to_le_bytes());
-                id_bytes.extend_from_slice(&request.id.seq.to_le_bytes());
+            for seq in self.requests.seqs() {
+                id_bytes.extend_from_slice(&self.requests.client.0.to_le_bytes());
+                id_bytes.extend_from_slice(&seq.to_le_bytes());
             }
             hash_parts([b"hotstuff-block".as_slice(), &id_bytes])
         })
@@ -111,15 +108,13 @@ impl HotStuffBlock {
 
     /// Total request payload bytes in the batch.
     pub fn payload_bytes(&self) -> usize {
-        self.requests.iter().map(|r| r.payload.len()).sum()
+        self.requests.payload_bytes()
     }
 }
 
 impl WireSize for HotStuffBlock {
     fn wire_size(&self) -> usize {
-        *self.cached_wire_size.get_or_init(|| {
-            8 + 8 + 32 + 4 + self.requests.iter().map(WireSize::wire_size).sum::<usize>()
-        })
+        8 + 8 + 32 + 4 + self.requests.wire_size()
     }
 }
 
@@ -128,10 +123,8 @@ mod tests {
     use super::*;
     use leopard_types::ClientId;
 
-    fn requests(count: usize) -> Vec<Request> {
-        (0..count)
-            .map(|i| Request::new_synthetic(ClientId(0), i as u64, 128))
-            .collect()
+    fn requests(count: u32) -> RequestRun {
+        RequestRun { client: ClientId(0), first_seq: 0, count, size: 128 }
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //!
 //! Nothing here is per-request (`DESIGN.md` §5). The stub injects requests with
 //! contiguous sequence numbers at one instant, so what is pending is one range of
-//! sequence numbers and what is outstanding is kept as *runs* `(first id, count)`; a
-//! `Request` value exists only inside the batch `take_batch` hands to a block.
+//! sequence numbers, a batch is a [`RequestRun`], and what is outstanding is kept as
+//! runs `(first seq, count)` of the stub's own client.
 
 use leopard_simnet::{SimDuration, SimTime};
-use leopard_types::{ClientId, Request, RequestId};
+use leopard_types::{ClientId, RequestRun};
 use std::collections::BTreeMap;
 
-/// The tail of an outstanding run: how many requests follow its first id with
-/// contiguous sequence numbers, and when all of them were submitted.
+/// The tail of an outstanding run: how many requests follow its first sequence
+/// number contiguously, and when all of them were submitted.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     count: u64,
@@ -33,8 +33,8 @@ pub(crate) struct Mempool {
     /// requests are `batched .. next_seq`.
     batched: u64,
     /// Submitted requests that have not been executed yet: disjoint runs keyed by
-    /// the id of their first request.
-    runs: BTreeMap<RequestId, Run>,
+    /// the sequence number of their first request.
+    runs: BTreeMap<u64, Run>,
     /// Requests in `runs`.
     outstanding: usize,
     /// Fraction of a request the open-loop injector still owes (see
@@ -70,7 +70,7 @@ impl Mempool {
             return;
         }
         let count = count as u64;
-        self.track(RequestId::new(self.client, self.next_seq), count, now);
+        self.track(self.next_seq, count, now);
         self.next_seq += count;
     }
 
@@ -84,64 +84,51 @@ impl Mempool {
     }
 
     /// Extracts up to `max` pending requests, oldest first, for a new block.
-    pub(crate) fn take_batch(&mut self, max: usize) -> Vec<Request> {
-        let first = self.batched;
-        self.batched = self.next_seq.min(first.saturating_add(max as u64));
-        let (client, size) = (self.client, self.payload_size);
-        (first..self.batched)
-            .map(|seq| Request::new_synthetic(client, seq, size))
-            .collect()
+    pub(crate) fn take_batch(&mut self, max: usize) -> RequestRun {
+        let first_seq = self.batched;
+        self.batched = self.next_seq.min(first_seq.saturating_add(max as u64));
+        let count = (self.batched - first_seq) as u32;
+        RequestRun { client: self.client, first_seq, count, size: self.payload_size }
     }
 
-    /// Marks `requests` as executed at `now`, walking them once. Calls
-    /// `latencies(nanos, count)` for every maximal stretch of consecutive requests that
-    /// share one outstanding run — `count` requests of the local client stub whose
-    /// submission-to-execution latency is `nanos` — in the order of `requests`.
-    /// Requests that are not outstanding (other clients', or acknowledged before) are
-    /// skipped.
+    /// Marks the requests of `batch` as executed at `now`. Calls `latencies(nanos,
+    /// count)` for every maximal stretch of the batch that lies inside one outstanding
+    /// run — `count` requests of the local client stub whose submission-to-execution
+    /// latency is `nanos` — in ascending sequence order. Requests that are not
+    /// outstanding (another client's, or acknowledged before) are skipped.
     pub(crate) fn acknowledge(
         &mut self,
-        requests: &[Request],
+        batch: &RequestRun,
         now: SimTime,
         mut latencies: impl FnMut(u64, u64),
     ) {
-        let mut rest = requests;
-        while self.outstanding > 0 && !rest.is_empty() {
-            let id = rest[0].id;
-            let Some((first, run)) = self.run_containing(id) else {
-                rest = &rest[1..];
-                continue;
-            };
-            let available = first.seq + run.count - id.seq;
-            let mut taken = 1u64;
-            while taken < available
-                && rest
-                    .get(taken as usize)
-                    .is_some_and(|r| r.id.client == id.client && r.id.seq == id.seq + taken)
-            {
-                taken += 1;
-            }
-            self.untrack(first, run, id.seq, taken);
-            latencies(now.saturating_since(run.submitted_at).as_nanos(), taken);
-            rest = &rest[taken as usize..];
+        if batch.client != self.client {
+            return;
         }
-    }
-
-    /// The outstanding run that holds `id`, with the id of its first request.
-    fn run_containing(&self, id: RequestId) -> Option<(RequestId, Run)> {
-        let (&first, &run) = self.runs.range(..=id).next_back()?;
-        (first.client == id.client && id.seq - first.seq < run.count).then_some((first, run))
+        let end = batch.first_seq + u64::from(batch.count);
+        let mut from = batch.first_seq;
+        while from < end {
+            // The run holding `from`, else the first one after it.
+            let start = self.runs.range(..=from).next_back().map_or(from, |(&first, _)| first);
+            let Some((&first, &run)) =
+                self.runs.range(start..end).find(|&(&first, run)| first + run.count > from)
+            else {
+                return;
+            };
+            from = from.max(first);
+            let taken = (first + run.count).min(end) - from;
+            self.untrack(first, run, from, taken);
+            latencies(now.saturating_since(run.submitted_at).as_nanos(), taken);
+            from += taken;
+        }
     }
 
     /// Records `count` requests starting at `first` as submitted at `now`, extending the
     /// run that ends right before them if it was submitted at the same instant.
-    fn track(&mut self, first: RequestId, count: u64, now: SimTime) {
+    fn track(&mut self, first: u64, count: u64, now: SimTime) {
         self.outstanding += count as usize;
         if let Some((&before, run)) = self.runs.range_mut(..first).next_back() {
-            if before.client == first.client
-                && before.seq + run.count == first.seq
-                && run.submitted_at == now
-            {
+            if before + run.count == first && run.submitted_at == now {
                 run.count += count;
                 return;
             }
@@ -157,21 +144,17 @@ impl Mempool {
 
     /// Removes the `count` requests starting at sequence `from` out of `run` (which
     /// starts at `first`), keeping what lies before and after them as runs of their own.
-    fn untrack(&mut self, first: RequestId, run: Run, from: u64, count: u64) {
+    fn untrack(&mut self, first: u64, run: Run, from: u64, count: u64) {
         self.outstanding -= count as usize;
-        let end = from + count;
-        let run_end = first.seq + run.count;
-        if from > first.seq {
-            self.runs
-                .get_mut(&first)
-                .expect("caller looked it up")
-                .count = from - first.seq;
+        let (end, run_end) = (from + count, first + run.count);
+        if from > first {
+            self.runs.get_mut(&first).expect("caller looked it up").count = from - first;
         } else {
             self.runs.remove(&first);
         }
         if end < run_end {
             self.runs.insert(
-                RequestId::new(first.client, end),
+                end,
                 Run {
                     count: run_end - end,
                     submitted_at: run.submitted_at,
@@ -184,6 +167,7 @@ impl Mempool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leopard_types::RequestId;
     use proptest::prelude::*;
     use std::collections::{HashMap, VecDeque};
 
@@ -199,11 +183,15 @@ mod tests {
         }
     }
 
-    /// Acknowledges `requests` and returns the `(nanos, count)` stretches reported.
-    fn acknowledge(pool: &mut Mempool, requests: &[Request], now: SimTime) -> Vec<(u64, u64)> {
+    /// Acknowledges `batch` and returns the `(nanos, count)` stretches reported.
+    fn acknowledge(pool: &mut Mempool, batch: &RequestRun, now: SimTime) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        pool.acknowledge(requests, now, |nanos, count| out.push((nanos, count)));
+        pool.acknowledge(batch, now, |nanos, count| out.push((nanos, count)));
         out
+    }
+
+    fn run(client: u32, first_seq: u64, count: u32) -> RequestRun {
+        RequestRun { client: ClientId(client), first_seq, count, size: 128 }
     }
 
     #[test]
@@ -221,11 +209,8 @@ mod tests {
         // Batch extraction does not complete requests.
         assert_eq!(pool.outstanding(), 10);
         // Request ids are unique, in order, and owned by this client.
-        let expected: Vec<Request> = (0..4)
-            .map(|seq| Request::new_synthetic(ClientId(3), seq, 128))
-            .collect();
-        assert_eq!(batch, expected);
-        assert_eq!(pool.take_batch(1)[0].id.seq, 4);
+        assert_eq!(batch, run(3, 0, 4));
+        assert_eq!(pool.take_batch(1), run(3, 4, 1));
     }
 
     #[test]
@@ -270,9 +255,8 @@ mod tests {
         // Second acknowledgement of the same request is ignored.
         assert_eq!(acknowledge(&mut pool, &batch, SimTime(9_000)), vec![]);
         // Requests from other clients are not ours.
-        let foreign = [Request::new_synthetic(ClientId(9), 0, 128)];
         pool.inject(1, SimTime(9_000));
-        assert_eq!(acknowledge(&mut pool, &foreign, SimTime(9_000)), vec![]);
+        assert_eq!(acknowledge(&mut pool, &run(9, 1, 1), SimTime(9_000)), vec![]);
         assert_eq!(pool.outstanding(), 1);
     }
 
@@ -283,9 +267,9 @@ mod tests {
         pool.inject(4, SimTime(100)); // same instant: extends the run
         pool.inject(2, SimTime(300));
         let batch = pool.take_batch(10);
-        // The middle of the first run, then across the boundary to the second.
+        // The middle of the first run, across the boundary of its two injections.
         assert_eq!(
-            acknowledge(&mut pool, &batch[2..5], SimTime(1_000)),
+            acknowledge(&mut pool, &run(2, 2, 3), SimTime(1_000)),
             vec![(900, 3)]
         );
         assert_eq!(pool.outstanding(), 7);
@@ -294,13 +278,11 @@ mod tests {
             vec![(1_900, 2), (1_900, 3), (1_700, 2)]
         );
         assert_eq!(pool.outstanding(), 0);
-        // Out of order: every request is a stretch of its own.
+        // A batch reaching past what is outstanding reports only what is.
         pool.inject(3, SimTime(2_000));
-        let mut batch = pool.take_batch(3);
-        batch.reverse();
         assert_eq!(
-            acknowledge(&mut pool, &batch, SimTime(2_500)),
-            vec![(500, 1), (500, 1), (500, 1)]
+            acknowledge(&mut pool, &run(2, 9, 10), SimTime(2_500)),
+            vec![(500, 3)]
         );
     }
 
@@ -328,17 +310,12 @@ mod tests {
     enum Op {
         Inject(usize),
         Take(usize),
-        /// Acknowledge `len` of the taken-but-unacknowledged requests from `start`
-        /// (both modulo what is there), reversed if `reverse`, then keep or forget them.
+        /// Acknowledge the run of `count` requests of `client` from `first_seq`; own
+        /// runs start modulo what was injected, so they overlap what is outstanding.
         Acknowledge {
-            start: usize,
-            len: usize,
-            reverse: bool,
-            forget: bool,
-        },
-        AcknowledgeForeign {
             client: u32,
-            seq: u64,
+            first_seq: u64,
+            count: u32,
         },
     }
 
@@ -347,14 +324,14 @@ mod tests {
             0 | 1 => Op::Inject(a as usize % 40),
             2 | 3 => Op::Take(a as usize % 50),
             4 | 5 => Op::Acknowledge {
-                start: a as usize,
-                len: b as usize % 64,
-                reverse: a % 5 == 0,
-                forget: b % 3 != 0,
+                client: 5,
+                first_seq: u64::from(a),
+                count: u32::from(b % 64),
             },
-            _ => Op::AcknowledgeForeign {
+            _ => Op::Acknowledge {
                 client: u32::from(a % 9),
-                seq: u64::from(b),
+                first_seq: u64::from(b),
+                count: u32::from(a % 17),
             },
         }
     }
@@ -363,18 +340,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The run-length bookkeeping against one map entry per request: same latency
-        /// multiset, same `outstanding()`, same batches, under partial, out-of-order,
-        /// repeated and foreign acknowledgements.
+        /// stream, same `outstanding()`, same batches, under partial, repeated,
+        /// overreaching and foreign acknowledgements.
         #[test]
         fn matches_a_per_request_model(
             steps in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..120),
         ) {
             const OWN: ClientId = ClientId(5);
             let mut pool = Mempool::new(OWN, 32);
-            let mut model_queue: VecDeque<Request> = VecDeque::new();
+            let mut model_queue: VecDeque<u64> = VecDeque::new();
             let mut model_outstanding: HashMap<RequestId, SimTime> = HashMap::new();
             let mut model_next_seq = 0u64;
-            let mut taken: Vec<Request> = Vec::new();
 
             for (step, triple) in steps.into_iter().enumerate() {
                 // Time advances every other step, so some runs share an instant.
@@ -383,52 +359,34 @@ mod tests {
                     Op::Inject(count) => {
                         pool.inject(count, now);
                         for _ in 0..count {
-                            let request = Request::new_synthetic(OWN, model_next_seq, 32);
+                            model_outstanding.insert(RequestId::new(OWN, model_next_seq), now);
+                            model_queue.push_back(model_next_seq);
                             model_next_seq += 1;
-                            model_outstanding.insert(request.id, now);
-                            model_queue.push_back(request);
                         }
                     }
                     Op::Take(max) => {
                         let batch = pool.take_batch(max);
-                        let take = max.min(model_queue.len());
-                        let expected: Vec<Request> = model_queue.drain(..take).collect();
-                        prop_assert_eq!(&batch, &expected);
-                        taken.extend(batch);
+                        let expected: Vec<u64> = model_queue.drain(..max.min(model_queue.len())).collect();
+                        prop_assert_eq!(batch.seqs().collect::<Vec<_>>(), expected);
+                        prop_assert_eq!((batch.client, batch.size), (OWN, 32));
                     }
-                    Op::Acknowledge { start, len, reverse, forget } => {
-                        if taken.is_empty() {
-                            continue;
-                        }
-                        let start = start % taken.len();
-                        let end = (start + len).min(taken.len());
-                        let mut requests: Vec<Request> = taken[start..end].to_vec();
-                        if reverse {
-                            requests.reverse();
-                        }
+                    Op::Acknowledge { client, first_seq, count } => {
+                        let first_seq = if ClientId(client) == OWN {
+                            first_seq % (model_next_seq + 1)
+                        } else {
+                            first_seq
+                        };
+                        let batch = RequestRun { client: ClientId(client), first_seq, count, size: 32 };
                         let mut got = Vec::new();
-                        pool.acknowledge(&requests, now, |nanos, count| {
+                        pool.acknowledge(&batch, now, |nanos, count| {
                             got.extend(std::iter::repeat_n(nanos, count as usize));
                         });
-                        let expected: Vec<u64> = requests
-                            .iter()
-                            .filter_map(|r| model_outstanding.remove(&r.id))
+                        let expected: Vec<u64> = batch
+                            .seqs()
+                            .filter_map(|seq| model_outstanding.remove(&RequestId::new(batch.client, seq)))
                             .map(|at| now.saturating_since(at).as_nanos())
                             .collect();
                         // Emission order, which is stronger than the multiset.
-                        prop_assert_eq!(got, expected);
-                        if forget {
-                            taken.drain(start..end);
-                        }
-                    }
-                    Op::AcknowledgeForeign { client, seq } => {
-                        let request = Request::new_synthetic(ClientId(client), seq, 32);
-                        let got = acknowledge(&mut pool, std::slice::from_ref(&request), now);
-                        let expected: Vec<(u64, u64)> = model_outstanding
-                            .remove(&request.id)
-                            .map(|at| (now.saturating_since(at).as_nanos(), 1))
-                            .into_iter()
-                            .collect();
                         prop_assert_eq!(got, expected);
                     }
                 }

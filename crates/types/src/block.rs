@@ -2,7 +2,7 @@
 //! (index blocks the replicas agree on).
 
 use crate::ids::{NodeId, SeqNum, View};
-use crate::request::Request;
+use crate::request::{Request, RequestRun};
 use crate::wire::{Decode, DecodeError, Encode, WireReader, WireSize, WireWriter};
 use leopard_crypto::{hash_bytes, Digest};
 
@@ -36,14 +36,9 @@ pub struct Datablock {
     /// Producer and counter.
     pub id: DatablockId,
     /// The batched requests `R`.
-    pub requests: Vec<Request>,
+    pub requests: RequestRun,
     /// Lazily computed digest; shared clones (e.g. through `Arc`) compute it once.
     cached_digest: std::sync::OnceLock<Digest>,
-    /// Lazily computed total payload size.
-    cached_payload_bytes: std::sync::OnceLock<usize>,
-    /// Lazily computed wire size. The simulator charges `wire_size()` per recipient of a
-    /// multicast, so without this cell a datablock fan-out costs `O(n · requests)`.
-    cached_wire_size: std::sync::OnceLock<usize>,
 }
 
 impl PartialEq for Datablock {
@@ -55,14 +50,21 @@ impl PartialEq for Datablock {
 impl Eq for Datablock {}
 
 impl Datablock {
-    /// Creates a datablock.
+    /// Creates a datablock from requests that form one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first request that does not continue the run.
     pub fn new(producer: NodeId, counter: u64, requests: Vec<Request>) -> Self {
+        Self::from_run(producer, counter, requests.into_iter().collect())
+    }
+
+    /// Creates a datablock carrying `requests`.
+    pub fn from_run(producer: NodeId, counter: u64, requests: RequestRun) -> Self {
         Self {
             id: DatablockId::new(producer, counter),
             requests,
             cached_digest: std::sync::OnceLock::new(),
-            cached_payload_bytes: std::sync::OnceLock::new(),
-            cached_wire_size: std::sync::OnceLock::new(),
         }
     }
 
@@ -86,29 +88,23 @@ impl Datablock {
     }
 
     /// Total payload bytes carried by the datablock (`α` when full).
-    ///
-    /// Cached after the first call (shared `Arc` clones compute it once).
     pub fn payload_bytes(&self) -> usize {
-        *self
-            .cached_payload_bytes
-            .get_or_init(|| self.requests.iter().map(|r| r.payload.len()).sum())
+        self.requests.payload_bytes()
     }
 
-    /// Length in bytes of [`Encode::encode`]'s output for this datablock, computed
-    /// without encoding (differs from [`WireSize::wire_size`] for synthetic payloads —
-    /// see [`Request::encoded_len`]). The retrieval mechanism erasure-codes the encoded
-    /// representation, so chunk sizes derive from this length.
+    /// Length in bytes of [`Encode::encode`]'s output for this datablock;
+    /// [`WireSize::wire_size`] also charges the synthetic payloads. The retrieval
+    /// mechanism erasure-codes the encoded representation, so chunk sizes derive from
+    /// this length.
     pub fn encoded_len(&self) -> usize {
-        4 + 8 + 4 + self.requests.iter().map(Request::encoded_len).sum::<usize>()
+        4 + 8 + 4 + self.requests.encoded_len()
     }
 }
 
 impl WireSize for Datablock {
     fn wire_size(&self) -> usize {
         // producer u32 + counter u64 + request count u32 + requests
-        *self.cached_wire_size.get_or_init(|| {
-            4 + 8 + 4 + self.requests.iter().map(WireSize::wire_size).sum::<usize>()
-        })
+        4 + 8 + 4 + self.requests.wire_size()
     }
 }
 
@@ -116,10 +112,8 @@ impl Encode for Datablock {
     fn encode(&self, writer: &mut WireWriter) {
         writer.put_u32(self.id.producer.0);
         writer.put_u64(self.id.counter);
-        writer.put_u32(self.requests.len() as u32);
-        for request in &self.requests {
-            request.encode(writer);
-        }
+        writer.put_u32(self.requests.count);
+        self.requests.encode(writer);
     }
 }
 
@@ -127,12 +121,9 @@ impl Decode for Datablock {
     fn decode(reader: &mut WireReader<'_>) -> Result<Self, DecodeError> {
         let producer = NodeId(reader.get_u32("datablock.producer")?);
         let counter = reader.get_u64("datablock.counter")?;
-        let count = reader.get_u32("datablock.request_count")? as usize;
-        let mut requests = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            requests.push(Request::decode(reader)?);
-        }
-        Ok(Datablock::new(producer, counter, requests))
+        let count = reader.get_u32("datablock.request_count")?;
+        let requests = RequestRun::decode(reader, count)?;
+        Ok(Datablock::from_run(producer, counter, requests))
     }
 }
 
@@ -277,8 +268,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn sample_requests(count: usize) -> Vec<Request> {
-        (0..count)
-            .map(|i| Request::new_inline(ClientId(1), i as u64, vec![i as u8; 16]))
+        (0..count as u64)
+            .map(|i| Request::new_synthetic(ClientId(1), i, 16))
             .collect()
     }
 
@@ -286,30 +277,39 @@ mod tests {
     fn datablock_roundtrip_and_sizes() {
         let db = Datablock::new(NodeId(2), 7, sample_requests(5));
         let bytes = db.encode_to_vec();
-        assert_eq!(db.wire_size(), bytes.len());
         assert_eq!(Datablock::decode_from_slice(&bytes).unwrap(), db);
         assert_eq!(db.len(), 5);
         assert!(!db.is_empty());
         assert_eq!(db.payload_bytes(), 5 * 16);
+        let run = RequestRun { client: ClientId(1), first_seq: 0, count: 5, size: 16 };
+        assert_eq!(db, Datablock::from_run(NodeId(2), 7, run));
     }
 
     #[test]
     fn encoded_len_matches_actual_encoding() {
-        // Inline payloads: encoded length equals the wire size.
-        let inline = Datablock::new(NodeId(1), 1, sample_requests(5));
-        assert_eq!(inline.encoded_len(), inline.encode_to_vec().len());
-        assert_eq!(inline.encoded_len(), inline.wire_size());
-        // Synthetic payloads: the codec writes 17 bytes per request while the wire
-        // charges the declared payload size.
-        let synthetic = Datablock::new(
-            NodeId(2),
-            3,
-            (0..4)
-                .map(|i| Request::new_synthetic(ClientId(1), i, 128))
-                .collect(),
-        );
-        assert_eq!(synthetic.encoded_len(), synthetic.encode_to_vec().len());
-        assert!(synthetic.wire_size() > synthetic.encoded_len());
+        // The codec writes 17 bytes per request while the wire also charges the
+        // declared payload size.
+        let db = Datablock::new(NodeId(2), 3, sample_requests(4));
+        assert_eq!(db.encoded_len(), db.encode_to_vec().len());
+        assert_eq!(db.encoded_len(), 16 + 4 * 17);
+        assert_eq!(db.wire_size(), db.encoded_len() + db.payload_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "request 3 (c1:4) does not continue")]
+    fn datablock_of_a_non_run_panics_naming_the_request() {
+        let mut requests = sample_requests(4);
+        requests[3].id.seq = 4;
+        let _ = Datablock::new(NodeId(2), 1, requests);
+    }
+
+    #[test]
+    fn decode_rejects_a_datablock_whose_requests_break_the_run() {
+        let mut bytes = Datablock::new(NodeId(2), 1, sample_requests(3)).encode_to_vec();
+        // The third request's client (after the 16-byte header and two records).
+        bytes[16 + 2 * 17] = 9;
+        let err = Datablock::decode_from_slice(&bytes).unwrap_err();
+        assert_eq!(err.context, "request run");
     }
 
     #[test]
@@ -361,15 +361,19 @@ mod tests {
         fn datablock_roundtrips_with_any_requests(
             producer in 0u32..1000,
             counter in any::<u64>(),
-            sizes in proptest::collection::vec(0u32..256, 0..20),
+            client in any::<u32>(),
+            first_seq in any::<u32>(),
+            count in 0u64..20,
+            size in 0u32..256,
         ) {
-            let requests: Vec<Request> = sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| Request::new_synthetic(ClientId(i as u32), i as u64, s))
+            let requests: Vec<Request> = (0..count)
+                .map(|i| Request::new_synthetic(ClientId(client), u64::from(first_seq) + i, size))
                 .collect();
             let db = Datablock::new(NodeId(producer), counter, requests);
-            let decoded = Datablock::decode_from_slice(&db.encode_to_vec()).unwrap();
+            let bytes = db.encode_to_vec();
+            prop_assert_eq!(bytes.len(), db.encoded_len());
+            prop_assert_eq!(db.wire_size(), db.encoded_len() + db.payload_bytes());
+            let decoded = Datablock::decode_from_slice(&bytes).unwrap();
             prop_assert_eq!(decoded, db);
         }
 

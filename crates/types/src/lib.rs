@@ -5,8 +5,9 @@
 //!
 //! * strongly-typed identifiers ([`NodeId`], [`View`], [`SeqNum`], [`ClientId`],
 //!   [`RequestId`]) — see [`ids`];
-//! * client [`Request`]s, including the *synthetic payload* representation used by
-//!   large-scale simulations (the byte size is carried, the bytes are not materialised);
+//! * client [`Request`]s with *synthetic payloads* (the byte size is carried, the bytes
+//!   are not materialised), batched as one [`RequestRun`] of a client's consecutive
+//!   requests;
 //! * the two block planes of the paper: [`Datablock`] (request payloads produced by
 //!   non-leader replicas) and [`BftBlock`] (index blocks proposed by the leader);
 //! * a tiny hand-rolled binary codec ([`wire`]) plus the [`WireSize`] trait used for
@@ -30,5 +31,5 @@ pub use block::{BftBlock, BftBlockId, BlockState, Datablock, DatablockId};
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use ids::{ClientId, NodeId, RequestId, SeqNum, View};
 pub use params::{bls_paper_crypto_costs, calibrated_crypto_costs, CostModelKind, ProtocolParams};
-pub use request::{Request, RequestPayload};
+pub use request::{Request, RequestRun};
 pub use wire::{Decode, Encode, WireReader, WireSize, WireWriter};

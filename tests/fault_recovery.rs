@@ -77,7 +77,7 @@ fn crash_restart_catches_up_and_logs_agree() {
         "the restarted replica never caught back up (at {} vs head {healthy_head})",
         rejoined.last_executed().0
     );
-    assert_logs_consistent(&sim, n, &[0, 1, 2, 3]);
+    assert_logs_consistent(&sim, n);
 }
 
 /// Runs a crash-restart of replica 2 with one recovery-plane adversary among the
@@ -122,7 +122,7 @@ fn assert_catchup_despite(behaviour: ByzantineBehavior) {
         "the restarted replica adopted a forged view claim ({} vs healthy {healthy_view})",
         rejoined.view().0
     );
-    assert_logs_consistent(&sim, n, &[0, 2, 3, 4, 5, 6]);
+    assert_logs_consistent(&sim, n);
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn equivocating_checkpointer_does_not_block_garbage_collection() {
             "garbage collection never advanced at replica {id}"
         );
     }
-    assert_logs_consistent(&sim, n, &[0, 2, 3, 4, 5, 6]);
+    assert_logs_consistent(&sim, n);
 }
 
 #[test]
