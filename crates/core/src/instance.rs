@@ -3,7 +3,6 @@
 
 use leopard_crypto::threshold::CombinedSignature;
 use leopard_crypto::{Digest, ShareCollector};
-use leopard_simnet::SimTime;
 use leopard_types::{BftBlock, BlockState, FastSet};
 use std::sync::Arc;
 
@@ -29,13 +28,11 @@ pub struct LeaderInstance {
     pub commits: ShareCollector,
     /// The confirmation proof once formed.
     pub confirmation: Option<CombinedSignature>,
-    /// When the instance was proposed (for latency accounting).
-    pub proposed_at: SimTime,
 }
 
 impl LeaderInstance {
     /// Creates the leader-side state for a freshly proposed block.
-    pub fn new(block: Arc<BftBlock>, proposed_at: SimTime) -> Self {
+    pub fn new(block: Arc<BftBlock>) -> Self {
         let block_digest = block.digest();
         Self {
             block,
@@ -45,7 +42,6 @@ impl LeaderInstance {
             notarization_digest: None,
             commits: ShareCollector::default(),
             confirmation: None,
-            proposed_at,
         }
     }
 
@@ -78,8 +74,6 @@ pub struct ReplicaInstance {
     pub notarization_digest: Option<Digest>,
     /// The confirmation proof once received.
     pub confirmation: Option<CombinedSignature>,
-    /// When the block was first received.
-    pub received_at: Option<SimTime>,
     /// Digest of a later view's re-proposal of the *same content* this instance
     /// already confirmed, endorsed with a prepare vote (a commit vote follows its
     /// notarization, then this clears). A view change re-stamps surviving blocks
@@ -109,7 +103,6 @@ impl ReplicaInstance {
             notarization: None,
             notarization_digest: None,
             confirmation: None,
-            received_at: None,
             endorsed_repropose: None,
         }
     }
@@ -133,10 +126,9 @@ mod tests {
     #[test]
     fn leader_instance_tracks_confirmation() {
         let block = Arc::new(BftBlock::new(View(1), SeqNum(1), vec![]));
-        let instance = LeaderInstance::new(block.clone(), SimTime(5));
+        let instance = LeaderInstance::new(block.clone());
         assert_eq!(instance.block_digest, block.digest());
         assert!(!instance.is_confirmed());
-        assert_eq!(instance.proposed_at, SimTime(5));
     }
 
     #[test]

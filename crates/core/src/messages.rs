@@ -59,6 +59,22 @@ impl RetrievalPayload {
     }
 }
 
+/// One responder's answer to a query (Algorithm 3): its own erasure-coded chunk of the
+/// datablock, committed to by a Merkle root over all `n` chunks. The same value is
+/// cached by the responder, carried by [`LeopardMessage::QueryResponse`] and fed to the
+/// querier's decoder.
+#[derive(Debug, Clone)]
+pub struct RetrievalChunk {
+    /// Merkle root over the erasure-coded chunks (the datablock digest in metered mode).
+    pub root: Digest,
+    /// Index of this chunk (the responder's replica index).
+    pub shard_index: u32,
+    /// The chunk itself (real or metered).
+    pub payload: RetrievalPayload,
+    /// Length of the encoded datablock, needed to strip the padding after decoding.
+    pub payload_len: u64,
+}
+
 /// A notarized BFTblock carried by view-change and new-view messages: the block plus its
 /// notarization proof.
 #[derive(Debug, Clone)]
@@ -159,14 +175,8 @@ pub enum LeopardMessage {
     QueryResponse {
         /// Digest of the datablock being recovered.
         digest: Digest,
-        /// Merkle root over the erasure-coded chunks.
-        root: Digest,
-        /// Index of this chunk (the responder's replica index).
-        shard_index: u32,
-        /// The chunk itself (real or metered).
-        payload: RetrievalPayload,
-        /// Length of the encoded datablock, needed to strip the padding after decoding.
-        payload_len: u64,
+        /// The responder's chunk, root and proof.
+        chunk: RetrievalChunk,
     },
     /// Algorithm 4: a replica's checkpoint vote.
     Checkpoint {
@@ -250,8 +260,8 @@ impl WireSize for LeopardMessage {
             LeopardMessage::CommitVote { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
             LeopardMessage::ConfirmationProof { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
             LeopardMessage::Query { digests } => 4 + DIGEST_WIRE_BYTES * digests.len(),
-            LeopardMessage::QueryResponse { payload, .. } => {
-                2 * DIGEST_WIRE_BYTES + 4 + 8 + payload.wire_len()
+            LeopardMessage::QueryResponse { chunk, .. } => {
+                2 * DIGEST_WIRE_BYTES + 4 + 8 + chunk.payload.wire_len()
             }
             LeopardMessage::Checkpoint { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
             LeopardMessage::CheckpointProof { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
@@ -322,6 +332,37 @@ mod tests {
         (shares[0], proof)
     }
 
+    /// A metered response declaring a 100-byte chunk and a 64-byte proof.
+    fn query_response(datablock: Arc<Datablock>) -> LeopardMessage {
+        let digest = datablock.digest();
+        LeopardMessage::QueryResponse {
+            digest,
+            chunk: RetrievalChunk {
+                root: digest,
+                shard_index: 1,
+                payload: RetrievalPayload::Metered {
+                    chunk_len: 100,
+                    proof_len: 64,
+                    datablock,
+                },
+                payload_len: 300,
+            },
+        }
+    }
+
+    #[test]
+    fn query_response_size_is_digest_root_index_length_and_payload() {
+        let db = Arc::new(Datablock::new(
+            NodeId(1),
+            1,
+            vec![Request::new_synthetic(ClientId(0), 0, 128)],
+        ));
+        assert_eq!(
+            query_response(db).wire_size(),
+            2 * DIGEST_WIRE_BYTES + 4 + 8 + 100 + 64
+        );
+    }
+
     #[test]
     fn categories_cover_all_variants() {
         let (share, proof) = sample_share();
@@ -376,6 +417,7 @@ mod tests {
                 "proof",
             ),
             (LeopardMessage::Query { digests: vec![digest] }, "query"),
+            (query_response(db.clone()), "retrieval"),
             (
                 LeopardMessage::Checkpoint {
                     seq: SeqNum(2),

@@ -264,7 +264,7 @@ mod tests {
 
     fn instance(seq: SeqNum) -> LeaderInstance {
         let block = Arc::new(BftBlock::new(View(1), seq, Vec::new()));
-        LeaderInstance::new(block, leopard_simnet::SimTime(0))
+        LeaderInstance::new(block)
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::byzantine::ByzantineBehavior;
 use crate::checkpoint::{checkpoint_digest, CheckpointState};
 use crate::config::{LeopardConfig, WorkloadMode};
 use crate::instance::{LeaderInstance, ReplicaInstance};
-use crate::messages::{ConfirmedEntry, LeopardMessage, NotarizedEntry, RetrievalPayload};
+use crate::messages::{ConfirmedEntry, LeopardMessage, NotarizedEntry, RetrievalChunk};
 use crate::pipeline::{Pipeline, StallReason};
 use crate::pool::{DatablockPool, ReadyTracker};
 use crate::retrieval::{ChunkOutcome, RetrievalManager};
@@ -168,7 +168,12 @@ impl LeopardReplica {
             pipeline: Pipeline::new(config.params.max_parallel_instances),
             replica_instances: BTreeMap::new(),
             checkpoints: CheckpointState::new(),
-            retrieval: RetrievalManager::new(),
+            retrieval: RetrievalManager::new(
+                id,
+                config.params.f(),
+                config.params.n,
+                config.retrieval_timeout,
+            ),
             datablock_counter: 1,
             own_datablocks: FastMap::default(),
             log: BTreeMap::new(),
@@ -301,11 +306,6 @@ impl LeopardReplica {
     /// Total requests confirmed (executed) by this replica.
     pub fn confirmed_requests(&self) -> u64 {
         self.confirmed_requests
-    }
-
-    /// The confirmed BFTblock at `seq`, if it has been added to the log.
-    pub fn log_block(&self, seq: SeqNum) -> Option<&Arc<BftBlock>> {
-        self.log.get(&seq.0)
     }
 
     /// Current low watermark (latest stable checkpoint).
@@ -522,7 +522,7 @@ impl LeopardReplica {
             let digest = block.digest();
             charge(ctx, self.keys.provider.model().hash(block.wire_size()));
             let share = self.sign(&digest, ctx);
-            self.pipeline.insert(seq, LeaderInstance::new(block.clone(), ctx.now()));
+            self.pipeline.insert(seq, LeaderInstance::new(block.clone()));
             ctx.broadcast(LeopardMessage::PrePrepare { block, share });
         }
     }
@@ -558,7 +558,7 @@ impl LeopardReplica {
             let digest = block.digest();
             charge(ctx, self.keys.provider.model().hash(block.wire_size()));
             let share = self.sign(&digest, ctx);
-            self.pipeline.insert(seq, LeaderInstance::new(block.clone(), ctx.now()));
+            self.pipeline.insert(seq, LeaderInstance::new(block.clone()));
             ctx.broadcast(LeopardMessage::PrePrepare { block, share });
         }
     }
@@ -586,7 +586,7 @@ impl LeopardReplica {
         let share_a = self.sign(&block_a.digest(), ctx);
         let share_b = self.sign(&block_b.digest(), ctx);
         self.pipeline
-            .insert(seq, LeaderInstance::new(block_a.clone(), ctx.now()));
+            .insert(seq, LeaderInstance::new(block_a.clone()));
         let half = self.n() / 2;
         for index in 0..self.n() {
             let peer = NodeId(index as u32);
@@ -736,9 +736,6 @@ impl LeopardReplica {
         }
         instance.block = Some(block.clone());
         instance.block_digest = Some(digest);
-        if instance.received_at.is_none() {
-            instance.received_at = Some(ctx.now());
-        }
         if instance.is_confirmed() {
             // The instance confirmed while block-less (notarization then proof arrived
             // ahead of the proposal). The digest equality above bound this block to the
@@ -1460,9 +1457,6 @@ impl LeopardReplica {
         instance.notarization = Some(entry.notarization);
         instance.notarization_digest = Some(notarization_digest);
         instance.confirmation = Some(entry.confirmation);
-        if instance.received_at.is_none() {
-            instance.received_at = Some(ctx.now());
-        }
         self.log.insert(seq.0, entry.block.clone());
         // Any linked datablock this replica does not hold is fetched through the
         // regular retrieval plane (Algorithm 3) before execution.
@@ -1481,51 +1475,22 @@ impl LeopardReplica {
         if self.behaviour().ignores_queries() {
             return;
         }
-        let (f, n) = (self.f(), self.n());
         for digest in digests {
-            let Some(datablock) = self.pool.get(&digest).cloned() else {
+            let Some(datablock) = self.pool.get(&digest) else {
                 continue;
             };
-            if let Some(response) =
-                self.retrieval
-                    .encode_response(&datablock, self.id, f, n, &self.keys.provider)
-            {
-                charge(ctx, response.cost);
-                ctx.send(
-                    from,
-                    LeopardMessage::QueryResponse {
-                        digest,
-                        root: response.root,
-                        shard_index: response.shard_index,
-                        payload: response.payload,
-                        payload_len: response.payload_len,
-                    },
-                );
-            }
+            let (chunk, cost) = self
+                .retrieval
+                .encode_response(datablock, &self.keys.provider);
+            charge(ctx, cost);
+            ctx.send(from, LeopardMessage::QueryResponse { digest, chunk });
         }
     }
 
-    fn handle_query_response(
-        &mut self,
-        digest: Digest,
-        root: Digest,
-        shard_index: u32,
-        payload: RetrievalPayload,
-        payload_len: u64,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let (f, n) = (self.f(), self.n());
-        let (outcome, cost) = self.retrieval.add_chunk(
-            digest,
-            root,
-            shard_index,
-            payload,
-            payload_len,
-            f,
-            n,
-            ctx.now(),
-            &self.keys.provider,
-        );
+    fn handle_query_response(&mut self, digest: Digest, chunk: RetrievalChunk, ctx: &mut Ctx<'_>) {
+        let (outcome, cost) =
+            self.retrieval
+                .add_chunk(digest, chunk, ctx.now(), &self.keys.provider);
         charge(ctx, cost);
         if let ChunkOutcome::Recovered {
             datablock,
@@ -1549,9 +1514,7 @@ impl LeopardReplica {
     }
 
     fn fire_retrieval_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let digests = self
-            .retrieval
-            .digests_to_query(ctx.now(), self.config.retrieval_timeout);
+        let digests = self.retrieval.digests_to_query(ctx.now());
         if !digests.is_empty() {
             ctx.multicast(LeopardMessage::Query { digests });
         }
@@ -1830,7 +1793,7 @@ impl LeopardReplica {
         let digest = block.digest();
         let share = self.sign(&digest, ctx);
         self.pipeline
-            .insert(block.id.seq, LeaderInstance::new(block.clone(), ctx.now()));
+            .insert(block.id.seq, LeaderInstance::new(block.clone()));
         ctx.broadcast(LeopardMessage::PrePrepare { block, share });
     }
 
@@ -1974,13 +1937,9 @@ impl Protocol for LeopardReplica {
                 proof,
             } => self.handle_confirmation(seq, proof_digest, proof, ctx),
             LeopardMessage::Query { digests } => self.handle_query(from, digests, ctx),
-            LeopardMessage::QueryResponse {
-                digest,
-                root,
-                shard_index,
-                payload,
-                payload_len,
-            } => self.handle_query_response(digest, root, shard_index, payload, payload_len, ctx),
+            LeopardMessage::QueryResponse { digest, chunk } => {
+                self.handle_query_response(digest, chunk, ctx)
+            }
             LeopardMessage::Checkpoint {
                 seq,
                 state_digest,

@@ -1,12 +1,18 @@
 //! The datablock retrieval mechanism (Algorithm 3).
 //!
 //! A replica that receives a BFTblock linking a datablock it never got starts a timer;
-//! on expiry it multicasts a `Query`. Every replica that holds the datablock
-//! erasure-codes it with the `(f+1, n)` code, builds a Merkle tree over the `n`
-//! chunks, and sends back *its own* chunk plus the Merkle proof. The querier validates
-//! chunks individually and decodes as soon as `f+1` chunks under the same root are
-//! available, then checks that the decoded datablock really hashes to the queried
-//! digest.
+//! on expiry it multicasts a `Query`. Every replica that holds the datablock answers
+//! with one [`RetrievalChunk`]: *its own* chunk of the datablock's `(f+1, n)` erasure
+//! coding, the Merkle proof of that chunk and the root over all `n` chunks. The same
+//! value is what the responder caches, what `QueryResponse` carries and what the
+//! querier's decoder consumes. The querier validates chunks individually and decodes
+//! as soon as `f+1` chunks under the same root are available, then checks that the
+//! decoded datablock really hashes to the queried digest.
+//!
+//! A replica's [`RetrievalManager`] holds both sides and is built with what never
+//! changes for the replica: its id (the shard it serves), `f`, `n` and the retrieval
+//! timeout. The `(f+1, n)` Reed–Solomon code is built on the first real-crypto encode
+//! or decode; a metered run never builds it.
 //!
 //! A retrieval that stays pending is re-queried after [`REQUERY_TIMEOUTS`] retrieval
 //! timeouts: a partition can drop the first `Query` (or its responses) outright, and a
@@ -16,7 +22,7 @@
 //! encoding cache makes repeat serves free), so a re-query recovers no matter which
 //! direction the partition dropped.
 
-use crate::messages::RetrievalPayload;
+use crate::messages::{RetrievalChunk, RetrievalPayload};
 use leopard_crypto::provider::{ComputeCost, CryptoProvider};
 use leopard_crypto::{Digest, MerkleProof, MerkleTree};
 use leopard_erasure::ReedSolomon;
@@ -25,93 +31,41 @@ use leopard_types::{Datablock, Decode, Encode, FastMap, FastSet, NodeId, SeqNum}
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A chunk of an erasure-coded datablock, as produced by [`encode_response`].
-#[derive(Debug, Clone)]
-pub struct ResponseChunk {
-    /// Merkle root over all `n` chunks.
-    pub root: Digest,
-    /// Index of the chunk (the responder's replica index).
-    pub shard_index: u32,
-    /// The chunk bytes.
-    pub chunk: Vec<u8>,
-    /// Merkle inclusion proof for the chunk.
-    pub proof: MerkleProof,
-    /// Length of the encoded datablock (needed to strip padding when decoding).
-    pub payload_len: u64,
-}
-
-/// A retrieval response produced by [`RetrievalManager::encode_response`]: ready to be
-/// put on the wire, together with the modeled compute cost the responder incurred
-/// (full encode + Merkle tree on the first response for a datablock, nothing on a
-/// cache hit — the charge mirrors the cache in both crypto modes).
-#[derive(Debug)]
-pub struct RetrievalResponse {
-    /// Merkle root over the erasure-coded chunks (the datablock digest in metered mode).
-    pub root: Digest,
-    /// Index of the served chunk (the responder's replica index).
-    pub shard_index: u32,
-    /// The chunk itself (real or metered).
-    pub payload: RetrievalPayload,
-    /// Length of the encoded datablock.
-    pub payload_len: u64,
-    /// Modeled compute the responder spent producing this response.
-    pub cost: ComputeCost,
-}
-
-/// Erasure-codes `datablock` and returns the chunk owned by `responder`, with proof.
+/// Erasure-codes `datablock` and returns the chunk owned by `responder`, with proof
+/// (a [`RetrievalPayload::Real`] payload).
 ///
 /// Returns `None` if the erasure-code parameters are invalid (cannot happen for
 /// `n = 3f + 1 ≥ 4`) or the responder index is out of range.
 ///
 /// This is the stateless reference path; replicas answer queries through
-/// [`RetrievalManager::encode_response`], which caches the `(f+1, n)` code and the
-/// per-datablock encoding across queriers and produces identical chunks.
+/// [`RetrievalManager::encode_response`], which keeps the `(f+1, n)` code and the
+/// served chunk per datablock across queriers and produces identical chunks.
 pub fn encode_response(
     datablock: &Datablock,
     responder: NodeId,
     f: usize,
     n: usize,
-) -> Option<ResponseChunk> {
+) -> Option<RetrievalChunk> {
     let rs = ReedSolomon::new(f + 1, n).ok()?;
-    let encoding = CachedEncoding::build(&rs, datablock);
-    encoding.chunk_for(responder)
+    real_chunk(&rs, datablock, responder.as_index())
 }
 
-/// The erasure-coded shards and Merkle tree of one datablock at a responder: built once,
-/// then each querier's response is a shard clone plus a Merkle proof.
-#[derive(Debug)]
-struct CachedEncoding {
-    shards: Vec<Vec<u8>>,
-    tree: MerkleTree,
-    payload_len: u64,
-}
-
-impl CachedEncoding {
-    fn build(rs: &ReedSolomon, datablock: &Datablock) -> Self {
-        let encoded = datablock.encode_to_vec();
-        let shards = rs.encode_payload(&encoded);
-        let tree = MerkleTree::from_leaves(shards.iter().map(|s| s.as_slice()));
-        Self {
-            shards,
-            tree,
-            payload_len: encoded.len() as u64,
-        }
-    }
-
-    fn chunk_for(&self, responder: NodeId) -> Option<ResponseChunk> {
-        let index = responder.as_index();
-        if index >= self.shards.len() {
-            return None;
-        }
-        let proof = self.tree.prove(index)?;
-        Some(ResponseChunk {
-            root: self.tree.root(),
-            shard_index: index as u32,
-            chunk: self.shards[index].clone(),
+/// Encodes `datablock` with `rs`, builds the Merkle tree over all shards and returns
+/// shard `index` with its proof.
+fn real_chunk(rs: &ReedSolomon, datablock: &Datablock, index: usize) -> Option<RetrievalChunk> {
+    let encoded = datablock.encode_to_vec();
+    let mut shards = rs.encode_payload(&encoded);
+    let tree = MerkleTree::from_leaves(shards.iter().map(|s| s.as_slice()));
+    let proof = tree.prove(index)?;
+    Some(RetrievalChunk {
+        root: tree.root(),
+        shard_index: index as u32,
+        payload: RetrievalPayload::Real {
+            chunk: shards.swap_remove(index),
             proof,
-            payload_len: self.payload_len,
-        })
-    }
+        },
+        payload_len: encoded.len() as u64,
+    })
 }
 
 /// State of one in-progress retrieval at the querier.
@@ -121,8 +75,6 @@ struct PendingRetrieval {
     waiting: FastSet<SeqNum>,
     /// Valid chunks collected so far, grouped by Merkle root.
     chunks: FastMap<Digest, BTreeMap<u32, Vec<u8>>>,
-    /// Declared encoded length per root.
-    payload_len: FastMap<Digest, u64>,
     /// The datablock itself, carried by reference in metered responses.
     metered_datablock: Option<Arc<Datablock>>,
     /// When the datablock was first discovered missing.
@@ -140,31 +92,26 @@ struct PendingRetrieval {
 /// partition or crash ever reaches the re-query.
 pub const REQUERY_TIMEOUTS: u64 = 8;
 
-/// The querier-side manager of all in-progress retrievals, plus the responder-side
-/// encoding cache.
-#[derive(Debug, Default)]
+/// One replica's retrieval plane: the querier-side manager of all in-progress
+/// retrievals, plus the responder-side cache of served chunks.
+#[derive(Debug)]
 pub struct RetrievalManager {
+    /// This replica: the shard it serves.
+    id: NodeId,
+    f: usize,
+    n: usize,
+    /// How long a pending retrieval waits after its last query before querying again.
+    requery_after: SimDuration,
     pending: FastMap<Digest, PendingRetrieval>,
-    /// Reed–Solomon codes by `(data_shards, total_shards)`; the parameters are fixed
-    /// per run, so the Vandermonde construction happens once per replica, not once per
-    /// response or decode.
-    codes: FastMap<(usize, usize), ReedSolomon>,
-    /// Responder-side responses by datablock digest, so serving `k` queriers encodes
-    /// and Merkle-hashes the datablock once instead of `k` times (in metered mode, so
-    /// the *charged* encoding cost is paid once, mirroring the real cache). Only the
-    /// chunk actually served is retained (a replica always responds with its own
-    /// shard), not the full shard set; the cached `(responder, data_shards,
-    /// total_shards)` guards against a mismatched lookup.
-    chunks_served: FastMap<Digest, ((NodeId, usize, usize), CachedServe)>,
-}
-
-/// A cached, ready-to-send retrieval response (real or metered).
-#[derive(Debug, Clone)]
-struct CachedServe {
-    root: Digest,
-    shard_index: u32,
-    payload: RetrievalPayload,
-    payload_len: u64,
+    /// The `(f+1, n)` Reed–Solomon code, built on the first real-crypto encode or
+    /// decode, so the Vandermonde construction happens once per replica. A metered run
+    /// never builds it, which is what lets it run above `ReedSolomon::MAX_SHARDS`.
+    code: Option<ReedSolomon>,
+    /// Responder-side chunks by datablock digest, so serving `k` queriers encodes and
+    /// Merkle-hashes the datablock once instead of `k` times (in metered mode, so the
+    /// *charged* encoding cost is paid once, mirroring the real cache). Only the chunk
+    /// actually served is retained (a replica always responds with its own shard).
+    served: FastMap<Digest, RetrievalChunk>,
 }
 
 /// Entry cap for the responder-side chunk cache. PR 4's profiling of the full fig9
@@ -197,9 +144,27 @@ pub enum ChunkOutcome {
 }
 
 impl RetrievalManager {
-    /// Creates an empty manager.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty manager for replica `id` of an `n`-replica committee
+    /// tolerating `f` faults, re-querying after [`REQUERY_TIMEOUTS`] ×
+    /// `retrieval_timeout`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not one of the `n` replicas.
+    pub fn new(id: NodeId, f: usize, n: usize, retrieval_timeout: SimDuration) -> Self {
+        assert!(
+            id.as_index() < n,
+            "RetrievalManager: replica {id:?} is not one of the {n} replicas"
+        );
+        Self {
+            id,
+            f,
+            n,
+            requery_after: retrieval_timeout.saturating_mul(REQUERY_TIMEOUTS),
+            pending: FastMap::default(),
+            code: None,
+            served: FastMap::default(),
+        }
     }
 
     /// Registers that BFTblock `seq` needs the missing datablock `digest`.
@@ -220,7 +185,6 @@ impl RetrievalManager {
                     PendingRetrieval {
                         waiting,
                         chunks: FastMap::default(),
-                        payload_len: FastMap::default(),
                         metered_datablock: None,
                         started_at: now,
                         last_query: None,
@@ -240,14 +204,13 @@ impl RetrievalManager {
     /// Called when the retrieval timer fires: returns the digests that need to be
     /// queried — never queried before, or still pending [`REQUERY_TIMEOUTS`] retrieval
     /// timeouts after the last query (the loss-recovery path) — and stamps them.
-    pub fn digests_to_query(&mut self, now: SimTime, retrieval_timeout: SimDuration) -> Vec<Digest> {
-        let requery_after = retrieval_timeout.saturating_mul(REQUERY_TIMEOUTS);
+    pub fn digests_to_query(&mut self, now: SimTime) -> Vec<Digest> {
         let mut digests: Vec<Digest> = self
             .pending
             .iter()
             .filter(|(_, p)| {
                 p.last_query
-                    .map_or(true, |at| now.saturating_since(at) >= requery_after)
+                    .is_none_or(|at| now.saturating_since(at) >= self.requery_after)
             })
             .map(|(d, _)| *d)
             .collect();
@@ -290,57 +253,36 @@ impl RetrievalManager {
         if executed.is_empty() {
             return;
         }
-        self.chunks_served.retain(|digest, _| !executed.contains(digest));
+        self.served.retain(|digest, _| !executed.contains(digest));
     }
 
-    /// The `(data_shards, total_shards)` code, constructed on first use.
-    fn code_for(
-        codes: &mut FastMap<(usize, usize), ReedSolomon>,
-        data_shards: usize,
-        total_shards: usize,
-    ) -> Option<&ReedSolomon> {
-        match codes.entry((data_shards, total_shards)) {
-            std::collections::hash_map::Entry::Occupied(entry) => Some(entry.into_mut()),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                let rs = ReedSolomon::new(data_shards, total_shards).ok()?;
-                Some(entry.insert(rs))
-            }
-        }
+    /// The `(f+1, n)` code, built on first use. Only real crypto asks for it, and
+    /// `LeopardConfig::validate` rejects real crypto above `ReedSolomon::MAX_SHARDS`.
+    fn code(code: &mut Option<ReedSolomon>, f: usize, n: usize) -> &ReedSolomon {
+        code.get_or_insert_with(|| {
+            ReedSolomon::new(f + 1, n).expect("real crypto runs at most MAX_SHARDS replicas")
+        })
     }
 
-    /// Responder-side: produces this responder's retrieval response for `datablock`,
-    /// through the crypto provider.
+    /// Responder-side: produces this replica's chunk of `datablock`, with the modeled
+    /// compute the responder spent on it, through the crypto provider.
     ///
     /// With real crypto the datablock is erasure-coded and Merkle-hashed (or the cached
     /// chunk reused), exactly as the stateless [`encode_response`] would. In metered
-    /// mode the expensive work is skipped: the response declares the byte sizes the
-    /// real chunk and proof would occupy and carries the datablock by reference. Both
-    /// modes charge the same modeled [`ComputeCost`]: the full encode on the first
-    /// response for a datablock, nothing on cache hits.
+    /// mode the expensive work is skipped: the chunk declares the byte sizes the real
+    /// chunk and proof would occupy and carries the datablock by reference. Both modes
+    /// charge the same modeled [`ComputeCost`]: the full encode on the first response
+    /// for a datablock, nothing on cache hits.
     pub fn encode_response(
         &mut self,
         datablock: &Arc<Datablock>,
-        responder: NodeId,
-        f: usize,
-        n: usize,
         provider: &CryptoProvider,
-    ) -> Option<RetrievalResponse> {
+    ) -> (RetrievalChunk, ComputeCost) {
         let digest = datablock.digest();
-        let cache_key = (responder, f + 1, n);
-        if let Some((cached_key, cached)) = self.chunks_served.get(&digest) {
-            if *cached_key == cache_key {
-                return Some(RetrievalResponse {
-                    root: cached.root,
-                    shard_index: cached.shard_index,
-                    payload: cached.payload.clone(),
-                    payload_len: cached.payload_len,
-                    cost: ComputeCost::ZERO,
-                });
-            }
+        if let Some(cached) = self.served.get(&digest) {
+            return (cached.clone(), ComputeCost::ZERO);
         }
-        if responder.as_index() >= n {
-            return None;
-        }
+        let (f, n, index) = (self.f, self.n, self.id.as_index());
         // Chunks derive from the *encoded* datablock bytes (synthetic payloads charge
         // their declared size on the wire but encode compactly — see
         // `Datablock::encoded_len`), matching the real encoder byte for byte.
@@ -348,74 +290,63 @@ impl RetrievalManager {
         let shard_len = encoded_len.div_ceil(f + 1).max(1);
         let cost = provider.model().erasure_encode(encoded_len, f + 1, n)
             + provider.model().merkle_tree(shard_len, n);
-        let serve = if provider.is_metered() {
-            CachedServe {
+        let chunk = if provider.is_metered() {
+            RetrievalChunk {
                 root: digest,
-                shard_index: responder.as_index() as u32,
+                shard_index: index as u32,
                 payload: RetrievalPayload::Metered {
                     chunk_len: shard_len as u32,
-                    proof_len: MerkleProof::wire_size_for(n, responder.as_index())? as u32,
+                    proof_len: MerkleProof::wire_size_for(n, index).expect("id < n") as u32,
                     datablock: Arc::clone(datablock),
                 },
                 payload_len: encoded_len as u64,
             }
         } else {
-            let rs = Self::code_for(&mut self.codes, f + 1, n)?;
-            let chunk = CachedEncoding::build(rs, datablock).chunk_for(responder)?;
-            CachedServe {
-                root: chunk.root,
-                shard_index: chunk.shard_index,
-                payload: RetrievalPayload::Real {
-                    chunk: chunk.chunk,
-                    proof: chunk.proof,
-                },
-                payload_len: chunk.payload_len,
-            }
+            real_chunk(Self::code(&mut self.code, f, n), datablock, index).expect("id < n")
         };
-        if self.chunks_served.len() >= ENCODING_CACHE_CAP {
-            self.chunks_served.clear();
+        if self.served.len() >= ENCODING_CACHE_CAP {
+            self.served.clear();
         }
-        let response = RetrievalResponse {
-            root: serve.root,
-            shard_index: serve.shard_index,
-            payload: serve.payload.clone(),
-            payload_len: serve.payload_len,
-            cost,
-        };
-        self.chunks_served.insert(digest, (cache_key, serve));
-        Some(response)
+        self.served.insert(digest, chunk.clone());
+        (chunk, cost)
     }
 
     /// Feeds a received chunk into the matching retrieval, returning the outcome plus
     /// the modeled compute the querier spent on it (proof verification per chunk, and
     /// the decode plus digest check when a quorum of chunks completes).
     ///
-    /// With real crypto the Merkle proof is verified, chunks are grouped by root, and a
-    /// decode is attempted once `f + 1` chunks under one root are available; the
-    /// decoded datablock must hash to the queried digest, otherwise the chunks under
-    /// that root are discarded (the root was forged). A metered chunk skips the real
-    /// verification and decode — responses are honest by construction in that mode —
-    /// but follows the same counting and charges the same modeled time.
-    #[allow(clippy::too_many_arguments)]
+    /// A chunk whose shard index is not one of the `n` replicas is ignored. With real
+    /// crypto the Merkle proof must be for that index and verify against the chunk's
+    /// root; chunks are grouped by root, and a decode is attempted once `f + 1` chunks
+    /// under one root are available, using the payload length the completing chunk
+    /// declares; the decoded datablock must hash to the queried digest, otherwise the
+    /// chunks under that root are discarded (the root was forged). A metered chunk
+    /// skips the real verification and decode — responses are honest by construction
+    /// in that mode — but follows the same counting and charges the same modeled time.
     pub fn add_chunk(
         &mut self,
         digest: Digest,
-        root: Digest,
-        shard_index: u32,
-        payload: RetrievalPayload,
-        payload_len: u64,
-        f: usize,
-        n: usize,
+        chunk: RetrievalChunk,
         now: SimTime,
         provider: &CryptoProvider,
     ) -> (ChunkOutcome, ComputeCost) {
+        let (f, n) = (self.f, self.n);
         let model = provider.model();
         let Some(pending) = self.pending.get_mut(&digest) else {
             return (ChunkOutcome::Ignored, ComputeCost::ZERO);
         };
+        let RetrievalChunk {
+            root,
+            shard_index,
+            payload,
+            payload_len,
+        } = chunk;
         let declared_len = payload.wire_len();
         let shard_len = payload_len.div_ceil(f as u64 + 1).max(1) as usize;
         let mut cost = model.merkle_verify(shard_len, n);
+        if shard_index as usize >= n {
+            return (ChunkOutcome::Ignored, cost);
+        }
         let chunk_bytes = match payload {
             RetrievalPayload::Real { chunk, proof } => {
                 if proof.leaf_index() != shard_index as usize || !proof.verify(root, &chunk) {
@@ -424,15 +355,11 @@ impl RetrievalManager {
                 chunk
             }
             RetrievalPayload::Metered { datablock, .. } => {
-                if shard_index as usize >= n {
-                    return (ChunkOutcome::Ignored, cost);
-                }
                 pending.metered_datablock = Some(datablock);
                 Vec::new()
             }
         };
         pending.received_bytes += declared_len as u64 + 64;
-        pending.payload_len.insert(root, payload_len);
         let chunks = pending.chunks.entry(root).or_default();
         chunks.insert(shard_index, chunk_bytes);
 
@@ -441,7 +368,7 @@ impl RetrievalManager {
         }
 
         // A quorum of chunks under one root: decode and check the digest.
-        let encoded_len = pending.payload_len.get(&root).copied().unwrap_or(0) as usize;
+        let encoded_len = payload_len as usize;
         cost += model.erasure_decode(encoded_len, f + 1) + model.hash(encoded_len);
         let datablock = if let Some(datablock) = pending.metered_datablock.clone() {
             if datablock.digest() != digest {
@@ -451,12 +378,9 @@ impl RetrievalManager {
             }
             datablock
         } else {
-            let Some(rs) = Self::code_for(&mut self.codes, f + 1, n) else {
-                return (ChunkOutcome::Ignored, cost);
-            };
+            let rs = Self::code(&mut self.code, f, n);
             // Every exit from here on — recovery, a decode error, a digest mismatch —
             // is done with this root's chunks, so the decoder gets them by value.
-            let pending = self.pending.get_mut(&digest).expect("checked above");
             let chunks = pending.chunks.remove(&root).expect("just inserted");
             let shards: Vec<(usize, Vec<u8>)> = chunks
                 .into_iter()
@@ -494,21 +418,34 @@ mod tests {
     use super::*;
     use leopard_crypto::provider::{CryptoCostModel, CryptoMode};
     use leopard_crypto::threshold::ThresholdScheme;
-    use leopard_types::{ClientId, Request};
+    use leopard_types::{calibrated_crypto_costs, ClientId, Request};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn provider(mode: CryptoMode) -> CryptoProvider {
+    fn provider_with(mode: CryptoMode, model: CryptoCostModel) -> CryptoProvider {
         let mut rng = StdRng::seed_from_u64(5);
         let (scheme, _) = ThresholdScheme::trusted_setup(3, 4, &mut rng);
-        CryptoProvider::new(scheme, mode, CryptoCostModel::free())
+        CryptoProvider::new(scheme, mode, model)
     }
 
-    /// Adapts a stateless [`ResponseChunk`] into the payload `add_chunk` consumes.
-    fn real_payload(r: &ResponseChunk) -> RetrievalPayload {
-        RetrievalPayload::Real {
-            chunk: r.chunk.clone(),
-            proof: r.proof.clone(),
+    fn provider(mode: CryptoMode) -> CryptoProvider {
+        provider_with(mode, CryptoCostModel::free())
+    }
+
+    /// A provider that charges the calibrated costs, so a charge can be told from none.
+    fn charging_provider(mode: CryptoMode) -> CryptoProvider {
+        provider_with(mode, calibrated_crypto_costs())
+    }
+
+    fn manager(id: u32, f: usize, n: usize) -> RetrievalManager {
+        RetrievalManager::new(NodeId(id), f, n, SimDuration::from_millis(100))
+    }
+
+    /// The chunk bytes and Merkle proof of a real-crypto chunk.
+    fn real_parts(chunk: &RetrievalChunk) -> (&[u8], &MerkleProof) {
+        match &chunk.payload {
+            RetrievalPayload::Real { chunk, proof } => (chunk, proof),
+            other => panic!("expected a real payload, got {other:?}"),
         }
     }
 
@@ -527,9 +464,10 @@ mod tests {
         let db = sample_datablock(50);
         let (f, n) = (1, 4);
         for responder in 0..n as u32 {
-            let chunk = encode_response(&db, NodeId(responder), f, n).unwrap();
-            assert_eq!(chunk.shard_index, responder);
-            assert!(chunk.proof.verify(chunk.root, &chunk.chunk));
+            let response = encode_response(&db, NodeId(responder), f, n).unwrap();
+            assert_eq!(response.shard_index, responder);
+            let (chunk, proof) = real_parts(&response);
+            assert!(proof.verify(response.root, chunk));
         }
         assert!(encode_response(&db, NodeId(99), f, n).is_none());
     }
@@ -540,28 +478,62 @@ mod tests {
         let other = Arc::new(sample_datablock(33));
         let (f, n) = (1, 4);
         let provider = provider(CryptoMode::Real);
-        let mut manager = RetrievalManager::new();
-        // Serve several queriers and a second datablock: every cached chunk must be
-        // byte-identical to the stateless reference path.
-        for datablock in [&db, &other] {
-            for responder in 0..n as u32 {
-                let cached = manager
-                    .encode_response(datablock, NodeId(responder), f, n, &provider)
-                    .unwrap();
+        // Every replica serves two datablocks twice (the second time from its cache):
+        // every chunk must be byte-identical to the stateless reference path.
+        for responder in 0..n as u32 {
+            let mut manager = manager(responder, f, n);
+            for datablock in [&db, &other, &db, &other] {
+                let (cached, _) = manager.encode_response(datablock, &provider);
                 let fresh = encode_response(datablock, NodeId(responder), f, n).unwrap();
                 assert_eq!(cached.root, fresh.root);
                 assert_eq!(cached.shard_index, fresh.shard_index);
                 assert_eq!(cached.payload_len, fresh.payload_len);
-                match &cached.payload {
-                    RetrievalPayload::Real { chunk, proof } => {
-                        assert_eq!(*chunk, fresh.chunk);
-                        assert!(proof.verify(cached.root, chunk));
-                    }
-                    other => panic!("real provider produced {other:?}"),
-                }
+                let (chunk, proof) = real_parts(&cached);
+                assert_eq!(chunk, real_parts(&fresh).0);
+                assert!(proof.verify(cached.root, chunk));
             }
         }
-        assert!(manager.encode_response(&db, NodeId(99), f, n, &provider).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not one of the 4 replicas")]
+    fn manager_rejects_a_replica_outside_the_committee() {
+        manager(4, 1, 4);
+    }
+
+    /// The responder's charge mirrors its cache, identically in both crypto modes: the
+    /// first response for a datablock pays the encode and the Merkle tree, a repeat pays
+    /// nothing, and once `prune` or the cap's clear-all dropped the entry the next
+    /// response pays again.
+    #[test]
+    fn responder_charges_encode_once_per_cached_datablock_in_both_modes() {
+        let (f, n) = (1, 4);
+        let db = Arc::new(sample_datablock(50));
+        let charges = |mode: CryptoMode| -> Vec<ComputeCost> {
+            let provider = charging_provider(mode);
+            let mut manager = manager(1, f, n);
+            let mut charges = Vec::new();
+            charges.push(manager.encode_response(&db, &provider).1);
+            charges.push(manager.encode_response(&db, &provider).1);
+            manager.prune([db.digest()]);
+            charges.push(manager.encode_response(&db, &provider).1);
+            // `db` plus 511 others fill the cache; the 512th other clears it first.
+            for counter in 0..ENCODING_CACHE_CAP as u64 {
+                let request = Request::new_synthetic(ClientId(1), 0, 8);
+                let other = Arc::new(Datablock::new(NodeId(2), 100 + counter, vec![request]));
+                manager.encode_response(&other, &provider);
+            }
+            charges.push(manager.encode_response(&db, &provider).1);
+            charges
+        };
+        let model = calibrated_crypto_costs();
+        let encoded_len = db.encoded_len();
+        let full = model.erasure_encode(encoded_len, f + 1, n)
+            + model.merkle_tree(encoded_len.div_ceil(f + 1), n);
+        assert!(!full.is_zero());
+        let expected = vec![full, ComputeCost::ZERO, full, full];
+        assert_eq!(charges(CryptoMode::Real), expected);
+        assert_eq!(charges(CryptoMode::Metered), expected);
     }
 
     /// A metered response declares exactly the wire bytes the real response occupies,
@@ -571,17 +543,16 @@ mod tests {
         for (requests, f, n) in [(50usize, 1usize, 4usize), (200, 10, 31), (64, 5, 16)] {
             let db = Arc::new(sample_datablock(requests));
             let metered = provider(CryptoMode::Metered);
-            let mut manager = RetrievalManager::new();
             for responder in 0..n as u32 {
-                let m = manager
-                    .encode_response(&db, NodeId(responder), f, n, &metered)
-                    .unwrap();
+                let (m, _) = manager(responder, f, n).encode_response(&db, &metered);
                 let real = encode_response(&db, NodeId(responder), f, n).unwrap();
+                let (chunk, proof) = real_parts(&real);
                 assert_eq!(
                     m.payload.wire_len(),
-                    real.chunk.len() + real.proof.wire_size(),
+                    chunk.len() + proof.wire_size(),
                     "requests={requests} f={f} n={n} responder={responder}"
                 );
+                assert_eq!((m.root, m.shard_index), (db.digest(), responder));
                 assert_eq!(m.payload_len, real.payload_len);
                 match m.payload {
                     RetrievalPayload::Metered { datablock, .. } => {
@@ -603,32 +574,18 @@ mod tests {
         let metered = provider(CryptoMode::Metered);
 
         let run = |use_metered: bool| -> (ChunkOutcome, u64) {
-            let mut manager = RetrievalManager::new();
-            manager.note_missing(digest, SeqNum(3), SimTime(1_000));
+            let mut querier = manager(0, f, n);
+            querier.note_missing(digest, SeqNum(3), SimTime(1_000));
             let mut outcome = ChunkOutcome::Stored;
-            for responder in [NodeId(1), NodeId(3)] {
-                let (root, shard_index, payload, payload_len) = if use_metered {
-                    let mut side = RetrievalManager::new();
-                    let r = side
-                        .encode_response(&db, responder, f, n, &metered)
-                        .unwrap();
-                    (r.root, r.shard_index, r.payload, r.payload_len)
+            for responder in [1, 3] {
+                let chunk = if use_metered {
+                    manager(responder, f, n).encode_response(&db, &metered).0
                 } else {
-                    let r = encode_response(&db, responder, f, n).unwrap();
-                    (r.root, r.shard_index, real_payload(&r), r.payload_len)
+                    encode_response(&db, NodeId(responder), f, n).unwrap()
                 };
-                let (o, _) = manager.add_chunk(
-                    digest,
-                    root,
-                    shard_index,
-                    payload,
-                    payload_len,
-                    f,
-                    n,
-                    SimTime(5_000_000),
-                    &metered,
-                );
-                outcome = o;
+                outcome = querier
+                    .add_chunk(digest, chunk, SimTime(5_000_000), &metered)
+                    .0;
             }
             let bytes = match &outcome {
                 ChunkOutcome::Recovered { received_bytes, .. } => *received_bytes,
@@ -650,31 +607,21 @@ mod tests {
         let db = sample_datablock(40);
         let digest = db.digest();
         let (f, n) = (1, 4);
-        let mut manager = RetrievalManager::new();
+        let mut manager = manager(0, f, n);
 
-        let timeout = SimDuration::from_millis(100);
         assert!(manager.note_missing(digest, SeqNum(3), SimTime(1_000)));
         assert!(!manager.note_missing(digest, SeqNum(4), SimTime(2_000)));
-        assert_eq!(manager.digests_to_query(SimTime(3_000), timeout), vec![digest]);
+        assert_eq!(manager.digests_to_query(SimTime(3_000)), vec![digest]);
         // Subsequent fires inside the re-query window do not re-query.
-        assert!(manager.digests_to_query(SimTime(100_003_000), timeout).is_empty());
+        assert!(manager.digests_to_query(SimTime(100_003_000)).is_empty());
 
         let provider = provider(CryptoMode::Real);
         let mut outcome = ChunkOutcome::Stored;
         for responder in [NodeId(1), NodeId(3)] {
-            let r = encode_response(&db, responder, f, n).unwrap();
-            let (o, _) = manager.add_chunk(
-                digest,
-                r.root,
-                r.shard_index,
-                real_payload(&r),
-                r.payload_len,
-                f,
-                n,
-                SimTime(5_000_000),
-                &provider,
-            );
-            outcome = o;
+            let chunk = encode_response(&db, responder, f, n).unwrap();
+            outcome = manager
+                .add_chunk(digest, chunk, SimTime(5_000_000), &provider)
+                .0;
         }
         match outcome {
             ChunkOutcome::Recovered {
@@ -694,44 +641,63 @@ mod tests {
         assert!(!manager.is_pending(&digest));
     }
 
+    /// Chunks come from other replicas, so `add_chunk` must ignore malformed ones —
+    /// a tampered chunk, a proof for another shard than the one claimed, a shard index
+    /// outside the committee (real, with a proof that verifies on its own, or metered),
+    /// a chunk for a datablock nobody asked for — under either crypto mode, and charge
+    /// the same for them in both.
     #[test]
     fn invalid_chunks_are_ignored() {
-        let db = sample_datablock(10);
+        let db = Arc::new(sample_datablock(10));
         let digest = db.digest();
         let (f, n) = (1, 4);
-        let mut manager = RetrievalManager::new();
-        manager.note_missing(digest, SeqNum(1), SimTime(0));
-
-        let provider = provider(CryptoMode::Real);
-        let r = encode_response(&db, NodeId(1), f, n).unwrap();
-        // Tampered chunk fails the Merkle proof.
-        let mut tampered = r.chunk.clone();
-        tampered[0] ^= 0xff;
-        let tampered_payload = RetrievalPayload::Real {
-            chunk: tampered,
-            proof: r.proof.clone(),
+        let response = encode_response(&db, NodeId(1), f, n).unwrap();
+        let (chunk, proof) = real_parts(&response);
+        let with_payload = |shard_index: u32, chunk: Vec<u8>| RetrievalChunk {
+            shard_index,
+            payload: RetrievalPayload::Real {
+                chunk,
+                proof: proof.clone(),
+            },
+            ..response.clone()
         };
-        assert_eq!(
-            manager
-                .add_chunk(digest, r.root, r.shard_index, tampered_payload, r.payload_len, f, n, SimTime(1), &provider)
-                .0,
-            ChunkOutcome::Ignored
-        );
-        // Chunk for an unknown digest is ignored.
-        let other_digest = sample_datablock(11).digest();
-        assert_eq!(
-            manager
-                .add_chunk(other_digest, r.root, r.shard_index, real_payload(&r), r.payload_len, f, n, SimTime(1), &provider)
-                .0,
-            ChunkOutcome::Ignored
-        );
-        // The original chunk still works.
-        assert_eq!(
-            manager
-                .add_chunk(digest, r.root, r.shard_index, real_payload(&r), r.payload_len, f, n, SimTime(1), &provider)
-                .0,
-            ChunkOutcome::Stored
-        );
+        let mut tampered = chunk.to_vec();
+        tampered[0] ^= 0xff;
+        // Leaf 6 of an 8-chunk coding: its proof verifies against its own root.
+        let outside = encode_response(&db, NodeId(6), f, 8).unwrap();
+        let metered_outside = RetrievalChunk {
+            shard_index: n as u32,
+            ..manager(3, f, n)
+                .encode_response(&db, &provider(CryptoMode::Metered))
+                .0
+        };
+        let malformed = [
+            with_payload(1, tampered),
+            with_payload(2, chunk.to_vec()),
+            outside,
+            metered_outside,
+        ];
+        let charges = |mode: CryptoMode| -> Vec<ComputeCost> {
+            let provider = charging_provider(mode);
+            let mut manager = manager(0, f, n);
+            manager.note_missing(digest, SeqNum(1), SimTime(0));
+            let mut charges = Vec::new();
+            for bad in malformed.clone() {
+                let (outcome, cost) = manager.add_chunk(digest, bad, SimTime(1), &provider);
+                assert_eq!(outcome, ChunkOutcome::Ignored, "{mode:?}");
+                charges.push(cost);
+            }
+            // A chunk for an unknown digest is ignored.
+            let other_digest = sample_datablock(11).digest();
+            let (outcome, _) =
+                manager.add_chunk(other_digest, response.clone(), SimTime(1), &provider);
+            assert_eq!(outcome, ChunkOutcome::Ignored);
+            // The original chunk still works.
+            let (outcome, _) = manager.add_chunk(digest, response.clone(), SimTime(1), &provider);
+            assert_eq!(outcome, ChunkOutcome::Stored);
+            charges
+        };
+        assert_eq!(charges(CryptoMode::Real), charges(CryptoMode::Metered));
     }
 
     #[test]
@@ -742,46 +708,22 @@ mod tests {
         let fake = sample_datablock(12);
         let digest = real.digest();
         let (f, n) = (1, 4);
-        let mut manager = RetrievalManager::new();
+        let mut manager = manager(0, f, n);
         manager.note_missing(digest, SeqNum(1), SimTime(0));
 
         let provider = provider(CryptoMode::Real);
         let mut last = ChunkOutcome::Stored;
         for responder in [NodeId(0), NodeId(2)] {
-            let r = encode_response(&fake, responder, f, n).unwrap();
-            last = manager
-                .add_chunk(
-                    digest,
-                    r.root,
-                    r.shard_index,
-                    real_payload(&r),
-                    r.payload_len,
-                    f,
-                    n,
-                    SimTime(1),
-                    &provider,
-                )
-                .0;
+            let chunk = encode_response(&fake, responder, f, n).unwrap();
+            last = manager.add_chunk(digest, chunk, SimTime(1), &provider).0;
         }
         assert_eq!(last, ChunkOutcome::Ignored);
         // The retrieval is still pending: honest chunks can still recover it.
         assert!(manager.is_pending(&digest));
         let mut outcome = ChunkOutcome::Stored;
         for responder in [NodeId(1), NodeId(3)] {
-            let r = encode_response(&real, responder, f, n).unwrap();
-            outcome = manager
-                .add_chunk(
-                    digest,
-                    r.root,
-                    r.shard_index,
-                    real_payload(&r),
-                    r.payload_len,
-                    f,
-                    n,
-                    SimTime(2),
-                    &provider,
-                )
-                .0;
+            let chunk = encode_response(&real, responder, f, n).unwrap();
+            outcome = manager.add_chunk(digest, chunk, SimTime(2), &provider).0;
         }
         assert!(matches!(outcome, ChunkOutcome::Recovered { .. }));
     }
@@ -790,7 +732,7 @@ mod tests {
     fn cancel_returns_waiting_sequences() {
         let db = sample_datablock(5);
         let digest = db.digest();
-        let mut manager = RetrievalManager::new();
+        let mut manager = manager(0, 1, 4);
         manager.note_missing(digest, SeqNum(7), SimTime(0));
         manager.note_missing(digest, SeqNum(9), SimTime(0));
         let mut waiting = manager.cancel(&digest);
@@ -807,19 +749,19 @@ mod tests {
         let digest = sample_datablock(5).digest();
         let timeout = SimDuration::from_millis(100);
         let requery = timeout.saturating_mul(REQUERY_TIMEOUTS);
-        let mut manager = RetrievalManager::new();
+        let mut manager = RetrievalManager::new(NodeId(0), 1, 4, timeout);
         manager.note_missing(digest, SeqNum(1), SimTime(0));
         let first = SimTime(0) + timeout;
-        assert_eq!(manager.digests_to_query(first, timeout), vec![digest]);
+        assert_eq!(manager.digests_to_query(first), vec![digest]);
         // Still pending just before the re-query interval elapses: nothing.
         let early = SimTime(0) + timeout + timeout.saturating_mul(REQUERY_TIMEOUTS - 1);
-        assert!(manager.digests_to_query(early, timeout).is_empty());
+        assert!(manager.digests_to_query(early).is_empty());
         // One interval after the lost query: queried again.
         let late = first + requery;
-        assert_eq!(manager.digests_to_query(late, timeout), vec![digest]);
+        assert_eq!(manager.digests_to_query(late), vec![digest]);
         // Cancellation (the datablock arrived) ends the cycle.
         manager.cancel(&digest);
-        assert!(manager.digests_to_query(late + requery, timeout).is_empty());
+        assert!(manager.digests_to_query(late + requery).is_empty());
     }
 
     /// Byte-level golden, **captured at the commit before the hardware kernels landed**
@@ -928,9 +870,10 @@ mod tests {
         );
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
         let r = encode_response(&db, NodeId(31), 10, 32).unwrap();
+        let (chunk, proof) = real_parts(&r);
         assert_eq!(r.payload_len, 34_016);
         assert_eq!(r.root.to_hex(), GOLDEN_ROOT);
-        assert_eq!(hex(&r.chunk), GOLDEN_SHARD_31);
+        assert_eq!(hex(chunk), GOLDEN_SHARD_31);
 
         // `MerkleProof` keeps its siblings private, so the proof bytes are pinned from
         // outside: sibling k of the last leaf is the root of the perfect subtree over
@@ -939,17 +882,17 @@ mod tests {
         let shards = ReedSolomon::new(11, 32)
             .unwrap()
             .encode_payload(&db.encode_to_vec());
-        assert_eq!(shards[31], r.chunk);
+        assert_eq!(shards[31], chunk);
         for (k, golden) in GOLDEN_PROOF_31.iter().enumerate() {
             let (lo, hi) = (32 - (2 << k), 32 - (1 << k));
             let subtree = MerkleTree::from_leaves(shards[lo..hi].iter().map(|s| s.as_slice()));
             assert_eq!(subtree.root().to_hex(), *golden, "sibling {k}");
         }
         assert_eq!(
-            (r.proof.leaf_index(), r.proof.len()),
+            (proof.leaf_index(), proof.len()),
             (31, GOLDEN_PROOF_31.len())
         );
-        assert!(r.proof.verify(r.root, &r.chunk));
+        assert!(proof.verify(r.root, chunk));
     }
 
     #[test]
@@ -960,7 +903,7 @@ mod tests {
         let db = sample_datablock(requests);
         let digest = db.digest();
         let (f, n) = (42usize, 128usize);
-        let mut manager = RetrievalManager::new();
+        let mut manager = manager(0, f, n);
         manager.note_missing(digest, SeqNum(1), SimTime(0));
 
         let provider = provider(CryptoMode::Real);
@@ -968,21 +911,9 @@ mod tests {
         let mut outcome = ChunkOutcome::Stored;
         let mut per_responder_bytes = 0usize;
         for responder in 0..=f as u32 {
-            let r = encode_response(&db, NodeId(responder), f, n).unwrap();
-            per_responder_bytes = r.chunk.len();
-            outcome = manager
-                .add_chunk(
-                    digest,
-                    r.root,
-                    r.shard_index,
-                    real_payload(&r),
-                    r.payload_len,
-                    f,
-                    n,
-                    SimTime(1),
-                    &provider,
-                )
-                .0;
+            let chunk = encode_response(&db, NodeId(responder), f, n).unwrap();
+            per_responder_bytes = real_parts(&chunk).0.len();
+            outcome = manager.add_chunk(digest, chunk, SimTime(1), &provider).0;
         }
         assert!(matches!(outcome, ChunkOutcome::Recovered { .. }));
         // Each responder ships ~1/(f+1) of the datablock.

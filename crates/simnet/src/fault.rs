@@ -220,10 +220,10 @@ impl FaultPlan {
         self
     }
 
-    /// The selective attack of the paper: every faulty replica (the first `f` non-leader
-    /// replicas by convention of the experiments) sends messages of the given category
-    /// only to the `keep` lowest-numbered replicas (which include the leader), and drops
-    /// that category entirely when it is inbound from honest replicas.
+    /// The selective attack of the paper: every faulty replica (the experiments pick the
+    /// highest-numbered non-leader replicas) sends messages of the given category only
+    /// to the `keep` lowest-numbered replicas (which include the leader), and drops that
+    /// category entirely when it is inbound from honest replicas.
     pub fn selective_attack(
         faulty: Vec<NodeId>,
         category: &'static str,

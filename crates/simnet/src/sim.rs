@@ -165,12 +165,11 @@ impl Ord for QueuedEvent {
 enum Outgoing<M> {
     /// A single-recipient send.
     Unicast(NodeId, M),
-    /// A send to every other node; the engine expands it with `wire_size()` and
-    /// `category()` computed once for the whole fan-out.
-    Multicast(M),
-    /// A send to every node including the sender; the self-delivery shares the same
-    /// `Arc` envelope as the fan-out, so no extra clone of the message is made.
-    Broadcast(M),
+    /// A send to every other node (`multicast`), and with `to_self` also to the sender
+    /// (`broadcast`). The engine expands it with `wire_size()` and `category()` computed
+    /// once for the whole fan-out; the self-delivery shares the same `Arc` envelope, so
+    /// no extra clone of the message is made.
+    Fanout { message: M, to_self: bool },
 }
 
 /// Actions a protocol requested during one callback, applied by the engine afterwards.
@@ -244,14 +243,20 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
     fn multicast(&mut self, message: M) {
         // Fast path: defer the fan-out to the engine, which charges the paper's
         // `n − 1`-unicast cost model while computing the wire size only once.
-        self.actions.sends.push(Outgoing::Multicast(message));
+        self.actions.sends.push(Outgoing::Fanout {
+            message,
+            to_self: false,
+        });
     }
 
     fn broadcast(&mut self, message: M) {
         // Fast path: one envelope for the whole fan-out *and* the self-delivery —
         // `multicast(m.clone()) + send(self, m)` would clone the message once more
         // just to hand it back to the sender.
-        self.actions.sends.push(Outgoing::Broadcast(message));
+        self.actions.sends.push(Outgoing::Fanout {
+            message,
+            to_self: true,
+        });
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
@@ -874,13 +879,15 @@ impl<P: Protocol> Simulation<P> {
                     self.route(node, to, fanout, size, category, at, uplink_tx);
                     self.fanouts.release_if_unused(fanout);
                 }
-                Outgoing::Multicast(message) => {
+                Outgoing::Fanout { message, to_self } => {
                     // Compute the per-message costs (wire size, category, uplink
                     // serialisation time) once for the whole fan-out, then charge each
                     // recipient exactly as `n − 1` unicasts would (same recipient
                     // order, same RNG draws, same event sequence numbers). The whole
                     // fan-out shares one interned table slot; copies dropped at route
-                    // time simply never take a reference to it.
+                    // time simply never take a reference to it. A broadcast's local
+                    // self-delivery is routed last, exactly where the old explicit
+                    // `multicast + send(self)` pair put it.
                     let size = message.wire_size();
                     let category = message.category();
                     let uplink_tx = self.uplink_transmission(node, size);
@@ -891,23 +898,9 @@ impl<P: Protocol> Simulation<P> {
                             self.route(node, peer, fanout, size, category, at, uplink_tx);
                         }
                     }
-                    self.fanouts.release_if_unused(fanout);
-                }
-                Outgoing::Broadcast(message) => {
-                    // Like Multicast, plus a local self-delivery that shares the same
-                    // interned slot (ordered last, exactly where the old explicit
-                    // `multicast + send(self)` pair put it).
-                    let size = message.wire_size();
-                    let category = message.category();
-                    let uplink_tx = self.uplink_transmission(node, size);
-                    let fanout = self.fanouts.intern(node, Arc::new(message));
-                    for index in 0..self.config.nodes {
-                        let peer = NodeId(index as u32);
-                        if peer != node {
-                            self.route(node, peer, fanout, size, category, at, uplink_tx);
-                        }
+                    if to_self {
+                        self.route(node, node, fanout, size, category, at, uplink_tx);
                     }
-                    self.route(node, node, fanout, size, category, at, uplink_tx);
                     self.fanouts.release_if_unused(fanout);
                 }
             }

@@ -2,15 +2,14 @@
 //! cost model (§V-B), plus the calibrated per-operation compute costs of the
 //! compute-resource model.
 
-use crate::wire::WireSize;
 use leopard_crypto::provider::CryptoCostModel;
 
 /// Which per-operation compute-cost calibration a run charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostModelKind {
-    /// Charge the timings measured from this repository's real in-process
-    /// implementations ([`calibrated_crypto_costs`]). The default: crypto work is
-    /// charged at exactly the rate the simulator would spend executing it.
+    /// Charge the timings once measured from this repository's scalar in-process
+    /// implementations ([`calibrated_crypto_costs`]). The default; the constants are
+    /// fixed, so simulated time does not depend on the host's kernels.
     #[default]
     Calibrated,
     /// Charge published BLS12-381 threshold-signature timings
@@ -30,9 +29,10 @@ impl CostModelKind {
     }
 }
 
-/// Per-operation compute costs measured from the repository's own implementations with
-/// `cargo run --release --example calibrate_costs` (single-core container, see
-/// `DESIGN.md` §6.3 for the methodology and the raw probe output):
+/// Per-operation compute costs measured from the repository's own scalar
+/// implementations with `cargo run --release --example calibrate_costs` (single-core
+/// container, before the SHA-NI / AVX2 kernels existed; see `DESIGN.md` §6.3 for the
+/// methodology and the raw probe output):
 ///
 /// | primitive | measured |
 /// |-----------|----------|
@@ -43,10 +43,12 @@ impl CostModelKind {
 /// | warm `combine` (cached Lagrange set) | ≈ 10 ns/share |
 /// | Merkle tree | ≈ hash(leaf) + ≈ 1.4 µs/leaf overhead |
 ///
-/// Charging these makes a [`crate::ProtocolParams`]-driven simulation's *virtual* CPU
-/// time equal to the real CPU time the crypto would cost in-process, so a
-/// `MeteredCrypto` run (which skips the real work) follows the same schedule as a real
-/// run.
+/// The constants are those measurements, kept fixed: a [`crate::ProtocolParams`]-driven
+/// simulation's *virtual* CPU time does not depend on the host, and a `MeteredCrypto`
+/// run (which skips the real work) follows the same schedule as a real run. They no
+/// longer equal what the in-process crypto costs: on a SHA-NI + AVX2 host the hardware
+/// kernels hash at ≈ 1,280 MB/s (≈ 0.8 ns/byte) against the 4.5 ns/byte charged, and
+/// SHA-256, Merkle and erasure coding all run 6–10× faster than charged.
 pub fn calibrated_crypto_costs() -> CryptoCostModel {
     CryptoCostModel {
         sign_share_nanos: 4,
@@ -236,12 +238,6 @@ impl ProtocolParams {
 impl Default for ProtocolParams {
     fn default() -> Self {
         Self::paper_defaults(4)
-    }
-}
-
-impl WireSize for ProtocolParams {
-    fn wire_size(&self) -> usize {
-        8 * 8
     }
 }
 
