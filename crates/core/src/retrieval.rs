@@ -6,8 +6,15 @@
 //! coding, the Merkle proof of that chunk and the root over all `n` chunks. The same
 //! value is what the responder caches, what `QueryResponse` carries and what the
 //! querier's decoder consumes. The querier validates chunks individually and decodes
-//! as soon as `f+1` chunks under the same root are available, then checks that the
-//! decoded datablock really hashes to the queried digest.
+//! as soon as `f+1` chunks under the same root and payload length are available,
+//! then checks that the decoded bytes really hash to the queried digest.
+//!
+//! The root commits to all `n` shards, so every responder needs the same Merkle tree;
+//! only its own shard and proof differ. The tree is therefore cached on the datablock
+//! copy next to its digest ([`Datablock::shard_tree`]): the first replica to serve a
+//! copy runs the full encode and builds the tree, every other holder of the same
+//! `Arc<Datablock>` reuses it and computes just its own shard
+//! ([`ReedSolomon::encode_shard`]).
 //!
 //! A replica's [`RetrievalManager`] holds both sides and is built with what never
 //! changes for the replica: its id (the shard it serves), `f`, `n` and the retrieval
@@ -27,7 +34,7 @@ use leopard_crypto::provider::{ComputeCost, CryptoProvider};
 use leopard_crypto::{Digest, MerkleProof, MerkleTree};
 use leopard_erasure::ReedSolomon;
 use leopard_simnet::{SimDuration, SimTime};
-use leopard_types::{Datablock, Decode, Encode, FastMap, FastSet, NodeId, SeqNum};
+use leopard_types::{Datablock, Encode, FastMap, FastSet, NodeId, SeqNum};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -37,9 +44,11 @@ use std::sync::Arc;
 /// Returns `None` if the erasure-code parameters are invalid (cannot happen for
 /// `n = 3f + 1 ≥ 4`) or the responder index is out of range.
 ///
-/// This is the stateless reference path; replicas answer queries through
-/// [`RetrievalManager::encode_response`], which keeps the `(f+1, n)` code and the
-/// served chunk per datablock across queriers and produces identical chunks.
+/// This is the stateless reference path: a fresh code, the full encode and a fresh
+/// tree on every call, never reading or filling the datablock's shard-tree cell.
+/// Replicas answer queries through [`RetrievalManager::encode_response`], which shares
+/// the tree per datablock copy, computes only its own shard and produces identical
+/// chunks.
 pub fn encode_response(
     datablock: &Datablock,
     responder: NodeId,
@@ -47,24 +56,29 @@ pub fn encode_response(
     n: usize,
 ) -> Option<RetrievalChunk> {
     let rs = ReedSolomon::new(f + 1, n).ok()?;
-    real_chunk(&rs, datablock, responder.as_index())
+    let index = responder.as_index();
+    let encoded = datablock.encode_to_vec();
+    let shards = rs.encode_payload(&encoded);
+    let tree = MerkleTree::from_leaves(shards.iter().map(Vec::as_slice));
+    real_chunk(&tree, index, shards.get(index)?.clone(), encoded.len())
 }
 
-/// Encodes `datablock` with `rs`, builds the Merkle tree over all shards and returns
-/// shard `index` with its proof.
-fn real_chunk(rs: &ReedSolomon, datablock: &Datablock, index: usize) -> Option<RetrievalChunk> {
-    let encoded = datablock.encode_to_vec();
-    let mut shards = rs.encode_payload(&encoded);
-    let tree = MerkleTree::from_leaves(shards.iter().map(|s| s.as_slice()));
-    let proof = tree.prove(index)?;
+/// Shard `index` of a datablock whose encoding is `payload_len` bytes long, with its
+/// proof under `tree`, the Merkle tree over all shards.
+fn real_chunk(
+    tree: &MerkleTree,
+    index: usize,
+    chunk: Vec<u8>,
+    payload_len: usize,
+) -> Option<RetrievalChunk> {
     Some(RetrievalChunk {
         root: tree.root(),
         shard_index: index as u32,
         payload: RetrievalPayload::Real {
-            chunk: shards.swap_remove(index),
-            proof,
+            proof: tree.prove(index)?,
+            chunk,
         },
-        payload_len: encoded.len() as u64,
+        payload_len: payload_len as u64,
     })
 }
 
@@ -73,8 +87,9 @@ fn real_chunk(rs: &ReedSolomon, datablock: &Datablock, index: usize) -> Option<R
 struct PendingRetrieval {
     /// Serial numbers of BFTblocks waiting for this datablock.
     waiting: FastSet<SeqNum>,
-    /// Valid chunks collected so far, grouped by Merkle root.
-    chunks: FastMap<Digest, BTreeMap<u32, Vec<u8>>>,
+    /// Valid chunks collected so far, grouped by Merkle root and declared payload
+    /// length (the length is not covered by the proof).
+    chunks: FastMap<(Digest, u64), BTreeMap<u32, Vec<u8>>>,
     /// The datablock itself, carried by reference in metered responses.
     metered_datablock: Option<Arc<Datablock>>,
     /// When the datablock was first discovered missing.
@@ -107,10 +122,10 @@ pub struct RetrievalManager {
     /// decode, so the Vandermonde construction happens once per replica. A metered run
     /// never builds it, which is what lets it run above `ReedSolomon::MAX_SHARDS`.
     code: Option<ReedSolomon>,
-    /// Responder-side chunks by datablock digest, so serving `k` queriers encodes and
-    /// Merkle-hashes the datablock once instead of `k` times (in metered mode, so the
-    /// *charged* encoding cost is paid once, mirroring the real cache). Only the chunk
-    /// actually served is retained (a replica always responds with its own shard).
+    /// Responder-side chunks by datablock digest, so serving `k` queriers builds the
+    /// chunk once and charges the modeled encode once instead of `k` times (in metered
+    /// mode too, mirroring the real cache). Only the chunk actually served is retained
+    /// (a replica always responds with its own shard).
     served: FastMap<Digest, RetrievalChunk>,
 }
 
@@ -267,12 +282,15 @@ impl RetrievalManager {
     /// Responder-side: produces this replica's chunk of `datablock`, with the modeled
     /// compute the responder spent on it, through the crypto provider.
     ///
-    /// With real crypto the datablock is erasure-coded and Merkle-hashed (or the cached
-    /// chunk reused), exactly as the stateless [`encode_response`] would. In metered
-    /// mode the expensive work is skipped: the chunk declares the byte sizes the real
-    /// chunk and proof would occupy and carries the datablock by reference. Both modes
-    /// charge the same modeled [`ComputeCost`]: the full encode on the first response
-    /// for a datablock, nothing on cache hits.
+    /// With real crypto the chunk is byte for byte what the stateless
+    /// [`encode_response`] returns, built from less host work: the Merkle tree over all
+    /// `n` shards comes from the datablock copy ([`Datablock::shard_tree`]), so the
+    /// full encode and the tree are computed once per copy for every replica holding
+    /// it, and this replica computes only its own shard and proof. In metered mode the
+    /// expensive work is skipped: the chunk declares the byte sizes the real chunk and
+    /// proof would occupy and carries the datablock by reference. Both modes charge the
+    /// same modeled [`ComputeCost`]: the full encode and tree on a replica's first
+    /// response for a datablock, nothing on cache hits.
     pub fn encode_response(
         &mut self,
         datablock: &Arc<Datablock>,
@@ -302,7 +320,13 @@ impl RetrievalManager {
                 payload_len: encoded_len as u64,
             }
         } else {
-            real_chunk(Self::code(&mut self.code, f, n), datablock, index).expect("id < n")
+            let rs = Self::code(&mut self.code, f, n);
+            let encoded = datablock.encode_to_vec();
+            let tree = datablock.shard_tree(f + 1, n, || {
+                MerkleTree::from_leaves(rs.encode_payload(&encoded).iter().map(Vec::as_slice))
+            });
+            let shard = rs.encode_shard(&encoded, index).expect("id < n");
+            real_chunk(tree, index, shard, encoded.len()).expect("id < n")
         };
         if self.served.len() >= ENCODING_CACHE_CAP {
             self.served.clear();
@@ -317,12 +341,13 @@ impl RetrievalManager {
     ///
     /// A chunk whose shard index is not one of the `n` replicas is ignored. With real
     /// crypto the Merkle proof must be for that index and verify against the chunk's
-    /// root; chunks are grouped by root, and a decode is attempted once `f + 1` chunks
-    /// under one root are available, using the payload length the completing chunk
-    /// declares; the decoded datablock must hash to the queried digest, otherwise the
-    /// chunks under that root are discarded (the root was forged). A metered chunk
-    /// skips the real verification and decode — responses are honest by construction
-    /// in that mode — but follows the same counting and charges the same modeled time.
+    /// root. Chunks are grouped by root and declared payload length — the proof does
+    /// not cover the length, so a responder lying about it only spoils its own group —
+    /// and a decode is attempted once a group holds `f + 1` chunks; the decoded bytes
+    /// must hash to the queried digest ([`Datablock::decode_hashed`]), otherwise the
+    /// group is discarded (the root was forged). A metered chunk skips the real
+    /// verification and decode — responses are honest by construction in that mode —
+    /// but follows the same counting and charges the same modeled time.
     pub fn add_chunk(
         &mut self,
         digest: Digest,
@@ -360,19 +385,20 @@ impl RetrievalManager {
             }
         };
         pending.received_bytes += declared_len as u64 + 64;
-        let chunks = pending.chunks.entry(root).or_default();
+        let group = (root, payload_len);
+        let chunks = pending.chunks.entry(group).or_default();
         chunks.insert(shard_index, chunk_bytes);
 
         if chunks.len() < f + 1 {
             return (ChunkOutcome::Stored, cost);
         }
 
-        // A quorum of chunks under one root: decode and check the digest.
+        // A quorum of chunks in one group: decode and check the digest.
         let encoded_len = payload_len as usize;
         cost += model.erasure_decode(encoded_len, f + 1) + model.hash(encoded_len);
         let datablock = if let Some(datablock) = pending.metered_datablock.clone() {
             if datablock.digest() != digest {
-                pending.chunks.remove(&root);
+                pending.chunks.remove(&group);
                 pending.metered_datablock = None;
                 return (ChunkOutcome::Ignored, cost);
             }
@@ -380,8 +406,8 @@ impl RetrievalManager {
         } else {
             let rs = Self::code(&mut self.code, f, n);
             // Every exit from here on — recovery, a decode error, a digest mismatch —
-            // is done with this root's chunks, so the decoder gets them by value.
-            let chunks = pending.chunks.remove(&root).expect("just inserted");
+            // is done with this group's chunks, so the decoder gets them by value.
+            let chunks = pending.chunks.remove(&group).expect("just inserted");
             let shards: Vec<(usize, Vec<u8>)> = chunks
                 .into_iter()
                 .take(f + 1)
@@ -390,13 +416,11 @@ impl RetrievalManager {
             let Ok(decoded) = rs.decode_payload(&shards, encoded_len) else {
                 return (ChunkOutcome::Ignored, cost);
             };
-            let Ok(datablock) = Datablock::decode_from_slice(&decoded) else {
+            // A digest mismatch means the responders in this group colluded on a
+            // different datablock.
+            let Ok(datablock) = Datablock::decode_hashed(&decoded, digest) else {
                 return (ChunkOutcome::Ignored, cost);
             };
-            if datablock.digest() != digest {
-                // The responders under this root colluded on a different datablock.
-                return (ChunkOutcome::Ignored, cost);
-            }
             Arc::new(datablock)
         };
 
@@ -474,25 +498,66 @@ mod tests {
 
     #[test]
     fn cached_manager_responses_match_stateless_encoding() {
-        let db = Arc::new(sample_datablock(50));
-        let other = Arc::new(sample_datablock(33));
-        let (f, n) = (1, 4);
         let provider = provider(CryptoMode::Real);
-        // Every replica serves two datablocks twice (the second time from its cache):
-        // every chunk must be byte-identical to the stateless reference path.
-        for responder in 0..n as u32 {
-            let mut manager = manager(responder, f, n);
-            for datablock in [&db, &other, &db, &other] {
-                let (cached, _) = manager.encode_response(datablock, &provider);
-                let fresh = encode_response(datablock, NodeId(responder), f, n).unwrap();
-                assert_eq!(cached.root, fresh.root);
-                assert_eq!(cached.shard_index, fresh.shard_index);
-                assert_eq!(cached.payload_len, fresh.payload_len);
-                let (chunk, proof) = real_parts(&cached);
-                assert_eq!(chunk, real_parts(&fresh).0);
-                assert!(proof.verify(cached.root, chunk));
+        for (f, n) in [(1, 4), (10, 32)] {
+            // One copy of each datablock shared by every replica, as the simulator
+            // shares them: the first server builds its shard tree for all the others.
+            let db = Arc::new(sample_datablock(50));
+            let other = Arc::new(sample_datablock(33));
+            // Every replica serves two datablocks twice (the second time from its
+            // cache): every chunk, data or parity, must be byte-identical to the
+            // stateless reference path.
+            for responder in 0..n as u32 {
+                let mut manager = manager(responder, f, n);
+                for datablock in [&db, &other, &db, &other] {
+                    let (cached, _) = manager.encode_response(datablock, &provider);
+                    let fresh = encode_response(datablock, NodeId(responder), f, n).unwrap();
+                    assert_eq!(cached.root, fresh.root);
+                    assert_eq!(cached.shard_index, fresh.shard_index);
+                    assert_eq!(cached.payload_len, fresh.payload_len);
+                    assert_eq!(real_parts(&cached), real_parts(&fresh), "f={f} n={n}");
+                    let (chunk, proof) = real_parts(&cached);
+                    assert!(proof.verify(cached.root, chunk));
+                }
             }
         }
+    }
+
+    /// Replicas holding one `Arc<Datablock>` share one shard tree: the first serve
+    /// builds it, the next reuses it. The stateless reference neither fills the cell
+    /// nor reads it.
+    #[test]
+    fn responders_sharing_a_datablock_copy_build_one_tree() {
+        let (f, n) = (10, 32);
+        let provider = provider(CryptoMode::Real);
+        let db = Arc::new(sample_datablock(50));
+        let reference = encode_response(&db, NodeId(3), f, n).unwrap();
+        let (first, _) = manager(3, f, n).encode_response(&db, &provider);
+        let tree: *const MerkleTree = db.shard_tree(f + 1, n, || unreachable!("built"));
+        let (second, _) = manager(7, f, n).encode_response(&db, &provider);
+        assert!(std::ptr::eq(
+            tree,
+            db.shard_tree(f + 1, n, || unreachable!("built"))
+        ));
+        assert_eq!(real_parts(&first), real_parts(&reference));
+        assert_eq!(second.root, reference.root);
+        assert_eq!(second.shard_index, 7);
+
+        // The stateless path leaves an empty cell empty...
+        let fresh = sample_datablock(50);
+        encode_response(&fresh, NodeId(3), f, n).unwrap();
+        let mut built = false;
+        fresh.shard_tree(f + 1, n, || {
+            built = true;
+            MerkleTree::from_leaves([b"decoy".as_slice()])
+        });
+        assert!(built);
+        // ... and ignores a filled one (here with a decoy tree).
+        let again = encode_response(&fresh, NodeId(3), f, n).unwrap();
+        assert_eq!(
+            (again.root, real_parts(&again)),
+            (reference.root, real_parts(&reference))
+        );
     }
 
     #[test]
@@ -644,8 +709,8 @@ mod tests {
     /// Chunks come from other replicas, so `add_chunk` must ignore malformed ones —
     /// a tampered chunk, a proof for another shard than the one claimed, a shard index
     /// outside the committee (real, with a proof that verifies on its own, or metered),
-    /// a chunk for a datablock nobody asked for — under either crypto mode, and charge
-    /// the same for them in both.
+    /// a chunk for a datablock nobody asked for, a valid chunk under a lying payload
+    /// length — under either crypto mode, and charge the same for them in both.
     #[test]
     fn invalid_chunks_are_ignored() {
         let db = Arc::new(sample_datablock(10));
@@ -695,6 +760,23 @@ mod tests {
             // The original chunk still works.
             let (outcome, _) = manager.add_chunk(digest, response.clone(), SimTime(1), &provider);
             assert_eq!(outcome, ChunkOutcome::Stored);
+            // A holder sends its own valid-proof chunk under a lying payload length:
+            // it lands in a group of its own instead of spoiling the honest chunk's
+            // decode, so the next honest chunk recovers the datablock.
+            let liar = RetrievalChunk {
+                payload_len: response.payload_len - 1,
+                ..encode_response(&db, NodeId(2), f, n).unwrap()
+            };
+            let (outcome, cost) = manager.add_chunk(digest, liar, SimTime(1), &provider);
+            assert_eq!(outcome, ChunkOutcome::Stored, "{mode:?}");
+            charges.push(cost);
+            let honest = encode_response(&db, NodeId(3), f, n).unwrap();
+            let (outcome, cost) = manager.add_chunk(digest, honest, SimTime(1), &provider);
+            assert!(
+                matches!(outcome, ChunkOutcome::Recovered { .. }),
+                "{mode:?}: {outcome:?}"
+            );
+            charges.push(cost);
             charges
         };
         assert_eq!(charges(CryptoMode::Real), charges(CryptoMode::Metered));

@@ -148,48 +148,44 @@ impl ReedSolomon {
         payload_len.div_ceil(self.data_shards).max(1)
     }
 
-    /// Encodes already-split data shards into the full shard set.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of data shards is wrong or their lengths differ.
-    pub fn encode_shards(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, ErasureError> {
-        if data.len() != self.data_shards {
-            return Err(ErasureError::NotEnoughShards {
-                got: data.len(),
-                need: self.data_shards,
-            });
-        }
-        let shard_len = data[0].len();
-        if data.iter().any(|shard| shard.len() != shard_len) {
-            return Err(ErasureError::InconsistentShardLength);
-        }
-
-        let mut shards: Vec<Vec<u8>> = Vec::with_capacity(self.total_shards);
-        shards.extend(data.iter().cloned());
-        for row in self.data_shards..self.total_shards {
-            let mut parity = vec![0u8; shard_len];
-            for (col, data_shard) in data.iter().enumerate() {
-                gf256::mul_add_slice(&mut parity, data_shard, self.encoding.get(row, col));
-            }
-            shards.push(parity);
-        }
-        Ok(shards)
-    }
-
     /// Splits a payload into data shards (zero-padded) and encodes the full shard set.
     pub fn encode_payload(&self, payload: &[u8]) -> Vec<Vec<u8>> {
-        let shard_len = self.shard_len_for(payload.len());
-        let mut data = Vec::with_capacity(self.data_shards);
-        for i in 0..self.data_shards {
-            let start = (i * shard_len).min(payload.len());
-            let end = ((i + 1) * shard_len).min(payload.len());
-            let mut shard = payload[start..end].to_vec();
-            shard.resize(shard_len, 0);
-            data.push(shard);
+        (0..self.total_shards)
+            .map(|index| {
+                self.encode_shard(payload, index)
+                    .expect("index < total_shards")
+            })
+            .collect()
+    }
+
+    /// Shard `index` of [`Self::encode_payload`]`(payload)`, computed on its own: a data
+    /// shard is its zero-padded piece of the payload, a parity shard one
+    /// multiply-accumulate per data piece (the padding contributes nothing, so only the
+    /// payload bytes are read). Returns `None` if `index >= total_shards`.
+    pub fn encode_shard(&self, payload: &[u8], index: usize) -> Option<Vec<u8>> {
+        if index >= self.total_shards {
+            return None;
         }
-        self.encode_shards(&data)
-            .expect("shards constructed with equal lengths")
+        let shard_len = self.shard_len_for(payload.len());
+        let piece = |col: usize| {
+            let start = (col * shard_len).min(payload.len());
+            &payload[start..((col + 1) * shard_len).min(payload.len())]
+        };
+        let mut shard = vec![0u8; shard_len];
+        if index < self.data_shards {
+            let data = piece(index);
+            shard[..data.len()].copy_from_slice(data);
+        } else {
+            for col in 0..self.data_shards {
+                let data = piece(col);
+                gf256::mul_add_slice(
+                    &mut shard[..data.len()],
+                    data,
+                    self.encoding.get(index, col),
+                );
+            }
+        }
+        Some(shard)
     }
 
     /// Reconstructs the `data_shards` original data shards from any `data_shards`
@@ -462,6 +458,44 @@ mod tests {
             // No shard is more than one "row" longer than strictly necessary.
             prop_assert!(shard_len * data_shards >= payload_len);
             prop_assert!(shard_len.saturating_sub(1) * data_shards <= payload_len.max(1));
+        }
+
+        /// Each shard on its own, and the full set, equal the textbook encoding: the
+        /// encoding matrix times the zero-padded data shards, one scalar product per
+        /// byte — at the retrieval plane's `(f + 1, 3f + 1)` codes and at payload
+        /// lengths that leave the last piece empty, short or one byte long.
+        #[test]
+        fn every_shard_is_the_matrix_product_over_the_padded_data(
+            f_index in 0usize..3,
+            length_kind in 0usize..5,
+            piece_len in 1usize..40,
+            random_len in 0usize..4096,
+            seed in any::<u64>(),
+        ) {
+            let (f, n) = [(1, 4), (10, 32), (42, 128)][f_index];
+            let k = f + 1;
+            let len = [0, 1, k - 1, k * piece_len + 1, random_len][length_kind];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let rs = ReedSolomon::new(k, n).unwrap();
+            let shard_len = rs.shard_len_for(len);
+            let mut padded = payload.clone();
+            padded.resize(k * shard_len, 0);
+            let all = rs.encode_payload(&payload);
+            prop_assert_eq!(all.len(), n);
+            for (index, shard) in all.iter().enumerate() {
+                let expected: Vec<u8> = (0..shard_len)
+                    .map(|byte| {
+                        (0..k).fold(0, |acc, col| {
+                            let data = padded[col * shard_len + byte];
+                            gf256::add(acc, gf256::mul(rs.encoding.get(index, col), data))
+                        })
+                    })
+                    .collect();
+                prop_assert_eq!(shard, &expected, "shard {}", index);
+                prop_assert_eq!(rs.encode_shard(&payload, index), Some(expected));
+            }
+            prop_assert_eq!(rs.encode_shard(&payload, n), None);
         }
     }
 

@@ -4,7 +4,8 @@
 use crate::ids::{NodeId, SeqNum, View};
 use crate::request::{Request, RequestRun};
 use crate::wire::{Decode, DecodeError, Encode, WireReader, WireSize, WireWriter};
-use leopard_crypto::{hash_bytes, Digest};
+use leopard_crypto::{hash_bytes, Digest, MerkleTree};
+use std::sync::Arc;
 
 /// Identifier of a datablock: the producing replica plus that replica's local counter
 /// (`(i, counter)` in the paper).
@@ -39,6 +40,9 @@ pub struct Datablock {
     pub requests: RequestRun,
     /// Lazily computed digest; shared clones (e.g. through `Arc`) compute it once.
     cached_digest: std::sync::OnceLock<Digest>,
+    /// The Merkle tree over this copy's erasure-coded shards, with the
+    /// `(data_shards, total_shards)` code it was built under (see [`Self::shard_tree`]).
+    cached_shard_tree: std::sync::OnceLock<Arc<(usize, usize, MerkleTree)>>,
 }
 
 impl PartialEq for Datablock {
@@ -65,7 +69,27 @@ impl Datablock {
             id: DatablockId::new(producer, counter),
             requests,
             cached_digest: std::sync::OnceLock::new(),
+            cached_shard_tree: std::sync::OnceLock::new(),
         }
+    }
+
+    /// Decodes the datablock encoded in `bytes`, which must hash to `expected`. The
+    /// digest is checked on the bytes themselves, before any record is decoded, and
+    /// seeds the copy's digest cell: the codec is canonical (fixed widths, one payload
+    /// tag, no trailing bytes), so bytes that decode are exactly the bytes the decoded
+    /// datablock encodes to and [`Self::digest`] would hash.
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] with context `"datablock digest"` if the bytes hash to another
+    /// digest, otherwise whatever [`Decode::decode_from_slice`] reports.
+    pub fn decode_hashed(bytes: &[u8], expected: Digest) -> Result<Self, DecodeError> {
+        if hash_bytes(bytes) != expected {
+            return Err(DecodeError::new("datablock digest"));
+        }
+        let datablock = Self::decode_from_slice(bytes)?;
+        let _ = datablock.cached_digest.set(expected);
+        Ok(datablock)
     }
 
     /// The digest linking this datablock from BFTblocks.
@@ -75,6 +99,33 @@ impl Datablock {
         *self
             .cached_digest
             .get_or_init(|| hash_bytes(&self.encode_to_vec()))
+    }
+
+    /// The Merkle tree over this datablock's shards under the `(data_shards,
+    /// total_shards)` erasure code. `build` runs on the first call only; every holder
+    /// of this copy (e.g. through `Arc`) shares the tree, as it shares [`Self::digest`].
+    /// A decoded or newly built copy starts without one.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming both codes if the tree was built under another code: a copy
+    /// belongs to one committee.
+    pub fn shard_tree(
+        &self,
+        data_shards: usize,
+        total_shards: usize,
+        build: impl FnOnce() -> MerkleTree,
+    ) -> &MerkleTree {
+        let (built_k, built_n, tree) = &**self
+            .cached_shard_tree
+            .get_or_init(|| Arc::new((data_shards, total_shards, build())));
+        assert!(
+            (*built_k, *built_n) == (data_shards, total_shards),
+            "{}: shard tree built for the ({built_k}, {built_n}) code, asked for the \
+             ({data_shards}, {total_shards}) code",
+            self.id
+        );
+        tree
     }
 
     /// Number of requests carried.
@@ -323,6 +374,55 @@ mod tests {
     }
 
     #[test]
+    fn decode_hashed_checks_the_digest_of_the_bytes_and_caches_it() {
+        let db = Datablock::new(NodeId(2), 7, sample_requests(3));
+        let bytes = db.encode_to_vec();
+        let decoded = Datablock::decode_hashed(&bytes, db.digest()).unwrap();
+        assert_eq!(decoded, db);
+        assert_eq!(decoded.cached_digest.get(), Some(&db.digest()));
+        let other = Datablock::new(NodeId(2), 8, sample_requests(3)).digest();
+        let err = Datablock::decode_hashed(&bytes, other).unwrap_err();
+        assert_eq!(err.context, "datablock digest");
+        // Bytes that hash right but do not decode are still rejected by the codec.
+        let err = Datablock::decode_hashed(&bytes[..20], hash_bytes(&bytes[..20])).unwrap_err();
+        assert_eq!(err.context, "request.seq");
+    }
+
+    fn one_leaf_tree() -> MerkleTree {
+        MerkleTree::from_leaves([b"shard".as_slice()])
+    }
+
+    /// The tree is built once per copy and shared by its clones; a decoded copy starts
+    /// without one and neither equality nor the codec sees it.
+    #[test]
+    fn shard_tree_is_built_once_per_copy_and_shared_by_clones() {
+        let db = Datablock::new(NodeId(2), 7, sample_requests(3));
+        let root = db.shard_tree(2, 4, one_leaf_tree).root();
+        assert_eq!(root, one_leaf_tree().root());
+        let again = db.shard_tree(2, 4, || unreachable!("the tree is cached"));
+        assert!(std::ptr::eq(again, db.shard_tree(2, 4, one_leaf_tree)));
+        let clone = db.clone();
+        assert!(Arc::ptr_eq(
+            clone.cached_shard_tree.get().unwrap(),
+            db.cached_shard_tree.get().unwrap()
+        ));
+        let copy = Datablock::decode_from_slice(&db.encode_to_vec()).unwrap();
+        assert!(copy.cached_shard_tree.get().is_none());
+        assert_eq!(copy, db);
+        assert_eq!(copy.encode_to_vec(), db.encode_to_vec());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "db(r2, 7): shard tree built for the (2, 4) code, asked for the (11, 32) code"
+    )]
+    fn shard_tree_under_another_code_panics_naming_both() {
+        let db = Datablock::new(NodeId(2), 7, sample_requests(3));
+        db.shard_tree(2, 4, one_leaf_tree);
+        db.shard_tree(11, 32, one_leaf_tree);
+    }
+
+    #[test]
     fn bftblock_roundtrip_and_sizes() {
         let links: Vec<Digest> = (0..10u8).map(|i| hash_bytes(&[i])).collect();
         let block = BftBlock::new(View(3), SeqNum(9), links.clone());
@@ -375,6 +475,44 @@ mod tests {
             prop_assert_eq!(db.wire_size(), db.encoded_len() + db.payload_bytes());
             let decoded = Datablock::decode_from_slice(&bytes).unwrap();
             prop_assert_eq!(decoded, db);
+        }
+
+        /// The codec is canonical, which is what lets `decode_hashed` hash the received
+        /// bytes instead of re-encoding: every single-byte change, insertion and
+        /// truncation of a valid encoding that still decodes re-encodes to exactly its
+        /// own bytes.
+        #[test]
+        fn every_mutation_that_decodes_reencodes_to_its_own_bytes(
+            counter in any::<u64>(),
+            first_seq in 0..u64::MAX / 2,
+            count in 0u64..8,
+            mask in 1u8..=255,
+        ) {
+            let requests: Vec<Request> = (0..count)
+                .map(|i| Request::new_synthetic(ClientId(5), first_seq + i, 128))
+                .collect();
+            let valid = Datablock::new(NodeId(2), counter, requests).encode_to_vec();
+            let mut mutations = Vec::new();
+            for at in 0..=valid.len() {
+                let mut inserted = valid.clone();
+                inserted.insert(at, mask);
+                mutations.push(inserted);
+                mutations.push(valid[..at].to_vec());
+                if at < valid.len() {
+                    let mut flipped = valid.clone();
+                    flipped[at] ^= mask;
+                    mutations.push(flipped);
+                }
+            }
+            let mut accepted = 0;
+            for bytes in mutations {
+                if let Ok(decoded) = Datablock::decode_from_slice(&bytes) {
+                    prop_assert_eq!(decoded.encode_to_vec(), bytes);
+                    accepted += 1;
+                }
+            }
+            // At least every flip of the producer and counter bytes decodes.
+            prop_assert!(accepted >= 12, "only {} mutations decoded", accepted);
         }
 
         #[test]
