@@ -16,14 +16,15 @@
 //! wall-clock seconds and result table of every experiment run — the format of the
 //! repo's `BENCH_*.json` performance trajectory (see `EXPERIMENTS.md`).
 //!
-//! `--require-nonzero <substr>` makes the binary exit non-zero if any cell in a column
-//! whose header contains `<substr>` does not start with a positive number — the CI
-//! guard that keeps the "Leopard confirms nothing at paper scale" collapse from
-//! silently regressing (used with the `fig9smoke` experiment).
+//! Some tables carry a gate (`Table::gate`; the list is in `EXPERIMENTS.md`): columns
+//! whose every cell must be positive. Under either profile each failing cell is
+//! printed with its column and row, and the binary exits non-zero after every selected
+//! table has printed — the CI guard that keeps a silent collapse (such as "Leopard
+//! confirms nothing at paper scale") from regressing unnoticed.
 //!
-//! `--schedules <N>`, `--chaos-seed <S>` and `--chaos-case <K>` tune the `chaos` /
-//! `chaossmoke` experiments: schedule count and master seed of the fuzzed stream, or a
-//! single case index — the one-line reproducer the chaos engine prints on a violation
+//! `--schedules <N>`, `--chaos-seed <S>` and `--chaos-case <K>` tune the `chaos`
+//! experiment: schedule count and master seed of the fuzzed stream, or a single case
+//! index — the one-line reproducer the chaos engine prints on a violation
 //! (`chaos --chaos-seed S --chaos-case K`) uses the last two.
 //!
 //! `--max-wall-clock <secs>` makes the binary exit non-zero if the *total* wall clock
@@ -32,12 +33,12 @@
 //! performance regression in the simulator or a protocol hot path fails the build
 //! instead of quietly making every future benchmark run slower.
 //!
-//! `--min-events-per-sec <threshold>` makes the binary exit non-zero if any selected
-//! experiment's engine events/sec figure lands below the threshold — the CI floor
-//! that catches an engine-speed collapse (used with `fig9xlsmoke`; see the note in
-//! `.github/workflows/ci.yml` for how the threshold was chosen). Use it only with
-//! experiment ids that run a simulation: analytical tables report 0 events/sec and
-//! would trip the floor by construction.
+//! `--min-events-per-sec <threshold>` makes the binary exit non-zero if the selection's
+//! pooled engine speed lands below the threshold: total events over the total wall
+//! clock of the experiments that ran events, the engine column of
+//! `BENCH_TRAJECTORY.md` — the CI floor that catches an engine-speed collapse (see the
+//! note in `.github/workflows/ci.yml` for how the threshold was chosen). Analytical
+//! tables neither count nor dilute it; a selection that ran no simulation fails it.
 //!
 //! `bench-trajectory` (a subcommand, not a flag) ignores every experiment id and
 //! instead folds all `BENCH_PR*.json` documents in the current directory into
@@ -56,15 +57,13 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Every flag `main` accepts, for the unknown-flag error.
-const VALID_FLAGS: &str = "--full, --bench-json <path>, --require-nonzero <substr>, \
-     --max-wall-clock <secs>, --min-events-per-sec <threshold>, --schedules <N>, \
-     --chaos-seed <S>, --chaos-case <K>";
+const VALID_FLAGS: &str = "--full, --bench-json <path>, --max-wall-clock <secs>, \
+     --min-events-per-sec <threshold>, --schedules <N>, --chaos-seed <S>, --chaos-case <K>";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let mut bench_json: Option<PathBuf> = None;
-    let mut require_nonzero: Option<String> = None;
     let mut max_wall_clock: Option<f64> = None;
     let mut min_events_per_sec: Option<f64> = None;
     let mut chaos = ChaosOverrides::default();
@@ -73,55 +72,14 @@ fn main() {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--full" => {}
-            "--bench-json" => match iter.next() {
-                Some(path) => bench_json = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--bench-json requires a path argument");
-                    std::process::exit(2);
-                }
-            },
-            "--require-nonzero" => match iter.next() {
-                Some(substr) => require_nonzero = Some(substr),
-                None => {
-                    eprintln!("--require-nonzero requires a column-substring argument");
-                    std::process::exit(2);
-                }
-            },
-            "--max-wall-clock" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) => max_wall_clock = Some(secs),
-                None => {
-                    eprintln!("--max-wall-clock requires a seconds argument");
-                    std::process::exit(2);
-                }
-            },
-            "--min-events-per-sec" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(floor) => min_events_per_sec = Some(floor),
-                None => {
-                    eprintln!("--min-events-per-sec requires an events/sec argument");
-                    std::process::exit(2);
-                }
-            },
-            "--schedules" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(count) => chaos.schedules = Some(count),
-                None => {
-                    eprintln!("--schedules requires a count argument");
-                    std::process::exit(2);
-                }
-            },
-            "--chaos-seed" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(seed) => chaos.seed = Some(seed),
-                None => {
-                    eprintln!("--chaos-seed requires a seed argument");
-                    std::process::exit(2);
-                }
-            },
-            "--chaos-case" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(case) => chaos.case = Some(case),
-                None => {
-                    eprintln!("--chaos-case requires a case-index argument");
-                    std::process::exit(2);
-                }
-            },
+            "--bench-json" => bench_json = Some(flag_value(&mut iter, &arg, "a path")),
+            "--max-wall-clock" => max_wall_clock = Some(flag_value(&mut iter, &arg, "a seconds")),
+            "--min-events-per-sec" => {
+                min_events_per_sec = Some(flag_value(&mut iter, &arg, "an events/sec"))
+            }
+            "--schedules" => chaos.schedules = Some(flag_value(&mut iter, &arg, "a count")),
+            "--chaos-seed" => chaos.seed = Some(flag_value(&mut iter, &arg, "a seed")),
+            "--chaos-case" => chaos.case = Some(flag_value(&mut iter, &arg, "a case-index")),
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag {flag}; valid flags: {VALID_FLAGS}");
                 std::process::exit(2);
@@ -141,6 +99,8 @@ fn main() {
     let out_dir = PathBuf::from("target/experiments");
     let mut records: Vec<BenchRecord> = Vec::new();
     let mut failures = 0usize;
+    // The pooled engine speed: events and wall clock of the experiments that ran events.
+    let (mut sim_events, mut sim_wall) = (0u64, 0.0f64);
     for id in ids {
         eprintln!("running experiment {id} ({}) ...", if full { "full" } else { "quick" });
         let events_before = global_events_processed();
@@ -159,8 +119,9 @@ fn main() {
                 };
                 let peak_memory_bytes = peak_rss_bytes();
                 println!("{}", table.to_text());
-                if let Some(substr) = &require_nonzero {
-                    failures += check_nonzero_columns(&table, substr);
+                for failure in table.gate_failures() {
+                    eprintln!("  GATE FAILED: {id}: {failure}");
+                    failures += 1;
                 }
                 match table.write_csv(&out_dir, id) {
                     Ok(path) => eprintln!("  wrote {}", path.display()),
@@ -171,19 +132,9 @@ fn main() {
                     events_per_sec / 1e6,
                     peak_memory_bytes / 1_000_000
                 );
-                if let Some(floor) = min_events_per_sec {
-                    if events_per_sec < floor {
-                        eprintln!(
-                            "MIN-EVENTS-PER-SEC FAILED: {id} ran at {:.0} events/sec, floor is {:.0}",
-                            events_per_sec, floor
-                        );
-                        failures += 1;
-                    } else {
-                        eprintln!(
-                            "  events/sec floor ok: {:.0} >= {:.0}",
-                            events_per_sec, floor
-                        );
-                    }
+                if events > 0 {
+                    sim_events += events;
+                    sim_wall += wall_clock_secs;
                 }
                 records.push(BenchRecord {
                     id: id.to_string(),
@@ -197,6 +148,22 @@ fn main() {
                 eprintln!("  unknown experiment id: {id}");
                 failures += 1;
             }
+        }
+    }
+    if let Some(floor) = min_events_per_sec {
+        if sim_wall > 0.0 {
+            let pooled = sim_events as f64 / sim_wall;
+            if pooled < floor {
+                eprintln!(
+                    "MIN-EVENTS-PER-SEC FAILED: the selection ran at {pooled:.0} events/sec, floor is {floor:.0}"
+                );
+                failures += 1;
+            } else {
+                eprintln!("events/sec floor ok: {pooled:.0} >= {floor:.0}");
+            }
+        } else {
+            eprintln!("MIN-EVENTS-PER-SEC FAILED: no selected experiment ran a simulation");
+            failures += 1;
         }
     }
     let total_wall_clock: f64 = records.iter().map(|r| r.wall_clock_secs).sum();
@@ -226,31 +193,12 @@ fn main() {
     }
 }
 
-/// Counts cells that are not strictly positive in every column whose header contains
-/// `substr`. Cells may carry a stall annotation (`"0.00 [AwaitingReady]"`); only the
-/// leading number is parsed, so the diagnostics never hide a failure.
-fn check_nonzero_columns(table: &leopard_harness::report::Table, substr: &str) -> usize {
-    let mut failures = 0;
-    for (column, header) in table.headers.iter().enumerate() {
-        // Only numeric columns carry a unit in parentheses; this skips non-numeric
-        // companions like "Leopard diagnostics" when matching on "Leopard".
-        if !header.contains(substr) || !header.contains('(') {
-            continue;
-        }
-        for row in &table.rows {
-            let cell = &row[column];
-            let value: f64 = cell
-                .split_whitespace()
-                .next()
-                .and_then(|prefix| prefix.parse().ok())
-                .unwrap_or(0.0);
-            if value <= 0.0 {
-                eprintln!("  REQUIRE-NONZERO FAILED: column {header:?} has cell {cell:?} (row n={})", row[0]);
-                failures += 1;
-            }
-        }
-    }
-    failures
+/// The argument after `flag`, parsed; a missing or unparsable one exits 2 naming `what`.
+fn flag_value<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
+    iter.next().and_then(|value| value.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} requires {what} argument");
+        std::process::exit(2)
+    })
 }
 
 /// The `bench-trajectory` subcommand: folds every `BENCH_PR*.json` in the current

