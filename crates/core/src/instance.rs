@@ -1,6 +1,7 @@
 //! Per-serial-number agreement instance bookkeeping (Algorithm 2), for both the leader
 //! and non-leader replicas.
 
+use crate::messages::NotarizedEntry;
 use leopard_crypto::threshold::CombinedSignature;
 use leopard_crypto::{Digest, ShareCollector};
 use leopard_types::{BftBlock, BlockState, FastSet};
@@ -82,6 +83,17 @@ pub struct ReplicaInstance {
     /// missed the original confirmation could never assemble a quorum for the serial
     /// number again. The confirmed state above is never touched by an endorsement.
     pub endorsed_repropose: Option<Digest>,
+    /// PBFT's "prepared" evidence: the last notarized block + proof seen here, kept
+    /// through [`Self::reset_for_new_view`] until a quorum checkpoint covers the serial.
+    /// A block that may have confirmed elsewhere must keep appearing in this replica's
+    /// view-change messages — dropping it would let a second view change replace a
+    /// confirmed block with a dummy.
+    pub(crate) prepared: Option<NotarizedEntry>,
+    /// A confirmation proof `(notarization digest, proof)` that arrived before the
+    /// notarization binding it to a block. Accepting it blind would attach whatever
+    /// block shows up next at this serial — under a view-change race, different
+    /// content than the quorum signed — so it is held until the notarization arrives.
+    pub(crate) held_confirmation: Option<(Digest, CombinedSignature)>,
 }
 
 impl Default for ReplicaInstance {
@@ -104,6 +116,8 @@ impl ReplicaInstance {
             notarization_digest: None,
             confirmation: None,
             endorsed_repropose: None,
+            prepared: None,
+            held_confirmation: None,
         }
     }
 
@@ -116,12 +130,68 @@ impl ReplicaInstance {
     pub fn is_confirmed(&self) -> bool {
         self.state == BlockState::Confirmed
     }
+
+    /// The live view-change evidence: the notarized block and its proof, once both
+    /// are held.
+    pub(crate) fn notarized_entry(&self) -> Option<NotarizedEntry> {
+        match (&self.block, self.notarization) {
+            (Some(block), Some(proof)) if self.state >= BlockState::Notarized => {
+                Some(NotarizedEntry {
+                    block: block.clone(),
+                    proof,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Entering a new view: an unconfirmed instance will be re-proposed, so it drops
+    /// its block, votes and notarization to vote again. It keeps its prepared
+    /// evidence and any held confirmation. A confirmed instance is untouched.
+    pub(crate) fn reset_for_new_view(&mut self) {
+        if !self.is_confirmed() {
+            *self = Self {
+                prepared: self.prepared.take(),
+                held_confirmation: self.held_confirmation.take(),
+                ..Self::new()
+            };
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leopard_crypto::threshold::ThresholdScheme;
     use leopard_types::{SeqNum, View};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn proof() -> CombinedSignature {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (scheme, keys) = ThresholdScheme::trusted_setup(1, 1, &mut rng);
+        let digest = leopard_crypto::hash_bytes(b"instance");
+        let share = scheme.sign_share(&keys[0], &digest);
+        scheme.combine(&[share], &digest).expect("1-of-1 combine")
+    }
+
+    /// An instance mid-agreement: block, digests, both votes, notarization, one missing
+    /// link, stashed prepared evidence and a held confirmation.
+    fn voted_instance(state: BlockState) -> ReplicaInstance {
+        let block = Arc::new(BftBlock::new(View(1), SeqNum(3), vec![]));
+        let mut instance = ReplicaInstance::new();
+        instance.block_digest = Some(block.digest());
+        instance.block = Some(block);
+        instance.state = state;
+        instance.prepare_voted = true;
+        instance.commit_voted = true;
+        instance.missing_links.insert(leopard_crypto::hash_bytes(b"link"));
+        instance.notarization = Some(proof());
+        instance.notarization_digest = Some(leopard_crypto::hash_bytes(b"notarized"));
+        instance.prepared = instance.notarized_entry();
+        instance.held_confirmation = Some((leopard_crypto::hash_bytes(b"held"), proof()));
+        instance
+    }
 
     #[test]
     fn leader_instance_tracks_confirmation() {
@@ -140,5 +210,31 @@ mod tests {
         assert!(!instance.prepare_voted);
         let default_instance = ReplicaInstance::default();
         assert_eq!(default_instance.state, instance.state);
+    }
+
+    #[test]
+    fn view_entry_resets_votes_but_keeps_evidence_and_held_confirmation() {
+        let mut instance = voted_instance(BlockState::Notarized);
+        let prepared = instance.prepared.clone().expect("stashed");
+        let held = instance.held_confirmation.expect("held");
+        instance.reset_for_new_view();
+        assert!(instance.block.is_none() && instance.block_digest.is_none());
+        assert!(!instance.prepare_voted && !instance.commit_voted);
+        assert!(instance.notarization.is_none() && instance.notarization_digest.is_none());
+        assert_eq!(instance.state, BlockState::Proposed);
+        assert!(instance.links_complete());
+        assert!(instance.notarized_entry().is_none());
+        let kept = instance.prepared.expect("prepared evidence survives view entry");
+        assert_eq!(kept.block.digest(), prepared.block.digest());
+        assert_eq!(instance.held_confirmation, Some(held));
+
+        // A confirmed instance keeps everything.
+        let mut confirmed = voted_instance(BlockState::Confirmed);
+        confirmed.reset_for_new_view();
+        assert!(confirmed.block.is_some() && confirmed.block_digest.is_some());
+        assert!(confirmed.prepare_voted && confirmed.commit_voted);
+        assert!(confirmed.notarization.is_some() && confirmed.notarization_digest.is_some());
+        assert!(confirmed.is_confirmed() && !confirmed.links_complete());
+        assert!(confirmed.prepared.is_some() && confirmed.held_confirmation.is_some());
     }
 }

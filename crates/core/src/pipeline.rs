@@ -173,11 +173,6 @@ impl Pipeline {
         }
     }
 
-    /// The instance at `seq`, if any.
-    pub fn get(&self, seq: SeqNum) -> Option<&LeaderInstance> {
-        self.instances.get(&seq.0)
-    }
-
     /// Mutable access to the instance at `seq` for vote collection.
     ///
     /// The returned instance's `confirmation` must not be set through this reference —
@@ -198,11 +193,6 @@ impl Pipeline {
         instance.confirmation = Some(proof);
         self.in_flight -= 1;
         true
-    }
-
-    /// Iterates over `(seq, instance)` pairs in serial-number order.
-    pub fn iter(&self) -> impl Iterator<Item = (SeqNum, &LeaderInstance)> {
-        self.instances.iter().map(|(&seq, instance)| (SeqNum(seq), instance))
     }
 
     /// Drops every instance at or below `watermark` (checkpoint garbage collection).
@@ -366,15 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_and_get_expose_instances() {
+    fn get_mut_finds_only_inserted_instances() {
         let mut pipeline = Pipeline::new(4);
         let s1 = pipeline.take_seq();
         pipeline.insert(s1, instance(s1));
-        assert!(pipeline.get(s1).is_some());
-        assert!(pipeline.get(SeqNum(99)).is_none());
-        assert!(pipeline.get_mut(s1).is_some());
-        assert_eq!(pipeline.iter().count(), 1);
-        assert_eq!(pipeline.iter().next().unwrap().0, s1);
+        assert_eq!(pipeline.get_mut(s1).map(|instance| instance.block.id.seq), Some(s1));
+        assert!(pipeline.get_mut(SeqNum(99)).is_none());
+        pipeline.prune_through(s1);
+        assert!(pipeline.get_mut(s1).is_none());
     }
 
     proptest! {

@@ -131,11 +131,6 @@ impl ReadyTracker {
         }
     }
 
-    /// How many distinct replicas acknowledged `digest`.
-    pub fn ack_count(&self, digest: &Digest) -> usize {
-        self.acks.get(digest).map_or(0, FastSet::len)
-    }
-
     /// Drops bookkeeping for the given digests (after checkpointing).
     pub fn prune(&mut self, digests: impl IntoIterator<Item = Digest>) {
         let mut dropped = FastSet::default();
@@ -208,7 +203,6 @@ mod tests {
         assert!(!tracker.record_ack(digest, NodeId(0), 3)); // duplicate ack
         assert!(!tracker.record_ack(digest, NodeId(1), 3));
         assert!(tracker.record_ack(digest, NodeId(2), 3));
-        assert_eq!(tracker.ack_count(&digest), 3);
         // Further acks do not re-queue it.
         assert!(!tracker.record_ack(digest, NodeId(3), 3));
         assert_eq!(tracker.ready_count(), 1);
@@ -244,6 +238,9 @@ mod tests {
         }
         tracker.prune([d1]);
         assert_eq!(tracker.ready_count(), 0);
-        assert_eq!(tracker.ack_count(&d1), 0);
+        // The acks went with it: a fresh quorum is needed to queue it again.
+        assert!(!tracker.record_ack(d1, NodeId(0), 3));
+        assert!(!tracker.record_ack(d1, NodeId(1), 3));
+        assert!(tracker.record_ack(d1, NodeId(2), 3));
     }
 }

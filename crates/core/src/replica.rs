@@ -95,25 +95,12 @@ pub struct LeopardReplica {
     view_changes: ViewChangeState,
     in_view_change: bool,
     view_change_started_at: Option<SimTime>,
-    // PBFT's "prepared set": notarized evidence retained until a quorum checkpoint
-    // covers it. `enter_view` resets live instances so replicas can vote on the
-    // re-proposed blocks, but a block that may have confirmed elsewhere must keep
-    // appearing in this replica's future view-change messages — dropping it would
-    // let a second view change replace a confirmed block with a dummy.
-    prepared: BTreeMap<u64, NotarizedEntry>,
     // PrePrepares for views ahead of this replica. The new leader's re-proposals
     // race the NewView announcement through the network; a re-proposal delivered
     // first used to be silently dropped — and PrePrepares are never re-sent, so a
     // straggler could permanently miss the re-proposed block and the serial number
     // would never regain a quorum. Buffered (bounded) and replayed on `enter_view`.
     deferred_pre_prepares: Vec<(NodeId, Arc<BftBlock>, SignatureShare)>,
-    // Confirmation proofs that arrived before the notarization that binds them to a
-    // block. A proof is a quorum signature over a *notarization digest*; without the
-    // notarization the replica cannot tell which block was confirmed, and accepting
-    // the proof blind would attach whatever block shows up next at that serial
-    // number — under a view-change race, different content than the quorum signed.
-    // Held (keyed by serial number) until the matching notarization arrives.
-    pending_confirmations: BTreeMap<u64, (Digest, CombinedSignature)>,
     // Consecutive view changes without progress double the effective progress
     // timeout (capped at 8x). A configured timeout below the network's agreement
     // round otherwise fires mid-agreement forever: every view is abandoned before
@@ -187,9 +174,7 @@ impl LeopardReplica {
             view_changes: ViewChangeState::new(),
             in_view_change: false,
             view_change_started_at: None,
-            prepared: BTreeMap::new(),
             deferred_pre_prepares: Vec::new(),
-            pending_confirmations: BTreeMap::new(),
             progress_backoff: 0,
             confirmed_at_last_check: 0,
             state_sync_at: None,
@@ -253,17 +238,16 @@ impl LeopardReplica {
         Self::proposer_of_stripe(self.view, j, self.n())
     }
 
-    /// This replica's stripe in `view`'s proposer window, if it holds one.
-    fn stripe_in_view(&self, view: View) -> Option<u64> {
+    /// `node`'s stripe in `view`'s proposer window, if it holds one.
+    fn stripe_in_view(&self, node: NodeId, view: View) -> Option<u64> {
         let n = self.n() as u64;
-        let base = view.0 % n;
-        let offset = (u64::from(self.id.0) + n - base) % n;
+        let offset = (u64::from(node.0) + n - view.0 % n) % n;
         (offset < self.proposer_count()).then_some(offset)
     }
 
     /// This replica's stripe in the current view, if it is a proposer.
     fn my_stripe(&self) -> Option<u64> {
-        self.stripe_in_view(self.view)
+        self.stripe_in_view(self.id, self.view)
     }
 
     /// True if this replica proposes some stripe of the current view (equals
@@ -313,11 +297,6 @@ impl LeopardReplica {
         self.checkpoints.low_watermark()
     }
 
-    /// The leader-side proposal pipeline (in-flight instances, stall condition).
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
     /// This replica's configuration (Byzantine behaviour, timers, protocol parameters).
     pub fn config(&self) -> &LeopardConfig {
         &self.config
@@ -345,17 +324,22 @@ impl LeopardReplica {
     /// only ever reports [`StallReason::ViewChange`] or [`StallReason::None`].
     pub fn current_stall(&self) -> StallReason {
         if self.is_proposer() {
-            self.pipeline.stall_reason(
-                self.behaviour().silent_as_leader(),
-                self.in_view_change,
-                self.ready.ready_count(),
-                self.checkpoints.high_watermark(self.instance_window()),
-            )
+            self.pipeline_guard()
         } else if self.in_view_change {
             StallReason::ViewChange
         } else {
             StallReason::None
         }
+    }
+
+    /// The first `propose()` guard that blocks this replica's pipeline right now.
+    fn pipeline_guard(&self) -> StallReason {
+        self.pipeline.stall_reason(
+            self.behaviour().silent_as_leader(),
+            self.in_view_change,
+            self.ready.ready_count(),
+            self.checkpoints.high_watermark(self.instance_window()),
+        )
     }
 
     /// The checkpoint-window span: `k` serials for a single leader, `k·p` under the
@@ -449,9 +433,13 @@ impl LeopardReplica {
         );
         self.pool.insert(datablock.clone());
         ctx.multicast(LeopardMessage::Datablock(datablock));
+        self.send_ready(digest, ctx);
+    }
+
+    /// Acknowledges a pooled datablock to the proposer that links `digest`.
+    fn send_ready(&self, digest: Digest, ctx: &mut Ctx<'_>) {
         if !self.behaviour().withholds_votes() {
-            let linker = self.proposer_for_digest(&digest);
-            ctx.send(linker, LeopardMessage::Ready { digest });
+            ctx.send(self.proposer_for_digest(&digest), LeopardMessage::Ready { digest });
         }
     }
 
@@ -491,12 +479,7 @@ impl LeopardReplica {
             return;
         }
         loop {
-            let reason = self.pipeline.stall_reason(
-                self.behaviour().silent_as_leader(),
-                self.in_view_change,
-                self.ready.ready_count(),
-                self.checkpoints.high_watermark(self.instance_window()),
-            );
+            let reason = self.pipeline_guard();
             if reason != StallReason::None {
                 self.record_stall(reason, ctx.now());
                 return;
@@ -518,13 +501,20 @@ impl LeopardReplica {
                 continue;
             }
 
-            let block = Arc::new(BftBlock::new(self.view, seq, links));
-            let digest = block.digest();
-            charge(ctx, self.keys.provider.model().hash(block.wire_size()));
-            let share = self.sign(&digest, ctx);
-            self.pipeline.insert(seq, LeaderInstance::new(block.clone()));
-            ctx.broadcast(LeopardMessage::PrePrepare { block, share });
+            self.broadcast_proposal(Arc::new(BftBlock::new(self.view, seq, links)), true, ctx);
         }
+    }
+
+    /// Signs and broadcasts an honest PrePrepare for `block`, opening its pipeline
+    /// instance. `hash_charge` charges the proposer for hashing the block it built.
+    fn broadcast_proposal(&mut self, block: Arc<BftBlock>, hash_charge: bool, ctx: &mut Ctx<'_>) {
+        let digest = block.digest();
+        if hash_charge {
+            charge(ctx, self.keys.provider.model().hash(block.wire_size()));
+        }
+        let share = self.sign(&digest, ctx);
+        self.pipeline.insert(block.id.seq, LeaderInstance::new(block.clone()));
+        ctx.broadcast(LeopardMessage::PrePrepare { block, share });
     }
 
     /// Fills this proposer's residue class with dummy blocks when the stripe is
@@ -554,12 +544,7 @@ impl LeopardReplica {
             && self.pipeline.in_flight() < self.config.params.max_parallel_instances
         {
             let seq = self.pipeline.take_seq();
-            let block = Arc::new(BftBlock::dummy(self.view, seq));
-            let digest = block.digest();
-            charge(ctx, self.keys.provider.model().hash(block.wire_size()));
-            let share = self.sign(&digest, ctx);
-            self.pipeline.insert(seq, LeaderInstance::new(block.clone()));
-            ctx.broadcast(LeopardMessage::PrePrepare { block, share });
+            self.broadcast_proposal(Arc::new(BftBlock::dummy(self.view, seq)), true, ctx);
         }
     }
 
@@ -631,10 +616,7 @@ impl LeopardReplica {
         let Some(digest) = self.pool.insert(datablock) else {
             return; // duplicate counter
         };
-        if !self.behaviour().withholds_votes() {
-            let linker = self.proposer_for_digest(&digest);
-            ctx.send(linker, LeopardMessage::Ready { digest });
-        }
+        self.send_ready(digest, ctx);
         // A pending retrieval for this datablock is no longer needed.
         let waiting = self.retrieval.cancel(&digest);
         for seq in waiting {
@@ -719,18 +701,9 @@ impl LeopardReplica {
                     return;
                 }
                 instance.endorsed_repropose = Some(digest);
-                if self.behaviour().withholds_votes() {
-                    return;
+                if !self.behaviour().withholds_votes() {
+                    self.send_prepare_vote(seq, digest, ctx);
                 }
-                let share = self.sign(&digest, ctx);
-                ctx.send(
-                    from,
-                    LeopardMessage::PrepareVote {
-                        seq,
-                        block_digest: digest,
-                        share,
-                    },
-                );
                 return;
             }
         }
@@ -756,18 +729,10 @@ impl LeopardReplica {
         }
 
         // Check the availability of every linked datablock.
-        let missing: Vec<Digest> = block
-            .links
-            .iter()
-            .filter(|link| !self.pool.contains(link))
-            .copied()
-            .collect();
+        let missing = self.note_missing_links(&block, seq, ctx.now());
         if !missing.is_empty() {
             let instance = self.replica_instances.get_mut(&seq.0).expect("just inserted");
-            for link in missing {
-                instance.missing_links.insert(link);
-                self.retrieval.note_missing(link, seq, ctx.now());
-            }
+            instance.missing_links.extend(missing);
             return;
         }
         self.cast_prepare_vote(seq, ctx);
@@ -788,7 +753,6 @@ impl LeopardReplica {
         if self.in_view_change {
             return;
         }
-        let proposer = self.proposer_of_seq(seq);
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
             return;
         };
@@ -799,16 +763,30 @@ impl LeopardReplica {
             return;
         };
         instance.prepare_voted = true;
-        let (share, cost) = self
-            .keys
-            .provider
-            .sign_share(self.keys.keypair(self.id.as_index()), &digest);
-        charge(ctx, cost);
+        self.send_prepare_vote(seq, digest, ctx);
+    }
+
+    /// Signs `block_digest` and sends the first-round vote to `seq`'s proposer.
+    fn send_prepare_vote(&self, seq: SeqNum, block_digest: Digest, ctx: &mut Ctx<'_>) {
+        let share = self.sign(&block_digest, ctx);
         ctx.send(
-            proposer,
+            self.proposer_of_seq(seq),
             LeopardMessage::PrepareVote {
                 seq,
-                block_digest: digest,
+                block_digest,
+                share,
+            },
+        );
+    }
+
+    /// Signs `proof_digest` and sends the second-round vote to `seq`'s proposer.
+    fn send_commit_vote(&self, seq: SeqNum, proof_digest: Digest, ctx: &mut Ctx<'_>) {
+        let share = self.sign(&proof_digest, ctx);
+        ctx.send(
+            self.proposer_of_seq(seq),
+            LeopardMessage::CommitVote {
+                seq,
+                proof_digest,
                 share,
             },
         );
@@ -903,20 +881,7 @@ impl LeopardReplica {
             if instance.endorsed_repropose == Some(block_digest) && !withholds && !in_view_change {
                 instance.endorsed_repropose = None;
                 let notarization_digest = Self::notarization_digest(seq, &block_digest, &proof);
-                let (share, cost) = self
-                    .keys
-                    .provider
-                    .sign_share(self.keys.keypair(self.id.as_index()), &notarization_digest);
-                charge(ctx, cost);
-                let proposer = self.proposer_of_seq(seq);
-                ctx.send(
-                    proposer,
-                    LeopardMessage::CommitVote {
-                        seq,
-                        proof_digest: notarization_digest,
-                        share,
-                    },
-                );
+                self.send_commit_vote(seq, notarization_digest, ctx);
             }
             return;
         }
@@ -929,16 +894,12 @@ impl LeopardReplica {
         instance.notarization_digest = Some(notarization_digest);
         // A confirmation proof may have raced ahead of this notarization; now that
         // the binding digest is known, a held proof that matches can be applied.
-        if self
-            .pending_confirmations
-            .get(&seq.0)
-            .map_or(false, |(held, _)| *held == notarization_digest)
-        {
-            let (held_digest, held_proof) =
-                self.pending_confirmations.remove(&seq.0).expect("just checked");
+        let held = instance
+            .held_confirmation
+            .take_if(|(held, _)| *held == notarization_digest);
+        if let Some((held_digest, held_proof)) = held {
             self.handle_confirmation(seq, held_digest, held_proof, ctx);
         }
-        self.stash_prepared(seq);
         self.maybe_commit_vote(seq, ctx);
     }
 
@@ -951,42 +912,26 @@ impl LeopardReplica {
     /// replica that learns the notarization before the block (reordered delivery, or
     /// a partition that dropped the PrePrepare) votes when the block arrives.
     fn maybe_commit_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
-        // Wherever a commit vote could fire, the evidence may have just become
-        // stashable too (block and notarization both present).
-        self.stash_prepared(seq);
-        if self.behaviour().withholds_votes() {
-            return;
-        }
         // Same participation rule as `cast_prepare_vote`: no votes after complaining.
-        // (The stash above still happens — evidence collection is passive and only
-        // strengthens future view changes.)
-        if self.in_view_change {
-            return;
-        }
-        let proposer = self.proposer_of_seq(seq);
+        let mute = self.behaviour().withholds_votes() || self.in_view_change;
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
             return;
         };
-        if instance.commit_voted || instance.block.is_none() {
+        // Wherever a commit vote could fire, the evidence may have just become
+        // stashable too (block and notarization both present). The stash happens
+        // even when muted: evidence collection is passive and only strengthens
+        // future view changes. (Evidence is read only above the stable checkpoint.)
+        if let Some(entry) = instance.notarized_entry() {
+            instance.prepared = Some(entry);
+        }
+        if mute || instance.commit_voted || instance.block.is_none() {
             return;
         }
         let Some(notarization_digest) = instance.notarization_digest else {
             return;
         };
         instance.commit_voted = true;
-        let (share, cost) = self
-            .keys
-            .provider
-            .sign_share(self.keys.keypair(self.id.as_index()), &notarization_digest);
-        charge(ctx, cost);
-        ctx.send(
-            proposer,
-            LeopardMessage::CommitVote {
-                seq,
-                proof_digest: notarization_digest,
-                share,
-            },
-        );
+        self.send_commit_vote(seq, notarization_digest, ctx);
     }
 
     fn handle_commit_vote(
@@ -1052,13 +997,13 @@ impl LeopardReplica {
             Some(expected) if expected == proof_digest => {}
             Some(_) => return,
             // No notarization yet: the proof cannot be bound to a block (see
-            // `pending_confirmations`). Hold it; `handle_notarization` replays it.
+            // `held_confirmation`). Hold it; `handle_notarization` replays it.
             None => {
-                self.pending_confirmations.insert(seq.0, (proof_digest, proof));
+                instance.held_confirmation = Some((proof_digest, proof));
                 return;
             }
         }
-        self.pending_confirmations.remove(&seq.0);
+        instance.held_confirmation = None;
         instance.state = BlockState::Confirmed;
         instance.confirmation = Some(proof);
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
@@ -1078,18 +1023,9 @@ impl LeopardReplica {
             let Some(block) = self.log.get(&next.0).cloned() else {
                 break;
             };
-            // Every linked datablock must be locally available before execution.
-            let mut missing = Vec::new();
-            for link in &block.links {
-                if !self.pool.contains(link) {
-                    missing.push(*link);
-                }
-            }
-            if !missing.is_empty() {
-                // The periodic retrieval timer picks these up; nothing to arm here.
-                for link in missing {
-                    self.retrieval.note_missing(link, next, ctx.now());
-                }
+            // Every linked datablock must be locally available before execution (the
+            // periodic retrieval timer fetches the missing ones; nothing to arm here).
+            if !self.note_missing_links(&block, next, ctx.now()).is_empty() {
                 break;
             }
 
@@ -1227,10 +1163,7 @@ impl LeopardReplica {
         self.pool.prune(executed_links.iter().copied());
         self.retrieval.prune(executed_links.iter().copied());
         self.ready.prune(executed_links);
-        self.pipeline.prune_through(SeqNum(watermark));
-        self.replica_instances.retain(|&s, _| s > watermark);
-        self.prepared.retain(|&s, _| s > watermark);
-        self.pending_confirmations.retain(|&s, _| s > watermark);
+        self.prune_instances_through(seq);
         // The system checkpointed past this replica's execution point: it missed
         // confirmations (partition, crash) and can never replay them — the blocks
         // below the watermark are being garbage-collected cluster-wide right now
@@ -1309,11 +1242,15 @@ impl LeopardReplica {
         }
         self.last_executed = watermark;
         self.last_confirmation_at = Some(ctx.now());
-        self.replica_instances.retain(|&s, _| s > watermark.0);
-        self.prepared.retain(|&s, _| s > watermark.0);
-        self.pending_confirmations.retain(|&s, _| s > watermark.0);
-        self.pipeline.prune_through(watermark);
+        self.prune_instances_through(watermark);
         self.retrieval.abandon_waiting_through(watermark);
+    }
+
+    /// Drops every agreement instance, leader and replica side, at or below a stable
+    /// `watermark` (with it the prepared evidence and held confirmations).
+    fn prune_instances_through(&mut self, watermark: SeqNum) {
+        self.pipeline.prune_through(watermark);
+        self.replica_instances.retain(|&s, _| s > watermark.0);
     }
 
     fn handle_state_request(&mut self, from: NodeId, last_executed: SeqNum, ctx: &mut Ctx<'_>) {
@@ -1460,11 +1397,18 @@ impl LeopardReplica {
         self.log.insert(seq.0, entry.block.clone());
         // Any linked datablock this replica does not hold is fetched through the
         // regular retrieval plane (Algorithm 3) before execution.
-        for link in &entry.block.links {
-            if !self.pool.contains(link) {
-                self.retrieval.note_missing(*link, seq, ctx.now());
-            }
+        self.note_missing_links(&entry.block, seq, ctx.now());
+    }
+
+    /// Notes every link of `block` this replica does not hold as missing for `seq`, for
+    /// the retrieval timer to fetch, and returns them.
+    fn note_missing_links(&mut self, block: &BftBlock, seq: SeqNum, now: SimTime) -> Vec<Digest> {
+        let missing: Vec<Digest> =
+            block.links.iter().filter(|link| !self.pool.contains(link)).copied().collect();
+        for &link in &missing {
+            self.retrieval.note_missing(link, seq, now);
         }
+        missing
     }
 
     // ------------------------------------------------------------------
@@ -1503,9 +1447,8 @@ impl LeopardReplica {
                 nanos: elapsed_nanos,
                 received_bytes,
             });
-            if self.pool.insert(datablock).is_some() && !self.behaviour().withholds_votes() {
-                let linker = self.proposer_for_digest(&digest);
-                ctx.send(linker, LeopardMessage::Ready { digest });
+            if self.pool.insert(datablock).is_some() {
+                self.send_ready(digest, ctx);
             }
             for seq in waiting {
                 self.resolve_missing_link(seq, digest, ctx);
@@ -1523,28 +1466,6 @@ impl LeopardReplica {
     // ------------------------------------------------------------------
     // View-change (Appendix A)
     // ------------------------------------------------------------------
-
-    /// Records `seq`'s notarized block + proof in the prepared set, the evidence this
-    /// replica's future view-change messages carry even after [`Self::enter_view`]
-    /// resets the live instance (garbage-collected once a quorum checkpoint covers it).
-    fn stash_prepared(&mut self, seq: SeqNum) {
-        if seq <= self.checkpoints.low_watermark() {
-            return;
-        }
-        if let Some(instance) = self.replica_instances.get(&seq.0) {
-            if instance.state >= BlockState::Notarized {
-                if let (Some(block), Some(proof)) = (&instance.block, instance.notarization) {
-                    self.prepared.insert(
-                        seq.0,
-                        NotarizedEntry {
-                            block: block.clone(),
-                            proof,
-                        },
-                    );
-                }
-            }
-        }
-    }
 
     /// The progress timeout with the current view-change back-off applied.
     fn current_progress_timeout(&self) -> SimDuration {
@@ -1680,33 +1601,17 @@ impl LeopardReplica {
         self.view_change_started_at = Some(ctx.now());
         let new_view = old_view.next();
 
-        // Collect every notarized-or-better block above the stable checkpoint: the
-        // prepared set (evidence that survived earlier view entries) merged with the
-        // live instances (which may have re-notarized under a newer view).
+        // Collect every notarized-or-better block above the stable checkpoint, in
+        // serial order: the live evidence (which may have re-notarized under a newer
+        // view) or else the prepared evidence that survived earlier view entries.
         let lw = self.checkpoints.low_watermark().0;
-        let mut evidence: BTreeMap<u64, NotarizedEntry> = BTreeMap::new();
-        for (&seq, entry) in &self.prepared {
-            if seq > lw {
-                evidence.insert(seq, entry.clone());
-            }
-        }
-        for (&seq, instance) in &self.replica_instances {
-            if seq <= lw {
-                continue;
-            }
-            if let (Some(block), Some(proof)) = (&instance.block, instance.notarization) {
-                if instance.state >= BlockState::Notarized {
-                    evidence.insert(
-                        seq,
-                        NotarizedEntry {
-                            block: block.clone(),
-                            proof,
-                        },
-                    );
-                }
-            }
-        }
-        let notarized: Vec<NotarizedEntry> = evidence.into_values().collect();
+        let notarized: Vec<NotarizedEntry> = self
+            .replica_instances
+            .range(lw + 1..)
+            .filter_map(|(_, instance)| {
+                instance.notarized_entry().or_else(|| instance.prepared.clone())
+            })
+            .collect();
         let message = LeopardMessage::ViewChange {
             new_view,
             checkpoint_seq: self.checkpoints.low_watermark(),
@@ -1733,7 +1638,7 @@ impl LeopardReplica {
     ) {
         // Only a prospective proposer of `new_view` processes these (with a single
         // proposer that is exactly the prospective leader).
-        if self.stripe_in_view(new_view).is_none() {
+        if self.stripe_in_view(self.id, new_view).is_none() {
             return;
         }
         // Verify the notarization proofs before accepting the entries.
@@ -1763,6 +1668,8 @@ impl LeopardReplica {
             let p = self.proposer_count();
             let stripe = self.my_stripe().expect("checked by the guard above");
             let mut highest = payload.stable_checkpoint.0;
+            // Re-proposals skip the block-hash charge a fresh proposal pays: deliberate, for now.
+            let hash_charge = false;
             for entry in &blocks {
                 let seq = entry.block.id.seq;
                 highest = highest.max(seq.0);
@@ -1770,14 +1677,13 @@ impl LeopardReplica {
                     continue;
                 }
                 let block = Arc::new(BftBlock::new(new_view, seq, entry.block.links.clone()));
-                self.repropose(block, ctx);
+                self.broadcast_proposal(block, hash_charge, ctx);
             }
             for gap in &payload.gaps {
-                if Pipeline::stripe_of(*gap, p) != stripe {
-                    continue;
+                if Pipeline::stripe_of(*gap, p) == stripe {
+                    let block = Arc::new(BftBlock::dummy(new_view, *gap));
+                    self.broadcast_proposal(block, hash_charge, ctx);
                 }
-                let block = Arc::new(BftBlock::dummy(new_view, *gap));
-                self.repropose(block, ctx);
             }
             self.pipeline.bump_next_seq(SeqNum(highest + 1));
             // The frontier now clears everything the quorum evidence could have
@@ -1787,14 +1693,6 @@ impl LeopardReplica {
             // while the view-change was in flight.
             self.propose(ctx, true);
         }
-    }
-
-    fn repropose(&mut self, block: Arc<BftBlock>, ctx: &mut Ctx<'_>) {
-        let digest = block.digest();
-        let share = self.sign(&digest, ctx);
-        self.pipeline
-            .insert(block.id.seq, LeaderInstance::new(block.clone()));
-        ctx.broadcast(LeopardMessage::PrePrepare { block, share });
     }
 
     fn handle_new_view(
@@ -1810,12 +1708,8 @@ impl LeopardReplica {
         // Any proposer of `view` may announce it (each one independently assembles
         // the same ViewChange quorum); with a single proposer only the new leader
         // qualifies, as before.
-        let n = self.n() as u64;
-        let offset = (u64::from(from.0) + n - view.0 % n) % n;
-        if offset >= self.proposer_count() {
-            return;
-        }
-        if (view_change_count as usize) < self.quorum() {
+        let from_proposer = self.stripe_in_view(from, view).is_some();
+        if !from_proposer || (view_change_count as usize) < self.quorum() {
             return;
         }
         self.enter_view(view, ctx);
@@ -1840,16 +1734,7 @@ impl LeopardReplica {
         // Unconfirmed instances will be re-proposed in the new view; reset their voting
         // state so replicas can vote again (for the re-proposed block).
         for instance in self.replica_instances.values_mut() {
-            if !instance.is_confirmed() {
-                instance.block = None;
-                instance.block_digest = None;
-                instance.prepare_voted = false;
-                instance.commit_voted = false;
-                instance.notarization = None;
-                instance.notarization_digest = None;
-                instance.state = BlockState::Proposed;
-                instance.missing_links.clear();
-            }
+            instance.reset_for_new_view();
         }
         self.confirmed_at_last_check = self.confirmed_requests;
         // Replay proposals that arrived for this view before we entered it (they

@@ -8,7 +8,7 @@
 
 use crate::messages::NotarizedEntry;
 use leopard_crypto::{hash_parts, Digest};
-use leopard_types::{FastMap, FastSet, NodeId, SeqNum, View, WireSize};
+use leopard_types::{FastSet, NodeId, SeqNum, View, WireSize};
 use std::collections::BTreeMap;
 
 /// The digest a replica signs when complaining that `view` made no progress.
@@ -16,19 +16,26 @@ pub fn timeout_digest(view: View) -> Digest {
     hash_parts([b"timeout".as_slice(), &view.0.to_le_bytes()])
 }
 
-/// Bookkeeping for timeouts, view-change messages and new-view emission.
+/// Bookkeeping for timeouts, view-change messages and new-view emission: one record
+/// per view.
 #[derive(Debug, Default)]
 pub struct ViewChangeState {
-    /// Which replicas sent a timeout for each view.
-    timeouts: FastMap<u64, FastSet<NodeId>>,
-    /// Views for which this replica already multicast its own timeout.
-    complained: FastSet<u64>,
-    /// Views this replica has already abandoned (sent its view-change message for).
-    abandoned: FastSet<u64>,
-    /// View-change messages received by the prospective leader of each view.
-    view_changes: FastMap<u64, BTreeMap<u32, (SeqNum, Vec<NotarizedEntry>, usize)>>,
-    /// Views for which this replica (as next leader) already sent a new-view.
-    new_view_sent: FastSet<u64>,
+    views: BTreeMap<u64, ViewRecord>,
+}
+
+/// One view's view-change round.
+#[derive(Debug, Default)]
+struct ViewRecord {
+    /// Which replicas sent a timeout for this view.
+    timeouts: FastSet<NodeId>,
+    /// This replica already multicast its own timeout.
+    complained: bool,
+    /// This replica already abandoned the view (sent its view-change message).
+    abandoned: bool,
+    /// View-change messages received for this view by a prospective proposer.
+    view_changes: BTreeMap<u32, (SeqNum, Vec<NotarizedEntry>, usize)>,
+    /// This replica (as a proposer of this view) already sent a new-view.
+    new_view_sent: bool,
 }
 
 impl ViewChangeState {
@@ -40,31 +47,30 @@ impl ViewChangeState {
     /// Records a timeout complaint for `view` from `from`; returns the number of
     /// distinct complainers seen so far.
     pub fn record_timeout(&mut self, view: View, from: NodeId) -> usize {
-        let set = self.timeouts.entry(view.0).or_default();
+        let set = &mut self.record(view).timeouts;
         set.insert(from);
         set.len()
-    }
-
-    /// Number of distinct timeout complaints recorded for `view`.
-    pub fn timeout_count(&self, view: View) -> usize {
-        self.timeouts.get(&view.0).map_or(0, FastSet::len)
     }
 
     /// Returns true the first time this replica decides to complain about `view`
     /// (subsequent calls return false so the timeout is multicast only once).
     pub fn mark_complained(&mut self, view: View) -> bool {
-        self.complained.insert(view.0)
+        !std::mem::replace(&mut self.record(view).complained, true)
     }
 
     /// True if this replica already complained about `view`.
     pub fn has_complained(&self, view: View) -> bool {
-        self.complained.contains(&view.0)
+        self.views.get(&view.0).is_some_and(|record| record.complained)
     }
 
     /// Returns true the first time this replica abandons `view` (sends its view-change
     /// message for `view + 1`).
     pub fn mark_abandoned(&mut self, view: View) -> bool {
-        self.abandoned.insert(view.0)
+        !std::mem::replace(&mut self.record(view).abandoned, true)
+    }
+
+    fn record(&mut self, view: View) -> &mut ViewRecord {
+        self.views.entry(view.0).or_default()
     }
 
     /// Records a view-change message for `new_view` at the prospective leader.
@@ -77,7 +83,7 @@ impl ViewChangeState {
         entries: Vec<NotarizedEntry>,
         wire_bytes: usize,
     ) -> usize {
-        let map = self.view_changes.entry(new_view.0).or_default();
+        let map = &mut self.record(new_view).view_changes;
         map.entry(from.0).or_insert((checkpoint, entries, wire_bytes));
         map.len()
     }
@@ -95,14 +101,12 @@ impl ViewChangeState {
         new_view: View,
         quorum: usize,
     ) -> Option<NewViewPayload> {
-        if self.new_view_sent.contains(&new_view.0) {
+        let record = self.views.get_mut(&new_view.0)?;
+        if record.new_view_sent || record.view_changes.len() < quorum {
             return None;
         }
-        let map = self.view_changes.get(&new_view.0)?;
-        if map.len() < quorum {
-            return None;
-        }
-        self.new_view_sent.insert(new_view.0);
+        record.new_view_sent = true;
+        let map = &record.view_changes;
 
         let mut by_seq: BTreeMap<u64, NotarizedEntry> = BTreeMap::new();
         let mut max_checkpoint = SeqNum(0);
@@ -190,8 +194,8 @@ mod tests {
         assert_eq!(state.record_timeout(View(1), NodeId(0)), 1);
         assert_eq!(state.record_timeout(View(1), NodeId(0)), 1);
         assert_eq!(state.record_timeout(View(1), NodeId(2)), 2);
-        assert_eq!(state.timeout_count(View(1)), 2);
-        assert_eq!(state.timeout_count(View(2)), 0);
+        // Views count their complainers independently.
+        assert_eq!(state.record_timeout(View(2), NodeId(2)), 1);
     }
 
     #[test]
