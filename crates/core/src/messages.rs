@@ -167,8 +167,8 @@ pub enum LeopardMessage {
     /// Algorithm 3: a query for missing datablocks, multicast by the replica that needs
     /// them.
     Query {
-        /// Digests of the missing datablocks.
-        digests: Vec<Digest>,
+        /// Digests of the missing datablocks, shared by every receiver's copy.
+        digests: Arc<[Digest]>,
     },
     /// Algorithm 3: one erasure-coded chunk of a queried datablock plus its Merkle proof
     /// (or the metered stand-in occupying identical wire bytes).
@@ -416,7 +416,7 @@ mod tests {
                 },
                 "proof",
             ),
-            (LeopardMessage::Query { digests: vec![digest] }, "query"),
+            (LeopardMessage::Query { digests: Arc::new([digest]) }, "query"),
             (query_response(db.clone()), "retrieval"),
             (
                 LeopardMessage::Checkpoint {
@@ -506,12 +506,16 @@ mod tests {
     #[test]
     fn query_size_scales_with_digest_count() {
         let one = LeopardMessage::Query {
-            digests: vec![hash_bytes(b"a")],
+            digests: Arc::new([hash_bytes(b"a")]),
         };
         let five = LeopardMessage::Query {
             digests: (0..5u8).map(|i| hash_bytes(&[i])).collect(),
         };
         assert_eq!(five.wire_size() - one.wire_size(), 4 * DIGEST_WIRE_BYTES);
+        // A receiver's copy shares the list instead of copying it.
+        let LeopardMessage::Query { digests } = &five else { unreachable!() };
+        let LeopardMessage::Query { digests: copied } = five.clone() else { unreachable!() };
+        assert!(Arc::ptr_eq(digests, &copied));
     }
 
     #[test]

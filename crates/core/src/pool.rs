@@ -2,17 +2,25 @@
 //! bookkeeping (`readyblockPool`).
 
 use leopard_crypto::Digest;
-use leopard_types::{Datablock, FastMap, FastSet, NodeId};
+use leopard_types::{Datablock, DatablockId, FastMap, FastSet, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Storage of received datablocks, indexed by digest, with per-producer counter
-/// de-duplication (a producer may use each counter value only once — the rate-limit of
-/// Algorithm 1).
+/// de-duplication: a producer may use each counter value only once. That is
+/// uniqueness only, not a rate limit; Algorithm 1's counter bounds nothing yet (see
+/// ROADMAP item 6(a)).
+///
+/// The counters seen are kept exactly, as a per-producer watermark plus the few that
+/// arrived above it (DESIGN.md §5.7): an in-order producer costs one map entry, not a
+/// hash set of its own.
 #[derive(Debug, Default)]
 pub struct DatablockPool {
     by_digest: FastMap<Digest, Arc<Datablock>>,
-    seen_counters: FastMap<NodeId, FastSet<u64>>,
+    /// Producer → `w`: every counter `1..=w` of that producer has been seen.
+    watermarks: FastMap<NodeId, u64>,
+    /// Counters seen that their producer's watermark does not cover: above it, or 0.
+    above_watermark: FastSet<DatablockId>,
 }
 
 impl DatablockPool {
@@ -35,13 +43,38 @@ impl DatablockPool {
     ///
     /// Returns the digest if the datablock was accepted, `None` if it was a duplicate.
     pub fn insert(&mut self, datablock: Arc<Datablock>) -> Option<Digest> {
-        let counters = self.seen_counters.entry(datablock.id.producer).or_default();
-        if !counters.insert(datablock.id.counter) {
+        if !self.mark_seen(datablock.id) {
             return None;
         }
         let digest = datablock.digest();
         self.by_digest.insert(digest, datablock);
         Some(digest)
+    }
+
+    /// Records `id` as seen; false if it had been seen before.
+    fn mark_seen(&mut self, id: DatablockId) -> bool {
+        let DatablockId { producer, counter } = id;
+        let watermark = self.watermarks.get(&producer).copied().unwrap_or(0);
+        if (1..=watermark).contains(&counter) {
+            return false;
+        }
+        if watermark.checked_add(1) != Some(counter) {
+            return self.above_watermark.insert(id);
+        }
+        // The next counter in line: the watermark absorbs it, then every counter that
+        // arrived early and now follows on.
+        let mut watermark = counter;
+        while let Some(next) = watermark.checked_add(1) {
+            if !self
+                .above_watermark
+                .remove(&DatablockId::new(producer, next))
+            {
+                break;
+            }
+            watermark = next;
+        }
+        self.watermarks.insert(producer, watermark);
+        true
     }
 
     /// Looks up a datablock by digest.
@@ -61,8 +94,7 @@ impl DatablockPool {
     }
 
     /// Removes datablocks whose digests appear in `digests` (garbage collection after a
-    /// checkpoint). The per-producer counter history is retained so counters can never
-    /// be reused.
+    /// checkpoint). The counters seen are retained so counters can never be reused.
     pub fn prune(&mut self, digests: impl IntoIterator<Item = Digest>) {
         for digest in digests {
             self.by_digest.remove(&digest);
@@ -153,6 +185,7 @@ impl ReadyTracker {
 mod tests {
     use super::*;
     use leopard_types::{ClientId, Request};
+    use proptest::prelude::*;
 
     fn datablock(producer: u32, counter: u64, seed: u64) -> Arc<Datablock> {
         Arc::new(Datablock::new(
@@ -193,6 +226,105 @@ mod tests {
         assert!(pool.is_empty());
         // Counter 1 from producer 1 can still not be reused.
         assert!(pool.insert(datablock(1, 1, 42)).is_none());
+    }
+
+    #[test]
+    fn in_order_producers_leave_nothing_above_the_watermark() {
+        let mut pool = DatablockPool::new();
+        for counter in 1..=50 {
+            for producer in 0..4 {
+                assert!(pool.insert(datablock(producer, counter, counter)).is_some());
+            }
+        }
+        assert!(pool.above_watermark.is_empty());
+        assert_eq!(pool.watermarks.len(), 4);
+        assert!(pool.watermarks.values().all(|&watermark| watermark == 50));
+    }
+
+    #[test]
+    fn early_counters_are_absorbed_once_the_gap_closes() {
+        let mut pool = DatablockPool::new();
+        for counter in [3, 4, 2] {
+            assert!(pool.insert(datablock(1, counter, counter)).is_some());
+        }
+        assert_eq!(pool.above_watermark.len(), 3);
+        assert!(pool.insert(datablock(1, 1, 1)).is_some());
+        assert!(pool.above_watermark.is_empty());
+        assert_eq!(pool.watermarks[&NodeId(1)], 4);
+        for counter in 1..=4 {
+            assert!(pool.insert(datablock(1, counter, 99)).is_none());
+        }
+    }
+
+    #[test]
+    fn the_watermark_stops_at_the_last_counter() {
+        let mut pool = DatablockPool::new();
+        // Reaching u64::MAX - 2 in order takes 2^64 datablocks; start the watermark there.
+        pool.watermarks.insert(NodeId(1), u64::MAX - 2);
+        assert!(pool.insert(datablock(1, u64::MAX, 1)).is_some());
+        assert!(pool.insert(datablock(1, u64::MAX - 1, 2)).is_some());
+        assert_eq!(pool.watermarks[&NodeId(1)], u64::MAX);
+        assert!(pool.above_watermark.is_empty());
+        assert!(pool.insert(datablock(1, u64::MAX, 3)).is_none());
+        assert!(pool.insert(datablock(1, 7, 4)).is_none());
+        // Counter 0 lies below every watermark's range: seen once, like any other.
+        assert!(pool.insert(datablock(1, 0, 5)).is_some());
+        assert!(pool.insert(datablock(1, 0, 6)).is_none());
+    }
+
+    /// The counter-uniqueness rule as a plain set per producer: what the watermark
+    /// must decide, insert for insert.
+    #[derive(Default)]
+    struct SetPerProducer(FastMap<NodeId, FastSet<u64>>);
+
+    impl SetPerProducer {
+        fn insert(&mut self, producer: NodeId, counter: u64) -> bool {
+            self.0.entry(producer).or_default().insert(counter)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn watermark_accepts_exactly_what_a_set_per_producer_accepts(
+            ops in proptest::collection::vec((0u8..10, 0usize..5, 0u64..12), 0..300),
+        ) {
+            let producers = [0, 1, 7, 1 << 20, u32::MAX];
+            let edges = [0, 1 << 63, u64::MAX - 1, u64::MAX];
+            let mut next = [1u64; 5];
+            let mut pool = DatablockPool::new();
+            let mut model = SetPerProducer::default();
+            let mut accepted = Vec::new();
+            for (step, &(kind, p, c)) in ops.iter().enumerate() {
+                let counter = match kind {
+                    // In order, the common case.
+                    0..=3 => {
+                        next[p] += 1;
+                        next[p] - 1
+                    }
+                    // Reordered, duplicated or 0.
+                    4..=6 => c,
+                    // Ahead of the producer's next counter: arrives early.
+                    7 => next[p] + c,
+                    8 => edges[c as usize % edges.len()],
+                    _ => {
+                        pool.prune(accepted.drain(..));
+                        continue;
+                    }
+                };
+                let producer = NodeId(producers[p]);
+                let got = pool.insert(datablock(producer.0, counter, step as u64));
+                prop_assert_eq!(
+                    got.is_some(),
+                    model.insert(producer, counter),
+                    "step {} producer {} counter {}",
+                    step,
+                    producer.0,
+                    counter
+                );
+                accepted.extend(got);
+            }
+        }
     }
 
     #[test]

@@ -1415,11 +1415,11 @@ impl LeopardReplica {
     // Retrieval (Algorithm 3)
     // ------------------------------------------------------------------
 
-    fn handle_query(&mut self, from: NodeId, digests: Vec<Digest>, ctx: &mut Ctx<'_>) {
+    fn handle_query(&mut self, from: NodeId, digests: &[Digest], ctx: &mut Ctx<'_>) {
         if self.behaviour().ignores_queries() {
             return;
         }
-        for digest in digests {
+        for &digest in digests {
             let Some(datablock) = self.pool.get(&digest) else {
                 continue;
             };
@@ -1459,7 +1459,9 @@ impl LeopardReplica {
     fn fire_retrieval_timer(&mut self, ctx: &mut Ctx<'_>) {
         let digests = self.retrieval.digests_to_query(ctx.now());
         if !digests.is_empty() {
-            ctx.multicast(LeopardMessage::Query { digests });
+            ctx.multicast(LeopardMessage::Query {
+                digests: digests.into(),
+            });
         }
     }
 
@@ -1821,7 +1823,7 @@ impl Protocol for LeopardReplica {
                 proof_digest,
                 proof,
             } => self.handle_confirmation(seq, proof_digest, proof, ctx),
-            LeopardMessage::Query { digests } => self.handle_query(from, digests, ctx),
+            LeopardMessage::Query { digests } => self.handle_query(from, &digests, ctx),
             LeopardMessage::QueryResponse { digest, chunk } => {
                 self.handle_query_response(digest, chunk, ctx)
             }

@@ -30,8 +30,9 @@
 use crate::scenario::ScenarioProtocol;
 use leopard_crypto::Digest;
 use leopard_simnet::{SimDuration, SimTime, Simulation};
-use leopard_types::{FastSet, NodeId};
+use leopard_types::{BftBlock, FastSet, NodeId};
 use std::fmt;
+use std::sync::Arc;
 
 /// One invariant violation found by [`SystemSnapshot::check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,10 +168,10 @@ pub struct ReplicaSnapshot {
 /// A replica's confirmed log, in its protocol's shape.
 #[derive(Debug, Clone)]
 pub enum ConfirmedLog {
-    /// Leopard: `(seq, BFTblock digest, linked datablock digests)`. Honest replicas
-    /// must agree on the links: a view change re-proposes the same links under a new
-    /// block digest (the digest covers the view).
-    Linked(Vec<(u64, Digest, Vec<Digest>)>),
+    /// Leopard: `(seq, BFTblock)`, the replica's own blocks shared, not copied. Honest
+    /// replicas must agree on the links: a view change re-proposes the same links under
+    /// a new block digest (the digest covers the view).
+    Linked(Vec<(u64, Arc<BftBlock>)>),
     /// HotStuff: `(height, block digest)`. Honest replicas must agree on the digest:
     /// chained blocks are never re-proposed.
     Chained(Vec<(u64, Digest)>),
@@ -185,7 +186,7 @@ impl ConfirmedLog {
             Self::Chained(log) => (&[][..], &log[..]),
         };
         let chained = chained.iter().map(|(seq, d)| (*seq, *d, std::slice::from_ref(d)));
-        linked.iter().map(|(seq, digest, links)| (*seq, *digest, &links[..])).chain(chained)
+        linked.iter().map(|(seq, block)| (*seq, block.digest(), &block.links[..])).chain(chained)
     }
 }
 
@@ -324,11 +325,11 @@ impl SystemSnapshot {
             let ConfirmedLog::Linked(log) = &replica.log else {
                 continue;
             };
-            for (seq, _, links) in log {
+            for (seq, block) in log {
                 if *seq <= replica.low_watermark {
                     continue;
                 }
-                for link in links {
+                for link in &block.links {
                     if replica.pool.contains(link) {
                         continue;
                     }
@@ -374,25 +375,32 @@ impl SystemSnapshot {
 mod tests {
     use super::*;
     use leopard_crypto::hash_bytes;
+    use leopard_types::{SeqNum, View};
 
     fn digest(tag: &str) -> Digest {
         hash_bytes(tag.as_bytes())
     }
 
-    fn linked(replica: &mut ReplicaSnapshot) -> &mut Vec<(u64, Digest, Vec<Digest>)> {
+    /// The BFTblock of `view` at `seq` linking the datablocks tagged `links`.
+    fn block(view: u64, seq: u64, links: &[&str]) -> Arc<BftBlock> {
+        let links = links.iter().map(|tag| digest(tag)).collect();
+        Arc::new(BftBlock::new(View(view), SeqNum(seq), links))
+    }
+
+    fn linked(replica: &mut ReplicaSnapshot) -> &mut Vec<(u64, Arc<BftBlock>)> {
         match &mut replica.log {
             ConfirmedLog::Linked(log) => log,
             ConfirmedLog::Chained(_) => unreachable!("the healthy snapshot is Leopard-shaped"),
         }
     }
 
-    /// A healthy 4-replica system: identical logs, every link everywhere, fresh
-    /// confirmations.
+    /// A healthy 4-replica system: identical logs (every replica shares the same two
+    /// blocks, as replicas do), every link everywhere, fresh confirmations.
     fn healthy_snapshot() -> SystemSnapshot {
         let link_a = digest("link-a");
         let link_b = digest("link-b");
-        let block_1 = digest("block-1");
-        let block_2 = digest("block-2");
+        let block_1 = block(1, 1, &["link-a"]);
+        let block_2 = block(1, 2, &["link-b"]);
         let replicas = (0..4)
             .map(|i| ReplicaSnapshot {
                 node: NodeId(i),
@@ -401,10 +409,7 @@ mod tests {
                 low_watermark: 0,
                 last_confirmation_at: Some(SimTime(4_900_000_000)),
                 view: 1,
-                log: ConfirmedLog::Linked(vec![
-                    (1, block_1, vec![link_a]),
-                    (2, block_2, vec![link_b]),
-                ]),
+                log: ConfirmedLog::Linked(vec![(1, block_1.clone()), (2, block_2.clone())]),
                 pool: [link_a, link_b].into_iter().collect(),
             })
             .collect();
@@ -430,14 +435,19 @@ mod tests {
         let mut snapshot = healthy_snapshot();
         // Mutation: replica 3 confirmed a different block at seq 2 — different
         // digest AND different committed content.
-        let evil = (2, digest("evil-block-2"), vec![digest("evil-payload-2")]);
-        linked(&mut snapshot.replicas[3])[1] = evil;
+        let evil = block(1, 2, &["evil-payload-2"]);
+        linked(&mut snapshot.replicas[3])[1].1 = evil.clone();
         let violations = snapshot.check();
+        let honest = block(1, 2, &["link-b"]).digest();
         assert!(
-            violations.iter().any(|v| matches!(
-                v,
-                Violation::SafetyFork { seq: 2, node_b: NodeId(3), .. }
-            )),
+            violations.iter().any(|v| *v
+                == Violation::SafetyFork {
+                    seq: 2,
+                    node_a: NodeId(0),
+                    digest_a: honest,
+                    node_b: NodeId(3),
+                    digest_b: evil.digest(),
+                }),
             "fork not flagged: {violations:?}"
         );
         // The same fork is reported once, not once per honest observer pair.
@@ -451,8 +461,10 @@ mod tests {
     #[test]
     fn byzantine_logs_are_excluded_from_safety() {
         let mut snapshot = healthy_snapshot();
+        linked(&mut snapshot.replicas[3])[1].1 = block(1, 2, &["evil-payload-2"]);
+        assert!(!snapshot.check().is_empty());
+        // The same divergent log on a Byzantine replica says nothing.
         snapshot.replicas[3].honest = false;
-        linked(&mut snapshot.replicas[3])[1].1 = digest("evil-block-2");
         assert_eq!(snapshot.check(), Vec::new());
     }
 
@@ -486,8 +498,26 @@ mod tests {
         let mut snapshot = healthy_snapshot();
         // A view change re-proposed seq 2 under the new view at replica 3: the block
         // digest changes (it covers the view) but the committed content is identical.
-        linked(&mut snapshot.replicas[3])[1].1 = digest("block-2-view-2");
+        let reproposal = block(2, 2, &["link-b"]);
+        assert_ne!(reproposal.digest(), linked(&mut snapshot.replicas[0])[1].1.digest());
+        linked(&mut snapshot.replicas[3])[1].1 = reproposal;
         assert_eq!(snapshot.check(), Vec::new());
+    }
+
+    #[test]
+    fn a_dummy_replacing_a_confirmed_block_is_a_fork() {
+        let mut snapshot = healthy_snapshot();
+        // A second view change filled seq 2 with a dummy at replica 3, although the
+        // others confirmed real content there.
+        linked(&mut snapshot.replicas[3])[1].1 = Arc::new(BftBlock::dummy(View(3), SeqNum(2)));
+        let violations = snapshot.check();
+        assert!(
+            violations.iter().any(|v| matches!(
+                v,
+                Violation::SafetyFork { seq: 2, node_b: NodeId(3), .. }
+            )),
+            "dummy replacement not flagged: {violations:?}"
+        );
     }
 
     #[test]
@@ -529,8 +559,7 @@ mod tests {
         snapshot.replicas[2].last_confirmation_at = None;
         assert_eq!(snapshot.check(), Vec::new());
         // ... but its confirmed log still participates in the fork check.
-        let evil = (1, digest("evil-block-1"), vec![digest("evil-payload-1")]);
-        linked(&mut snapshot.replicas[2])[0] = evil;
+        linked(&mut snapshot.replicas[2])[0].1 = block(1, 1, &["evil-payload-1"]);
         assert!(snapshot
             .check()
             .iter()

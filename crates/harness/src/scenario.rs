@@ -13,6 +13,7 @@ use leopard_simnet::{
     Simulation, SimulationReport, StragglerProfile, Topology,
 };
 use leopard_types::{CostModelKind, FastSet, NodeId, ProtocolParams};
+use std::sync::Arc;
 
 /// Description of one experiment run.
 #[derive(Debug, Clone)]
@@ -624,9 +625,7 @@ impl ScenarioProtocol for LeopardReplica {
             last_confirmation_at: self.last_confirmation_at(),
             view: self.view().0,
             log: ConfirmedLog::Linked(
-                self.log_entries()
-                    .map(|(seq, block)| (seq.0, block.digest(), block.links.clone()))
-                    .collect(),
+                self.log_entries().map(|(seq, block)| (seq.0, Arc::clone(block))).collect(),
             ),
             pool: self.pool().digests().copied().collect(),
         }
@@ -1056,6 +1055,25 @@ mod tests {
         assert!(report.throughput_rps > 0.0);
         assert!(report.throughput_mbps() > 0.0);
         assert!(report.leader_bandwidth_bps > 0.0);
+    }
+
+    #[test]
+    fn the_snapshot_shares_the_replicas_blocks() {
+        let config = ScenarioConfig::small(4).with_duration(SimDuration::from_secs(2));
+        let (mut sim, _) = LeopardReplica::build(&config);
+        sim.run_until(SimTime::ZERO + config.duration, config.max_events);
+        for node in (0..4).map(NodeId) {
+            let replica = sim.node(node);
+            let ConfirmedLog::Linked(log) = replica.snapshot(node, true).log else {
+                panic!("a Leopard snapshot holds a linked log");
+            };
+            assert!(!log.is_empty(), "node {node} confirmed nothing");
+            assert_eq!(log.len(), replica.log_entries().count());
+            for ((seq, shared), (own_seq, own)) in log.iter().zip(replica.log_entries()) {
+                assert_eq!(*seq, own_seq.0);
+                assert!(Arc::ptr_eq(shared, own), "node {node} seq {seq} copied its block");
+            }
+        }
     }
 
     #[test]
