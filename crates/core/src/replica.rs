@@ -1030,11 +1030,9 @@ impl LeopardReplica {
             }
 
             let mut request_count = 0u64;
-            let mut payload_bytes = 0u64;
             for link in &block.links {
                 let datablock = self.pool.get(link).expect("checked above").clone();
                 request_count += datablock.len() as u64;
-                payload_bytes += datablock.payload_bytes() as u64;
                 // Latency of our own requests, then its breakdown by stage.
                 if let Some(timing) = self.own_datablocks.remove(link) {
                     ctx.observe(ObservationKind::RequestLatencies {
@@ -1061,12 +1059,6 @@ impl LeopardReplica {
                 }
             }
             self.confirmed_requests += request_count;
-            if request_count > 0 {
-                ctx.observe(ObservationKind::RequestsConfirmed {
-                    count: request_count,
-                    payload_bytes,
-                });
-            }
             ctx.observe(ObservationKind::BlockCommitted {
                 sequence: next.0,
                 requests: request_count,
@@ -2161,11 +2153,10 @@ mod tests {
         );
         // It resumes executing after the restart instead of staying dark.
         let restart = SimTime(SimDuration::from_secs(2).as_nanos());
-        let resumed = report.metrics.observations.iter().any(|o| {
-            o.node == NodeId(2)
-                && o.at > restart
-                && matches!(o.kind, ObservationKind::RequestsConfirmed { .. })
-        });
+        let resumed = report
+            .metrics
+            .confirmations()
+            .any(|commit| commit.node == NodeId(2) && commit.at > restart);
         assert!(resumed, "restarted replica never confirmed after rejoining");
     }
 

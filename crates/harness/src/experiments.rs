@@ -10,7 +10,7 @@ use crate::report::Table;
 use crate::scenario::{run_hotstuff_scenario, run_leopard_scenario, ScenarioConfig, ScenarioReport};
 use crate::workload::WorkloadConfig;
 use leopard_core::byzantine::ByzantineBehavior;
-use leopard_simnet::{ObservationKind, SimDuration, SimTime};
+use leopard_simnet::{SimDuration, SimTime};
 use leopard_types::{NodeId, ProtocolParams};
 
 fn scales(quick: bool, quick_list: &[usize], full_list: &[usize]) -> Vec<usize> {
@@ -791,17 +791,7 @@ pub fn fig12_retrieval(quick: bool) -> Table {
 /// disturbance (which the invariant checker would have flagged as a stall anyway).
 fn recovery_secs(config: &ScenarioConfig, report: &ScenarioReport) -> Option<f64> {
     let quiet = config.quiet_after();
-    let mut first: Vec<Option<SimTime>> = vec![None; config.n];
-    for observation in &report.sim.metrics.observations {
-        if let ObservationKind::RequestsConfirmed { .. } = observation.kind {
-            if observation.at >= quiet {
-                let slot = &mut first[observation.node.as_index()];
-                if slot.map_or(true, |at| observation.at < at) {
-                    *slot = Some(observation.at);
-                }
-            }
-        }
-    }
+    let first = report.sim.metrics.first_confirmations_since(config.n, quiet);
     let mut worst = SimTime::ZERO;
     for (index, slot) in first.iter().enumerate() {
         let node = NodeId(index as u32);

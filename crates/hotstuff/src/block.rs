@@ -105,11 +105,6 @@ impl HotStuffBlock {
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
     }
-
-    /// Total request payload bytes in the batch.
-    pub fn payload_bytes(&self) -> usize {
-        self.requests.payload_bytes()
-    }
 }
 
 impl WireSize for HotStuffBlock {
@@ -153,7 +148,7 @@ mod tests {
         // 800 requests of 128 bytes: the proposal is payload-dominated.
         assert!(block.wire_size() > 800 * 128);
         assert_eq!(block.len(), 800);
-        assert_eq!(block.payload_bytes(), 800 * 128);
+        assert_eq!(block.requests.payload_bytes(), 800 * 128);
         assert!(!block.is_empty());
     }
 }

@@ -341,15 +341,8 @@ impl HotStuffReplica {
             return;
         }
         let count = block.len() as u64;
-        let bytes = block.payload_bytes() as u64;
         self.confirmed_requests += count;
         self.last_confirmation_at = Some(ctx.now());
-        if count > 0 {
-            ctx.observe(ObservationKind::RequestsConfirmed {
-                count,
-                payload_bytes: bytes,
-            });
-        }
         ctx.observe(ObservationKind::BlockCommitted {
             sequence: block.height,
             requests: count,

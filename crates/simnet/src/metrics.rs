@@ -11,7 +11,10 @@ use leopard_types::NodeId;
 /// harness having to understand protocol internals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObservationKind {
-    /// `count` requests totalling `payload_bytes` became confirmed at this node.
+    /// `count` requests totalling `payload_bytes` became confirmed at this node. The
+    /// sink keeps it as a [`CommitRecord`] without a sequence number, counted exactly
+    /// like a [`Self::BlockCommitted`] of `count` requests; the bundled protocols emit
+    /// only the latter.
     RequestsConfirmed {
         /// Number of requests confirmed.
         count: u64,
@@ -33,7 +36,8 @@ pub enum ObservationKind {
         /// Number of requests.
         count: u64,
     },
-    /// A BFTblock (or HotStuff block) reached the committed state at this node.
+    /// A BFTblock (or HotStuff block) was executed at this node, confirming its
+    /// `requests`. The sink keeps it as a [`CommitRecord`], not in the log.
     BlockCommitted {
         /// The serial number / height of the block.
         sequence: u64,
@@ -71,6 +75,23 @@ pub struct Observation {
     /// The payload.
     pub kind: ObservationKind,
 }
+
+/// One block execution at one node: how [`MetricsSink`] keeps
+/// [`ObservationKind::BlockCommitted`] (and [`ObservationKind::RequestsConfirmed`])
+/// observations, one 24-byte record per (replica, executed block) instead of a log entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitRecord {
+    /// Simulated time of the execution.
+    pub at: SimTime,
+    /// The block's serial number / height (0 for a folded `RequestsConfirmed`).
+    pub sequence: u64,
+    /// Node that executed the block.
+    pub node: NodeId,
+    /// Requests the block confirmed; a block with none is not a confirmation.
+    pub requests: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<CommitRecord>() <= 24);
 
 /// `count` request-latency samples of `nanos` each, measured at `node`: how
 /// [`MetricsSink`] keeps [`ObservationKind::RequestLatency`] and
@@ -356,8 +377,9 @@ impl Default for LatencyHistogram {
 pub struct MetricsSink {
     /// Traffic counters.
     pub traffic: TrafficMatrix,
-    /// Ordered list of protocol observations, request latencies excepted (see
-    /// [`Self::latency_runs`]).
+    /// Ordered list of protocol observations, request latencies (see
+    /// [`Self::latency_runs`]) and block executions (see [`Self::commits`]) excepted:
+    /// view changes, retrievals and custom samples.
     pub observations: Vec<Observation>,
     /// O(1)-memory histogram of every request-latency sample, for percentile
     /// reporting.
@@ -365,9 +387,10 @@ pub struct MetricsSink {
     /// Request-latency samples in emission order, one entry per observation rather
     /// than per request.
     latency_runs: Vec<LatencyRun>,
+    /// Every block execution in emission order.
+    commits: Vec<CommitRecord>,
     /// Running per-node confirmed-request totals, maintained incrementally on
-    /// [`Self::observe`] so full-run throughput queries never rescan the (at large
-    /// `n`, multi-million-entry) observation log.
+    /// [`Self::observe`] so full-run throughput queries never rescan [`Self::commits`].
     confirmed_per_node: Vec<u64>,
 }
 
@@ -380,28 +403,51 @@ impl MetricsSink {
             observations: Vec::new(),
             latency_histogram: LatencyHistogram::new(),
             latency_runs: Vec::new(),
+            commits: Vec::new(),
             confirmed_per_node: vec![0; nodes],
         }
     }
 
     /// Records an observation. Request latencies go to the histogram and
-    /// [`Self::latency_runs`]; everything else is appended to [`Self::observations`].
+    /// [`Self::latency_runs`], block executions to [`Self::commits`]; everything else
+    /// is appended to [`Self::observations`].
+    ///
+    /// # Panics
+    ///
+    /// If a block execution names a node at or above the sink's size, or confirms more
+    /// than `u32::MAX` requests.
     pub fn observe(&mut self, at: SimTime, node: NodeId, kind: ObservationKind) {
         match kind {
             ObservationKind::RequestLatency { nanos } => self.record_latencies(node, nanos, 1),
             ObservationKind::RequestLatencies { nanos, count } => {
                 self.record_latencies(node, nanos, count)
             }
+            ObservationKind::BlockCommitted { sequence, requests } => {
+                self.record_commit(at, node, sequence, requests)
+            }
             ObservationKind::RequestsConfirmed { count, .. } => {
-                let index = node.as_index();
-                if index >= self.confirmed_per_node.len() {
-                    self.confirmed_per_node.resize(index + 1, 0);
-                }
-                self.confirmed_per_node[index] += count;
-                self.observations.push(Observation { at, node, kind });
+                self.record_commit(at, node, 0, count)
             }
             _ => self.observations.push(Observation { at, node, kind }),
         }
+    }
+
+    fn record_commit(&mut self, at: SimTime, node: NodeId, sequence: u64, requests: u64) {
+        let index = node.as_index();
+        assert!(
+            index < self.confirmed_per_node.len(),
+            "metrics sink sized for {} nodes, got node {index}",
+            self.confirmed_per_node.len()
+        );
+        let count = u32::try_from(requests)
+            .unwrap_or_else(|_| panic!("node {index} confirmed {requests} requests in one block"));
+        self.confirmed_per_node[index] += requests;
+        self.commits.push(CommitRecord {
+            at,
+            sequence,
+            node,
+            requests: count,
+        });
     }
 
     fn record_latencies(&mut self, node: NodeId, nanos: u64, count: u64) {
@@ -411,8 +457,31 @@ impl MetricsSink {
         }
     }
 
-    /// Total confirmed requests across all [`ObservationKind::RequestsConfirmed`]
-    /// observations emitted by `node`.
+    /// Every block execution, in emission order.
+    pub fn commits(&self) -> &[CommitRecord] {
+        &self.commits
+    }
+
+    /// The block executions that confirmed at least one request, in emission order.
+    pub fn confirmations(&self) -> impl Iterator<Item = &CommitRecord> + '_ {
+        self.commits.iter().filter(|commit| commit.requests > 0)
+    }
+
+    /// For each node in `0..nodes`, the instant of its first confirmation at or after
+    /// `start`, or `None` if it confirmed nothing from then on.
+    pub fn first_confirmations_since(&self, nodes: usize, start: SimTime) -> Vec<Option<SimTime>> {
+        let mut first: Vec<Option<SimTime>> = vec![None; nodes];
+        for commit in self.confirmations().filter(|commit| commit.at >= start) {
+            if let Some(slot) = first.get_mut(commit.node.as_index()) {
+                if slot.map_or(true, |at| commit.at < at) {
+                    *slot = Some(commit.at);
+                }
+            }
+        }
+        first
+    }
+
+    /// Total requests confirmed by the block executions of `node`.
     pub fn confirmed_requests_at(&self, node: NodeId) -> u64 {
         self.confirmed_per_node.get(node.as_index()).copied().unwrap_or(0)
     }
@@ -431,17 +500,12 @@ impl MetricsSink {
     }
 
     /// The largest number of confirmed requests reported by any single node, counting
-    /// only observations at or after `start` (for warm-up-excluding throughput).
+    /// only block executions at or after `start` (for warm-up-excluding throughput).
     pub fn max_confirmed_requests_since(&self, nodes: usize, start: SimTime) -> u64 {
         let mut per_node = vec![0u64; nodes];
-        for observation in &self.observations {
-            if observation.at < start {
-                continue;
-            }
-            if let ObservationKind::RequestsConfirmed { count, .. } = observation.kind {
-                if let Some(slot) = per_node.get_mut(observation.node.as_index()) {
-                    *slot += count;
-                }
+        for commit in self.commits.iter().filter(|commit| commit.at >= start) {
+            if let Some(slot) = per_node.get_mut(commit.node.as_index()) {
+                *slot += u64::from(commit.requests);
             }
         }
         per_node.into_iter().max().unwrap_or(0)
@@ -545,6 +609,91 @@ mod tests {
         assert_eq!(sink.max_confirmed_requests_since(2, SimTime(0)), 12);
         assert_eq!(sink.max_confirmed_requests_since(2, SimTime(15)), 7);
         assert_eq!(sink.max_confirmed_requests_since(2, SimTime(21)), 0);
+    }
+
+    /// Every confirmation query of `sink` over two nodes, at the instants the
+    /// confirmation tests use.
+    fn confirmation_answers(sink: &MetricsSink) -> Vec<String> {
+        let mut answers = vec![
+            format!("{:?}", [0, 1].map(|node| sink.confirmed_requests_at(NodeId(node)))),
+            format!("{}", sink.max_confirmed_requests(2)),
+        ];
+        for start in [0, 10, 11, 15, 20, 21, 30, 31] {
+            answers.push(format!("{}", sink.max_confirmed_requests_since(2, SimTime(start))));
+            answers.push(format!("{:?}", sink.first_confirmations_since(2, SimTime(start))));
+        }
+        answers
+    }
+
+    #[test]
+    fn requests_confirmed_counts_exactly_like_block_committed() {
+        let confirmations = [(10, 0, 5), (20, 0, 7), (30, 1, 4)];
+        let mut confirmed = MetricsSink::with_nodes(2);
+        let mut committed = MetricsSink::with_nodes(2);
+        for (at, node, count) in confirmations {
+            confirmed.observe(
+                SimTime(at),
+                NodeId(node),
+                ObservationKind::RequestsConfirmed {
+                    count,
+                    payload_bytes: 128 * count,
+                },
+            );
+            committed.observe(
+                SimTime(at),
+                NodeId(node),
+                ObservationKind::BlockCommitted {
+                    sequence: at,
+                    requests: count,
+                },
+            );
+        }
+        // Empty blocks change no answer: a commit without requests is no confirmation.
+        for at in [11, 25] {
+            committed.observe(
+                SimTime(at),
+                NodeId(1),
+                ObservationKind::BlockCommitted {
+                    sequence: at,
+                    requests: 0,
+                },
+            );
+        }
+        assert_eq!(confirmation_answers(&confirmed), confirmation_answers(&committed));
+        assert_eq!(
+            committed.first_confirmations_since(2, SimTime(11)),
+            vec![Some(SimTime(20)), Some(SimTime(30))]
+        );
+        assert_eq!(committed.first_confirmations_since(2, SimTime(31)), vec![None, None]);
+        assert_eq!(committed.max_confirmed_requests_since(2, SimTime(11)), 7);
+        // Both kinds land in the commit records, none in the log.
+        assert!(confirmed.observations.is_empty() && committed.observations.is_empty());
+        assert_eq!(confirmed.commits().len(), 3);
+        assert_eq!(committed.commits().len(), 5);
+        assert_eq!(
+            committed.commits()[2],
+            CommitRecord {
+                at: SimTime(30),
+                sequence: 30,
+                node: NodeId(1),
+                requests: 4,
+            }
+        );
+        assert_eq!(committed.confirmations().count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "metrics sink sized for 2 nodes, got node 2")]
+    fn a_commit_from_outside_the_sink_panics() {
+        let mut sink = MetricsSink::with_nodes(2);
+        sink.observe(
+            SimTime(1),
+            NodeId(2),
+            ObservationKind::BlockCommitted {
+                sequence: 1,
+                requests: 1,
+            },
+        );
     }
 
     #[test]

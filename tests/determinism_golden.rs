@@ -213,17 +213,13 @@ fn repeated_runs_are_bit_identical() {
     let run = || {
         let config = ScenarioConfig::small(10).with_seed(42);
         let report = run_leopard_scenario(&config);
+        let metrics = &report.sim.metrics;
         (
             report.sim.events,
             report.confirmed_requests,
-            report.sim.metrics.traffic.total_sent_bytes(),
-            report
-                .sim
-                .metrics
-                .observations
-                .iter()
-                .map(|o| o.at.as_nanos())
-                .collect::<Vec<_>>(),
+            metrics.traffic.total_sent_bytes(),
+            metrics.observations.iter().map(|o| o.at.as_nanos()).collect::<Vec<_>>(),
+            metrics.commits().to_vec(),
         )
     };
     assert_eq!(run(), run());

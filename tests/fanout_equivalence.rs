@@ -29,11 +29,12 @@
 use leopard::harness::chaos::FaultScheduleGenerator;
 use leopard::core::LeopardReplica;
 use leopard::harness::scenario::{run_scenario, ScenarioReport};
+use leopard::simnet::CommitRecord;
 use proptest::prelude::*;
 
 /// The full observable surface of a run: headline totals plus the complete
-/// observation stream with instants, so two runs agreeing here are
-/// observationally interchangeable.
+/// observation stream with instants and every commit record, so two runs agreeing
+/// here are observationally interchangeable.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     events: u64,
@@ -42,6 +43,7 @@ struct Fingerprint {
     recv_bytes: u64,
     views_entered: u64,
     observations: Vec<(u64, u32)>,
+    commits: Vec<CommitRecord>,
 }
 
 fn fingerprint(report: &ScenarioReport) -> Fingerprint {
@@ -58,6 +60,7 @@ fn fingerprint(report: &ScenarioReport) -> Fingerprint {
             .iter()
             .map(|o| (o.at.as_nanos(), o.node.0))
             .collect(),
+        commits: report.sim.metrics.commits().to_vec(),
     }
 }
 

@@ -80,19 +80,36 @@ fn assert_matches(label: &str, report: &ScenarioReport, captured: &Captured) {
         .collect();
     assert_eq!(regions, captured.regions, "{label}: regions");
 
-    // The log no longer grows with the requests: what is left is a constant number of
-    // entries per executed block per replica, plus the three stage latencies of every
-    // datablock at its producer.
-    let committed = metrics
-        .observations
-        .iter()
-        .filter(|o| matches!(o.kind, ObservationKind::BlockCommitted { .. }))
-        .count();
+    // One commit record per block execution: every replica executes heights 1, 2, 3, …
+    // in order, each once, so its records' sequences must be exactly that run — a
+    // missing or repeated record breaks it.
+    let commits = metrics.commits();
+    let mut executed = vec![0u64; report.n];
+    for commit in commits {
+        let last = &mut executed[commit.node.as_index()];
+        *last += 1;
+        assert_eq!(
+            commit.sequence, *last,
+            "{label}: node {} executed sequence {} as its execution {}",
+            commit.node.0, commit.sequence, *last
+        );
+    }
+    let committed = commits.len();
+    // The log keeps no per-block entry: what is left is the three stage latencies of
+    // every datablock at its producer, plus the rare view changes, retrievals and
+    // custom samples — fewer than one per replica in these fault-free runs.
     let datablocks = metrics.custom_samples("latency_generation").len();
+    let per_block = metrics.observations.iter().filter(|o| {
+        matches!(
+            o.kind,
+            ObservationKind::BlockCommitted { .. } | ObservationKind::RequestsConfirmed { .. }
+        )
+    });
+    assert_eq!(per_block.count(), 0, "{label}: a block execution in the log");
+    let residual = metrics.observations.len() - 3 * datablocks;
     assert!(
-        metrics.observations.len() <= 3 * committed + 3 * datablocks,
-        "{label}: {} observations for {committed} block executions and {datablocks} datablocks",
-        metrics.observations.len()
+        residual < report.n,
+        "{label}: {residual} log entries besides {datablocks} datablocks' stage latencies"
     );
     assert!(
         metrics.latency_runs().len() <= committed,

@@ -10,27 +10,10 @@
 //! 1% throughput bound explicitly so a future relaxation of bit-identity still has a
 //! guard.
 
-use leopard::harness::scenario::{run_leopard_scenario, ScenarioConfig, ScenarioReport};
+use leopard::harness::scenario::{run_leopard_scenario, ScenarioConfig};
 use leopard::harness::workload::WorkloadConfig;
-use leopard::simnet::{ObservationKind, SimDuration};
+use leopard::simnet::SimDuration;
 use leopard_crypto::provider::CryptoMode;
-
-/// The confirmation ordering of a run: every `BlockCommitted` observation as
-/// `(time, node, sequence, requests)`, in emission order.
-fn confirmation_ordering(report: &ScenarioReport) -> Vec<(u64, u32, u64, u64)> {
-    report
-        .sim
-        .metrics
-        .observations
-        .iter()
-        .filter_map(|o| match o.kind {
-            ObservationKind::BlockCommitted { sequence, requests } => {
-                Some((o.at.as_nanos(), o.node.0, sequence, requests))
-            }
-            _ => None,
-        })
-        .collect()
-}
 
 fn assert_equivalent(label: &str, config: ScenarioConfig) {
     let real = run_leopard_scenario(&config.clone().with_crypto_mode(CryptoMode::Real));
@@ -40,9 +23,11 @@ fn assert_equivalent(label: &str, config: ScenarioConfig) {
         real.confirmed_requests > 0,
         "{label}: the real run confirmed nothing — the comparison would be vacuous"
     );
+    // The confirmation ordering: every commit record (one per block execution, with
+    // its time, node, sequence and request count), in emission order.
     assert_eq!(
-        confirmation_ordering(&real),
-        confirmation_ordering(&metered),
+        real.sim.metrics.commits(),
+        metered.sim.metrics.commits(),
         "{label}: confirmation ordering diverged between real and metered crypto"
     );
     assert_eq!(
@@ -111,6 +96,6 @@ fn retrieval_path_is_equivalent() {
         "retrieval byte accounting diverged"
     );
     assert_eq!(real.average_retrieval_secs, metered.average_retrieval_secs);
-    assert_eq!(confirmation_ordering(&real), confirmation_ordering(&metered));
+    assert_eq!(real.sim.metrics.commits(), metered.sim.metrics.commits());
     assert_eq!(real.sim.events, metered.sim.events);
 }

@@ -10,22 +10,19 @@
 //!    highest non-leader ids and the system still confirms requests.
 
 use leopard::harness::scenario::{run_leopard_scenario, ScenarioConfig, ScenarioReport};
-use leopard::simnet::{SimDuration, StragglerProfile, Topology};
+use leopard::simnet::{CommitRecord, SimDuration, StragglerProfile, Topology};
 use proptest::prelude::*;
 
-/// Everything the goldens pin down, extracted for cheap comparison.
-fn fingerprint(report: &ScenarioReport) -> (u64, u64, u64, Vec<u64>) {
+/// Everything the goldens pin down, extracted for cheap comparison: the instants of
+/// the observation log and every commit record.
+fn fingerprint(report: &ScenarioReport) -> (u64, u64, u64, Vec<u64>, Vec<CommitRecord>) {
+    let metrics = &report.sim.metrics;
     (
         report.sim.events,
         report.confirmed_requests,
-        report.sim.metrics.traffic.total_sent_bytes(),
-        report
-            .sim
-            .metrics
-            .observations
-            .iter()
-            .map(|o| o.at.as_nanos())
-            .collect(),
+        metrics.traffic.total_sent_bytes(),
+        metrics.observations.iter().map(|o| o.at.as_nanos()).collect(),
+        metrics.commits().to_vec(),
     )
 }
 
