@@ -172,9 +172,10 @@ pub enum ConfirmedLog {
     /// replicas must agree on the links: a view change re-proposes the same links under
     /// a new block digest (the digest covers the view).
     Linked(Vec<(u64, Arc<BftBlock>)>),
-    /// HotStuff: `(height, block digest)`. Honest replicas must agree on the digest:
-    /// chained blocks are never re-proposed.
-    Chained(Vec<(u64, Digest)>),
+    /// HotStuff: `(height, block digest)`, the replica's own committed log shared, not
+    /// copied. Honest replicas must agree on the digest: chained blocks are never
+    /// re-proposed.
+    Chained(Arc<Vec<(u64, Digest)>>),
 }
 
 impl ConfirmedLog {
@@ -523,7 +524,8 @@ mod tests {
     #[test]
     fn hotstuff_logs_fork_on_differing_block_digests() {
         let mut snapshot = healthy_snapshot();
-        let chain = |tip| ConfirmedLog::Chained(vec![(1, digest("block-1")), (2, digest(tip))]);
+        let chain =
+            |tip| ConfirmedLog::Chained(Arc::new(vec![(1, digest("block-1")), (2, digest(tip))]));
         for replica in &mut snapshot.replicas {
             replica.log = chain("block-2");
             replica.pool.clear(); // HotStuff blocks carry their payload: nothing to retrieve

@@ -655,7 +655,7 @@ impl ScenarioProtocol for HotStuffReplica {
             low_watermark: 0,
             last_confirmation_at: self.last_confirmation_at(),
             view: self.view().0,
-            log: ConfirmedLog::Chained(self.committed_blocks().collect()),
+            log: ConfirmedLog::Chained(Arc::clone(self.committed_log())),
             pool: FastSet::default(),
         }
     }
@@ -1073,6 +1073,39 @@ mod tests {
                 assert_eq!(*seq, own_seq.0);
                 assert!(Arc::ptr_eq(shared, own), "node {node} seq {seq} copied its block");
             }
+        }
+    }
+
+    #[test]
+    fn the_snapshot_shares_the_replicas_committed_log() {
+        let config = ScenarioConfig::small(4);
+        let (mut sim, _) = HotStuffReplica::build(&config);
+        let mid_run = SimTime::ZERO + SimDuration::from_secs(1);
+        sim.run_until(mid_run, config.max_events);
+        let early: Vec<_> = (0..4)
+            .map(NodeId)
+            .map(|node| {
+                let replica = sim.node(node);
+                (replica.snapshot(node, true), replica.committed_log().len())
+            })
+            .collect();
+        sim.run_until(SimTime::ZERO + config.duration, config.max_events);
+        for (node, (early, early_len)) in (0..4).map(NodeId).zip(early) {
+            let replica = sim.node(node);
+            let ConfirmedLog::Chained(log) = replica.snapshot(node, true).log else {
+                panic!("a HotStuff snapshot holds a chained log");
+            };
+            let shared = Arc::ptr_eq(&log, replica.committed_log());
+            assert!(shared, "node {node} copied its log");
+            // Copy-on-write: the replica's later commits leave the mid-run snapshot as
+            // it was captured.
+            let ConfirmedLog::Chained(early) = early.log else {
+                panic!("a HotStuff snapshot holds a chained log");
+            };
+            assert!(early_len > 0, "node {node} executed nothing by {mid_run:?}");
+            assert!(log.len() > early_len, "node {node} idle after {mid_run:?}");
+            assert_eq!(early.len(), early_len, "node {node}: snapshot grew");
+            assert_eq!(early[..], log[..early_len], "node {node}");
         }
     }
 

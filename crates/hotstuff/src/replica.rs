@@ -8,8 +8,8 @@ use leopard_crypto::provider::ComputeCost;
 use leopard_crypto::threshold::SignatureShare;
 use leopard_crypto::{Digest, ShareCollector, SharedKeys};
 use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
-use leopard_types::{ClientId, FastMap, FastSet, NodeId, View, WireSize};
-use std::sync::Arc;
+use leopard_types::{ClientId, FastMap, NodeId, View, WireSize};
+use std::sync::{Arc, OnceLock};
 
 const TOKEN_WORKLOAD: u64 = 1;
 const TOKEN_PROPOSE: u64 = 2;
@@ -27,7 +27,19 @@ fn charge(ctx: &mut Ctx<'_>, cost: ComputeCost) {
     }
 }
 
+/// The committed log every replica starts from. Sharing one empty log means building a
+/// replica allocates nothing for it; its first commit copies it (`Arc::make_mut`).
+fn empty_committed_log() -> Arc<Vec<(u64, Digest)>> {
+    static EMPTY: OnceLock<Arc<Vec<(u64, Digest)>>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Arc::default))
+}
+
 /// A chained-HotStuff replica.
+///
+/// Its state is bounded by the uncommitted suffix of the chain: after each commit,
+/// `prune_below_committed` drops every block, certificate and vote collector
+/// below the committed height. Only the committed log grows, one `(height, digest)`
+/// per executed block, and the invariant checker shares it rather than copying it.
 pub struct HotStuffReplica {
     id: NodeId,
     config: HotStuffConfig,
@@ -37,24 +49,27 @@ pub struct HotStuffReplica {
     /// Client stub (requests are submitted to the leader in HotStuff).
     mempool: Mempool,
 
-    /// All blocks seen, by digest.
+    /// Blocks at or above the committed height, by digest.
     blocks: FastMap<Digest, Arc<HotStuffBlock>>,
-    /// QCs by certified block digest.
+    /// QCs at or above the committed height, by certified block digest.
     certificates: FastMap<Digest, QuorumCertificate>,
     /// The highest QC known.
     high_qc: QuorumCertificate,
-    /// Leader: collected votes per block digest.
-    votes: FastMap<Digest, ShareCollector>,
+    /// Leader: `(height, collected votes)` per block digest at or above the committed
+    /// height.
+    votes: FastMap<Digest, (u64, ShareCollector)>,
     /// Leader: digest of the proposal still waiting for its QC.
     awaiting_qc: Option<Digest>,
     /// When `awaiting_qc` was last set (progress-probe bookkeeping).
     awaiting_qc_since: Option<SimTime>,
     /// The highest height this replica voted for.
     last_voted_height: u64,
-    /// Height of the latest committed block.
+    /// Height of the latest committed block. `try_commit` executes every block it
+    /// commits in the same call, so this is also the executed-height watermark.
     committed_height: u64,
-    /// Blocks already executed.
-    executed: FastSet<Digest>,
+    /// `(height, digest)` of every executed block, oldest first. Snapshots share it;
+    /// `execute` appends through `Arc::make_mut`, so a shared copy stays as it was.
+    committed: Arc<Vec<(u64, Digest)>>,
     /// Total requests confirmed by this replica.
     confirmed_requests: u64,
     confirmed_at_last_check: u64,
@@ -95,7 +110,7 @@ impl HotStuffReplica {
             awaiting_qc_since: None,
             last_voted_height: 0,
             committed_height: 0,
-            executed: FastSet::default(),
+            committed: empty_committed_log(),
             confirmed_requests: 0,
             confirmed_at_last_check: 0,
             last_confirmation_at: None,
@@ -139,12 +154,10 @@ impl HotStuffReplica {
         self.last_confirmation_at
     }
 
-    /// `(height, digest)` of every block this replica executed — its committed chain,
-    /// in no particular order.
-    pub fn committed_blocks(&self) -> impl Iterator<Item = (u64, Digest)> + '_ {
-        self.executed
-            .iter()
-            .map(|digest| (self.blocks[digest].height, *digest))
+    /// `(height, digest)` of every block this replica executed, in execution order:
+    /// its committed chain, oldest first, one entry per `BlockCommitted` it emitted.
+    pub fn committed_log(&self) -> &Arc<Vec<(u64, Digest)>> {
+        &self.committed
     }
 
     /// Signs `digest` with this replica's key share, charging the modeled cost.
@@ -185,7 +198,9 @@ impl HotStuffReplica {
         self.awaiting_qc_since = Some(ctx.now());
         let share = self.sign(&digest, ctx);
         // The leader's own vote.
-        self.votes.entry(digest).or_default();
+        self.votes
+            .entry(digest)
+            .or_insert_with(|| (height, ShareCollector::default()));
         // Broadcast includes the local self-delivery without cloning the envelope
         // (same audit as the Leopard proposer's double-envelope fix).
         ctx.broadcast(HotStuffMessage::Proposal {
@@ -261,11 +276,16 @@ impl HotStuffReplica {
         if share.signer != from.signer_index() {
             return;
         }
-        if self.certificates.contains_key(&block_digest) {
+        // A block below the committed height is never read again (its certificate, if
+        // any, was pruned): a late vote for it is as spent as one for a certified block.
+        if height < self.committed_height || self.certificates.contains_key(&block_digest) {
             return;
         }
         let quorum = self.config.quorum();
-        let votes = self.votes.entry(block_digest).or_default();
+        let (_, votes) = self
+            .votes
+            .entry(block_digest)
+            .or_insert_with(|| (height, ShareCollector::default()));
         if votes.add(share) < quorum {
             return;
         }
@@ -324,7 +344,7 @@ impl HotStuffReplica {
         let mut chain = Vec::new();
         let mut cursor = Some(b3.clone());
         while let Some(block) = cursor {
-            if block.height <= self.committed_height || self.executed.contains(&block.digest()) {
+            if block.height <= self.committed_height {
                 break;
             }
             cursor = self.blocks.get(&block.parent).cloned();
@@ -334,12 +354,24 @@ impl HotStuffReplica {
         for block in chain.into_iter().rev() {
             self.execute(&block, ctx);
         }
+        self.prune_below_committed();
     }
 
+    /// Drops every block, certificate and vote collector below the committed height.
+    /// The three-chain rule never reads below the committed block. That block stays:
+    /// the next walk in `try_commit` stops at it.
+    fn prune_below_committed(&mut self) {
+        let floor = self.committed_height;
+        self.blocks.retain(|_, block| block.height >= floor);
+        self.certificates.retain(|_, qc| qc.height >= floor);
+        self.votes.retain(|_, (height, _)| *height >= floor);
+    }
+
+    /// Executes a newly committed block. Each block on the walk in `try_commit` lies
+    /// above the previous committed height and every executed block at or below it,
+    /// so no block executes twice.
     fn execute(&mut self, block: &Arc<HotStuffBlock>, ctx: &mut Ctx<'_>) {
-        if !self.executed.insert(block.digest()) {
-            return;
-        }
+        Arc::make_mut(&mut self.committed).push((block.height, block.digest()));
         let count = block.len() as u64;
         self.confirmed_requests += count;
         self.last_confirmation_at = Some(ctx.now());
@@ -488,12 +520,33 @@ mod tests {
     use super::*;
     use leopard_simnet::{FaultPlan, NetworkConfig, SimTime, Simulation};
 
-    fn run(n: usize, config: HotStuffConfig, faults: FaultPlan, secs: u64) -> leopard_simnet::SimulationReport {
+    fn simulation(
+        n: usize,
+        config: HotStuffConfig,
+        faults: FaultPlan,
+    ) -> Simulation<HotStuffReplica> {
         let keys = config.shared_keys(11);
-        let sim = Simulation::new(NetworkConfig::datacenter(n), faults, move |id| {
+        Simulation::new(NetworkConfig::datacenter(n), faults, move |id| {
             HotStuffReplica::new(id, config.clone(), keys.clone())
-        });
-        sim.run_to_report(SimTime(SimDuration::from_secs(secs).as_nanos()), 10_000_000)
+        })
+    }
+
+    fn run(n: usize, config: HotStuffConfig, faults: FaultPlan, secs: u64) -> leopard_simnet::SimulationReport {
+        simulation(n, config, faults).run_to_report(at_secs(secs), 10_000_000)
+    }
+
+    fn at_secs(secs: u64) -> SimTime {
+        SimTime(SimDuration::from_secs(secs).as_nanos())
+    }
+
+    /// `node`'s block executions so far, in emission order.
+    fn commit_heights(sim: &Simulation<HotStuffReplica>, node: NodeId) -> Vec<u64> {
+        sim.metrics()
+            .commits()
+            .iter()
+            .filter(|commit| commit.node == node)
+            .map(|commit| commit.sequence)
+            .collect()
     }
 
     #[test]
@@ -536,6 +589,83 @@ mod tests {
                 leader_sent > 3 * other_sent,
                 "leader {leader_sent} vs replica {node} {other_sent}"
             );
+        }
+    }
+
+    #[test]
+    fn retained_state_stays_flat_over_a_long_run() {
+        // Ten times the harness's small scenario (2 s), read at t = 7 s and at 3t.
+        const BOUND: usize = 8;
+        let mut sim = simulation(4, HotStuffConfig::small_test(4), FaultPlan::none());
+        let mut logged = Vec::new();
+        for secs in [7, 21] {
+            sim.run_until(at_secs(secs), u64::MAX);
+            for node in (0..4).map(NodeId) {
+                let replica = sim.node(node);
+                let retained = [
+                    replica.blocks.len(),
+                    replica.certificates.len(),
+                    replica.votes.len(),
+                ];
+                assert!(
+                    retained.iter().all(|&len| len <= BOUND),
+                    "node {node} at {secs} s retains {retained:?} blocks / certificates / votes"
+                );
+                // Nothing below the committed height, and the committed block itself.
+                let floor = replica.committed_height();
+                assert!(replica.blocks.values().all(|block| block.height >= floor));
+                assert!(replica.certificates.values().all(|qc| qc.height >= floor));
+                assert!(replica.votes.values().all(|&(height, _)| height >= floor));
+                let &(height, digest) = replica.committed_log().last().expect("executed nothing");
+                assert_eq!(height, floor);
+                assert!(
+                    replica.blocks.contains_key(&digest),
+                    "node {node} dropped the committed block"
+                );
+                logged.push((
+                    replica.committed_log().len(),
+                    commit_heights(&sim, node).len(),
+                ));
+            }
+        }
+        for (node, (at_t, at_3t)) in logged[..4].iter().zip(&logged[4..]).enumerate() {
+            let (grown, executed) = (at_3t.0 - at_t.0, at_3t.1 - at_t.1);
+            assert_eq!(
+                grown, executed,
+                "node {node}: log grew {grown}, {executed} blocks executed"
+            );
+            assert!(
+                executed > 100,
+                "node {node} executed only {executed} blocks in 14 s"
+            );
+        }
+    }
+
+    #[test]
+    fn the_committed_log_is_the_commit_stream() {
+        let mut sim = simulation(4, HotStuffConfig::small_test(4), FaultPlan::none());
+        sim.run_until(at_secs(2), 10_000_000);
+        for node in (0..4).map(NodeId) {
+            let heights: Vec<u64> = sim
+                .node(node)
+                .committed_log()
+                .iter()
+                .map(|&(h, _)| h)
+                .collect();
+            assert!(!heights.is_empty(), "node {node} executed nothing");
+            assert_eq!(heights, commit_heights(&sim, node), "node {node}");
+            // Fault-free, the chain executes every height once, in order.
+            assert!(
+                heights.iter().copied().eq(1..=heights.len() as u64),
+                "node {node}: {heights:?}"
+            );
+        }
+        // Every replica executed the same chain.
+        let log = sim.node(NodeId(0)).committed_log();
+        for node in (1..4).map(NodeId) {
+            let other = sim.node(node).committed_log();
+            let shared = log.len().min(other.len());
+            assert_eq!(log[..shared], other[..shared], "node {node}");
         }
     }
 }
