@@ -4,51 +4,37 @@
 use crate::messages::NotarizedEntry;
 use leopard_crypto::threshold::CombinedSignature;
 use leopard_crypto::{Digest, ShareCollector};
-use leopard_types::{BftBlock, BlockState, FastSet};
+use leopard_types::{BftBlock, FastSet};
 use std::sync::Arc;
 
-/// The leader's state for one agreement instance.
-///
-/// Leader instances live inside [`crate::pipeline::Pipeline`], which maintains an O(1)
-/// count of unconfirmed instances: set `confirmation` through
-/// [`crate::pipeline::Pipeline::record_confirmation`], not by writing the field
-/// directly, or the counter drifts.
+/// The leader's state for one agreement instance: what it reads to collect the two
+/// voting rounds. The proofs it forms are broadcast, not kept.
 #[derive(Debug)]
 pub struct LeaderInstance {
-    /// The proposed block.
-    pub block: Arc<BftBlock>,
     /// Digest of the proposed block (the message of the first voting round).
     pub block_digest: Digest,
     /// First-round (prepare) shares.
     pub prepares: ShareCollector,
-    /// The notarization proof once formed.
-    pub notarization: Option<CombinedSignature>,
-    /// Digest of the notarization proof (the message of the second voting round).
+    /// Digest of the notarization proof (the message of the second voting round),
+    /// once the first round formed it.
     pub notarization_digest: Option<Digest>,
     /// Second-round (commit) shares.
     pub commits: ShareCollector,
-    /// The confirmation proof once formed.
-    pub confirmation: Option<CombinedSignature>,
+    /// True once the second round formed the confirmation proof.
+    pub confirmed: bool,
 }
 
 impl LeaderInstance {
-    /// Creates the leader-side state for a freshly proposed block.
-    pub fn new(block: Arc<BftBlock>) -> Self {
-        let block_digest = block.digest();
+    /// Creates the leader-side state for a freshly proposed block with digest
+    /// `block_digest`.
+    pub fn new(block_digest: Digest) -> Self {
         Self {
-            block,
             block_digest,
             prepares: ShareCollector::default(),
-            notarization: None,
             notarization_digest: None,
             commits: ShareCollector::default(),
-            confirmation: None,
+            confirmed: false,
         }
-    }
-
-    /// True once the confirmation proof exists.
-    pub fn is_confirmed(&self) -> bool {
-        self.confirmation.is_some()
     }
 }
 
@@ -60,8 +46,6 @@ pub struct ReplicaInstance {
     pub block: Option<Arc<BftBlock>>,
     /// Digest of the block, once known.
     pub block_digest: Option<Digest>,
-    /// Protocol state of the block.
-    pub state: BlockState,
     /// True once the first-round vote was cast (an honest replica votes at most once per
     /// serial number and view — the safety argument relies on this).
     pub prepare_voted: bool,
@@ -108,7 +92,6 @@ impl ReplicaInstance {
         Self {
             block: None,
             block_digest: None,
-            state: BlockState::Proposed,
             prepare_voted: false,
             commit_voted: false,
             missing_links: FastSet::default(),
@@ -126,21 +109,19 @@ impl ReplicaInstance {
         self.missing_links.is_empty()
     }
 
-    /// True once the block is confirmed.
+    /// True once the block is confirmed: a confirmation proof is held.
     pub fn is_confirmed(&self) -> bool {
-        self.state == BlockState::Confirmed
+        self.confirmation.is_some()
     }
 
     /// The live view-change evidence: the notarized block and its proof, once both
     /// are held.
     pub(crate) fn notarized_entry(&self) -> Option<NotarizedEntry> {
         match (&self.block, self.notarization) {
-            (Some(block), Some(proof)) if self.state >= BlockState::Notarized => {
-                Some(NotarizedEntry {
-                    block: block.clone(),
-                    proof,
-                })
-            }
+            (Some(block), Some(proof)) => Some(NotarizedEntry {
+                block: block.clone(),
+                proof,
+            }),
             _ => None,
         }
     }
@@ -176,13 +157,13 @@ mod tests {
     }
 
     /// An instance mid-agreement: block, digests, both votes, notarization, one missing
-    /// link, stashed prepared evidence and a held confirmation.
-    fn voted_instance(state: BlockState) -> ReplicaInstance {
+    /// link, stashed prepared evidence and a held confirmation; and the confirmation
+    /// itself if `confirmed`.
+    fn voted_instance(confirmed: bool) -> ReplicaInstance {
         let block = Arc::new(BftBlock::new(View(1), SeqNum(3), vec![]));
         let mut instance = ReplicaInstance::new();
         instance.block_digest = Some(block.digest());
         instance.block = Some(block);
-        instance.state = state;
         instance.prepare_voted = true;
         instance.commit_voted = true;
         instance.missing_links.insert(leopard_crypto::hash_bytes(b"link"));
@@ -190,15 +171,16 @@ mod tests {
         instance.notarization_digest = Some(leopard_crypto::hash_bytes(b"notarized"));
         instance.prepared = instance.notarized_entry();
         instance.held_confirmation = Some((leopard_crypto::hash_bytes(b"held"), proof()));
+        instance.confirmation = confirmed.then(proof);
         instance
     }
 
     #[test]
     fn leader_instance_tracks_confirmation() {
-        let block = Arc::new(BftBlock::new(View(1), SeqNum(1), vec![]));
-        let instance = LeaderInstance::new(block.clone());
+        let block = BftBlock::new(View(1), SeqNum(1), vec![]);
+        let instance = LeaderInstance::new(block.digest());
         assert_eq!(instance.block_digest, block.digest());
-        assert!(!instance.is_confirmed());
+        assert!(instance.notarization_digest.is_none() && !instance.confirmed);
     }
 
     #[test]
@@ -206,22 +188,23 @@ mod tests {
         let instance = ReplicaInstance::new();
         assert!(instance.links_complete());
         assert!(!instance.is_confirmed());
-        assert_eq!(instance.state, BlockState::Proposed);
+        assert!(instance.notarized_entry().is_none());
         assert!(!instance.prepare_voted);
         let default_instance = ReplicaInstance::default();
-        assert_eq!(default_instance.state, instance.state);
+        assert!(!default_instance.is_confirmed() && default_instance.block.is_none());
     }
 
     #[test]
     fn view_entry_resets_votes_but_keeps_evidence_and_held_confirmation() {
-        let mut instance = voted_instance(BlockState::Notarized);
+        let mut instance = voted_instance(false);
+        assert!(!instance.is_confirmed());
         let prepared = instance.prepared.clone().expect("stashed");
         let held = instance.held_confirmation.expect("held");
         instance.reset_for_new_view();
         assert!(instance.block.is_none() && instance.block_digest.is_none());
         assert!(!instance.prepare_voted && !instance.commit_voted);
         assert!(instance.notarization.is_none() && instance.notarization_digest.is_none());
-        assert_eq!(instance.state, BlockState::Proposed);
+        assert!(!instance.is_confirmed());
         assert!(instance.links_complete());
         assert!(instance.notarized_entry().is_none());
         let kept = instance.prepared.expect("prepared evidence survives view entry");
@@ -229,7 +212,7 @@ mod tests {
         assert_eq!(instance.held_confirmation, Some(held));
 
         // A confirmed instance keeps everything.
-        let mut confirmed = voted_instance(BlockState::Confirmed);
+        let mut confirmed = voted_instance(true);
         confirmed.reset_for_new_view();
         assert!(confirmed.block.is_some() && confirmed.block_digest.is_some());
         assert!(confirmed.prepare_voted && confirmed.commit_voted);

@@ -5,15 +5,10 @@
 //! hundreds of peers in the simulator clones a pointer, not the payload.
 
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
-use leopard_crypto::{Digest, MerkleProof};
+use leopard_crypto::{Digest, MerkleProof, DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_LEN};
 use leopard_simnet::SimMessage;
 use leopard_types::{BftBlock, Datablock, SeqNum, View, WireSize};
 use std::sync::Arc;
-
-/// Size in bytes of a signature share or combined signature on the wire (`κ`).
-pub const VOTE_WIRE_BYTES: usize = 48;
-/// Size in bytes of a digest on the wire (`β`).
-pub const DIGEST_WIRE_BYTES: usize = 32;
 
 /// The payload of one retrieval response (Algorithm 3).
 ///
@@ -87,7 +82,7 @@ pub struct NotarizedEntry {
 
 impl WireSize for NotarizedEntry {
     fn wire_size(&self) -> usize {
-        self.block.wire_size() + VOTE_WIRE_BYTES
+        self.block.wire_size() + DEFAULT_SIGNATURE_WIRE_BYTES
     }
 }
 
@@ -106,7 +101,7 @@ pub struct ConfirmedEntry {
 
 impl WireSize for ConfirmedEntry {
     fn wire_size(&self) -> usize {
-        self.block.wire_size() + 2 * VOTE_WIRE_BYTES
+        self.block.wire_size() + 2 * DEFAULT_SIGNATURE_WIRE_BYTES
     }
 }
 
@@ -253,19 +248,22 @@ impl WireSize for LeopardMessage {
     fn wire_size(&self) -> usize {
         match self {
             LeopardMessage::Datablock(db) => db.wire_size(),
-            LeopardMessage::Ready { .. } => DIGEST_WIRE_BYTES + 8,
-            LeopardMessage::PrePrepare { block, .. } => block.wire_size() + VOTE_WIRE_BYTES,
-            LeopardMessage::PrepareVote { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
-            LeopardMessage::NotarizationProof { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
-            LeopardMessage::CommitVote { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
-            LeopardMessage::ConfirmationProof { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
-            LeopardMessage::Query { digests } => 4 + DIGEST_WIRE_BYTES * digests.len(),
-            LeopardMessage::QueryResponse { chunk, .. } => {
-                2 * DIGEST_WIRE_BYTES + 4 + 8 + chunk.payload.wire_len()
+            LeopardMessage::Ready { .. } => DIGEST_LEN + 8,
+            LeopardMessage::PrePrepare { block, share } => block.wire_size() + share.wire_size(),
+            // A serial (or checkpoint) number, a digest and one signature.
+            LeopardMessage::PrepareVote { .. }
+            | LeopardMessage::NotarizationProof { .. }
+            | LeopardMessage::CommitVote { .. }
+            | LeopardMessage::ConfirmationProof { .. }
+            | LeopardMessage::Checkpoint { .. }
+            | LeopardMessage::CheckpointProof { .. } => {
+                8 + DIGEST_LEN + DEFAULT_SIGNATURE_WIRE_BYTES
             }
-            LeopardMessage::Checkpoint { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
-            LeopardMessage::CheckpointProof { .. } => 8 + DIGEST_WIRE_BYTES + VOTE_WIRE_BYTES,
-            LeopardMessage::Timeout { .. } => 8 + VOTE_WIRE_BYTES,
+            LeopardMessage::Query { digests } => 4 + DIGEST_LEN * digests.len(),
+            LeopardMessage::QueryResponse { chunk, .. } => {
+                2 * DIGEST_LEN + 4 + 8 + chunk.payload.wire_len()
+            }
+            LeopardMessage::Timeout { .. } => 8 + DEFAULT_SIGNATURE_WIRE_BYTES,
             LeopardMessage::ViewChange { notarized, .. } => {
                 8 + 8 + notarized.iter().map(WireSize::wire_size).sum::<usize>()
             }
@@ -281,8 +279,8 @@ impl WireSize for LeopardMessage {
                 ..
             } => {
                 8 + 8
-                    + DIGEST_WIRE_BYTES
-                    + checkpoint_proof.map_or(0, |_| VOTE_WIRE_BYTES)
+                    + DIGEST_LEN
+                    + checkpoint_proof.map_or(0, |_| DEFAULT_SIGNATURE_WIRE_BYTES)
                     + entries.iter().map(WireSize::wire_size).sum::<usize>()
             }
         }
@@ -359,7 +357,7 @@ mod tests {
         ));
         assert_eq!(
             query_response(db).wire_size(),
-            2 * DIGEST_WIRE_BYTES + 4 + 8 + 100 + 64
+            2 * DIGEST_LEN + 4 + 8 + 100 + 64
         );
     }
 
@@ -511,7 +509,7 @@ mod tests {
         let five = LeopardMessage::Query {
             digests: (0..5u8).map(|i| hash_bytes(&[i])).collect(),
         };
-        assert_eq!(five.wire_size() - one.wire_size(), 4 * DIGEST_WIRE_BYTES);
+        assert_eq!(five.wire_size() - one.wire_size(), 4 * DIGEST_LEN);
         // A receiver's copy shares the list instead of copying it.
         let LeopardMessage::Query { digests } = &five else { unreachable!() };
         let LeopardMessage::Query { digests: copied } = five.clone() else { unreachable!() };
@@ -543,7 +541,7 @@ mod tests {
         };
         assert_eq!(
             loaded.wire_size() - empty.wire_size(),
-            VOTE_WIRE_BYTES + 2 * entry.wire_size()
+            DEFAULT_SIGNATURE_WIRE_BYTES + 2 * entry.wire_size()
         );
     }
 

@@ -25,7 +25,7 @@ use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{hash_parts, Digest, SharedKeys};
 use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
 use leopard_types::{
-    BftBlock, BlockState, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum, View, WireSize,
+    BftBlock, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum, View, WireSize,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -139,7 +139,7 @@ pub struct LeopardReplica {
 
     // --- view-change state ---
     view_changes: ViewChangeState,
-    in_view_change: bool,
+    // When the view change in progress started; `None` while not changing views.
     view_change_started_at: Option<SimTime>,
     // PrePrepares for views ahead of this replica. The new leader's re-proposals
     // race the NewView announcement through the network; a re-proposal delivered
@@ -218,7 +218,6 @@ impl LeopardReplica {
             stall_guard: StallReason::None,
             stall_guard_since: SimTime(0),
             view_changes: ViewChangeState::new(),
-            in_view_change: false,
             view_change_started_at: None,
             deferred_pre_prepares: Vec::new(),
             progress_backoff: 0,
@@ -255,12 +254,18 @@ impl LeopardReplica {
         self.leader() == self.id
     }
 
+    /// True while a view change is in progress: from this replica's complaint until
+    /// it enters the next view.
+    fn in_view_change(&self) -> bool {
+        self.view_change_started_at.is_some()
+    }
+
     // ------------------------------------------------------------------
     // Multi-proposer schedule (PR 9)
     //
     // Serial numbers are striped round-robin over `p = params.proposers`
-    // replicas: stripe `j` of view `v` is proposed by replica
-    // `((v mod n) + j) mod n`, and owns exactly the serials `s` with
+    // replicas: stripe `j` of view `v` is proposed by `View::proposer`
+    // (replica `((v mod n) + j) mod n`), and owns exactly the serials `s` with
     // `(s − 1) mod p == j`. Stripe 0 is the classic leader, so `p = 1` is the
     // single-leader protocol, bit for bit. Quorum intersection holds per serial
     // because at most one replica may propose at any serial of any view — the
@@ -273,22 +278,16 @@ impl LeopardReplica {
         self.config.params.proposers as u64
     }
 
-    /// The proposer of stripe `j` under `view`'s round-robin rotation.
-    fn proposer_of_stripe(view: View, j: u64, n: usize) -> NodeId {
-        NodeId((((view.0 % n as u64) + j) % n as u64) as u32)
-    }
-
     /// The proposer that owns serial `seq` in the current view.
     fn proposer_of_seq(&self, seq: SeqNum) -> NodeId {
         let j = Pipeline::stripe_of(seq, self.proposer_count());
-        Self::proposer_of_stripe(self.view, j, self.n())
+        self.view.proposer(j, self.n())
     }
 
     /// `node`'s stripe in `view`'s proposer window, if it holds one.
     fn stripe_in_view(&self, node: NodeId, view: View) -> Option<u64> {
-        let n = self.n() as u64;
-        let offset = (u64::from(node.0) + n - view.0 % n) % n;
-        (offset < self.proposer_count()).then_some(offset)
+        let j = view.stripe_of(node, self.n());
+        (j < self.proposer_count()).then_some(j)
     }
 
     /// This replica's stripe in the current view, if it is a proposer.
@@ -313,7 +312,7 @@ impl LeopardReplica {
         let mut prefix = [0u8; 8];
         prefix.copy_from_slice(&digest.as_bytes()[..8]);
         let j = u64::from_le_bytes(prefix) % p;
-        Self::proposer_of_stripe(self.view, j, self.n())
+        self.view.proposer(j, self.n())
     }
 
     /// Re-anchors the pipeline onto this replica's stripe of the current view
@@ -371,7 +370,7 @@ impl LeopardReplica {
     pub fn current_stall(&self) -> StallReason {
         if self.is_proposer() {
             self.pipeline_guard()
-        } else if self.in_view_change {
+        } else if self.in_view_change() {
             StallReason::ViewChange
         } else {
             StallReason::None
@@ -382,7 +381,7 @@ impl LeopardReplica {
     fn pipeline_guard(&self) -> StallReason {
         self.pipeline.stall_reason(
             self.behaviour().silent_as_leader(),
-            self.in_view_change,
+            self.in_view_change(),
             self.ready.ready_count(),
             self.checkpoints.high_watermark(self.instance_window()),
         )
@@ -448,7 +447,7 @@ impl LeopardReplica {
     /// datablock `k` holds this replica's requests `(k − 1)·D .. k·D`, so request ids,
     /// and with them digests and stripe routing, are a function of `k` alone.
     fn generate_datablock(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_proposer() || self.in_view_change {
+        if self.is_proposer() || self.in_view_change() {
             return;
         }
         if let Some(stop) = self.config.workload_stop {
@@ -559,7 +558,8 @@ impl LeopardReplica {
             charge(ctx, self.keys.provider.model().hash(block.wire_size()));
         }
         let share = self.sign(&digest, ctx);
-        self.pipeline.insert(block.id.seq, LeaderInstance::new(block.clone()));
+        self.pipeline
+            .insert(block.id.seq, LeaderInstance::new(digest));
         ctx.broadcast(LeopardMessage::PrePrepare { block, share });
     }
 
@@ -577,7 +577,7 @@ impl LeopardReplica {
             // Dummies extend the serial space just like real proposals — an
             // un-anchored view must not fill either (see `propose`).
             || self.view != self.anchored_view
-            || self.in_view_change
+            || self.in_view_change()
             || self.behaviour().silent_as_leader()
             || self.ready.ready_count() > 0
             || self.pipeline.in_flight() > 0
@@ -614,10 +614,10 @@ impl LeopardReplica {
         } else {
             Arc::new(BftBlock::new(self.view, seq, reversed))
         };
-        let share_a = self.sign(&block_a.digest(), ctx);
+        let digest_a = block_a.digest();
+        let share_a = self.sign(&digest_a, ctx);
         let share_b = self.sign(&block_b.digest(), ctx);
-        self.pipeline
-            .insert(seq, LeaderInstance::new(block_a.clone()));
+        self.pipeline.insert(seq, LeaderInstance::new(digest_a));
         let half = self.n() / 2;
         for index in 0..self.n() {
             let peer = NodeId(index as u32);
@@ -707,7 +707,7 @@ impl LeopardReplica {
             }
             return;
         }
-        if block.id.view != self.view || self.in_view_change {
+        if block.id.view != self.view || self.in_view_change() {
             return;
         }
         if from != self.proposer_of_seq(block.id.seq) {
@@ -796,7 +796,7 @@ impl LeopardReplica {
         // vote it ever cast — a vote slipped in *after* the complaint could complete a
         // quorum whose existence the new leader's evidence cannot see, letting a later
         // view confirm different content at the same serial number (a fork).
-        if self.in_view_change {
+        if self.in_view_change() {
             return;
         }
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
@@ -882,7 +882,7 @@ impl LeopardReplica {
         let Some(instance) = self.pipeline.get_mut(seq) else {
             return;
         };
-        if instance.block_digest != block_digest || instance.notarization.is_some() {
+        if instance.block_digest != block_digest || instance.notarization_digest.is_some() {
             return;
         }
         if instance.prepares.add(share) < quorum {
@@ -893,7 +893,6 @@ impl LeopardReplica {
         let Some(proof) = proof else {
             return;
         };
-        instance.notarization = Some(proof);
         let digest = Self::notarization_digest(seq, &block_digest, &proof);
         instance.notarization_digest = Some(digest);
         ctx.broadcast(LeopardMessage::NotarizationProof {
@@ -918,7 +917,7 @@ impl LeopardReplica {
             return;
         }
         let withholds = self.behaviour().withholds_votes();
-        let in_view_change = self.in_view_change;
+        let in_view_change = self.in_view_change();
         let instance = self.replica_instances.entry(seq.0).or_default();
         if instance.block_digest.is_some() && instance.block_digest != Some(block_digest) {
             // Notarization of an endorsed re-proposal — the same content this replica
@@ -930,9 +929,6 @@ impl LeopardReplica {
                 self.send_commit_vote(seq, notarization_digest, ctx);
             }
             return;
-        }
-        if instance.state < BlockState::Notarized {
-            instance.state = BlockState::Notarized;
         }
         instance.block_digest.get_or_insert(block_digest);
         instance.notarization = Some(proof);
@@ -959,7 +955,7 @@ impl LeopardReplica {
     /// a partition that dropped the PrePrepare) votes when the block arrives.
     fn maybe_commit_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
         // Same participation rule as `cast_prepare_vote`: no votes after complaining.
-        let mute = self.behaviour().withholds_votes() || self.in_view_change;
+        let mute = self.behaviour().withholds_votes() || self.in_view_change();
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
             return;
         };
@@ -998,7 +994,7 @@ impl LeopardReplica {
         let Some(instance) = self.pipeline.get_mut(seq) else {
             return;
         };
-        if instance.notarization_digest != Some(proof_digest) || instance.confirmation.is_some() {
+        if instance.notarization_digest != Some(proof_digest) || instance.confirmed {
             return;
         }
         if instance.commits.add(share) < quorum {
@@ -1009,7 +1005,7 @@ impl LeopardReplica {
         let Some(proof) = proof else {
             return;
         };
-        self.pipeline.record_confirmation(seq, proof);
+        instance.confirmed = true;
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
         ctx.broadcast(LeopardMessage::ConfirmationProof {
             seq,
@@ -1050,7 +1046,6 @@ impl LeopardReplica {
             }
         }
         instance.held_confirmation = None;
-        instance.state = BlockState::Confirmed;
         instance.confirmation = Some(proof);
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
         if let Some(block) = instance.block.clone() {
@@ -1252,7 +1247,7 @@ impl LeopardReplica {
     /// Starts a state sync unless one is already in flight (cooldown of one progress
     /// timeout) or a view change will re-synchronise the replica anyway.
     fn maybe_state_sync(&mut self, ctx: &mut Ctx<'_>) {
-        if self.in_view_change {
+        if self.in_view_change() {
             return;
         }
         if let Some(at) = self.state_sync_at {
@@ -1427,7 +1422,6 @@ impl LeopardReplica {
         }
         instance.block = Some(entry.block.clone());
         instance.block_digest = Some(block_digest);
-        instance.state = BlockState::Confirmed;
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
         instance.notarization = Some(entry.notarization);
         instance.notarization_digest = Some(notarization_digest);
@@ -1534,15 +1528,12 @@ impl LeopardReplica {
             self.progress_backoff = 0;
             return;
         }
-        if self.in_view_change {
+        if let Some(started) = self.view_change_started_at {
             // The view change itself stalled: the incoming leader never produced a
             // NewView (crashed or Byzantine). Give it one full (backed-off) timeout,
             // then advance locally and complain in the next view so the cluster can
             // rotate past a run of bad leaders.
-            let waited = self
-                .view_change_started_at
-                .map_or(SimDuration::ZERO, |started| ctx.now().saturating_since(started));
-            if waited >= self.current_progress_timeout() {
+            if ctx.now().saturating_since(started) >= self.current_progress_timeout() {
                 let next = self.view.next();
                 self.enter_view(next, ctx);
                 self.complain(ctx);
@@ -1637,7 +1628,6 @@ impl LeopardReplica {
 
     fn start_view_change(&mut self, ctx: &mut Ctx<'_>) {
         let old_view = self.view;
-        self.in_view_change = true;
         self.view_change_started_at = Some(ctx.now());
         let new_view = old_view.next();
 
@@ -1662,8 +1652,7 @@ impl LeopardReplica {
         // quorum of ViewChange messages. With `p = 1` this is exactly the classic
         // single send to the next leader.
         for j in 0..self.proposer_count() {
-            let proposer = Self::proposer_of_stripe(new_view, j, self.n());
-            ctx.send(proposer, message.clone());
+            ctx.send(new_view.proposer(j, self.n()), message.clone());
         }
         // The replica stops participating in the old view; it resumes on new-view.
     }
@@ -1757,7 +1746,6 @@ impl LeopardReplica {
 
     fn enter_view(&mut self, view: View, ctx: &mut Ctx<'_>) {
         self.view = view;
-        self.in_view_change = false;
         // The proposer rotation shifted by one: re-anchor the pipeline onto this
         // replica's stripe of the new view (no-op for a single proposer).
         self.anchor_pipeline_stripe();

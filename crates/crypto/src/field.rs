@@ -75,15 +75,6 @@ impl Fp {
             Some(self.pow(MODULUS - 2))
         }
     }
-
-    /// Additive inverse.
-    pub fn neg(&self) -> Self {
-        if self.0 == 0 {
-            Fp(0)
-        } else {
-            Fp(MODULUS - self.0)
-        }
-    }
 }
 
 impl From<u64> for Fp {
@@ -290,7 +281,6 @@ mod tests {
         assert_eq!(a * Fp::one(), a);
         assert_eq!(a * Fp::zero(), Fp::zero());
         assert_eq!(a - a, Fp::zero());
-        assert_eq!(a + a.neg(), Fp::zero());
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl ReedSolomon {
         self.total_shards
     }
 
-    /// Number of parity shards.
-    pub fn parity_shards(&self) -> usize {
-        self.total_shards - self.data_shards
-    }
-
     /// Shard length needed to carry a payload of `payload_len` bytes.
     pub fn shard_len_for(&self, payload_len: usize) -> usize {
         payload_len.div_ceil(self.data_shards).max(1)

@@ -4,6 +4,7 @@
 
 use crate::report::Table;
 use crate::scenario::ScenarioReport;
+use leopard_crypto::{DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_LEN};
 use leopard_types::ProtocolParams;
 
 /// The protocols compared in Table I.
@@ -170,8 +171,8 @@ pub fn region_breakdown(report: &ScenarioReport) -> Table {
 /// Leader communication cost in bytes for confirming `requests` requests, following the
 /// closed form (2) of §V-B.
 pub fn leopard_leader_cost_bytes(params: &ProtocolParams, requests: u64) -> f64 {
-    let beta = params.hash_size as f64;
-    let kappa = params.vote_size as f64;
+    let beta = DIGEST_LEN as f64;
+    let kappa = DEFAULT_SIGNATURE_WIRE_BYTES as f64;
     let tau = params.bftblock_size as f64;
     let alpha = params.alpha_bytes() as f64;
     let n = params.n as f64;
@@ -182,8 +183,8 @@ pub fn leopard_leader_cost_bytes(params: &ProtocolParams, requests: u64) -> f64 
 /// Non-leader communication cost in bytes for confirming `requests` requests, following
 /// the closed form (3) of §V-B.
 pub fn leopard_replica_cost_bytes(params: &ProtocolParams, requests: u64) -> f64 {
-    let beta = params.hash_size as f64;
-    let kappa = params.vote_size as f64;
+    let beta = DIGEST_LEN as f64;
+    let kappa = DEFAULT_SIGNATURE_WIRE_BYTES as f64;
     let tau = params.bftblock_size as f64;
     let alpha = params.alpha_bytes() as f64;
     let payload = (requests * params.payload_size as u64) as f64;

@@ -34,7 +34,7 @@ use leopard_core::byzantine::ByzantineBehavior;
 use leopard_core::LeopardReplica;
 use leopard_crypto::provider::CryptoMode;
 use leopard_simnet::{flapping_windows, SimDuration, SimTime};
-use leopard_types::NodeId;
+use leopard_types::{NodeId, View};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -255,6 +255,11 @@ fn case_seed(master_seed: u64, case_index: usize) -> u64 {
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// True if `node` proposes one of the `proposers` stripes of the initial view.
+fn holds_initial_stripe(node: NodeId, n: usize, proposers: usize) -> bool {
+    View::initial().stripe_of(node, n) < proposers as u64
+}
+
 /// The single-line deterministic reproducer for a chaos case.
 pub fn reproducer(master_seed: u64, case_index: usize) -> String {
     format!(
@@ -313,12 +318,11 @@ impl FaultScheduleGenerator {
         ids.shuffle(&mut rng);
         if proposers > 1 && overlay_rng.gen_bool(0.5) {
             // Bias the corruption/crash draws onto the initial view's proposer slots
-            // (replicas `(1 + j) mod n`, `j < p`): a faulty replica that *owns a
-            // stripe* exercises the per-stripe view-change demotion path, which a
-            // uniform draw at n = 16+ would rarely hit. A stable sort keeps the
-            // shuffled order within each group, so the draw stays seed-deterministic.
-            let n = self.n as u32;
-            ids.sort_by_key(|&id| (id + n - 1) % n >= proposers as u32);
+            // (stripes `j < p` of view 1): a faulty replica that *owns a stripe*
+            // exercises the per-stripe view-change demotion path, which a uniform
+            // draw at n = 16+ would rarely hit. A stable sort keeps the shuffled
+            // order within each group, so the draw stays seed-deterministic.
+            ids.sort_by_key(|&id| !holds_initial_stripe(NodeId(id), self.n, proposers));
         }
         let byzantine_count = rng.gen_range(0..=f.min(2));
         let behaviours = ByzantineBehavior::all_byzantine();
@@ -581,6 +585,30 @@ fn report_violating_case(schedule: &ChaosSchedule, report: &ScenarioReport) {
 mod tests {
     use super::*;
 
+    /// The proposer bias picks exactly the proposers of view 1 (the replica's
+    /// `stripe_in_view(node, View::initial())`), which is the closed form
+    /// `(id + n − 1) mod n < p`.
+    #[test]
+    fn proposer_bias_picks_the_initial_proposers() {
+        for n in (1..=40).chain([255, 600, 1000]) {
+            for proposers in 1..=n.min(8) {
+                for id in 0..n as u32 {
+                    let node = NodeId(id);
+                    let held = holds_initial_stripe(node, n, proposers);
+                    let schedule =
+                        (0..proposers as u64).any(|j| View::initial().proposer(j, n) == node);
+                    assert_eq!(held, schedule, "n {n} p {proposers} {node}");
+                    let n32 = n as u32;
+                    assert_eq!(
+                        held,
+                        (id + n32 - 1) % n32 < proposers as u32,
+                        "n {n} {node}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Every generated schedule keeps the corrupt + crashed budget within f and ends
     /// every fault by GST, across a spread of seeds, cases and scales.
     #[test]
@@ -677,9 +705,7 @@ mod tests {
                     if let ChaosFault::Byzantine { node, .. } | ChaosFault::CrashRestart { node, .. } =
                         fault
                     {
-                        // Initial view's proposer slots are (1 + j) mod n, j < p.
-                        let offset = (node.0 + 16 - 1) % 16;
-                        faulty_proposer |= (offset as usize) < schedule.proposers;
+                        faulty_proposer |= holds_initial_stripe(*node, 16, schedule.proposers);
                     }
                 }
             }

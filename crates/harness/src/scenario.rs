@@ -418,21 +418,16 @@ impl ScenarioConfig {
         ((self.straggler_fraction * self.n as f64).ceil() as usize).min(self.n.saturating_sub(1))
     }
 
-    /// The topology actually handed to the simulator: [`Self::topology`] (or a flat
-    /// stand-in when stragglers are requested without one) with the straggler profiles
-    /// applied. `None` when the scenario is a plain flat LAN.
+    /// The topology actually handed to the simulator: [`Self::topology`] (or
+    /// [`Topology::lan`] when stragglers are requested without one) with the straggler
+    /// profiles applied. `None` when the scenario is the plain LAN.
     pub fn effective_topology(&self) -> Option<Topology> {
         let stragglers = self.straggler_count();
         let mut topology = self.topology.clone();
         if stragglers > 0 {
-            // The scenario's own LAN expressed as a flat topology — bit-identical to
-            // the scalar model by construction, so adding stragglers never perturbs
-            // the non-straggler schedule, and the scalars can never drift from the
-            // network the scenario actually builds.
-            let mut with_stragglers = topology.take().unwrap_or_else(|| {
-                let base = self.base_network();
-                Topology::flat(base.base_latency, base.jitter)
-            });
+            // The LAN a topology-less scenario runs on, so adding stragglers never
+            // perturbs the non-straggler schedule.
+            let mut with_stragglers = topology.take().unwrap_or_else(Topology::lan);
             for node in self.highest_non_leader_ids(stragglers) {
                 with_stragglers =
                     with_stragglers.with_straggler(node, StragglerProfile::wan_default());
@@ -459,16 +454,11 @@ impl ScenarioConfig {
             .collect()
     }
 
-    /// The network before any topology is applied (scale, NIC class, seed scalars).
-    fn base_network(&self) -> NetworkConfig {
-        match self.bandwidth_mbps {
+    fn network(&self) -> NetworkConfig {
+        let mut config = match self.bandwidth_mbps {
             Some(mbps) => NetworkConfig::throttled(self.n, mbps),
             None => NetworkConfig::datacenter(self.n),
-        }
-    }
-
-    fn network(&self) -> NetworkConfig {
-        let mut config = self.base_network();
+        };
         if self.cores > 1 {
             config = config.with_cores(self.cores);
         }
@@ -1191,11 +1181,11 @@ mod tests {
         assert_eq!(topology.stragglers()[0].1, StragglerProfile::wan_default());
         assert!(config.network().validate().is_ok());
 
-        // Stragglers without a topology ride a flat stand-in for the scenario's LAN.
+        // Stragglers without a topology ride `Topology::lan()`.
         let lan = ScenarioConfig::small(4).with_straggler_fraction(0.25);
         assert_eq!(lan.effective_topology().unwrap().region_count(), 1);
 
-        // No topology, no stragglers: the network stays the flat scalar model.
+        // No topology, no stragglers: the network stays the default LAN.
         let flat = ScenarioConfig::small(4);
         assert!(flat.effective_topology().is_none());
         assert!(flat.network().topology.is_none());

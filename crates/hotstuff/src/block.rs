@@ -1,7 +1,7 @@
 //! HotStuff blocks and quorum certificates.
 
 use leopard_crypto::threshold::CombinedSignature;
-use leopard_crypto::{hash_parts, Digest};
+use leopard_crypto::{hash_parts, Digest, DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_LEN};
 use leopard_types::{RequestRun, View, WireSize};
 
 /// A quorum certificate: `2f+1` combined votes on a block at a given height.
@@ -33,7 +33,8 @@ impl QuorumCertificate {
 
 impl WireSize for QuorumCertificate {
     fn wire_size(&self) -> usize {
-        8 + 32 + 48
+        // height u64 + block digest + combined signature
+        8 + DIGEST_LEN + DEFAULT_SIGNATURE_WIRE_BYTES
     }
 }
 
@@ -84,7 +85,7 @@ impl HotStuffBlock {
     /// receives the `Arc`-shared proposal reuses the same digest.
     pub fn digest(&self) -> Digest {
         *self.cached_digest.get_or_init(|| {
-            let mut id_bytes = Vec::with_capacity(12 * self.requests.len() + 48);
+            let mut id_bytes = Vec::with_capacity(12 * self.requests.len() + 16 + DIGEST_LEN);
             id_bytes.extend_from_slice(&self.height.to_le_bytes());
             id_bytes.extend_from_slice(&self.view.0.to_le_bytes());
             id_bytes.extend_from_slice(self.parent.as_bytes());
@@ -109,7 +110,8 @@ impl HotStuffBlock {
 
 impl WireSize for HotStuffBlock {
     fn wire_size(&self) -> usize {
-        8 + 8 + 32 + 4 + self.requests.wire_size()
+        // height u64 + view u64 + parent digest + request count u32 + requests
+        8 + 8 + DIGEST_LEN + 4 + self.requests.wire_size()
     }
 }
 

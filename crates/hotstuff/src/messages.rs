@@ -2,7 +2,7 @@
 
 use crate::block::{HotStuffBlock, QuorumCertificate};
 use leopard_crypto::threshold::SignatureShare;
-use leopard_crypto::Digest;
+use leopard_crypto::{Digest, DIGEST_LEN};
 use leopard_simnet::SimMessage;
 use leopard_types::{View, WireSize};
 use std::sync::Arc;
@@ -44,11 +44,15 @@ pub enum HotStuffMessage {
 impl WireSize for HotStuffMessage {
     fn wire_size(&self) -> usize {
         match self {
-            HotStuffMessage::Proposal { block, justify, .. } => {
-                block.wire_size() + justify.wire_size() + 48
+            HotStuffMessage::Proposal {
+                block,
+                justify,
+                share,
+            } => block.wire_size() + justify.wire_size() + share.wire_size(),
+            HotStuffMessage::Vote { share, .. } => 8 + DIGEST_LEN + share.wire_size(),
+            HotStuffMessage::NewView { high_qc, share, .. } => {
+                8 + high_qc.wire_size() + share.wire_size()
             }
-            HotStuffMessage::Vote { .. } => 8 + 32 + 48,
-            HotStuffMessage::NewView { high_qc, .. } => 8 + high_qc.wire_size() + 48,
         }
     }
 }

@@ -58,10 +58,9 @@ pub struct HotStuffReplica {
     /// Leader: `(height, collected votes)` per block digest at or above the committed
     /// height.
     votes: FastMap<Digest, (u64, ShareCollector)>,
-    /// Leader: digest of the proposal still waiting for its QC.
-    awaiting_qc: Option<Digest>,
-    /// When `awaiting_qc` was last set (progress-probe bookkeeping).
-    awaiting_qc_since: Option<SimTime>,
+    /// Leader: digest of the proposal still waiting for its QC, and when it was made
+    /// (progress-probe bookkeeping).
+    awaiting_qc: Option<(Digest, SimTime)>,
     /// The highest height this replica voted for.
     last_voted_height: u64,
     /// Height of the latest committed block. `try_commit` executes every block it
@@ -107,7 +106,6 @@ impl HotStuffReplica {
             high_qc: QuorumCertificate::genesis(),
             votes: FastMap::default(),
             awaiting_qc: None,
-            awaiting_qc_since: None,
             last_voted_height: 0,
             committed_height: 0,
             committed: empty_committed_log(),
@@ -194,8 +192,7 @@ impl HotStuffReplica {
         // The proposal hashes the full request batch (HotStuff blocks carry payload).
         charge(ctx, self.keys.provider.model().hash(block.wire_size()));
         self.blocks.insert(digest, block.clone());
-        self.awaiting_qc = Some(digest);
-        self.awaiting_qc_since = Some(ctx.now());
+        self.awaiting_qc = Some((digest, ctx.now()));
         let share = self.sign(&digest, ctx);
         // The leader's own vote.
         self.votes
@@ -303,9 +300,8 @@ impl HotStuffReplica {
         if qc.height > self.high_qc.height {
             self.high_qc = qc;
         }
-        if self.awaiting_qc == Some(block_digest) {
-            self.awaiting_qc = None;
-        }
+        self.awaiting_qc
+            .take_if(|(digest, _)| *digest == block_digest);
         self.try_commit(&qc, ctx);
         // Pipelining: the next proposal carries this QC immediately.
         self.try_propose(ctx);
@@ -502,7 +498,7 @@ impl Protocol for HotStuffReplica {
         let stalled_since = match stall {
             "None" => None,
             // The vote wait began when the open proposal was made.
-            "AwaitingVotes" => self.awaiting_qc_since,
+            "AwaitingVotes" => self.awaiting_qc.map(|(_, since)| since),
             // Otherwise progress stopped with the last confirmation (start of run if
             // nothing ever confirmed).
             _ => Some(self.last_confirmation_at.unwrap_or(SimTime(0))),

@@ -1,4 +1,4 @@
-//! Fault injection: message filters, crash/restart schedules and region partitions.
+//! Fault injection: the selective attack, crash/restart schedules and region partitions.
 //!
 //! The paper's Byzantine experiments need three kinds of interference below the
 //! protocol level: *selective dissemination* (a faulty replica sends its datablocks
@@ -50,7 +50,7 @@ pub fn flapping_windows(
         .collect()
 }
 
-/// The fate of a message decided by a [`FaultPlan`] filter.
+/// The fate of a message decided by a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageFate {
     /// Deliver normally.
@@ -107,27 +107,42 @@ impl PartitionWindow {
     }
 }
 
-/// A plan describing which messages to drop, which nodes crash (and restart) when,
-/// and which region pairs are partitioned over which windows.
-///
-/// The filter closure receives `(now, from, to, category, wire_size)` so that selective
-/// attacks can discriminate by message category without depending on the concrete
-/// protocol message type.
-pub struct FaultPlan {
-    #[allow(clippy::type_complexity)]
-    filter: Option<Box<dyn FnMut(SimTime, NodeId, NodeId, &'static str, usize) -> MessageFate>>,
-    crashes: Vec<CrashWindow>,
-    partitions: Vec<PartitionWindow>,
+/// The selective attack of the paper (see [`FaultPlan::selective_attack`]). It
+/// discriminates by message category, so it needs nothing of the concrete protocol
+/// message type.
+#[derive(Debug)]
+struct SelectiveAttack {
+    faulty: Vec<NodeId>,
+    category: &'static str,
+    keep: usize,
 }
 
-impl std::fmt::Debug for FaultPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultPlan")
-            .field("has_filter", &self.filter.is_some())
-            .field("crashes", &self.crashes)
-            .field("partitions", &self.partitions)
-            .finish()
+impl SelectiveAttack {
+    fn judge(&self, from: NodeId, to: NodeId, category: &'static str) -> MessageFate {
+        if category != self.category {
+            return MessageFate::Deliver;
+        }
+        let from_faulty = self.faulty.contains(&from);
+        let to_faulty = self.faulty.contains(&to);
+        if from_faulty && to.as_index() >= self.keep {
+            // Faulty producer only serves a small subset.
+            MessageFate::Drop
+        } else if to_faulty && !from_faulty {
+            // Faulty replicas pretend not to receive honest datablocks.
+            MessageFate::Drop
+        } else {
+            MessageFate::Deliver
+        }
     }
+}
+
+/// A plan describing which messages to drop, which nodes crash (and restart) when,
+/// and which region pairs are partitioned over which windows.
+#[derive(Debug)]
+pub struct FaultPlan {
+    attack: Option<SelectiveAttack>,
+    crashes: Vec<CrashWindow>,
+    partitions: Vec<PartitionWindow>,
 }
 
 impl Default for FaultPlan {
@@ -140,19 +155,10 @@ impl FaultPlan {
     /// No faults: every message is delivered, no node crashes, no partitions.
     pub fn none() -> Self {
         Self {
-            filter: None,
+            attack: None,
             crashes: Vec::new(),
             partitions: Vec::new(),
         }
-    }
-
-    /// Installs a message filter.
-    pub fn with_filter<F>(mut self, filter: F) -> Self
-    where
-        F: FnMut(SimTime, NodeId, NodeId, &'static str, usize) -> MessageFate + 'static,
-    {
-        self.filter = Some(Box::new(filter));
-        self
     }
 
     /// Schedules `node` to crash permanently at `at`: from that instant it neither
@@ -229,38 +235,29 @@ impl FaultPlan {
         category: &'static str,
         keep: usize,
     ) -> Self {
-        Self::none().with_filter(move |_now, from, to, cat, _size| {
-            if cat != category {
-                return MessageFate::Deliver;
-            }
-            let from_faulty = faulty.contains(&from);
-            let to_faulty = faulty.contains(&to);
-            if from_faulty && to.as_index() >= keep {
-                // Faulty producer only serves a small subset.
-                MessageFate::Drop
-            } else if to_faulty && !from_faulty {
-                // Faulty replicas pretend not to receive honest datablocks.
-                MessageFate::Drop
-            } else {
-                MessageFate::Deliver
-            }
-        })
+        Self {
+            attack: Some(SelectiveAttack {
+                faulty,
+                category,
+                keep,
+            }),
+            ..Self::none()
+        }
     }
 
-    /// Decides the fate of one message.
+    /// Decides the fate of one message of `category` from `from` to `to` at `now`.
     pub fn judge(
-        &mut self,
+        &self,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         category: &'static str,
-        wire_size: usize,
     ) -> MessageFate {
         if self.is_crashed(from, now) || self.is_crashed(to, now) {
             return MessageFate::Drop;
         }
-        match &mut self.filter {
-            Some(filter) => filter(now, from, to, category, wire_size),
+        match &self.attack {
+            Some(attack) => attack.judge(from, to, category),
             None => MessageFate::Deliver,
         }
     }
@@ -299,9 +296,9 @@ mod tests {
 
     #[test]
     fn default_plan_delivers_everything() {
-        let mut plan = FaultPlan::none();
+        let plan = FaultPlan::none();
         assert_eq!(
-            plan.judge(SimTime(0), NodeId(0), NodeId(1), "datablock", 100),
+            plan.judge(SimTime(0), NodeId(0), NodeId(1), "datablock"),
             MessageFate::Deliver
         );
         assert!(!plan.is_crashed(NodeId(0), SimTime(1_000_000)));
@@ -311,17 +308,17 @@ mod tests {
 
     #[test]
     fn crash_drops_messages_after_the_crash_instant() {
-        let mut plan = FaultPlan::none().with_crash(NodeId(2), SimTime(1000));
+        let plan = FaultPlan::none().with_crash(NodeId(2), SimTime(1000));
         assert_eq!(
-            plan.judge(SimTime(999), NodeId(2), NodeId(0), "vote", 10),
+            plan.judge(SimTime(999), NodeId(2), NodeId(0), "vote"),
             MessageFate::Deliver
         );
         assert_eq!(
-            plan.judge(SimTime(1000), NodeId(2), NodeId(0), "vote", 10),
+            plan.judge(SimTime(1000), NodeId(2), NodeId(0), "vote"),
             MessageFate::Drop
         );
         assert_eq!(
-            plan.judge(SimTime(2000), NodeId(0), NodeId(2), "vote", 10),
+            plan.judge(SimTime(2000), NodeId(0), NodeId(2), "vote"),
             MessageFate::Drop
         );
         assert!(plan.is_crashed(NodeId(2), SimTime(1500)));
@@ -355,7 +352,7 @@ mod tests {
 
     #[test]
     fn partition_windows_sever_symmetrically_and_heal() {
-        let mut plan = FaultPlan::none().with_partition(0, 2, SimTime(100), SimTime(200));
+        let plan = FaultPlan::none().with_partition(0, 2, SimTime(100), SimTime(200));
         assert!(plan.has_partitions());
         assert!(!plan.is_partitioned(SimTime(99), 0, 2));
         assert!(plan.is_partitioned(SimTime(100), 0, 2));
@@ -366,9 +363,9 @@ mod tests {
         assert!(!plan.is_partitioned(SimTime(150), 1, 2));
         // Healed exactly at `until`.
         assert!(!plan.is_partitioned(SimTime(200), 0, 2));
-        // The partition check is orthogonal to the message filter.
+        // The partition check is orthogonal to the selective attack.
         assert_eq!(
-            plan.judge(SimTime(150), NodeId(0), NodeId(2), "vote", 10),
+            plan.judge(SimTime(150), NodeId(0), NodeId(2), "vote"),
             MessageFate::Deliver
         );
         assert_eq!(plan.partitions().len(), 1);
@@ -455,53 +452,30 @@ mod tests {
     #[test]
     fn selective_attack_filters_only_the_target_category() {
         let faulty = vec![NodeId(3)];
-        let mut plan = FaultPlan::selective_attack(faulty, "datablock", 2);
+        let plan = FaultPlan::selective_attack(faulty, "datablock", 2);
         // Faulty producer -> low-numbered replica: delivered.
         assert_eq!(
-            plan.judge(SimTime(0), NodeId(3), NodeId(0), "datablock", 100),
+            plan.judge(SimTime(0), NodeId(3), NodeId(0), "datablock"),
             MessageFate::Deliver
         );
         // Faulty producer -> high-numbered replica: dropped.
         assert_eq!(
-            plan.judge(SimTime(0), NodeId(3), NodeId(2), "datablock", 100),
+            plan.judge(SimTime(0), NodeId(3), NodeId(2), "datablock"),
             MessageFate::Drop
         );
         // Honest producer -> faulty replica: dropped (pretends not to receive).
         assert_eq!(
-            plan.judge(SimTime(0), NodeId(1), NodeId(3), "datablock", 100),
+            plan.judge(SimTime(0), NodeId(1), NodeId(3), "datablock"),
             MessageFate::Drop
         );
         // Other categories unaffected.
         assert_eq!(
-            plan.judge(SimTime(0), NodeId(3), NodeId(2), "vote", 48),
+            plan.judge(SimTime(0), NodeId(3), NodeId(2), "vote"),
             MessageFate::Deliver
         );
         // Honest to honest unaffected.
         assert_eq!(
-            plan.judge(SimTime(0), NodeId(0), NodeId(2), "datablock", 100),
-            MessageFate::Deliver
-        );
-    }
-
-    #[test]
-    fn custom_filter_sees_all_fields() {
-        let mut plan = FaultPlan::none().with_filter(|now, from, to, category, size| {
-            if now >= SimTime(500) && from == NodeId(0) && to == NodeId(1) && category == "x" && size > 10 {
-                MessageFate::Drop
-            } else {
-                MessageFate::Deliver
-            }
-        });
-        assert_eq!(
-            plan.judge(SimTime(600), NodeId(0), NodeId(1), "x", 11),
-            MessageFate::Drop
-        );
-        assert_eq!(
-            plan.judge(SimTime(600), NodeId(0), NodeId(1), "x", 5),
-            MessageFate::Deliver
-        );
-        assert_eq!(
-            plan.judge(SimTime(400), NodeId(0), NodeId(1), "x", 11),
+            plan.judge(SimTime(0), NodeId(0), NodeId(2), "datablock"),
             MessageFate::Deliver
         );
     }

@@ -19,7 +19,7 @@
 //! * [`Topology`] / [`StragglerProfile`] — geo-distributed deployments: named regions,
 //!   a pairwise latency/jitter matrix and per-node stragglers that are network- and
 //!   CPU-slow at once ([`network`]);
-//! * [`FaultPlan`] — message filters, crash/restart schedules and region partition
+//! * [`FaultPlan`] — the selective attack, crash/restart schedules and region partition
 //!   windows for Byzantine experiments ([`fault`]);
 //! * [`MetricsSink`], [`TrafficMatrix`] — per-node, per-category byte accounting and
 //!   protocol observations ([`metrics`]).

@@ -138,8 +138,6 @@ pub struct TrafficMatrix {
     sent: Vec<(u64, u64)>,
     /// `(bytes, messages)` received, `categories.len() * nodes` entries.
     received: Vec<(u64, u64)>,
-    total_sent: u64,
-    total_received: u64,
 }
 
 impl TrafficMatrix {
@@ -150,8 +148,6 @@ impl TrafficMatrix {
             nodes,
             sent: Vec::new(),
             received: Vec::new(),
-            total_sent: 0,
-            total_received: 0,
         }
     }
 
@@ -188,7 +184,6 @@ impl TrafficMatrix {
         let entry = &mut self.sent[slot];
         entry.0 += bytes;
         entry.1 += 1;
-        self.total_sent += bytes;
     }
 
     /// Records a received message.
@@ -197,7 +192,6 @@ impl TrafficMatrix {
         let entry = &mut self.received[slot];
         entry.0 += bytes;
         entry.1 += 1;
-        self.total_received += bytes;
     }
 
     /// Sums one node's column of `counters` across all categories.
@@ -265,12 +259,12 @@ impl TrafficMatrix {
 
     /// Total bytes sent across the whole system.
     pub fn total_sent_bytes(&self) -> u64 {
-        self.total_sent
+        self.sent.iter().map(|&(bytes, _)| bytes).sum()
     }
 
     /// Total bytes received across the whole system.
     pub fn total_received_bytes(&self) -> u64 {
-        self.total_received
+        self.received.iter().map(|&(bytes, _)| bytes).sum()
     }
 }
 

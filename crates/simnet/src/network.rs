@@ -90,10 +90,10 @@ impl StragglerProfile {
 /// `base(region(a), region(b)) + U(0, jitter(region(a), region(b)))` plus the
 /// deterministic straggler extras of both endpoints.
 ///
-/// **RNG compatibility:** a single-region [`Topology::flat`] draws exactly one uniform
-/// jitter sample per routed message with the same bound as the scalar
-/// `base_latency`/`jitter` model, in the same order — so a flat topology reproduces
-/// the scalar model's event schedule bit-identically (see `DESIGN.md` §7).
+/// **RNG compatibility:** every topology draws exactly one uniform jitter sample per
+/// routed message, in the same order, so a single-region [`Topology::flat`] with the
+/// LAN's numbers is the default LAN ([`Topology::lan`]) bit for bit (see `DESIGN.md`
+/// §7).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Region names, in region-index order.
@@ -142,8 +142,7 @@ fn wan_one_way_micros(a: &str, b: &str) -> u64 {
 }
 
 impl Topology {
-    /// A single-region topology with one base latency and jitter for every pair —
-    /// the scalar model as a `Topology`, bit-identical to it by construction.
+    /// A single-region topology with one base latency and jitter for every pair.
     pub fn flat(base: SimDuration, jitter: SimDuration) -> Self {
         Self {
             regions: vec!["flat".to_string()],
@@ -151,6 +150,12 @@ impl Topology {
             jitter: vec![jitter],
             stragglers: Vec::new(),
         }
+    }
+
+    /// The paper's LAN: one region, 500 µs one-way latency plus up to 50 µs of
+    /// uniform jitter. The network of a [`NetworkConfig`] without a topology.
+    pub fn lan() -> Self {
+        Self::flat(SimDuration::from_micros(500), SimDuration::from_micros(50))
     }
 
     /// A topology of `names.len()` regions with `intra` latency inside a region,
@@ -336,7 +341,7 @@ pub struct ResolvedTopology {
     pub cores: Vec<usize>,
     /// Region index of each node.
     pub node_region: Vec<u32>,
-    /// Number of regions (1 for the flat scalar model).
+    /// Number of regions (1 for the LAN).
     pub region_count: usize,
     /// Region-pair base latency in nanoseconds, row-major `region_count²`.
     pub base_nanos: Vec<u64>,
@@ -364,23 +369,18 @@ impl ResolvedTopology {
 /// The model charges each message `wire_size` bytes of serialisation delay at the
 /// sender's uplink and the receiver's downlink (FIFO queues), plus a propagation delay
 /// drawn uniformly from `[base, base + jitter]`, where `base` and `jitter` come from
-/// the scalar [`Self::base_latency`]/[`Self::jitter`] pair when [`Self::topology`] is
-/// `None`, and from the topology's region-pair matrix otherwise. A node's uplink and
-/// downlink are coupled (half duplex): the link capacity bounds the *total* bits the
-/// node moves per second, as the paper's `C` does. The network is
-/// synchronous from the start: asynchrony is injected as explicit faults
-/// ([`crate::FaultPlan`] partitions, crashes, filters), not as a pre-GST delay.
+/// the region-pair matrix of [`Self::topology`] ([`Topology::lan`] when it is
+/// `None`). A node's uplink and downlink are coupled (half duplex): the link capacity
+/// bounds the *total* bits the node moves per second, as the paper's `C` does. The
+/// network is synchronous from the start: asynchrony is injected as explicit faults
+/// ([`crate::FaultPlan`] partitions, crashes, the selective attack), not as a pre-GST
+/// delay.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of nodes.
     pub nodes: usize,
     /// Per-node link capacities; either one entry shared by every node or one per node.
     pub links: Vec<LinkConfig>,
-    /// Base one-way propagation latency (the flat scalar model; a [`Self::topology`]
-    /// overrides it with its region-pair matrix).
-    pub base_latency: SimDuration,
-    /// Maximum additional random latency (uniform jitter) of the flat scalar model.
-    pub jitter: SimDuration,
     /// Seed for the simulation's deterministic randomness.
     pub seed: u64,
     /// Per-node CPU speed factors for the compute-resource model: modeled compute
@@ -395,9 +395,8 @@ pub struct NetworkConfig {
     /// index). With one lane the dispatch degenerates to the sequential compute queue,
     /// so `cores = 1` is bit-identical to the pre-multi-core model.
     pub cores: usize,
-    /// Geo-distributed topology (regions, pairwise latency matrix, stragglers). `None` selects the flat scalar model of
-    /// [`Self::base_latency`]/[`Self::jitter`]; a flat single-region topology is
-    /// bit-identical to `None` by construction.
+    /// Geo-distributed topology (regions, pairwise latency matrix, stragglers). `None`
+    /// selects the paper's LAN, [`Topology::lan`].
     pub topology: Option<Topology>,
 }
 
@@ -408,8 +407,6 @@ impl NetworkConfig {
         Self {
             nodes,
             links: vec![LinkConfig::paper_default()],
-            base_latency: SimDuration::from_micros(500),
-            jitter: SimDuration::from_micros(50),
             seed: 0xC0FFEE,
             cpu_speeds: Vec::new(),
             cores: 1,
@@ -488,16 +485,15 @@ impl NetworkConfig {
     /// hot path: effective links ([`Self::links`], capped by a straggler profile),
     /// effective CPU speeds ([`Self::cpu_speeds`] × straggler factor), region
     /// membership and the latency matrix in nanoseconds. Without a topology this
-    /// resolves the [`Topology::flat`] of [`Self::base_latency`]/[`Self::jitter`]:
-    /// the scalar model is the single-region case of the same code.
+    /// resolves [`Topology::lan`].
     pub fn resolve(&self) -> ResolvedTopology {
         let n = self.nodes;
-        let flat;
+        let lan;
         let topology = match &self.topology {
             Some(topology) => topology,
             None => {
-                flat = Topology::flat(self.base_latency, self.jitter);
-                &flat
+                lan = Topology::lan();
+                &lan
             }
         };
         let r = topology.region_count();
@@ -663,12 +659,14 @@ mod tests {
 
     #[test]
     fn flat_topology_resolves_like_the_scalar_model() {
-        let scalar = NetworkConfig::datacenter(4);
+        // No topology is the LAN, and the LAN is a flat topology.
+        let lan = NetworkConfig::datacenter(4);
         let flat = NetworkConfig::datacenter(4).with_topology(Topology::flat(
             SimDuration::from_micros(500),
             SimDuration::from_micros(50),
         ));
-        let a = scalar.resolve();
+        assert_eq!(Some(Topology::lan()), flat.topology);
+        let a = lan.resolve();
         let b = flat.resolve();
         assert_eq!(a.links, b.links);
         assert_eq!(a.cpu_speeds, b.cpu_speeds);

@@ -7,13 +7,11 @@
 //! 1. The message queues at `a`'s uplink: it departs at
 //!    `departure = max(t, uplink_free[a]) + s·8 / uplink_bps`.
 //! 2. It propagates for `base + U(0, jitter)`, where `base` and `jitter` come from the
-//!    flat scalar
-//!    `base_latency`/`jitter` pair, or — when the configuration carries a
-//!    [`crate::network::Topology`] — from the region-pair latency matrix, plus the
-//!    deterministic straggler extras of both endpoints. Exactly one uniform jitter
-//!    sample is drawn per routed message whose pair jitter bound is non-zero, in route
-//!    order, so a flat single-region topology reproduces the scalar model's schedule
-//!    bit-identically.
+//!    region-pair latency matrix of the configuration's [`crate::network::Topology`]
+//!    ([`crate::network::Topology::lan`] when it has none), plus the deterministic
+//!    straggler extras of both endpoints. Exactly one uniform jitter sample is drawn
+//!    per routed message whose pair jitter bound is non-zero, in route order, so two
+//!    topologies with the same matrix give the same schedule bit for bit.
 //! 3. It queues at `b`'s downlink **on arrival**: it is delivered at
 //!    `max(arrival, downlink_free[b]) + s·8 / downlink_bps`, where the reservation is
 //!    made when the bytes arrive (the `Arrive` event), so the downlink FIFO is ordered
@@ -934,12 +932,12 @@ impl<P: Protocol> Simulation<P> {
             return;
         }
 
-        let mut fate = self.faults.judge(at, from, to, category, size);
+        let mut fate = self.faults.judge(at, from, to, category);
         if self.faults.is_crashed(from, at) {
             return;
         }
         // A severed region pair drops the message after uplink accounting, exactly
-        // like a filter Drop: the sender paid for bytes the network lost.
+        // like an attack Drop: the sender paid for bytes the network lost.
         if fate == MessageFate::Deliver && self.faults.has_partitions() {
             let from_region = self.resolved.node_region[from.as_index()] as usize;
             let to_region = self.resolved.node_region[to.as_index()] as usize;
@@ -991,11 +989,14 @@ mod tests {
     use crate::protocol::test_support::{PingMessage, PingPong};
     use crate::LinkConfig;
 
+    /// A 100 µs network without jitter, so delivery times are exact.
+    fn no_jitter() -> Topology {
+        Topology::flat(SimDuration::from_micros(100), SimDuration::ZERO)
+    }
+
     fn two_node_config(bps: u64) -> NetworkConfig {
-        let mut config = NetworkConfig::datacenter(2);
+        let mut config = NetworkConfig::datacenter(2).with_topology(no_jitter());
         config.links = vec![LinkConfig::symmetric(bps)];
-        config.jitter = SimDuration::ZERO;
-        config.base_latency = SimDuration::from_micros(100);
         config
     }
 
@@ -1070,13 +1071,9 @@ mod tests {
     #[test]
     fn dropped_messages_charge_sender_but_not_receiver() {
         let config = two_node_config(0);
-        let faults = FaultPlan::none().with_filter(|_, _, _, category, _| {
-            if category == "ping" {
-                MessageFate::Drop
-            } else {
-                MessageFate::Deliver
-            }
-        });
+        // Node 0 "attacks" the ping category towards everyone (`keep = 0`), and
+        // node 1 refuses pings from it: every ping is dropped.
+        let faults = FaultPlan::selective_attack(vec![NodeId(0)], "ping", 0);
         let sim = Simulation::new(config, faults, pingpong_factory(4, 100));
         let report = sim.run_to_report(SimTime(SimDuration::from_secs(1).as_nanos()), 10_000);
         assert!(report.metrics.traffic.total_sent_bytes() > 0);
@@ -1214,10 +1211,8 @@ mod tests {
             }
         }
 
-        let mut config = NetworkConfig::datacenter(3);
+        let mut config = NetworkConfig::datacenter(3).with_topology(no_jitter());
         config.links = vec![LinkConfig::symmetric(10_000_000)];
-        config.jitter = SimDuration::ZERO;
-        config.base_latency = SimDuration::from_micros(100);
         let mut sim = Simulation::new(config, FaultPlan::none(), |_| BulkThenPing {
             small_delivered: false,
         });
@@ -1455,9 +1450,9 @@ mod tests {
         assert_eq!(lanes.horizon(0), SimTime::ZERO);
     }
 
-    /// A flat single-region [`Topology`] must reproduce the scalar model's schedule
-    /// bit-identically — same event count, same observation timestamps (the RNG
-    /// compatibility contract of `DESIGN.md` §7).
+    /// A flat single-region [`Topology`] with the LAN's numbers must reproduce the
+    /// default (topology-less) schedule bit-identically — same event count, same
+    /// observation timestamps (the RNG compatibility contract of `DESIGN.md` §7).
     #[test]
     fn flat_topology_is_bit_identical_to_the_scalar_model() {
         let run = |topology: Option<Topology>| {
@@ -1476,12 +1471,12 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
         };
-        let scalar = run(None);
+        let lan = run(None);
         let flat = run(Some(Topology::flat(
             SimDuration::from_micros(500),
             SimDuration::from_micros(50),
         )));
-        assert_eq!(scalar, flat);
+        assert_eq!(lan, flat);
     }
 
     /// Propagation delay is drawn from the region-pair matrix: an intra-region ping

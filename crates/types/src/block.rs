@@ -4,7 +4,7 @@
 use crate::ids::{NodeId, SeqNum, View};
 use crate::request::{Request, RequestRun};
 use crate::wire::{Decode, DecodeError, Encode, WireReader, WireSize, WireWriter};
-use leopard_crypto::{hash_bytes, Digest, MerkleTree};
+use leopard_crypto::{hash_bytes, Digest, MerkleTree, DIGEST_LEN};
 use std::sync::Arc;
 
 /// Identifier of a datablock: the producing replica plus that replica's local counter
@@ -200,19 +200,6 @@ impl std::fmt::Display for BftBlockId {
     }
 }
 
-/// Agreement state of a BFTblock (paper §IV): notarized after the first voting round,
-/// confirmed after the second.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum BlockState {
-    /// Proposed but not yet notarized.
-    Proposed,
-    /// A notarization proof (first-round quorum) exists.
-    Notarized,
-    /// A confirmation proof (second-round quorum) exists; the block may be executed once
-    /// all lower serial numbers are confirmed.
-    Confirmed,
-}
-
 /// A BFTblock: `⟨BFTblock, (v, sn), ct⟩` — the index block the replicas agree on; `ct`
 /// contains only the hashes of datablocks (paper §IV).
 #[derive(Debug, Clone)]
@@ -278,8 +265,8 @@ impl BftBlock {
 
 impl WireSize for BftBlock {
     fn wire_size(&self) -> usize {
-        // view u64 + seq u64 + dummy u8 + link count u32 + 32 bytes per link
-        8 + 8 + 1 + 4 + self.links.len() * 32
+        // view u64 + seq u64 + dummy u8 + link count u32 + one digest (β) per link
+        8 + 8 + 1 + 4 + self.links.len() * DIGEST_LEN
     }
 }
 
@@ -303,7 +290,7 @@ impl Decode for BftBlock {
         let count = reader.get_u32("bftblock.link_count")? as usize;
         let mut links = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let raw = reader.get_raw(32, "bftblock.link")?;
+            let raw = reader.get_raw(DIGEST_LEN, "bftblock.link")?;
             links.push(Digest::from_slice(raw).ok_or(DecodeError::new("bftblock.link"))?);
         }
         let mut block = BftBlock::new(view, seq, links);
@@ -439,12 +426,6 @@ mod tests {
         assert!(dummy.is_empty());
         let decoded = BftBlock::decode_from_slice(&dummy.encode_to_vec()).unwrap();
         assert!(decoded.dummy);
-    }
-
-    #[test]
-    fn block_state_ordering_matches_protocol_progression() {
-        assert!(BlockState::Proposed < BlockState::Notarized);
-        assert!(BlockState::Notarized < BlockState::Confirmed);
     }
 
     #[test]

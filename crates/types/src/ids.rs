@@ -53,9 +53,25 @@ impl View {
     }
 
     /// The leader of this view under the round-robin policy of the paper
-    /// (`(v mod n)`-th replica).
+    /// (`(v mod n)`-th replica): the proposer of stripe 0.
     pub fn leader(&self, n: usize) -> NodeId {
-        NodeId((self.0 % n as u64) as u32)
+        self.proposer(0, n)
+    }
+
+    /// The proposer of stripe `j` in this view: replica `((v mod n) + j) mod n`. The
+    /// proposer window rotates by one replica per view, so a view change demotes a
+    /// faulty proposer without renumbering the honest stripes.
+    pub fn proposer(&self, j: u64, n: usize) -> NodeId {
+        let n = n as u64;
+        NodeId(((self.0 % n + j) % n) as u32)
+    }
+
+    /// The stripe `node` would propose in this view, `(node − v) mod n`: the inverse
+    /// of [`Self::proposer`]. The node holds a stripe only if this is below the
+    /// proposer count `p`.
+    pub fn stripe_of(&self, node: NodeId, n: usize) -> u64 {
+        let n = n as u64;
+        (u64::from(node.0) + n - self.0 % n) % n
     }
 }
 
@@ -124,6 +140,7 @@ impl fmt::Display for RequestId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn node_id_indices() {
@@ -141,6 +158,29 @@ mod tests {
         assert_eq!(View(4).leader(n), NodeId(0));
         assert_eq!(View(5).leader(n), NodeId(1));
         assert_eq!(View::initial().next(), View(2));
+    }
+
+    #[test]
+    fn proposer_window_rotates_with_the_view() {
+        // n = 4, p = 2: view 1 is proposed by r1 (stripe 0) and r2 (stripe 1); view 4
+        // wraps to r0 and r1.
+        assert_eq!(View(1).proposer(1, 4), NodeId(2));
+        assert_eq!(View(4).proposer(0, 4), NodeId(0));
+        assert_eq!(View(4).proposer(1, 4), NodeId(1));
+        assert_eq!(View(1).stripe_of(NodeId(0), 4), 3);
+        assert_eq!(View(4).stripe_of(NodeId(1), 4), 1);
+    }
+
+    proptest! {
+        /// `stripe_of` inverts `proposer`, and the leader is the proposer of stripe 0.
+        #[test]
+        fn stripe_of_inverts_proposer(n in 1usize..=1000, v in 0u64..1_000_000, j in 0u64..1000) {
+            let view = View(v);
+            let j = j % n as u64;
+            prop_assert_eq!(view.stripe_of(view.proposer(j, n), n), j);
+            prop_assert_eq!(view.leader(n), view.proposer(0, n));
+            prop_assert_eq!(view.leader(n), NodeId((v % n as u64) as u32));
+        }
     }
 
     #[test]

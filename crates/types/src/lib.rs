@@ -27,7 +27,7 @@ pub mod params;
 pub mod request;
 pub mod wire;
 
-pub use block::{BftBlock, BftBlockId, BlockState, Datablock, DatablockId};
+pub use block::{BftBlock, BftBlockId, Datablock, DatablockId};
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use ids::{ClientId, NodeId, RequestId, SeqNum, View};
 pub use params::{bls_paper_crypto_costs, calibrated_crypto_costs, CostModelKind, ProtocolParams};

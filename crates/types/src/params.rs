@@ -3,6 +3,7 @@
 //! compute-resource model.
 
 use leopard_crypto::provider::CryptoCostModel;
+use leopard_crypto::{DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_LEN};
 
 /// Which per-operation compute-cost calibration a run charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,8 +103,8 @@ pub fn bls_paper_crypto_costs() -> CryptoCostModel {
 /// | Symbol | Field | Paper default |
 /// |--------|-------|---------------|
 /// | payload | `payload_size` | 128 B |
-/// | β | `hash_size` | 32 B (SHA-256) |
-/// | κ | `vote_size` | 48 B (threshold BLS) |
+/// | β | [`DIGEST_LEN`] (a constant) | 32 B (SHA-256) |
+/// | κ | [`DEFAULT_SIGNATURE_WIRE_BYTES`] (a constant) | 48 B (threshold BLS) |
 /// | α | `datablock_size * payload_size` | e.g. 2000 × 128 B |
 /// | τ | `bftblock_size` | e.g. 100 links |
 /// | k | `max_parallel_instances` | 100 |
@@ -113,10 +114,6 @@ pub struct ProtocolParams {
     pub n: usize,
     /// Size of one client request in bytes (`payload`).
     pub payload_size: usize,
-    /// Size of a hash / digest in bytes (`β`).
-    pub hash_size: usize,
-    /// Size of a vote (threshold signature share) in bytes (`κ`).
-    pub vote_size: usize,
     /// Number of requests per datablock (so `α = datablock_size * payload_size` bits of
     /// payload per datablock).
     pub datablock_size: usize,
@@ -127,7 +124,7 @@ pub struct ProtocolParams {
     /// Number of concurrent proposers `p` (PR 9 multi-proposer agreement plane).
     ///
     /// Serial numbers are striped round-robin over `p` proposers: the proposer of
-    /// stripe `j` in view `v` is replica `((v mod n) + j) mod n`, so stripe 0 is
+    /// stripe `j` in view `v` is [`crate::View::proposer`], so stripe 0 is
     /// always the classic leader and `p = 1` is exactly the single-leader
     /// protocol. Each proposer runs its own pipeline stripe with τ-batching, and a
     /// view change rotates the whole window (demoting a faulty proposer without
@@ -143,8 +140,6 @@ impl ProtocolParams {
         Self {
             n,
             payload_size: 128,
-            hash_size: 32,
-            vote_size: 48,
             datablock_size,
             bftblock_size,
             max_parallel_instances: 100,
@@ -181,8 +176,8 @@ impl ProtocolParams {
     /// The scaling factor of Leopard from the paper's closed form
     /// `max{(β + 4κ/τ)(n−1)/α + 1, 2 + (β + 4κ/τ)/α}`.
     pub fn leopard_scaling_factor(&self) -> f64 {
-        let beta = self.hash_size as f64;
-        let kappa = self.vote_size as f64;
+        let beta = DIGEST_LEN as f64;
+        let kappa = DEFAULT_SIGNATURE_WIRE_BYTES as f64;
         let tau = self.bftblock_size as f64;
         let alpha = self.alpha_bytes() as f64;
         let n = self.n as f64;
@@ -197,7 +192,7 @@ impl ProtocolParams {
     /// `SF ≈ n − 1` plus vote overhead.
     pub fn leader_based_scaling_factor(&self) -> f64 {
         let n = self.n as f64;
-        let kappa = self.vote_size as f64;
+        let kappa = DEFAULT_SIGNATURE_WIRE_BYTES as f64;
         let tau = self.bftblock_size.max(1) as f64;
         let payload = self.payload_size as f64;
         (n - 1.0) * (1.0 + kappa / (tau * payload)) + 1.0
@@ -298,6 +293,22 @@ mod tests {
         let sf32 = ProtocolParams::paper_defaults(32).leader_based_scaling_factor();
         let sf300 = ProtocolParams::paper_defaults(300).leader_based_scaling_factor();
         assert!(sf300 > 8.0 * sf32);
+    }
+
+    /// The closed forms at the paper's κ = 48 and β = 32 (the crypto crate's wire
+    /// constants): a change to either constant moves these values.
+    #[test]
+    fn scaling_factors_are_pinned() {
+        let cases = [(16, 2.0001325, 16.05625), (600, 2.0000634375, 600.5615625)];
+        for (n, leopard, leader_based) in cases {
+            let params = ProtocolParams::paper_defaults(n);
+            assert_eq!(params.leopard_scaling_factor(), leopard, "n = {n}");
+            assert_eq!(
+                params.leader_based_scaling_factor(),
+                leader_based,
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -92,12 +92,6 @@ impl WireWriter {
         self.buffer.extend_from_slice(&value.to_le_bytes());
     }
 
-    /// Writes a length-prefixed byte string (u32 length).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_u32(bytes.len() as u32);
-        self.buffer.extend_from_slice(bytes);
-    }
-
     /// Writes raw bytes without a length prefix (fixed-size fields such as digests).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buffer.extend_from_slice(bytes);
@@ -153,12 +147,6 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn get_bytes(&mut self, context: &'static str) -> Result<Vec<u8>, DecodeError> {
-        let len = self.get_u32(context)? as usize;
-        Ok(self.take(len, context)?.to_vec())
-    }
-
     /// Reads exactly `len` raw bytes.
     pub fn get_raw(&mut self, len: usize, context: &'static str) -> Result<&'a [u8], DecodeError> {
         self.take(len, context)
@@ -209,7 +197,6 @@ mod tests {
         writer.put_u8(7);
         writer.put_u32(0xDEADBEEF);
         writer.put_u64(u64::MAX - 1);
-        writer.put_bytes(b"hello");
         writer.put_raw(&[1, 2, 3]);
         let bytes = writer.into_bytes();
 
@@ -217,7 +204,6 @@ mod tests {
         assert_eq!(reader.get_u8("u8").unwrap(), 7);
         assert_eq!(reader.get_u32("u32").unwrap(), 0xDEADBEEF);
         assert_eq!(reader.get_u64("u64").unwrap(), u64::MAX - 1);
-        assert_eq!(reader.get_bytes("bytes").unwrap(), b"hello");
         assert_eq!(reader.get_raw(3, "raw").unwrap(), &[1, 2, 3]);
         assert!(reader.is_exhausted());
     }

@@ -1,8 +1,9 @@
 //! The topology refactor's contract, end to end:
 //!
-//! 1. **RNG compatibility** — a flat single-region `Topology` must reproduce the
-//!    scalar `base_latency`/`jitter` model's event schedule bit-identically, through
-//!    the whole stack (simnet delivery, harness scenario runner, protocol above).
+//! 1. **RNG compatibility** — a flat single-region `Topology` with the LAN's numbers
+//!    must reproduce the default network's (no topology, `Topology::lan`) event
+//!    schedule bit-identically, through the whole stack (simnet delivery, harness
+//!    scenario runner, protocol above).
 //! 2. **Builder round-trip** — every topology built through the public builders has a
 //!    symmetric latency matrix (property-tested), valid region bookkeeping, and
 //!    accessors that return exactly what the builders set.
@@ -26,10 +27,10 @@ fn fingerprint(report: &ScenarioReport) -> (u64, u64, u64, Vec<u64>, Vec<CommitR
     )
 }
 
-/// A flat topology matching the datacenter scalars (500 µs base, 50 µs jitter) must
-/// leave the scenario's schedule bit-identical: same events, same observation
-/// timestamps, same traffic. This is the constraint that makes the refactor safe —
-/// all pre-topology goldens keep passing because `None` and `flat` are the same model.
+/// A flat topology matching the default LAN (500 µs base, 50 µs jitter) must leave
+/// the scenario's schedule bit-identical: same events, same observation timestamps,
+/// same traffic. This is the constraint that makes the topology layer safe — all
+/// pre-topology goldens keep passing because `None` and `flat` are the same model.
 #[test]
 fn flat_topology_scenario_is_bit_identical_to_the_scalar_model() {
     let scalar = run_leopard_scenario(&ScenarioConfig::small(7).with_seed(0xF1A7));
