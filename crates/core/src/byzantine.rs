@@ -40,41 +40,6 @@ impl ByzantineBehavior {
         !matches!(self, ByzantineBehavior::Honest)
     }
 
-    /// True if the replica refuses to propose as leader.
-    pub fn silent_as_leader(&self) -> bool {
-        matches!(self, ByzantineBehavior::SilentLeader)
-    }
-
-    /// True if the replica proposes conflicting blocks as leader.
-    pub fn equivocates(&self) -> bool {
-        matches!(self, ByzantineBehavior::EquivocatingLeader)
-    }
-
-    /// True if the replica withholds its votes and ready messages.
-    pub fn withholds_votes(&self) -> bool {
-        matches!(self, ByzantineBehavior::WithholdVotes)
-    }
-
-    /// True if the replica ignores retrieval queries.
-    pub fn ignores_queries(&self) -> bool {
-        matches!(self, ByzantineBehavior::IgnoreQueries)
-    }
-
-    /// True if the replica sends corrupted state-transfer responses.
-    pub fn lies_in_state_transfer(&self) -> bool {
-        matches!(self, ByzantineBehavior::LyingStateResponder)
-    }
-
-    /// True if the replica equivocates on its checkpoint state digest.
-    pub fn equivocates_checkpoints(&self) -> bool {
-        matches!(self, ByzantineBehavior::EquivocatingCheckpointer)
-    }
-
-    /// True if the replica never answers state-transfer requests.
-    pub fn silent_in_state_transfer(&self) -> bool {
-        matches!(self, ByzantineBehavior::SilentStateResponder)
-    }
-
     /// Every non-honest behaviour, in a fixed order the chaos generator draws from.
     pub fn all_byzantine() -> &'static [ByzantineBehavior] {
         &[
@@ -97,27 +62,6 @@ mod tests {
     fn default_is_honest() {
         assert_eq!(ByzantineBehavior::default(), ByzantineBehavior::Honest);
         assert!(!ByzantineBehavior::Honest.is_byzantine());
-    }
-
-    #[test]
-    fn predicates_match_variants() {
-        assert!(ByzantineBehavior::SilentLeader.silent_as_leader());
-        assert!(ByzantineBehavior::SilentLeader.is_byzantine());
-        assert!(ByzantineBehavior::EquivocatingLeader.equivocates());
-        assert!(ByzantineBehavior::WithholdVotes.withholds_votes());
-        assert!(ByzantineBehavior::IgnoreQueries.ignores_queries());
-        assert!(!ByzantineBehavior::Honest.silent_as_leader());
-        assert!(!ByzantineBehavior::Honest.equivocates());
-    }
-
-    #[test]
-    fn recovery_plane_predicates_match_variants() {
-        assert!(ByzantineBehavior::LyingStateResponder.lies_in_state_transfer());
-        assert!(ByzantineBehavior::LyingStateResponder.is_byzantine());
-        assert!(ByzantineBehavior::EquivocatingCheckpointer.equivocates_checkpoints());
-        assert!(ByzantineBehavior::SilentStateResponder.silent_in_state_transfer());
-        assert!(!ByzantineBehavior::Honest.lies_in_state_transfer());
-        assert!(!ByzantineBehavior::IgnoreQueries.silent_in_state_transfer());
     }
 
     #[test]

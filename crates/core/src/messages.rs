@@ -4,6 +4,7 @@
 //! Large payloads (datablocks, BFTblocks) are wrapped in [`Arc`] so that multicasting to
 //! hundreds of peers in the simulator clones a pointer, not the payload.
 
+use crate::view_change::view_change_wire_size;
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{Digest, MerkleProof, DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_LEN};
 use leopard_simnet::SimMessage;
@@ -208,17 +209,17 @@ pub enum LeopardMessage {
         /// Notarized (or confirmed) BFTblocks above the checkpoint, with proofs.
         notarized: Vec<NotarizedEntry>,
     },
-    /// The next leader's new-view message carrying `2f+1` view-change messages (their
-    /// aggregate size is accounted, their contents summarised by `blocks`).
+    /// The next leader's new-view message carrying `2f+1` view-change messages and the
+    /// blocks it re-proposes. Receivers read only the view and the count; the contents
+    /// are accounted by their size.
     NewView {
         /// The new view.
         view: View,
-        /// Number of view-change messages aggregated (for size accounting).
+        /// Number of view-change messages aggregated.
         view_change_count: u32,
-        /// Total wire bytes of the aggregated view-change messages.
-        view_change_bytes: u64,
-        /// The blocks to re-propose in the new view.
-        blocks: Vec<NotarizedEntry>,
+        /// Wire bytes of the aggregated view-change messages plus the re-proposed
+        /// blocks.
+        bytes: u64,
     },
     /// State transfer: a replica that rebooted (or fell behind a watermark advance)
     /// asks peers for everything confirmed past its own execution point.
@@ -264,14 +265,8 @@ impl WireSize for LeopardMessage {
                 2 * DIGEST_LEN + 4 + 8 + chunk.payload.wire_len()
             }
             LeopardMessage::Timeout { .. } => 8 + DEFAULT_SIGNATURE_WIRE_BYTES,
-            LeopardMessage::ViewChange { notarized, .. } => {
-                8 + 8 + notarized.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            LeopardMessage::NewView {
-                view_change_bytes,
-                blocks,
-                ..
-            } => 8 + 4 + *view_change_bytes as usize + blocks.iter().map(WireSize::wire_size).sum::<usize>(),
+            LeopardMessage::ViewChange { notarized, .. } => view_change_wire_size(notarized),
+            LeopardMessage::NewView { bytes, .. } => 8 + 4 + *bytes as usize,
             LeopardMessage::StateRequest { .. } => 8,
             LeopardMessage::StateResponse {
                 checkpoint_proof,
@@ -454,8 +449,7 @@ mod tests {
                 LeopardMessage::NewView {
                     view: View(2),
                     view_change_count: 3,
-                    view_change_bytes: 300,
-                    blocks: vec![],
+                    bytes: 300,
                 },
                 "viewchange",
             ),
@@ -550,14 +544,12 @@ mod tests {
         let small = LeopardMessage::NewView {
             view: View(2),
             view_change_count: 3,
-            view_change_bytes: 100,
-            blocks: vec![],
+            bytes: 100,
         };
         let large = LeopardMessage::NewView {
             view: View(2),
             view_change_count: 300,
-            view_change_bytes: 100_000,
-            blocks: vec![],
+            bytes: 100_000,
         };
         assert!(large.wire_size() > small.wire_size());
     }

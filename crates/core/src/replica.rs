@@ -380,7 +380,7 @@ impl LeopardReplica {
     /// The first `propose()` guard that blocks this replica's pipeline right now.
     fn pipeline_guard(&self) -> StallReason {
         self.pipeline.stall_reason(
-            self.behaviour().silent_as_leader(),
+            self.behaviour() == ByzantineBehavior::SilentLeader,
             self.in_view_change(),
             self.ready.ready_count(),
             self.checkpoints.high_watermark(self.instance_window()),
@@ -483,7 +483,7 @@ impl LeopardReplica {
 
     /// Acknowledges a pooled datablock to the proposer that links `digest`.
     fn send_ready(&self, digest: Digest, ctx: &mut Ctx<'_>) {
-        if !self.behaviour().withholds_votes() {
+        if self.behaviour() != ByzantineBehavior::WithholdVotes {
             ctx.send(self.proposer_for_digest(&digest), LeopardMessage::Ready { digest });
         }
     }
@@ -541,7 +541,7 @@ impl LeopardReplica {
             let links = self.ready.take_ready(self.config.params.bftblock_size);
             let seq = self.pipeline.take_seq();
 
-            if self.behaviour().equivocates() {
+            if self.behaviour() == ByzantineBehavior::EquivocatingLeader {
                 self.propose_equivocating(seq, links, ctx);
                 continue;
             }
@@ -578,7 +578,7 @@ impl LeopardReplica {
             // un-anchored view must not fill either (see `propose`).
             || self.view != self.anchored_view
             || self.in_view_change()
-            || self.behaviour().silent_as_leader()
+            || self.behaviour() == ByzantineBehavior::SilentLeader
             || self.ready.ready_count() > 0
             || self.pipeline.in_flight() > 0
         {
@@ -747,7 +747,7 @@ impl LeopardReplica {
                     return;
                 }
                 instance.endorsed_repropose = Some(digest);
-                if !self.behaviour().withholds_votes() {
+                if self.behaviour() != ByzantineBehavior::WithholdVotes {
                     self.send_prepare_vote(seq, digest, ctx);
                 }
                 return;
@@ -788,7 +788,7 @@ impl LeopardReplica {
     }
 
     fn cast_prepare_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
-        if self.behaviour().withholds_votes() {
+        if self.behaviour() == ByzantineBehavior::WithholdVotes {
             return;
         }
         // PBFT participation rule: a replica that has complained stops voting in the
@@ -916,7 +916,7 @@ impl LeopardReplica {
         if seq.0 <= lw {
             return;
         }
-        let withholds = self.behaviour().withholds_votes();
+        let withholds = self.behaviour() == ByzantineBehavior::WithholdVotes;
         let in_view_change = self.in_view_change();
         let instance = self.replica_instances.entry(seq.0).or_default();
         if instance.block_digest.is_some() && instance.block_digest != Some(block_digest) {
@@ -955,7 +955,7 @@ impl LeopardReplica {
     /// a partition that dropped the PrePrepare) votes when the block arrives.
     fn maybe_commit_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
         // Same participation rule as `cast_prepare_vote`: no votes after complaining.
-        let mute = self.behaviour().withholds_votes() || self.in_view_change();
+        let mute = self.behaviour() == ByzantineBehavior::WithholdVotes || self.in_view_change();
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
             return;
         };
@@ -1083,12 +1083,6 @@ impl LeopardReplica {
                     let linked = timing.linked_at.unwrap_or(ctx.now());
                     let dissemination = linked.saturating_since(timing.created_at).as_nanos();
                     let agreement = ctx.now().saturating_since(linked).as_nanos();
-                    // A saturated producer's requests are created with their datablock:
-                    // the generation stage is always zero.
-                    ctx.observe(ObservationKind::Custom {
-                        label: "latency_generation",
-                        value: 0,
-                    });
                     ctx.observe(ObservationKind::Custom {
                         label: "latency_dissemination",
                         value: dissemination,
@@ -1109,17 +1103,18 @@ impl LeopardReplica {
 
             // Checkpoint (Algorithm 4).
             if CheckpointState::is_checkpoint_height(next, self.config.checkpoint_interval())
-                && !self.behaviour().withholds_votes()
+                && self.behaviour() != ByzantineBehavior::WithholdVotes
             {
                 // An equivocating checkpointer claims a divergent execution state. The
                 // share itself is properly signed (over the divergent digest), so it
                 // passes the leader's share verification — it must be the per-state
                 // collection buckets that keep it away from the honest quorum.
-                let state_digest = if self.behaviour().equivocates_checkpoints() {
-                    hash_parts([b"equivocated-state".as_slice(), &next.0.to_le_bytes()])
-                } else {
-                    hash_parts([b"state".as_slice(), &next.0.to_le_bytes()])
-                };
+                let state_digest =
+                    if self.behaviour() == ByzantineBehavior::EquivocatingCheckpointer {
+                        hash_parts([b"equivocated-state".as_slice(), &next.0.to_le_bytes()])
+                    } else {
+                        hash_parts([b"state".as_slice(), &next.0.to_le_bytes()])
+                    };
                 let digest = checkpoint_digest(next, &state_digest);
                 let share = self.sign(&digest, ctx);
                 ctx.send(
@@ -1287,7 +1282,10 @@ impl LeopardReplica {
     }
 
     fn handle_state_request(&mut self, from: NodeId, last_executed: SeqNum, ctx: &mut Ctx<'_>) {
-        if self.behaviour().ignores_queries() || self.behaviour().silent_in_state_transfer() {
+        if matches!(
+            self.behaviour(),
+            ByzantineBehavior::IgnoreQueries | ByzantineBehavior::SilentStateResponder
+        ) {
             return;
         }
         let (checkpoint_seq, mut checkpoint_state, checkpoint_proof) =
@@ -1318,7 +1316,7 @@ impl LeopardReplica {
             }
         }
         let mut view = self.view;
-        if self.behaviour().lies_in_state_transfer() {
+        if self.behaviour() == ByzantineBehavior::LyingStateResponder {
             // Every lie is detectable by an honest verifier: the checkpoint proof is a
             // genuine signature but over a different state digest than the one claimed;
             // each entry's notarization and confirmation are swapped (valid signatures
@@ -1448,7 +1446,7 @@ impl LeopardReplica {
     // ------------------------------------------------------------------
 
     fn handle_query(&mut self, from: NodeId, digests: &[Digest], ctx: &mut Ctx<'_>) {
-        if self.behaviour().ignores_queries() {
+        if self.behaviour() == ByzantineBehavior::IgnoreQueries {
             return;
         }
         for &digest in digests {
@@ -1681,12 +1679,11 @@ impl LeopardReplica {
         if let Some(payload) = self.view_changes.build_new_view(new_view, self.quorum()) {
             // Become a proposer of the new view.
             self.enter_view(new_view, ctx);
-            let blocks = payload.entries.clone();
+            let reproposed: usize = payload.entries.iter().map(WireSize::wire_size).sum();
             ctx.broadcast(LeopardMessage::NewView {
                 view: new_view,
                 view_change_count: payload.view_change_count,
-                view_change_bytes: payload.view_change_bytes,
-                blocks: blocks.clone(),
+                bytes: payload.view_change_bytes + reproposed as u64,
             });
 
             // Re-propose the surviving blocks (and dummies for the gaps) in the new
@@ -1699,7 +1696,7 @@ impl LeopardReplica {
             let mut highest = payload.stable_checkpoint.0;
             // Re-proposals skip the block-hash charge a fresh proposal pays: deliberate, for now.
             let hash_charge = false;
-            for entry in &blocks {
+            for entry in &payload.entries {
                 let seq = entry.block.id.seq;
                 highest = highest.max(seq.0);
                 if Pipeline::stripe_of(seq, p) != stripe {

@@ -155,8 +155,8 @@ pub struct NewViewPayload {
     pub view_change_bytes: u64,
 }
 
-/// Computes the wire size of a view-change message carrying the given entries (used for
-/// the Fig. 13 communication accounting before the message is built).
+/// The wire size of a view-change message carrying the given entries: the new view and
+/// the checkpoint serial, then the entries.
 pub fn view_change_wire_size(entries: &[NotarizedEntry]) -> usize {
     16 + entries.iter().map(WireSize::wire_size).sum::<usize>()
 }

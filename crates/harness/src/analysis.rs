@@ -4,7 +4,6 @@
 
 use crate::report::Table;
 use crate::scenario::ScenarioReport;
-use leopard_crypto::{DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_LEN};
 use leopard_types::ProtocolParams;
 
 /// The protocols compared in Table I.
@@ -169,34 +168,26 @@ pub fn region_breakdown(report: &ScenarioReport) -> Table {
 }
 
 /// Leader communication cost in bytes for confirming `requests` requests, following the
-/// closed form (2) of §V-B.
+/// closed form (2) of §V-B ([`ProtocolParams::leopard_leader_term`]).
 pub fn leopard_leader_cost_bytes(params: &ProtocolParams, requests: u64) -> f64 {
-    let beta = DIGEST_LEN as f64;
-    let kappa = DEFAULT_SIGNATURE_WIRE_BYTES as f64;
-    let tau = params.bftblock_size as f64;
-    let alpha = params.alpha_bytes() as f64;
-    let n = params.n as f64;
-    let payload = (requests * params.payload_size as u64) as f64;
-    ((beta + 4.0 * kappa / tau) * (n - 1.0) / alpha + 1.0) * payload
+    params.leopard_leader_term() * payload_bytes(params, requests)
 }
 
 /// Non-leader communication cost in bytes for confirming `requests` requests, following
-/// the closed form (3) of §V-B.
+/// the closed form (3) of §V-B ([`ProtocolParams::leopard_non_leader_term`]).
 pub fn leopard_replica_cost_bytes(params: &ProtocolParams, requests: u64) -> f64 {
-    let beta = DIGEST_LEN as f64;
-    let kappa = DEFAULT_SIGNATURE_WIRE_BYTES as f64;
-    let tau = params.bftblock_size as f64;
-    let alpha = params.alpha_bytes() as f64;
-    let payload = (requests * params.payload_size as u64) as f64;
-    (2.0 + (beta + 4.0 * kappa / tau) / alpha) * payload
+    params.leopard_non_leader_term() * payload_bytes(params, requests)
+}
+
+/// Payload bytes of `requests` requests.
+fn payload_bytes(params: &ProtocolParams, requests: u64) -> f64 {
+    (requests * params.payload_size as u64) as f64
 }
 
 /// Leader communication cost in bytes in a leader-disseminates-payload protocol
 /// (equation (1) of §I), for confirming `requests` requests.
 pub fn leader_based_leader_cost_bytes(params: &ProtocolParams, requests: u64) -> f64 {
-    let n = params.n as f64;
-    let payload = (requests * params.payload_size as u64) as f64;
-    payload * (n - 1.0)
+    payload_bytes(params, requests) * (params.n as f64 - 1.0)
 }
 
 /// Predicted throughput (requests/s) of Leopard under a per-replica capacity of
@@ -246,6 +237,27 @@ mod tests {
             / leader_based_leader_cost_bytes(&small, requests);
         assert!(leopard_growth < 1.5, "leopard leader cost grew {leopard_growth}x");
         assert!(hotstuff_growth > 9.0, "hotstuff leader cost grew only {hotstuff_growth}x");
+    }
+
+    /// The closed forms (2) and (3) at the paper's κ and β, captured before they were
+    /// folded into `ProtocolParams`: a change to either term moves these values, and at
+    /// n = 128 so does evaluating the leader's term in another order.
+    #[test]
+    fn leopard_cost_bytes_are_pinned() {
+        let cases = [
+            (16, 128254.40000000001, 256016.96),
+            (128, 129381.75999999998, 256010.87999999998),
+            (600, 132863.88, 256008.12000000002),
+        ];
+        for (n, leader, replica) in cases {
+            let params = ProtocolParams::paper_defaults(n);
+            assert_eq!(leopard_leader_cost_bytes(&params, 1000), leader, "n = {n}");
+            assert_eq!(
+                leopard_replica_cost_bytes(&params, 1000),
+                replica,
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

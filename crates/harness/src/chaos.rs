@@ -34,7 +34,7 @@ use leopard_core::byzantine::ByzantineBehavior;
 use leopard_core::LeopardReplica;
 use leopard_crypto::provider::CryptoMode;
 use leopard_simnet::{flapping_windows, SimDuration, SimTime};
-use leopard_types::{NodeId, View};
+use leopard_types::{fault_bound, NodeId, View};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -184,10 +184,7 @@ impl ChaosSchedule {
     pub fn to_config(&self) -> ScenarioConfig {
         let timeout_ms = if self.wan { 1_000 } else { 400 };
         let mut config = ScenarioConfig::paper(self.n)
-            .with_workload(WorkloadConfig {
-                aggregate_rps: 20_000,
-                payload_size: 128,
-            })
+            .with_workload(WorkloadConfig::fault_load())
             .with_batches(200, 10)
             .with_duration(Self::duration())
             .with_liveness_bound(Self::gst())
@@ -300,7 +297,7 @@ impl FaultScheduleGenerator {
         // silently reproduce different fault schedules.
         let mut overlay_rng =
             StdRng::seed_from_u64(case_seed(self.master_seed, case_index) ^ 0x70726F_706F73_6572);
-        let f = (self.n - 1) / 3;
+        let f = fault_bound(self.n);
         let mut faults = Vec::new();
 
         // Multi-proposer draw: half the schedules run the PR 9 agreement plane with
@@ -614,7 +611,7 @@ mod tests {
     #[test]
     fn generated_schedules_are_valid() {
         for &n in &[4usize, 16, 32] {
-            let f = (n - 1) / 3;
+            let f = fault_bound(n);
             for seed in 0..4u64 {
                 let generator = FaultScheduleGenerator::new(n, seed);
                 for case in 0..25 {
@@ -678,9 +675,9 @@ mod tests {
         for case in 0..200 {
             for fault in &generator.schedule(case).faults {
                 if let ChaosFault::Byzantine { behaviour, .. } = fault {
-                    lying |= behaviour.lies_in_state_transfer();
-                    equivocating |= behaviour.equivocates_checkpoints();
-                    silent |= behaviour.silent_in_state_transfer();
+                    lying |= *behaviour == ByzantineBehavior::LyingStateResponder;
+                    equivocating |= *behaviour == ByzantineBehavior::EquivocatingCheckpointer;
+                    silent |= *behaviour == ByzantineBehavior::SilentStateResponder;
                 }
             }
         }

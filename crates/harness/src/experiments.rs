@@ -10,7 +10,8 @@ use crate::report::Table;
 use crate::scenario::{run_hotstuff_scenario, run_leopard_scenario, ScenarioConfig, ScenarioReport};
 use crate::workload::WorkloadConfig;
 use leopard_core::byzantine::ByzantineBehavior;
-use leopard_simnet::{SimDuration, SimTime};
+use leopard_hotstuff::HotStuffConfig;
+use leopard_simnet::{LinkConfig, SimDuration, SimTime};
 use leopard_types::{NodeId, ProtocolParams};
 
 fn scales(quick: bool, quick_list: &[usize], full_list: &[usize]) -> Vec<usize> {
@@ -127,8 +128,7 @@ pub fn fig6_hotstuff_batch(quick: bool) -> Table {
     };
     let mut headers = vec!["batch size".to_string()];
     headers.extend(ns.iter().map(|n| format!("n={n} (Kreqs/s)")));
-    let mut table = Table::new("Fig. 6 — HotStuff throughput vs batch size", &[]);
-    table.headers = headers;
+    let mut table = Table::new("Fig. 6 — HotStuff throughput vs batch size", headers);
     for &batch in &batches {
         let mut row = vec![batch.to_string()];
         for &n in &ns {
@@ -147,8 +147,7 @@ pub fn fig7_bftblock_size(quick: bool) -> Table {
     let sizes: Vec<usize> = if quick { vec![2, 8, 32] } else { vec![10, 50, 100, 200, 400] };
     let mut headers = vec!["BFTblock size".to_string()];
     headers.extend(ns.iter().map(|n| format!("n={n} (Kreqs/s)")));
-    let mut table = Table::new("Fig. 7 — Leopard throughput vs BFTblock size", &[]);
-    table.headers = headers;
+    let mut table = Table::new("Fig. 7 — Leopard throughput vs BFTblock size", headers);
     for &size in &sizes {
         let mut row = vec![size.to_string()];
         for &n in &ns {
@@ -177,8 +176,7 @@ pub fn fig8_datablock_size(quick: bool) -> Table {
     };
     let mut headers = vec!["datablock size".to_string(), "BFTblock size".to_string()];
     headers.extend(ns.iter().map(|n| format!("n={n} (Kreqs/s)")));
-    let mut table = Table::new("Fig. 8 — Leopard throughput vs datablock size", &[]);
-    table.headers = headers;
+    let mut table = Table::new("Fig. 8 — Leopard throughput vs datablock size", headers);
     for &bftblock in &[10usize, 100] {
         for &size in &sizes {
             let mut row = vec![size.to_string(), bftblock.to_string()];
@@ -205,7 +203,7 @@ pub fn tab2_batch_sizes() -> Table {
             n.to_string(),
             datablock.to_string(),
             bftblock.to_string(),
-            "800".to_string(),
+            HotStuffConfig::PAPER_BATCH_SIZE.to_string(),
         ]);
     }
     table
@@ -318,9 +316,9 @@ fn fig9xl_row(n: usize) -> Vec<String> {
         // mark, keep the run going two dissemination times so in-flight blocks
         // land, and scale the watchdog with the dissemination time. n ≤ 1000 rows
         // stay byte-for-byte comparable with fig9.
-        let datablock_bytes = (config.datablock_size * config.workload.payload_size) as f64;
-        let dissemination =
-            SimDuration::from_secs_f64((n - 1) as f64 * datablock_bytes * 8.0 / 9.8e9);
+        let dissemination = SimDuration::from_secs_f64(
+            config.dissemination_secs(LinkConfig::paper_default().uplink_bps),
+        );
         let progress_timeout = dissemination.saturating_mul(4).max(SimDuration::from_secs(2));
         let load_window = config.duration;
         config = config
@@ -398,10 +396,9 @@ pub fn fig9geo_throughput_scaling(quick: bool) -> Table {
     headers.push("Leopard diagnostics".to_string());
     let mut table = Table::new(
         "Fig. 9 (geo) — throughput over a 4-region WAN, with and without 10% stragglers",
-        &[],
-    );
-    table.headers = headers;
-    let mut table = table.gate(&[
+        headers,
+    )
+    .gate(&[
         "Leopard (Kreqs/s)",
         "Leopard steady (Kreqs/s)",
         "Leopard p50/p95/p99 lat (ms)",
@@ -689,6 +686,8 @@ pub fn tab3_bandwidth_breakdown(quick: bool) -> Table {
 pub fn tab4_latency_breakdown(quick: bool) -> Table {
     let n = if quick { 8 } else { 32 };
     let report = run_leopard_scenario(&ScenarioConfig::paper(n));
+    // A saturated producer's requests are created with their datablock, so the
+    // generation stage has no sample and its empty average reads 0.
     let stages = [
         ("datablock generation", "latency_generation"),
         ("datablock dissemination", "latency_dissemination"),
@@ -759,10 +758,7 @@ pub fn fig12_retrieval(quick: bool) -> Table {
         let config = ScenarioConfig::paper(n)
             .with_batches(2000, 10)
             .with_selective_attackers(1)
-            .with_workload(WorkloadConfig {
-                aggregate_rps: 20_000,
-                payload_size: 128,
-            })
+            .with_workload(WorkloadConfig::fault_load())
             .with_duration(SimDuration::from_secs(4));
         let report = run_leopard_scenario(&config);
         table.push_row(vec![
@@ -840,10 +836,7 @@ const FIG13_HEADERS: &[&str] = &[
 /// past the expected recovery instant so the steady-state column reads *post-recovery*
 /// throughput.
 fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
-    let burst = WorkloadConfig {
-        aggregate_rps: 20_000,
-        payload_size: 128,
-    };
+    let burst = WorkloadConfig::fault_load();
     // Scales: small enough for CI in quick mode, paper-representative in full mode
     // (the withholding scenario runs at n = 128, where the retrieval plane's quorum
     // geometry matters; see ISSUE acceptance criteria).
@@ -1002,10 +995,7 @@ pub fn fig13_view_change(quick: bool) -> Table {
     );
     for n in scales(quick, &[4, 8], &[4, 8, 13, 32, 64, 128, 400]) {
         let config = ScenarioConfig::paper(n)
-            .with_workload(WorkloadConfig {
-                aggregate_rps: 20_000,
-                payload_size: 128,
-            })
+            .with_workload(WorkloadConfig::fault_load())
             .with_batches(200, 10)
             .with_leader_crash_at(SimDuration::from_millis(500))
             .with_duration(SimDuration::from_secs(8));

@@ -30,7 +30,7 @@
 use crate::scenario::ScenarioProtocol;
 use leopard_crypto::Digest;
 use leopard_simnet::{SimDuration, SimTime, Simulation};
-use leopard_types::{BftBlock, FastSet, NodeId};
+use leopard_types::{fault_bound, BftBlock, FastSet, NodeId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -230,7 +230,7 @@ impl SystemSnapshot {
         view_thrash_bound: u64,
     ) -> Self {
         let end_time = sim.now();
-        let f = (n - 1) / 3;
+        let f = fault_bound(n);
         let replicas = (0..n as u32)
             .map(NodeId)
             .map(|node| sim.node(node).snapshot(node, !sim.faults().is_crashed(node, end_time)))

@@ -22,10 +22,10 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, headers: impl IntoIterator<Item = impl ToString>) -> Self {
         Self {
             title: title.into(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
+            headers: headers.into_iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
             gated: Vec::new(),
         }

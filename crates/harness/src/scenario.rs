@@ -12,7 +12,7 @@ use leopard_simnet::{
     FaultPlan, NetworkConfig, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime,
     Simulation, SimulationReport, StragglerProfile, Topology,
 };
-use leopard_types::{CostModelKind, FastSet, NodeId, ProtocolParams};
+use leopard_types::{quorum_size, CostModelKind, FastSet, NodeId, ProtocolParams};
 use std::sync::Arc;
 
 /// Description of one experiment run.
@@ -119,7 +119,7 @@ impl ScenarioConfig {
             warmup: None,
             datablock_size,
             bftblock_size,
-            hotstuff_batch: 800,
+            hotstuff_batch: HotStuffConfig::PAPER_BATCH_SIZE,
             seed: 0xBEEF,
             leader_crash_at: None,
             selective_attackers: 0,
@@ -475,8 +475,7 @@ impl ScenarioConfig {
 
     fn faults(&self) -> FaultPlan {
         let mut plan = if self.selective_attackers > 0 {
-            let f = (self.n - 1) / 3;
-            let quorum = 2 * f + 1;
+            let quorum = quorum_size(self.n);
             let attackers: Vec<NodeId> = self
                 .highest_non_leader_ids(self.selective_attackers)
                 .into_iter()
@@ -496,6 +495,13 @@ impl ScenarioConfig {
             plan = plan.with_partition(region_a, region_b, SimTime::ZERO + from, SimTime::ZERO + until);
         }
         plan
+    }
+
+    /// Seconds one producer's uplink of `uplink_bps` takes to serialise a datablock to
+    /// the `n − 1` other replicas, `(n−1)·α·8 / uplink`.
+    pub(crate) fn dissemination_secs(&self, uplink_bps: u64) -> f64 {
+        let datablock_bytes = (self.datablock_size * self.workload.payload_size) as f64;
+        (self.n - 1) as f64 * datablock_bytes * 8.0 / uplink_bps as f64
     }
 
     fn leopard_config(&self) -> LeopardConfig {
@@ -538,9 +544,7 @@ impl ScenarioConfig {
         // instant and the floor applies.
         let links = network.resolve().links;
         let min_uplink_bps = links.iter().map(|link| link.uplink_bps).filter(|&bps| bps > 0).min();
-        let datablock_bytes = (self.datablock_size * self.workload.payload_size) as f64;
-        let dissemination_secs = min_uplink_bps
-            .map_or(0.0, |bps| (self.n - 1) as f64 * datablock_bytes * 8.0 / bps as f64);
+        let dissemination_secs = min_uplink_bps.map_or(0.0, |bps| self.dissemination_secs(bps));
         let wan_headroom = network
             .topology
             .as_ref()
@@ -694,8 +698,6 @@ pub struct ScenarioReport {
     /// Confirmed requests per second over the steady-state window
     /// `[warmup, duration]` only.
     pub steady_state_throughput_rps: f64,
-    /// The warm-up window excluded from the steady-state figures, in seconds.
-    pub warmup_secs: f64,
     /// Confirmed payload bits per second.
     pub throughput_bps: f64,
     /// Average client latency in seconds (None if nothing completed).
@@ -758,8 +760,8 @@ impl ScenarioReport {
         let duration_secs = sim.end_time.as_secs_f64();
         let confirmed = sim.metrics.max_confirmed_requests(config.n);
         let throughput_rps = sim.throughput_rps();
-        let warmup = config.effective_warmup();
-        let steady_state_throughput_rps = sim.steady_state_throughput_rps(warmup);
+        let steady_state_throughput_rps =
+            sim.steady_state_throughput_rps(config.effective_warmup());
         let leader = config.initial_leader();
         let leader_probe = sim.probes.get(leader.as_index()).cloned().flatten();
         let payload_bits = confirmed as f64 * config.workload.payload_size as f64 * 8.0;
@@ -849,7 +851,6 @@ impl ScenarioReport {
             confirmed_requests: confirmed,
             throughput_rps,
             steady_state_throughput_rps,
-            warmup_secs: warmup.as_secs_f64(),
             throughput_bps,
             average_latency_secs,
             latency_p50_secs,
@@ -1167,6 +1168,28 @@ mod tests {
         assert_eq!(config.datablock_size, 500);
         assert_eq!(config.hotstuff_batch, 400);
         assert_eq!(config.initial_leader(), NodeId(1));
+    }
+
+    /// The retrieval timeout where the dissemination time sets it, and fig9xl's drain
+    /// window at n = 2000 and 4000 (`(n−1)·α·8 / 9.8e9`), captured before the two sites
+    /// shared `dissemination_secs`.
+    #[test]
+    fn dissemination_times_are_pinned() {
+        let wan = ScenarioConfig::paper(256)
+            .with_wan_regions(&["us-east", "eu-west", "ap-northeast", "sa-east"])
+            .with_straggler_fraction(0.1);
+        let cases = [
+            (ScenarioConfig::paper(600), 751_072_653),
+            (ScenarioConfig::paper(256), 319_738_776),
+            (wan, 3_905_440_000),
+            (ScenarioConfig::paper(64).with_bandwidth_mbps(100), 3_870_720_000),
+        ];
+        for (config, nanos) in cases {
+            assert_eq!(config.leopard_config().retrieval_timeout.as_nanos(), nanos);
+        }
+        let fleet = leopard_simnet::LinkConfig::paper_default().uplink_bps;
+        assert_eq!(ScenarioConfig::paper(2000).dissemination_secs(fleet), 0.8355004081632653);
+        assert_eq!(ScenarioConfig::paper(4000).dissemination_secs(fleet), 1.6714187755102041);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Workload descriptions shared by the Leopard and HotStuff scenario runners.
 
+use leopard_types::PAPER_PAYLOAD_SIZE;
+
 /// An offered client workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadConfig {
@@ -20,7 +22,7 @@ impl WorkloadConfig {
     pub fn paper_default() -> Self {
         Self {
             aggregate_rps: 130_000,
-            payload_size: 128,
+            payload_size: PAPER_PAYLOAD_SIZE,
         }
     }
 
@@ -32,11 +34,20 @@ impl WorkloadConfig {
         }
     }
 
+    /// The fault experiments' load (fig12, fig13 and the chaos schedules): 20 Kreqs/s
+    /// of paper-size payloads.
+    pub fn fault_load() -> Self {
+        Self {
+            aggregate_rps: 20_000,
+            payload_size: PAPER_PAYLOAD_SIZE,
+        }
+    }
+
     /// A workload for quick tests.
     pub fn small() -> Self {
         Self {
             aggregate_rps: 2_000,
-            payload_size: 128,
+            payload_size: PAPER_PAYLOAD_SIZE,
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use leopard_crypto::provider::{CryptoMode, SharedKeys};
 use leopard_simnet::SimDuration;
-use leopard_types::CostModelKind;
+use leopard_types::{quorum_size, CostModelKind, PAPER_PAYLOAD_SIZE};
 use std::sync::Arc;
 
 /// Configuration of one HotStuff replica.
@@ -27,13 +27,17 @@ pub struct HotStuffConfig {
 }
 
 impl HotStuffConfig {
-    /// The paper's configuration for scale `n` (128-byte payloads, batch size 800) with
-    /// an open-loop load of `aggregate_rps` requests per second.
+    /// The paper's HotStuff batch: requests per block (Table II).
+    pub const PAPER_BATCH_SIZE: usize = 800;
+
+    /// The paper's configuration for scale `n` ([`PAPER_PAYLOAD_SIZE`]-byte payloads,
+    /// [`Self::PAPER_BATCH_SIZE`] requests per block) with an open-loop load of
+    /// `aggregate_rps` requests per second.
     pub fn paper(n: usize, aggregate_rps: u64) -> Self {
         Self {
             n,
-            payload_size: 128,
-            batch_size: 800,
+            payload_size: PAPER_PAYLOAD_SIZE,
+            batch_size: Self::PAPER_BATCH_SIZE,
             aggregate_rps,
             progress_timeout: SimDuration::from_secs(2),
             crypto_mode: CryptoMode::Real,
@@ -45,7 +49,7 @@ impl HotStuffConfig {
     pub fn small_test(n: usize) -> Self {
         Self {
             n,
-            payload_size: 128,
+            payload_size: PAPER_PAYLOAD_SIZE,
             batch_size: 16,
             aggregate_rps: 2_000,
             progress_timeout: SimDuration::from_millis(500),
@@ -54,14 +58,9 @@ impl HotStuffConfig {
         }
     }
 
-    /// Number of tolerated faults `f`.
-    pub fn f(&self) -> usize {
-        (self.n - 1) / 3
-    }
-
-    /// Quorum size `2f + 1`.
+    /// Quorum size, [`quorum_size`].
     pub fn quorum(&self) -> usize {
-        2 * self.f() + 1
+        quorum_size(self.n)
     }
 
     /// Generates the shared threshold-signature key material for this configuration,
@@ -124,7 +123,6 @@ mod tests {
     #[test]
     fn quorum_math() {
         let config = HotStuffConfig::paper(301, 100_000);
-        assert_eq!(config.f(), 100);
         assert_eq!(config.quorum(), 201);
     }
 

@@ -38,19 +38,13 @@ impl LinkConfig {
     }
 }
 
-impl Default for LinkConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 /// Degradations applied to a single straggler node: a slower NIC, a slower CPU and an
 /// extra one-way propagation latency on every message it sends or receives.
 ///
 /// This is the Raptr-style straggler (arXiv:2504.18649): geo-distributed validators
 /// whose stragglers are *network*-slow and *CPU*-slow at once. The CPU factor
-/// multiplies whatever [`NetworkConfig::cpu_speed`] already assigns the node, so a
-/// straggler profile composes with the heterogeneous-CPU experiments instead of
+/// multiplies whatever [`NetworkConfig::with_node_cpu_speed`] already assigns the node,
+/// so a straggler profile composes with the heterogeneous-CPU experiments instead of
 /// overriding them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerProfile {
@@ -333,12 +327,12 @@ impl Topology {
 /// per node. Built once by [`NetworkConfig::resolve`] at [`crate::Simulation::new`].
 #[derive(Debug, Clone)]
 pub struct ResolvedTopology {
-    /// Effective NIC of each node (the configured link, capped by a straggler profile).
+    /// Effective NIC of each node (the fleet link, capped by a straggler profile).
     pub links: Vec<LinkConfig>,
     /// Effective CPU speed factor of each node (straggler factor already multiplied in).
     pub cpu_speeds: Vec<f64>,
-    /// Worker-lane count of each node's compute queue (`1` = the sequential model).
-    pub cores: Vec<usize>,
+    /// Worker-lane count of every node's compute queue (`1` = the sequential model).
+    pub cores: usize,
     /// Region index of each node.
     pub node_region: Vec<u32>,
     /// Number of regions (1 for the LAN).
@@ -379,17 +373,16 @@ impl ResolvedTopology {
 pub struct NetworkConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// Per-node link capacities; either one entry shared by every node or one per node.
-    pub links: Vec<LinkConfig>,
+    /// The fleet's link capacity, the same for every node; only a straggler profile of
+    /// [`Self::topology`] gives one node a different link.
+    pub link: LinkConfig,
     /// Seed for the simulation's deterministic randomness.
     pub seed: u64,
-    /// Per-node CPU speed factors for the compute-resource model: modeled compute
-    /// charged via [`crate::Context::charge_compute`] occupies `cost / speed` of the
-    /// node's sequential compute queue. Either empty (every node at speed `1.0`), one
-    /// entry shared by every node, or one entry per node — the same convention as
-    /// [`Self::links`]. A factor below `1.0` models a slower core (the heterogeneous-
-    /// CPU experiments), above `1.0` a faster one.
-    pub cpu_speeds: Vec<f64>,
+    /// Per-node CPU speed factors for the compute-resource model, set through
+    /// [`Self::with_node_cpu_speed`]: modeled compute charged via
+    /// [`crate::Context::charge_compute`] occupies `cost / speed` of the node's compute
+    /// queue. Empty means every node runs at speed `1.0`; otherwise one entry per node.
+    cpu_speeds: Vec<f64>,
     /// Compute worker lanes (cores) of every node: modeled compute is dispatched to
     /// the earliest-free of a node's `cores` lanes (ties broken by the lowest lane
     /// index). With one lane the dispatch degenerates to the sequential compute queue,
@@ -406,7 +399,7 @@ impl NetworkConfig {
     pub fn datacenter(nodes: usize) -> Self {
         Self {
             nodes,
-            links: vec![LinkConfig::paper_default()],
+            link: LinkConfig::paper_default(),
             seed: 0xC0FFEE,
             cpu_speeds: Vec::new(),
             cores: 1,
@@ -418,7 +411,7 @@ impl NetworkConfig {
     /// (the NetEm-throttled configurations of the paper's Fig. 10).
     pub fn throttled(nodes: usize, mbps: u64) -> Self {
         let mut config = Self::datacenter(nodes);
-        config.links = vec![LinkConfig::symmetric_mbps(mbps)];
+        config.link = LinkConfig::symmetric_mbps(mbps);
         config
     }
 
@@ -428,7 +421,8 @@ impl NetworkConfig {
         self
     }
 
-    /// Overrides the CPU speed factor of a single node (e.g. to model a straggler).
+    /// Overrides the CPU speed factor of a single node (the heterogeneous-CPU
+    /// experiments): below `1.0` a slower core, above `1.0` a faster one.
     ///
     /// # Panics
     ///
@@ -439,9 +433,8 @@ impl NetworkConfig {
             "with_node_cpu_speed: node {node} out of range for a {}-node network",
             self.nodes
         );
-        if self.cpu_speeds.len() != self.nodes {
-            let shared = self.cpu_speeds.first().copied().unwrap_or(1.0);
-            self.cpu_speeds = vec![shared; self.nodes];
+        if self.cpu_speeds.is_empty() {
+            self.cpu_speeds = vec![1.0; self.nodes];
         }
         self.cpu_speeds[node] = speed;
         self
@@ -459,31 +452,15 @@ impl NetworkConfig {
         self
     }
 
-    /// The CPU speed factor of `node` (`1.0` when no factors are configured). Does not
-    /// include straggler factors from a [`Self::topology`] — use [`Self::resolve`] for
-    /// the effective per-node view.
-    pub fn cpu_speed(&self, node: usize) -> f64 {
-        if self.cpu_speeds.len() == self.nodes {
-            self.cpu_speeds[node]
-        } else {
-            self.cpu_speeds.first().copied().unwrap_or(1.0)
-        }
-    }
-
-    /// The link configuration of `node` from [`Self::links`] alone. Does not include
-    /// straggler caps from a [`Self::topology`] — use
+    /// The link configuration of `node` before straggler caps: the fleet link. Use
     /// [`Self::resolve`] for the effective per-node view.
-    pub fn link(&self, node: usize) -> LinkConfig {
-        if self.links.len() == self.nodes {
-            self.links[node]
-        } else {
-            self.links.first().copied().unwrap_or_default()
-        }
+    pub fn link(&self, _node: usize) -> LinkConfig {
+        self.link
     }
 
     /// Resolves the configuration into the per-node view the engine consults on the
-    /// hot path: effective links ([`Self::links`], capped by a straggler profile),
-    /// effective CPU speeds ([`Self::cpu_speeds`] × straggler factor), region
+    /// hot path: effective links ([`Self::link`], capped by a straggler profile),
+    /// effective CPU speeds ([`Self::with_node_cpu_speed`] × straggler factor), region
     /// membership and the latency matrix in nanoseconds. Without a topology this
     /// resolves [`Topology::lan`].
     pub fn resolve(&self) -> ResolvedTopology {
@@ -510,7 +487,7 @@ impl NetworkConfig {
         for i in 0..n {
             let region = topology.region_of(i);
             let straggler = topology.straggler(i);
-            let base = self.link(i);
+            let base = self.link;
             let link = match straggler.and_then(|p| p.link) {
                 // A straggler cap only ever degrades the node's link.
                 Some(cap) => LinkConfig {
@@ -520,14 +497,15 @@ impl NetworkConfig {
                 None => base,
             };
             links.push(link);
-            cpu_speeds.push(self.cpu_speed(i) * straggler.map_or(1.0, |p| p.cpu_factor));
+            let speed = self.cpu_speeds.get(i).copied().unwrap_or(1.0);
+            cpu_speeds.push(speed * straggler.map_or(1.0, |p| p.cpu_factor));
             node_region.push(region as u32);
             extra_nanos.push(straggler.map_or(0, |p| p.extra_latency.as_nanos()));
         }
         ResolvedTopology {
             links,
             cpu_speeds,
-            cores: vec![self.cores; n],
+            cores: self.cores,
             node_region,
             region_count: r,
             base_nanos: topology.base.iter().map(|d| d.as_nanos()).collect(),
@@ -542,26 +520,6 @@ impl NetworkConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("network must have at least one node".to_string());
-        }
-        if self.links.is_empty() {
-            return Err("at least one link configuration is required".to_string());
-        }
-        if self.links.len() != 1 && self.links.len() != self.nodes {
-            return Err(format!(
-                "links must have 1 or {} entries, got {}",
-                self.nodes,
-                self.links.len()
-            ));
-        }
-        if !self.cpu_speeds.is_empty()
-            && self.cpu_speeds.len() != 1
-            && self.cpu_speeds.len() != self.nodes
-        {
-            return Err(format!(
-                "cpu_speeds must have 0, 1 or {} entries, got {}",
-                self.nodes,
-                self.cpu_speeds.len()
-            ));
         }
         if self.cpu_speeds.iter().any(|s| !s.is_finite() || *s <= 0.0) {
             return Err("cpu_speeds must be positive and finite".to_string());
@@ -610,34 +568,29 @@ mod tests {
     #[test]
     fn cpu_speed_overrides() {
         let config = NetworkConfig::datacenter(4);
-        assert_eq!(config.cpu_speed(2), 1.0);
-        let mut config = NetworkConfig::datacenter(4);
-        config.cpu_speeds = vec![0.5];
-        assert_eq!(config.cpu_speed(0), 0.5);
-        assert_eq!(config.cpu_speed(3), 0.5);
-        let config = NetworkConfig::datacenter(4).with_node_cpu_speed(2, 0.25);
-        assert_eq!(config.cpu_speed(1), 1.0);
-        assert_eq!(config.cpu_speed(2), 0.25);
+        assert_eq!(config.resolve().cpu_speeds, vec![1.0; 4]);
+        let config = NetworkConfig::datacenter(4)
+            .with_node_cpu_speed(2, 0.25)
+            .with_node_cpu_speed(0, 0.5);
+        assert_eq!(config.resolve().cpu_speeds, vec![0.5, 1.0, 0.25, 1.0]);
         assert!(config.validate().is_ok());
 
-        let mut bad = NetworkConfig::datacenter(4);
-        bad.cpu_speeds = vec![1.0, 1.0];
+        let bad = NetworkConfig::datacenter(4).with_node_cpu_speed(1, 0.0);
         assert!(bad.validate().is_err());
-        let mut bad = NetworkConfig::datacenter(4);
-        bad.cpu_speeds = vec![0.0];
+        let bad = NetworkConfig::datacenter(4).with_node_cpu_speed(1, f64::NAN);
         assert!(bad.validate().is_err());
     }
 
     #[test]
     fn core_count_applies_to_every_node() {
         let config = NetworkConfig::datacenter(4);
-        assert_eq!(config.resolve().cores, vec![1; 4]);
+        assert_eq!(config.resolve().cores, 1);
         let config = NetworkConfig::datacenter(4).with_cores(4);
         assert!(config.validate().is_ok());
-        assert_eq!(config.resolve().cores, vec![4; 4]);
+        assert_eq!(config.resolve().cores, 4);
         // The count does not depend on the topology either.
         let wan = config.with_topology(Topology::wan(&["us-east", "eu-west"]));
-        assert_eq!(wan.resolve().cores, vec![4; 4]);
+        assert_eq!(wan.resolve().cores, 4);
 
         assert!(NetworkConfig::datacenter(4).with_cores(0).validate().is_err());
     }
@@ -647,14 +600,78 @@ mod tests {
         let mut config = NetworkConfig::datacenter(4);
         config.nodes = 0;
         assert!(config.validate().is_err());
+    }
 
-        let mut config = NetworkConfig::datacenter(4);
-        config.links = vec![];
-        assert!(config.validate().is_err());
-
-        let mut config = NetworkConfig::datacenter(4);
-        config.links = vec![LinkConfig::unlimited(); 3];
-        assert!(config.validate().is_err());
+    /// Everything `resolve()` hands the engine, for the five configuration shapes the
+    /// callers build, captured before the fleet became one link: a change to how a
+    /// link, a CPU speed, a region or a latency resolves moves these values.
+    #[test]
+    fn resolved_topologies_are_pinned() {
+        let paper = LinkConfig::paper_default();
+        let micros = |us: &[u64]| us.iter().map(|us| us * 1_000).collect::<Vec<u64>>();
+        let lan = |links: Vec<LinkConfig>, cpu_speeds: Vec<f64>, cores: usize| {
+            let (base, jitter) = (micros(&[500]), micros(&[50]));
+            let (regions, extras) = (vec![0; 8], vec![0; 8]);
+            (links, cpu_speeds, regions, 1, base, jitter, extras, cores)
+        };
+        let wan = Topology::wan(&["us-east", "eu-west", "ap-northeast", "sa-east"])
+            .with_straggler(6, StragglerProfile::wan_default())
+            .with_straggler(7, StragglerProfile::wan_default());
+        let mut slow_cpu = vec![1.0; 8];
+        slow_cpu[5] = 0.25;
+        let mut straggler_links = vec![paper; 8];
+        straggler_links[6..].fill(LinkConfig::symmetric_mbps(1_000));
+        let cases = [
+            (
+                NetworkConfig::datacenter(8),
+                lan(vec![paper; 8], vec![1.0; 8], 1),
+            ),
+            (
+                NetworkConfig::throttled(8, 20),
+                lan(vec![LinkConfig::symmetric(20_000_000); 8], vec![1.0; 8], 1),
+            ),
+            (
+                NetworkConfig::datacenter(8).with_cores(4),
+                lan(vec![paper; 8], vec![1.0; 8], 4),
+            ),
+            (
+                NetworkConfig::datacenter(8).with_node_cpu_speed(5, 0.25),
+                lan(vec![paper; 8], slow_cpu, 1),
+            ),
+            (
+                NetworkConfig::datacenter(8).with_topology(wan),
+                (
+                    straggler_links,
+                    vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5],
+                    vec![0, 1, 2, 3, 0, 1, 2, 3],
+                    4,
+                    micros(&[
+                        500, 38_000, 75_000, 60_000, 38_000, 500, 110_000, 95_000, 75_000, 110_000,
+                        500, 130_000, 60_000, 95_000, 130_000, 500,
+                    ]),
+                    micros(&[
+                        50, 3_800, 7_500, 6_000, 3_800, 50, 11_000, 9_500, 7_500, 11_000, 50,
+                        13_000, 6_000, 9_500, 13_000, 50,
+                    ]),
+                    micros(&[0, 0, 0, 0, 0, 0, 25_000, 25_000]),
+                    1,
+                ),
+            ),
+        ];
+        for (config, expected) in cases {
+            let r = config.resolve();
+            let actual = (
+                r.links,
+                r.cpu_speeds,
+                r.node_region,
+                r.region_count,
+                r.base_nanos,
+                r.jitter_nanos,
+                r.extra_nanos,
+                r.cores,
+            );
+            assert_eq!(actual, expected);
+        }
     }
 
     #[test]
@@ -706,8 +723,10 @@ mod tests {
     fn straggler_profiles_resolve_onto_links_cpu_and_latency() {
         let topology = Topology::wan(&["us-east", "eu-west"])
             .with_straggler(3, StragglerProfile::wan_default());
-        let mut config = NetworkConfig::datacenter(4).with_topology(topology);
-        config.cpu_speeds = vec![0.8];
+        let config = NetworkConfig::datacenter(4)
+            .with_topology(topology)
+            .with_node_cpu_speed(3, 0.8)
+            .with_node_cpu_speed(2, 0.8);
         let resolved = config.resolve();
         assert_eq!(resolved.links[3], LinkConfig::symmetric_mbps(1_000));
         assert_eq!(resolved.links[2], LinkConfig::paper_default());
@@ -743,7 +762,7 @@ mod tests {
                 },
             );
         let mut config = NetworkConfig::datacenter(4).with_topology(topology);
-        config.links = vec![LinkConfig::unlimited()];
+        config.link = LinkConfig::unlimited();
         let resolved = config.resolve();
         assert_eq!(resolved.links[0], LinkConfig::symmetric_mbps(1_000));
         assert_eq!(resolved.links[2], LinkConfig::unlimited());

@@ -283,9 +283,9 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
 /// `cores = 1` runs bit-identical to the historical goldens.
 #[derive(Debug, Clone)]
 pub(crate) struct ComputeLanes {
-    /// Node `i` owns lanes `offsets[i]..offsets[i + 1]` of the two flat vectors below
-    /// (three allocations per simulation instead of two per node).
-    offsets: Vec<usize>,
+    /// Lanes per node: node `i` owns lanes `i * cores..(i + 1) * cores` of the two
+    /// flat vectors below.
+    cores: usize,
     /// Per lane: how far into the virtual future the lane is committed.
     free: Vec<SimTime>,
     /// Per lane: modeled CPU nanoseconds the lane has retired.
@@ -293,26 +293,19 @@ pub(crate) struct ComputeLanes {
 }
 
 impl ComputeLanes {
-    /// One entry of `cores` per node; every count must be at least 1 (enforced
+    /// `cores` lanes for each of `nodes` nodes; `cores` must be at least 1 (enforced
     /// upstream by [`crate::NetworkConfig::validate`]).
-    pub(crate) fn new(cores: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(cores.len() + 1);
-        let mut total = 0;
-        offsets.push(total);
-        for &k in cores {
-            total += k;
-            offsets.push(total);
-        }
+    pub(crate) fn new(nodes: usize, cores: usize) -> Self {
         Self {
-            offsets,
-            free: vec![SimTime::ZERO; total],
-            busy: vec![0; total],
+            cores,
+            free: vec![SimTime::ZERO; nodes * cores],
+            busy: vec![0; nodes * cores],
         }
     }
 
     /// `node`'s lanes, as indices into `free` and `busy`.
     fn lanes(&self, node: usize) -> std::ops::Range<usize> {
-        self.offsets[node]..self.offsets[node + 1]
+        node * self.cores..(node + 1) * self.cores
     }
 
     /// Dispatches `scaled` nanoseconds of modeled work arriving at `now` on
@@ -371,13 +364,8 @@ pub struct SimulationReport {
     /// summed over the node's worker lanes). All zeros unless the protocol charges
     /// compute via [`Context::charge_compute`].
     pub compute_busy_nanos: Vec<u64>,
-    /// Per-lane breakdown of [`Self::compute_busy_nanos`]: `lane_busy_nanos[node]`
-    /// has one entry per worker lane of that node. Empty when a report is built by
-    /// hand (tests); [`Simulation::into_report`] always fills it.
-    pub lane_busy_nanos: Vec<Vec<u64>>,
-    /// Worker-lane (core) count of each node, as resolved from the network config.
-    /// Missing entries are treated as 1 by the utilization accessors.
-    pub cores: Vec<usize>,
+    /// Worker-lane (core) count of every node, as resolved from the network config.
+    pub cores: usize,
     /// Live fan-out table slots at the end of the run (see
     /// [`Simulation::fanouts_live`]) — in-flight logical messages whose handles are
     /// still queued at the deadline (zero only if the run fully quiesced).
@@ -466,8 +454,7 @@ impl SimulationReport {
     /// (a backlogged queue can report more than `1.0`, which is itself a diagnosis:
     /// the replica was handed more work than its CPUs could retire in the run).
     pub fn compute_utilization(&self, node: NodeId) -> f64 {
-        let cores = self.cores.get(node.as_index()).copied().unwrap_or(1).max(1);
-        let total = self.end_time.as_nanos().saturating_mul(cores as u64);
+        let total = self.end_time.as_nanos().saturating_mul(self.cores as u64);
         if total == 0 {
             return 0.0;
         }
@@ -578,7 +565,7 @@ impl<P: Protocol> Simulation<P> {
             started: false,
             uplink_free: vec![SimTime::ZERO; n],
             downlink_free: vec![SimTime::ZERO; n],
-            compute: ComputeLanes::new(&resolved.cores),
+            compute: ComputeLanes::new(n, resolved.cores),
             timer_epochs: vec![0; n],
             metrics: MetricsSink::with_nodes(n),
             resolved,
@@ -735,9 +722,6 @@ impl<P: Protocol> Simulation<P> {
             metrics: self.metrics,
             probes,
             compute_busy_nanos: (0..n).map(|i| self.compute.busy_nanos(i)).collect(),
-            lane_busy_nanos: (0..n)
-                .map(|i| self.compute.lane_busy_nanos(i).to_vec())
-                .collect(),
             cores: self.resolved.cores,
             fanouts_live: self.fanouts.live(),
             fanouts_peak: self.fanouts.peak(),
@@ -996,7 +980,7 @@ mod tests {
 
     fn two_node_config(bps: u64) -> NetworkConfig {
         let mut config = NetworkConfig::datacenter(2).with_topology(no_jitter());
-        config.links = vec![LinkConfig::symmetric(bps)];
+        config.link = LinkConfig::symmetric(bps);
         config
     }
 
@@ -1128,8 +1112,7 @@ mod tests {
             metrics: MetricsSink::with_nodes(1),
             probes: Vec::new(),
             compute_busy_nanos: Vec::new(),
-            lane_busy_nanos: Vec::new(),
-            cores: Vec::new(),
+            cores: 1,
             fanouts_live: 0,
             fanouts_peak: 0,
             fanouts_balanced: true,
@@ -1212,7 +1195,7 @@ mod tests {
         }
 
         let mut config = NetworkConfig::datacenter(3).with_topology(no_jitter());
-        config.links = vec![LinkConfig::symmetric(10_000_000)];
+        config.link = LinkConfig::symmetric(10_000_000);
         let mut sim = Simulation::new(config, FaultPlan::none(), |_| BulkThenPing {
             small_delivered: false,
         });
@@ -1338,10 +1321,11 @@ mod tests {
     }
 
     /// With two worker lanes the two 10 ms charges overlap instead of queueing:
-    /// both acks return in the first-ack window, the per-lane breakdown shows one
-    /// charge per lane, and utilization is normalised by the core count.
+    /// both acks return in the first-ack window, and utilization is normalised by the
+    /// core count (`lane_dispatch_breaks_ties_by_lowest_index` checks the per-lane
+    /// split).
     #[test]
-    fn two_lanes_overlap_charged_work_and_report_per_lane_busy() {
+    fn two_lanes_overlap_charged_work_and_normalise_utilization() {
         let config = two_node_config(0).with_cores(2);
         let sim = Simulation::new(config, FaultPlan::none(), two_charged_requests);
         let report = sim.run_to_report(SimTime(SimDuration::from_secs(1).as_nanos()), 10_000);
@@ -1354,12 +1338,9 @@ mod tests {
             let ms = ack / 1000 / 1_000_000;
             assert!((10..12).contains(&ms), "ack at {ms} ms should not queue");
         }
-        // 20 ms of busy time total, one 10 ms charge per lane, normalised
-        // utilization 20 ms / (1 s × 2 cores) = 1%.
-        assert_eq!(report.compute_busy_nanos[1], 20_000_000);
-        assert_eq!(report.lane_busy_nanos[1], vec![10_000_000, 10_000_000]);
-        assert_eq!(report.lane_busy_nanos[0], vec![0, 0]);
-        assert_eq!(report.cores, vec![2, 2]);
+        // 20 ms of busy time total, normalised utilization 20 ms / (1 s × 2 cores) = 1%.
+        assert_eq!(report.compute_busy_nanos, vec![0, 20_000_000]);
+        assert_eq!(report.cores, 2);
         assert!((report.compute_utilization(NodeId(1)) - 0.01).abs() < 1e-9);
     }
 
@@ -1383,14 +1364,11 @@ mod tests {
                 report.events,
                 report.metrics.custom_samples("ack_at"),
                 report.compute_busy_nanos.clone(),
-                report.lane_busy_nanos.clone(),
             )
         };
         let default = run(false);
         let single = run(true);
         assert_eq!(default, single);
-        // And the aggregate equals the single lane exactly.
-        assert_eq!(default.3[1], vec![default.2[1]]);
     }
 
     proptest::proptest! {
@@ -1402,7 +1380,7 @@ mod tests {
         fn single_lane_dispatch_matches_the_sequential_model(
             ops in proptest::collection::vec((0u64..5_000, 0u64..10_000), 0..64),
         ) {
-            let mut lanes = ComputeLanes::new(&[1]);
+            let mut lanes = ComputeLanes::new(1, 1);
             let mut scalar_free = SimTime::ZERO;
             let mut now = SimTime::ZERO;
             let mut last_done = SimTime::ZERO;
@@ -1428,9 +1406,9 @@ mod tests {
     /// ties — three equal charges at t = 0 on two lanes go lane 0, lane 1, lane 0.
     #[test]
     fn lane_dispatch_breaks_ties_by_lowest_index() {
-        // A one-lane neighbour on either side: the flat layout must keep node 1's two
-        // lanes to itself.
-        let mut lanes = ComputeLanes::new(&[1, 2, 1]);
+        // A neighbour on either side: the flat layout must keep node 1's two lanes to
+        // itself.
+        let mut lanes = ComputeLanes::new(3, 2);
         assert_eq!(lanes.lane_busy_nanos(1).len(), 2);
         let at = |nanos: u64| SimTime(SimDuration::from_nanos(nanos).as_nanos());
         // Both lanes free at ZERO: lane 0 wins the tie.
@@ -1445,7 +1423,7 @@ mod tests {
         // The neighbours saw none of it, and their own work stays theirs.
         assert_eq!((lanes.busy_nanos(0), lanes.busy_nanos(2)), (0, 0));
         assert_eq!(lanes.dispatch(2, SimTime::ZERO, 7), at(7));
-        assert_eq!(lanes.lane_busy_nanos(2), [7]);
+        assert_eq!(lanes.lane_busy_nanos(2), [7, 0]);
         assert_eq!(lanes.lane_busy_nanos(1), [20, 10]);
         assert_eq!(lanes.horizon(0), SimTime::ZERO);
     }
@@ -1529,7 +1507,7 @@ mod tests {
             },
         );
         let mut config = NetworkConfig::datacenter(4).with_topology(topology);
-        config.links = vec![LinkConfig::unlimited()];
+        config.link = LinkConfig::unlimited();
         let mut sim = Simulation::new(config, FaultPlan::none(), |_| Fanout);
         sim.run_until(SimTime(SimDuration::from_secs(1).as_nanos()), 1_000);
         let mut arrivals: Vec<(u64, u64)> = sim
@@ -1661,7 +1639,7 @@ mod tests {
             SimDuration::ZERO,
         );
         let mut config = NetworkConfig::datacenter(2).with_topology(topology);
-        config.links = vec![LinkConfig::unlimited()];
+        config.link = LinkConfig::unlimited();
         let faults = FaultPlan::none().with_partition(
             0,
             1,

@@ -30,6 +30,9 @@ pub mod wire;
 pub use block::{BftBlock, BftBlockId, Datablock, DatablockId};
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use ids::{ClientId, NodeId, RequestId, SeqNum, View};
-pub use params::{bls_paper_crypto_costs, calibrated_crypto_costs, CostModelKind, ProtocolParams};
+pub use params::{
+    bls_paper_crypto_costs, calibrated_crypto_costs, fault_bound, quorum_size, CostModelKind,
+    ProtocolParams, PAPER_PAYLOAD_SIZE,
+};
 pub use request::{Request, RequestRun};
 pub use wire::{Decode, Encode, WireReader, WireSize, WireWriter};

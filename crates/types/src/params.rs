@@ -97,6 +97,19 @@ pub fn bls_paper_crypto_costs() -> CryptoCostModel {
     }
 }
 
+/// Size of one client request in bytes, the paper's default `payload`.
+pub const PAPER_PAYLOAD_SIZE: usize = 128;
+
+/// Number of Byzantine faults `n` replicas tolerate, `f = ⌊(n-1)/3⌋`.
+pub fn fault_bound(n: usize) -> usize {
+    (n - 1) / 3
+}
+
+/// Quorum size of `n` replicas, `2f + 1`.
+pub fn quorum_size(n: usize) -> usize {
+    2 * fault_bound(n) + 1
+}
+
 /// The sizes and batching parameters that drive both the protocol implementations and
 /// the analytical cost model.
 ///
@@ -139,7 +152,7 @@ impl ProtocolParams {
         let (datablock_size, bftblock_size) = Self::table2_batches(n);
         Self {
             n,
-            payload_size: 128,
+            payload_size: PAPER_PAYLOAD_SIZE,
             datablock_size,
             bftblock_size,
             max_parallel_instances: 100,
@@ -158,14 +171,14 @@ impl ProtocolParams {
         }
     }
 
-    /// Number of Byzantine faults tolerated, `f = ⌊(n-1)/3⌋`.
+    /// Number of Byzantine faults tolerated, [`fault_bound`].
     pub fn f(&self) -> usize {
-        (self.n - 1) / 3
+        fault_bound(self.n)
     }
 
-    /// Quorum size `2f + 1`.
+    /// Quorum size, [`quorum_size`].
     pub fn quorum(&self) -> usize {
-        2 * self.f() + 1
+        quorum_size(self.n)
     }
 
     /// `α` in bytes: payload bytes carried by one datablock.
@@ -173,18 +186,29 @@ impl ProtocolParams {
         self.datablock_size * self.payload_size
     }
 
-    /// The scaling factor of Leopard from the paper's closed form
-    /// `max{(β + 4κ/τ)(n−1)/α + 1, 2 + (β + 4κ/τ)/α}`.
+    /// `β + 4κ/τ`: the agreement bytes of one datablock, its link in a BFTblock plus its
+    /// share of the block's four signatures.
+    fn link_overhead(&self) -> f64 {
+        DIGEST_LEN as f64 + 4.0 * DEFAULT_SIGNATURE_WIRE_BYTES as f64 / self.bftblock_size as f64
+    }
+
+    /// The leader's bytes per payload byte, closed form (2) of §V-B:
+    /// `(β + 4κ/τ)(n−1)/α + 1`.
+    pub fn leopard_leader_term(&self) -> f64 {
+        self.link_overhead() * (self.n as f64 - 1.0) / self.alpha_bytes() as f64 + 1.0
+    }
+
+    /// A non-leader's bytes per payload byte, closed form (3) of §V-B:
+    /// `2 + (β + 4κ/τ)/α`.
+    pub fn leopard_non_leader_term(&self) -> f64 {
+        2.0 + self.link_overhead() / self.alpha_bytes() as f64
+    }
+
+    /// The scaling factor of Leopard from the paper's closed form, the larger of
+    /// [`Self::leopard_leader_term`] and [`Self::leopard_non_leader_term`].
     pub fn leopard_scaling_factor(&self) -> f64 {
-        let beta = DIGEST_LEN as f64;
-        let kappa = DEFAULT_SIGNATURE_WIRE_BYTES as f64;
-        let tau = self.bftblock_size as f64;
-        let alpha = self.alpha_bytes() as f64;
-        let n = self.n as f64;
-        let per_block_overhead = beta + 4.0 * kappa / tau;
-        let leader = per_block_overhead * (n - 1.0) / alpha + 1.0;
-        let non_leader = 2.0 + per_block_overhead / alpha;
-        leader.max(non_leader)
+        self.leopard_leader_term()
+            .max(self.leopard_non_leader_term())
     }
 
     /// The scaling factor of a leader-disseminates-payload protocol (PBFT / SBFT /
@@ -265,6 +289,8 @@ mod tests {
         let p = ProtocolParams::paper_defaults(601);
         assert_eq!(p.f(), 200);
         assert_eq!(p.quorum(), 401);
+        // An n not of the form 3f + 1 rounds f down.
+        assert_eq!((fault_bound(300), quorum_size(300)), (99, 199));
     }
 
     #[test]

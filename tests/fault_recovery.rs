@@ -82,8 +82,9 @@ fn crash_restart_catches_up_and_logs_agree() {
 
 /// Runs a crash-restart of replica 2 with one recovery-plane adversary among the
 /// peers its catch-up will ask, and asserts the restarted replica still catches up
-/// (honest-majority rotation defeats the attacker) with logs consistent.
-fn assert_catchup_despite(behaviour: ByzantineBehavior) {
+/// (honest-majority rotation defeats the attacker) with logs consistent. Returns the
+/// state-sync bytes the adversary sent.
+fn assert_catchup_despite(behaviour: ByzantineBehavior) -> u64 {
     let n = 7;
     let adversary = NodeId(1);
     let faults = FaultPlan::none().with_crash_restart(
@@ -123,6 +124,7 @@ fn assert_catchup_despite(behaviour: ByzantineBehavior) {
         rejoined.view().0
     );
     assert_logs_consistent(&sim, n);
+    sim.metrics().traffic.sent_bytes_in(adversary, "statesync")
 }
 
 #[test]
@@ -130,14 +132,14 @@ fn lying_state_responder_is_rejected_without_wedging_catchup() {
     // The forged checkpoint state, swapped proofs and inflated view claim must all be
     // detected: the requester verifies every proof and only adopts a view corroborated
     // by f+1 responders of one sync round.
-    assert_catchup_despite(ByzantineBehavior::LyingStateResponder);
+    assert!(assert_catchup_despite(ByzantineBehavior::LyingStateResponder) > 0);
 }
 
 #[test]
 fn silent_state_responder_does_not_wedge_catchup() {
     // A responder that simply never answers state requests must not starve catch-up:
     // the responder set rotates every retry, so an honest peer is reached.
-    assert_catchup_despite(ByzantineBehavior::SilentStateResponder);
+    assert_eq!(assert_catchup_despite(ByzantineBehavior::SilentStateResponder), 0);
 }
 
 #[test]

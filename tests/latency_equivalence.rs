@@ -95,10 +95,10 @@ fn assert_matches(label: &str, report: &ScenarioReport, captured: &Captured) {
         );
     }
     let committed = commits.len();
-    // The log keeps no per-block entry: what is left is the three stage latencies of
+    // The log keeps no per-block entry: what is left is the two stage latencies of
     // every datablock at its producer, plus the rare view changes, retrievals and
     // custom samples — fewer than one per replica in these fault-free runs.
-    let datablocks = metrics.custom_samples("latency_generation").len();
+    let datablocks = metrics.custom_samples("latency_dissemination").len();
     let per_block = metrics.observations.iter().filter(|o| {
         matches!(
             o.kind,
@@ -106,7 +106,7 @@ fn assert_matches(label: &str, report: &ScenarioReport, captured: &Captured) {
         )
     });
     assert_eq!(per_block.count(), 0, "{label}: a block execution in the log");
-    let residual = metrics.observations.len() - 3 * datablocks;
+    let residual = metrics.observations.len() - 2 * datablocks;
     assert!(
         residual < report.n,
         "{label}: {residual} log entries besides {datablocks} datablocks' stage latencies"
