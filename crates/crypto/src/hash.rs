@@ -37,11 +37,6 @@ impl Digest {
         &self.0
     }
 
-    /// Creates a digest from a 32-byte array.
-    pub fn from_bytes(bytes: [u8; DIGEST_LEN]) -> Self {
-        Digest(bytes)
-    }
-
     /// Parses a digest from a slice.
     ///
     /// Returns `None` if the slice is not exactly [`DIGEST_LEN`] bytes.
@@ -127,7 +122,7 @@ mod tests {
     fn digest_roundtrip_and_accessors() {
         let d = hash_bytes(b"leopard");
         assert_eq!(Digest::from_slice(d.as_bytes()), Some(d));
-        assert_eq!(Digest::from_bytes(d.0), d);
+        assert_eq!(Digest::from(d.0), d);
         assert_eq!(d.to_hex().len(), 64);
         assert_eq!(d.short_hex().len(), 8);
         assert!(!d.is_zero());
@@ -159,8 +154,8 @@ mod tests {
     fn to_u64_uses_leading_bytes() {
         let mut bytes = [0u8; DIGEST_LEN];
         bytes[7] = 1;
-        assert_eq!(Digest::from_bytes(bytes).to_u64(), 1);
+        assert_eq!(Digest::from(bytes).to_u64(), 1);
         bytes[0] = 0x80;
-        assert!(Digest::from_bytes(bytes).to_u64() > u64::MAX / 2);
+        assert!(Digest::from(bytes).to_u64() > u64::MAX / 2);
     }
 }

@@ -26,9 +26,7 @@
 use crate::field::{lagrange_coefficients, poly_eval, Fp};
 use crate::hash::Digest;
 use rand::Rng;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Default serialized size of a signature share / combined signature in bytes, matching
 /// the 48-byte BLS signatures used by the paper (`κ = 48`).
@@ -129,11 +127,6 @@ pub struct ThresholdScheme {
     verification: Vec<Fp>,
     /// Master verification value (the secret `s`).
     master: Fp,
-    /// Lagrange coefficients at zero, keyed by the signer sequence they were computed
-    /// for. Checkpoint and vote quorums repeat the same `2f+1` signer sets constantly,
-    /// so [`Self::combine`] usually skips interpolation entirely. Shared by all clones
-    /// of the scheme (clones describe the same committee, so the coefficients agree).
-    lambda_cache: Arc<Mutex<HashMap<Vec<u32>, Arc<[Fp]>>>>,
 }
 
 /// The polynomial's values at `1..=n`: Horner's rule over four points per pass.
@@ -158,10 +151,6 @@ fn shamir_shares(coefficients: &[Fp], n: usize) -> Vec<Fp> {
     debug_assert!((1..=n).all(|i| shares[i - 1] == poly_eval(coefficients, Fp::new(i as u64))));
     shares
 }
-
-/// Entry cap for the combine cache; distinct signer sets beyond this flush the cache
-/// (quorum sets repeat heavily in practice, so this is a memory backstop, not a policy).
-const LAMBDA_CACHE_CAP: usize = 4096;
 
 impl ThresholdScheme {
     /// Runs the trusted-dealer setup for an `(threshold, n)` scheme.
@@ -204,7 +193,6 @@ impl ThresholdScheme {
                 threshold,
                 verification,
                 master,
-                lambda_cache: Arc::new(Mutex::new(HashMap::new())),
             },
             shares,
         )
@@ -282,9 +270,8 @@ impl ThresholdScheme {
 
     /// `TSR` over shares the caller has already verified: performs the structural
     /// checks and the Lagrange combination, but not the per-share verification that
-    /// [`Self::combine`] repeats. Votes are verified when they arrive (individually or
-    /// in a batch), so re-verifying the whole quorum inside the combine doubled the
-    /// leader's share-verification work for nothing.
+    /// [`Self::combine`] adds. Votes are verified when they arrive (individually or
+    /// in a batch), so the combine does not verify them again.
     ///
     /// # Errors
     ///
@@ -297,7 +284,9 @@ impl ThresholdScheme {
     ) -> Result<CombinedSignature, ThresholdError> {
         self.check_combine_structure(shares)?;
         let selected = &shares[..self.threshold];
-        let lambdas = self.lambdas_for(selected);
+        let xs: Vec<Fp> = selected.iter().map(|s| Fp::new(s.signer as u64)).collect();
+        let lambdas = lagrange_coefficients(&xs, Fp::zero())
+            .expect("signer indices are distinct, interpolation cannot fail");
         let mut value = Fp::zero();
         for (lambda, share) in lambdas.iter().zip(selected) {
             value = value + *lambda * share.value;
@@ -342,25 +331,6 @@ impl ThresholdScheme {
             }
         }
         self.combine_preverified(shares, message)
-    }
-
-    /// The Lagrange coefficients at zero for the given (already validated, distinct)
-    /// signer sequence, from the cache when the same quorum combined before.
-    fn lambdas_for(&self, selected: &[SignatureShare]) -> Arc<[Fp]> {
-        let key: Vec<u32> = selected.iter().map(|s| s.signer as u32).collect();
-        if let Some(cached) = self.lambda_cache.lock().expect("combine cache poisoned").get(&key) {
-            return Arc::clone(cached);
-        }
-        let xs: Vec<Fp> = selected.iter().map(|s| Fp::new(s.signer as u64)).collect();
-        let lambdas: Arc<[Fp]> = lagrange_coefficients(&xs, Fp::zero())
-            .expect("signer indices are distinct, interpolation cannot fail")
-            .into();
-        let mut cache = self.lambda_cache.lock().expect("combine cache poisoned");
-        if cache.len() >= LAMBDA_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&lambdas));
-        lambdas
     }
 
     /// `TVrf` on combined signatures: checks a combined signature on `message` against
@@ -546,49 +516,44 @@ mod tests {
                 prop_assert!(scheme.verify_combined(&combined, &msg));
             }
 
-            /// Cached-vs-fresh agreement: combining the same random signer set twice on
-            /// the same scheme (second combine hits the lambda cache) must equal a
-            /// combine on a freshly cloned scheme with an empty cache path, for any
-            /// message.
+            /// The combined signature depends on the quorum, not on the order its
+            /// shares arrived in: any two permutations of one quorum combine to the
+            /// same value.
             #[test]
-            fn cached_combine_matches_fresh_combine(
+            fn permutations_of_one_quorum_combine_to_the_same_signature(
                 f in 1usize..5,
                 seed in any::<u64>(),
                 quorum_seed in any::<u64>(),
-                msg_a in proptest::collection::vec(any::<u8>(), 1..64),
-                msg_b in proptest::collection::vec(any::<u8>(), 1..64),
+                order_seed in any::<u64>(),
+                msg_bytes in proptest::collection::vec(any::<u8>(), 1..64),
             ) {
                 let n = 3 * f + 1;
                 let t = 2 * f + 1;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let (scheme, keys) = ThresholdScheme::trusted_setup(t, n, &mut rng);
+                let msg = hash_bytes(&msg_bytes);
 
-                let mut order: Vec<usize> = (0..n).collect();
-                let mut qrng = StdRng::seed_from_u64(quorum_seed);
-                for i in (1..order.len()).rev() {
-                    let j = rand::Rng::gen_range(&mut qrng, 0..=i);
-                    order.swap(i, j);
-                }
-                let quorum = &order[..t];
-
-                let fresh = ThresholdScheme {
-                    lambda_cache: Arc::new(Mutex::new(HashMap::new())),
-                    ..scheme.clone()
+                let shuffle = |items: &mut [usize], seed: u64| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    for i in (1..items.len()).rev() {
+                        let j = rand::Rng::gen_range(&mut rng, 0..=i);
+                        items.swap(i, j);
+                    }
                 };
-                for msg_bytes in [&msg_a, &msg_b] {
-                    let msg = hash_bytes(msg_bytes);
-                    let shares: Vec<_> = quorum
-                        .iter()
-                        .map(|&i| scheme.sign_share(&keys[i], &msg))
-                        .collect();
-                    // First call populates the cache, second call must hit it.
-                    let warm = scheme.combine(&shares, &msg).unwrap();
-                    let cached = scheme.combine(&shares, &msg).unwrap();
-                    let uncached = fresh.combine(&shares, &msg).unwrap();
-                    prop_assert_eq!(warm, cached);
-                    prop_assert_eq!(cached, uncached);
-                    prop_assert!(scheme.verify_combined(&cached, &msg));
-                }
+                let mut order: Vec<usize> = (0..n).collect();
+                shuffle(&mut order, quorum_seed);
+                let mut quorum = order[..t].to_vec();
+                let shares_in = |quorum: &[usize]| -> Vec<SignatureShare> {
+                    quorum.iter().map(|&i| scheme.sign_share(&keys[i], &msg)).collect()
+                };
+                let first = scheme.combine(&shares_in(&quorum), &msg).unwrap();
+                shuffle(&mut quorum, order_seed);
+                let second = scheme.combine(&shares_in(&quorum), &msg).unwrap();
+                quorum.reverse();
+                let third = scheme.combine_preverified(&shares_in(&quorum), &msg).unwrap();
+                prop_assert_eq!(first, second);
+                prop_assert_eq!(second, third);
+                prop_assert!(scheme.verify_combined(&first, &msg));
             }
         }
     }

@@ -2,9 +2,7 @@
 
 use crate::gf256;
 use crate::matrix::Matrix;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Errors returned by [`ReedSolomon`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,14 +78,7 @@ pub struct ReedSolomon {
     /// `total_shards x data_shards` encoding matrix whose top square block is the
     /// identity (systematic form).
     encoding: Matrix,
-    /// Inverted decode matrices keyed by the surviving-shard index sequence. A replica
-    /// recovering many datablocks from the same responder set inverts the matrix once
-    /// and reuses it for every shard set. Shared by clones of the code.
-    decode_cache: Arc<Mutex<HashMap<Vec<u8>, Arc<Matrix>>>>,
 }
-
-/// Entry cap for the decode-matrix cache (memory backstop; index sets repeat heavily).
-const DECODE_CACHE_CAP: usize = 1024;
 
 impl ReedSolomon {
     /// The most shards a code over GF(2^8) can have: one distinct evaluation point per
@@ -124,7 +115,6 @@ impl ReedSolomon {
             data_shards,
             total_shards,
             encoding,
-            decode_cache: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -213,7 +203,12 @@ impl ReedSolomon {
             }
         }
 
-        let decode_matrix = self.decode_matrix_for(selected);
+        let indices: Vec<usize> = selected.iter().map(|(i, _)| *i).collect();
+        let decode_matrix = self
+            .encoding
+            .select_rows(&indices)
+            .inverse()
+            .expect("any data_shards rows of the encoding matrix are independent");
 
         let mut originals = Vec::with_capacity(self.data_shards);
         for row in 0..self.data_shards {
@@ -224,28 +219,6 @@ impl ReedSolomon {
             originals.push(out);
         }
         Ok(originals)
-    }
-
-    /// The inverted decode matrix for the given (validated, distinct, in-range)
-    /// surviving shards, reusing a cached inverse when the same index set decoded
-    /// before.
-    fn decode_matrix_for(&self, selected: &[(usize, Vec<u8>)]) -> Arc<Matrix> {
-        let key: Vec<u8> = selected.iter().map(|(i, _)| *i as u8).collect();
-        if let Some(cached) = self.decode_cache.lock().expect("decode cache poisoned").get(&key) {
-            return Arc::clone(cached);
-        }
-        let indices: Vec<usize> = selected.iter().map(|(i, _)| *i).collect();
-        let sub = self.encoding.select_rows(&indices);
-        let decode_matrix = Arc::new(
-            sub.inverse()
-                .expect("any data_shards rows of the encoding matrix are independent"),
-        );
-        let mut cache = self.decode_cache.lock().expect("decode cache poisoned");
-        if cache.len() >= DECODE_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&decode_matrix));
-        decode_matrix
     }
 
     /// Reconstructs a payload of `payload_len` bytes from any `data_shards` surviving

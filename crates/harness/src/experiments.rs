@@ -465,7 +465,7 @@ pub fn fig9cpu_compute_bound(quick: bool) -> Table {
             let config = ScenarioConfig::paper(n)
                 .with_crypto_mode(leopard_crypto::provider::CryptoMode::Metered)
                 .with_cost_model(leopard_types::CostModelKind::BlsPaper)
-                .with_slow_replicas(slow, 0.25);
+                .with_slow_replicas(slow);
             let leopard = run_leopard_scenario(&config);
             let hotstuff = run_hotstuff_scenario(&config);
             table.push_row(vec![

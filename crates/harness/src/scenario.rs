@@ -55,10 +55,8 @@ pub struct ScenarioConfig {
     /// Which per-operation compute-cost calibration the replicas charge.
     pub cost_model: CostModelKind,
     /// Number of replicas (counted from the highest id downwards, skipping the initial
-    /// leader) whose CPU runs at [`Self::slow_cpu_factor`] speed.
+    /// leader) whose CPU runs at [`Self::SLOW_CPU_FACTOR`] speed.
     pub slow_replicas: usize,
-    /// CPU speed factor of the slow replicas (`1.0` = no slowdown).
-    pub slow_cpu_factor: f64,
     /// Geo-distributed topology (regions, pairwise latency matrix). `None` keeps the
     /// paper's flat LAN. See [`Self::with_topology`] and [`Self::with_wan_regions`].
     pub topology: Option<Topology>,
@@ -81,11 +79,6 @@ pub struct ScenarioConfig {
     /// scheduled disturbance (the liveness invariant), or `None` for the default of
     /// four progress timeouts.
     pub liveness_bound: Option<SimDuration>,
-    /// Most views honest replicas may enter beyond the initial one (the view-change
-    /// thrash invariant), or `None` for the default of
-    /// `4 + 4 × `[`Self::disturbance_count`] — generous for any genuine recovery, far
-    /// below a view-change livelock.
-    pub view_thrash_bound: Option<u64>,
     /// Overrides the protocol's progress timeout (the view-change trigger). The chaos
     /// engine shortens it so runs with consecutive faulty leaders recover within a
     /// few-second schedule; `None` keeps the protocol default.
@@ -107,6 +100,10 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
+    /// CPU speed of the replicas [`Self::with_slow_replicas`] slows down: a quarter of
+    /// the fleet's.
+    pub const SLOW_CPU_FACTOR: f64 = 0.25;
+
     /// The paper's configuration for scale `n`: Table II batch sizes, 9.8 Gbps NICs,
     /// 128-byte payloads at the calibrated saturation rate, no faults.
     pub fn paper(n: usize) -> Self {
@@ -130,14 +127,12 @@ impl ScenarioConfig {
             crypto_mode: if n > 64 { CryptoMode::Metered } else { CryptoMode::Real },
             cost_model: CostModelKind::Calibrated,
             slow_replicas: 0,
-            slow_cpu_factor: 1.0,
             topology: None,
             straggler_fraction: 0.0,
             byzantine: Vec::new(),
             crash_restarts: Vec::new(),
             partitions: Vec::new(),
             liveness_bound: None,
-            view_thrash_bound: None,
             progress_timeout: None,
             workload_stop: None,
             parallel: false,
@@ -278,13 +273,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Overrides the view-change-thrash bound (default:
-    /// `4 + 4 × `[`Self::disturbance_count`]).
-    pub fn with_view_thrash_bound(mut self, bound: u64) -> Self {
-        self.view_thrash_bound = Some(bound);
-        self
-    }
-
     /// Overrides the protocol's progress timeout (the view-change trigger).
     pub fn with_progress_timeout(mut self, timeout: SimDuration) -> Self {
         self.progress_timeout = Some(timeout);
@@ -319,11 +307,11 @@ impl ScenarioConfig {
             + self.byzantine.len()
     }
 
-    /// The view-change-thrash bound in effect: the explicit override, or
-    /// `4 + 4 × `[`Self::disturbance_count`].
+    /// The view-change-thrash bound: the most views honest replicas may enter beyond
+    /// the initial one, `4 + 4 × `[`Self::disturbance_count`] — generous for any
+    /// genuine recovery, far below a view-change livelock.
     pub fn effective_view_thrash_bound(&self) -> u64 {
-        self.view_thrash_bound
-            .unwrap_or(4 + 4 * self.disturbance_count() as u64)
+        4 + 4 * self.disturbance_count() as u64
     }
 
     /// The instants at which scheduled disturbances begin or end (crash instants,
@@ -381,10 +369,9 @@ impl ScenarioConfig {
     }
 
     /// Makes the `count` highest-id replicas (skipping the initial leader) run their
-    /// CPUs at `factor` speed — the heterogeneous-CPU experiments.
-    pub fn with_slow_replicas(mut self, count: usize, factor: f64) -> Self {
+    /// CPUs at [`Self::SLOW_CPU_FACTOR`] speed — the heterogeneous-CPU experiments.
+    pub fn with_slow_replicas(mut self, count: usize) -> Self {
         self.slow_replicas = count;
-        self.slow_cpu_factor = factor;
         self
     }
 
@@ -462,10 +449,8 @@ impl ScenarioConfig {
         if self.cores > 1 {
             config = config.with_cores(self.cores);
         }
-        if self.slow_replicas > 0 && self.slow_cpu_factor != 1.0 {
-            for node in self.highest_non_leader_ids(self.slow_replicas) {
-                config = config.with_node_cpu_speed(node, self.slow_cpu_factor);
-            }
+        for node in self.highest_non_leader_ids(self.slow_replicas) {
+            config = config.with_node_cpu_speed(node, Self::SLOW_CPU_FACTOR);
         }
         if let Some(topology) = self.effective_topology() {
             config = config.with_topology(topology);
@@ -537,8 +522,8 @@ impl ScenarioConfig {
         // Under a topology the slowest producer's uplink bounds honest dissemination
         // (a straggler's 1 Gbps NIC), and WAN propagation
         // adds up to `max_one_way_latency` per hop of query/response — so the timeout
-        // gets four one-way latencies of deterministic headroom on top. For a flat
-        // network both terms collapse to exactly the pre-topology formula.
+        // gets four one-way latencies of deterministic headroom on top. Without a
+        // topology the headroom is zero and the slowest uplink is the fleet's.
         let network = self.network();
         // An uplink of 0 bps is unlimited; with no limited link dissemination is
         // instant and the floor applies.
@@ -1190,6 +1175,23 @@ mod tests {
         let fleet = leopard_simnet::LinkConfig::paper_default().uplink_bps;
         assert_eq!(ScenarioConfig::paper(2000).dissemination_secs(fleet), 0.8355004081632653);
         assert_eq!(ScenarioConfig::paper(4000).dissemination_secs(fleet), 1.6714187755102041);
+    }
+
+    /// `with_slow_replicas(k)` runs the `k` highest ids other than the initial leader
+    /// at [`ScenarioConfig::SLOW_CPU_FACTOR`] and every other node at full speed.
+    #[test]
+    fn slow_replicas_run_at_a_quarter_speed() {
+        let config = ScenarioConfig::paper(8).with_slow_replicas(2);
+        let leader = config.initial_leader().as_index();
+        let mut expected = vec![1.0; 8];
+        for node in (0..8).rev().filter(|&i| i != leader).take(2) {
+            expected[node] = 0.25;
+        }
+        assert_eq!(config.network().resolve().cpu_speeds, expected);
+        assert_eq!(
+            ScenarioConfig::paper(8).network().resolve().cpu_speeds,
+            vec![1.0; 8]
+        );
     }
 
     #[test]

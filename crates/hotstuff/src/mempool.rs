@@ -6,18 +6,26 @@
 //! execution latency of exactly the requests it injected.
 //!
 //! Nothing here is per-request (`DESIGN.md` §5). The stub injects requests with
-//! contiguous sequence numbers at one instant, so what is pending is one range of
-//! sequence numbers, a batch is a [`RequestRun`], and what is outstanding is kept as
-//! runs `(first seq, count)` of the stub's own client.
+//! contiguous sequence numbers once per tick, so what is pending is one range of
+//! sequence numbers, a batch is a [`RequestRun`], and what is outstanding is a FIFO of
+//! runs `(first seq, count)`, one per injection.
+//!
+//! A FIFO suffices because a stub acknowledges only its own batches,
+//! [`Mempool::take_batch`] hands them out in sequence order, and a chain commits a
+//! block's ancestors first and never re-proposes a block. So one stub's batches
+//! execute in sequence order, and a batch that a view change dropped never executes:
+//! an acknowledgement starts at or after the oldest outstanding run, and what
+//! precedes it in the queue belongs to a dropped batch.
 
 use leopard_simnet::{SimDuration, SimTime};
 use leopard_types::{ClientId, RequestRun};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
-/// The tail of an outstanding run: how many requests follow its first sequence
-/// number contiguously, and when all of them were submitted.
-#[derive(Debug, Clone, Copy)]
+/// The requests of one injection that are still outstanding: `count` requests from
+/// sequence number `first` on, all submitted at `submitted_at`.
+#[derive(Debug)]
 struct Run {
+    first: u64,
     count: u64,
     submitted_at: SimTime,
 }
@@ -32,10 +40,11 @@ pub(crate) struct Mempool {
     /// Sequence number of the first request not yet handed to a batch: the pending
     /// requests are `batched .. next_seq`.
     batched: u64,
-    /// Submitted requests that have not been executed yet: disjoint runs keyed by
-    /// the sequence number of their first request.
-    runs: BTreeMap<u64, Run>,
-    /// Requests in `runs`.
+    /// Submitted requests neither executed nor known to be dropped, oldest first. The
+    /// runs cover `runs[0].first .. next_seq` contiguously.
+    runs: VecDeque<Run>,
+    /// Submitted requests not executed yet, including those of dropped batches (which
+    /// never execute).
     outstanding: usize,
     /// Fraction of a request the open-loop injector still owes (see
     /// [`Self::inject_tick`]).
@@ -53,7 +62,7 @@ impl Mempool {
             payload_size,
             next_seq: 0,
             batched: 0,
-            runs: BTreeMap::new(),
+            runs: VecDeque::new(),
             outstanding: 0,
             carry: 0.0,
         }
@@ -69,9 +78,13 @@ impl Mempool {
         if count == 0 {
             return;
         }
-        let count = count as u64;
-        self.track(self.next_seq, count, now);
-        self.next_seq += count;
+        self.runs.push_back(Run {
+            first: self.next_seq,
+            count: count as u64,
+            submitted_at: now,
+        });
+        self.outstanding += count;
+        self.next_seq += count as u64;
     }
 
     /// One tick of the open-loop client stub: injects what `rps` requests per second
@@ -92,10 +105,11 @@ impl Mempool {
     }
 
     /// Marks the requests of `batch` as executed at `now`. Calls `latencies(nanos,
-    /// count)` for every maximal stretch of the batch that lies inside one outstanding
-    /// run — `count` requests of the local client stub whose submission-to-execution
-    /// latency is `nanos` — in ascending sequence order. Requests that are not
-    /// outstanding (another client's, or acknowledged before) are skipped.
+    /// count)` for every stretch of the batch that lies inside one outstanding run —
+    /// `count` requests of the local client stub whose submission-to-execution latency
+    /// is `nanos` — in ascending sequence order. Another client's batch is skipped.
+    /// Queued requests below the batch belong to a dropped batch: they leave the queue
+    /// but stay in [`Self::outstanding`].
     pub(crate) fn acknowledge(
         &mut self,
         batch: &RequestRun,
@@ -105,61 +119,29 @@ impl Mempool {
         if batch.client != self.client {
             return;
         }
+        debug_assert!(
+            batch.first_seq >= self.runs.front().map_or(self.next_seq, |run| run.first),
+            "acknowledgements go backwards"
+        );
         let end = batch.first_seq + u64::from(batch.count);
-        let mut from = batch.first_seq;
-        while from < end {
-            // The run holding `from`, else the first one after it.
-            let start = self.runs.range(..=from).next_back().map_or(from, |(&first, _)| first);
-            let Some((&first, &run)) =
-                self.runs.range(start..end).find(|&(&first, run)| first + run.count > from)
-            else {
-                return;
-            };
-            from = from.max(first);
-            let taken = (first + run.count).min(end) - from;
-            self.untrack(first, run, from, taken);
-            latencies(now.saturating_since(run.submitted_at).as_nanos(), taken);
-            from += taken;
-        }
-    }
-
-    /// Records `count` requests starting at `first` as submitted at `now`, extending the
-    /// run that ends right before them if it was submitted at the same instant.
-    fn track(&mut self, first: u64, count: u64, now: SimTime) {
-        self.outstanding += count as usize;
-        if let Some((&before, run)) = self.runs.range_mut(..first).next_back() {
-            if before + run.count == first && run.submitted_at == now {
-                run.count += count;
+        while let Some(run) = self.runs.front_mut() {
+            if run.first >= end {
                 return;
             }
-        }
-        self.runs.insert(
-            first,
-            Run {
-                count,
-                submitted_at: now,
-            },
-        );
-    }
-
-    /// Removes the `count` requests starting at sequence `from` out of `run` (which
-    /// starts at `first`), keeping what lies before and after them as runs of their own.
-    fn untrack(&mut self, first: u64, run: Run, from: u64, count: u64) {
-        self.outstanding -= count as usize;
-        let (end, run_end) = (from + count, first + run.count);
-        if from > first {
-            self.runs.get_mut(&first).expect("caller looked it up").count = from - first;
-        } else {
-            self.runs.remove(&first);
-        }
-        if end < run_end {
-            self.runs.insert(
-                end,
-                Run {
-                    count: run_end - end,
-                    submitted_at: run.submitted_at,
-                },
-            );
+            let run_end = run.first + run.count;
+            let taken = run_end
+                .min(end)
+                .saturating_sub(batch.first_seq.max(run.first));
+            if taken > 0 {
+                self.outstanding -= taken as usize;
+                latencies(now.saturating_since(run.submitted_at).as_nanos(), taken);
+            }
+            if run_end > end {
+                run.first = end;
+                run.count = run_end - end;
+                return;
+            }
+            self.runs.pop_front();
         }
     }
 }
@@ -169,7 +151,7 @@ mod tests {
     use super::*;
     use leopard_types::RequestId;
     use proptest::prelude::*;
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::HashMap;
 
     impl Mempool {
         /// Number of pending (not yet batched) requests.
@@ -252,8 +234,6 @@ mod tests {
             acknowledge(&mut pool, &batch, SimTime(5_000)),
             vec![(4_000, 1)]
         );
-        // Second acknowledgement of the same request is ignored.
-        assert_eq!(acknowledge(&mut pool, &batch, SimTime(9_000)), vec![]);
         // Requests from other clients are not ours.
         pool.inject(1, SimTime(9_000));
         assert_eq!(acknowledge(&mut pool, &run(9, 1, 1), SimTime(9_000)), vec![]);
@@ -264,29 +244,44 @@ mod tests {
     fn one_stretch_per_run_and_runs_split_on_partial_acknowledgement() {
         let mut pool = Mempool::new(ClientId(2), 64);
         pool.inject(4, SimTime(100));
-        pool.inject(4, SimTime(100)); // same instant: extends the run
         pool.inject(2, SimTime(300));
-        let batch = pool.take_batch(10);
-        // The middle of the first run, across the boundary of its two injections.
+        // A batch inside the first run splits it.
+        let first = pool.take_batch(3);
         assert_eq!(
-            acknowledge(&mut pool, &run(2, 2, 3), SimTime(1_000)),
+            acknowledge(&mut pool, &first, SimTime(1_000)),
             vec![(900, 3)]
         );
-        assert_eq!(pool.outstanding(), 7);
+        assert_eq!((pool.outstanding(), pool.runs.len()), (3, 2));
+        // A batch across the boundary reports one stretch per run.
+        let second = pool.take_batch(10);
         assert_eq!(
-            acknowledge(&mut pool, &batch, SimTime(2_000)),
-            vec![(1_900, 2), (1_900, 3), (1_700, 2)]
+            acknowledge(&mut pool, &second, SimTime(2_000)),
+            vec![(1_900, 1), (1_700, 2)]
         );
-        assert_eq!(pool.outstanding(), 0);
-        // A batch reaching past what is outstanding reports only what is.
-        pool.inject(3, SimTime(2_000));
-        assert_eq!(
-            acknowledge(&mut pool, &run(2, 9, 10), SimTime(2_500)),
-            vec![(500, 3)]
-        );
+        assert_eq!((pool.outstanding(), pool.runs.len()), (0, 0));
     }
 
-    /// A saturated producer's cycle leaves nothing behind: no map buckets that scale
+    /// A view change dropped the batch that took a run's head; the next batch starts
+    /// inside that run. The dropped head leaves the queue but stays outstanding, since
+    /// it never executes.
+    #[test]
+    fn a_batch_may_start_inside_a_run_whose_head_a_dropped_batch_took() {
+        let mut pool = Mempool::new(ClientId(4), 128);
+        pool.inject(6, SimTime(100));
+        pool.inject(4, SimTime(200));
+        let dropped = pool.take_batch(2);
+        let kept = pool.take_batch(5);
+        assert_eq!((dropped.first_seq, kept.first_seq), (0, 2));
+        assert_eq!(
+            acknowledge(&mut pool, &kept, SimTime(1_000)),
+            vec![(900, 4), (800, 1)]
+        );
+        assert_eq!(pool.outstanding(), 2 + 3);
+        assert_eq!(pool.runs.len(), 1);
+        assert_eq!((pool.runs[0].first, pool.runs[0].count), (7, 3));
+    }
+
+    /// A saturated producer's cycle leaves nothing behind: no queue entries that scale
     /// with the requests that went through.
     #[test]
     fn saturated_cycles_hold_constant_heap() {
@@ -310,9 +305,13 @@ mod tests {
     enum Op {
         Inject(usize),
         Take(usize),
-        /// Acknowledge the run of `count` requests of `client` from `first_seq`; own
-        /// runs start modulo what was injected, so they overlap what is outstanding.
-        Acknowledge {
+        /// The oldest batch taken and not yet settled executes (`dropped == false`)
+        /// or is dropped by a view change (`dropped == true`).
+        Settle {
+            dropped: bool,
+        },
+        /// Another client's batch executes.
+        Foreign {
             client: u32,
             first_seq: u64,
             count: u32,
@@ -320,16 +319,13 @@ mod tests {
     }
 
     fn decode((selector, a, b): (u8, u16, u16)) -> Op {
-        match selector % 7 {
+        match selector % 8 {
             0 | 1 => Op::Inject(a as usize % 40),
             2 | 3 => Op::Take(a as usize % 50),
-            4 | 5 => Op::Acknowledge {
-                client: 5,
-                first_seq: u64::from(a),
-                count: u32::from(b % 64),
-            },
-            _ => Op::Acknowledge {
-                client: u32::from(a % 9),
+            4 | 5 => Op::Settle { dropped: false },
+            6 => Op::Settle { dropped: true },
+            _ => Op::Foreign {
+                client: u32::from(a % 5),
                 first_seq: u64::from(b),
                 count: u32::from(a % 17),
             },
@@ -339,23 +335,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The run-length bookkeeping against one map entry per request: same latency
-        /// stream, same `outstanding()`, same batches, under partial, repeated,
-        /// overreaching and foreign acknowledgements.
+        /// The FIFO of runs against one map entry per request: same latency stream,
+        /// same `outstanding()`, same batches, while the stub's own batches execute in
+        /// take order, a random subset of them is dropped, and other clients' batches
+        /// execute in between.
         #[test]
         fn matches_a_per_request_model(
             steps in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..120),
         ) {
             const OWN: ClientId = ClientId(5);
             let mut pool = Mempool::new(OWN, 32);
+            let mut in_flight: VecDeque<RequestRun> = VecDeque::new();
             let mut model_queue: VecDeque<u64> = VecDeque::new();
             let mut model_outstanding: HashMap<RequestId, SimTime> = HashMap::new();
             let mut model_next_seq = 0u64;
 
             for (step, triple) in steps.into_iter().enumerate() {
-                // Time advances every other step, so some runs share an instant.
-                let now = SimTime(1_000 * (step as u64 / 2));
-                match decode(triple) {
+                // One injection per instant, as the replica's tick injects.
+                let now = SimTime(1_000 * step as u64);
+                let executed = match decode(triple) {
                     Op::Inject(count) => {
                         pool.inject(count, now);
                         for _ in 0..count {
@@ -363,38 +361,39 @@ mod tests {
                             model_queue.push_back(model_next_seq);
                             model_next_seq += 1;
                         }
+                        None
                     }
                     Op::Take(max) => {
                         let batch = pool.take_batch(max);
                         let expected: Vec<u64> = model_queue.drain(..max.min(model_queue.len())).collect();
                         prop_assert_eq!(batch.seqs().collect::<Vec<_>>(), expected);
                         prop_assert_eq!((batch.client, batch.size), (OWN, 32));
+                        in_flight.push_back(batch);
+                        None
                     }
-                    Op::Acknowledge { client, first_seq, count } => {
-                        let first_seq = if ClientId(client) == OWN {
-                            first_seq % (model_next_seq + 1)
-                        } else {
-                            first_seq
-                        };
-                        let batch = RequestRun { client: ClientId(client), first_seq, count, size: 32 };
-                        let mut got = Vec::new();
-                        pool.acknowledge(&batch, now, |nanos, count| {
-                            got.extend(std::iter::repeat_n(nanos, count as usize));
-                        });
-                        let expected: Vec<u64> = batch
-                            .seqs()
-                            .filter_map(|seq| model_outstanding.remove(&RequestId::new(batch.client, seq)))
-                            .map(|at| now.saturating_since(at).as_nanos())
-                            .collect();
-                        // Emission order, which is stronger than the multiset.
-                        prop_assert_eq!(got, expected);
+                    Op::Settle { dropped } => in_flight.pop_front().filter(|_| !dropped),
+                    Op::Foreign { client, first_seq, count } => {
+                        Some(RequestRun { client: ClientId(client), first_seq, count, size: 32 })
                     }
+                };
+                if let Some(batch) = executed {
+                    let mut got = Vec::new();
+                    pool.acknowledge(&batch, now, |nanos, count| {
+                        got.extend(std::iter::repeat_n(nanos, count as usize));
+                    });
+                    let expected: Vec<u64> = batch
+                        .seqs()
+                        .filter_map(|seq| model_outstanding.remove(&RequestId::new(batch.client, seq)))
+                        .map(|at| now.saturating_since(at).as_nanos())
+                        .collect();
+                    // Emission order, which is stronger than the multiset.
+                    prop_assert_eq!(got, expected);
                 }
                 prop_assert_eq!(pool.outstanding(), model_outstanding.len());
                 prop_assert_eq!(pool.len(), model_queue.len());
                 prop_assert_eq!(pool.injected(), model_next_seq);
-                let tracked: u64 = pool.runs.values().map(|run| run.count).sum();
-                prop_assert_eq!(tracked as usize, pool.outstanding());
+                let queued: u64 = pool.runs.iter().map(|run| run.count).sum();
+                prop_assert!(queued as usize <= pool.outstanding());
             }
         }
     }

@@ -55,15 +55,10 @@ pub fn global_events_processed() -> u64 {
 
 /// What a queued event does when it fires.
 ///
-/// The queue-resident representation is **fan-out compressed** (PR 10): `Arrive` and
-/// `Deliver` no longer carry `{from, Arc<message>, size}` payloads — those live once
-/// per logical fan-out in the engine's [`crate::fanout::FanoutTable`] and the events
-/// carry a `{fanout, to}` handle. That drops the payload every heap sift moves from
-/// 32 to 24 bytes, removes two `Arc` refcount round-trips per copy from the queue
-/// path, and — because nothing about event *keys* changes — leaves the `(time, seq)`
-/// schedule identical by construction (every pre-compression determinism golden
-/// passes uncaptured). It also makes the kind plain data (no drop glue), so heap
-/// rotations are pure `memcpy`.
+/// `Arrive` and `Deliver` carry a `{fanout, to}` handle: the `{from, Arc<message>,
+/// size}` payload lives once per logical fan-out in the engine's
+/// [`crate::fanout::FanoutTable`]. The kind is therefore plain data (no drop glue, no
+/// `Arc` refcount traffic on the queue path), and moving it is a `memcpy`.
 #[derive(Clone, Copy)]
 pub(crate) enum EventKind {
     /// Call `on_start` on the node.
@@ -123,7 +118,7 @@ impl EventKind {
     }
 }
 
-/// An entry in the event queue, ordered by time then insertion sequence.
+/// An entry in the event queue, popped in order of time, then insertion sequence.
 pub(crate) struct QueuedEvent {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
@@ -137,23 +132,6 @@ pub(crate) fn test_event(at: SimTime, seq: u64) -> QueuedEvent {
         at,
         seq,
         kind: EventKind::Start(NodeId(0)),
-    }
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
@@ -278,9 +256,8 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
 /// (one per configured core) and every charged callback is dispatched to the
 /// **earliest-free lane**, ties broken by the **lowest lane index**. Both rules
 /// are deterministic functions of prior history, so the model needs no RNG. With
-/// a single lane the dispatch degenerates to `start = max(now, free[0])` —
-/// exactly the pre-multi-core scalar `cpu_free` horizon — which is what keeps
-/// `cores = 1` runs bit-identical to the historical goldens.
+/// a single lane the dispatch is `start = max(now, free[0])`, one sequential compute
+/// queue, which the `cores = 1` determinism goldens depend on.
 #[derive(Debug, Clone)]
 pub(crate) struct ComputeLanes {
     /// Lanes per node: node `i` owns lanes `i * cores..(i + 1) * cores` of the two
@@ -328,7 +305,7 @@ impl ComputeLanes {
     }
 
     /// The node's nearest-free-lane horizon: the earliest instant any lane can
-    /// accept new work. With one lane this is the old scalar `cpu_free`.
+    /// accept new work.
     #[cfg(test)]
     fn horizon(&self, node: usize) -> SimTime {
         let lanes = &self.free[self.lanes(node)];
@@ -496,8 +473,7 @@ pub struct Simulation<P: Protocol> {
     net_rng: StdRng,
     queue: ShardedQueue,
     /// The interned fan-out side table: queue-resident `Arrive`/`Deliver` events
-    /// carry a `{fanout, to}` handle into this table instead of the
-    /// `{from, Arc<message>, size}` payload (see [`crate::fanout`]).
+    /// carry a `{fanout, to}` handle into it (see [`crate::fanout`]).
     fanouts: FanoutTable<P::Message>,
     /// Reused across callbacks so steady-state dispatch allocates nothing.
     scratch: ActionBuffer<P::Message>,
@@ -795,7 +771,7 @@ impl<P: Protocol> Simulation<P> {
                 Invoke::Message { from, message } => {
                     // `FanoutTable::consume` already materialised the owned message
                     // (the last recipient of a fan-out takes the envelope without a
-                    // deep clone, exactly like the old `Arc::try_unwrap` fast path).
+                    // deep clone).
                     self.nodes[node.as_index()].on_message(from, message, &mut ctx);
                 }
                 Invoke::Timer { token } => {
@@ -868,8 +844,8 @@ impl<P: Protocol> Simulation<P> {
                     // order, same RNG draws, same event sequence numbers). The whole
                     // fan-out shares one interned table slot; copies dropped at route
                     // time simply never take a reference to it. A broadcast's local
-                    // self-delivery is routed last, exactly where the old explicit
-                    // `multicast + send(self)` pair put it.
+                    // self-delivery is routed last, as `multicast` then `send(self)`
+                    // would route it.
                     let size = message.wire_size();
                     let category = message.category();
                     let uplink_tx = self.uplink_transmission(node, size);

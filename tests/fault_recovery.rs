@@ -172,12 +172,13 @@ fn equivocating_checkpointer_does_not_block_garbage_collection() {
 
 #[test]
 fn view_change_thrash_flag_trips_when_bound_is_exceeded() {
-    // A single leader crash legitimately burns one view; with the thrash bound forced
-    // to zero the checker must flag it, proving the invariant is wired through the
-    // scenario runner (the default bound keeps real recoveries clean).
+    // A progress timeout shorter than one round trip makes honest replicas abandon
+    // view after view: a genuine view-change livelock, far past the default bound of
+    // 4 + 4 × one disturbance. The checker must flag it, proving the invariant is wired
+    // through the scenario runner (the default bound keeps real recoveries clean).
     let config = ScenarioConfig::small(4)
         .with_leader_crash_at(SimDuration::from_millis(400))
-        .with_view_thrash_bound(0)
+        .with_progress_timeout(SimDuration::from_micros(500))
         .with_duration(SimDuration::from_secs(6));
     let report = run_scenario::<LeopardReplica>(&config);
     assert!(
