@@ -1,8 +1,12 @@
 //! The messages exchanged by Leopard replicas, with wire-size accounting and the
 //! category labels used by the bandwidth-utilisation breakdown (Table III).
 //!
-//! Large payloads (datablocks, BFTblocks) are wrapped in [`Arc`] so that multicasting to
-//! hundreds of peers in the simulator clones a pointer, not the payload.
+//! A [`LeopardMessage`] is a small value: the simulator's fan-out slot holds it inline,
+//! moves it to the last receiver and clones it for the others, so every variant stays
+//! within 64 bytes (DESIGN.md §5.9; a unit test enforces it). Payloads that are large
+//! or shared — datablocks, BFTblocks, query digests, retrieval chunks — travel behind
+//! an [`Arc`], so a clone for one more receiver is a refcount, not a copy; the rare
+//! state-transfer body travels behind a [`Box`].
 
 use crate::view_change::view_change_wire_size;
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
@@ -171,8 +175,9 @@ pub enum LeopardMessage {
     QueryResponse {
         /// Digest of the datablock being recovered.
         digest: Digest,
-        /// The responder's chunk, root and proof.
-        chunk: RetrievalChunk,
+        /// The responder's chunk, root and proof, shared with the responder's cache of
+        /// served chunks.
+        chunk: Arc<RetrievalChunk>,
     },
     /// Algorithm 4: a replica's checkpoint vote.
     Checkpoint {
@@ -228,21 +233,26 @@ pub enum LeopardMessage {
         last_executed: SeqNum,
     },
     /// State transfer: a peer's answer — its stable checkpoint (with proof) plus the
-    /// confirmed blocks above it, each carried with both agreement proofs.
-    StateResponse {
-        /// The responder's current view (lets a rebooted replica rejoin after missing a
-        /// view change).
-        view: View,
-        /// Serial number of the responder's stable checkpoint.
-        checkpoint_seq: SeqNum,
-        /// Execution-state digest of that checkpoint.
-        checkpoint_state: Digest,
-        /// The checkpoint proof; `None` only while the responder is still at the
-        /// genesis checkpoint (seq 0), which needs no proof.
-        checkpoint_proof: Option<CombinedSignature>,
-        /// Confirmed blocks above the requester's execution point, with proofs.
-        entries: Vec<ConfirmedEntry>,
-    },
+    /// confirmed blocks above it, each carried with both agreement proofs. Boxed: the
+    /// message is rare and its body would more than double the enum.
+    StateResponse(Box<StateTransfer>),
+}
+
+/// The body of a [`LeopardMessage::StateResponse`].
+#[derive(Debug, Clone)]
+pub struct StateTransfer {
+    /// The responder's current view (lets a rebooted replica rejoin after missing a
+    /// view change).
+    pub view: View,
+    /// Serial number of the responder's stable checkpoint.
+    pub checkpoint_seq: SeqNum,
+    /// Execution-state digest of that checkpoint.
+    pub checkpoint_state: Digest,
+    /// The checkpoint proof; `None` only while the responder is still at the genesis
+    /// checkpoint (seq 0), which needs no proof.
+    pub checkpoint_proof: Option<CombinedSignature>,
+    /// Confirmed blocks above the requester's execution point, with proofs.
+    pub entries: Vec<ConfirmedEntry>,
 }
 
 impl WireSize for LeopardMessage {
@@ -268,11 +278,12 @@ impl WireSize for LeopardMessage {
             LeopardMessage::ViewChange { notarized, .. } => view_change_wire_size(notarized),
             LeopardMessage::NewView { bytes, .. } => 8 + 4 + *bytes as usize,
             LeopardMessage::StateRequest { .. } => 8,
-            LeopardMessage::StateResponse {
-                checkpoint_proof,
-                entries,
-                ..
-            } => {
+            LeopardMessage::StateResponse(response) => {
+                let StateTransfer {
+                    checkpoint_proof,
+                    entries,
+                    ..
+                } = &**response;
                 8 + 8
                     + DIGEST_LEN
                     + checkpoint_proof.map_or(0, |_| DEFAULT_SIGNATURE_WIRE_BYTES)
@@ -330,7 +341,7 @@ mod tests {
         let digest = datablock.digest();
         LeopardMessage::QueryResponse {
             digest,
-            chunk: RetrievalChunk {
+            chunk: Arc::new(RetrievalChunk {
                 root: digest,
                 shard_index: 1,
                 payload: RetrievalPayload::Metered {
@@ -339,7 +350,7 @@ mod tests {
                     datablock,
                 },
                 payload_len: 300,
-            },
+            }),
         }
     }
 
@@ -460,7 +471,7 @@ mod tests {
                 "statesync",
             ),
             (
-                LeopardMessage::StateResponse {
+                LeopardMessage::StateResponse(Box::new(StateTransfer {
                     view: View(1),
                     checkpoint_seq: SeqNum(8),
                     checkpoint_state: digest,
@@ -470,7 +481,7 @@ mod tests {
                         notarization: proof,
                         confirmation: proof,
                     }],
-                },
+                })),
                 "statesync",
             ),
         ];
@@ -519,23 +530,36 @@ mod tests {
             notarization: proof,
             confirmation: proof,
         };
-        let empty = LeopardMessage::StateResponse {
+        let empty = LeopardMessage::StateResponse(Box::new(StateTransfer {
             view: View(1),
             checkpoint_seq: SeqNum(0),
             checkpoint_state: hash_bytes(b"s"),
             checkpoint_proof: None,
             entries: vec![],
-        };
-        let loaded = LeopardMessage::StateResponse {
+        }));
+        let loaded = LeopardMessage::StateResponse(Box::new(StateTransfer {
             view: View(1),
             checkpoint_seq: SeqNum(0),
             checkpoint_state: hash_bytes(b"s"),
             checkpoint_proof: Some(proof),
             entries: vec![entry.clone(), entry.clone()],
-        };
+        }));
         assert_eq!(
             loaded.wire_size() - empty.wire_size(),
             DEFAULT_SIGNATURE_WIRE_BYTES + 2 * entry.wire_size()
+        );
+    }
+
+    /// The simulator's fan-out slot holds a message inline, and every in-flight copy
+    /// takes a slot (`lan-n400` peaks at ≈ 73.6 k live slots), so a variant that grows
+    /// the enum grows them all. Large or rare bodies go behind an `Arc` or a `Box`.
+    #[test]
+    fn every_message_fits_in_64_bytes() {
+        assert!(
+            std::mem::size_of::<LeopardMessage>() <= 64,
+            "LeopardMessage is {} bytes: every in-flight copy's fan-out slot is that size, \
+             and lan-n400 peaks at ≈ 73.6 k live slots; box the variant that grew it",
+            std::mem::size_of::<LeopardMessage>()
         );
     }
 

@@ -15,7 +15,9 @@ use crate::byzantine::ByzantineBehavior;
 use crate::checkpoint::{checkpoint_digest, CheckpointState};
 use crate::config::{LeopardConfig, WorkloadMode};
 use crate::instance::{LeaderInstance, ReplicaInstance};
-use crate::messages::{ConfirmedEntry, LeopardMessage, NotarizedEntry, RetrievalChunk};
+use crate::messages::{
+    ConfirmedEntry, LeopardMessage, NotarizedEntry, RetrievalChunk, StateTransfer,
+};
 use crate::pipeline::{Pipeline, StallReason};
 use crate::pool::{DatablockPool, ReadyTracker};
 use crate::retrieval::{ChunkOutcome, RetrievalManager};
@@ -55,6 +57,9 @@ const DEFERRED_PRE_PREPARE_CAP: usize = 256;
 #[derive(Default)]
 struct SerialLog {
     slots: Vec<Option<Arc<BftBlock>>>,
+    /// Checkpoint GC has taken the links of every logged serial at or below this one
+    /// (see [`Self::take_executed_links`]).
+    collected_through: u64,
 }
 
 impl SerialLog {
@@ -86,6 +91,23 @@ impl SerialLog {
         (1..)
             .zip(&self.slots)
             .filter_map(|(seq, slot)| Some((seq, slot.as_ref()?)))
+    }
+
+    /// The links of the logged serials at or below `min(watermark, last_executed)` that
+    /// no earlier call returned, in serial order: the executed datablocks a checkpoint
+    /// at `watermark` lets the replica drop. Each call walks only the serials past the
+    /// previous one's, and a serial checkpointed before this replica executed it is
+    /// returned by a later call.
+    fn take_executed_links(&mut self, watermark: u64, last_executed: u64) -> Vec<Digest> {
+        let from = self.collected_through;
+        let through = watermark.min(last_executed).max(from);
+        self.collected_through = through;
+        let len = self.slots.len() as u64;
+        self.slots[from.min(len) as usize..through.min(len) as usize]
+            .iter()
+            .flatten()
+            .flat_map(|block| block.links.iter().copied())
+            .collect()
     }
 }
 
@@ -1179,15 +1201,9 @@ impl LeopardReplica {
         // A stable checkpoint is quorum evidence that everything at or below it
         // confirmed, even if this replica never saw the individual proofs.
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
-        // Garbage collection: drop instances, log entries and executed datablocks at or
-        // below the new watermark.
-        let watermark = seq.0;
-        let mut executed_links = Vec::new();
-        for (s, block) in self.log.iter().take_while(|&(s, _)| s <= watermark) {
-            if s <= self.last_executed.0 {
-                executed_links.extend(block.links.iter().copied());
-            }
-        }
+        // Garbage collection: drop instances and the executed datablocks at or below
+        // the new watermark.
+        let executed_links = self.log.take_executed_links(seq.0, self.last_executed.0);
         self.pool.prune(executed_links.iter().copied());
         self.retrieval.prune(executed_links.iter().copied());
         self.ready.prune(executed_links);
@@ -1331,26 +1347,24 @@ impl LeopardReplica {
         }
         ctx.send(
             from,
-            LeopardMessage::StateResponse {
+            LeopardMessage::StateResponse(Box::new(StateTransfer {
                 view,
                 checkpoint_seq,
                 checkpoint_state,
                 checkpoint_proof,
                 entries,
-            },
+            })),
         );
     }
 
-    fn handle_state_response(
-        &mut self,
-        from: NodeId,
-        view: View,
-        checkpoint_seq: SeqNum,
-        checkpoint_state: Digest,
-        checkpoint_proof: Option<CombinedSignature>,
-        entries: Vec<ConfirmedEntry>,
-        ctx: &mut Ctx<'_>,
-    ) {
+    fn handle_state_response(&mut self, from: NodeId, response: StateTransfer, ctx: &mut Ctx<'_>) {
+        let StateTransfer {
+            view,
+            checkpoint_seq,
+            checkpoint_state,
+            checkpoint_proof,
+            entries,
+        } = response;
         // Only solicited responses are processed: a sync round must be in flight and
         // the sender must be one of the peers that round actually asked. Anything else
         // is an unsolicited push from an arbitrary (possibly Byzantine) replica.
@@ -1461,7 +1475,12 @@ impl LeopardReplica {
         }
     }
 
-    fn handle_query_response(&mut self, digest: Digest, chunk: RetrievalChunk, ctx: &mut Ctx<'_>) {
+    fn handle_query_response(
+        &mut self,
+        digest: Digest,
+        chunk: Arc<RetrievalChunk>,
+        ctx: &mut Ctx<'_>,
+    ) {
         let (outcome, cost) =
             self.retrieval
                 .add_chunk(digest, chunk, ctx.now(), &self.keys.provider);
@@ -1874,21 +1893,9 @@ impl Protocol for LeopardReplica {
             LeopardMessage::StateRequest { last_executed } => {
                 self.handle_state_request(from, last_executed, ctx)
             }
-            LeopardMessage::StateResponse {
-                view,
-                checkpoint_seq,
-                checkpoint_state,
-                checkpoint_proof,
-                entries,
-            } => self.handle_state_response(
-                from,
-                view,
-                checkpoint_seq,
-                checkpoint_state,
-                checkpoint_proof,
-                entries,
-                ctx,
-            ),
+            LeopardMessage::StateResponse(response) => {
+                self.handle_state_response(from, *response, ctx)
+            }
         }
     }
 
@@ -1999,6 +2006,30 @@ mod tests {
         }
         let capacity = log.slots.capacity();
         assert!(capacity <= 1100 * 5 / 4, "capacity {capacity}");
+    }
+
+    /// Checkpoint GC takes each logged serial's links once, and only once the replica
+    /// executed it: a serial checkpointed ahead of execution waits for a later
+    /// checkpoint, and a gap in the log is skipped.
+    #[test]
+    fn checkpoint_gc_takes_each_executed_serials_links_once() {
+        let link = |seq: u64| leopard_crypto::hash_bytes(&seq.to_le_bytes());
+        let mut log = SerialLog::default();
+        for seq in [1, 2, 3, 4, 6, 7] {
+            log.insert(seq, Arc::new(BftBlock::new(View(1), SeqNum(seq), vec![link(seq)])));
+        }
+        let links = |seqs: &[u64]| seqs.iter().map(|&seq| link(seq)).collect::<Vec<_>>();
+        // Checkpoint 4 while this replica has executed through 2 only.
+        assert_eq!(log.take_executed_links(4, 2), links(&[1, 2]));
+        // Checkpoint 8 after executing through 7: 3 and 4 are collected now; 5 was
+        // never logged.
+        assert_eq!(log.take_executed_links(8, 7), links(&[3, 4, 6, 7]));
+        // Nothing twice.
+        assert_eq!(log.take_executed_links(8, 7), links(&[]));
+        // A serial logged after the last checkpoint is collected by the next one, and a
+        // bound past the log's end walks to its end.
+        log.insert(9, Arc::new(BftBlock::new(View(1), SeqNum(9), vec![link(9)])));
+        assert_eq!(log.take_executed_links(u64::MAX, u64::MAX), links(&[9]));
     }
 
     #[test]

@@ -88,8 +88,9 @@ struct PendingRetrieval {
     /// Serial numbers of BFTblocks waiting for this datablock.
     waiting: FastSet<SeqNum>,
     /// Valid chunks collected so far, grouped by Merkle root and declared payload
-    /// length (the length is not covered by the proof).
-    chunks: FastMap<(Digest, u64), BTreeMap<u32, Vec<u8>>>,
+    /// length (the length is not covered by the proof). Each is the response's own
+    /// `Arc`, shared with the responder's cache: the decoder reads the bytes in place.
+    chunks: FastMap<(Digest, u64), BTreeMap<u32, Arc<RetrievalChunk>>>,
     /// The datablock itself, carried by reference in metered responses.
     metered_datablock: Option<Arc<Datablock>>,
     /// When the datablock was first discovered missing.
@@ -125,8 +126,9 @@ pub struct RetrievalManager {
     /// Responder-side chunks by datablock digest, so serving `k` queriers builds the
     /// chunk once and charges the modeled encode once instead of `k` times (in metered
     /// mode too, mirroring the real cache). Only the chunk actually served is retained
-    /// (a replica always responds with its own shard).
-    served: FastMap<Digest, RetrievalChunk>,
+    /// (a replica always responds with its own shard), and every response shares it:
+    /// a cache hit is a refcount, not a copy of the chunk bytes and proof.
+    served: FastMap<Digest, Arc<RetrievalChunk>>,
 }
 
 /// Entry cap for the responder-side chunk cache. PR 4's profiling of the full fig9
@@ -290,15 +292,15 @@ impl RetrievalManager {
     /// expensive work is skipped: the chunk declares the byte sizes the real chunk and
     /// proof would occupy and carries the datablock by reference. Both modes charge the
     /// same modeled [`ComputeCost`]: the full encode and tree on a replica's first
-    /// response for a datablock, nothing on cache hits.
+    /// response for a datablock, nothing on cache hits, which share the cached chunk.
     pub fn encode_response(
         &mut self,
         datablock: &Arc<Datablock>,
         provider: &CryptoProvider,
-    ) -> (RetrievalChunk, ComputeCost) {
+    ) -> (Arc<RetrievalChunk>, ComputeCost) {
         let digest = datablock.digest();
         if let Some(cached) = self.served.get(&digest) {
-            return (cached.clone(), ComputeCost::ZERO);
+            return (Arc::clone(cached), ComputeCost::ZERO);
         }
         let (f, n, index) = (self.f, self.n, self.id.as_index());
         // Chunks derive from the *encoded* datablock bytes (synthetic payloads charge
@@ -308,7 +310,7 @@ impl RetrievalManager {
         let shard_len = encoded_len.div_ceil(f + 1).max(1);
         let cost = provider.model().erasure_encode(encoded_len, f + 1, n)
             + provider.model().merkle_tree(shard_len, n);
-        let chunk = if provider.is_metered() {
+        let chunk = Arc::new(if provider.is_metered() {
             RetrievalChunk {
                 root: digest,
                 shard_index: index as u32,
@@ -327,11 +329,11 @@ impl RetrievalManager {
             });
             let shard = rs.encode_shard(&encoded, index).expect("id < n");
             real_chunk(tree, index, shard, encoded.len()).expect("id < n")
-        };
+        });
         if self.served.len() >= ENCODING_CACHE_CAP {
             self.served.clear();
         }
-        self.served.insert(digest, chunk.clone());
+        self.served.insert(digest, Arc::clone(&chunk));
         (chunk, cost)
     }
 
@@ -348,10 +350,13 @@ impl RetrievalManager {
     /// group is discarded (the root was forged). A metered chunk skips the real
     /// verification and decode — responses are honest by construction in that mode —
     /// but follows the same counting and charges the same modeled time.
+    ///
+    /// A chunk for a digest that is not pending is dropped before anything is read from
+    /// it; a kept chunk is kept as the response's `Arc`, never copied.
     pub fn add_chunk(
         &mut self,
         digest: Digest,
-        chunk: RetrievalChunk,
+        chunk: Arc<RetrievalChunk>,
         now: SimTime,
         provider: &CryptoProvider,
     ) -> (ChunkOutcome, ComputeCost) {
@@ -360,34 +365,26 @@ impl RetrievalManager {
         let Some(pending) = self.pending.get_mut(&digest) else {
             return (ChunkOutcome::Ignored, ComputeCost::ZERO);
         };
-        let RetrievalChunk {
-            root,
-            shard_index,
-            payload,
-            payload_len,
-        } = chunk;
-        let declared_len = payload.wire_len();
+        let (root, shard_index, payload_len) = (chunk.root, chunk.shard_index, chunk.payload_len);
         let shard_len = payload_len.div_ceil(f as u64 + 1).max(1) as usize;
         let mut cost = model.merkle_verify(shard_len, n);
         if shard_index as usize >= n {
             return (ChunkOutcome::Ignored, cost);
         }
-        let chunk_bytes = match payload {
+        match &chunk.payload {
             RetrievalPayload::Real { chunk, proof } => {
-                if proof.leaf_index() != shard_index as usize || !proof.verify(root, &chunk) {
+                if proof.leaf_index() != shard_index as usize || !proof.verify(root, chunk) {
                     return (ChunkOutcome::Ignored, cost);
                 }
-                chunk
             }
             RetrievalPayload::Metered { datablock, .. } => {
-                pending.metered_datablock = Some(datablock);
-                Vec::new()
+                pending.metered_datablock = Some(Arc::clone(datablock));
             }
-        };
-        pending.received_bytes += declared_len as u64 + 64;
+        }
+        pending.received_bytes += chunk.payload.wire_len() as u64 + 64;
         let group = (root, payload_len);
         let chunks = pending.chunks.entry(group).or_default();
-        chunks.insert(shard_index, chunk_bytes);
+        chunks.insert(shard_index, chunk);
 
         if chunks.len() < f + 1 {
             return (ChunkOutcome::Stored, cost);
@@ -406,12 +403,20 @@ impl RetrievalManager {
         } else {
             let rs = Self::code(&mut self.code, f, n);
             // Every exit from here on — recovery, a decode error, a digest mismatch —
-            // is done with this group's chunks, so the decoder gets them by value.
+            // is done with this group's chunks. A metered chunk here (possible only
+            // after another group's metered datablock was refused) reads as empty,
+            // which fails the decoder's length check.
             let chunks = pending.chunks.remove(&group).expect("just inserted");
-            let shards: Vec<(usize, Vec<u8>)> = chunks
-                .into_iter()
+            let shards: Vec<(usize, &[u8])> = chunks
+                .iter()
                 .take(f + 1)
-                .map(|(i, chunk)| (i as usize, chunk))
+                .map(|(&i, chunk)| {
+                    let bytes = match &chunk.payload {
+                        RetrievalPayload::Real { chunk, .. } => chunk.as_slice(),
+                        RetrievalPayload::Metered { .. } => &[],
+                    };
+                    (i as usize, bytes)
+                })
                 .collect();
             let Ok(decoded) = rs.decode_payload(&shards, encoded_len) else {
                 return (ChunkOutcome::Ignored, cost);
@@ -601,6 +606,64 @@ mod tests {
         assert_eq!(charges(CryptoMode::Metered), expected);
     }
 
+    /// A responder serving `k` queriers for one datablock hands every one of them the
+    /// chunk its cache holds, in both crypto modes: a repeat serve is a refcount, not a
+    /// copy of the chunk bytes and proof.
+    #[test]
+    fn repeat_serves_share_one_cached_chunk() {
+        let (f, n) = (1, 4);
+        let db = Arc::new(sample_datablock(50));
+        for mode in [CryptoMode::Real, CryptoMode::Metered] {
+            let provider = provider(mode);
+            let mut responder = manager(2, f, n);
+            let served: Vec<Arc<RetrievalChunk>> = (0..3)
+                .map(|_| responder.encode_response(&db, &provider).0)
+                .collect();
+            assert!(
+                served.iter().all(|chunk| Arc::ptr_eq(chunk, &served[0])),
+                "{mode:?}"
+            );
+            // The three responses plus the cache entry.
+            assert_eq!(Arc::strong_count(&served[0]), 4, "{mode:?}");
+        }
+    }
+
+    /// The querier keeps a valid chunk for a pending digest as the response's own
+    /// `Arc`, and drops one for a digest it is not retrieving without keeping (or
+    /// copying) anything of it.
+    #[test]
+    fn chunks_are_kept_by_reference_and_only_for_pending_digests() {
+        let (f, n) = (1, 4);
+        let db = sample_datablock(10);
+        let digest = db.digest();
+        let provider = provider(CryptoMode::Real);
+        let chunk = Arc::new(encode_response(&db, NodeId(1), f, n).unwrap());
+        let mut querier = manager(0, f, n);
+
+        let (outcome, cost) = querier.add_chunk(digest, Arc::clone(&chunk), SimTime(1), &provider);
+        assert_eq!((outcome, cost), (ChunkOutcome::Ignored, ComputeCost::ZERO));
+        assert_eq!(
+            Arc::strong_count(&chunk),
+            1,
+            "an unsolicited chunk is not kept"
+        );
+
+        querier.note_missing(digest, SeqNum(1), SimTime(0));
+        let (outcome, _) = querier.add_chunk(digest, Arc::clone(&chunk), SimTime(1), &provider);
+        assert_eq!(outcome, ChunkOutcome::Stored);
+        assert_eq!(
+            Arc::strong_count(&chunk),
+            2,
+            "a pending digest keeps the response itself"
+        );
+
+        // Recovery (or cancellation) releases it.
+        let last = Arc::new(encode_response(&db, NodeId(3), f, n).unwrap());
+        let (outcome, _) = querier.add_chunk(digest, last, SimTime(2), &provider);
+        assert!(matches!(outcome, ChunkOutcome::Recovered { .. }));
+        assert_eq!(Arc::strong_count(&chunk), 1);
+    }
+
     /// A metered response declares exactly the wire bytes the real response occupies,
     /// and carries the datablock by reference.
     #[test]
@@ -619,7 +682,7 @@ mod tests {
                 );
                 assert_eq!((m.root, m.shard_index), (db.digest(), responder));
                 assert_eq!(m.payload_len, real.payload_len);
-                match m.payload {
+                match &m.payload {
                     RetrievalPayload::Metered { datablock, .. } => {
                         assert_eq!(datablock.digest(), db.digest());
                     }
@@ -646,7 +709,7 @@ mod tests {
                 let chunk = if use_metered {
                     manager(responder, f, n).encode_response(&db, &metered).0
                 } else {
-                    encode_response(&db, NodeId(responder), f, n).unwrap()
+                    Arc::new(encode_response(&db, NodeId(responder), f, n).unwrap())
                 };
                 outcome = querier
                     .add_chunk(digest, chunk, SimTime(5_000_000), &metered)
@@ -683,7 +746,7 @@ mod tests {
         let provider = provider(CryptoMode::Real);
         let mut outcome = ChunkOutcome::Stored;
         for responder in [NodeId(1), NodeId(3)] {
-            let chunk = encode_response(&db, responder, f, n).unwrap();
+            let chunk = Arc::new(encode_response(&db, responder, f, n).unwrap());
             outcome = manager
                 .add_chunk(digest, chunk, SimTime(5_000_000), &provider)
                 .0;
@@ -732,9 +795,11 @@ mod tests {
         let outside = encode_response(&db, NodeId(6), f, 8).unwrap();
         let metered_outside = RetrievalChunk {
             shard_index: n as u32,
-            ..manager(3, f, n)
-                .encode_response(&db, &provider(CryptoMode::Metered))
-                .0
+            ..RetrievalChunk::clone(
+                &manager(3, f, n)
+                    .encode_response(&db, &provider(CryptoMode::Metered))
+                    .0,
+            )
         };
         let malformed = [
             with_payload(1, tampered),
@@ -748,17 +813,23 @@ mod tests {
             manager.note_missing(digest, SeqNum(1), SimTime(0));
             let mut charges = Vec::new();
             for bad in malformed.clone() {
-                let (outcome, cost) = manager.add_chunk(digest, bad, SimTime(1), &provider);
+                let (outcome, cost) =
+                    manager.add_chunk(digest, Arc::new(bad), SimTime(1), &provider);
                 assert_eq!(outcome, ChunkOutcome::Ignored, "{mode:?}");
                 charges.push(cost);
             }
             // A chunk for an unknown digest is ignored.
             let other_digest = sample_datablock(11).digest();
-            let (outcome, _) =
-                manager.add_chunk(other_digest, response.clone(), SimTime(1), &provider);
+            let (outcome, _) = manager.add_chunk(
+                other_digest,
+                Arc::new(response.clone()),
+                SimTime(1),
+                &provider,
+            );
             assert_eq!(outcome, ChunkOutcome::Ignored);
             // The original chunk still works.
-            let (outcome, _) = manager.add_chunk(digest, response.clone(), SimTime(1), &provider);
+            let (outcome, _) =
+                manager.add_chunk(digest, Arc::new(response.clone()), SimTime(1), &provider);
             assert_eq!(outcome, ChunkOutcome::Stored);
             // A holder sends its own valid-proof chunk under a lying payload length:
             // it lands in a group of its own instead of spoiling the honest chunk's
@@ -767,11 +838,12 @@ mod tests {
                 payload_len: response.payload_len - 1,
                 ..encode_response(&db, NodeId(2), f, n).unwrap()
             };
-            let (outcome, cost) = manager.add_chunk(digest, liar, SimTime(1), &provider);
+            let (outcome, cost) = manager.add_chunk(digest, Arc::new(liar), SimTime(1), &provider);
             assert_eq!(outcome, ChunkOutcome::Stored, "{mode:?}");
             charges.push(cost);
             let honest = encode_response(&db, NodeId(3), f, n).unwrap();
-            let (outcome, cost) = manager.add_chunk(digest, honest, SimTime(1), &provider);
+            let (outcome, cost) =
+                manager.add_chunk(digest, Arc::new(honest), SimTime(1), &provider);
             assert!(
                 matches!(outcome, ChunkOutcome::Recovered { .. }),
                 "{mode:?}: {outcome:?}"
@@ -796,7 +868,7 @@ mod tests {
         let provider = provider(CryptoMode::Real);
         let mut last = ChunkOutcome::Stored;
         for responder in [NodeId(0), NodeId(2)] {
-            let chunk = encode_response(&fake, responder, f, n).unwrap();
+            let chunk = Arc::new(encode_response(&fake, responder, f, n).unwrap());
             last = manager.add_chunk(digest, chunk, SimTime(1), &provider).0;
         }
         assert_eq!(last, ChunkOutcome::Ignored);
@@ -804,7 +876,7 @@ mod tests {
         assert!(manager.is_pending(&digest));
         let mut outcome = ChunkOutcome::Stored;
         for responder in [NodeId(1), NodeId(3)] {
-            let chunk = encode_response(&real, responder, f, n).unwrap();
+            let chunk = Arc::new(encode_response(&real, responder, f, n).unwrap());
             outcome = manager.add_chunk(digest, chunk, SimTime(2), &provider).0;
         }
         assert!(matches!(outcome, ChunkOutcome::Recovered { .. }));
@@ -995,7 +1067,9 @@ mod tests {
         for responder in 0..=f as u32 {
             let chunk = encode_response(&db, NodeId(responder), f, n).unwrap();
             per_responder_bytes = real_parts(&chunk).0.len();
-            outcome = manager.add_chunk(digest, chunk, SimTime(1), &provider).0;
+            outcome = manager
+                .add_chunk(digest, Arc::new(chunk), SimTime(1), &provider)
+                .0;
         }
         assert!(matches!(outcome, ChunkOutcome::Recovered { .. }));
         // Each responder ships ~1/(f+1) of the datablock.

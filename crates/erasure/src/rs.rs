@@ -174,15 +174,16 @@ impl ReedSolomon {
     }
 
     /// Reconstructs the `data_shards` original data shards from any `data_shards`
-    /// surviving `(index, shard)` pairs.
+    /// surviving `(index, shard)` pairs; a shard is anything that reads as bytes, so a
+    /// caller can decode from borrowed slices without copying them.
     ///
     /// # Errors
     ///
     /// Returns an error if there are not enough shards, indices are out of range or
     /// duplicated, or shard lengths differ.
-    pub fn decode_shards(
+    pub fn decode_shards<S: AsRef<[u8]>>(
         &self,
-        shards: &[(usize, Vec<u8>)],
+        shards: &[(usize, S)],
     ) -> Result<Vec<Vec<u8>>, ErasureError> {
         if shards.len() < self.data_shards {
             return Err(ErasureError::NotEnoughShards {
@@ -191,14 +192,14 @@ impl ReedSolomon {
             });
         }
         let selected = &shards[..self.data_shards];
-        let shard_len = selected[0].1.len();
+        let shard_len = selected[0].1.as_ref().len();
         let mut seen = vec![false; self.total_shards];
         for (index, shard) in selected {
             if *index >= self.total_shards || seen[*index] {
                 return Err(ErasureError::BadShardIndex(*index));
             }
             seen[*index] = true;
-            if shard.len() != shard_len {
+            if shard.as_ref().len() != shard_len {
                 return Err(ErasureError::InconsistentShardLength);
             }
         }
@@ -214,7 +215,7 @@ impl ReedSolomon {
         for row in 0..self.data_shards {
             let mut out = vec![0u8; shard_len];
             for (col, (_, shard)) in selected.iter().enumerate() {
-                gf256::mul_add_slice(&mut out, shard, decode_matrix.get(row, col));
+                gf256::mul_add_slice(&mut out, shard.as_ref(), decode_matrix.get(row, col));
             }
             originals.push(out);
         }
@@ -228,9 +229,9 @@ impl ReedSolomon {
     ///
     /// Propagates [`Self::decode_shards`] errors and additionally checks that
     /// `payload_len` fits in the decoded shards.
-    pub fn decode_payload(
+    pub fn decode_payload<S: AsRef<[u8]>>(
         &self,
-        shards: &[(usize, Vec<u8>)],
+        shards: &[(usize, S)],
         payload_len: usize,
     ) -> Result<Vec<u8>, ErasureError> {
         let data = self.decode_shards(shards)?;

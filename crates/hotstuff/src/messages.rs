@@ -1,4 +1,9 @@
 //! HotStuff protocol messages.
+//!
+//! Like Leopard's, a [`HotStuffMessage`] is a small value the simulator's fan-out slot
+//! holds inline, so every variant stays within 64 bytes (a unit test enforces it): the
+//! request batch travels behind an [`Arc`], and the 56-byte quorum certificate of a
+//! proposal or a new-view message behind a [`Box`] (one per block or per view change).
 
 use crate::block::{HotStuffBlock, QuorumCertificate};
 use leopard_crypto::threshold::SignatureShare;
@@ -16,7 +21,7 @@ pub enum HotStuffMessage {
         /// The proposed block.
         block: Arc<HotStuffBlock>,
         /// QC certifying the parent block.
-        justify: QuorumCertificate,
+        justify: Box<QuorumCertificate>,
         /// The leader's own vote share on the block.
         share: SignatureShare,
     },
@@ -35,7 +40,7 @@ pub enum HotStuffMessage {
         /// The view being abandoned.
         view: View,
         /// The sender's highest QC.
-        high_qc: QuorumCertificate,
+        high_qc: Box<QuorumCertificate>,
         /// The sender's signature share on the complaint.
         share: SignatureShare,
     },
@@ -93,7 +98,7 @@ mod tests {
         ));
         let proposal = HotStuffMessage::Proposal {
             block: block.clone(),
-            justify: QuorumCertificate::genesis(),
+            justify: Box::new(QuorumCertificate::genesis()),
             share,
         };
         let vote = HotStuffMessage::Vote {
@@ -103,7 +108,7 @@ mod tests {
         };
         let newview = HotStuffMessage::NewView {
             view: View(1),
-            high_qc: QuorumCertificate::genesis(),
+            high_qc: Box::new(QuorumCertificate::genesis()),
             share,
         };
         assert_eq!(proposal.category(), "block");
@@ -113,5 +118,17 @@ mod tests {
         assert!(proposal.wire_size() > 100 * 128);
         assert!(vote.wire_size() < 128);
         assert!(newview.wire_size() < 256);
+    }
+
+    /// The simulator's fan-out slot holds a message inline and every in-flight copy
+    /// takes one, so a variant that grows the enum grows them all.
+    #[test]
+    fn every_message_fits_in_64_bytes() {
+        assert!(
+            std::mem::size_of::<HotStuffMessage>() <= 64,
+            "HotStuffMessage is {} bytes: every in-flight copy's fan-out slot is that size; \
+             box the variant that grew it",
+            std::mem::size_of::<HotStuffMessage>()
+        );
     }
 }

@@ -198,11 +198,11 @@ impl HotStuffReplica {
         self.votes
             .entry(digest)
             .or_insert_with(|| (height, ShareCollector::default()));
-        // Broadcast includes the local self-delivery without cloning the envelope
-        // (same audit as the Leopard proposer's double-envelope fix).
+        // Broadcast includes the local self-delivery without another clone of the
+        // message (same audit as the Leopard proposer's).
         ctx.broadcast(HotStuffMessage::Proposal {
             block,
-            justify: self.high_qc,
+            justify: Box::new(self.high_qc),
             share,
         });
     }
@@ -408,7 +408,7 @@ impl HotStuffReplica {
             self.leader(),
             HotStuffMessage::NewView {
                 view: old_view,
-                high_qc: self.high_qc,
+                high_qc: Box::new(self.high_qc),
                 share,
             },
         );
@@ -451,13 +451,13 @@ impl Protocol for HotStuffReplica {
                 block,
                 justify,
                 share,
-            } => self.handle_proposal(from, block, justify, share, ctx),
+            } => self.handle_proposal(from, block, *justify, share, ctx),
             HotStuffMessage::Vote {
                 height,
                 block_digest,
                 share,
             } => self.handle_vote(from, height, block_digest, share, ctx),
-            HotStuffMessage::NewView { high_qc, .. } => self.handle_new_view(high_qc, ctx),
+            HotStuffMessage::NewView { high_qc, .. } => self.handle_new_view(*high_qc, ctx),
         }
     }
 

@@ -6,39 +6,47 @@
 //! cores. The profile in `DESIGN.md` §10 showed this queue-resident payload traffic,
 //! not queue management, as the engine's remaining cost at n ≥ 1000.
 //!
-//! This table interns each *logical* fan-out once: a slot holds the sender, the
-//! shared message envelope and the wire size, and the queue-resident events shrink to
-//! a `{fanout: u32, to: NodeId}` handle. Nothing about event *keys* changes — the
+//! This table interns each *logical* fan-out once: a slot holds the sender and the
+//! message itself, inline, and the queue-resident events shrink to a
+//! `{fanout: u32, to: NodeId}` handle. Nothing about event *keys* changes — the
 //! `(time, seq)` assignment order is identical by construction — so every
 //! determinism golden captured before the compression passes uncaptured.
 //!
 //! # Slot lifecycle (refcount)
 //!
-//! `intern` creates a slot with zero references. The engine takes one reference per
-//! queued handle: each cross-node `Arrive` push and each self-delivery `Deliver`
-//! push calls [`FanoutTable::incref`]. An `Arrive` that matures into its downlink
-//! `Deliver` *transfers* its reference (no count change). A reference is returned
-//! when the handle leaves the schedule: [`FanoutTable::consume`] when a `Deliver`
-//! reaches its callback, [`FanoutTable::release`] when a crashed receiver swallows
-//! the event. The slot is reclaimed onto a free list the moment its count returns
-//! to zero — so peak table size tracks the number of *in-flight logical messages*,
-//! not the fan-out width, and a fan-out whose every copy was dropped at route time
-//! (crashed sender, severed partition) is reclaimed immediately by
-//! [`FanoutTable::release_if_unused`].
+//! `intern` moves the message into a slot with zero references; the slot is its only
+//! owner from then on (no heap envelope, so a send allocates nothing). The engine
+//! takes one reference per queued handle: each cross-node `Arrive` push and each
+//! self-delivery `Deliver` push calls [`FanoutTable::incref`]. An `Arrive` that
+//! matures into its downlink `Deliver` *transfers* its reference (no count change). A
+//! reference is returned when the handle leaves the schedule:
+//! [`FanoutTable::consume`] when a `Deliver` reaches its callback — a clone of the
+//! message while other references remain, the message itself, moved out, for the
+//! last one — and [`FanoutTable::release`] when a crashed receiver swallows the event
+//! (no clone). The slot is reclaimed onto a free list the moment its count returns
+//! to zero, dropping the message if no callback took it — so peak table size tracks
+//! the number of *in-flight logical messages*, not the fan-out width, and a fan-out
+//! whose every copy was dropped at route time (crashed sender, severed partition) is
+//! reclaimed immediately by [`FanoutTable::release_if_unused`]. A unicast is thus
+//! moved from the sender's callback to the receiver's and never cloned; a fan-out to
+//! `k` receivers is cloned `k − 1` times.
+//!
+//! A slot is as large as the message type, and the table keeps its high-water mark,
+//! so protocols keep their message enums small (DESIGN.md §5.9: at most 64 bytes,
+//! large payloads behind an `Arc` or a `Box`).
 
 use leopard_types::NodeId;
-use std::sync::Arc;
 
 /// One interned logical fan-out.
 struct Slot<M> {
     /// The sending node (the `from` of every copy). The wire size is *not* here:
-    /// `Arrive` events carry it inline (it fits in `EventKind` padding), so keeping
-    /// the slot at 16 bytes beats caching a field only the queue ever needs.
+    /// `Arrive` events carry it inline (it fits in `EventKind` padding), so the slot
+    /// holds nothing only the queue needs.
     from: NodeId,
     /// Outstanding queue handles referencing this slot.
     refs: u32,
-    /// The shared envelope; `None` once the slot is on the free list.
-    message: Option<Arc<M>>,
+    /// The message; `None` once the slot is on the free list.
+    message: Option<M>,
 }
 
 /// The per-run fan-out side table. See the module docs for the slot lifecycle.
@@ -71,7 +79,7 @@ impl<M> FanoutTable<M> {
 
     /// Interns one logical fan-out with zero references; pair with
     /// [`Self::release_if_unused`] after routing every copy.
-    pub(crate) fn intern(&mut self, from: NodeId, message: Arc<M>) -> u32 {
+    pub(crate) fn intern(&mut self, from: NodeId, message: M) -> u32 {
         self.live += 1;
         let slot = Slot {
             from,
@@ -113,7 +121,8 @@ impl<M> FanoutTable<M> {
     }
 
     /// Returns one reference without taking the message (a crashed receiver swallowed
-    /// the event); reclaims the slot when the last reference returns.
+    /// the event); reclaims the slot, dropping the message, when the last reference
+    /// returns.
     pub(crate) fn release(&mut self, id: u32) {
         let slot = &mut self.slots[id as usize];
         debug_assert!(slot.refs > 0, "release on an unreferenced fan-out slot");
@@ -123,11 +132,9 @@ impl<M> FanoutTable<M> {
         }
     }
 
-    /// Consumes one reference and produces the sender plus an owned copy of the
-    /// message for the receiver's callback. The last reference takes the envelope
-    /// out of the table and unwraps it without a deep clone — exactly the
-    /// `Arc::try_unwrap` fast path the expanded representation gave the final
-    /// recipient of a fan-out.
+    /// Consumes one reference and produces the sender plus an owned message for the
+    /// receiver's callback: a clone while other references remain, the message itself,
+    /// moved out of the slot, for the last one.
     pub(crate) fn consume(&mut self, id: u32) -> (NodeId, M)
     where
         M: Clone,
@@ -137,13 +144,12 @@ impl<M> FanoutTable<M> {
         let from = slot.from;
         slot.refs -= 1;
         if slot.refs == 0 {
-            let shared = slot.message.take().expect("live slot holds the envelope");
+            let message = slot.message.take().expect("live slot holds the message");
             self.reclaim(id);
-            let message = Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
             (from, message)
         } else {
-            let shared = slot.message.as_ref().expect("live slot holds the envelope");
-            ((from), (**shared).clone())
+            let message = slot.message.as_ref().expect("live slot holds the message");
+            (from, message.clone())
         }
     }
 
@@ -174,7 +180,7 @@ mod tests {
     #[test]
     fn last_reference_reclaims_the_slot_and_avoids_the_deep_clone() {
         let mut table: FanoutTable<Vec<u8>> = FanoutTable::new();
-        let id = table.intern(NodeId(3), Arc::new(vec![1, 2, 3]));
+        let id = table.intern(NodeId(3), vec![1, 2, 3]);
         table.incref(id);
         table.incref(id);
         table.release_if_unused(id); // referenced: must not reclaim
@@ -190,7 +196,7 @@ mod tests {
         assert_eq!(table.live(), 0, "last consume reclaims the slot");
 
         // The freed slot is reused before the table grows.
-        let reused = table.intern(NodeId(0), Arc::new(vec![9]));
+        let reused = table.intern(NodeId(0), vec![9]);
         assert_eq!(reused, id);
         assert_eq!(table.peak(), 1);
     }
@@ -198,13 +204,13 @@ mod tests {
     #[test]
     fn dropped_fanouts_are_reclaimed_immediately() {
         let mut table: FanoutTable<u64> = FanoutTable::new();
-        let id = table.intern(NodeId(0), Arc::new(7));
+        let id = table.intern(NodeId(0), 7);
         // Every copy was dropped at route time: nothing ever referenced the slot.
         table.release_if_unused(id);
         assert_eq!(table.live(), 0);
 
         // Crash-path returns (release) reclaim exactly like consumption.
-        let id = table.intern(NodeId(1), Arc::new(8));
+        let id = table.intern(NodeId(1), 8);
         table.incref(id);
         table.incref(id);
         table.release_if_unused(id);

@@ -48,7 +48,7 @@ pub trait Context {
     ///
     /// Protocols that process their own proposals/proofs through the regular message
     /// path should prefer this over `multicast(m.clone()); send(self, m)`: the
-    /// simulation engine shares one envelope across the whole fan-out, so no extra
+    /// simulation engine interns the message once for the whole fan-out, so no extra
     /// clone of the message is made for the self-delivery.
     fn broadcast(&mut self, message: Self::Message);
 

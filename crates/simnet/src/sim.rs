@@ -41,7 +41,6 @@ use leopard_types::{NodeId, WireSize};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Events processed by every simulation in this process, for events/sec accounting
 /// around an experiment (see [`global_events_processed`]). Monotonic; the bench
@@ -55,10 +54,11 @@ pub fn global_events_processed() -> u64 {
 
 /// What a queued event does when it fires.
 ///
-/// `Arrive` and `Deliver` carry a `{fanout, to}` handle: the `{from, Arc<message>,
-/// size}` payload lives once per logical fan-out in the engine's
-/// [`crate::fanout::FanoutTable`]. The kind is therefore plain data (no drop glue, no
-/// `Arc` refcount traffic on the queue path), and moving it is a `memcpy`.
+/// `Arrive` and `Deliver` carry a `{fanout, to}` handle: the sender and the message
+/// itself live once per logical fan-out, inline in a slot of the engine's
+/// [`crate::fanout::FanoutTable`], and `Arrive` carries the wire size. The kind is
+/// therefore plain data (no drop glue, no refcount traffic on the queue path), and
+/// moving it is a `memcpy`.
 #[derive(Clone, Copy)]
 pub(crate) enum EventKind {
     /// Call `on_start` on the node.
@@ -76,7 +76,7 @@ pub(crate) enum EventKind {
     /// earlier; that artificial head-of-line blocking compounds through the half-duplex
     /// coupling and starves votes at large `n`.
     Arrive {
-        /// The interned fan-out (sender, shared envelope, wire size).
+        /// The interned fan-out (sender and message).
         fanout: u32,
         /// Receiver.
         to: NodeId,
@@ -143,8 +143,8 @@ enum Outgoing<M> {
     Unicast(NodeId, M),
     /// A send to every other node (`multicast`), and with `to_self` also to the sender
     /// (`broadcast`). The engine expands it with `wire_size()` and `category()` computed
-    /// once for the whole fan-out; the self-delivery shares the same `Arc` envelope, so
-    /// no extra clone of the message is made.
+    /// once for the whole fan-out; the self-delivery takes a reference to the same
+    /// fan-out slot, so no extra clone of the message is made.
     Fanout { message: M, to_self: bool },
 }
 
@@ -226,7 +226,7 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
     }
 
     fn broadcast(&mut self, message: M) {
-        // Fast path: one envelope for the whole fan-out *and* the self-delivery —
+        // Fast path: one fan-out slot for the peers *and* the self-delivery —
         // `multicast(m.clone()) + send(self, m)` would clone the message once more
         // just to hand it back to the sender.
         self.actions.sends.push(Outgoing::Fanout {
@@ -770,8 +770,8 @@ impl<P: Protocol> Simulation<P> {
                 Invoke::Restart => self.nodes[node.as_index()].on_restart(&mut ctx),
                 Invoke::Message { from, message } => {
                     // `FanoutTable::consume` already materialised the owned message
-                    // (the last recipient of a fan-out takes the envelope without a
-                    // deep clone).
+                    // (the last recipient of a fan-out takes it out of the slot
+                    // without a clone).
                     self.nodes[node.as_index()].on_message(from, message, &mut ctx);
                 }
                 Invoke::Timer { token } => {
@@ -833,7 +833,7 @@ impl<P: Protocol> Simulation<P> {
                     let size = message.wire_size();
                     let category = message.category();
                     let uplink_tx = self.uplink_transmission(node, size);
-                    let fanout = self.fanouts.intern(node, Arc::new(message));
+                    let fanout = self.fanouts.intern(node, message);
                     self.route(node, to, fanout, size, category, at, uplink_tx);
                     self.fanouts.release_if_unused(fanout);
                 }
@@ -849,7 +849,7 @@ impl<P: Protocol> Simulation<P> {
                     let size = message.wire_size();
                     let category = message.category();
                     let uplink_tx = self.uplink_transmission(node, size);
-                    let fanout = self.fanouts.intern(node, Arc::new(message));
+                    let fanout = self.fanouts.intern(node, message);
                     for index in 0..self.config.nodes {
                         let peer = NodeId(index as u32);
                         if peer != node {
@@ -1661,6 +1661,149 @@ mod tests {
         let config = two_node_config(0);
         let faults = FaultPlan::none().with_crash(NodeId(7), SimTime::ZERO);
         let _ = Simulation::new(config, faults, pingpong_factory(1, 8));
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        static DROPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A message that counts its clones and drops on the test's thread.
+    #[derive(Debug)]
+    struct Counted;
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|clones| clones.set(clones.get() + 1));
+            Counted
+        }
+    }
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPS.with(|drops| drops.set(drops.get() + 1));
+        }
+    }
+    impl WireSize for Counted {
+        fn wire_size(&self) -> usize {
+            64
+        }
+    }
+    impl SimMessage for Counted {
+        fn category(&self) -> &'static str {
+            "counted"
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Send {
+        Unicast,
+        Multicast,
+        Broadcast,
+    }
+
+    /// Node 0 sends one [`Counted`] at start; every receiver observes it and drops it.
+    #[derive(Debug)]
+    struct CountedSender(Send);
+    impl Protocol for CountedSender {
+        type Message = Counted;
+
+        fn on_start(&mut self, ctx: &mut dyn Context<Message = Counted>) {
+            if ctx.node_id() == NodeId(0) {
+                match self.0 {
+                    Send::Unicast => ctx.send(NodeId(1), Counted),
+                    Send::Multicast => ctx.multicast(Counted),
+                    Send::Broadcast => ctx.broadcast(Counted),
+                }
+            }
+        }
+
+        fn on_message(
+            &mut self,
+            _from: NodeId,
+            _message: Counted,
+            ctx: &mut dyn Context<Message = Counted>,
+        ) {
+            ctx.observe(ObservationKind::Custom {
+                label: "received",
+                value: ctx.node_id().0 as u64,
+            });
+        }
+
+        fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Context<Message = Counted>) {}
+    }
+
+    /// Runs one send at n = 4 to quiescence: the receivers, the clones and drops of the
+    /// message, and the fan-out slots still live.
+    fn run_counted(
+        send: Send,
+        config: NetworkConfig,
+        faults: FaultPlan,
+    ) -> (Vec<u64>, usize, usize, usize) {
+        CLONES.with(|clones| clones.set(0));
+        DROPS.with(|drops| drops.set(0));
+        let mut sim = Simulation::new(config, faults, |_| CountedSender(send));
+        sim.run_until(SimTime(SimDuration::from_secs(1).as_nanos()), 1_000);
+        let mut received = sim.metrics().custom_samples("received");
+        received.sort_unstable();
+        let live = sim.fanouts_live();
+        drop(sim);
+        let (clones, drops) = (CLONES.with(|c| c.get()), DROPS.with(|d| d.get()));
+        (received, clones, drops, live)
+    }
+
+    /// The fan-out slot owns the message: a unicast is moved from sender to receiver
+    /// and never cloned, a fan-out to `k` receivers is cloned `k − 1` times (the last
+    /// receiver takes the message itself), a copy the network or a crashed receiver
+    /// drops is never cloned, and every slot is reclaimed once the run quiesces.
+    #[test]
+    fn the_fanout_slot_moves_the_message_and_clones_only_for_extra_receivers() {
+        let lan = || NetworkConfig::datacenter(4).with_topology(no_jitter());
+        // (receivers, clones, drops, live slots)
+        assert_eq!(
+            run_counted(Send::Unicast, lan(), FaultPlan::none()),
+            (vec![1], 0, 1, 0),
+            "a unicast is moved, never cloned"
+        );
+        assert_eq!(
+            run_counted(Send::Multicast, lan(), FaultPlan::none()),
+            (vec![1, 2, 3], 2, 3, 0),
+            "a multicast to n − 1 peers clones n − 2 times"
+        );
+        assert_eq!(
+            run_counted(Send::Broadcast, lan(), FaultPlan::none()),
+            (vec![0, 1, 2, 3], 3, 4, 0),
+            "a broadcast clones n − 1 times"
+        );
+
+        // Node 3 crashes while its copy is in flight (the route at t = 0 queued it, the
+        // bytes arrive after 100 µs), so its `Arrive` hands the reference back without
+        // a clone. The two live receivers cost one clone; the last delivery moves the
+        // message.
+        let crashed = FaultPlan::none().with_crash(NodeId(3), SimTime(50_000));
+        assert_eq!(
+            run_counted(Send::Multicast, lan(), crashed),
+            (vec![1, 2], 1, 2, 0),
+            "a crashed receiver's copy is dropped without a clone"
+        );
+
+        // Regions round-robin: nodes 1 and 3 sit across the severed pair, so their
+        // copies are dropped at route time and never reference the slot; node 2, the
+        // only receiver, gets the message itself.
+        let regions = Topology::uniform(
+            &["a", "b"],
+            SimDuration::from_micros(100),
+            SimDuration::from_millis(5),
+            SimDuration::ZERO,
+        );
+        let severed = FaultPlan::none().with_partition(0, 1, SimTime::ZERO, SimTime(u64::MAX));
+        assert_eq!(
+            run_counted(
+                Send::Multicast,
+                NetworkConfig::datacenter(4).with_topology(regions),
+                severed
+            ),
+            (vec![2], 0, 1, 0),
+            "partition-dropped copies are dropped without a clone"
+        );
     }
 
     /// Uplink and downlink are one budget: a sender's downlink is busy while its copy
