@@ -13,6 +13,7 @@ use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{Digest, MerkleProof, DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_LEN};
 use leopard_simnet::SimMessage;
 use leopard_types::{BftBlock, Datablock, SeqNum, View, WireSize};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// The payload of one retrieval response (Algorithm 3).
@@ -63,16 +64,114 @@ impl RetrievalPayload {
 /// datablock, committed to by a Merkle root over all `n` chunks. The same value is
 /// cached by the responder, carried by [`LeopardMessage::QueryResponse`] and fed to the
 /// querier's decoder.
-#[derive(Debug, Clone)]
+///
+/// A chunk is immutable: its fields are private and set once, by [`Self::new`]. That
+/// is what lets it carry the verdict of its own proof check ([`Self::proof_holds`]):
+/// the first querier to receive the `Arc` runs the check, every other receiver of the
+/// same `Arc` reads the verdict, and nothing can change the root, index, bytes or proof
+/// the verdict is about. A clone starts unchecked (DESIGN.md §5.2).
+#[derive(Debug)]
 pub struct RetrievalChunk {
+    // The four parts, documented on their getters.
+    root: Digest,
+    shard_index: u32,
+    payload: RetrievalPayload,
+    payload_len: u64,
+    /// The verdict of [`Self::proof_holds`] for a real payload: [`UNCHECKED`] until its
+    /// first call, then [`HOLDS`] or [`FAILS`]. One byte, in what would be padding, so
+    /// carrying it makes a chunk no larger.
+    proof_verdict: AtomicU8,
+}
+
+/// [`RetrievalChunk::proof_verdict`] before the first check.
+const UNCHECKED: u8 = 0;
+/// [`RetrievalChunk::proof_verdict`] of a chunk whose proof holds.
+const HOLDS: u8 = 1;
+/// [`RetrievalChunk::proof_verdict`] of a chunk whose proof fails.
+const FAILS: u8 = 2;
+
+#[cfg(test)]
+thread_local! {
+    /// Real proof checks [`RetrievalChunk::proof_holds`] ran on this thread.
+    pub(crate) static PROOF_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl RetrievalChunk {
+    /// A chunk whose proof has not been checked yet.
+    pub fn new(
+        root: Digest,
+        shard_index: u32,
+        payload: RetrievalPayload,
+        payload_len: u64,
+    ) -> Self {
+        Self {
+            root,
+            shard_index,
+            payload,
+            payload_len,
+            proof_verdict: AtomicU8::new(UNCHECKED),
+        }
+    }
+
     /// Merkle root over the erasure-coded chunks (the datablock digest in metered mode).
-    pub root: Digest,
+    pub fn root(&self) -> Digest {
+        self.root
+    }
+
     /// Index of this chunk (the responder's replica index).
-    pub shard_index: u32,
+    pub fn shard_index(&self) -> u32 {
+        self.shard_index
+    }
+
     /// The chunk itself (real or metered).
-    pub payload: RetrievalPayload,
-    /// Length of the encoded datablock, needed to strip the padding after decoding.
-    pub payload_len: u64,
+    pub fn payload(&self) -> &RetrievalPayload {
+        &self.payload
+    }
+
+    /// Length of the encoded datablock, needed to strip the padding after decoding. The
+    /// proof does not cover it.
+    pub fn payload_len(&self) -> u64 {
+        self.payload_len
+    }
+
+    /// True if the Merkle proof is for [`Self::shard_index`] and verifies the chunk
+    /// bytes against [`Self::root`]. A real chunk runs the check on the first call and
+    /// answers every later call, from any holder of the chunk, with that verdict; a
+    /// metered chunk is honest by construction and always holds.
+    ///
+    /// The verdict is a function of fields that never change, so a relaxed load sees
+    /// either no verdict or the right one; two threads racing on an unchecked chunk both
+    /// run the check and store the same verdict.
+    pub fn proof_holds(&self) -> bool {
+        let RetrievalPayload::Real { chunk, proof } = &self.payload else {
+            return true;
+        };
+        match self.proof_verdict.load(Ordering::Relaxed) {
+            UNCHECKED => {
+                #[cfg(test)]
+                PROOF_CHECKS.with(|checks| checks.set(checks.get() + 1));
+                let holds = proof.leaf_index() == self.shard_index as usize
+                    && proof.verify(self.root, chunk);
+                let verdict = if holds { HOLDS } else { FAILS };
+                self.proof_verdict.store(verdict, Ordering::Relaxed);
+                holds
+            }
+            verdict => verdict == HOLDS,
+        }
+    }
+}
+
+/// A clone is a new chunk and starts unchecked: a verdict vouches only for the value
+/// whose bytes it read.
+impl Clone for RetrievalChunk {
+    fn clone(&self) -> Self {
+        Self::new(
+            self.root,
+            self.shard_index,
+            self.payload.clone(),
+            self.payload_len,
+        )
+    }
 }
 
 /// A notarized BFTblock carried by view-change and new-view messages: the block plus its
@@ -341,16 +440,16 @@ mod tests {
         let digest = datablock.digest();
         LeopardMessage::QueryResponse {
             digest,
-            chunk: Arc::new(RetrievalChunk {
-                root: digest,
-                shard_index: 1,
-                payload: RetrievalPayload::Metered {
+            chunk: Arc::new(RetrievalChunk::new(
+                digest,
+                1,
+                RetrievalPayload::Metered {
                     chunk_len: 100,
                     proof_len: 64,
                     datablock,
                 },
-                payload_len: 300,
-            }),
+                300,
+            )),
         }
     }
 

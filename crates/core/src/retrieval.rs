@@ -16,6 +16,13 @@
 //! `Arc<Datablock>` reuses it and computes just its own shard
 //! ([`ReedSolomon::encode_shard`]).
 //!
+//! The querier side shares work the same way. A served chunk travels as one
+//! `Arc<RetrievalChunk>` to every querier that asked, and the chunk records the verdict
+//! of its proof check ([`RetrievalChunk::proof_holds`]): the first querier to receive
+//! it runs the check, later ones read the verdict. A chunk cannot change after it is
+//! built and a clone starts unchecked, so the verdict is always about the bytes in hand.
+//! Every querier is still charged the modeled verification.
+//!
 //! A replica's [`RetrievalManager`] holds both sides and is built with what never
 //! changes for the replica: its id (the shard it serves), `f`, `n` and the retrieval
 //! timeout. The `(f+1, n)` Reed–Solomon code is built on the first real-crypto encode
@@ -71,15 +78,13 @@ fn real_chunk(
     chunk: Vec<u8>,
     payload_len: usize,
 ) -> Option<RetrievalChunk> {
-    Some(RetrievalChunk {
-        root: tree.root(),
-        shard_index: index as u32,
-        payload: RetrievalPayload::Real {
-            proof: tree.prove(index)?,
-            chunk,
-        },
-        payload_len: payload_len as u64,
-    })
+    let proof = tree.prove(index)?;
+    Some(RetrievalChunk::new(
+        tree.root(),
+        index as u32,
+        RetrievalPayload::Real { chunk, proof },
+        payload_len as u64,
+    ))
 }
 
 /// State of one in-progress retrieval at the querier.
@@ -311,16 +316,16 @@ impl RetrievalManager {
         let cost = provider.model().erasure_encode(encoded_len, f + 1, n)
             + provider.model().merkle_tree(shard_len, n);
         let chunk = Arc::new(if provider.is_metered() {
-            RetrievalChunk {
-                root: digest,
-                shard_index: index as u32,
-                payload: RetrievalPayload::Metered {
+            RetrievalChunk::new(
+                digest,
+                index as u32,
+                RetrievalPayload::Metered {
                     chunk_len: shard_len as u32,
                     proof_len: MerkleProof::wire_size_for(n, index).expect("id < n") as u32,
                     datablock: Arc::clone(datablock),
                 },
-                payload_len: encoded_len as u64,
-            }
+                encoded_len as u64,
+            )
         } else {
             let rs = Self::code(&mut self.code, f, n);
             let encoded = datablock.encode_to_vec();
@@ -343,13 +348,15 @@ impl RetrievalManager {
     ///
     /// A chunk whose shard index is not one of the `n` replicas is ignored. With real
     /// crypto the Merkle proof must be for that index and verify against the chunk's
-    /// root. Chunks are grouped by root and declared payload length — the proof does
-    /// not cover the length, so a responder lying about it only spoils its own group —
-    /// and a decode is attempted once a group holds `f + 1` chunks; the decoded bytes
-    /// must hash to the queried digest ([`Datablock::decode_hashed`]), otherwise the
-    /// group is discarded (the root was forged). A metered chunk skips the real
-    /// verification and decode — responses are honest by construction in that mode —
-    /// but follows the same counting and charges the same modeled time.
+    /// root ([`RetrievalChunk::proof_holds`]: run by the chunk's first receiver, read
+    /// by the others, charged to each). Chunks are grouped by root and declared payload
+    /// length — the proof does not cover the length, so a responder lying about it only
+    /// spoils its own group — and a decode is attempted once a group holds `f + 1`
+    /// chunks; the decoded bytes must hash to the queried digest
+    /// ([`Datablock::decode_hashed`]), otherwise the group is discarded (the root was
+    /// forged). A metered chunk skips the real verification and decode — responses are
+    /// honest by construction in that mode — but follows the same counting and charges
+    /// the same modeled time.
     ///
     /// A chunk for a digest that is not pending is dropped before anything is read from
     /// it; a kept chunk is kept as the response's `Arc`, never copied.
@@ -365,23 +372,19 @@ impl RetrievalManager {
         let Some(pending) = self.pending.get_mut(&digest) else {
             return (ChunkOutcome::Ignored, ComputeCost::ZERO);
         };
-        let (root, shard_index, payload_len) = (chunk.root, chunk.shard_index, chunk.payload_len);
+        let (root, shard_index, payload_len) =
+            (chunk.root(), chunk.shard_index(), chunk.payload_len());
         let shard_len = payload_len.div_ceil(f as u64 + 1).max(1) as usize;
+        // Every querier is charged the verification, including those that read the
+        // verdict another querier's check left on the shared chunk.
         let mut cost = model.merkle_verify(shard_len, n);
-        if shard_index as usize >= n {
+        if shard_index as usize >= n || !chunk.proof_holds() {
             return (ChunkOutcome::Ignored, cost);
         }
-        match &chunk.payload {
-            RetrievalPayload::Real { chunk, proof } => {
-                if proof.leaf_index() != shard_index as usize || !proof.verify(root, chunk) {
-                    return (ChunkOutcome::Ignored, cost);
-                }
-            }
-            RetrievalPayload::Metered { datablock, .. } => {
-                pending.metered_datablock = Some(Arc::clone(datablock));
-            }
+        if let RetrievalPayload::Metered { datablock, .. } = chunk.payload() {
+            pending.metered_datablock = Some(Arc::clone(datablock));
         }
-        pending.received_bytes += chunk.payload.wire_len() as u64 + 64;
+        pending.received_bytes += chunk.payload().wire_len() as u64 + 64;
         let group = (root, payload_len);
         let chunks = pending.chunks.entry(group).or_default();
         chunks.insert(shard_index, chunk);
@@ -411,7 +414,7 @@ impl RetrievalManager {
                 .iter()
                 .take(f + 1)
                 .map(|(&i, chunk)| {
-                    let bytes = match &chunk.payload {
+                    let bytes = match chunk.payload() {
                         RetrievalPayload::Real { chunk, .. } => chunk.as_slice(),
                         RetrievalPayload::Metered { .. } => &[],
                     };
@@ -445,6 +448,7 @@ impl RetrievalManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::PROOF_CHECKS;
     use leopard_crypto::provider::{CryptoCostModel, CryptoMode};
     use leopard_crypto::threshold::ThresholdScheme;
     use leopard_types::{calibrated_crypto_costs, ClientId, Request};
@@ -472,10 +476,26 @@ mod tests {
 
     /// The chunk bytes and Merkle proof of a real-crypto chunk.
     fn real_parts(chunk: &RetrievalChunk) -> (&[u8], &MerkleProof) {
-        match &chunk.payload {
+        match chunk.payload() {
             RetrievalPayload::Real { chunk, proof } => (chunk, proof),
             other => panic!("expected a real payload, got {other:?}"),
         }
+    }
+
+    /// A chunk's parts: root, shard index, payload and payload length.
+    type Parts = (Digest, u32, RetrievalPayload, u64);
+
+    /// A new chunk built from `chunk`'s parts after `edit` changed them.
+    fn edited(chunk: &RetrievalChunk, edit: impl FnOnce(&mut Parts)) -> RetrievalChunk {
+        let mut parts = (
+            chunk.root(),
+            chunk.shard_index(),
+            chunk.payload().clone(),
+            chunk.payload_len(),
+        );
+        edit(&mut parts);
+        let (root, shard_index, payload, payload_len) = parts;
+        RetrievalChunk::new(root, shard_index, payload, payload_len)
     }
 
     fn sample_datablock(requests: usize) -> Datablock {
@@ -494,9 +514,9 @@ mod tests {
         let (f, n) = (1, 4);
         for responder in 0..n as u32 {
             let response = encode_response(&db, NodeId(responder), f, n).unwrap();
-            assert_eq!(response.shard_index, responder);
+            assert_eq!(response.shard_index(), responder);
             let (chunk, proof) = real_parts(&response);
-            assert!(proof.verify(response.root, chunk));
+            assert!(proof.verify(response.root(), chunk));
         }
         assert!(encode_response(&db, NodeId(99), f, n).is_none());
     }
@@ -517,12 +537,12 @@ mod tests {
                 for datablock in [&db, &other, &db, &other] {
                     let (cached, _) = manager.encode_response(datablock, &provider);
                     let fresh = encode_response(datablock, NodeId(responder), f, n).unwrap();
-                    assert_eq!(cached.root, fresh.root);
-                    assert_eq!(cached.shard_index, fresh.shard_index);
-                    assert_eq!(cached.payload_len, fresh.payload_len);
+                    assert_eq!(cached.root(), fresh.root());
+                    assert_eq!(cached.shard_index(), fresh.shard_index());
+                    assert_eq!(cached.payload_len(), fresh.payload_len());
                     assert_eq!(real_parts(&cached), real_parts(&fresh), "f={f} n={n}");
                     let (chunk, proof) = real_parts(&cached);
-                    assert!(proof.verify(cached.root, chunk));
+                    assert!(proof.verify(cached.root(), chunk));
                 }
             }
         }
@@ -545,8 +565,8 @@ mod tests {
             db.shard_tree(f + 1, n, || unreachable!("built"))
         ));
         assert_eq!(real_parts(&first), real_parts(&reference));
-        assert_eq!(second.root, reference.root);
-        assert_eq!(second.shard_index, 7);
+        assert_eq!(second.root(), reference.root());
+        assert_eq!(second.shard_index(), 7);
 
         // The stateless path leaves an empty cell empty...
         let fresh = sample_datablock(50);
@@ -560,8 +580,8 @@ mod tests {
         // ... and ignores a filled one (here with a decoy tree).
         let again = encode_response(&fresh, NodeId(3), f, n).unwrap();
         assert_eq!(
-            (again.root, real_parts(&again)),
-            (reference.root, real_parts(&reference))
+            (again.root(), real_parts(&again)),
+            (reference.root(), real_parts(&reference))
         );
     }
 
@@ -676,13 +696,13 @@ mod tests {
                 let real = encode_response(&db, NodeId(responder), f, n).unwrap();
                 let (chunk, proof) = real_parts(&real);
                 assert_eq!(
-                    m.payload.wire_len(),
+                    m.payload().wire_len(),
                     chunk.len() + proof.wire_size(),
                     "requests={requests} f={f} n={n} responder={responder}"
                 );
-                assert_eq!((m.root, m.shard_index), (db.digest(), responder));
-                assert_eq!(m.payload_len, real.payload_len);
-                match &m.payload {
+                assert_eq!((m.root(), m.shard_index()), (db.digest(), responder));
+                assert_eq!(m.payload_len(), real.payload_len());
+                match m.payload() {
                     RetrievalPayload::Metered { datablock, .. } => {
                         assert_eq!(datablock.digest(), db.digest());
                     }
@@ -781,26 +801,25 @@ mod tests {
         let (f, n) = (1, 4);
         let response = encode_response(&db, NodeId(1), f, n).unwrap();
         let (chunk, proof) = real_parts(&response);
-        let with_payload = |shard_index: u32, chunk: Vec<u8>| RetrievalChunk {
-            shard_index,
-            payload: RetrievalPayload::Real {
-                chunk,
-                proof: proof.clone(),
-            },
-            ..response.clone()
+        let with_payload = |shard_index: u32, chunk: Vec<u8>| {
+            edited(&response, |parts| {
+                parts.1 = shard_index;
+                parts.2 = RetrievalPayload::Real {
+                    chunk,
+                    proof: proof.clone(),
+                };
+            })
         };
         let mut tampered = chunk.to_vec();
         tampered[0] ^= 0xff;
         // Leaf 6 of an 8-chunk coding: its proof verifies against its own root.
         let outside = encode_response(&db, NodeId(6), f, 8).unwrap();
-        let metered_outside = RetrievalChunk {
-            shard_index: n as u32,
-            ..RetrievalChunk::clone(
-                &manager(3, f, n)
-                    .encode_response(&db, &provider(CryptoMode::Metered))
-                    .0,
-            )
-        };
+        let metered_outside = edited(
+            &manager(3, f, n)
+                .encode_response(&db, &provider(CryptoMode::Metered))
+                .0,
+            |parts| parts.1 = n as u32,
+        );
         let malformed = [
             with_payload(1, tampered),
             with_payload(2, chunk.to_vec()),
@@ -834,10 +853,9 @@ mod tests {
             // A holder sends its own valid-proof chunk under a lying payload length:
             // it lands in a group of its own instead of spoiling the honest chunk's
             // decode, so the next honest chunk recovers the datablock.
-            let liar = RetrievalChunk {
-                payload_len: response.payload_len - 1,
-                ..encode_response(&db, NodeId(2), f, n).unwrap()
-            };
+            let liar = edited(&encode_response(&db, NodeId(2), f, n).unwrap(), |parts| {
+                parts.3 = response.payload_len() - 1
+            });
             let (outcome, cost) = manager.add_chunk(digest, Arc::new(liar), SimTime(1), &provider);
             assert_eq!(outcome, ChunkOutcome::Stored, "{mode:?}");
             charges.push(cost);
@@ -852,6 +870,73 @@ mod tests {
             charges
         };
         assert_eq!(charges(CryptoMode::Real), charges(CryptoMode::Metered));
+    }
+
+    /// The verdict a chunk carries vouches for that chunk only. Two queriers that
+    /// receive one `Arc` run one real check and are both charged the verification. A
+    /// clone of a checked chunk is checked afresh, and so is a new chunk that changes
+    /// one part of it — its bytes, proof, index or root — which both queriers then
+    /// reject, though all but the last keep the checked chunk's root and index.
+    #[test]
+    fn a_checked_chunk_vouches_only_for_itself() {
+        let db = sample_datablock(10);
+        let digest = db.digest();
+        let (f, n) = (1, 4);
+        let provider = charging_provider(CryptoMode::Real);
+        let querier = |id: u32| {
+            let mut querier = manager(id, f, n);
+            querier.note_missing(digest, SeqNum(1), SimTime(0));
+            querier
+        };
+        let checks = || PROOF_CHECKS.with(std::cell::Cell::get);
+        let start = checks();
+
+        let shared = Arc::new(encode_response(&db, NodeId(1), f, n).unwrap());
+        let first = querier(0).add_chunk(digest, Arc::clone(&shared), SimTime(1), &provider);
+        let second = querier(2).add_chunk(digest, Arc::clone(&shared), SimTime(1), &provider);
+        let verify = first.1;
+        assert!(!verify.is_zero());
+        assert_eq!(first, (ChunkOutcome::Stored, verify));
+        assert_eq!(second, (ChunkOutcome::Stored, verify));
+        assert_eq!(checks() - start, 1, "one real check for one shared chunk");
+
+        let clone = Arc::new(RetrievalChunk::clone(&shared));
+        let outcome = querier(0).add_chunk(digest, clone, SimTime(1), &provider);
+        assert_eq!(outcome, (ChunkOutcome::Stored, verify));
+        assert_eq!(checks() - start, 2, "a clone is checked afresh");
+
+        // The same leaf of another datablock's coding: a proof for index 1 that does
+        // not lead from the checked bytes to the checked root.
+        let other = encode_response(&sample_datablock(11), NodeId(1), f, n).unwrap();
+        let other_proof = real_parts(&other).1.clone();
+        let flip_a_byte = |payload: &mut RetrievalPayload| match payload {
+            RetrievalPayload::Real { chunk, .. } => chunk[0] ^= 1,
+            RetrievalPayload::Metered { .. } => unreachable!("a real chunk"),
+        };
+        let changed = [
+            ("bytes", edited(&shared, |parts| flip_a_byte(&mut parts.2))),
+            (
+                "proof",
+                edited(&shared, |parts| {
+                    if let RetrievalPayload::Real { proof, .. } = &mut parts.2 {
+                        *proof = other_proof;
+                    }
+                }),
+            ),
+            // Leaf 1's proof still verifies leaf 1's bytes; only the index test fails.
+            ("index", edited(&shared, |parts| parts.1 = 2)),
+            ("root", edited(&shared, |parts| parts.0 = other.root())),
+        ];
+        for (part, chunk) in changed {
+            let chunk = Arc::new(chunk);
+            for id in [0, 2] {
+                let outcome =
+                    querier(id).add_chunk(digest, Arc::clone(&chunk), SimTime(1), &provider);
+                let expected = (ChunkOutcome::Ignored, verify);
+                assert_eq!(outcome, expected, "changed {part}, querier {id}");
+            }
+        }
+        assert_eq!(checks() - start, 6, "each changed chunk is checked once");
     }
 
     #[test]
@@ -1025,8 +1110,8 @@ mod tests {
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
         let r = encode_response(&db, NodeId(31), 10, 32).unwrap();
         let (chunk, proof) = real_parts(&r);
-        assert_eq!(r.payload_len, 34_016);
-        assert_eq!(r.root.to_hex(), GOLDEN_ROOT);
+        assert_eq!(r.payload_len(), 34_016);
+        assert_eq!(r.root().to_hex(), GOLDEN_ROOT);
         assert_eq!(hex(chunk), GOLDEN_SHARD_31);
 
         // `MerkleProof` keeps its siblings private, so the proof bytes are pinned from
@@ -1046,7 +1131,7 @@ mod tests {
             (proof.leaf_index(), proof.len()),
             (31, GOLDEN_PROOF_31.len())
         );
-        assert!(proof.verify(r.root, chunk));
+        assert!(proof.verify(r.root(), chunk));
     }
 
     #[test]

@@ -77,13 +77,21 @@ impl RequestRun {
     }
 
     /// Writes one record per request: client u32, seq u64, payload tag u8 = 1
-    /// ("synthetic"), size u32.
+    /// ("synthetic"), size u32, all little-endian.
+    ///
+    /// One pass: the writer grows once, by [`Self::encoded_len`], and one record is
+    /// built up front; each request overwrites its sequence number and copies the
+    /// record out. Every datablock digest and every real-crypto retrieval encodes
+    /// through here.
     pub fn encode(&self, writer: &mut WireWriter) {
+        let mut record = [0; RECORD_LEN];
+        record[..4].copy_from_slice(&self.client.0.to_le_bytes());
+        record[12] = 1;
+        record[13..].copy_from_slice(&self.size.to_le_bytes());
+        writer.reserve(self.encoded_len());
         for seq in self.seqs() {
-            writer.put_u32(self.client.0);
-            writer.put_u64(seq);
-            writer.put_u8(1);
-            writer.put_u32(self.size);
+            record[4..12].copy_from_slice(&seq.to_le_bytes());
+            writer.put_raw(&record);
         }
     }
 
@@ -146,6 +154,17 @@ mod tests {
         let mut writer = WireWriter::new();
         run.encode(&mut writer);
         writer.into_bytes()
+    }
+
+    /// The reference for [`RequestRun::encode`]: the per-field encoder it replaced,
+    /// four `put_*` calls per request into a writer that grows as it goes.
+    fn encode_per_field(run: &RequestRun, writer: &mut WireWriter) {
+        for seq in run.seqs() {
+            writer.put_u32(run.client.0);
+            writer.put_u64(seq);
+            writer.put_u8(1);
+            writer.put_u32(run.size);
+        }
     }
 
     /// Encodes a run of four, lets `corrupt` change the record at `index`, and decodes.
@@ -219,6 +238,43 @@ mod tests {
                 .map(|seq| Request::new_synthetic(run.client, seq, run.size))
                 .collect();
             prop_assert_eq!(collected, run);
+        }
+
+        /// Byte for byte what the per-field reference writes, behind a datablock's
+        /// 16-byte header as `Datablock::encode` writes it, for runs of 0, 1 and up to
+        /// 299 requests, half of them ending within a million of `u64::MAX`.
+        #[test]
+        fn one_pass_encoding_matches_the_per_field_reference(
+            client in any::<u32>(),
+            count in (0u32..4, 2u32..300).prop_map(|(pick, n)| if pick < 2 { pick } else { n }),
+            seq_from in (any::<bool>(), 0u64..1_000_000),
+            size in any::<u32>(),
+        ) {
+            let (at_top, offset) = seq_from;
+            let first_seq = if at_top {
+                u64::MAX - u64::from(count.saturating_sub(1)) - offset
+            } else {
+                offset
+            };
+            let run = RequestRun { client: ClientId(client), first_seq, count, size };
+            let header = |writer: &mut WireWriter| {
+                writer.put_u32(7);
+                writer.put_u64(first_seq);
+                writer.put_u32(count);
+            };
+            let (mut one_pass, mut reference) = (WireWriter::new(), WireWriter::new());
+            header(&mut one_pass);
+            header(&mut reference);
+            run.encode(&mut one_pass);
+            encode_per_field(&run, &mut reference);
+            let bytes = one_pass.into_bytes();
+            prop_assert_eq!(bytes.len(), 16 + run.encoded_len());
+            prop_assert_eq!(&bytes, &reference.into_bytes());
+            // An empty run carries no client, seq or size: it decodes to the default.
+            let decoded = if count == 0 { RequestRun::default() } else { run };
+            let mut reader = WireReader::new(&bytes[16..]);
+            prop_assert_eq!(RequestRun::decode(&mut reader, count).unwrap(), decoded);
+            prop_assert!(reader.is_exhausted());
         }
 
         #[test]

@@ -77,6 +77,12 @@ impl WireWriter {
         self.buffer.is_empty()
     }
 
+    /// Makes room for at least `additional` more bytes, so the writes that follow do
+    /// not reallocate.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buffer.reserve(additional);
+    }
+
     /// Writes a single byte.
     pub fn put_u8(&mut self, value: u8) {
         self.buffer.push(value);

@@ -8,14 +8,17 @@
 //! property that actually falls out of the design — the runs are *bit-identical* in
 //! event count, confirmation sequence and traffic totals — and additionally assert the
 //! 1% throughput bound explicitly so a future relaxation of bit-identity still has a
-//! guard.
+//! guard. The retrieval path is held to the same bar at n = 128 too, above the n > 64
+//! scale where `ScenarioConfig::paper` switches to metered crypto.
 
-use leopard::harness::scenario::{run_leopard_scenario, ScenarioConfig};
+use leopard::harness::scenario::{run_leopard_scenario, ScenarioConfig, ScenarioReport};
 use leopard::harness::workload::WorkloadConfig;
 use leopard::simnet::SimDuration;
 use leopard_crypto::provider::CryptoMode;
 
-fn assert_equivalent(label: &str, config: ScenarioConfig) {
+/// Runs `config` under both crypto modes, asserts the runs agree and returns them (real
+/// first).
+fn assert_equivalent(label: &str, config: ScenarioConfig) -> (ScenarioReport, ScenarioReport) {
     let real = run_leopard_scenario(&config.clone().with_crypto_mode(CryptoMode::Real));
     let metered = run_leopard_scenario(&config.with_crypto_mode(CryptoMode::Metered));
 
@@ -53,6 +56,27 @@ fn assert_equivalent(label: &str, config: ScenarioConfig) {
         real.steady_state_throughput_rps,
         metered.steady_state_throughput_rps
     );
+    (real, metered)
+}
+
+/// As [`assert_equivalent`] for a run under a selective attack, whose retrievals must
+/// also agree: both modes complete the same retrievals with the same byte costs and
+/// times.
+fn assert_retrieval_equivalent(label: &str, config: ScenarioConfig) {
+    let (real, metered) = assert_equivalent(label, config);
+    assert!(
+        real.retrievals > 0,
+        "{label}: the selective attack produced no retrievals — the comparison would be vacuous"
+    );
+    assert_eq!(real.retrievals, metered.retrievals, "{label}: retrievals");
+    assert_eq!(
+        real.average_retrieval_recv_bytes, metered.average_retrieval_recv_bytes,
+        "{label}: retrieval byte accounting diverged"
+    );
+    assert_eq!(
+        real.average_retrieval_secs, metered.average_retrieval_secs,
+        "{label}: retrieval times diverged"
+    );
 }
 
 #[test]
@@ -84,18 +108,24 @@ fn retrieval_path_is_equivalent() {
         .with_selective_attackers(1)
         .with_duration(SimDuration::from_secs(4))
         .with_seed(0x7E7);
-    let real = run_leopard_scenario(&config.clone().with_crypto_mode(CryptoMode::Real));
-    let metered = run_leopard_scenario(&config.with_crypto_mode(CryptoMode::Metered));
-    assert!(
-        real.retrievals > 0,
-        "selective attack produced no retrievals — the comparison would be vacuous"
-    );
-    assert_eq!(real.retrievals, metered.retrievals);
-    assert_eq!(
-        real.average_retrieval_recv_bytes, metered.average_retrieval_recv_bytes,
-        "retrieval byte accounting diverged"
-    );
-    assert_eq!(real.average_retrieval_secs, metered.average_retrieval_secs);
-    assert_eq!(real.sim.metrics.commits(), metered.sim.metrics.commits());
-    assert_eq!(real.sim.events, metered.sim.events);
+    assert_retrieval_equivalent("small(7), one selective attacker", config);
+}
+
+/// The retrieval path above the n > 64 metered switch, where `paper(n)` runs metered:
+/// n = 128 with f = 42 selective attackers, real bytes (a `(43, 128)` Reed–Solomon
+/// code, Merkle proofs over 128 shards) against the metered stand-in. Load and batches
+/// are reduced as at n = 64, and the run lasts 0.3 s of simulated time, which still
+/// completes 714 retrievals; each costs the real run a decode and `f + 1` proof checks,
+/// so the test takes about 7 s in the debug profile on a 2-vCPU box (0.2 s in release).
+#[test]
+fn retrieval_at_paper_scale_128_is_equivalent() {
+    let config = ScenarioConfig::paper(128)
+        .with_workload(WorkloadConfig {
+            aggregate_rps: 40_000,
+            payload_size: 128,
+        })
+        .with_batches(500, 50)
+        .with_selective_attackers(42)
+        .with_duration(SimDuration::from_millis(300));
+    assert_retrieval_equivalent("paper(128) reduced, 42 selective attackers", config);
 }
