@@ -10,6 +10,13 @@ use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{hash_parts, Digest, ShareCollector};
 use leopard_types::{FastMap, SeqNum};
 
+/// The execution-state digest an honest replica reports at checkpoint `seq` (and for
+/// the genesis checkpoint, `seq = 0`). It is a function of the serial alone: it names
+/// the checkpoint but certifies nothing about what was executed.
+pub fn state_digest(seq: SeqNum) -> Digest {
+    hash_parts([b"state".as_slice(), &seq.0.to_le_bytes()])
+}
+
 /// The digest replicas sign for a checkpoint at `seq` with execution-state digest
 /// `state`.
 pub fn checkpoint_digest(seq: SeqNum, state: &Digest) -> Digest {
@@ -74,27 +81,17 @@ impl CheckpointState {
         }
     }
 
-    /// Advances the stable checkpoint (after verifying a checkpoint proof). Returns true
-    /// if the watermark moved forward.
-    pub fn advance(&mut self, seq: SeqNum) -> bool {
-        if seq > self.stable {
-            self.stable = seq;
-            self.collecting.retain(|&(s, _), _| s > seq);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Advances the stable checkpoint and retains its (already verified) state digest
-    /// and proof for serving state transfers. Returns true if the watermark moved.
+    /// Advances the stable checkpoint to `seq` if it lies above the current one, and
+    /// retains its (already verified) state digest and proof for serving state
+    /// transfers. Returns true if the watermark moved; the one way it moves.
     pub fn advance_proven(&mut self, seq: SeqNum, state: Digest, proof: CombinedSignature) -> bool {
-        if self.advance(seq) {
-            self.stable_proof = Some((state, proof));
-            true
-        } else {
-            false
+        if seq <= self.stable {
+            return false;
         }
+        self.stable = seq;
+        self.stable_proof = Some((state, proof));
+        self.collecting.retain(|&(s, _), _| s > seq);
+        true
     }
 
     /// The stable checkpoint's state digest and proof, if past genesis.
@@ -174,15 +171,30 @@ mod tests {
         assert!(scheme.combine(&shares, &digest_a).is_ok());
     }
 
+    /// A combined proof over checkpoint `seq` at the honest state digest.
+    fn proof_at(seq: u64) -> CombinedSignature {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (scheme, keys) = ThresholdScheme::trusted_setup(3, 4, &mut rng);
+        let digest = checkpoint_digest(SeqNum(seq), &state_digest(SeqNum(seq)));
+        let shares: Vec<_> = keys[..3]
+            .iter()
+            .map(|k| scheme.sign_share(k, &digest))
+            .collect();
+        scheme.combine(&shares, &digest).unwrap()
+    }
+
     #[test]
     fn advance_moves_watermark_monotonically() {
+        let advance = |checkpoints: &mut CheckpointState, seq| {
+            checkpoints.advance_proven(SeqNum(seq), state_digest(SeqNum(seq)), proof_at(seq))
+        };
         let mut checkpoints = CheckpointState::new();
         assert_eq!(checkpoints.low_watermark(), SeqNum(0));
-        assert!(checkpoints.advance(SeqNum(8)));
+        assert!(advance(&mut checkpoints, 8));
         assert_eq!(checkpoints.low_watermark(), SeqNum(8));
-        assert!(!checkpoints.advance(SeqNum(4)));
-        assert!(!checkpoints.advance(SeqNum(8)));
-        assert!(checkpoints.advance(SeqNum(16)));
+        assert!(!advance(&mut checkpoints, 4));
+        assert!(!advance(&mut checkpoints, 8));
+        assert!(advance(&mut checkpoints, 16));
         assert_eq!(checkpoints.low_watermark(), SeqNum(16));
     }
 
@@ -213,7 +225,7 @@ mod tests {
         let state = hash_bytes(b"state");
         let digest = checkpoint_digest(SeqNum(8), &state);
         let mut checkpoints = CheckpointState::new();
-        checkpoints.advance(SeqNum(8));
+        checkpoints.advance_proven(SeqNum(8), state, proof_at(8));
         assert!(checkpoints
             .record_share(SeqNum(8), state, scheme.sign_share(&keys[0], &digest), 3)
             .is_none());

@@ -58,8 +58,6 @@ pub struct LeopardConfig {
     pub params: ProtocolParams,
     /// How often each producer packs a datablock.
     pub workload: WorkloadMode,
-    /// How often the leader checks whether it can propose a new BFTblock.
-    pub propose_interval: SimDuration,
     /// How long a replica waits for a missing datablock before querying the committee.
     pub retrieval_timeout: SimDuration,
     /// Confirmation-progress watchdog: if no BFTblock is confirmed for this long while
@@ -92,7 +90,6 @@ impl LeopardConfig {
         Self {
             workload: WorkloadMode::paced(&params, aggregate_rps),
             params,
-            propose_interval: SimDuration::from_millis(20),
             retrieval_timeout: SimDuration::from_millis(100),
             progress_timeout: SimDuration::from_secs(2),
             workload_stop: None,
@@ -112,7 +109,6 @@ impl LeopardConfig {
         Self {
             workload: WorkloadMode::paced(&params, 2_000),
             params,
-            propose_interval: SimDuration::from_millis(10),
             retrieval_timeout: SimDuration::from_millis(50),
             progress_timeout: SimDuration::from_millis(500),
             workload_stop: None,

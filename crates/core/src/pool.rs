@@ -102,15 +102,24 @@ impl DatablockPool {
     }
 }
 
-/// The leader's ready bookkeeping: which replicas acknowledged which datablock, and the
+/// The leader's ready bookkeeping: where each acknowledged datablock stands, and the
 /// FIFO queue of datablocks that reached the `2f+1` threshold but have not been linked
 /// by a BFTblock yet.
 #[derive(Debug, Default)]
 pub struct ReadyTracker {
-    acks: FastMap<Digest, FastSet<NodeId>>,
+    state: FastMap<Digest, Ready>,
     ready_queue: VecDeque<Digest>,
-    queued: FastSet<Digest>,
-    linked: FastSet<Digest>,
+}
+
+/// Where one datablock stands at the proposer that links it.
+#[derive(Debug)]
+enum Ready {
+    /// Below the quorum: the replicas that acknowledged it so far.
+    Acking(FastSet<NodeId>),
+    /// In the ready queue.
+    Queued,
+    /// Linked by a proposed BFTblock.
+    Linked,
 }
 
 impl ReadyTracker {
@@ -124,16 +133,17 @@ impl ReadyTracker {
     ///
     /// Returns true if the datablock just became ready.
     pub fn record_ack(&mut self, digest: Digest, from: NodeId, quorum: usize) -> bool {
-        let acks = self.acks.entry(digest).or_default();
-        acks.insert(from);
-        if acks.len() >= quorum && !self.queued.contains(&digest) && !self.linked.contains(&digest)
-        {
-            self.queued.insert(digest);
-            self.ready_queue.push_back(digest);
-            true
-        } else {
-            false
+        let acking = Ready::Acking(FastSet::default());
+        let state = self.state.entry(digest).or_insert(acking);
+        let Ready::Acking(acks) = state else {
+            return false;
+        };
+        if !acks.insert(from) || acks.len() < quorum {
+            return false;
         }
+        *state = Ready::Queued;
+        self.ready_queue.push_back(digest);
+        true
     }
 
     /// Number of ready, not yet linked datablocks.
@@ -146,8 +156,7 @@ impl ReadyTracker {
         let take = max.min(self.ready_queue.len());
         let digests: Vec<Digest> = self.ready_queue.drain(..take).collect();
         for digest in &digests {
-            self.queued.remove(digest);
-            self.linked.insert(*digest);
+            self.state.insert(*digest, Ready::Linked);
         }
         digests
     }
@@ -156,8 +165,8 @@ impl ReadyTracker {
     /// is abandoned by a view-change before being confirmed).
     pub fn requeue(&mut self, digests: impl IntoIterator<Item = Digest>) {
         for digest in digests {
-            if self.linked.remove(&digest) && !self.queued.contains(&digest) {
-                self.queued.insert(digest);
+            if let Some(state @ Ready::Linked) = self.state.get_mut(&digest) {
+                *state = Ready::Queued;
                 self.ready_queue.push_front(digest);
             }
         }
@@ -165,18 +174,16 @@ impl ReadyTracker {
 
     /// Drops bookkeeping for the given digests (after checkpointing).
     pub fn prune(&mut self, digests: impl IntoIterator<Item = Digest>) {
-        let mut dropped = FastSet::default();
+        let mut queued = false;
         for digest in digests {
-            self.acks.remove(&digest);
-            self.linked.remove(&digest);
-            if self.queued.remove(&digest) {
-                dropped.insert(digest);
-            }
+            queued |= matches!(self.state.remove(&digest), Some(Ready::Queued));
         }
         // One queue sweep for the whole batch instead of one per digest (checkpoint GC
-        // hands over every executed link at once).
-        if !dropped.is_empty() {
-            self.ready_queue.retain(|digest| !dropped.contains(digest));
+        // hands over every executed link at once). Every digest in the queue is
+        // `Queued`, so the pruned ones are those whose state is gone.
+        if queued {
+            self.ready_queue
+                .retain(|digest| self.state.contains_key(digest));
         }
     }
 }

@@ -12,7 +12,7 @@
 //! * optional Byzantine behaviours ([`crate::byzantine`]).
 
 use crate::byzantine::ByzantineBehavior;
-use crate::checkpoint::{checkpoint_digest, CheckpointState};
+use crate::checkpoint::{checkpoint_digest, state_digest, CheckpointState};
 use crate::config::{LeopardConfig, WorkloadMode};
 use crate::instance::{LeaderInstance, ReplicaInstance};
 use crate::messages::{
@@ -27,7 +27,7 @@ use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{hash_parts, Digest, SharedKeys};
 use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
 use leopard_types::{
-    BftBlock, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum, View, WireSize,
+    BftBlock, BftBlockId, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum, View, WireSize,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -38,6 +38,9 @@ const TOKEN_BATCH: u64 = 2;
 const TOKEN_PROPOSE: u64 = 3;
 const TOKEN_PROGRESS: u64 = 4;
 const TOKEN_RETRIEVAL: u64 = 5;
+
+/// How often a proposer flushes a partial batch (see [`LeopardReplica::propose`]).
+const PROPOSE_INTERVAL: SimDuration = SimDuration(20_000_000); // 20 ms
 
 /// Bound on buffered future-view PrePrepares (see `deferred_pre_prepares`). A full
 /// re-proposal sweep is at most `max_parallel_instances` blocks; the slack covers a
@@ -177,11 +180,16 @@ pub struct LeopardReplica {
 
     // --- watchdog ---
     confirmed_at_last_check: u64,
+    // Every PrepareVote signed, by the voted block's view and serial (debug builds
+    // check the clause the safety argument rests on: never two blocks for one).
+    #[cfg(debug_assertions)]
+    signed_prepares: FastMap<BftBlockId, Digest>,
 
     // --- state transfer (catch-up after a crash-restart or partition heal) ---
     state_sync_at: Option<SimTime>,
-    state_sync_peers: Vec<NodeId>,
-    state_sync_view_claims: Vec<(NodeId, u64)>,
+    // The peers the current sync round asked, each with the view it claimed once it
+    // answered.
+    state_sync_peers: Vec<(NodeId, Option<View>)>,
     state_sync_round: u64,
 }
 
@@ -244,9 +252,10 @@ impl LeopardReplica {
             deferred_pre_prepares: Vec::new(),
             progress_backoff: 0,
             confirmed_at_last_check: 0,
+            #[cfg(debug_assertions)]
+            signed_prepares: FastMap::default(),
             state_sync_at: None,
             state_sync_peers: Vec::new(),
-            state_sync_view_claims: Vec::new(),
             state_sync_round: 0,
             view: View::initial(),
             config,
@@ -770,7 +779,7 @@ impl LeopardReplica {
                 }
                 instance.endorsed_repropose = Some(digest);
                 if self.behaviour() != ByzantineBehavior::WithholdVotes {
-                    self.send_prepare_vote(seq, digest, ctx);
+                    self.send_prepare_vote(block.id, digest, ctx);
                 }
                 return;
             }
@@ -831,12 +840,24 @@ impl LeopardReplica {
             return;
         };
         instance.prepare_voted = true;
-        self.send_prepare_vote(seq, digest, ctx);
+        // A block-less instance votes for the digest a notarization of this view named.
+        let view = instance
+            .block
+            .as_ref()
+            .map_or(self.view, |block| block.id.view);
+        self.send_prepare_vote(BftBlockId::new(view, seq), digest, ctx);
     }
 
-    /// Signs `block_digest` and sends the first-round vote to `seq`'s proposer.
-    fn send_prepare_vote(&self, seq: SeqNum, block_digest: Digest, ctx: &mut Ctx<'_>) {
+    /// Signs `block_digest`, the digest of block `id`, and sends the first-round vote
+    /// to the proposer of `id.seq`: the one place a replica signs a PrepareVote.
+    fn send_prepare_vote(&mut self, id: BftBlockId, block_digest: Digest, ctx: &mut Ctx<'_>) {
+        #[cfg(debug_assertions)]
+        {
+            let signed = self.signed_prepares.entry(id).or_insert(block_digest);
+            debug_assert_eq!(*signed, block_digest, "signed two PrepareVotes for {id:?}");
+        }
         let share = self.sign(&block_digest, ctx);
+        let seq = id.seq;
         ctx.send(
             self.proposer_of_seq(seq),
             LeopardMessage::PrepareVote {
@@ -1135,7 +1156,7 @@ impl LeopardReplica {
                     if self.behaviour() == ByzantineBehavior::EquivocatingCheckpointer {
                         hash_parts([b"equivocated-state".as_slice(), &next.0.to_le_bytes()])
                     } else {
-                        hash_parts([b"state".as_slice(), &next.0.to_le_bytes()])
+                        state_digest(next)
                     };
                 let digest = checkpoint_digest(next, &state_digest);
                 let share = self.sign(&digest, ctx);
@@ -1187,38 +1208,62 @@ impl LeopardReplica {
     fn handle_checkpoint_proof(
         &mut self,
         seq: SeqNum,
-        state_digest: Digest,
+        state: Digest,
         proof: CombinedSignature,
         ctx: &mut Ctx<'_>,
     ) {
-        let digest = checkpoint_digest(seq, &state_digest);
-        if !self.verify_combined(&proof, &digest, ctx) {
+        if !self.adopt_checkpoint(seq, state, proof, ctx) {
             return;
         }
-        if !self.checkpoints.advance_proven(seq, state_digest, proof) {
-            return;
+        self.try_execute(ctx);
+        // Event-driven pipeline: the watermark advance may have cleared the
+        // `WatermarkFull` guard.
+        self.propose(ctx, false);
+    }
+
+    /// Adopts checkpoint `seq` (execution-state digest `state`) as the stable one if
+    /// `proof` verifies and `seq` lies above the watermark, whether the proof came in
+    /// the leader's multicast or a state-transfer response. Returns true if it did.
+    fn adopt_checkpoint(
+        &mut self,
+        seq: SeqNum,
+        state: Digest,
+        proof: CombinedSignature,
+        ctx: &mut Ctx<'_>,
+    ) -> bool {
+        let digest = checkpoint_digest(seq, &state);
+        if !self.verify_combined(&proof, &digest, ctx)
+            || !self.checkpoints.advance_proven(seq, state, proof)
+        {
+            return false;
         }
         // A stable checkpoint is quorum evidence that everything at or below it
         // confirmed, even if this replica never saw the individual proofs.
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
-        // Garbage collection: drop instances and the executed datablocks at or below
-        // the new watermark.
+        // Garbage collection: drop the executed datablocks and every agreement
+        // instance, leader and replica side, at or below the new watermark (with it
+        // the prepared evidence and held confirmations).
         let executed_links = self.log.take_executed_links(seq.0, self.last_executed.0);
         self.pool.prune(executed_links.iter().copied());
         self.retrieval.prune(executed_links.iter().copied());
         self.ready.prune(executed_links);
-        self.prune_instances_through(seq);
+        self.pipeline.prune_through(seq);
+        self.replica_instances.retain(|&s, _| s > seq.0);
+        #[cfg(debug_assertions)]
+        self.signed_prepares.retain(|id, _| id.seq > seq);
         // The system checkpointed past this replica's execution point: it missed
         // confirmations (partition, crash) and can never replay them — the blocks
         // below the watermark are being garbage-collected cluster-wide right now
         // (including any instance this GC just dropped while its datablocks were
         // still in retrieval). The quorum-signed proof summarises everything below
-        // the watermark, so jump execution to it directly.
-        self.jump_to_stable_watermark(ctx);
-        self.try_execute(ctx);
-        // Event-driven pipeline: the watermark advance may have cleared the
-        // `WatermarkFull` guard.
-        self.propose(ctx, false);
+        // the watermark, so jump execution to it, and abandon the retrievals whose
+        // only waiters sit below it (their datablocks are pruned cluster-wide).
+        if seq > self.last_executed {
+            self.last_executed = seq;
+            self.last_confirmation_at = Some(ctx.now());
+            self.retrieval.abandon_waiting_through(seq);
+        }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1233,7 +1278,6 @@ impl LeopardReplica {
     fn begin_state_sync(&mut self, ctx: &mut Ctx<'_>) {
         self.state_sync_at = Some(ctx.now());
         self.state_sync_peers.clear();
-        self.state_sync_view_claims.clear();
         let request = LeopardMessage::StateRequest {
             last_executed: self.last_executed,
         };
@@ -1246,7 +1290,7 @@ impl LeopardReplica {
             if peer == self.id {
                 continue;
             }
-            self.state_sync_peers.push(peer);
+            self.state_sync_peers.push((peer, None));
             ctx.send(peer, request.clone());
             remaining -= 1;
             if remaining == 0 {
@@ -1269,34 +1313,6 @@ impl LeopardReplica {
         self.begin_state_sync(ctx);
     }
 
-    /// Jumps execution to the stable checkpoint watermark when a quorum-signed proof
-    /// covers sequence numbers this replica never executed. Everything at or below a
-    /// stable checkpoint is summarised by its quorum-signed state digest, and the
-    /// blocks (and their datablocks) below the cluster-wide watermark are
-    /// garbage-collected at the peers, so replaying them is impossible anyway.
-    /// Retrievals whose only waiters sit below the watermark are abandoned with it —
-    /// their datablocks are pruned cluster-wide and no longer gate execution.
-    fn jump_to_stable_watermark(&mut self, ctx: &mut Ctx<'_>) {
-        if self.checkpoints.stable_proof().is_none() {
-            return;
-        }
-        let watermark = self.checkpoints.low_watermark();
-        if watermark <= self.last_executed {
-            return;
-        }
-        self.last_executed = watermark;
-        self.last_confirmation_at = Some(ctx.now());
-        self.prune_instances_through(watermark);
-        self.retrieval.abandon_waiting_through(watermark);
-    }
-
-    /// Drops every agreement instance, leader and replica side, at or below a stable
-    /// `watermark` (with it the prepared evidence and held confirmations).
-    fn prune_instances_through(&mut self, watermark: SeqNum) {
-        self.pipeline.prune_through(watermark);
-        self.replica_instances.retain(|&s, _| s > watermark.0);
-    }
-
     fn handle_state_request(&mut self, from: NodeId, last_executed: SeqNum, ctx: &mut Ctx<'_>) {
         if matches!(
             self.behaviour(),
@@ -1307,11 +1323,7 @@ impl LeopardReplica {
         let (checkpoint_seq, mut checkpoint_state, checkpoint_proof) =
             match self.checkpoints.stable_proof() {
                 Some((state, proof)) => (self.checkpoints.low_watermark(), *state, Some(*proof)),
-                None => (
-                    SeqNum(0),
-                    hash_parts([b"state".as_slice(), &0u64.to_le_bytes()]),
-                    None,
-                ),
+                None => (SeqNum(0), state_digest(SeqNum(0)), None),
             };
         let mut entries = Vec::new();
         for (&seq, instance) in &self.replica_instances {
@@ -1365,23 +1377,17 @@ impl LeopardReplica {
             checkpoint_proof,
             entries,
         } = response;
-        // Only solicited responses are processed: a sync round must be in flight and
-        // the sender must be one of the peers that round actually asked. Anything else
-        // is an unsolicited push from an arbitrary (possibly Byzantine) replica.
-        if self.state_sync_at.is_none() || !self.state_sync_peers.contains(&from) {
+        // Only solicited responses are processed: the sender must be one of the peers
+        // the current sync round actually asked. Anything else is an unsolicited push
+        // from an arbitrary (possibly Byzantine) replica.
+        let Some(asked) = self.state_sync_peers.iter().position(|p| p.0 == from) else {
             return;
-        }
-        // Adopt the responder's stable checkpoint if its proof verifies.
+        };
+        // Adopt the responder's stable checkpoint if its proof verifies and it is newer
+        // than ours (a `CheckpointProof` multicast may have raced ahead of it).
         if let Some(proof) = checkpoint_proof {
-            let digest = checkpoint_digest(checkpoint_seq, &checkpoint_state);
-            if self.verify_combined(&proof, &digest, ctx) {
-                self.checkpoints.advance_proven(checkpoint_seq, checkpoint_state, proof);
-                self.highest_confirmed_seen = self.highest_confirmed_seen.max(checkpoint_seq.0);
-            }
+            self.adopt_checkpoint(checkpoint_seq, checkpoint_state, proof, ctx);
         }
-        // Jump execution to the stable watermark — whether it came from this response
-        // or from a `CheckpointProof` multicast that raced ahead of it.
-        self.jump_to_stable_watermark(ctx);
         for entry in entries {
             self.install_confirmed_entry(entry, ctx);
         }
@@ -1389,21 +1395,14 @@ impl LeopardReplica {
         // single responder. View claims are unsigned metadata, so a lying responder
         // could inflate one and wedge this replica in a view nobody else is in (it
         // would neither vote nor complain usefully until the next genuine view
-        // change). Instead, adopt the highest view that all f+1 responders of this
-        // sync round corroborate: at least one of them is honest, so the adopted view
-        // is at most one an honest replica has genuinely entered.
-        if self.state_sync_view_claims.iter().all(|(peer, _)| *peer != from) {
-            self.state_sync_view_claims.push((from, view.0));
-        }
-        let needed = self.f() + 1;
-        if self.state_sync_view_claims.len() >= needed {
-            let mut claims: Vec<u64> =
-                self.state_sync_view_claims.iter().map(|&(_, v)| v).collect();
-            claims.sort_unstable_by(|a, b| b.cmp(a));
-            let corroborated = claims[needed - 1];
-            if corroborated > self.view.0 {
-                self.enter_view(View(corroborated), ctx);
-            }
+        // change). Instead, once all f+1 responders of this sync round answered,
+        // adopt the highest view they all corroborate, the lowest claim: at least one
+        // of them is honest, so it is one an honest replica has genuinely entered.
+        // (`None < Some`, so the minimum is `Some(None)` while one has not answered.)
+        self.state_sync_peers[asked].1.get_or_insert(view);
+        let claims = self.state_sync_peers.iter().map(|&(_, claim)| claim);
+        if let Some(Some(lowest)) = claims.min() {
+            self.enter_view(lowest, ctx);
         }
         self.try_execute(ctx);
     }
@@ -1551,8 +1550,7 @@ impl LeopardReplica {
             // then advance locally and complain in the next view so the cluster can
             // rotate past a run of bad leaders.
             if ctx.now().saturating_since(started) >= self.current_progress_timeout() {
-                let next = self.view.next();
-                self.enter_view(next, ctx);
+                self.enter_view(self.view.next(), ctx);
                 self.complain(ctx);
             }
             return;
@@ -1621,20 +1619,16 @@ impl LeopardReplica {
             return;
         }
         let count = self.view_changes.record_timeout(view, from);
-        if view.0 > self.view.0 {
-            // View synchronization (the PBFT f+1 rule): once f+1 replicas complain in
-            // a view ahead of ours, at least one of them is honest and the cluster has
-            // moved on — jump to that view and join the complaint. Without this,
-            // replicas that advanced locally past a stalled view change would be
-            // split across views, each complaining where nobody listens.
-            if count <= self.f() {
-                return;
-            }
-            self.enter_view(view, ctx);
-            self.complain(ctx);
+        if count <= self.f() {
+            return;
         }
-        // Join the complaint once f+1 replicas complained.
-        if count > self.f() && !self.view_changes.has_complained(view) {
+        // Join the complaint once f+1 replicas complained. If they complain in a view
+        // ahead of ours, at least one of them is honest and the cluster has moved on:
+        // jump to that view first (view synchronization, the PBFT f+1 rule). Without
+        // this, replicas that advanced locally past a stalled view change would be
+        // split across views, each complaining where nobody listens.
+        self.enter_view(view, ctx);
+        if !self.view_changes.has_complained(view) {
             self.complain(ctx);
         }
         // Abandon the view once 2f+1 replicas complained.
@@ -1683,8 +1677,9 @@ impl LeopardReplica {
         ctx: &mut Ctx<'_>,
     ) {
         // Only a prospective proposer of `new_view` processes these (with a single
-        // proposer that is exactly the prospective leader).
-        if self.stripe_in_view(self.id, new_view).is_none() {
+        // proposer that is exactly the prospective leader), and only for a view this
+        // replica has not left: `enter_view` dropped the records of older ones.
+        if new_view < self.view || self.stripe_in_view(self.id, new_view).is_none() {
             return;
         }
         // Verify the notarization proofs before accepting the entries.
@@ -1696,7 +1691,9 @@ impl LeopardReplica {
         self.view_changes
             .record_view_change(new_view, from, checkpoint_seq, valid, bytes);
         if let Some(payload) = self.view_changes.build_new_view(new_view, self.quorum()) {
-            // Become a proposer of the new view.
+            // Become a proposer of the new view. If a peer's NewView already brought
+            // this replica in, it stays (keeping its votes) and still re-proposes its
+            // own stripe below, which no other proposer covers.
             self.enter_view(new_view, ctx);
             let reproposed: usize = payload.entries.iter().map(WireSize::wire_size).sum();
             ctx.broadcast(LeopardMessage::NewView {
@@ -1747,21 +1744,24 @@ impl LeopardReplica {
         view_change_count: u32,
         ctx: &mut Ctx<'_>,
     ) {
-        if view.0 <= self.view.0 {
-            return;
-        }
         // Any proposer of `view` may announce it (each one independently assembles
         // the same ViewChange quorum); with a single proposer only the new leader
         // qualifies, as before.
         let from_proposer = self.stripe_in_view(from, view).is_some();
-        if !from_proposer || (view_change_count as usize) < self.quorum() {
-            return;
+        if from_proposer && view_change_count as usize >= self.quorum() {
+            self.enter_view(view, ctx);
         }
-        self.enter_view(view, ctx);
     }
 
+    /// Moves this replica into `view` if it is ahead of the current one: the one view
+    /// guard. Re-entering the current view would reset the votes cast in it.
     fn enter_view(&mut self, view: View, ctx: &mut Ctx<'_>) {
+        if view <= self.view {
+            return;
+        }
         self.view = view;
+        // Nothing reads the view-change records of the views now behind.
+        self.view_changes.forget_views_before(view);
         // The proposer rotation shifted by one: re-anchor the pipeline onto this
         // replica's stripe of the new view (no-op for a single proposer).
         self.anchor_pipeline_stripe();
@@ -1782,17 +1782,10 @@ impl LeopardReplica {
         }
         self.confirmed_at_last_check = self.confirmed_requests;
         // Replay proposals that arrived for this view before we entered it (they
-        // raced the NewView). Entries for still-future views stay buffered; stale
-        // ones are dropped.
-        let deferred = std::mem::take(&mut self.deferred_pre_prepares);
-        for (from, block, share) in deferred {
-            match block.id.view.0.cmp(&self.view.0) {
-                std::cmp::Ordering::Less => {}
-                std::cmp::Ordering::Equal => self.handle_pre_prepare(from, block, share, ctx),
-                std::cmp::Ordering::Greater => {
-                    self.deferred_pre_prepares.push((from, block, share))
-                }
-            }
+        // raced the NewView). `handle_pre_prepare` buffers those for still-future
+        // views again and drops stale ones.
+        for (from, block, share) in std::mem::take(&mut self.deferred_pre_prepares) {
+            self.handle_pre_prepare(from, block, share, ctx);
         }
     }
 }
@@ -1813,7 +1806,7 @@ impl LeopardReplica {
         let WorkloadMode::Saturated { pacing } = self.config.workload;
         let stagger = SimDuration::from_nanos(ctx.rng().gen_range(0..pacing.as_nanos()));
         ctx.set_timer(stagger, TOKEN_BATCH);
-        ctx.set_timer(self.config.propose_interval, TOKEN_PROPOSE);
+        ctx.set_timer(PROPOSE_INTERVAL, TOKEN_PROPOSE);
         ctx.set_timer(self.config.progress_timeout, TOKEN_PROGRESS);
         ctx.set_timer(self.config.retrieval_timeout, TOKEN_RETRIEVAL);
     }
@@ -1912,7 +1905,7 @@ impl Protocol for LeopardReplica {
                 // against a missed wake-up.
                 self.propose(ctx, true);
                 self.fill_idle_stripe(ctx);
-                ctx.set_timer(self.config.propose_interval, TOKEN_PROPOSE);
+                ctx.set_timer(PROPOSE_INTERVAL, TOKEN_PROPOSE);
             }
             TOKEN_PROGRESS => {
                 self.fire_progress_timer(ctx);
@@ -1959,6 +1952,281 @@ impl Protocol for LeopardReplica {
 mod tests {
     use super::*;
     use leopard_simnet::{FaultPlan, NetworkConfig, Simulation};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// A [`Context`] that records what a replica does instead of simulating it, so a
+    /// test can deliver messages to one replica in an order it chooses.
+    struct Recorder {
+        now: SimTime,
+        id: NodeId,
+        n: usize,
+        /// Every message sent: `Some(to)` for a unicast, `None` for a fan-out.
+        sent: Vec<(Option<NodeId>, LeopardMessage)>,
+        timers: Vec<(SimDuration, u64)>,
+        observations: Vec<ObservationKind>,
+        rng: StdRng,
+    }
+
+    impl Context for Recorder {
+        type Message = LeopardMessage;
+
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn node_id(&self) -> NodeId {
+            self.id
+        }
+
+        fn node_count(&self) -> usize {
+            self.n
+        }
+
+        fn send(&mut self, to: NodeId, message: LeopardMessage) {
+            self.sent.push((Some(to), message));
+        }
+
+        fn multicast(&mut self, message: LeopardMessage) {
+            self.sent.push((None, message));
+        }
+
+        fn broadcast(&mut self, message: LeopardMessage) {
+            self.sent.push((None, message));
+        }
+
+        fn set_timer(&mut self, delay: SimDuration, token: u64) {
+            self.timers.push((delay, token));
+        }
+
+        fn charge_compute(&mut self, _cost: SimDuration) {}
+
+        fn observe(&mut self, observation: ObservationKind) {
+            self.observations.push(observation);
+        }
+
+        fn rng(&mut self) -> &mut dyn RngCore {
+            &mut self.rng
+        }
+    }
+
+    /// Replica `id` of a four-replica cluster under `config`, the cluster's keys, and
+    /// a recorder to drive it with.
+    fn driven(id: u32, config: LeopardConfig) -> (LeopardReplica, Arc<SharedKeys>, Recorder) {
+        let keys = LeopardConfig::shared_keys(&config, 7);
+        let recorder = Recorder {
+            now: SimTime::ZERO,
+            id: NodeId(id),
+            n: config.params.n,
+            sent: Vec::new(),
+            timers: Vec::new(),
+            observations: Vec::new(),
+            rng: StdRng::seed_from_u64(u64::from(id)),
+        };
+        (
+            LeopardReplica::new(NodeId(id), config, keys.clone()),
+            keys,
+            recorder,
+        )
+    }
+
+    /// Replica `signer`'s share over `digest`.
+    fn share(keys: &SharedKeys, signer: u32, digest: &Digest) -> SignatureShare {
+        keys.provider
+            .sign_share(keys.keypair(signer as usize), digest)
+            .0
+    }
+
+    /// A proof over `digest` combined from the shares of replicas 0, 1 and 2.
+    fn quorum_proof(keys: &SharedKeys, digest: &Digest) -> CombinedSignature {
+        let shares: Vec<_> = (0..3).map(|signer| share(keys, signer, digest)).collect();
+        keys.provider.scheme().combine(&shares, digest).unwrap()
+    }
+
+    /// The block digests of every PrepareVote `ctx` recorded for `seq`.
+    fn prepare_votes(ctx: &Recorder, seq: SeqNum) -> Vec<Digest> {
+        ctx.sent
+            .iter()
+            .filter_map(|(_, message)| match message {
+                LeopardMessage::PrepareVote {
+                    seq: s,
+                    block_digest,
+                    ..
+                } if *s == seq => Some(*block_digest),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Delivers an empty ViewChange for `view` from each replica but `replica`: a quorum.
+    fn view_change_quorum(replica: &mut LeopardReplica, ctx: &mut Recorder, view: View) {
+        let id = replica.id();
+        for from in (0..4).map(NodeId).filter(|&from| from != id) {
+            let message = LeopardMessage::ViewChange {
+                new_view: view,
+                checkpoint_seq: SeqNum(0),
+                notarized: Vec::new(),
+            };
+            replica.on_message(from, message, ctx);
+        }
+    }
+
+    /// A stripe proposer that a peer's NewView brought into view v keeps the votes it
+    /// cast in v when its own ViewChange quorum for v completes later, and a quorum
+    /// for v − 1 delivered after that does not rewind it.
+    #[test]
+    fn a_late_view_change_quorum_keeps_the_votes_cast_in_its_view() {
+        // n = 4, p = 2: view 2 is proposed by replicas 2 (stripe 0) and 3 (stripe 1);
+        // replica 2 also held stripe 1 of view 1.
+        let (mut replica, keys, mut ctx) =
+            driven(2, LeopardConfig::small_test(4).with_proposers(2));
+        let new_view = LeopardMessage::NewView {
+            view: View(2),
+            view_change_count: 3,
+            bytes: 0,
+        };
+        replica.on_message(NodeId(3), new_view, &mut ctx);
+        assert_eq!(replica.view(), View(2));
+        // Replica 3 proposes serial 2, on its stripe; replica 2 votes for it.
+        let propose = |block: &Arc<BftBlock>| LeopardMessage::PrePrepare {
+            block: block.clone(),
+            share: share(&keys, 3, &block.digest()),
+        };
+        let block = Arc::new(BftBlock::new(View(2), SeqNum(2), Vec::new()));
+        replica.on_message(NodeId(3), propose(&block), &mut ctx);
+        assert_eq!(prepare_votes(&ctx, SeqNum(2)), [block.digest()]);
+
+        // Its own quorum for view 2 completes: it announces the view and re-proposes
+        // its stripe, but does not enter the view a second time.
+        view_change_quorum(&mut replica, &mut ctx, View(2));
+        assert!(ctx
+            .sent
+            .iter()
+            .any(|(_, message)| matches!(message, LeopardMessage::NewView { view: View(2), .. })));
+        let entries = ctx
+            .observations
+            .iter()
+            .filter(|observation| matches!(observation, ObservationKind::ViewChange { .. }))
+            .count();
+        assert_eq!(entries, 1, "view 2 entered twice");
+        assert!(replica.replica_instances[&2].prepare_voted);
+
+        // Neither the same block again nor a conflicting one draws a second vote.
+        replica.on_message(NodeId(3), propose(&block), &mut ctx);
+        let conflicting = Arc::new(BftBlock::dummy(View(2), SeqNum(2)));
+        replica.on_message(NodeId(3), propose(&conflicting), &mut ctx);
+        assert_eq!(prepare_votes(&ctx, SeqNum(2)), [block.digest()]);
+
+        // A quorum for view 1 is stale: nothing is sent and the view stays.
+        let sent = ctx.sent.len();
+        view_change_quorum(&mut replica, &mut ctx, View(1));
+        assert_eq!(replica.view(), View(2));
+        assert_eq!(ctx.sent.len(), sent);
+    }
+
+    /// The clause the safety argument rests on: an honest replica never signs two
+    /// different PrepareVotes for one (view, serial).
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "signed two PrepareVotes")]
+    fn signing_two_prepare_votes_for_one_view_and_serial_panics() {
+        let (mut replica, _, mut ctx) = driven(0, LeopardConfig::small_test(4));
+        let id = BftBlockId::new(View(1), SeqNum(1));
+        let digest = |links| BftBlock::new(id.view, id.seq, links).digest();
+        replica.send_prepare_vote(id, digest(Vec::new()), &mut ctx);
+        // The same vote again is no equivocation, nor a vote for the serial in view 2.
+        replica.send_prepare_vote(id, digest(Vec::new()), &mut ctx);
+        let later = BftBlock::new(View(2), id.seq, Vec::new());
+        replica.send_prepare_vote(later.id, later.digest(), &mut ctx);
+        let link = leopard_crypto::hash_bytes(b"link");
+        replica.send_prepare_vote(id, digest(vec![link]), &mut ctx);
+    }
+
+    /// A checkpoint adopted from a state-transfer response is garbage-collected like
+    /// one adopted from the leader's multicast: the datablocks the replica executed at
+    /// or below it go at once, not at the next checkpoint.
+    #[test]
+    fn a_checkpoint_adopted_by_state_transfer_collects_the_executed_datablocks() {
+        let (mut replica, keys, mut ctx) = driven(3, LeopardConfig::small_test(4));
+        let datablocks: Vec<Arc<Datablock>> = [0, 2]
+            .into_iter()
+            .map(|producer| {
+                let requests = RequestRun {
+                    client: ClientId(producer),
+                    first_seq: 0,
+                    count: 8,
+                    size: 128,
+                };
+                Arc::new(Datablock::from_run(NodeId(producer), 1, requests))
+            })
+            .collect();
+        for datablock in &datablocks {
+            let message = LeopardMessage::Datablock(datablock.clone());
+            replica.on_message(datablock.id.producer, message, &mut ctx);
+        }
+        // Back from a crash, it re-arms its timers and asks replicas 0 and 1 for state.
+        replica.on_restart(&mut ctx);
+        assert!(ctx.timers.contains(&(PROPOSE_INTERVAL, TOKEN_PROPOSE)));
+        let respond = |replica: &mut LeopardReplica, ctx: &mut Recorder, transfer| {
+            let message = LeopardMessage::StateResponse(Box::new(transfer));
+            replica.on_message(NodeId(0), message, ctx);
+        };
+        // The first response carries serials 1 and 2, one datablock each, and the
+        // replica executes them.
+        let entries = datablocks
+            .iter()
+            .zip(1..)
+            .map(|(datablock, seq)| {
+                let block = Arc::new(BftBlock::new(
+                    View(1),
+                    SeqNum(seq),
+                    vec![datablock.digest()],
+                ));
+                let notarization = quorum_proof(&keys, &block.digest());
+                let notarized = LeopardReplica::notarization_digest(
+                    SeqNum(seq),
+                    &block.digest(),
+                    &notarization,
+                );
+                ConfirmedEntry {
+                    block,
+                    notarization,
+                    confirmation: quorum_proof(&keys, &notarized),
+                }
+            })
+            .collect();
+        let genesis = StateTransfer {
+            view: View(1),
+            checkpoint_seq: SeqNum(0),
+            checkpoint_state: state_digest(SeqNum(0)),
+            checkpoint_proof: None,
+            entries,
+        };
+        respond(&mut replica, &mut ctx, genesis);
+        assert_eq!(replica.last_executed(), SeqNum(2));
+        assert!(datablocks
+            .iter()
+            .all(|datablock| replica.pool().contains(&datablock.digest())));
+
+        // The second carries the stable checkpoint at serial 2.
+        let state = state_digest(SeqNum(2));
+        let checkpoint = StateTransfer {
+            view: View(1),
+            checkpoint_seq: SeqNum(2),
+            checkpoint_state: state,
+            checkpoint_proof: Some(quorum_proof(&keys, &checkpoint_digest(SeqNum(2), &state))),
+            entries: Vec::new(),
+        };
+        respond(&mut replica, &mut ctx, checkpoint);
+        assert_eq!(replica.low_watermark(), SeqNum(2));
+        for datablock in &datablocks {
+            assert!(
+                !replica.pool().contains(&datablock.digest()),
+                "executed datablock {:?} outlived the adopted checkpoint",
+                datablock.id
+            );
+        }
+    }
 
     fn run_small(
         n: usize,

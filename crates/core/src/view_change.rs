@@ -73,6 +73,11 @@ impl ViewChangeState {
         self.views.entry(view.0).or_default()
     }
 
+    /// Drops the records of every view below `view` (on entering it).
+    pub fn forget_views_before(&mut self, view: View) {
+        self.views = self.views.split_off(&view.0);
+    }
+
     /// Records a view-change message for `new_view` at the prospective leader.
     /// Returns the number of distinct senders recorded so far.
     pub fn record_view_change(

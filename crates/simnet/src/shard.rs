@@ -169,8 +169,8 @@ impl QuadHeap {
 /// One shard's event store: a [`QuadHeap`] for arbitrarily-ordered events plus a
 /// FIFO for the **downlink delivery stream**, which needs no heap at all.
 ///
-/// Every `Arrive` dispatch reserves the receiver's downlink FIFO
-/// (`delivery = max(arrival, downlink_free) + tx`, then `downlink_free = delivery`)
+/// Every `Arrive` dispatch reserves the receiver's link FIFO
+/// (`delivery = max(arrival, link_free) + tx`, then `link_free = delivery`)
 /// and `Arrive` events of one shard fire in `(time, seq)` order — so the matured
 /// `Deliver` events of a shard are *created* with nondecreasing `(time, seq)` keys.
 /// Pushing them into the heap just to pop them in insertion order paid two key

@@ -5,7 +5,7 @@
 //! Sending a message of `s` bytes from `a` to `b` at time `t`:
 //!
 //! 1. The message queues at `a`'s uplink: it departs at
-//!    `departure = max(t, uplink_free[a]) + s·8 / uplink_bps`.
+//!    `departure = max(t, link_free[a]) + s·8 / uplink_bps`.
 //! 2. It propagates for `base + U(0, jitter)`, where `base` and `jitter` come from the
 //!    region-pair latency matrix of the configuration's [`crate::network::Topology`]
 //!    ([`crate::network::Topology::lan`] when it has none), plus the deterministic
@@ -13,20 +13,20 @@
 //!    per routed message whose pair jitter bound is non-zero, in route order, so two
 //!    topologies with the same matrix give the same schedule bit for bit.
 //! 3. It queues at `b`'s downlink **on arrival**: it is delivered at
-//!    `max(arrival, downlink_free[b]) + s·8 / downlink_bps`, where the reservation is
+//!    `max(arrival, link_free[b]) + s·8 / downlink_bps`, where the reservation is
 //!    made when the bytes arrive (the `Arrive` event), so the downlink FIFO is ordered
 //!    by arrival time — not by the order in which messages happened to be routed.
 //!    (Route-time reservation let one fan-out's far-future tail copy block control
 //!    messages routed later but arriving earlier, an artificial head-of-line blocking
 //!    that starved votes and collapsed Leopard's throughput at n ≥ 128.)
 //!
-//! A node's uplink and downlink are coupled (half duplex, the paper's cost model, where
-//! `C` is the total bits a replica can move per second and Leopard's predicted
-//! scaling-up gain is `C/2`): a departure pushes the sender's downlink horizon to it
-//! and a delivery pushes the receiver's uplink horizon to it.
+//! A node's uplink and downlink share one horizon, `link_free` (half duplex, the
+//! paper's cost model, where `C` is the total bits a replica can move per second and
+//! Leopard's predicted scaling-up gain is `C/2`): a departure and a delivery each
+//! occupy the node's one link, at the rate of the direction they use.
 //!
 //! The model is a *fluid approximation*: queue occupancy is tracked through the
-//! `*_free` horizons rather than per-packet, which is exact for FIFO links and accurate
+//! `link_free` horizons rather than per-packet, which is exact for FIFO links and accurate
 //! enough to reproduce the paper's bandwidth-bound behaviour. Determinism: for a fixed
 //! seed and protocol, the event order is completely reproducible.
 
@@ -481,8 +481,9 @@ pub struct Simulation<P: Protocol> {
     seq: u64,
     events: u64,
     started: bool,
-    uplink_free: Vec<SimTime>,
-    downlink_free: Vec<SimTime>,
+    /// Per node, the instant its half-duplex link finishes the bytes already
+    /// committed to it, in either direction.
+    link_free: Vec<SimTime>,
     /// The per-node worker-lane compute model (the CPU analogue of the link
     /// horizons). One lane per configured core; `cores = 1` reproduces the old
     /// single sequential `cpu_free` horizon bit for bit.
@@ -539,8 +540,7 @@ impl<P: Protocol> Simulation<P> {
             seq: 0,
             events: 0,
             started: false,
-            uplink_free: vec![SimTime::ZERO; n],
-            downlink_free: vec![SimTime::ZERO; n],
+            link_free: vec![SimTime::ZERO; n],
             compute: ComputeLanes::new(n, resolved.cores),
             timer_epochs: vec![0; n],
             metrics: MetricsSink::with_nodes(n),
@@ -589,14 +589,11 @@ impl<P: Protocol> Simulation<P> {
         &self.faults
     }
 
-    /// The `(uplink_free, downlink_free)` serialisation horizons of `node` — how far
-    /// into the (virtual) future the node's FIFO link queues are already committed.
+    /// The serialisation horizon of `node`'s link — how far into the (virtual) future
+    /// its FIFO link queue is already committed.
     #[cfg(test)]
-    fn link_horizons(&self, node: NodeId) -> (SimTime, SimTime) {
-        (
-            self.uplink_free[node.as_index()],
-            self.downlink_free[node.as_index()],
-        )
+    fn link_horizon(&self, node: NodeId) -> SimTime {
+        self.link_free[node.as_index()]
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -614,7 +611,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Pushes a matured downlink `Deliver` through the shard's O(1) deliver FIFO
     /// (see [`crate::shard::Shard`]): the `Arrive` dispatches of a shard fire in
-    /// `(time, seq)` order and each one advances `downlink_free`, so these keys are
+    /// `(time, seq)` order and each one advances `link_free`, so these keys are
     /// nondecreasing per shard by construction — no heap sift needed. The seq is
     /// assigned exactly as [`Self::push_event`] would.
     fn push_deliver_event(&mut self, at: SimTime, fanout: u32, to: NodeId) {
@@ -794,10 +791,9 @@ impl<P: Protocol> Simulation<P> {
             return;
         }
         let to_link = self.resolved.links[to.as_index()];
-        let start = self.now.max(self.downlink_free[to.as_index()]);
+        let start = self.now.max(self.link_free[to.as_index()]);
         let delivery = start + SimDuration::transmission(size as usize, to_link.downlink_bps);
-        self.downlink_free[to.as_index()] = delivery;
-        self.uplink_free[to.as_index()] = self.uplink_free[to.as_index()].max(delivery);
+        self.link_free[to.as_index()] = delivery;
         self.push_deliver_event(delivery, fanout, to);
     }
 
@@ -907,10 +903,8 @@ impl<P: Protocol> Simulation<P> {
         }
 
         // Uplink serialisation at the sender.
-        let uplink_start = at.max(self.uplink_free[from.as_index()]);
-        let departure = uplink_start + uplink_tx;
-        self.uplink_free[from.as_index()] = departure;
-        self.downlink_free[from.as_index()] = self.downlink_free[from.as_index()].max(departure);
+        let departure = at.max(self.link_free[from.as_index()]) + uplink_tx;
+        self.link_free[from.as_index()] = departure;
         self.metrics.traffic.record_sent(from, category, size as u64);
 
         if fate == MessageFate::Drop {
@@ -1186,12 +1180,12 @@ mod tests {
             delivered_at < SimDuration::from_millis(10).as_nanos(),
             "small ping delivered at {delivered_at} ns — queued behind the bulk reservations"
         );
-        // The bulk transfers still occupy the receiver's downlink until ~300 ms: the
+        // The bulk transfers still occupy the receiver's link until ~300 ms: the
         // horizon reflects real serialisation work, just reserved in arrival order.
-        let (_, downlink) = sim.link_horizons(NodeId(2));
+        let horizon = sim.link_horizon(NodeId(2));
         assert!(
-            downlink.as_nanos() >= SimDuration::from_millis(250).as_nanos(),
-            "bulk transfers should keep the downlink horizon high, got {downlink:?}"
+            horizon.as_nanos() >= SimDuration::from_millis(250).as_nanos(),
+            "bulk transfers should keep the link horizon high, got {horizon:?}"
         );
     }
 
@@ -1806,8 +1800,8 @@ mod tests {
         );
     }
 
-    /// Uplink and downlink are one budget: a sender's downlink is busy while its copy
-    /// departs, and a receiver's uplink while the copy is delivered.
+    /// Uplink and downlink are one budget: a sender's link is busy while its copy
+    /// departs, and a receiver's while the copy is delivered.
     #[test]
     fn uplink_and_downlink_horizons_are_coupled() {
         // 12,500 bytes at 1 Mbps: 100 ms of serialisation on each side.
@@ -1817,8 +1811,8 @@ mod tests {
         let at = |micros| SimTime::ZERO + SimDuration::from_micros(micros);
         // Node 0's copy departs at 100 ms; node 1 reserves its downlink when the bytes
         // arrive (100.1 ms) through their delivery at 200.1 ms.
-        assert_eq!(sim.link_horizons(NodeId(0)), (at(100_000), at(100_000)));
-        assert_eq!(sim.link_horizons(NodeId(1)), (at(200_100), at(200_100)));
+        assert_eq!(sim.link_horizon(NodeId(0)), at(100_000));
+        assert_eq!(sim.link_horizon(NodeId(1)), at(200_100));
     }
 }
 

@@ -97,7 +97,6 @@ fn large_scale_config(n: usize) -> LeopardConfig {
     config.workload = WorkloadMode::Saturated {
         pacing: SimDuration::from_millis(100),
     };
-    config.propose_interval = SimDuration::from_millis(20);
     config
 }
 
