@@ -48,6 +48,14 @@ const PROPOSE_INTERVAL: SimDuration = SimDuration(20_000_000); // 20 ms
 /// dropped — the view-change stall path recovers the loss, just more slowly.
 const DEFERRED_PRE_PREPARE_CAP: usize = 256;
 
+/// Algorithm 2's two voting rounds, which run alike: prepare votes sign the block digest
+/// and form the notarization, commit votes sign its digest and form the confirmation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    Prepare,
+    Commit,
+}
+
 /// The confirmed log, one slot per serial: slot `seq − 1` holds the block confirmed at
 /// `seq`, or `None` while this replica has not seen `seq` confirmed. A slot costs 8
 /// bytes, against about 34 for a B-tree entry.
@@ -529,7 +537,7 @@ impl LeopardReplica {
     /// This is **event-driven**: instead of only running on a fixed timer tick, it is
     /// invoked from every event that changes one of its guards — a datablock crossing
     /// the ready threshold ([`Self::handle_ready`]), an instance confirming
-    /// ([`Self::handle_commit_vote`]), the watermark advancing
+    /// ([`Self::handle_vote`]), the watermark advancing
     /// ([`Self::handle_checkpoint_proof`]) and a new view starting
     /// ([`Self::handle_view_change`]).
     ///
@@ -778,8 +786,8 @@ impl LeopardReplica {
                     return;
                 }
                 instance.endorsed_repropose = Some(digest);
-                if self.behaviour() != ByzantineBehavior::WithholdVotes {
-                    self.send_prepare_vote(block.id, digest, ctx);
+                if !self.votes_muted() {
+                    self.send_vote(Round::Prepare, block.id, digest, ctx);
                 }
                 return;
             }
@@ -791,7 +799,7 @@ impl LeopardReplica {
             // ahead of the proposal). The digest equality above bound this block to the
             // confirmed notarization; log it and resume in-order execution — no votes
             // are owed for an already-confirmed instance.
-            self.log.insert(seq.0, block);
+            self.log_confirmed(seq);
             self.try_execute(ctx);
             return;
         }
@@ -818,16 +826,18 @@ impl LeopardReplica {
         self.maybe_commit_vote(seq, ctx);
     }
 
+    /// True while this replica casts no agreement vote: it withholds votes (a Byzantine
+    /// behaviour), or it has complained about the current view. The latter is PBFT's
+    /// participation rule: a replica's Timeout/ViewChange evidence snapshot must
+    /// dominate every vote it ever cast — a vote slipped in *after* the complaint could
+    /// complete a quorum whose existence the new leader's evidence cannot see, letting
+    /// a later view confirm different content at the same serial number (a fork).
+    fn votes_muted(&self) -> bool {
+        self.behaviour() == ByzantineBehavior::WithholdVotes || self.in_view_change()
+    }
+
     fn cast_prepare_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
-        if self.behaviour() == ByzantineBehavior::WithholdVotes {
-            return;
-        }
-        // PBFT participation rule: a replica that has complained stops voting in the
-        // abandoned view. Its Timeout/ViewChange evidence snapshot must dominate every
-        // vote it ever cast — a vote slipped in *after* the complaint could complete a
-        // quorum whose existence the new leader's evidence cannot see, letting a later
-        // view confirm different content at the same serial number (a fork).
-        if self.in_view_change() {
+        if self.votes_muted() {
             return;
         }
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
@@ -845,40 +855,33 @@ impl LeopardReplica {
             .block
             .as_ref()
             .map_or(self.view, |block| block.id.view);
-        self.send_prepare_vote(BftBlockId::new(view, seq), digest, ctx);
+        self.send_vote(Round::Prepare, BftBlockId::new(view, seq), digest, ctx);
     }
 
-    /// Signs `block_digest`, the digest of block `id`, and sends the first-round vote
-    /// to the proposer of `id.seq`: the one place a replica signs a PrepareVote.
-    fn send_prepare_vote(&mut self, id: BftBlockId, block_digest: Digest, ctx: &mut Ctx<'_>) {
+    /// Signs `digest` and sends it as this replica's `round` vote on block `id` to the
+    /// proposer of `id.seq` (a commit vote reads only `id.seq`): the one place a replica
+    /// signs a vote.
+    fn send_vote(&mut self, round: Round, id: BftBlockId, digest: Digest, ctx: &mut Ctx<'_>) {
         #[cfg(debug_assertions)]
-        {
-            let signed = self.signed_prepares.entry(id).or_insert(block_digest);
-            debug_assert_eq!(*signed, block_digest, "signed two PrepareVotes for {id:?}");
+        if round == Round::Prepare {
+            let signed = self.signed_prepares.entry(id).or_insert(digest);
+            debug_assert_eq!(*signed, digest, "signed two PrepareVotes for {id:?}");
         }
-        let share = self.sign(&block_digest, ctx);
+        let share = self.sign(&digest, ctx);
         let seq = id.seq;
-        ctx.send(
-            self.proposer_of_seq(seq),
-            LeopardMessage::PrepareVote {
+        let vote = match round {
+            Round::Prepare => LeopardMessage::PrepareVote {
                 seq,
-                block_digest,
+                block_digest: digest,
                 share,
             },
-        );
-    }
-
-    /// Signs `proof_digest` and sends the second-round vote to `seq`'s proposer.
-    fn send_commit_vote(&self, seq: SeqNum, proof_digest: Digest, ctx: &mut Ctx<'_>) {
-        let share = self.sign(&proof_digest, ctx);
-        ctx.send(
-            self.proposer_of_seq(seq),
-            LeopardMessage::CommitVote {
+            Round::Commit => LeopardMessage::CommitVote {
                 seq,
-                proof_digest,
+                proof_digest: digest,
                 share,
             },
-        );
+        };
+        ctx.send(self.proposer_of_seq(seq), vote);
     }
 
     fn resolve_missing_link(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Ctx<'_>) {
@@ -903,46 +906,71 @@ impl LeopardReplica {
         ])
     }
 
-    fn handle_prepare_vote(
+    /// The proposer's side of both voting rounds: adds `from`'s `round` vote on
+    /// instance `seq` and, once a quorum settles into a proof, broadcasts it.
+    fn handle_vote(
         &mut self,
         from: NodeId,
+        round: Round,
         seq: SeqNum,
-        block_digest: Digest,
-        share: leopard_crypto::threshold::SignatureShare,
+        digest: Digest,
+        share: SignatureShare,
         ctx: &mut Ctx<'_>,
     ) {
-        if self.proposer_of_seq(seq) != self.id {
-            return;
-        }
         // Only the signer-identity check happens per vote; the share values are
         // verified in one batch when the quorum completes (randomized linear
         // combination — the amortisation that keeps the leader's sequential CPU work
         // per round at one batch check instead of `2f` scheme verifications).
-        if share.signer != from.signer_index() {
+        if self.proposer_of_seq(seq) != self.id || share.signer != from.signer_index() {
             return;
         }
         let quorum = self.quorum();
         let Some(instance) = self.pipeline.get_mut(seq) else {
             return;
         };
-        if instance.block_digest != block_digest || instance.notarization_digest.is_some() {
+        let (signs, settled, shares) = match round {
+            Round::Prepare => (
+                Some(instance.block_digest),
+                instance.notarization_digest.is_some(),
+                &mut instance.prepares,
+            ),
+            Round::Commit => (
+                instance.notarization_digest,
+                instance.confirmed,
+                &mut instance.commits,
+            ),
+        };
+        if signs != Some(digest) || settled || shares.add(share) < quorum {
             return;
         }
-        if instance.prepares.add(share) < quorum {
-            return;
-        }
-        let (proof, cost) = instance.prepares.settle(&self.keys.provider, &block_digest);
+        let (proof, cost) = shares.settle(&self.keys.provider, &digest);
         charge(ctx, cost);
         let Some(proof) = proof else {
             return;
         };
-        let digest = Self::notarization_digest(seq, &block_digest, &proof);
-        instance.notarization_digest = Some(digest);
-        ctx.broadcast(LeopardMessage::NotarizationProof {
-            seq,
-            block_digest,
-            proof,
-        });
+        match round {
+            Round::Prepare => {
+                let notarization_digest = Self::notarization_digest(seq, &digest, &proof);
+                instance.notarization_digest = Some(notarization_digest);
+                ctx.broadcast(LeopardMessage::NotarizationProof {
+                    seq,
+                    block_digest: digest,
+                    proof,
+                });
+            }
+            Round::Commit => {
+                instance.confirmed = true;
+                self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
+                ctx.broadcast(LeopardMessage::ConfirmationProof {
+                    seq,
+                    proof_digest: digest,
+                    proof,
+                });
+                // Event-driven pipeline: the confirmation freed an in-flight slot, so
+                // the `InstancesFull` guard may have cleared.
+                self.propose(ctx, false);
+            }
+        }
     }
 
     fn handle_notarization(
@@ -959,17 +987,17 @@ impl LeopardReplica {
         if seq.0 <= lw {
             return;
         }
-        let withholds = self.behaviour() == ByzantineBehavior::WithholdVotes;
-        let in_view_change = self.in_view_change();
+        let muted = self.votes_muted();
         let instance = self.replica_instances.entry(seq.0).or_default();
         if instance.block_digest.is_some() && instance.block_digest != Some(block_digest) {
             // Notarization of an endorsed re-proposal — the same content this replica
             // already confirmed, re-stamped by a later view. Cast the commit vote for
             // the twin without touching the confirmed state (see `endorsed_repropose`).
-            if instance.endorsed_repropose == Some(block_digest) && !withholds && !in_view_change {
+            if instance.endorsed_repropose == Some(block_digest) && !muted {
                 instance.endorsed_repropose = None;
                 let notarization_digest = Self::notarization_digest(seq, &block_digest, &proof);
-                self.send_commit_vote(seq, notarization_digest, ctx);
+                let twin = BftBlockId::new(self.view, seq);
+                self.send_vote(Round::Commit, twin, notarization_digest, ctx);
             }
             return;
         }
@@ -997,8 +1025,7 @@ impl LeopardReplica {
     /// replica that learns the notarization before the block (reordered delivery, or
     /// a partition that dropped the PrePrepare) votes when the block arrives.
     fn maybe_commit_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
-        // Same participation rule as `cast_prepare_vote`: no votes after complaining.
-        let mute = self.behaviour() == ByzantineBehavior::WithholdVotes || self.in_view_change();
+        let muted = self.votes_muted();
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
             return;
         };
@@ -1009,55 +1036,17 @@ impl LeopardReplica {
         if let Some(entry) = instance.notarized_entry() {
             instance.prepared = Some(entry);
         }
-        if mute || instance.commit_voted || instance.block.is_none() {
+        if muted || instance.commit_voted {
             return;
         }
-        let Some(notarization_digest) = instance.notarization_digest else {
+        let (Some(block), Some(notarization_digest)) =
+            (&instance.block, instance.notarization_digest)
+        else {
             return;
         };
+        let id = block.id;
         instance.commit_voted = true;
-        self.send_commit_vote(seq, notarization_digest, ctx);
-    }
-
-    fn handle_commit_vote(
-        &mut self,
-        from: NodeId,
-        seq: SeqNum,
-        proof_digest: Digest,
-        share: leopard_crypto::threshold::SignatureShare,
-        ctx: &mut Ctx<'_>,
-    ) {
-        if self.proposer_of_seq(seq) != self.id {
-            return;
-        }
-        if share.signer != from.signer_index() {
-            return;
-        }
-        let quorum = self.quorum();
-        let Some(instance) = self.pipeline.get_mut(seq) else {
-            return;
-        };
-        if instance.notarization_digest != Some(proof_digest) || instance.confirmed {
-            return;
-        }
-        if instance.commits.add(share) < quorum {
-            return;
-        }
-        let (proof, cost) = instance.commits.settle(&self.keys.provider, &proof_digest);
-        charge(ctx, cost);
-        let Some(proof) = proof else {
-            return;
-        };
-        instance.confirmed = true;
-        self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
-        ctx.broadcast(LeopardMessage::ConfirmationProof {
-            seq,
-            proof_digest,
-            proof,
-        });
-        // Event-driven pipeline: the confirmation freed an in-flight slot, so the
-        // `InstancesFull` guard may have cleared.
-        self.propose(ctx, false);
+        self.send_vote(Round::Commit, id, notarization_digest, ctx);
     }
 
     fn handle_confirmation(
@@ -1090,11 +1079,17 @@ impl LeopardReplica {
         }
         instance.held_confirmation = None;
         instance.confirmation = Some(proof);
+        self.log_confirmed(seq);
+        self.try_execute(ctx);
+    }
+
+    /// Records that `seq` confirmed: raises `highest_confirmed_seen` and, once the
+    /// instance holds its block, enters the block in the log — the log's one writer.
+    fn log_confirmed(&mut self, seq: SeqNum) {
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
-        if let Some(block) = instance.block.clone() {
+        if let Some(block) = self.replica_instances.get(&seq.0).and_then(|i| i.block.clone()) {
             self.log.insert(seq.0, block);
         }
-        self.try_execute(ctx);
     }
 
     // ------------------------------------------------------------------
@@ -1433,11 +1428,10 @@ impl LeopardReplica {
         }
         instance.block = Some(entry.block.clone());
         instance.block_digest = Some(block_digest);
-        self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
         instance.notarization = Some(entry.notarization);
         instance.notarization_digest = Some(notarization_digest);
         instance.confirmation = Some(entry.confirmation);
-        self.log.insert(seq.0, entry.block.clone());
+        self.log_confirmed(seq);
         // Any linked datablock this replica does not hold is fetched through the
         // regular retrieval plane (Algorithm 3) before execution.
         self.note_missing_links(&entry.block, seq, ctx.now());
@@ -1842,7 +1836,7 @@ impl Protocol for LeopardReplica {
                 seq,
                 block_digest,
                 share,
-            } => self.handle_prepare_vote(from, seq, block_digest, share, ctx),
+            } => self.handle_vote(from, Round::Prepare, seq, block_digest, share, ctx),
             LeopardMessage::NotarizationProof {
                 seq,
                 block_digest,
@@ -1852,7 +1846,7 @@ impl Protocol for LeopardReplica {
                 seq,
                 proof_digest,
                 share,
-            } => self.handle_commit_vote(from, seq, proof_digest, share, ctx),
+            } => self.handle_vote(from, Round::Commit, seq, proof_digest, share, ctx),
             LeopardMessage::ConfirmationProof {
                 seq,
                 proof_digest,
@@ -2124,6 +2118,90 @@ mod tests {
         assert_eq!(ctx.sent.len(), sent);
     }
 
+    /// The proposer's side of both voting rounds: a share signed by someone other than
+    /// its sender, a vote over another digest and a vote after the round settled are
+    /// ignored; a forged share is purged and the proof re-forms from honest votes; each
+    /// round sends its proof once.
+    #[test]
+    fn the_proposer_collects_both_rounds_through_one_vote_path() {
+        // n = 4, quorum 3: replica 1 leads view 1 and proposes serial 1.
+        let (mut replica, keys, mut ctx) = driven(1, LeopardConfig::small_test(4));
+        let seq = SeqNum(1);
+        let block_digest = BftBlock::new(View(1), seq, Vec::new()).digest();
+        replica.pipeline.insert(seq, LeaderInstance::new(block_digest));
+        let other = leopard_crypto::hash_bytes(b"another digest");
+        let prepare = |signer, digest: Digest| LeopardMessage::PrepareVote {
+            seq,
+            block_digest: digest,
+            share: share(&keys, signer, &digest),
+        };
+        let notarizations = |ctx: &Recorder| -> Vec<CombinedSignature> {
+            let proofs = ctx.sent.iter().filter_map(|(_, message)| match message {
+                LeopardMessage::NotarizationProof { proof, .. } => Some(*proof),
+                _ => None,
+            });
+            proofs.collect()
+        };
+
+        // Replica 3's share sent by replica 0, and replica 2's vote over another digest.
+        let misattributed = LeopardMessage::PrepareVote {
+            seq,
+            block_digest,
+            share: share(&keys, 3, &block_digest),
+        };
+        replica.on_message(NodeId(0), misattributed, &mut ctx);
+        replica.on_message(NodeId(2), prepare(2, other), &mut ctx);
+        // Two honest votes: had either vote above counted, a proof would form here or
+        // fail its batch check below.
+        for signer in [0, 2] {
+            replica.on_message(NodeId(signer), prepare(signer, block_digest), &mut ctx);
+        }
+        assert!(notarizations(&ctx).is_empty());
+        replica.on_message(NodeId(1), prepare(1, block_digest), &mut ctx);
+        let [notarization] = notarizations(&ctx)[..] else {
+            panic!("expected one NotarizationProof, sent {:?}", ctx.sent);
+        };
+        assert!(keys.provider.verify_combined(&notarization, &block_digest).0);
+        // A vote after the round settled forms no second proof.
+        replica.on_message(NodeId(3), prepare(3, block_digest), &mut ctx);
+        assert_eq!(notarizations(&ctx).len(), 1);
+
+        // Second round, over the notarization's digest.
+        let proof_digest = LeopardReplica::notarization_digest(seq, &block_digest, &notarization);
+        let commit = |signer, digest: Digest, signed: &Digest| LeopardMessage::CommitVote {
+            seq,
+            proof_digest: digest,
+            share: share(&keys, signer, signed),
+        };
+        let confirmations = |ctx: &Recorder| -> Vec<CombinedSignature> {
+            let proofs = ctx.sent.iter().filter_map(|(_, message)| match message {
+                LeopardMessage::ConfirmationProof { proof, .. } => Some(*proof),
+                _ => None,
+            });
+            proofs.collect()
+        };
+        // A commit vote over the block digest is a vote over the wrong digest, and
+        // replica 2's share sent by replica 1 is not replica 1's vote.
+        replica.on_message(NodeId(0), commit(0, block_digest, &block_digest), &mut ctx);
+        replica.on_message(NodeId(1), commit(2, proof_digest, &proof_digest), &mut ctx);
+        // Replica 3's share does not sign `proof_digest`: it is forged, and purged when
+        // the first quorum fails its batch check.
+        replica.on_message(NodeId(3), commit(3, proof_digest, &other), &mut ctx);
+        for signer in [0, 1] {
+            let vote = commit(signer, proof_digest, &proof_digest);
+            replica.on_message(NodeId(signer), vote, &mut ctx);
+        }
+        assert!(confirmations(&ctx).is_empty());
+        replica.on_message(NodeId(2), commit(2, proof_digest, &proof_digest), &mut ctx);
+        let [confirmation] = confirmations(&ctx)[..] else {
+            panic!("expected one ConfirmationProof, sent {:?}", ctx.sent);
+        };
+        assert!(keys.provider.verify_combined(&confirmation, &proof_digest).0);
+        replica.on_message(NodeId(3), commit(3, proof_digest, &proof_digest), &mut ctx);
+        assert_eq!(confirmations(&ctx).len(), 1);
+        assert_eq!(notarizations(&ctx).len(), 1);
+    }
+
     /// The clause the safety argument rests on: an honest replica never signs two
     /// different PrepareVotes for one (view, serial).
     #[cfg(debug_assertions)]
@@ -2133,13 +2211,13 @@ mod tests {
         let (mut replica, _, mut ctx) = driven(0, LeopardConfig::small_test(4));
         let id = BftBlockId::new(View(1), SeqNum(1));
         let digest = |links| BftBlock::new(id.view, id.seq, links).digest();
-        replica.send_prepare_vote(id, digest(Vec::new()), &mut ctx);
+        replica.send_vote(Round::Prepare, id, digest(Vec::new()), &mut ctx);
         // The same vote again is no equivocation, nor a vote for the serial in view 2.
-        replica.send_prepare_vote(id, digest(Vec::new()), &mut ctx);
+        replica.send_vote(Round::Prepare, id, digest(Vec::new()), &mut ctx);
         let later = BftBlock::new(View(2), id.seq, Vec::new());
-        replica.send_prepare_vote(later.id, later.digest(), &mut ctx);
+        replica.send_vote(Round::Prepare, later.id, later.digest(), &mut ctx);
         let link = leopard_crypto::hash_bytes(b"link");
-        replica.send_prepare_vote(id, digest(vec![link]), &mut ctx);
+        replica.send_vote(Round::Prepare, id, digest(vec![link]), &mut ctx);
     }
 
     /// A checkpoint adopted from a state-transfer response is garbage-collected like

@@ -94,10 +94,12 @@ impl ViewChangeState {
     }
 
     /// Once `quorum` view-change messages for `new_view` are available, merges them into
-    /// the new-view payload: for each serial number the entry with that number (from any
-    /// view-change message) is selected, gaps between the highest stable checkpoint and
-    /// the highest notarized serial number are reported so the caller can fill them with
-    /// dummy blocks.
+    /// the new-view payload: for each serial number the entry from the highest view (the
+    /// lowest sender id on a tie) is selected, as in PBFT: a block that confirmed at a
+    /// serial is carried by every later view's notarized block there, while an older
+    /// view's entry may have been superseded. Gaps between the highest stable
+    /// checkpoint and the highest notarized serial number are reported so the caller
+    /// can fill them with dummy blocks.
     ///
     /// Returns `None` until the quorum is reached or if a new-view was already produced
     /// for this view.
@@ -120,7 +122,10 @@ impl ViewChangeState {
             max_checkpoint = max_checkpoint.max(*checkpoint);
             total_bytes += bytes;
             for entry in entries {
-                by_seq.entry(entry.block.id.seq.0).or_insert_with(|| entry.clone());
+                let kept = by_seq.entry(entry.block.id.seq.0).or_insert_with(|| entry.clone());
+                if entry.block.id.view > kept.block.id.view {
+                    *kept = entry.clone();
+                }
             }
         }
         let highest = by_seq.keys().next_back().copied().unwrap_or(max_checkpoint.0);
@@ -131,7 +136,6 @@ impl ViewChangeState {
             }
         }
         Some(NewViewPayload {
-            view: new_view,
             stable_checkpoint: max_checkpoint,
             entries: by_seq.into_values().collect(),
             gaps,
@@ -145,8 +149,6 @@ impl ViewChangeState {
 /// new-view message by the next leader.
 #[derive(Debug)]
 pub struct NewViewPayload {
-    /// The view being started.
-    pub view: View,
     /// The highest stable checkpoint among the view-change messages.
     pub stable_checkpoint: SeqNum,
     /// Notarized blocks to re-propose, ordered by serial number.
@@ -176,9 +178,14 @@ mod tests {
     use std::sync::Arc;
 
     fn entry(seq: u64) -> NotarizedEntry {
+        entry_in(View(1), seq)
+    }
+
+    /// A notarized entry for serial `seq`, proposed in `view`.
+    fn entry_in(view: View, seq: u64) -> NotarizedEntry {
         let mut rng = StdRng::seed_from_u64(seq);
         let (scheme, keys) = ThresholdScheme::trusted_setup(3, 4, &mut rng);
-        let block = Arc::new(BftBlock::new(View(1), SeqNum(seq), vec![]));
+        let block = Arc::new(BftBlock::new(view, SeqNum(seq), vec![]));
         let digest = block.digest();
         let shares: Vec<_> = keys.iter().map(|k| scheme.sign_share(k, &digest)).collect();
         NotarizedEntry {
@@ -233,13 +240,31 @@ mod tests {
             3
         );
         let payload = state.build_new_view(View(2), 3).expect("quorum reached");
-        assert_eq!(payload.view, View(2));
         assert_eq!(payload.entries.len(), 2);
         assert_eq!(payload.gaps, vec![SeqNum(2)]);
         assert_eq!(payload.view_change_count, 3);
         assert_eq!(payload.view_change_bytes, 450);
         // A second build for the same view is suppressed.
         assert!(state.build_new_view(View(2), 3).is_none());
+    }
+
+    /// PBFT's rule: for each serial the NewView keeps the entry from the highest view.
+    /// A lower-id sender still carrying an older view's block must not displace the
+    /// block a later view notarized, which may have confirmed there.
+    #[test]
+    fn new_view_keeps_the_highest_view_entry_per_serial() {
+        let mut state = ViewChangeState::new();
+        let later = entry_in(View(2), 1);
+        state.record_view_change(View(3), NodeId(0), SeqNum(0), vec![entry_in(View(1), 1)], 100);
+        state.record_view_change(View(3), NodeId(1), SeqNum(0), vec![later.clone()], 100);
+        state.record_view_change(View(3), NodeId(2), SeqNum(0), vec![], 16);
+        let payload = state.build_new_view(View(3), 3).expect("quorum reached");
+        let [kept] = &payload.entries[..] else {
+            panic!("expected one entry, got {:?}", payload.entries);
+        };
+        assert_eq!(kept.block.id.view, View(2));
+        assert_eq!(kept.block.digest(), later.block.digest());
+        assert!(payload.gaps.is_empty());
     }
 
     #[test]
