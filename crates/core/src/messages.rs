@@ -134,6 +134,12 @@ impl RetrievalChunk {
         self.payload_len
     }
 
+    /// Wire bytes of the `QueryResponse` carrying this chunk: the digest, the root, a
+    /// u32 shard index, the u64 payload length and the payload.
+    pub fn response_wire_size(&self) -> usize {
+        2 * DIGEST_LEN + 4 + 8 + self.payload.wire_len()
+    }
+
     /// True if the Merkle proof is for [`Self::shard_index`] and verifies the chunk
     /// bytes against [`Self::root`]. A real chunk runs the check on the first call and
     /// answers every later call, from any holder of the chunk, with that verdict; a
@@ -370,9 +376,7 @@ impl WireSize for LeopardMessage {
                 8 + DIGEST_LEN + DEFAULT_SIGNATURE_WIRE_BYTES
             }
             LeopardMessage::Query { digests } => 4 + DIGEST_LEN * digests.len(),
-            LeopardMessage::QueryResponse { chunk, .. } => {
-                2 * DIGEST_LEN + 4 + 8 + chunk.payload.wire_len()
-            }
+            LeopardMessage::QueryResponse { chunk, .. } => chunk.response_wire_size(),
             LeopardMessage::Timeout { .. } => 8 + DEFAULT_SIGNATURE_WIRE_BYTES,
             LeopardMessage::ViewChange { notarized, .. } => view_change_wire_size(notarized),
             LeopardMessage::NewView { bytes, .. } => 8 + 4 + *bytes as usize,

@@ -73,8 +73,8 @@ pub struct Pipeline {
     next_seq: SeqNum,
     /// The parallelism bound `k` (`max_parallel_instances`).
     k: usize,
-    /// The stripe this pipeline proposes on: serials `s` with
-    /// `(s − 1) mod stride == stripe` (PR 9 multi-proposer plane). The default
+    /// The stripe this pipeline proposes on: the serials whose
+    /// [`SeqNum::stripe`] of `stride` is `stripe`. The default
     /// `(0, 1)` is the classic single-leader pipeline over every serial.
     stripe: u64,
     /// Number of stripes (`p`, the proposer count); `1` = single leader.
@@ -94,14 +94,8 @@ impl Pipeline {
         }
     }
 
-    /// The stripe (of how many) a serial number belongs to.
-    pub fn stripe_of(seq: SeqNum, stride: u64) -> u64 {
-        debug_assert!(seq.0 >= 1 && stride >= 1);
-        (seq.0 - 1) % stride
-    }
-
-    /// Re-anchors this pipeline to `stripe` of `stride` (called on entering a view
-    /// under the multi-proposer plane). `next_seq` never decreases; it is advanced
+    /// Re-anchors this pipeline to `stripe` of `stride` (called on entering a view;
+    /// stripe 0 of 1 changes nothing). `next_seq` never decreases; it is advanced
     /// to the nearest serial of the new stripe's residue class.
     pub fn set_stripe(&mut self, stripe: u64, stride: u64) {
         assert!(stride >= 1 && stripe < stride, "stripe {stripe} of {stride}");
@@ -112,10 +106,7 @@ impl Pipeline {
 
     /// Advances `next_seq` (without decreasing it) to the pipeline's residue class.
     fn align_next_seq(&mut self) {
-        if self.stride <= 1 {
-            return;
-        }
-        let r = (self.next_seq.0 - 1) % self.stride;
+        let r = self.next_seq.stripe(self.stride);
         let delta = (self.stripe + self.stride - r) % self.stride;
         self.next_seq = SeqNum(self.next_seq.0 + delta);
     }
@@ -272,12 +263,8 @@ mod tests {
         // advances to that stripe's next serial.
         pipeline.set_stripe(0, 4);
         assert_eq!(pipeline.next_seq(), SeqNum(17));
-        // Stripe arithmetic: (s − 1) mod stride.
-        assert_eq!(Pipeline::stripe_of(SeqNum(1), 4), 0);
-        assert_eq!(Pipeline::stripe_of(SeqNum(2), 4), 1);
-        assert_eq!(Pipeline::stripe_of(SeqNum(8), 4), 3);
-        assert_eq!(Pipeline::stripe_of(SeqNum(9), 4), 0);
-        assert_eq!(Pipeline::stripe_of(SeqNum(7), 1), 0);
+        // Every serial it takes lies on its stripe.
+        assert_eq!(pipeline.take_seq().stripe(4), 0);
     }
 
     #[test]

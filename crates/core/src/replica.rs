@@ -27,7 +27,8 @@ use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{hash_parts, Digest, SharedKeys};
 use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
 use leopard_types::{
-    BftBlock, BftBlockId, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum, View, WireSize,
+    digest_stripe, BftBlock, BftBlockId, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum,
+    View, WireSize,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -300,16 +301,16 @@ impl LeopardReplica {
     }
 
     // ------------------------------------------------------------------
-    // Multi-proposer schedule (PR 9)
+    // Multi-proposer schedule
     //
     // Serial numbers are striped round-robin over `p = params.proposers`
-    // replicas: stripe `j` of view `v` is proposed by `View::proposer`
-    // (replica `((v mod n) + j) mod n`), and owns exactly the serials `s` with
-    // `(s − 1) mod p == j`. Stripe 0 is the classic leader, so `p = 1` is the
-    // single-leader protocol, bit for bit. Quorum intersection holds per serial
-    // because at most one replica may propose at any serial of any view — the
-    // stripes partition the serial space and the schedule is a deterministic
-    // function of `(view, n, p)` every honest replica evaluates identically.
+    // replicas; the schedule lives in `leopard_types::ids` (`View::proposer`,
+    // `View::stripe_of`, `SeqNum::stripe`, `digest_stripe`). Stripe 0 is the
+    // classic leader, so `p = 1` is the single-leader protocol, bit for bit.
+    // Quorum intersection holds per serial because at most one replica may
+    // propose at any serial of any view — the stripes partition the serial space
+    // and the schedule is a deterministic function of `(view, n, p)` every honest
+    // replica evaluates identically.
     // ------------------------------------------------------------------
 
     /// Number of concurrent proposers `p`.
@@ -319,25 +320,18 @@ impl LeopardReplica {
 
     /// The proposer that owns serial `seq` in the current view.
     fn proposer_of_seq(&self, seq: SeqNum) -> NodeId {
-        let j = Pipeline::stripe_of(seq, self.proposer_count());
-        self.view.proposer(j, self.n())
+        self.view.proposer(seq.stripe(self.proposer_count()), self.n())
     }
 
-    /// `node`'s stripe in `view`'s proposer window, if it holds one.
-    fn stripe_in_view(&self, node: NodeId, view: View) -> Option<u64> {
-        let j = view.stripe_of(node, self.n());
-        (j < self.proposer_count()).then_some(j)
-    }
-
-    /// This replica's stripe in the current view, if it is a proposer.
-    fn my_stripe(&self) -> Option<u64> {
-        self.stripe_in_view(self.id, self.view)
+    /// This replica's stripe in `view`, if it is a proposer there.
+    fn my_stripe(&self, view: View) -> Option<u64> {
+        view.stripe_of(self.id, self.n(), self.proposer_count())
     }
 
     /// True if this replica proposes some stripe of the current view (equals
     /// [`Self::is_leader`] when `proposers = 1`).
     pub fn is_proposer(&self) -> bool {
-        self.my_stripe().is_some()
+        self.my_stripe(self.view).is_some()
     }
 
     /// The proposer that Ready acks for `digest` are routed to. Datablocks are
@@ -347,22 +341,14 @@ impl LeopardReplica {
     /// linked twice by two stripes. `p = 1` routes to the leader, exactly as
     /// before.
     fn proposer_for_digest(&self, digest: &Digest) -> NodeId {
-        let p = self.proposer_count();
-        let mut prefix = [0u8; 8];
-        prefix.copy_from_slice(&digest.as_bytes()[..8]);
-        let j = u64::from_le_bytes(prefix) % p;
-        self.view.proposer(j, self.n())
+        self.view.proposer(digest_stripe(digest, self.proposer_count()), self.n())
     }
 
     /// Re-anchors the pipeline onto this replica's stripe of the current view
-    /// (a no-op for `proposers = 1`, preserving the single-leader schedule).
+    /// (stripe 0 of 1 for `proposers = 1`: the single-leader schedule).
     fn anchor_pipeline_stripe(&mut self) {
-        let p = self.proposer_count();
-        if p <= 1 {
-            return;
-        }
-        if let Some(stripe) = self.my_stripe() {
-            self.pipeline.set_stripe(stripe, p);
+        if let Some(stripe) = self.my_stripe(self.view) {
+            self.pipeline.set_stripe(stripe, self.proposer_count());
         }
     }
 
@@ -608,7 +594,8 @@ impl LeopardReplica {
     /// Execution is strictly sequential over serial numbers, so with `p > 1` a
     /// stripe with no ready datablocks would otherwise hold every later serial of
     /// the other stripes hostage. Dummies are bounded by the highest confirmation
-    /// seen anywhere, so a stripe never runs ahead of real progress; with `p = 1`
+    /// seen anywhere, so a stripe never runs ahead of real progress, and go out only
+    /// while the empty ready queue is the one guard blocking `propose`; with `p = 1`
     /// there is exactly one stripe and this is dead code (gated below).
     fn fill_idle_stripe(&mut self, ctx: &mut Ctx<'_>) {
         if self.proposer_count() <= 1
@@ -616,17 +603,12 @@ impl LeopardReplica {
             // Dummies extend the serial space just like real proposals — an
             // un-anchored view must not fill either (see `propose`).
             || self.view != self.anchored_view
-            || self.in_view_change()
-            || self.behaviour() == ByzantineBehavior::SilentLeader
-            || self.ready.ready_count() > 0
             || self.pipeline.in_flight() > 0
         {
             return;
         }
-        let high_watermark = self.checkpoints.high_watermark(self.instance_window());
-        while self.pipeline.next_seq().0 <= self.highest_confirmed_seen
-            && self.pipeline.next_seq() <= high_watermark
-            && self.pipeline.in_flight() < self.config.params.max_parallel_instances
+        while self.pipeline_guard() == StallReason::AwaitingReady
+            && self.pipeline.next_seq().0 <= self.highest_confirmed_seen
         {
             let seq = self.pipeline.take_seq();
             self.broadcast_proposal(Arc::new(BftBlock::dummy(self.view, seq)), true, ctx);
@@ -1673,7 +1655,7 @@ impl LeopardReplica {
         // Only a prospective proposer of `new_view` processes these (with a single
         // proposer that is exactly the prospective leader), and only for a view this
         // replica has not left: `enter_view` dropped the records of older ones.
-        if new_view < self.view || self.stripe_in_view(self.id, new_view).is_none() {
+        if new_view < self.view || self.my_stripe(new_view).is_none() {
             return;
         }
         // Verify the notarization proofs before accepting the entries.
@@ -1696,31 +1678,27 @@ impl LeopardReplica {
                 bytes: payload.view_change_bytes + reproposed as u64,
             });
 
-            // Re-propose the surviving blocks (and dummies for the gaps) in the new
+            // Re-propose the surviving blocks, then dummies for the gaps, in the new
             // view — but only the serials on this replica's own stripe. The other
             // proposers of `new_view` received the same ViewChange quorum and cover
             // their stripes from the identical evidence, so every serial above the
-            // stable checkpoint is re-proposed exactly once system-wide.
+            // stable checkpoint is re-proposed exactly once system-wide. Two known
+            // quirks: re-proposals skip the block-hash charge a fresh proposal pays,
+            // and a re-proposed entry drops its dummy flag.
             let p = self.proposer_count();
-            let stripe = self.my_stripe().expect("checked by the guard above");
-            let mut highest = payload.stable_checkpoint.0;
-            // Re-proposals skip the block-hash charge a fresh proposal pays: deliberate, for now.
-            let hash_charge = false;
-            for entry in &payload.entries {
-                let seq = entry.block.id.seq;
-                highest = highest.max(seq.0);
-                if Pipeline::stripe_of(seq, p) != stripe {
-                    continue;
-                }
-                let block = Arc::new(BftBlock::new(new_view, seq, entry.block.links.clone()));
-                self.broadcast_proposal(block, hash_charge, ctx);
+            let stripe = self.my_stripe(new_view).expect("checked by the guard above");
+            let entries = payload.entries.iter().map(|e| (e.block.id.seq, Some(&e.block.links)));
+            let gaps = payload.gaps.iter().map(|&gap| (gap, None));
+            for (seq, links) in entries.chain(gaps).filter(|(seq, _)| seq.stripe(p) == stripe) {
+                let block = match links {
+                    Some(links) => BftBlock::new(new_view, seq, links.clone()),
+                    None => BftBlock::dummy(new_view, seq),
+                };
+                self.broadcast_proposal(Arc::new(block), false, ctx);
             }
-            for gap in &payload.gaps {
-                if Pipeline::stripe_of(*gap, p) == stripe {
-                    let block = Arc::new(BftBlock::dummy(new_view, *gap));
-                    self.broadcast_proposal(block, hash_charge, ctx);
-                }
-            }
+            // Entries come sorted and every gap lies below the last one.
+            let last_entry = payload.entries.last().map_or(0, |e| e.block.id.seq.0);
+            let highest = last_entry.max(payload.stable_checkpoint.0);
             self.pipeline.bump_next_seq(SeqNum(highest + 1));
             // The frontier now clears everything the quorum evidence could have
             // notarized — fresh proposals in this view are safe.
@@ -1741,7 +1719,7 @@ impl LeopardReplica {
         // Any proposer of `view` may announce it (each one independently assembles
         // the same ViewChange quorum); with a single proposer only the new leader
         // qualifies, as before.
-        let from_proposer = self.stripe_in_view(from, view).is_some();
+        let from_proposer = view.stripe_of(from, self.n(), self.proposer_count()).is_some();
         if from_proposer && view_change_count as usize >= self.quorum() {
             self.enter_view(view, ctx);
         }
@@ -2200,6 +2178,73 @@ mod tests {
         replica.on_message(NodeId(3), commit(3, proof_digest, &proof_digest), &mut ctx);
         assert_eq!(confirmations(&ctx).len(), 1);
         assert_eq!(notarizations(&ctx).len(), 1);
+    }
+
+    /// Replica 2 of n = 4, p = 2 (the stripe-1 proposer of view 1) once serial 5, on
+    /// stripe 0, has confirmed: serials 2 and 4 of its own stripe lie below it.
+    fn stripe_one_proposer_behind_serial_5() -> (LeopardReplica, Recorder) {
+        let (mut replica, keys, mut ctx) =
+            driven(2, LeopardConfig::small_test(4).with_proposers(2));
+        let seq = SeqNum(5);
+        let block_digest = BftBlock::new(View(1), seq, Vec::new()).digest();
+        let proof = quorum_proof(&keys, &block_digest);
+        let notarize = LeopardMessage::NotarizationProof {
+            seq,
+            block_digest,
+            proof,
+        };
+        replica.on_message(NodeId(1), notarize, &mut ctx);
+        let proof_digest = LeopardReplica::notarization_digest(seq, &block_digest, &proof);
+        let confirm = LeopardMessage::ConfirmationProof {
+            seq,
+            proof_digest,
+            proof: quorum_proof(&keys, &proof_digest),
+        };
+        replica.on_message(NodeId(1), confirm, &mut ctx);
+        ctx.sent.clear();
+        (replica, ctx)
+    }
+
+    /// The serial and dummy flag of every PrePrepare `ctx` recorded.
+    fn proposals(ctx: &Recorder) -> Vec<(SeqNum, bool)> {
+        ctx.sent
+            .iter()
+            .filter_map(|(_, message)| match message {
+                LeopardMessage::PrePrepare { block, .. } => Some((block.id.seq, block.dummy)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An idle stripe fills its serials below the highest confirmation with dummies on
+    /// the propose tick, but not while a block is in flight or a datablock is ready.
+    #[test]
+    fn an_idle_stripe_fills_its_serials_below_the_highest_confirmation() {
+        let (mut replica, mut ctx) = stripe_one_proposer_behind_serial_5();
+        replica.on_timer(TOKEN_PROPOSE, &mut ctx);
+        assert_eq!(proposals(&ctx), [(SeqNum(2), true), (SeqNum(4), true)]);
+
+        // Serial 2 in flight: no dummy until it confirms, then only serial 4.
+        let (mut replica, mut ctx) = stripe_one_proposer_behind_serial_5();
+        let seq = replica.pipeline.take_seq();
+        let digest = BftBlock::new(View(1), seq, Vec::new()).digest();
+        replica.pipeline.insert(seq, LeaderInstance::new(digest));
+        replica.on_timer(TOKEN_PROPOSE, &mut ctx);
+        assert!(proposals(&ctx).is_empty());
+        replica.pipeline.get_mut(seq).expect("in flight").confirmed = true;
+        replica.on_timer(TOKEN_PROPOSE, &mut ctx);
+        assert_eq!(proposals(&ctx), [(SeqNum(4), true)]);
+
+        // A ready datablock: the tick links it at serial 2 and fills nothing.
+        let (mut replica, mut ctx) = stripe_one_proposer_behind_serial_5();
+        let ready = leopard_crypto::hash_bytes(b"ready datablock");
+        for from in [0, 1, 3] {
+            replica.ready.record_ack(ready, NodeId(from), 3);
+        }
+        replica.fill_idle_stripe(&mut ctx);
+        assert!(proposals(&ctx).is_empty());
+        replica.on_timer(TOKEN_PROPOSE, &mut ctx);
+        assert_eq!(proposals(&ctx), [(SeqNum(2), false)]);
     }
 
     /// The clause the safety argument rests on: an honest replica never signs two

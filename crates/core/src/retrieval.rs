@@ -384,7 +384,7 @@ impl RetrievalManager {
         if let RetrievalPayload::Metered { datablock, .. } = chunk.payload() {
             pending.metered_datablock = Some(Arc::clone(datablock));
         }
-        pending.received_bytes += chunk.payload().wire_len() as u64 + 64;
+        pending.received_bytes += chunk.response_wire_size() as u64;
         let group = (root, payload_len);
         let chunks = pending.chunks.entry(group).or_default();
         chunks.insert(shard_index, chunk);
@@ -765,8 +765,14 @@ mod tests {
 
         let provider = provider(CryptoMode::Real);
         let mut outcome = ChunkOutcome::Stored;
+        let mut response_bytes = 0;
         for responder in [NodeId(1), NodeId(3)] {
             let chunk = Arc::new(encode_response(&db, responder, f, n).unwrap());
+            let response = crate::messages::LeopardMessage::QueryResponse {
+                digest,
+                chunk: chunk.clone(),
+            };
+            response_bytes += leopard_types::WireSize::wire_size(&response) as u64;
             outcome = manager
                 .add_chunk(digest, chunk, SimTime(5_000_000), &provider)
                 .0;
@@ -782,7 +788,8 @@ mod tests {
                 waiting.sort();
                 assert_eq!(waiting, vec![SeqNum(3), SeqNum(4)]);
                 assert_eq!(elapsed_nanos, 4_999_000);
-                assert!(received_bytes > 0);
+                // The bytes counted are the accepted QueryResponses' wire bytes.
+                assert_eq!(received_bytes, response_bytes);
             }
             other => panic!("expected recovery, got {other:?}"),
         }

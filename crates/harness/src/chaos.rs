@@ -29,7 +29,6 @@ use std::time::Instant;
 use crate::experiments::FIG9GEO_REGIONS;
 use crate::report::Table;
 use crate::scenario::{run_scenario, ScenarioConfig, ScenarioReport};
-use crate::workload::WorkloadConfig;
 use leopard_core::byzantine::ByzantineBehavior;
 use leopard_core::LeopardReplica;
 use leopard_crypto::provider::CryptoMode;
@@ -183,9 +182,7 @@ impl ChaosSchedule {
     /// violation families.
     pub fn to_config(&self) -> ScenarioConfig {
         let timeout_ms = if self.wan { 1_000 } else { 400 };
-        let mut config = ScenarioConfig::paper(self.n)
-            .with_workload(WorkloadConfig::fault_load())
-            .with_batches(200, 10)
+        let mut config = ScenarioConfig::fault_load(self.n)
             .with_duration(Self::duration())
             .with_liveness_bound(Self::gst())
             .with_progress_timeout(SimDuration::from_millis(timeout_ms))
@@ -252,11 +249,6 @@ fn case_seed(master_seed: u64, case_index: usize) -> u64 {
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// True if `node` proposes one of the `proposers` stripes of the initial view.
-fn holds_initial_stripe(node: NodeId, n: usize, proposers: usize) -> bool {
-    View::initial().stripe_of(node, n) < proposers as u64
-}
-
 /// The single-line deterministic reproducer for a chaos case.
 pub fn reproducer(master_seed: u64, case_index: usize) -> String {
     format!(
@@ -319,7 +311,8 @@ impl FaultScheduleGenerator {
             // exercises the per-stripe view-change demotion path, which a uniform
             // draw at n = 16+ would rarely hit. A stable sort keeps the shuffled
             // order within each group, so the draw stays seed-deterministic.
-            ids.sort_by_key(|&id| !holds_initial_stripe(NodeId(id), self.n, proposers));
+            let p = proposers as u64;
+            ids.sort_by_key(|&id| View::initial().stripe_of(NodeId(id), self.n, p).is_none());
         }
         let byzantine_count = rng.gen_range(0..=f.min(2));
         let behaviours = ByzantineBehavior::all_byzantine();
@@ -582,25 +575,17 @@ fn report_violating_case(schedule: &ChaosSchedule, report: &ScenarioReport) {
 mod tests {
     use super::*;
 
-    /// The proposer bias picks exactly the proposers of view 1 (the replica's
-    /// `stripe_in_view(node, View::initial())`), which is the closed form
-    /// `(id + n − 1) mod n < p`.
+    /// The proposer bias picks exactly the proposers of view 1: the nodes
+    /// `View::stripe_of` gives a stripe are those `View::proposer` names.
     #[test]
     fn proposer_bias_picks_the_initial_proposers() {
         for n in (1..=40).chain([255, 600, 1000]) {
-            for proposers in 1..=n.min(8) {
+            for p in 1..=n.min(8) as u64 {
                 for id in 0..n as u32 {
                     let node = NodeId(id);
-                    let held = holds_initial_stripe(node, n, proposers);
-                    let schedule =
-                        (0..proposers as u64).any(|j| View::initial().proposer(j, n) == node);
-                    assert_eq!(held, schedule, "n {n} p {proposers} {node}");
-                    let n32 = n as u32;
-                    assert_eq!(
-                        held,
-                        (id + n32 - 1) % n32 < proposers as u32,
-                        "n {n} {node}"
-                    );
+                    let held = View::initial().stripe_of(node, n, p).is_some();
+                    let schedule = (0..p).any(|j| View::initial().proposer(j, n) == node);
+                    assert_eq!(held, schedule, "n {n} p {p} {node}");
                 }
             }
         }
@@ -702,7 +687,8 @@ mod tests {
                     if let ChaosFault::Byzantine { node, .. } | ChaosFault::CrashRestart { node, .. } =
                         fault
                     {
-                        faulty_proposer |= holds_initial_stripe(*node, 16, schedule.proposers);
+                        let p = schedule.proposers as u64;
+                        faulty_proposer |= View::initial().stripe_of(*node, 16, p).is_some();
                     }
                 }
             }

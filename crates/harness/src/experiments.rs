@@ -755,11 +755,7 @@ pub fn fig12_retrieval(quick: bool) -> Table {
     for n in scales(quick, &[4, 7], &[4, 7, 16, 32, 64, 128]) {
         // One selective attacker whose 2000-request datablocks must be retrieved by the
         // replicas outside its dissemination set.
-        let config = ScenarioConfig::paper(n)
-            .with_batches(2000, 10)
-            .with_selective_attackers(1)
-            .with_workload(WorkloadConfig::fault_load())
-            .with_duration(SimDuration::from_secs(4));
+        let config = ScenarioConfig::withholding(n).with_duration(SimDuration::from_secs(4));
         let report = run_leopard_scenario(&config);
         table.push_row(vec![
             n.to_string(),
@@ -836,7 +832,6 @@ const FIG13_HEADERS: &[&str] = &[
 /// past the expected recovery instant so the steady-state column reads *post-recovery*
 /// throughput.
 fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
-    let burst = WorkloadConfig::fault_load();
     // Scales: small enough for CI in quick mode, paper-representative in full mode
     // (the withholding scenario runs at n = 128, where the retrieval plane's quorum
     // geometry matters; see ISSUE acceptance criteria).
@@ -848,9 +843,7 @@ fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
     // 1. Equivocating leader: the initial leader proposes conflicting BFTblocks per
     //    serial; neither side reaches the vote quorum, the progress timer fires and a
     //    view change installs an honest leader. Safety must hold throughout.
-    let equivocating = ScenarioConfig::paper(n_base)
-        .with_workload(burst.clone())
-        .with_batches(200, 10)
+    let equivocating = ScenarioConfig::fault_load(n_base)
         .with_duration(SimDuration::from_secs(8))
         .with_warmup(SimDuration::from_secs(4))
         .with_liveness_bound(SimDuration::from_secs(3));
@@ -865,10 +858,7 @@ fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
     //    attack, here at the scale where the ISSUE demands it stays complete).
     matrix.push((
         "withholding datablocks",
-        ScenarioConfig::paper(n_retrieval)
-            .with_workload(burst.clone())
-            .with_batches(2000, 10)
-            .with_selective_attackers(1)
+        ScenarioConfig::withholding(n_retrieval)
             .with_duration(SimDuration::from_secs(4))
             .with_liveness_bound(SimDuration::from_secs(3)),
     ));
@@ -876,9 +866,7 @@ fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
     // 3. Silent leader over the WAN: the initial leader of a four-region deployment
     //    goes mute, so the view-change storm (timeout broadcast, view-change votes,
     //    new-view install) crosses inter-continental latencies.
-    let silent = ScenarioConfig::paper(n_wan)
-        .with_workload(burst.clone())
-        .with_batches(200, 10)
+    let silent = ScenarioConfig::fault_load(n_wan)
         .with_wan_regions(&FIG9GEO_REGIONS)
         .with_duration(SimDuration::from_secs(8))
         .with_warmup(SimDuration::from_secs(4))
@@ -892,9 +880,7 @@ fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
     // 4. Crash + restart: a non-leader replica dies at 1 s and comes back at 3 s; it
     //    must rejoin via state transfer (checkpoint proof + confirmed entries) instead
     //    of replaying from genesis, then resume confirming.
-    let crash = ScenarioConfig::paper(n_base)
-        .with_workload(burst.clone())
-        .with_batches(200, 10)
+    let crash = ScenarioConfig::fault_load(n_base)
         .with_duration(SimDuration::from_secs(10))
         .with_warmup(SimDuration::from_secs(5))
         .with_liveness_bound(SimDuration::from_secs(3));
@@ -912,10 +898,7 @@ fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
     //    from every other region for 2 s. The majority partition keeps confirming
     //    (n/4 < f + 1 replicas cannot even force a view change); the minority catches
     //    up after the heal via checkpoint-proof-triggered state transfer.
-    let burst2 = burst.clone();
-    let mut partitioned = ScenarioConfig::paper(n_wan)
-        .with_workload(burst)
-        .with_batches(200, 10)
+    let mut partitioned = ScenarioConfig::fault_load(n_wan)
         .with_wan_regions(&FIG9GEO_REGIONS)
         .with_duration(SimDuration::from_secs(10))
         .with_warmup(SimDuration::from_secs(5))
@@ -936,9 +919,7 @@ fn fig13_matrix(quick: bool) -> Vec<(&'static str, ScenarioConfig)> {
     //    Honest replicas must reject the forgery (every corruption is detectable
     //    against the threshold public key) without the catch-up wedging: the row's
     //    post-recovery throughput must stay positive and the run clean.
-    let lying = ScenarioConfig::paper(n_base)
-        .with_workload(burst2)
-        .with_batches(200, 10)
+    let lying = ScenarioConfig::fault_load(n_base)
         .with_duration(SimDuration::from_secs(10))
         .with_warmup(SimDuration::from_secs(5))
         .with_liveness_bound(SimDuration::from_secs(3))
@@ -987,16 +968,17 @@ pub fn fig13_recovery(quick: bool) -> Table {
     table
 }
 
-/// Fig. 13 (view-change cost) — view-change time and communication cost.
+/// Fig. 13 (view-change cost) — view-change time and communication cost. The table
+/// gates the time and view-change columns: a leader crash whose view change never
+/// completes reads `-` or `0` there and fails the build.
 pub fn fig13_view_change(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 13 — view-change time and communication cost vs n",
         &["n", "time (s)", "total comm. (KB)", "view changes"],
-    );
+    )
+    .gate(&["time (s)", "view changes"]);
     for n in scales(quick, &[4, 8], &[4, 8, 13, 32, 64, 128, 400]) {
-        let config = ScenarioConfig::paper(n)
-            .with_workload(WorkloadConfig::fault_load())
-            .with_batches(200, 10)
+        let config = ScenarioConfig::fault_load(n)
             .with_leader_crash_at(SimDuration::from_millis(500))
             .with_duration(SimDuration::from_secs(8));
         let report = run_leopard_scenario(&config);

@@ -156,6 +156,23 @@ impl ScenarioConfig {
         }
     }
 
+    /// The fault experiments' recipe (fig13, its view-change table and the chaos
+    /// schedules): [`Self::paper`] under [`WorkloadConfig::fault_load`], with
+    /// 200-request datablocks and 10-link BFTblocks.
+    pub fn fault_load(n: usize) -> Self {
+        Self::paper(n)
+            .with_workload(WorkloadConfig::fault_load())
+            .with_batches(200, 10)
+    }
+
+    /// Fig. 12's recipe, also fig13's withholding row: [`Self::fault_load`] with
+    /// 2000-request datablocks and one selective attacker.
+    pub fn withholding(n: usize) -> Self {
+        Self::fault_load(n)
+            .with_batches(2000, 10)
+            .with_selective_attackers(1)
+    }
+
     /// Overrides the number of concurrent proposers (`1` = single leader).
     pub fn with_proposers(mut self, proposers: usize) -> Self {
         self.proposers = proposers;
@@ -765,19 +782,37 @@ impl ScenarioReport {
         let max_compute_utilization = sim.max_compute_utilization();
         let mean_compute_utilization = sim.mean_compute_utilization();
 
-        // Every view change, the distinct views entered (with the instant the first
-        // replica entered each), and the densest disturbance window. A healthy recovery
-        // enters one or two views per disturbance; thrash shows up here long before the
-        // invariant fires.
+        // One pass over the observation log: every view change, the distinct views
+        // entered (with the instant the first replica entered each), each view change's
+        // duration and each retrieval, every list in emission order.
         let mut view_changes = 0u64;
         let mut first_entered = std::collections::BTreeMap::<u64, SimTime>::new();
+        let mut view_change_secs = Vec::new();
+        let mut retrieval_times = Vec::new();
+        let mut retrieval_bytes = Vec::new();
         for observation in &sim.metrics.observations {
-            if let ObservationKind::ViewChange { view } = observation.kind {
-                view_changes += 1;
-                let at = first_entered.entry(view).or_insert(observation.at);
-                *at = (*at).min(observation.at);
+            match observation.kind {
+                ObservationKind::ViewChange { view } => {
+                    view_changes += 1;
+                    let at = first_entered.entry(view).or_insert(observation.at);
+                    *at = (*at).min(observation.at);
+                }
+                ObservationKind::Custom {
+                    label: "view_change_nanos",
+                    value,
+                } => view_change_secs.push(value as f64 / 1e9),
+                ObservationKind::RetrievalCompleted {
+                    nanos,
+                    received_bytes,
+                } => {
+                    retrieval_times.push(nanos as f64 / 1e9);
+                    retrieval_bytes.push(received_bytes as f64);
+                }
+                _ => {}
             }
         }
+        // The densest disturbance window: a healthy recovery enters one or two views
+        // per disturbance; thrash shows up here long before the invariant fires.
         let views_entered = first_entered.len() as u64;
         let mut instants = config.disturbance_instants();
         instants.insert(0, SimTime::ZERO);
@@ -796,8 +831,6 @@ impl ScenarioReport {
         let average = |values: &[f64]| {
             (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
         };
-        let view_change_nanos = sim.metrics.custom_samples("view_change_nanos");
-        let view_change_secs: Vec<f64> = view_change_nanos.iter().map(|&ns| ns as f64 / 1e9).collect();
         let view_change_bytes: u64 = (0..config.n as u32)
             .map(|node| {
                 sim.metrics.traffic.sent_bytes_in(NodeId(node), "viewchange")
@@ -805,18 +838,6 @@ impl ScenarioReport {
             })
             .sum();
 
-        let mut retrieval_times = Vec::new();
-        let mut retrieval_bytes = Vec::new();
-        for observation in &sim.metrics.observations {
-            if let ObservationKind::RetrievalCompleted {
-                nanos,
-                received_bytes,
-            } = observation.kind
-            {
-                retrieval_times.push(nanos as f64 / 1e9);
-                retrieval_bytes.push(received_bytes as f64);
-            }
-        }
         let retrievals = retrieval_times.len() as u64;
         // Responder cost: average bytes of a single retrieval response (one erasure-coded
         // chunk plus its Merkle proof) — the per-replica "cost on responding" of Fig. 12.

@@ -1,5 +1,7 @@
-//! Strongly-typed identifiers used throughout the workspace.
+//! Strongly-typed identifiers used throughout the workspace, and the multi-proposer
+//! schedule over them: which replica proposes which stripe, serial and digest.
 
+use leopard_crypto::Digest;
 use std::fmt;
 
 /// Identifier of a replica (`i ∈ [n]` in the paper). Replica indices are zero-based in
@@ -66,13 +68,21 @@ impl View {
         NodeId(((self.0 % n + j) % n) as u32)
     }
 
-    /// The stripe `node` would propose in this view, `(node − v) mod n`: the inverse
-    /// of [`Self::proposer`]. The node holds a stripe only if this is below the
-    /// proposer count `p`.
-    pub fn stripe_of(&self, node: NodeId, n: usize) -> u64 {
+    /// The stripe `node` proposes in this view under `p` proposers, if any: the inverse
+    /// of [`Self::proposer`], `(node − v) mod n` when that is below `p`.
+    pub fn stripe_of(&self, node: NodeId, n: usize, p: u64) -> Option<u64> {
         let n = n as u64;
-        (u64::from(node.0) + n - self.0 % n) % n
+        let j = (u64::from(node.0) + n - self.0 % n) % n;
+        (j < p).then_some(j)
     }
+}
+
+/// The stripe whose proposer links `digest` under `p` proposers: the digest's first
+/// eight bytes, little-endian, mod `p`.
+pub fn digest_stripe(digest: &Digest, p: u64) -> u64 {
+    let mut prefix = [0u8; 8];
+    prefix.copy_from_slice(&digest.as_bytes()[..8]);
+    u64::from_le_bytes(prefix) % p
 }
 
 impl fmt::Display for View {
@@ -95,6 +105,12 @@ impl SeqNum {
     /// The next serial number.
     pub fn next(&self) -> Self {
         SeqNum(self.0 + 1)
+    }
+
+    /// The stripe this serial belongs to under `p` proposers, `(s − 1) mod p`.
+    pub fn stripe(&self, p: u64) -> u64 {
+        debug_assert!(self.0 >= 1 && p >= 1);
+        (self.0 - 1) % p
     }
 }
 
@@ -167,8 +183,15 @@ mod tests {
         assert_eq!(View(1).proposer(1, 4), NodeId(2));
         assert_eq!(View(4).proposer(0, 4), NodeId(0));
         assert_eq!(View(4).proposer(1, 4), NodeId(1));
-        assert_eq!(View(1).stripe_of(NodeId(0), 4), 3);
-        assert_eq!(View(4).stripe_of(NodeId(1), 4), 1);
+        assert_eq!(View(1).stripe_of(NodeId(0), 4, 4), Some(3));
+        assert_eq!(View(1).stripe_of(NodeId(0), 4, 2), None);
+        assert_eq!(View(4).stripe_of(NodeId(1), 4, 2), Some(1));
+        // Serials stripe round-robin: (s − 1) mod p.
+        assert_eq!(SeqNum(1).stripe(4), 0);
+        assert_eq!(SeqNum(2).stripe(4), 1);
+        assert_eq!(SeqNum(8).stripe(4), 3);
+        assert_eq!(SeqNum(9).stripe(4), 0);
+        assert_eq!(SeqNum(7).stripe(1), 0);
     }
 
     proptest! {
@@ -177,9 +200,29 @@ mod tests {
         fn stripe_of_inverts_proposer(n in 1usize..=1000, v in 0u64..1_000_000, j in 0u64..1000) {
             let view = View(v);
             let j = j % n as u64;
-            prop_assert_eq!(view.stripe_of(view.proposer(j, n), n), j);
+            prop_assert_eq!(view.stripe_of(view.proposer(j, n), n, n as u64), Some(j));
             prop_assert_eq!(view.leader(n), view.proposer(0, n));
             prop_assert_eq!(view.leader(n), NodeId((v % n as u64) as u32));
+        }
+
+        /// A node holds a stripe of view 1 exactly when `(id + n − 1) mod n < p`, every
+        /// serial lands on one of the `p` stripes, and a digest on its prefix mod `p`.
+        #[test]
+        fn the_schedule_has_closed_forms(
+            n in 1usize..=1000,
+            id in 0u32..1000,
+            p in 1u64..=8,
+            s in 1u64..1_000_000,
+            prefix in any::<u64>(),
+        ) {
+            let id = id % n as u32;
+            let n32 = n as u32;
+            let held = View::initial().stripe_of(NodeId(id), n, p).is_some();
+            prop_assert_eq!(held, u64::from((id + n32 - 1) % n32) < p);
+            prop_assert!(SeqNum(s).stripe(p) < p);
+            let mut digest = Digest([0xA5; 32]);
+            digest.0[..8].copy_from_slice(&prefix.to_le_bytes());
+            prop_assert_eq!(digest_stripe(&digest, p), prefix % p);
         }
     }
 

@@ -29,7 +29,7 @@ pub mod wire;
 
 pub use block::{BftBlock, BftBlockId, Datablock, DatablockId};
 pub use hash::{FastMap, FastSet, FxHasher};
-pub use ids::{ClientId, NodeId, RequestId, SeqNum, View};
+pub use ids::{digest_stripe, ClientId, NodeId, RequestId, SeqNum, View};
 pub use params::{
     bls_paper_crypto_costs, calibrated_crypto_costs, fault_bound, quorum_size, CostModelKind,
     ProtocolParams, PAPER_PAYLOAD_SIZE,
