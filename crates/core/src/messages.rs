@@ -14,7 +14,7 @@ use leopard_crypto::{Digest, MerkleProof, DEFAULT_SIGNATURE_WIRE_BYTES, DIGEST_L
 use leopard_simnet::SimMessage;
 use leopard_types::{BftBlock, Datablock, SeqNum, View, WireSize};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The payload of one retrieval response (Algorithm 3).
 ///
@@ -69,7 +69,9 @@ impl RetrievalPayload {
 /// is what lets it carry the verdict of its own proof check ([`Self::proof_holds`]):
 /// the first querier to receive the `Arc` runs the check, every other receiver of the
 /// same `Arc` reads the verdict, and nothing can change the root, index, bytes or proof
-/// the verdict is about. A clone starts unchecked (DESIGN.md §5.2).
+/// the verdict is about. For the same reason it can carry the datablock copy it is
+/// known to be a shard of (`shard_of`), which the querier that recovered the
+/// copy records. A clone starts with neither (DESIGN.md §5.2).
 #[derive(Debug)]
 pub struct RetrievalChunk {
     // The four parts, documented on their getters.
@@ -81,6 +83,8 @@ pub struct RetrievalChunk {
     /// first call, then [`HOLDS`] or [`FAILS`]. One byte, in what would be padding, so
     /// carrying it makes a chunk no larger.
     proof_verdict: AtomicU8,
+    /// See [`Self::shard_of`]; set by [`Self::certify_shard_of`] only.
+    shard_of: OnceLock<Arc<Datablock>>,
 }
 
 /// [`RetrievalChunk::proof_verdict`] before the first check.
@@ -110,6 +114,7 @@ impl RetrievalChunk {
             payload,
             payload_len,
             proof_verdict: AtomicU8::new(UNCHECKED),
+            shard_of: OnceLock::new(),
         }
     }
 
@@ -165,10 +170,27 @@ impl RetrievalChunk {
             verdict => verdict == HOLDS,
         }
     }
+
+    /// The recovered datablock copy this chunk is known to be a shard of: `None` until
+    /// a querier recovers and verifies a copy from a group of chunks holding this one,
+    /// and always `None` on a clone. When set, the chunk's bytes are exactly shard
+    /// [`Self::shard_index`] of the copy's encoding under the committee's `(f + 1, n)`
+    /// code, and [`Self::payload_len`] is the copy's encoded length. Only the retrieval
+    /// plane sets it, and adopts the copy instead of decoding again (DESIGN.md §5.4).
+    pub(crate) fn shard_of(&self) -> Option<&Arc<Datablock>> {
+        self.shard_of.get()
+    }
+
+    /// Records that this chunk's bytes are shard [`Self::shard_index`] of `copy`'s
+    /// encoding. The caller must have verified it; a chunk that already names a copy
+    /// keeps it, as that statement stays true.
+    pub(crate) fn certify_shard_of(&self, copy: &Arc<Datablock>) {
+        let _ = self.shard_of.set(Arc::clone(copy));
+    }
 }
 
-/// A clone is a new chunk and starts unchecked: a verdict vouches only for the value
-/// whose bytes it read.
+/// A clone is a new chunk and starts unchecked and uncertified: a verdict or a copy
+/// vouches only for the value whose bytes were checked.
 impl Clone for RetrievalChunk {
     fn clone(&self) -> Self {
         Self::new(

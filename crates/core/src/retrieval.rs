@@ -23,6 +23,12 @@
 //! built and a clone starts unchecked, so the verdict is always about the bytes in hand.
 //! Every querier is still charged the modeled verification.
 //!
+//! Recovery is shared the same way: the querier that recovers a datablock from a group
+//! of `f + 1` chunks records the copy on each chunk that is exactly one of its shards
+//! (`RetrievalChunk::shard_of`), and a later querier whose group consists of that
+//! copy's shards adopts the copy instead of decoding and hashing it again. Every
+//! querier is still charged the modeled decode and digest check.
+//!
 //! A replica's [`RetrievalManager`] holds both sides and is built with what never
 //! changes for the replica: its id (the shard it serves), `f`, `n` and the retrieval
 //! timeout. The `(f+1, n)` Reed–Solomon code is built on the first real-crypto encode
@@ -132,18 +138,14 @@ pub struct RetrievalManager {
     /// chunk once and charges the modeled encode once instead of `k` times (in metered
     /// mode too, mirroring the real cache). Only the chunk actually served is retained
     /// (a replica always responds with its own shard), and every response shares it:
-    /// a cache hit is a refcount, not a copy of the chunk bytes and proof.
+    /// a cache hit is a refcount, not a copy of the chunk bytes and proof. The cache is
+    /// bounded as the datablock pool is: pruned with it at every checkpoint
+    /// ([`Self::prune`]), which also keeps a metered entry's `Arc<Datablock>` from
+    /// outliving the pool's copy. No measured run holds 100 entries in one cache (the
+    /// most is `--full chaos`, under 96), so it has no size cap: a clear-all would charge
+    /// the modeled encode again and let a host-side limit move a simulated number.
     served: FastMap<Digest, Arc<RetrievalChunk>>,
 }
-
-/// Entry cap for the responder-side chunk cache. PR 4's profiling of the full fig9
-/// sweep found the old cap of 64 thrashing at n = 256 — more than 64 datablocks were
-/// being queried concurrently, so nearly every one of the ~270k responses re-ran the
-/// (f+1, n) encoder over a ~550 KB datablock, which was 74% of the sweep's wall-clock.
-/// The cap is a backstop only: the cache is pruned alongside the datablock pool at
-/// every checkpoint ([`RetrievalManager::prune`]), which also keeps a metered entry's
-/// `Arc<Datablock>` from outliving the pool's copy.
-const ENCODING_CACHE_CAP: usize = 512;
 
 /// Outcome of feeding a response chunk into the manager.
 #[derive(Debug, PartialEq, Eq)]
@@ -335,9 +337,6 @@ impl RetrievalManager {
             let shard = rs.encode_shard(&encoded, index).expect("id < n");
             real_chunk(tree, index, shard, encoded.len()).expect("id < n")
         });
-        if self.served.len() >= ENCODING_CACHE_CAP {
-            self.served.clear();
-        }
         self.served.insert(digest, Arc::clone(&chunk));
         (chunk, cost)
     }
@@ -351,12 +350,14 @@ impl RetrievalManager {
     /// root ([`RetrievalChunk::proof_holds`]: run by the chunk's first receiver, read
     /// by the others, charged to each). Chunks are grouped by root and declared payload
     /// length — the proof does not cover the length, so a responder lying about it only
-    /// spoils its own group — and a decode is attempted once a group holds `f + 1`
-    /// chunks; the decoded bytes must hash to the queried digest
-    /// ([`Datablock::decode_hashed`]), otherwise the group is discarded (the root was
-    /// forged). A metered chunk skips the real verification and decode — responses are
-    /// honest by construction in that mode — but follows the same counting and charges
-    /// the same modeled time.
+    /// spoils its own group — and a group that holds `f + 1` chunks is recovered: by
+    /// adopting the copy another querier recovered from the same chunks, if every chunk
+    /// is that copy's shard, otherwise by a decode whose bytes must hash to the queried
+    /// digest ([`Datablock::decode_hashed`]). A group that does not recover is discarded
+    /// (the root was forged). A metered chunk skips the real verification and decode —
+    /// responses are honest by construction in that mode — but follows the same
+    /// counting and charges the same modeled time. Either way the querier is charged the
+    /// modeled decode and digest check.
     ///
     /// A chunk for a digest that is not pending is dropped before anything is read from
     /// it; a kept chunk is kept as the response's `Arc`, never copied.
@@ -406,30 +407,12 @@ impl RetrievalManager {
         } else {
             let rs = Self::code(&mut self.code, f, n);
             // Every exit from here on — recovery, a decode error, a digest mismatch —
-            // is done with this group's chunks. A metered chunk here (possible only
-            // after another group's metered datablock was refused) reads as empty,
-            // which fails the decoder's length check.
+            // is done with this group's chunks.
             let chunks = pending.chunks.remove(&group).expect("just inserted");
-            let shards: Vec<(usize, &[u8])> = chunks
-                .iter()
-                .take(f + 1)
-                .map(|(&i, chunk)| {
-                    let bytes = match chunk.payload() {
-                        RetrievalPayload::Real { chunk, .. } => chunk.as_slice(),
-                        RetrievalPayload::Metered { .. } => &[],
-                    };
-                    (i as usize, bytes)
-                })
-                .collect();
-            let Ok(decoded) = rs.decode_payload(&shards, encoded_len) else {
-                return (ChunkOutcome::Ignored, cost);
-            };
-            // A digest mismatch means the responders in this group colluded on a
-            // different datablock.
-            let Ok(datablock) = Datablock::decode_hashed(&decoded, digest) else {
-                return (ChunkOutcome::Ignored, cost);
-            };
-            Arc::new(datablock)
+            match recover(rs, &chunks, digest, encoded_len) {
+                Some(datablock) => datablock,
+                None => return (ChunkOutcome::Ignored, cost),
+            }
         };
 
         let pending = self.pending.remove(&digest).expect("checked above");
@@ -443,6 +426,86 @@ impl RetrievalManager {
             cost,
         )
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Reed–Solomon decodes [`recover`] ran on this thread.
+    static DECODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Decoded payloads [`recover`] hashed on this thread.
+    static HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Recovers datablock `digest`, `encoded_len` bytes long, from a group of `f + 1` real
+/// chunks under one root, or `None` if the group does not hold it. On recovery every
+/// chunk of the group is certified a shard of the returned copy
+/// ([`RetrievalChunk::shard_of`]) if it is one.
+///
+/// Two paths, one outcome. If a chunk names a copy of `digest` with this length, and
+/// every chunk of the group is that copy's shard — certified for a copy of `digest`, or
+/// equal to the shard recomputed from the copy's bytes — the copy is adopted: `f + 1`
+/// shards of one codeword decode to its bytes, which hash to `digest`, so the decode
+/// would recover the same datablock. Otherwise the chunks are decoded and the bytes
+/// must hash to `digest` (a mismatch means the group's responders colluded on a
+/// different datablock); the chunks are certified only if they are exactly the
+/// recovered bytes' shards, as shards of another codeword that decode to the same
+/// bytes need not agree with the copy's other shards. A metered chunk here (possible
+/// only after another group's metered datablock was refused) is no copy's shard and
+/// reads as empty, which fails the decoder's length check.
+fn recover(
+    rs: &ReedSolomon,
+    chunks: &BTreeMap<u32, Arc<RetrievalChunk>>,
+    digest: Digest,
+    encoded_len: usize,
+) -> Option<Arc<Datablock>> {
+    let is_the_datablock =
+        |copy: &Arc<Datablock>| copy.digest() == digest && copy.encoded_len() == encoded_len;
+    let known = chunks
+        .values()
+        .find_map(|chunk| chunk.shard_of().filter(|copy| is_the_datablock(copy)));
+    if let Some(copy) = known {
+        let mut bytes = None;
+        let all_shards = chunks.iter().all(|(&index, chunk)| {
+            if chunk.shard_of().is_some_and(is_the_datablock) {
+                return true;
+            }
+            let RetrievalPayload::Real { chunk, .. } = chunk.payload() else {
+                return false;
+            };
+            let bytes = bytes.get_or_insert_with(|| copy.encode_to_vec());
+            rs.encode_shard(bytes, index as usize)
+                .is_some_and(|shard| shard == *chunk)
+        });
+        if all_shards {
+            let copy = Arc::clone(copy);
+            chunks
+                .values()
+                .for_each(|chunk| chunk.certify_shard_of(&copy));
+            return Some(copy);
+        }
+    }
+    let shards: Vec<(usize, &[u8])> = chunks
+        .iter()
+        .map(|(&i, chunk)| {
+            let bytes = match chunk.payload() {
+                RetrievalPayload::Real { chunk, .. } => chunk.as_slice(),
+                RetrievalPayload::Metered { .. } => &[],
+            };
+            (i as usize, bytes)
+        })
+        .collect();
+    #[cfg(test)]
+    DECODES.with(|decodes| decodes.set(decodes.get() + 1));
+    let (decoded, exact) = rs.decode_payload_exact(&shards, encoded_len).ok()?;
+    #[cfg(test)]
+    HASHES.with(|hashes| hashes.set(hashes.get() + 1));
+    let datablock = Arc::new(Datablock::decode_hashed(&decoded, digest).ok()?);
+    if exact {
+        chunks
+            .values()
+            .for_each(|chunk| chunk.certify_shard_of(&datablock));
+    }
+    Some(datablock)
 }
 
 #[cfg(test)]
@@ -593,8 +656,7 @@ mod tests {
 
     /// The responder's charge mirrors its cache, identically in both crypto modes: the
     /// first response for a datablock pays the encode and the Merkle tree, a repeat pays
-    /// nothing, and once `prune` or the cap's clear-all dropped the entry the next
-    /// response pays again.
+    /// nothing, and once `prune` dropped the entry the next response pays again.
     #[test]
     fn responder_charges_encode_once_per_cached_datablock_in_both_modes() {
         let (f, n) = (1, 4);
@@ -607,13 +669,6 @@ mod tests {
             charges.push(manager.encode_response(&db, &provider).1);
             manager.prune([db.digest()]);
             charges.push(manager.encode_response(&db, &provider).1);
-            // `db` plus 511 others fill the cache; the 512th other clears it first.
-            for counter in 0..ENCODING_CACHE_CAP as u64 {
-                let request = Request::new_synthetic(ClientId(1), 0, 8);
-                let other = Arc::new(Datablock::new(NodeId(2), 100 + counter, vec![request]));
-                manager.encode_response(&other, &provider);
-            }
-            charges.push(manager.encode_response(&db, &provider).1);
             charges
         };
         let model = calibrated_crypto_costs();
@@ -621,7 +676,7 @@ mod tests {
         let full = model.erasure_encode(encoded_len, f + 1, n)
             + model.merkle_tree(encoded_len.div_ceil(f + 1), n);
         assert!(!full.is_zero());
-        let expected = vec![full, ComputeCost::ZERO, full, full];
+        let expected = vec![full, ComputeCost::ZERO, full];
         assert_eq!(charges(CryptoMode::Real), expected);
         assert_eq!(charges(CryptoMode::Metered), expected);
     }
@@ -949,7 +1004,8 @@ mod tests {
     #[test]
     fn forged_root_does_not_recover_wrong_datablock() {
         // Two colluding responders serve chunks of a *different* datablock under a
-        // consistent root; the decode succeeds but the digest check rejects it.
+        // consistent root; the decode succeeds but the digest check rejects it, and
+        // certifies none of the chunks.
         let real = sample_datablock(10);
         let fake = sample_datablock(12);
         let digest = real.digest();
@@ -958,12 +1014,16 @@ mod tests {
         manager.note_missing(digest, SeqNum(1), SimTime(0));
 
         let provider = provider(CryptoMode::Real);
+        let forged = [NodeId(0), NodeId(2)]
+            .map(|responder| Arc::new(encode_response(&fake, responder, f, n).unwrap()));
+        let start = decodes_and_hashes();
         let mut last = ChunkOutcome::Stored;
-        for responder in [NodeId(0), NodeId(2)] {
-            let chunk = Arc::new(encode_response(&fake, responder, f, n).unwrap());
-            last = manager.add_chunk(digest, chunk, SimTime(1), &provider).0;
+        for chunk in &forged {
+            last = manager.add_chunk(digest, Arc::clone(chunk), SimTime(1), &provider).0;
         }
         assert_eq!(last, ChunkOutcome::Ignored);
+        assert_eq!(decodes_and_hashes(), (start.0 + 1, start.1 + 1));
+        assert!(forged.iter().all(|chunk| chunk.shard_of().is_none()));
         // The retrieval is still pending: honest chunks can still recover it.
         assert!(manager.is_pending(&digest));
         let mut outcome = ChunkOutcome::Stored;
@@ -972,6 +1032,215 @@ mod tests {
             outcome = manager.add_chunk(digest, chunk, SimTime(2), &provider).0;
         }
         assert!(matches!(outcome, ChunkOutcome::Recovered { .. }));
+    }
+
+    /// Reed–Solomon decodes and payload hashes run on this thread so far.
+    fn decodes_and_hashes() -> (usize, usize) {
+        (
+            DECODES.with(std::cell::Cell::get),
+            HASHES.with(std::cell::Cell::get),
+        )
+    }
+
+    /// A querier of `n` replicas missing `digest`.
+    fn querier_of(id: u32, f: usize, n: usize, digest: Digest) -> RetrievalManager {
+        let mut querier = manager(id, f, n);
+        querier.note_missing(digest, SeqNum(1), SimTime(0));
+        querier
+    }
+
+    /// Feeds `chunks` to `querier` in order and returns the last outcome and charge.
+    fn feed(
+        querier: &mut RetrievalManager,
+        digest: Digest,
+        chunks: &[Arc<RetrievalChunk>],
+    ) -> (ChunkOutcome, ComputeCost) {
+        let provider = charging_provider(CryptoMode::Real);
+        let mut last = (ChunkOutcome::Stored, ComputeCost::ZERO);
+        for chunk in chunks {
+            last = querier.add_chunk(digest, Arc::clone(chunk), SimTime(1), &provider);
+        }
+        last
+    }
+
+    /// The datablock of a recovery.
+    fn recovered(outcome: &ChunkOutcome) -> &Arc<Datablock> {
+        match outcome {
+            ChunkOutcome::Recovered { datablock, .. } => datablock,
+            other => panic!("expected recovery, got {other:?}"),
+        }
+    }
+
+    /// Chunks `indices` of a coding whose Merkle tree is built over `shards`, declaring
+    /// `payload_len`: responders committing to shards of their choosing.
+    fn chunks_over(
+        shards: &[Vec<u8>],
+        indices: &[usize],
+        payload_len: usize,
+    ) -> Vec<Arc<RetrievalChunk>> {
+        let tree = MerkleTree::from_leaves(shards.iter().map(Vec::as_slice));
+        indices
+            .iter()
+            .map(|&i| Arc::new(real_chunk(&tree, i, shards[i].clone(), payload_len).unwrap()))
+            .collect()
+    }
+
+    /// Clones of `chunks`: the same values, unchecked and uncertified.
+    fn fresh(chunks: &[Arc<RetrievalChunk>]) -> Vec<Arc<RetrievalChunk>> {
+        chunks
+            .iter()
+            .map(|chunk| Arc::new(RetrievalChunk::clone(chunk)))
+            .collect()
+    }
+
+    /// Two queriers fed the same responders' chunk `Arc`s: the first decodes and hashes
+    /// once, the second adopts the first's copy with neither, and both are charged the
+    /// same.
+    #[test]
+    fn a_second_querier_adopts_the_first_ones_copy() {
+        let (f, n) = (10, 32);
+        let db = sample_datablock(50);
+        let digest = db.digest();
+        let chunks: Vec<Arc<RetrievalChunk>> = (0..=f as u32)
+            .map(|responder| Arc::new(encode_response(&db, NodeId(responder), f, n).unwrap()))
+            .collect();
+        let start = decodes_and_hashes();
+        let first = feed(&mut querier_of(31, f, n, digest), digest, &chunks);
+        assert_eq!(decodes_and_hashes(), (start.0 + 1, start.1 + 1));
+        let copy = recovered(&first.0);
+        assert_eq!(**copy, db);
+        assert!(chunks
+            .iter()
+            .all(|chunk| chunk.shard_of().is_some_and(|c| Arc::ptr_eq(c, copy))));
+
+        let second = feed(&mut querier_of(30, f, n, digest), digest, &chunks);
+        assert!(Arc::ptr_eq(recovered(&second.0), copy));
+        assert_eq!(
+            decodes_and_hashes(),
+            (start.0 + 1, start.1 + 1),
+            "no decode, no hash"
+        );
+        assert!(!second.1.is_zero());
+        assert_eq!(second, first);
+    }
+
+    /// Certified chunks plus one fresh honest chunk recover through the per-chunk check
+    /// (the fresh chunk against the shard recomputed from the copy), without a decode,
+    /// and the fresh chunk is certified too.
+    #[test]
+    fn certified_chunks_and_a_fresh_honest_one_recover_without_a_decode() {
+        let (f, n) = (1, 4);
+        let db = sample_datablock(11);
+        let digest = db.digest();
+        let chunk = |responder| Arc::new(encode_response(&db, NodeId(responder), f, n).unwrap());
+        let (one, two, three) = (chunk(1), chunk(2), chunk(3));
+        let first = feed(
+            &mut querier_of(0, f, n, digest),
+            digest,
+            &[Arc::clone(&one), two],
+        );
+        let copy = recovered(&first.0);
+
+        let start = decodes_and_hashes();
+        let second = feed(
+            &mut querier_of(2, f, n, digest),
+            digest,
+            &[one, Arc::clone(&three)],
+        );
+        assert!(Arc::ptr_eq(recovered(&second.0), copy));
+        assert_eq!(decodes_and_hashes(), start);
+        assert!(three.shard_of().is_some_and(|c| Arc::ptr_eq(c, copy)));
+        assert_eq!(second.1, first.1);
+    }
+
+    /// Shards of another codeword that decode to the queried bytes — here the code of
+    /// the datablock under nonzero padding — recover it but certify nothing: another
+    /// quorum of the same root, mixing them with the datablock's own shards, does not
+    /// decode to it, and the querier holding that quorum still decodes (and fails)
+    /// exactly as a querier holding clones does.
+    #[test]
+    fn shards_of_another_codeword_are_recovered_but_not_certified() {
+        let (f, n) = (1, 4);
+        let db = sample_datablock(11);
+        let digest = db.digest();
+        let bytes = db.encode_to_vec();
+        assert_eq!(bytes.len() % 2, 1, "one byte of padding");
+        let rs = ReedSolomon::new(f + 1, n).unwrap();
+        let own = rs.encode_payload(&bytes);
+        let padded = rs.encode_payload(&[bytes.as_slice(), &[7]].concat());
+        let shards = [
+            own[0].clone(),
+            own[1].clone(),
+            padded[2].clone(),
+            padded[3].clone(),
+        ];
+        let chunks = chunks_over(&shards, &[1, 2, 3], bytes.len());
+
+        let first = feed(&mut querier_of(0, f, n, digest), digest, &chunks[1..]).0;
+        assert_eq!(**recovered(&first), db);
+        assert!(chunks.iter().all(|chunk| chunk.shard_of().is_none()));
+
+        let mixed = &chunks[..2];
+        let start = decodes_and_hashes();
+        let second = feed(&mut querier_of(2, f, n, digest), digest, mixed).0;
+        assert_eq!(decodes_and_hashes(), (start.0 + 1, start.1 + 1));
+        assert_eq!(second, ChunkOutcome::Ignored);
+        assert_eq!(
+            feed(&mut querier_of(2, f, n, digest), digest, &fresh(mixed)).0,
+            second
+        );
+    }
+
+    /// One wrong chunk among certified ones (a responder committed to the datablock's
+    /// shards but one) falls back to the decode and gives the outcome a querier holding
+    /// clones gets.
+    #[test]
+    fn one_wrong_chunk_among_certified_ones_falls_back_to_the_decode() {
+        let (f, n) = (1, 4);
+        let db = sample_datablock(11);
+        let digest = db.digest();
+        let bytes = db.encode_to_vec();
+        let mut shards = ReedSolomon::new(f + 1, n).unwrap().encode_payload(&bytes);
+        shards[3][0] ^= 1;
+        let chunks = chunks_over(&shards, &[0, 1, 3], bytes.len());
+        let first = feed(&mut querier_of(2, f, n, digest), digest, &chunks[..2]).0;
+        let copy = recovered(&first);
+        assert!(chunks[..2]
+            .iter()
+            .all(|chunk| chunk.shard_of().is_some_and(|c| Arc::ptr_eq(c, copy))));
+
+        let with_wrong = [Arc::clone(&chunks[0]), Arc::clone(&chunks[2])];
+        let start = decodes_and_hashes();
+        let second = feed(&mut querier_of(1, f, n, digest), digest, &with_wrong).0;
+        assert_eq!(decodes_and_hashes().0, start.0 + 1, "the decode ran");
+        assert_eq!(second, ChunkOutcome::Ignored);
+        assert_eq!(
+            feed(
+                &mut querier_of(1, f, n, digest),
+                digest,
+                &fresh(&with_wrong)
+            )
+            .0,
+            second
+        );
+        assert!(chunks[2].shard_of().is_none());
+    }
+
+    /// A clone of a certified chunk starts uncertified, and the certificate costs a
+    /// chunk 16 bytes at most.
+    #[test]
+    fn a_clone_starts_uncertified() {
+        assert!(std::mem::size_of::<RetrievalChunk>() <= 120);
+        let (f, n) = (1, 4);
+        let db = sample_datablock(10);
+        let digest = db.digest();
+        let chunks = [1, 3]
+            .map(|responder| Arc::new(encode_response(&db, NodeId(responder), f, n).unwrap()));
+        feed(&mut querier_of(0, f, n, digest), digest, &chunks);
+        assert!(chunks.iter().all(|chunk| chunk.shard_of().is_some()));
+        assert!(fresh(&chunks)
+            .iter()
+            .all(|chunk| chunk.shard_of().is_none()));
     }
 
     #[test]

@@ -234,6 +234,25 @@ impl ReedSolomon {
         shards: &[(usize, S)],
         payload_len: usize,
     ) -> Result<Vec<u8>, ErasureError> {
+        self.decode_payload_exact(shards, payload_len)
+            .map(|(payload, _)| payload)
+    }
+
+    /// [`Self::decode_payload`], plus whether the supplied shards are exactly
+    /// [`Self::encode_shard`]`(payload, index)` at their indices: true if they are
+    /// [`Self::shard_len_for`]`(payload_len)` bytes long and the padding decodes to
+    /// zeros. Shards that decode to the same payload under nonzero padding, or longer
+    /// shards, are the code of another input, so other quorums of the same `n` shards
+    /// need not decode to this payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_payload`].
+    pub fn decode_payload_exact<S: AsRef<[u8]>>(
+        &self,
+        shards: &[(usize, S)],
+        payload_len: usize,
+    ) -> Result<(Vec<u8>, bool), ErasureError> {
         let data = self.decode_shards(shards)?;
         let available = data.iter().map(|s| s.len()).sum();
         if payload_len > available {
@@ -242,15 +261,11 @@ impl ReedSolomon {
                 available,
             });
         }
-        let mut payload = Vec::with_capacity(payload_len);
-        for shard in &data {
-            if payload.len() >= payload_len {
-                break;
-            }
-            let take = (payload_len - payload.len()).min(shard.len());
-            payload.extend_from_slice(&shard[..take]);
-        }
-        Ok(payload)
+        let mut payload = data.concat();
+        let exact = data[0].len() == self.shard_len_for(payload_len)
+            && payload[payload_len..].iter().all(|&byte| byte == 0);
+        payload.truncate(payload_len);
+        Ok((payload, exact))
     }
 }
 
@@ -366,6 +381,43 @@ mod tests {
             rs.decode_payload(&surviving, 1000),
             Err(ErasureError::PayloadTooLong { .. })
         ));
+    }
+
+    /// Only the payload's own shards decode as exact. The code of the payload under
+    /// nonzero padding, or of the payload padded to longer shards, decodes to the same
+    /// payload but is another codeword, so a quorum mixing it with the payload's own
+    /// shards decodes to other bytes.
+    #[test]
+    fn decode_payload_exact_tells_the_payloads_own_shards_from_other_codewords() {
+        let rs = ReedSolomon::new(3, 7).unwrap();
+        let payload = b"eleven byte".to_vec();
+        let quorum = |shards: &[Vec<u8>], indices: [usize; 3]| {
+            let surviving: Vec<(usize, &[u8])> =
+                indices.iter().map(|&i| (i, shards[i].as_slice())).collect();
+            rs.decode_payload_exact(&surviving, payload.len()).unwrap()
+        };
+        let own = rs.encode_payload(&payload);
+        assert_eq!(quorum(&own, [1, 4, 6]), (payload.clone(), true));
+        assert_eq!(quorum(&own, [0, 1, 2]), (payload.clone(), true));
+
+        let mut padded = payload.clone();
+        padded.push(7);
+        let other_padding = rs.encode_payload(&padded);
+        padded.truncate(payload.len());
+        padded.resize(15, 0);
+        let longer = rs.encode_payload(&padded);
+        for other in [&other_padding, &longer] {
+            assert_eq!(quorum(other, [3, 4, 5]), (payload.clone(), false));
+        }
+        let mut mixed = own.clone();
+        mixed[5] = other_padding[5].clone();
+        assert_ne!(quorum(&mixed, [2, 4, 5]).0, payload);
+        let empty = rs.encode_payload(b"");
+        let surviving: Vec<(usize, &[u8])> = (4..7).map(|i| (i, empty[i].as_slice())).collect();
+        assert_eq!(
+            rs.decode_payload_exact(&surviving, 0).unwrap(),
+            (vec![], true)
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! property that actually falls out of the design — the runs are *bit-identical* in
 //! event count, confirmation sequence and traffic totals — and additionally assert the
 //! 1% throughput bound explicitly so a future relaxation of bit-identity still has a
-//! guard. The retrieval path is held to the same bar at n = 128 too, above the n > 64
-//! scale where `ScenarioConfig::paper` switches to metered crypto.
+//! guard. The retrieval path is held to the same bar at n = 128 and n = 256 too, above
+//! the n > 64 scale where `ScenarioConfig::paper` switches to metered crypto.
 
 use leopard::harness::scenario::{run_leopard_scenario, ScenarioConfig, ScenarioReport};
 use leopard::harness::workload::WorkloadConfig;
@@ -128,4 +128,25 @@ fn retrieval_at_paper_scale_128_is_equivalent() {
         .with_selective_attackers(42)
         .with_duration(SimDuration::from_millis(300));
     assert_retrieval_equivalent("paper(128) reduced, 42 selective attackers", config);
+}
+
+/// The retrieval path at n = 256, the largest committee the `(f + 1, n)` Reed–Solomon
+/// code over GF(2^8) allows: f = 85 selective attackers, real bytes (an `(86, 256)`
+/// code, Merkle proofs over 256 shards) against the metered stand-in, with the n = 128
+/// test's load, batches and 0.3 s of simulated time (1,356 retrievals). Each digest is
+/// decoded once; the other queriers of it adopt the recovered copy from the shared
+/// chunks. About 1 s in release and 25 s in debug, so it is compiled for release only
+/// (`cargo test --release -p leopard --test metered_equivalence`).
+#[cfg(not(debug_assertions))]
+#[test]
+fn retrieval_at_paper_scale_256_is_equivalent() {
+    let config = ScenarioConfig::paper(256)
+        .with_workload(WorkloadConfig {
+            aggregate_rps: 40_000,
+            payload_size: 128,
+        })
+        .with_batches(500, 50)
+        .with_selective_attackers(85)
+        .with_duration(SimDuration::from_millis(300));
+    assert_retrieval_equivalent("paper(256) reduced, 85 selective attackers", config);
 }
