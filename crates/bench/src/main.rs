@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p leopard-bench --release --bin experiments -- \
-//!     [--full] [--bench-json <path>] [<id>...]
+//!     [--full] [--bench-json <path>] [--against <path> [--expect-changes]] [<id>...]
 //! ```
 //!
 //! With no ids every experiment runs. `--full` selects the paper-scale parameter sets
@@ -40,6 +40,13 @@
 //! note in `.github/workflows/ci.yml` for how the threshold was chosen). Analytical
 //! tables neither count nor dilute it; a selection that ran no simulation fails it.
 //!
+//! `--against <path>` diffs every table of the run against a recorded `--bench-json`
+//! document (a `BENCH_PR*.json`) and prints one line per changed cell, `id / row /
+//! column: old → new`, skipping the host columns (wall clock, engine rate, peak RSS,
+//! schedules/sec; see `leopard_harness::trajectory::diff_run`). Any change makes the
+//! binary exit non-zero unless `--expect-changes` is given too — the check behind "no
+//! simulated number moved", and the list of what did for a change that moves some.
+//!
 //! `bench-trajectory` (a subcommand, not a flag) ignores every experiment id and
 //! instead folds all `BENCH_PR*.json` documents in the current directory into
 //! `BENCH_TRAJECTORY.md` — the per-PR table of quick-suite wall clock, engine
@@ -51,14 +58,15 @@ use leopard_harness::experiments::{run_experiment_with, EXPERIMENT_IDS};
 use leopard_harness::report::{
     bench_records_to_json, peak_rss_bytes, reset_peak_rss, BenchRecord,
 };
-use leopard_harness::trajectory::{fold_document, render_trajectory};
+use leopard_harness::trajectory::{diff_run, fold_document, parse_recorded, render_trajectory};
 use leopard_simnet::global_events_processed;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// Every flag `main` accepts, for the unknown-flag error.
 const VALID_FLAGS: &str = "--full, --bench-json <path>, --max-wall-clock <secs>, \
-     --min-events-per-sec <threshold>, --schedules <N>, --chaos-seed <S>, --chaos-case <K>";
+     --min-events-per-sec <threshold>, --schedules <N>, --chaos-seed <S>, --chaos-case <K>, \
+     --against <path>, --expect-changes";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,6 +74,8 @@ fn main() {
     let mut bench_json: Option<PathBuf> = None;
     let mut max_wall_clock: Option<f64> = None;
     let mut min_events_per_sec: Option<f64> = None;
+    let mut against: Option<PathBuf> = None;
+    let mut expect_changes = false;
     let mut chaos = ChaosOverrides::default();
     let mut requested: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
@@ -80,6 +90,8 @@ fn main() {
             "--schedules" => chaos.schedules = Some(flag_value(&mut iter, &arg, "a count")),
             "--chaos-seed" => chaos.seed = Some(flag_value(&mut iter, &arg, "a seed")),
             "--chaos-case" => chaos.case = Some(flag_value(&mut iter, &arg, "a case-index")),
+            "--against" => against = Some(flag_value(&mut iter, &arg, "a path")),
+            "--expect-changes" => expect_changes = true,
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag {flag}; valid flags: {VALID_FLAGS}");
                 std::process::exit(2);
@@ -90,6 +102,20 @@ fn main() {
     if requested.iter().any(|id| id == "bench-trajectory") {
         std::process::exit(write_bench_trajectory());
     }
+    if expect_changes && against.is_none() {
+        eprintln!("--expect-changes needs --against <path>");
+        std::process::exit(2);
+    }
+    // Read the recorded run before anything runs, so a bad path costs no experiments.
+    let recorded = against.as_ref().map(|path| {
+        std::fs::read_to_string(path)
+            .map_err(|error| error.to_string())
+            .and_then(|content| parse_recorded(&content))
+            .unwrap_or_else(|error| {
+                eprintln!("--against {}: {error}", path.display());
+                std::process::exit(2)
+            })
+    });
     let ids: Vec<&str> = if requested.is_empty() {
         EXPERIMENT_IDS.to_vec()
     } else {
@@ -177,8 +203,20 @@ fn main() {
             eprintln!("wall-clock budget ok: {total_wall_clock:.3}s <= {budget:.3}s");
         }
     }
+    let profile = if full { "full" } else { "quick" };
+    if let (Some(recorded), Some(path)) = (&recorded, &against) {
+        let tables: Vec<(&str, &_)> = records.iter().map(|r| (r.id.as_str(), &r.table)).collect();
+        let changes = diff_run(recorded, profile, &tables);
+        eprintln!("against {}: {} changes outside the host columns", path.display(), changes.len());
+        for change in &changes {
+            eprintln!("  {change}");
+        }
+        if !changes.is_empty() && !expect_changes {
+            eprintln!("AGAINST FAILED: the tables moved (pass --expect-changes if they should)");
+            failures += 1;
+        }
+    }
     if let Some(path) = bench_json {
-        let profile = if full { "full" } else { "quick" };
         let json = bench_records_to_json(profile, &records);
         match std::fs::write(&path, json) {
             Ok(()) => eprintln!("wrote bench trajectory to {}", path.display()),

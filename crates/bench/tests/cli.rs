@@ -60,3 +60,36 @@ fn events_floor_pools_the_simulated_experiments() {
     assert_eq!(output.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("no selected experiment ran a simulation"), "{stderr}");
 }
+
+/// `--against` diffs the run's tables against a recorded document: an identical run
+/// passes, an edited cell is named and fails the run unless `--expect-changes` is
+/// given, and an unreadable document stops the binary before anything runs.
+#[test]
+fn against_names_each_moved_cell() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let recorded = dir.join("against_recorded_tab1.json");
+    let edited = dir.join("against_edited_tab1.json");
+    let (recorded, edited) = (recorded.to_str().unwrap(), edited.to_str().unwrap());
+    assert_eq!(experiments(&["--bench-json", recorded, "tab1"]).status.code(), Some(0));
+
+    let output = experiments(&["--against", recorded, "tab1"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains(": 0 changes outside the host columns"), "{stderr}");
+
+    let content = std::fs::read_to_string(recorded).unwrap();
+    std::fs::write(edited, content.replacen("\"300.37\"", "\"300.38\"", 1)).unwrap();
+    let output = experiments(&["--against", edited, "tab1"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("tab1 / PBFT / SF at n=300: 300.38 → 300.37"), "{stderr}");
+    let output = experiments(&["--against", edited, "--expect-changes", "tab1"]);
+    assert_eq!(output.status.code(), Some(0), "{}", String::from_utf8_lossy(&output.stderr));
+
+    for args in [&["--against", "no-such-file.json", "tab1"][..], &["--expect-changes", "tab1"][..]] {
+        let output = experiments(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("running experiment"), "{args:?} ran something: {stderr}");
+    }
+}

@@ -16,7 +16,12 @@
 //! [`crate::report::bench_records_to_json`], so full JSON generality is not needed
 //! (it still handles escapes, nested containers and scientific notation, and rejects
 //! malformed input with a line-free error rather than panicking).
+//!
+//! The same reader backs the table diff (`experiments --against <file>`): a fresh run's
+//! tables against a recorded document's, cell by cell ([`parse_recorded`],
+//! [`diff_run`]), skipping the [`HOST_COLUMNS`] that time or size the host.
 
+use crate::report::Table;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Numbers are kept as `f64` — the bench documents contain
@@ -366,6 +371,144 @@ pub fn render_trajectory(mut rows: Vec<TrajectoryRow>) -> String {
     out
 }
 
+/// The columns that time or size the host rather than the simulation: wall clock,
+/// engine rate, peak RSS and the chaos engine's rate. A table diff skips them.
+pub const HOST_COLUMNS: [&str; 4] = ["wall (s)", "engine (Mev/s)", "peak RSS (MB)", "schedules/sec"];
+
+/// The tables of a recorded `BENCH_PR*.json` document, for [`diff_run`].
+#[derive(Debug)]
+pub struct RecordedRun {
+    /// The document's `profile` field (`"quick"` / `"full"`).
+    pub profile: String,
+    /// `(experiment id, table)` in document order.
+    pub tables: Vec<(String, Table)>,
+}
+
+/// Reads the tables out of a recorded bench document (schema v1 or v2).
+pub fn parse_recorded(content: &str) -> Result<RecordedRun, String> {
+    let doc = parse_json(content)?;
+    let profile = doc.get("profile").and_then(Json::as_str).unwrap_or("?").to_string();
+    let experiments = doc
+        .get("experiments")
+        .and_then(Json::as_arr)
+        .ok_or("missing experiments array")?;
+    let strings = |value: Option<&Json>| -> Result<Vec<String>, String> {
+        value
+            .and_then(Json::as_arr)
+            .ok_or("a table lacks its headers or a row")?
+            .iter()
+            .map(|cell| cell.as_str().map(str::to_string).ok_or_else(|| "a non-string cell".to_string()))
+            .collect()
+    };
+    let mut tables = Vec::with_capacity(experiments.len());
+    for entry in experiments {
+        let id = entry.get("id").and_then(Json::as_str).ok_or("an experiment without an id")?;
+        let json = entry.get("table").ok_or_else(|| format!("{id}: no table"))?;
+        let title = json.get("title").and_then(Json::as_str).unwrap_or_default();
+        let mut table = Table::new(title, strings(json.get("headers"))?);
+        for row in json.get("rows").and_then(Json::as_arr).ok_or_else(|| format!("{id}: no rows"))? {
+            let row = strings(Some(row))?;
+            if row.len() != table.headers.len() {
+                return Err(format!("{id}: a row of {} cells under {} headers", row.len(), table.headers.len()));
+            }
+            table.push_row(row);
+        }
+        tables.push((id.to_string(), table));
+    }
+    Ok(RecordedRun { profile, tables })
+}
+
+/// Diffs a fresh run's tables against a recorded run: one line per difference, a
+/// changed cell as `id / row / column: old → new`. Host columns are skipped. An id
+/// the recorded run lacks is a difference; a recorded id the run did not select is
+/// not. Rows are matched by their label (their fewest leading non-host cells that tell
+/// the rows apart), columns by header.
+pub fn diff_run(recorded: &RecordedRun, profile: &str, tables: &[(&str, &Table)]) -> Vec<String> {
+    let mut out = Vec::new();
+    if recorded.profile != profile {
+        out.push(format!("profile: {} → {profile}", recorded.profile));
+    }
+    for &(id, new) in tables {
+        match recorded.tables.iter().find(|(recorded_id, _)| recorded_id == id) {
+            Some((_, old)) => diff_tables(id, old, new, &mut out),
+            None => out.push(format!("{id}: not in the recorded run")),
+        }
+    }
+    out
+}
+
+fn diff_tables(id: &str, old: &Table, new: &Table, out: &mut Vec<String>) {
+    if old.title != new.title {
+        out.push(format!("{id} / title: {} → {}", old.title, new.title));
+    }
+    let is_host = |header: &str| HOST_COLUMNS.contains(&header);
+    let column = |table: &Table, header: &str| table.headers.iter().position(|h| h == header);
+    for header in old.headers.iter().filter(|h| !is_host(h) && column(new, h).is_none()) {
+        out.push(format!("{id} / column {header}: removed"));
+    }
+    // (new index, old index) of every non-host column both tables have.
+    let mut shared = Vec::new();
+    for (at, header) in new.headers.iter().enumerate().filter(|(_, h)| !is_host(h)) {
+        match column(old, header) {
+            Some(was) => shared.push((at, was)),
+            None => out.push(format!("{id} / column {header}: added")),
+        }
+    }
+    let (old_labels, new_labels) = row_labels(old, new);
+    for (label, row) in new_labels.iter().zip(&new.rows) {
+        let Some(was) = old_labels.iter().position(|l| l == label) else {
+            out.push(format!("{id} / {label}: row added"));
+            continue;
+        };
+        for &(at, from) in &shared {
+            let (before, after) = (&old.rows[was][from], &row[at]);
+            if before != after {
+                out.push(format!("{id} / {label} / {}: {before} → {after}", new.headers[at]));
+            }
+        }
+    }
+    for label in old_labels.iter().filter(|l| !new_labels.contains(l)) {
+        out.push(format!("{id} / {label}: row removed"));
+    }
+}
+
+/// Names each row of both tables by its leading non-host cells, joined with ` · `:
+/// the fewest leading cells that tell every row of each table apart (rows that no
+/// prefix tells apart get a `#k` suffix from their second occurrence on). Both
+/// tables use the same prefix length, so an unchanged row keeps its label.
+fn row_labels(old: &Table, new: &Table) -> (Vec<String>, Vec<String>) {
+    // Each row's label at `width` leading non-host cells, and whether all differ.
+    let labels = |table: &Table, width: usize| -> (Vec<String>, bool) {
+        let keys: Vec<usize> = (0..table.headers.len())
+            .filter(|&c| !HOST_COLUMNS.contains(&table.headers[c].as_str()))
+            .take(width)
+            .collect();
+        let bases: Vec<String> = table
+            .rows
+            .iter()
+            .map(|row| keys.iter().map(|&c| row[c].as_str()).collect::<Vec<_>>().join(" · "))
+            .collect();
+        let mut unique = true;
+        let labels = bases
+            .iter()
+            .enumerate()
+            .map(|(i, base)| match bases[..i].iter().filter(|b| *b == base).count() {
+                0 => base.clone(),
+                seen => {
+                    unique = false;
+                    format!("{base} #{}", seen + 1)
+                }
+            })
+            .collect();
+        (labels, unique)
+    };
+    let widest = old.headers.len().max(new.headers.len()).max(1);
+    let width = (1..=widest)
+        .find(|&width| labels(old, width).1 && labels(new, width).1)
+        .unwrap_or(1);
+    (labels(old, width).0, labels(new, width).0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,5 +594,62 @@ mod tests {
         assert!(pr2 < pr10, "rows sort numerically by PR, not lexically");
         assert!(md.contains("| 1.50 |"), "events/sec rendered in Mev/s:\n{md}");
         assert!(md.contains("| - | - |"), "v1 rows render dashes");
+    }
+
+    /// The diff matches rows by their shortest telling prefix and columns by header,
+    /// names each changed cell, added and removed row, and ignores host columns.
+    #[test]
+    fn the_table_diff_names_every_change_but_the_host_columns() {
+        let table = |rows: &[[&str; 4]]| {
+            let mut table = Table::new("T", ["n", "stragglers", "Kreqs/s", "wall (s)"]);
+            for row in rows {
+                table.push_row(row.iter().map(|cell| cell.to_string()).collect());
+            }
+            table
+        };
+        let old = table(&[["8", "0%", "130.0", "0.5"], ["8", "10%", "120.0", "0.6"], ["16", "0%", "129.0", "0.7"]]);
+        let json = crate::report::bench_records_to_json(
+            "quick",
+            &[crate::report::BenchRecord {
+                id: "fig9geo".to_string(),
+                wall_clock_secs: 1.8,
+                events_per_sec: 2.0e6,
+                peak_memory_bytes: 100_000_000,
+                table: old,
+            }],
+        );
+        let recorded = parse_recorded(&json).expect("writer output parses");
+
+        let slower = table(&[["8", "0%", "130.0", "0.9"], ["8", "10%", "120.0", "1.2"], ["16", "0%", "129.0", "0.1"]]);
+        assert!(diff_run(&recorded, "quick", &[("fig9geo", &slower)]).is_empty());
+
+        let changed = table(&[["8", "0%", "130.0", "0.5"], ["8", "10%", "121.5", "0.6"], ["32", "0%", "128.0", "0.7"]]);
+        assert_eq!(
+            diff_run(&recorded, "quick", &[("fig9geo", &changed), ("tab1", &slower)]),
+            vec![
+                "fig9geo / 8 · 10% / Kreqs/s: 120.0 → 121.5",
+                "fig9geo / 32 · 0%: row added",
+                "fig9geo / 16 · 0%: row removed",
+                "tab1: not in the recorded run",
+            ]
+        );
+        assert_eq!(diff_run(&recorded, "full", &[]), vec!["profile: quick → full"]);
+
+        let mut renamed = Table::new("T", ["n", "stragglers", "Kreqs/s (steady)", "wall (s)"]);
+        renamed.push_row(vec!["8".into(), "0%".into(), "130.0".into(), "0.5".into()]);
+        let lines = diff_run(&recorded, "quick", &[("fig9geo", &renamed)]);
+        assert_eq!(&lines[..2], ["fig9geo / column Kreqs/s: removed", "fig9geo / column Kreqs/s (steady): added"]);
+    }
+
+    /// Rows no prefix tells apart are numbered from their second occurrence on.
+    #[test]
+    fn identical_rows_are_numbered() {
+        let mut table = Table::new("T", ["role", "bytes"]);
+        for _ in 0..3 {
+            table.push_row(vec!["leader".into(), "10".into()]);
+        }
+        let (old, new) = row_labels(&table, &table);
+        assert_eq!(old, ["leader", "leader #2", "leader #3"]);
+        assert_eq!(old, new);
     }
 }

@@ -16,10 +16,12 @@
 //!
 //! `intern` moves the message into a slot with zero references; the slot is its only
 //! owner from then on (no heap envelope, so a send allocates nothing). The engine
-//! takes one reference per queued handle: each cross-node `Arrive` push and each
-//! self-delivery `Deliver` push calls [`FanoutTable::incref`]. An `Arrive` that
-//! matures into its downlink `Deliver` *transfers* its reference (no count change). A
-//! reference is returned when the handle leaves the schedule:
+//! takes one reference per queued handle through [`FanoutTable::incref`]: one for a
+//! unicast `Arrive` push or a self-delivery `Deliver` push, and one per copy, in a
+//! single call, for the peer copies a multicast or broadcast queues as one sorted run
+//! (`crate::shard`; a run entry is a handle like any other until it is popped). An
+//! `Arrive` that matures into its downlink `Deliver` *transfers* its reference (no
+//! count change). A reference is returned when the handle leaves the schedule:
 //! [`FanoutTable::consume`] when a `Deliver` reaches its callback — a clone of the
 //! message while other references remain, the message itself, moved out, for the
 //! last one — and [`FanoutTable::release`] when a crashed receiver swallows the event
@@ -104,12 +106,13 @@ impl<M> FanoutTable<M> {
         }
     }
 
-    /// Takes one reference: a queue handle (an `Arrive` push or a self-delivery
-    /// `Deliver` push) now points at the slot.
-    pub(crate) fn incref(&mut self, id: u32) {
+    /// Takes `count` references: that many queue handles (a unicast `Arrive` push, a
+    /// self-delivery `Deliver` push, or the copies of one fan-out run) now point at
+    /// the slot.
+    pub(crate) fn incref(&mut self, id: u32, count: u32) {
         let slot = &mut self.slots[id as usize];
         debug_assert!(slot.message.is_some(), "incref on a reclaimed fan-out slot");
-        slot.refs += 1;
+        slot.refs += count;
     }
 
     /// Reclaims a freshly interned slot nothing ended up referencing (every copy of
@@ -181,8 +184,8 @@ mod tests {
     fn last_reference_reclaims_the_slot_and_avoids_the_deep_clone() {
         let mut table: FanoutTable<Vec<u8>> = FanoutTable::new();
         let id = table.intern(NodeId(3), vec![1, 2, 3]);
-        table.incref(id);
-        table.incref(id);
+        table.incref(id, 1);
+        table.incref(id, 1);
         table.release_if_unused(id); // referenced: must not reclaim
         assert_eq!(table.live(), 1);
 
@@ -211,8 +214,8 @@ mod tests {
 
         // Crash-path returns (release) reclaim exactly like consumption.
         let id = table.intern(NodeId(1), 8);
-        table.incref(id);
-        table.incref(id);
+        table.incref(id, 1);
+        table.incref(id, 1);
         table.release_if_unused(id);
         table.release(id);
         assert_eq!(table.live(), 1);

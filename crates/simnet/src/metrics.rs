@@ -120,10 +120,12 @@ impl LatencyRun {
 
 /// Per-node, per-category traffic counters (bytes and message counts).
 ///
-/// Recording is the engine's hottest metrics path (twice per routed copy of every
-/// multicast), so the counters live in two flat `Vec`s indexed by
-/// `category-slot × node` with the categories interned into a tiny table — a handful
-/// of `&'static str` labels per protocol. The old `BTreeMap<(node, category), …>`
+/// Recording is the engine's hottest metrics path (once per received copy of every
+/// multicast, plus one sent record per message), so the counters live in two flat
+/// `Vec`s indexed by `category-slot × node` with the categories interned into a tiny
+/// table — a handful of `&'static str` labels per protocol. The engine resolves a
+/// message's category row once ([`TrafficMatrix::category_row`]) and records each
+/// copy at `row + node`. The old `BTreeMap<(node, category), …>`
 /// paid an ordered-map walk per record; interning costs a short linear scan over
 /// ≤ ~12 labels instead, and query/iteration APIs sort on demand so the observable
 /// order (node-major, categories alphabetical, only touched cells) is exactly the
@@ -151,13 +153,10 @@ impl TrafficMatrix {
         }
     }
 
-    /// The flat index for `(node, category)`, interning the category if it is new.
-    fn slot(&mut self, node: usize, category: &'static str) -> usize {
-        assert!(
-            node < self.nodes,
-            "traffic matrix sized for {} nodes, got node {node}",
-            self.nodes
-        );
+    /// The row of `category`, interning it if it is new: the counters of
+    /// `(node, category)` sit at `row + node`. The engine resolves it once per sent
+    /// message, so the copies of a fan-out skip the label scan.
+    pub fn category_row(&mut self, category: &'static str) -> usize {
         // Categories are `'static` literals from a handful of call sites, so the
         // pointer comparison almost always hits before the content fallback (which
         // stays for the correctness of distinct-address equal-content strings).
@@ -175,21 +174,33 @@ impl TrafficMatrix {
                 self.categories.len() - 1
             }
         };
-        slot * self.nodes + node
+        slot * self.nodes
     }
 
-    /// Records a sent message.
-    pub fn record_sent(&mut self, node: NodeId, category: &'static str, bytes: u64) {
-        let slot = self.slot(node.as_index(), category);
-        let entry = &mut self.sent[slot];
-        entry.0 += bytes;
-        entry.1 += 1;
+    /// The flat index of `node` in the category at `row`.
+    fn index(&self, row: usize, node: NodeId) -> usize {
+        assert!(
+            node.as_index() < self.nodes,
+            "traffic matrix sized for {} nodes, got node {}",
+            self.nodes,
+            node.as_index()
+        );
+        row + node.as_index()
     }
 
-    /// Records a received message.
-    pub fn record_received(&mut self, node: NodeId, category: &'static str, bytes: u64) {
-        let slot = self.slot(node.as_index(), category);
-        let entry = &mut self.received[slot];
+    /// Records `messages` sent messages of `bytes` each by `node` in the category at
+    /// `row` (a fan-out's `n − 1` copies in one call).
+    pub fn add_sent(&mut self, row: usize, node: NodeId, bytes: u64, messages: u64) {
+        let index = self.index(row, node);
+        let entry = &mut self.sent[index];
+        entry.0 += bytes * messages;
+        entry.1 += messages;
+    }
+
+    /// Records one received message of `bytes` at `node` in the category at `row`.
+    pub fn add_received(&mut self, row: usize, node: NodeId, bytes: u64) {
+        let index = self.index(row, node);
+        let entry = &mut self.received[index];
         entry.0 += bytes;
         entry.1 += 1;
     }
@@ -249,10 +260,16 @@ impl TrafficMatrix {
         })
     }
 
-    /// All categories that appear anywhere in the matrix (a category is interned the
-    /// first time a message of that kind is recorded).
+    /// All categories in which a message was recorded, sent or received. The engine
+    /// interns a message's category before it knows whether any copy leaves (a
+    /// crashed sender, a self-delivery), so a row with no record is left out.
     pub fn categories(&self) -> Vec<&'static str> {
-        let mut categories = self.categories.clone();
+        let recorded = |slot: usize| {
+            let row = slot * self.nodes..(slot + 1) * self.nodes;
+            self.sent[row.clone()].iter().chain(&self.received[row]).any(|&(_, messages)| messages > 0)
+        };
+        let mut categories: Vec<&'static str> =
+            (0..self.categories.len()).filter(|&slot| recorded(slot)).map(|slot| self.categories[slot]).collect();
         categories.sort_unstable();
         categories
     }
@@ -538,27 +555,33 @@ mod tests {
     #[test]
     fn traffic_matrix_accumulates_by_node_and_category() {
         let mut matrix = TrafficMatrix::with_nodes(2);
-        matrix.record_sent(NodeId(0), "datablock", 100);
-        matrix.record_sent(NodeId(0), "datablock", 50);
-        matrix.record_sent(NodeId(0), "vote", 10);
-        matrix.record_received(NodeId(1), "datablock", 150);
+        let datablock = matrix.category_row("datablock");
+        matrix.add_sent(datablock, NodeId(0), 50, 3);
+        let vote = matrix.category_row("vote");
+        matrix.add_sent(vote, NodeId(0), 10, 1);
+        assert_eq!(matrix.category_row("datablock"), datablock, "a category is interned once");
+        matrix.category_row("self-only");
+        matrix.add_received(datablock, NodeId(1), 150);
 
         assert_eq!(matrix.sent_bytes(NodeId(0)), 160);
         assert_eq!(matrix.sent_bytes_in(NodeId(0), "datablock"), 150);
         assert_eq!(matrix.sent_bytes_in(NodeId(0), "vote"), 10);
         assert_eq!(matrix.received_bytes(NodeId(1)), 150);
         assert_eq!(matrix.received_bytes(NodeId(0)), 0);
-        assert_eq!(matrix.categories(), vec!["datablock", "vote"]);
+        assert_eq!(matrix.categories(), vec!["datablock", "vote"], "an unrecorded row is left out");
         assert_eq!(matrix.total_sent_bytes(), 160);
         assert_eq!(matrix.total_received_bytes(), 150);
         assert_eq!(matrix.iter_sent().count(), 2);
+        let messages: Vec<u64> = matrix.iter_sent().map(|(_, _, _, count)| count).collect();
+        assert_eq!(messages, vec![3, 1], "a fan-out's sent record counts each copy");
     }
 
     #[test]
     fn node_ranges_do_not_bleed_into_each_other() {
         let mut matrix = TrafficMatrix::with_nodes(3);
-        matrix.record_sent(NodeId(1), "a", 5);
-        matrix.record_sent(NodeId(2), "a", 7);
+        let a = matrix.category_row("a");
+        matrix.add_sent(a, NodeId(1), 5, 1);
+        matrix.add_sent(a, NodeId(2), 7, 1);
         assert_eq!(matrix.sent_bytes(NodeId(1)), 5);
         assert_eq!(matrix.sent_bytes(NodeId(2)), 7);
     }

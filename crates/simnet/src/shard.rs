@@ -20,6 +20,23 @@
 //! shard's head replays only its leaf-to-root path: `log2(shards)` integer compares
 //! on a flat 8 KB array, with none of the sift-down element movement or stale-entry
 //! bookkeeping a candidate heap would need.
+//!
+//! # Fan-out runs
+//!
+//! A multicast or broadcast routes its `n − 1` peer copies in one go, and their
+//! `Arrive` events carry the same fan-out handle and wire size; only the receiver and
+//! the `(time, seq)` key differ. Pushed one by one, each copy paid a shard-heap sift
+//! and a leaf replay, and then sat among every other in-flight arrival of its
+//! receiver until popped. Instead the engine stages the copies in route order
+//! ([`ShardedQueue::stage_arrival`], which takes each copy's `seq` exactly where a
+//! unicast push would) and [`ShardedQueue::push_run`] sorts them once and queues them
+//! as one **run**: a 16-byte entry per copy in one buffer, in `(time, seq)` order. The
+//! queue's second source beside the winner tree is a small heap of run heads, keyed
+//! by each run's next key; [`ShardedQueue::pop_min`] takes the smaller of the tree
+//! root and that heap's top. Keys are unique, so the dispatch order is the
+//! single-heap `(time, seq)` order to the last event. A drained run's buffer is kept
+//! and becomes the next run's staging buffer, so a steady-state fan-out allocates
+//! nothing.
 
 use crate::sim::{EventKind, QueuedEvent};
 use crate::time::SimTime;
@@ -45,34 +62,32 @@ fn unpack(key: u128) -> EventKey {
 /// be `u64::MAX` at time `u64::MAX`).
 const EMPTY: u128 = u128::MAX;
 
-/// A 4-ary min-heap with the comparison keys split from the event payloads.
+/// A 4-ary min-heap with the comparison keys split from the payloads: a shard's
+/// `EventKind`s, or the run heap's run slots.
 ///
 /// Three layout decisions, all for the cache: a node's four children share one
 /// 64-byte line of the `keys` array, so a sift-down touches one line per level and
 /// half as many levels as a binary heap; the 16-byte packed keys live apart from the
-/// `EventKind` payloads, so the search path reads only `keys`; and both sifts find
-/// the moving entry's final position by **walking the key array alone** before any
-/// payload is touched — the key chain is then shifted with plain stores and the
-/// payloads rotated along the same (already cache-hot) path. Combined with the
-/// PR 10 fan-out compression (queue-resident `Arrive`/`Deliver` payloads shrank to a
-/// `{fanout: u32, to}` handle into a side table — see `crate::fanout` — making
-/// `EventKind` a 24-byte `Copy` value with no `Arc` refcounts and no drop glue), this
-/// trims the remaining DRAM-bound payload traffic the PR 8 profile showed: at
-/// n ≥ 1000 a shard heap holds several hundred in-flight arrivals and this sift walk
-/// is the hottest data movement in the engine. (An arena/slab indirection that never
-/// moves payloads at all was measured and rejected: with per-shard heaps this
-/// shallow, the extra random-access load per pop costs more than the rotation it
-/// saves.)
-struct QuadHeap {
+/// payloads, so the comparisons read only `keys`; and both sifts are hole-based — each
+/// level moves one key and one payload into the hole, and the moving entry is written
+/// once, at its final slot. Combined with the fan-out compression (queue-resident
+/// `Arrive`/`Deliver` payloads are a `{fanout: u32, to}` handle into a side table —
+/// see `crate::fanout` — making `EventKind` a 24-byte `Copy` value with no `Arc`
+/// refcounts and no drop glue), this trims the DRAM-bound payload traffic of the
+/// sifts (DESIGN.md §10). (An
+/// arena/slab indirection that never moves payloads at all was measured and
+/// rejected: with per-shard heaps this shallow, the extra random-access load per pop
+/// costs more than the payload moves it saves.)
+struct QuadHeap<T> {
     keys: Vec<u128>,
-    kinds: Vec<EventKind>,
+    payloads: Vec<T>,
 }
 
-impl QuadHeap {
+impl<T: Copy> QuadHeap<T> {
     const fn new() -> Self {
         Self {
             keys: Vec::new(),
-            kinds: Vec::new(),
+            payloads: Vec::new(),
         }
     }
 
@@ -81,7 +96,12 @@ impl QuadHeap {
         self.keys.first().copied()
     }
 
-    fn push(&mut self, key: u128, kind: EventKind) {
+    #[inline]
+    fn peek(&self) -> Option<(u128, T)> {
+        Some((*self.keys.first()?, self.payloads[0]))
+    }
+
+    fn push(&mut self, key: u128, payload: T) {
         // Grow by 25% instead of Vec's doubling: a saturated large-n run keeps
         // thousands of shard heaps at their high-water mark, and the halved
         // overallocation is worth far more than the extra (amortized, memcpy-only)
@@ -89,80 +109,74 @@ impl QuadHeap {
         if self.keys.len() == self.keys.capacity() {
             let grow = (self.keys.len() / 4).max(32);
             self.keys.reserve_exact(grow);
-            self.kinds.reserve_exact(grow);
+            self.payloads.reserve_exact(grow);
         }
         // Hole-based sift-up: append a hole, shift ancestors down into it, write the
-        // new entry once at its final slot. `kinds` grows with a placeholder read
-        // from the hole's final position, so no `unsafe` and no `Option` tax.
+        // new entry once at its final slot.
         self.keys.push(key);
-        self.kinds.push(kind);
-        let mut i = self.keys.len() - 1;
-        let mut hole = i;
+        self.payloads.push(payload);
+        let mut hole = self.keys.len() - 1;
         while hole > 0 {
             let parent = (hole - 1) / 4;
             if self.keys[parent] <= key {
                 break;
             }
+            self.keys[hole] = self.keys[parent];
+            self.payloads[hole] = self.payloads[parent];
             hole = parent;
         }
-        if hole < i {
-            // Rotate the displaced ancestors down in one pass: the path
-            // root-ward from `i` to `hole` is exactly the ancestor chain.
-            while i > hole {
-                let parent = (i - 1) / 4;
-                self.keys[i] = self.keys[parent];
-                self.kinds.swap(i, parent);
-                i = parent;
-            }
-            self.keys[hole] = key;
-        }
+        self.keys[hole] = key;
+        self.payloads[hole] = payload;
     }
 
-    fn pop(&mut self) -> Option<(u128, EventKind)> {
-        let len = self.keys.len();
-        if len == 0 {
+    fn pop(&mut self) -> Option<(u128, T)> {
+        if self.keys.is_empty() {
             return None;
         }
-        self.keys.swap(0, len - 1);
-        self.kinds.swap(0, len - 1);
-        let key = self.keys.pop().expect("nonempty");
-        let kind = self.kinds.pop().expect("nonempty");
-        let len = len - 1;
-        if len > 0 {
-            // Hole-based sift-down of the former tail: find its final position by
-            // walking keys only, then shift the winning children up the path.
-            let tail_key = self.keys[0];
-            let mut path = [0usize; 32];
-            let mut depth = 0;
-            let mut i = 0;
-            loop {
-                let first = 4 * i + 1;
-                if first >= len {
-                    break;
-                }
-                let fence = (first + 4).min(len);
-                let mut min = first;
-                for child in first + 1..fence {
-                    if self.keys[child] < self.keys[min] {
-                        min = child;
-                    }
-                }
-                if tail_key <= self.keys[min] {
-                    break;
-                }
-                path[depth] = min;
-                depth += 1;
-                i = min;
-            }
-            let mut hole = 0;
-            for &next in &path[..depth] {
-                self.keys[hole] = self.keys[next];
-                self.kinds.swap(hole, next);
-                hole = next;
-            }
-            self.keys[hole] = tail_key;
+        // The tail moves to the root and sifts down.
+        let top = (self.keys.swap_remove(0), self.payloads.swap_remove(0));
+        self.sift_down_root();
+        Some(top)
+    }
+
+    /// Gives the root entry a new, larger key and restores the heap: one sift-down
+    /// where a pop and a push would pay two sifts.
+    fn replace_top_key(&mut self, key: u128) {
+        self.keys[0] = key;
+        self.sift_down_root();
+    }
+
+    /// Hole-based sift-down of the root entry: at each level the smallest of the four
+    /// children (one cache line of `keys`) moves up into the hole, until the root
+    /// entry's key is no larger; the entry is written once, at its final slot.
+    fn sift_down_root(&mut self) {
+        let len = self.keys.len();
+        if len == 0 {
+            return;
         }
-        Some((key, kind))
+        let (key, payload) = (self.keys[0], self.payloads[0]);
+        let mut hole = 0;
+        loop {
+            let first = 4 * hole + 1;
+            if first >= len {
+                break;
+            }
+            let fence = (first + 4).min(len);
+            let mut min = first;
+            for child in first + 1..fence {
+                if self.keys[child] < self.keys[min] {
+                    min = child;
+                }
+            }
+            if key <= self.keys[min] {
+                break;
+            }
+            self.keys[hole] = self.keys[min];
+            self.payloads[hole] = self.payloads[min];
+            hole = min;
+        }
+        self.keys[hole] = key;
+        self.payloads[hole] = payload;
     }
 }
 
@@ -178,9 +192,10 @@ impl QuadHeap {
 /// run. The FIFO stores them as split key/fanout streams (`to` is the shard
 /// itself), and the shard's head is the smaller of the heap head and the FIFO
 /// front. Self-deliveries (whose completion instants are *not* monotone — compute
-/// lanes can reorder them) and everything else stay in the heap.
+/// lanes can reorder them), unicast arrivals, timers and start events stay in the
+/// heap; fan-out arrivals wait in runs (see [`Run`]), outside any shard.
 struct Shard {
-    heap: QuadHeap,
+    heap: QuadHeap<EventKind>,
     /// Packed `(time, seq)` keys of the deliver FIFO, nondecreasing.
     fifo_keys: VecDeque<u128>,
     /// The matching fan-out table handles (`crate::fanout`), in lockstep.
@@ -257,7 +272,42 @@ impl Shard {
     }
 }
 
-/// A set of per-shard event stores merged through a flat winner tree.
+/// One fan-out's queued `Arrive`s, sorted: `entries[next..]` are the copies not yet
+/// popped. Every copy shares the fan-out handle and the wire size, and the copies
+/// took consecutive `seq`s in route order, so an entry needs only its arrival time,
+/// its route index (`seq − first_seq`) and its receiver: `arrival << 64 | index << 32
+/// | to`, 16 bytes, whose integer order is the copies' `(time, seq)` order.
+#[derive(Default)]
+struct Run {
+    entries: Vec<u128>,
+    next: usize,
+    first_seq: u64,
+    fanout: u32,
+    size: u32,
+}
+
+impl Run {
+    /// The packed `(time, seq)` key of entry `i`.
+    #[inline]
+    fn key(&self, i: usize) -> u128 {
+        let entry = self.entries[i];
+        let seq = self.first_seq + u64::from((entry >> 32) as u32);
+        (entry >> 64 << 64) | u128::from(seq)
+    }
+
+    /// Entry `i` as the event it stands for.
+    #[inline]
+    fn kind(&self, i: usize) -> EventKind {
+        EventKind::Arrive {
+            fanout: self.fanout,
+            to: NodeId(self.entries[i] as u32),
+            size: self.size,
+        }
+    }
+}
+
+/// A set of per-shard event stores merged through a flat winner tree, plus the
+/// fan-out runs merged through a heap of run heads (see the module docs).
 pub(crate) struct ShardedQueue {
     /// One store per owning node.
     shards: Vec<Shard>,
@@ -269,6 +319,17 @@ pub(crate) struct ShardedQueue {
     tree: Vec<u32>,
     /// Number of leaves (shard count rounded up to a power of two).
     leaves: usize,
+    /// Run slots; a drained slot keeps its (cleared) buffer for reuse.
+    runs: Vec<Run>,
+    /// The live run slots, keyed by each run's next key.
+    run_heads: QuadHeap<u32>,
+    /// Drained run slots.
+    free_runs: Vec<u32>,
+    /// The copies staged by [`Self::stage_arrival`] for the next [`Self::push_run`],
+    /// packed as in [`Run`]; a recycled buffer after each run is queued.
+    staged: Vec<u128>,
+    /// The `seq` of the first staged copy.
+    staged_first_seq: u64,
     len: usize,
 }
 
@@ -291,6 +352,11 @@ impl ShardedQueue {
             keys: vec![EMPTY; shards],
             tree,
             leaves,
+            runs: Vec::new(),
+            run_heads: QuadHeap::new(),
+            free_runs: Vec::new(),
+            staged: Vec::new(),
+            staged_first_seq: 0,
             len: 0,
         }
     }
@@ -342,14 +408,50 @@ impl ShardedQueue {
         }
     }
 
-    /// The `(time, seq)` key of the globally minimal event, if any.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        let winner = self.tree[1];
-        let key = self.keys[winner as usize];
-        if key == EMPTY {
-            return None;
+    /// Stages one fan-out copy's `Arrive` for the next [`Self::push_run`]. The
+    /// copies of one fan-out are staged in route order with consecutive `seq`s.
+    pub fn stage_arrival(&mut self, at: SimTime, seq: u64, to: NodeId) {
+        if self.staged.is_empty() {
+            self.staged_first_seq = seq;
         }
-        Some(unpack(key))
+        let index = self.staged.len() as u64;
+        debug_assert_eq!(seq, self.staged_first_seq + index, "staged seqs are consecutive");
+        self.staged
+            .push((u128::from(at.as_nanos()) << 64) | (u128::from(index) << 32) | u128::from(to.0));
+    }
+
+    /// Queues the staged copies as one run of `fanout`'s `Arrive`s (each `size`
+    /// bytes): one sort and one run-head push for the whole fan-out. Returns the
+    /// number of copies queued (zero if every copy was dropped).
+    pub fn push_run(&mut self, fanout: u32, size: u32) -> u32 {
+        let copies = self.staged.len();
+        if copies == 0 {
+            return 0;
+        }
+        self.staged.sort_unstable();
+        let slot = self.free_runs.pop().unwrap_or_else(|| {
+            self.runs.push(Run::default());
+            (self.runs.len() - 1) as u32
+        });
+        let run = &mut self.runs[slot as usize];
+        // The staged buffer becomes the run; the slot's drained buffer (empty, its
+        // capacity kept) becomes the next staging buffer.
+        std::mem::swap(&mut run.entries, &mut self.staged);
+        run.next = 0;
+        run.first_seq = self.staged_first_seq;
+        run.fanout = fanout;
+        run.size = size;
+        self.run_heads.push(run.key(0), slot);
+        self.len += copies;
+        copies as u32
+    }
+
+    /// The `(time, seq)` key of the globally minimal event, if any: the smaller of
+    /// the winner tree's root and the top run head.
+    pub fn peek_key(&self) -> Option<EventKey> {
+        let tree = self.keys[self.tree[1] as usize];
+        let key = self.run_heads.peek_key().map_or(tree, |run| run.min(tree));
+        (key != EMPTY).then(|| unpack(key))
     }
 
     /// Pops the globally minimal event (for tests; the engine uses
@@ -360,11 +462,12 @@ impl ShardedQueue {
     }
 
     /// Pops the globally minimal event if its time is at or below `deadline`: one
-    /// shard pop plus a single leaf-to-root replay.
+    /// shard pop plus a single leaf-to-root replay, or, when a run head is smaller,
+    /// one step along that run plus one sift of the run-head heap.
     ///
-    /// A conservative-lookahead *run* API (`begin_run`/`pop_run`/`end_run`) used to
-    /// sit here so the engine could drain a shard without consulting the
-    /// merge tree. Measured run lengths at the fig9xl scales are 1.1–1.3 events —
+    /// A conservative-lookahead API (`begin_run`/`pop_run`/`end_run`, unrelated to
+    /// the fan-out runs) used to sit here so the engine could drain a shard without
+    /// consulting the merge tree. Measured run lengths at the fig9xl scales are 1.1–1.3 events —
     /// saturated shards interleave at nearly identical instants, so a run died on
     /// the cross-shard bound almost immediately and every event paid *two* leaf
     /// repairs (park + restore) plus a failed continuation probe. The classic merge
@@ -372,26 +475,54 @@ impl ShardedQueue {
     /// bookkeeping.
     pub fn pop_min(&mut self, deadline: SimTime) -> Option<QueuedEvent> {
         let shard = self.tree[1];
-        let key = self.keys[shard as usize];
-        if key == EMPTY || (key >> 64) as u64 > deadline.as_nanos() {
-            return None;
-        }
-        let (key, kind) = self.shards[shard as usize].pop().expect("winner has a head");
+        let tree_key = self.keys[shard as usize];
+        let (key, kind) = match self.run_heads.peek() {
+            Some((run_key, slot)) if run_key < tree_key => {
+                if (run_key >> 64) as u64 > deadline.as_nanos() {
+                    return None;
+                }
+                let run = &mut self.runs[slot as usize];
+                let kind = run.kind(run.next);
+                run.next += 1;
+                if run.next < run.entries.len() {
+                    let next = run.key(run.next);
+                    self.run_heads.replace_top_key(next);
+                } else {
+                    run.entries.clear();
+                    run.next = 0;
+                    self.run_heads.pop();
+                    self.free_runs.push(slot);
+                }
+                (run_key, kind)
+            }
+            _ => {
+                if tree_key == EMPTY || (tree_key >> 64) as u64 > deadline.as_nanos() {
+                    return None;
+                }
+                let popped = self.shards[shard as usize].pop().expect("winner has a head");
+                let head = self.shards[shard as usize].peek_key().unwrap_or(EMPTY);
+                self.update_leaf(shard, head);
+                popped
+            }
+        };
         self.len -= 1;
-        let head = self.shards[shard as usize].peek_key().unwrap_or(EMPTY);
-        self.update_leaf(shard, head);
         let (at, seq) = unpack(key);
         Some(QueuedEvent { at, seq, kind })
     }
 
-    /// Visits every queued event's kind — heap entries and deliver-FIFO entries
-    /// alike, the latter materialised exactly as [`Shard::pop`] would — in no
-    /// particular order. This is the read side of the fan-out reference audit
-    /// (`Simulation::into_report`): the audit tallies the queued handles per slot
-    /// and compares the tally against the side table's refcounts.
+    /// Visits every queued event's kind — heap entries, deliver-FIFO entries and
+    /// the copies each run has not yet popped, the last two materialised exactly as
+    /// a pop would — in no particular order. This is the read side of the fan-out
+    /// reference audit (`Simulation::into_report`): the audit tallies the queued
+    /// handles per slot and compares the tally against the side table's refcounts.
     pub fn for_each_kind(&self, mut f: impl FnMut(&EventKind)) {
+        for run in &self.runs {
+            for i in run.next..run.entries.len() {
+                f(&run.kind(i));
+            }
+        }
         for shard in &self.shards {
-            for kind in &shard.heap.kinds {
+            for kind in &shard.heap.payloads {
                 f(kind);
             }
             for &fanout in &shard.fifo_fanouts {
@@ -474,5 +605,125 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| queue.pop()).map(|e| e.seq).collect();
         assert_eq!(order, vec![4, 2, 3]);
         assert_eq!(queue.len(), 0);
+    }
+
+    /// The receiver or owner an event stands for, to check that a pop returns the
+    /// event pushed under its key.
+    fn owner(kind: &EventKind) -> u32 {
+        match *kind {
+            EventKind::Start(node) | EventKind::Restart(node) => node.0,
+            EventKind::Arrive { to, .. } | EventKind::Deliver { to, .. } => to.0,
+            EventKind::Timer { node, .. } => node.0,
+        }
+    }
+
+    /// Pops every event at or before `deadline` and checks each against the
+    /// reference heap's `(time, seq, owner)`; `now` follows the popped times.
+    fn pop_until(
+        queue: &mut ShardedQueue,
+        reference: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
+        deadline: u64,
+        now: &mut u64,
+    ) {
+        while let Some(event) = queue.pop_min(SimTime(deadline)) {
+            let std::cmp::Reverse(expected) = reference.pop().expect("the reference holds as many");
+            assert_eq!((event.at.as_nanos(), event.seq, owner(&event.kind)), expected);
+            *now = event.at.as_nanos();
+        }
+        assert!(
+            reference.peek().map_or(true, |std::cmp::Reverse((at, _, _))| *at > deadline),
+            "the queue stopped before the deadline"
+        );
+    }
+
+    proptest::proptest! {
+        /// Fan-out runs (jittered, so not monotone in route order), unicast pushes,
+        /// deliver-FIFO pushes and pops against a deadline, interleaved at random,
+        /// drain in exactly the order of a single `(time, seq)` binary heap, and every
+        /// pop returns the receiver pushed under its key.
+        #[test]
+        fn runs_heaps_and_fifos_drain_in_single_heap_order(
+            ops in proptest::collection::vec((0u8..4, 0u64..64, 0u64..1 << 20, 0u32..5), 0..160),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            const SHARDS: u32 = 5;
+            let mut queue = ShardedQueue::new(SHARDS as usize);
+            let mut reference = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let mut last_deliver = [0u64; SHARDS as usize];
+            for (op, a, b, shard) in ops {
+                match op {
+                    0 => {
+                        // A fan-out of up to eight copies from one sender: departures
+                        // climb, each copy's jitter does not.
+                        let mut jitter = b;
+                        for copy in 0..=a % 8 {
+                            jitter = jitter.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            let at = now + copy * 3 + (jitter >> 59);
+                            let to = (shard + copy as u32) % SHARDS;
+                            seq += 1;
+                            queue.stage_arrival(SimTime(at), seq, NodeId(to));
+                            reference.push(Reverse((at, seq, to)));
+                        }
+                        proptest::prop_assert_eq!(queue.push_run(7, 64), a as u32 % 8 + 1);
+                    }
+                    1 => {
+                        seq += 1;
+                        let at = now + a;
+                        queue.push(shard, QueuedEvent { at: SimTime(at), seq, kind: EventKind::Start(NodeId(shard)) });
+                        reference.push(Reverse((at, seq, shard)));
+                    }
+                    2 => {
+                        // Deliveries of one shard are created in (time, seq) order.
+                        seq += 1;
+                        let at = last_deliver[shard as usize].max(now) + a % 4;
+                        last_deliver[shard as usize] = at;
+                        queue.push_deliver(shard, SimTime(at), seq, 9);
+                        reference.push(Reverse((at, seq, shard)));
+                    }
+                    _ => pop_until(&mut queue, &mut reference, now + a, &mut now),
+                }
+                proptest::prop_assert_eq!(queue.len(), reference.len());
+                let expected = reference.peek().map(|Reverse((at, seq, _))| (SimTime(*at), *seq));
+                proptest::prop_assert_eq!(queue.peek_key(), expected);
+            }
+            pop_until(&mut queue, &mut reference, u64::MAX, &mut now);
+            proptest::prop_assert_eq!(queue.len(), 0);
+            proptest::prop_assert!(reference.is_empty());
+        }
+    }
+
+    /// A drained run's buffer is reused: the next fan-out is staged into it, so a
+    /// steady stream of fan-outs keeps one run slot and allocates nothing new.
+    #[test]
+    fn a_drained_run_is_recycled() {
+        let mut queue = ShardedQueue::new(4);
+        for round in 0..3u64 {
+            if round >= 2 {
+                // Two buffers circulate: the stage and the drained slot swap on each
+                // push, so from the third fan-out on the stage has room already.
+                assert!(queue.staged.capacity() >= 3, "the stage reuses a drained buffer");
+            }
+            let base = round * 100;
+            for (i, at) in [30u64, 10, 20].into_iter().enumerate() {
+                queue.stage_arrival(SimTime(base + at), base + i as u64 + 1, NodeId(i as u32 + 1));
+            }
+            assert_eq!(queue.push_run(round as u32, 64), 3);
+            let popped: Vec<(u64, u32)> = std::iter::from_fn(|| queue.pop())
+                .map(|e| match e.kind {
+                    EventKind::Arrive { fanout, to, size } => {
+                        assert_eq!((fanout, size), (round as u32, 64));
+                        (e.at.as_nanos() - base, to.0)
+                    }
+                    _ => panic!("a run holds only arrivals"),
+                })
+                .collect();
+            assert_eq!(popped, vec![(10, 2), (20, 3), (30, 1)]);
+            assert_eq!(queue.runs.len(), 1, "the drained slot is reused");
+        }
+        assert_eq!(queue.push_run(0, 64), 0, "an empty stage queues nothing");
+        assert_eq!(queue.peek_key(), None);
     }
 }

@@ -75,6 +75,10 @@ pub(crate) enum EventKind {
     /// sender's uplink backlog) block small control messages routed later but arriving
     /// earlier; that artificial head-of-line blocking compounds through the half-duplex
     /// coupling and starves votes at large `n`.
+    ///
+    /// A unicast's `Arrive` waits in its receiver's shard heap. A multicast's or
+    /// broadcast's peer copies never enter a shard: they wait together in one sorted
+    /// run (`crate::shard`), which hands each back as this variant when it is popped.
     Arrive {
         /// The interned fan-out (sender and message).
         fanout: u32,
@@ -133,6 +137,20 @@ pub(crate) fn test_event(at: SimTime, seq: u64) -> QueuedEvent {
         seq,
         kind: EventKind::Start(NodeId(0)),
     }
+}
+
+/// What every copy of one sent message shares, computed once per message.
+struct Outbound {
+    /// The interned fan-out (sender and message).
+    fanout: u32,
+    /// Wire size of one copy.
+    size: usize,
+    /// The message's traffic category, which the fault plan's filters judge.
+    category: &'static str,
+    /// The category's row in the traffic matrix (`TrafficMatrix::category_row`).
+    traffic_row: usize,
+    /// The sender-side uplink serialisation time of one copy.
+    uplink_tx: SimDuration,
 }
 
 /// One outgoing transmission requested during a callback. Keeping unicasts and
@@ -826,72 +844,99 @@ impl<P: Protocol> Simulation<P> {
         for outgoing in actions.sends.drain(..) {
             match outgoing {
                 Outgoing::Unicast(to, message) => {
-                    let size = message.wire_size();
-                    let category = message.category();
-                    let uplink_tx = self.uplink_transmission(node, size);
-                    let fanout = self.fanouts.intern(node, message);
-                    self.route(node, to, fanout, size, category, at, uplink_tx);
-                    self.fanouts.release_if_unused(fanout);
+                    let out = self.outbound(node, message);
+                    self.route(node, to, &out, at);
+                    self.fanouts.release_if_unused(out.fanout);
                 }
                 Outgoing::Fanout { message, to_self } => {
-                    // Compute the per-message costs (wire size, category, uplink
-                    // serialisation time) once for the whole fan-out, then charge each
-                    // recipient exactly as `n − 1` unicasts would (same recipient
-                    // order, same RNG draws, same event sequence numbers). The whole
-                    // fan-out shares one interned table slot; copies dropped at route
-                    // time simply never take a reference to it. A broadcast's local
-                    // self-delivery is routed last, as `multicast` then `send(self)`
-                    // would route it.
-                    let size = message.wire_size();
-                    let category = message.category();
-                    let uplink_tx = self.uplink_transmission(node, size);
-                    let fanout = self.fanouts.intern(node, message);
-                    for index in 0..self.config.nodes {
-                        let peer = NodeId(index as u32);
-                        if peer != node {
-                            self.route(node, peer, fanout, size, category, at, uplink_tx);
-                        }
-                    }
+                    // A broadcast's local self-delivery is routed last, as `multicast`
+                    // then `send(self)` would route it.
+                    let out = self.outbound(node, message);
+                    self.route_fanout(node, &out, at);
                     if to_self {
-                        self.route(node, node, fanout, size, category, at, uplink_tx);
+                        self.route(node, node, &out, at);
                     }
-                    self.fanouts.release_if_unused(fanout);
+                    self.fanouts.release_if_unused(out.fanout);
                 }
             }
         }
     }
 
-    /// The sender-side uplink serialisation time of one `size`-byte copy.
-    fn uplink_transmission(&self, from: NodeId, size: usize) -> SimDuration {
-        SimDuration::transmission(size, self.resolved.links[from.as_index()].uplink_bps)
+    /// Interns a sent message and computes what all its copies share.
+    fn outbound(&mut self, from: NodeId, message: P::Message) -> Outbound {
+        let size = message.wire_size();
+        let category = message.category();
+        Outbound {
+            traffic_row: self.metrics.traffic.category_row(category),
+            uplink_tx: SimDuration::transmission(size, self.resolved.links[from.as_index()].uplink_bps),
+            fanout: self.fanouts.intern(from, message),
+            size,
+            category,
+        }
     }
 
-    /// Routes one copy of the interned `fanout` to `to`. Takes one table reference
-    /// per handle it actually queues; dropped copies (crashed sender, filter or
-    /// partition drop) take none, which is what lets `release_if_unused` reclaim a
-    /// fully-dropped fan-out immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        fanout: u32,
-        size: usize,
-        category: &'static str,
-        at: SimTime,
-        uplink_tx: SimDuration,
-    ) {
+    /// Routes one unicast copy of `out` to `to`, taking one table reference if a handle
+    /// is queued: a self-delivery's `Deliver`, or the `Arrive` of a copy
+    /// [`Self::transmit`] did not drop. A crashed sender sends nothing.
+    fn route(&mut self, from: NodeId, to: NodeId, out: &Outbound, at: SimTime) {
         if from == to {
             // Local delivery: no bandwidth cost, a negligible scheduling delay.
-            self.fanouts.incref(fanout);
-            self.push_event(at, EventKind::Deliver { fanout, to });
+            self.fanouts.incref(out.fanout, 1);
+            self.push_event(at, EventKind::Deliver { fanout: out.fanout, to });
             return;
         }
-
-        let mut fate = self.faults.judge(at, from, to, category);
         if self.faults.is_crashed(from, at) {
             return;
         }
+        self.metrics.traffic.add_sent(out.traffic_row, from, out.size as u64, 1);
+        if let Some(arrival) = self.transmit(from, to, out, at) {
+            // Downlink serialisation is reserved when the bytes actually arrive (the
+            // `Arrive` event), so the receiver's FIFO queue is ordered by arrival time.
+            self.fanouts.incref(out.fanout, 1);
+            self.push_event(
+                arrival,
+                EventKind::Arrive {
+                    fanout: out.fanout,
+                    to,
+                    size: out.size as u32,
+                },
+            );
+        }
+    }
+
+    /// Routes a multicast's peer copies exactly as `n − 1` unicasts in peer order would
+    /// be routed: the same uplink reservations, fates, jitter draws and `seq`s. What is
+    /// the same for every copy is settled once: the sender's crash state, its sent
+    /// record (`n − 1` copies, dropped ones included, as a unicast's is) and the table
+    /// references, one per queued copy. The copies that survive are queued as one
+    /// sorted run (`crate::shard`).
+    fn route_fanout(&mut self, from: NodeId, out: &Outbound, at: SimTime) {
+        if self.faults.is_crashed(from, at) {
+            return;
+        }
+        let peers = self.config.nodes as u64 - 1;
+        self.metrics.traffic.add_sent(out.traffic_row, from, out.size as u64, peers);
+        for index in 0..self.config.nodes {
+            let peer = NodeId(index as u32);
+            if peer == from {
+                continue;
+            }
+            if let Some(arrival) = self.transmit(from, peer, out, at) {
+                self.seq += 1;
+                self.queue.stage_arrival(arrival, self.seq, peer);
+            }
+        }
+        let copies = self.queue.push_run(out.fanout, out.size as u32);
+        self.fanouts.incref(out.fanout, copies);
+    }
+
+    /// Carries one cross-node copy from a live sender whose sent record the caller
+    /// made: judges its fate, reserves the sender's uplink and, for a copy the network
+    /// keeps, records it received and draws its propagation jitter. Returns the
+    /// instant the bytes reach `to`, or `None` if the copy was dropped (filter or
+    /// partition drop); the caller queues its `Arrive`.
+    fn transmit(&mut self, from: NodeId, to: NodeId, out: &Outbound, at: SimTime) -> Option<SimTime> {
+        let mut fate = self.faults.judge(at, from, to, out.category);
         // A severed region pair drops the message after uplink accounting, exactly
         // like an attack Drop: the sender paid for bytes the network lost.
         if fate == MessageFate::Deliver && self.faults.has_partitions() {
@@ -903,12 +948,11 @@ impl<P: Protocol> Simulation<P> {
         }
 
         // Uplink serialisation at the sender.
-        let departure = at.max(self.link_free[from.as_index()]) + uplink_tx;
+        let departure = at.max(self.link_free[from.as_index()]) + out.uplink_tx;
         self.link_free[from.as_index()] = departure;
-        self.metrics.traffic.record_sent(from, category, size as u64);
 
         if fate == MessageFate::Drop {
-            return;
+            return None;
         }
 
         // Propagation: the pair's base latency (plus both endpoints' deterministic
@@ -919,20 +963,8 @@ impl<P: Protocol> Simulation<P> {
         } else {
             self.net_rng.gen_range(0..=jitter_bound)
         };
-        let arrival = departure + SimDuration::from_nanos(base_nanos + jitter_nanos);
-        self.metrics.traffic.record_received(to, category, size as u64);
-
-        // Downlink serialisation is reserved when the bytes actually arrive (the
-        // `Arrive` event), so the receiver's FIFO queue is ordered by arrival time.
-        self.fanouts.incref(fanout);
-        self.push_event(
-            arrival,
-            EventKind::Arrive {
-                fanout,
-                to,
-                size: size as u32,
-            },
-        );
+        self.metrics.traffic.add_received(out.traffic_row, to, out.size as u64);
+        Some(departure + SimDuration::from_nanos(base_nanos + jitter_nanos))
     }
 }
 
@@ -1798,6 +1830,62 @@ mod tests {
             (vec![2], 0, 1, 0),
             "partition-dropped copies are dropped without a clone"
         );
+    }
+
+    /// A run cut by the deadline: node 0 multicasts three datablock-sized messages at
+    /// n = 8 over 1 Gbps links, so its 21 copies depart 2 ms apart, and the run stops
+    /// at 21 ms. Copies 1–9 are delivered, copy 10 waits in its receiver's deliver
+    /// FIFO, and copies 11–21 still wait in two runs (the second multicast's last four
+    /// copies and the whole third). The audit finds every undelivered copy: the queued
+    /// handles equal the table's references, and the first multicast's slot is gone.
+    #[test]
+    fn the_audit_counts_the_copies_a_cut_run_has_not_delivered() {
+        #[derive(Debug)]
+        struct Datablocks;
+        impl Protocol for Datablocks {
+            type Message = PingMessage;
+
+            fn on_start(&mut self, ctx: &mut dyn Context<Message = PingMessage>) {
+                if ctx.node_id() == NodeId(0) {
+                    for _ in 0..3 {
+                        ctx.multicast(PingMessage::Ping { hops: 0, payload: 250_000 - 8 });
+                    }
+                }
+            }
+
+            fn on_message(
+                &mut self,
+                _from: NodeId,
+                _message: PingMessage,
+                ctx: &mut dyn Context<Message = PingMessage>,
+            ) {
+                ctx.observe(ObservationKind::Custom {
+                    label: "received",
+                    value: ctx.node_id().0 as u64,
+                });
+            }
+
+            fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Context<Message = PingMessage>) {}
+        }
+
+        let mut config = NetworkConfig::datacenter(8).with_topology(no_jitter());
+        config.link = LinkConfig::symmetric(1_000_000_000);
+        let mut sim = Simulation::new(config, FaultPlan::none(), |_| Datablocks);
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(21), 1_000);
+
+        assert_eq!(sim.metrics().custom_samples("received").len(), 9);
+        assert_eq!(sim.fanouts_live(), 2, "the first multicast is fully delivered");
+        let (mut arrivals, mut deliveries) = (0, 0);
+        sim.queue.for_each_kind(|kind| match kind {
+            EventKind::Arrive { .. } => arrivals += 1,
+            EventKind::Deliver { .. } => deliveries += 1,
+            _ => {}
+        });
+        assert_eq!((arrivals, deliveries), (11, 1), "queued handles by kind");
+        assert_eq!(sim.fanouts.refcounts().iter().sum::<u32>(), 12);
+        let report = sim.into_report();
+        assert!(report.fanouts_balanced);
+        assert_eq!(report.fanouts_live, 2);
     }
 
     /// Uplink and downlink are one budget: a sender's link is busy while its copy
