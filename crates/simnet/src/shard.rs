@@ -37,9 +37,23 @@
 //! single-heap `(time, seq)` order to the last event. A drained run's buffer is kept
 //! and becomes the next run's staging buffer, so a steady-state fan-out allocates
 //! nothing.
+//!
+//! # Timer lanes
+//!
+//! A timer a callback arms at `now` with delay `d` is due at `now + d`, and `now`
+//! never decreases, so the timers armed with one delay — the periodic ticks every
+//! replica re-arms — reach the queue already sorted. [`ShardedQueue::push_timer`]
+//! appends such a timer to its delay's **lane**, a FIFO of packed keys and kinds, when
+//! its key is larger than the lane's last one; a timer that would break the lane's
+//! order (a compute lane finished its callback late), or whose delay finds no lane free
+//! among the [`LANES`], waits in its shard heap instead. A non-empty lane sits in the
+//! run-head heap beside the runs, its slot id tagged with [`LANE`], so a lane pop is
+//! one step along the FIFO and one `replace_top_key`, with no shard sift and no leaf
+//! replay. A lane that drains frees itself for another delay. Every lane is sorted and
+//! keys are unique, so the dispatch order is still the single-heap order.
 
 use crate::sim::{EventKind, QueuedEvent};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use leopard_types::NodeId;
 use std::collections::VecDeque;
 
@@ -61,6 +75,13 @@ fn unpack(key: u128) -> EventKey {
 /// The packed key of an empty shard; no real event reaches it (`seq` would have to
 /// be `u64::MAX` at time `u64::MAX`).
 const EMPTY: u128 = u128::MAX;
+
+/// The most timer delays that hold a lane at once. A steady-state run arms two to
+/// four delays; the rest (one-shot start staggers, rare timeouts) use the shard heaps.
+const LANES: usize = 8;
+
+/// Tags a run-head payload as a timer lane's index rather than a run slot.
+const LANE: u32 = 1 << 31;
 
 /// A 4-ary min-heap with the comparison keys split from the payloads: a shard's
 /// `EventKind`s, or the run heap's run slots.
@@ -192,8 +213,9 @@ impl<T: Copy> QuadHeap<T> {
 /// run. The FIFO stores them as split key/fanout streams (`to` is the shard
 /// itself), and the shard's head is the smaller of the heap head and the FIFO
 /// front. Self-deliveries (whose completion instants are *not* monotone — compute
-/// lanes can reorder them), unicast arrivals, timers and start events stay in the
-/// heap; fan-out arrivals wait in runs (see [`Run`]), outside any shard.
+/// lanes can reorder them), unicast arrivals, start events and the timers no lane
+/// takes stay in the heap; fan-out arrivals wait in runs (see [`Run`]) and most timers
+/// in lanes (see [`Lane`]), outside any shard.
 struct Shard {
     heap: QuadHeap<EventKind>,
     /// Packed `(time, seq)` keys of the deliver FIFO, nondecreasing.
@@ -304,10 +326,58 @@ impl Run {
             size: self.size,
         }
     }
+
+    /// Takes the next entry; returns it with the run's new head key, or `None` for
+    /// the key once the run has drained (its buffer is cleared, its capacity kept).
+    #[inline]
+    fn pop(&mut self) -> (EventKind, Option<u128>) {
+        let kind = self.kind(self.next);
+        self.next += 1;
+        if self.next < self.entries.len() {
+            (kind, Some(self.key(self.next)))
+        } else {
+            self.entries.clear();
+            self.next = 0;
+            (kind, None)
+        }
+    }
+}
+
+/// The timers armed with one delay, in `(time, seq)` order: a FIFO of packed keys and
+/// the matching `Timer` kinds. An empty lane is free; its `delay` is stale until the
+/// next timer starts it.
+#[derive(Default)]
+struct Lane {
+    delay: u64,
+    keys: VecDeque<u128>,
+    kinds: VecDeque<EventKind>,
+}
+
+impl Lane {
+    /// Appends a timer; keys must arrive increasing (`push_timer` checks it).
+    #[inline]
+    fn push(&mut self, key: u128, kind: EventKind) {
+        debug_assert!(
+            self.keys.back().is_none_or(|&back| back <= key),
+            "a timer lane's keys must be nondecreasing"
+        );
+        self.keys.push_back(key);
+        self.kinds.push_back(kind);
+    }
+
+    /// Takes the front timer; returns it with the lane's new head key, or `None` for
+    /// the key once the lane has drained.
+    #[inline]
+    fn pop(&mut self) -> (EventKind, Option<u128>) {
+        self.keys.pop_front();
+        let kind = self.kinds.pop_front().expect("lockstep");
+        (kind, self.keys.front().copied())
+    }
 }
 
 /// A set of per-shard event stores merged through a flat winner tree, plus the
-/// fan-out runs merged through a heap of run heads (see the module docs).
+/// fan-out runs and timer lanes merged through a heap of run heads (see the module
+/// docs).
 pub(crate) struct ShardedQueue {
     /// One store per owning node.
     shards: Vec<Shard>,
@@ -321,8 +391,11 @@ pub(crate) struct ShardedQueue {
     leaves: usize,
     /// Run slots; a drained slot keeps its (cleared) buffer for reuse.
     runs: Vec<Run>,
-    /// The live run slots, keyed by each run's next key.
+    /// The live run slots and, tagged with [`LANE`], the non-empty timer lanes, keyed
+    /// by each one's next key.
     run_heads: QuadHeap<u32>,
+    /// The timer lanes, one delay each while non-empty.
+    lanes: [Lane; LANES],
     /// Drained run slots.
     free_runs: Vec<u32>,
     /// The copies staged by [`Self::stage_arrival`] for the next [`Self::push_run`],
@@ -354,6 +427,7 @@ impl ShardedQueue {
             leaves,
             runs: Vec::new(),
             run_heads: QuadHeap::new(),
+            lanes: Default::default(),
             free_runs: Vec::new(),
             staged: Vec::new(),
             staged_first_seq: 0,
@@ -365,6 +439,12 @@ impl ShardedQueue {
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// The timers waiting in lanes (for the engine's tests).
+    #[cfg(test)]
+    pub(crate) fn lane_kinds(&self) -> impl Iterator<Item = &EventKind> {
+        self.lanes.iter().flat_map(|lane| lane.kinds.iter())
     }
 
     /// Rewrites shard `i`'s leaf with `key` and replays its path to the root:
@@ -408,6 +488,29 @@ impl ShardedQueue {
         }
     }
 
+    /// Queues a timer armed with `delay`: at the back of that delay's lane if its key
+    /// is larger than the lane's last one, in a free lane if no lane has the delay,
+    /// and otherwise on `shard`'s heap (see the module docs).
+    pub fn push_timer(&mut self, shard: u32, delay: SimDuration, event: QueuedEvent) {
+        let key = pack(event.at, event.seq);
+        let delay = delay.as_nanos();
+        let armed_alike = |lane: &Lane| !lane.keys.is_empty() && lane.delay == delay;
+        let lane = match self.lanes.iter().position(armed_alike) {
+            Some(i) if self.lanes[i].keys.back().is_some_and(|&last| last < key) => i,
+            Some(_) => return self.push(shard, event),
+            None => match self.lanes.iter().position(|lane| lane.keys.is_empty()) {
+                Some(i) => {
+                    self.lanes[i].delay = delay;
+                    self.run_heads.push(key, LANE | i as u32);
+                    i
+                }
+                None => return self.push(shard, event),
+            },
+        };
+        self.lanes[lane].push(key, event.kind);
+        self.len += 1;
+    }
+
     /// Stages one fan-out copy's `Arrive` for the next [`Self::push_run`]. The
     /// copies of one fan-out are staged in route order with consecutive `seq`s.
     pub fn stage_arrival(&mut self, at: SimTime, seq: u64, to: NodeId) {
@@ -447,7 +550,7 @@ impl ShardedQueue {
     }
 
     /// The `(time, seq)` key of the globally minimal event, if any: the smaller of
-    /// the winner tree's root and the top run head.
+    /// the winner tree's root and the top run or lane head.
     pub fn peek_key(&self) -> Option<EventKey> {
         let tree = self.keys[self.tree[1] as usize];
         let key = self.run_heads.peek_key().map_or(tree, |run| run.min(tree));
@@ -462,8 +565,8 @@ impl ShardedQueue {
     }
 
     /// Pops the globally minimal event if its time is at or below `deadline`: one
-    /// shard pop plus a single leaf-to-root replay, or, when a run head is smaller,
-    /// one step along that run plus one sift of the run-head heap.
+    /// shard pop plus a single leaf-to-root replay, or, when a run or lane head is
+    /// smaller, one step along that run or lane plus one sift of the run-head heap.
     ///
     /// A conservative-lookahead API (`begin_run`/`pop_run`/`end_run`, unrelated to
     /// the fan-out runs) used to sit here so the engine could drain a shard without
@@ -477,23 +580,25 @@ impl ShardedQueue {
         let shard = self.tree[1];
         let tree_key = self.keys[shard as usize];
         let (key, kind) = match self.run_heads.peek() {
-            Some((run_key, slot)) if run_key < tree_key => {
-                if (run_key >> 64) as u64 > deadline.as_nanos() {
+            Some((head_key, slot)) if head_key < tree_key => {
+                if (head_key >> 64) as u64 > deadline.as_nanos() {
                     return None;
                 }
-                let run = &mut self.runs[slot as usize];
-                let kind = run.kind(run.next);
-                run.next += 1;
-                if run.next < run.entries.len() {
-                    let next = run.key(run.next);
-                    self.run_heads.replace_top_key(next);
+                let (kind, next) = if slot & LANE != 0 {
+                    self.lanes[(slot & !LANE) as usize].pop()
                 } else {
-                    run.entries.clear();
-                    run.next = 0;
-                    self.run_heads.pop();
-                    self.free_runs.push(slot);
+                    self.runs[slot as usize].pop()
+                };
+                match next {
+                    Some(next) => self.run_heads.replace_top_key(next),
+                    None => {
+                        self.run_heads.pop();
+                        if slot & LANE == 0 {
+                            self.free_runs.push(slot);
+                        }
+                    }
                 }
-                (run_key, kind)
+                (head_key, kind)
             }
             _ => {
                 if tree_key == EMPTY || (tree_key >> 64) as u64 > deadline.as_nanos() {
@@ -510,16 +615,20 @@ impl ShardedQueue {
         Some(QueuedEvent { at, seq, kind })
     }
 
-    /// Visits every queued event's kind — heap entries, deliver-FIFO entries and
-    /// the copies each run has not yet popped, the last two materialised exactly as
-    /// a pop would — in no particular order. This is the read side of the fan-out
-    /// reference audit (`Simulation::into_report`): the audit tallies the queued
-    /// handles per slot and compares the tally against the side table's refcounts.
+    /// Visits every queued event's kind — heap entries, lane timers, deliver-FIFO
+    /// entries and the copies each run has not yet popped, the last two materialised
+    /// exactly as a pop would — in no particular order. This is the read side of the
+    /// fan-out reference audit (`Simulation::into_report`): the audit tallies the
+    /// queued handles per slot and compares the tally against the side table's
+    /// refcounts.
     pub fn for_each_kind(&self, mut f: impl FnMut(&EventKind)) {
         for run in &self.runs {
             for i in run.next..run.entries.len() {
                 f(&run.kind(i));
             }
+        }
+        for lane in &self.lanes {
+            lane.kinds.iter().for_each(&mut f);
         }
         for shard in &self.shards {
             for kind in &shard.heap.payloads {
@@ -638,12 +747,15 @@ mod tests {
 
     proptest::proptest! {
         /// Fan-out runs (jittered, so not monotone in route order), unicast pushes,
-        /// deliver-FIFO pushes and pops against a deadline, interleaved at random,
-        /// drain in exactly the order of a single `(time, seq)` binary heap, and every
-        /// pop returns the receiver pushed under its key.
+        /// deliver-FIFO pushes, timer pushes and pops against a deadline, interleaved at
+        /// random, drain in exactly the order of a single `(time, seq)` binary heap, and
+        /// every pop returns the receiver or node pushed under its key. The timers take
+        /// twelve delays, more than there are lanes, and some arrive a little late, so
+        /// they fill lanes, fall back to the heaps out of order or when no lane is free,
+        /// and reuse lanes that drained.
         #[test]
         fn runs_heaps_and_fifos_drain_in_single_heap_order(
-            ops in proptest::collection::vec((0u8..4, 0u64..64, 0u64..1 << 20, 0u32..5), 0..160),
+            ops in proptest::collection::vec((0u8..5, 0u64..64, 0u64..1 << 20, 0u32..5), 0..160),
         ) {
             use std::cmp::Reverse;
             use std::collections::BinaryHeap;
@@ -681,6 +793,14 @@ mod tests {
                         let at = last_deliver[shard as usize].max(now) + a % 4;
                         last_deliver[shard as usize] = at;
                         queue.push_deliver(shard, SimTime(at), seq, 9);
+                        reference.push(Reverse((at, seq, shard)));
+                    }
+                    3 => {
+                        // A timer armed now, its callback finishing up to 2 ns late.
+                        seq += 1;
+                        let delay = 10 + a % 12;
+                        let at = now + b % 3 + delay;
+                        queue.push_timer(shard, SimDuration(delay), timer(at, seq, shard));
                         reference.push(Reverse((at, seq, shard)));
                     }
                     _ => pop_until(&mut queue, &mut reference, now + a, &mut now),
@@ -725,5 +845,80 @@ mod tests {
         }
         assert_eq!(queue.push_run(0, 64), 0, "an empty stage queues nothing");
         assert_eq!(queue.peek_key(), None);
+    }
+
+    fn timer(at: u64, seq: u64, node: u32) -> QueuedEvent {
+        QueuedEvent {
+            at: SimTime(at),
+            seq,
+            kind: EventKind::Timer { node: NodeId(node), token: seq, epoch: 0 },
+        }
+    }
+
+    /// The timers on each lane, by delay, in lane order.
+    fn lanes(queue: &ShardedQueue) -> Vec<(u64, Vec<u64>)> {
+        let mut lanes: Vec<(u64, Vec<u64>)> = queue
+            .lanes
+            .iter()
+            .filter(|lane| !lane.keys.is_empty())
+            .map(|lane| (lane.delay, lane.keys.iter().map(|&key| unpack(key).1).collect()))
+            .collect();
+        lanes.sort_unstable();
+        lanes
+    }
+
+    /// A lane takes the timers of its delay while their keys climb; a timer that
+    /// would break the order, or whose delay finds every lane taken, waits in its
+    /// shard heap; a drained lane serves the next delay.
+    #[test]
+    fn a_lane_holds_one_delay_in_order_and_frees_itself_when_drained() {
+        let mut queue = ShardedQueue::new(4);
+        queue.push_timer(0, SimDuration(10), timer(10, 1, 0));
+        queue.push_timer(1, SimDuration(10), timer(12, 2, 1));
+        queue.push_timer(2, SimDuration(10), timer(11, 3, 2)); // armed by a late callback
+        for (i, delay) in (20..=100).step_by(10).enumerate() {
+            queue.push_timer(3, SimDuration(delay), timer(delay, 4 + i as u64, 3));
+        }
+        let mut expected = vec![(10, vec![1, 2])];
+        expected.extend((20..=80).step_by(10).zip(4..).map(|(delay, seq)| (delay, vec![seq])));
+        assert_eq!(lanes(&queue), expected, "seqs 3, 11 and 12 wait in shard heaps");
+        assert_eq!(queue.shards[2].heap.keys.len() + queue.shards[3].heap.keys.len(), 3);
+        assert_eq!(queue.len(), 12);
+
+        let order: Vec<u64> = std::iter::from_fn(|| queue.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, vec![1, 3, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+        assert!(lanes(&queue).is_empty() && queue.run_heads.keys.is_empty());
+
+        queue.push_timer(1, SimDuration(500), timer(600, 13, 1));
+        queue.push_timer(2, SimDuration(500), timer(600, 14, 2));
+        assert_eq!(lanes(&queue), vec![(500, vec![13, 14])], "a drained lane serves a new delay");
+    }
+
+    /// `for_each_kind` visits every queued event exactly once, wherever it waits: a
+    /// shard heap, a deliver FIFO, a run or a lane, before and after partial drains.
+    #[test]
+    fn for_each_kind_visits_every_queued_event_once() {
+        let mut queue = ShardedQueue::new(3);
+        let mut seq = 0;
+        let mut next = || {
+            seq += 1;
+            seq
+        };
+        for to in 0..3 {
+            queue.stage_arrival(SimTime(5 + to as u64), next(), NodeId(to));
+        }
+        queue.push_run(0, 64);
+        queue.push(1, queued(SimTime(3), next()));
+        queue.push_deliver(2, SimTime(4), next(), 1);
+        for node in 0..3 {
+            queue.push_timer(node, SimDuration(2), timer(2 + u64::from(node), next(), node));
+        }
+        assert!(!queue.runs[0].entries.is_empty() && queue.lane_kinds().count() == 3);
+        for _ in 0..=queue.len() {
+            let mut visited = 0;
+            queue.for_each_kind(|_| visited += 1);
+            assert_eq!(visited, queue.len());
+            queue.pop();
+        }
     }
 }

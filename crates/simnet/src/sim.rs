@@ -98,7 +98,9 @@ pub(crate) enum EventKind {
         /// Receiver.
         to: NodeId,
     },
-    /// Fire a timer.
+    /// Fire a timer. It waits in the lane of its delay, beside the fan-out runs, when
+    /// its key is larger than that lane's last one, and otherwise in its node's shard
+    /// heap (`crate::shard`); either way it is popped in `(time, seq)` order.
     Timer {
         /// The node whose timer fires.
         node: NodeId,
@@ -839,7 +841,13 @@ impl<P: Protocol> Simulation<P> {
         }
         let epoch = self.timer_epochs[node.as_index()];
         for (delay, token) in actions.timers.drain(..) {
-            self.push_event(at + delay, EventKind::Timer { node, token, epoch });
+            self.seq += 1;
+            let timer = QueuedEvent {
+                at: at + delay,
+                seq: self.seq,
+                kind: EventKind::Timer { node, token, epoch },
+            };
+            self.queue.push_timer(node.0, delay, timer);
         }
         for outgoing in actions.sends.drain(..) {
             match outgoing {
@@ -1596,6 +1604,69 @@ mod tests {
         // belongs to the dead incarnation, so the epoch check must swallow it (the
         // re-armed copy from `on_restart` lands at 1300 ms, past the deadline).
         assert!(report.metrics.custom_samples("ghost").is_empty());
+    }
+
+    /// Eight nodes tick on one 100 ms period and each arms an 800 ms "ghost" at
+    /// (re)start, so both delays wait in timer lanes. Node 3 is down from 250 to
+    /// 500 ms. Its ghost from t = 0 is still in the 800 ms lane after the restart, and
+    /// the epoch check swallows it at 800 ms, when the seven live nodes' ghosts fire.
+    #[test]
+    fn stale_timers_in_a_lane_are_swallowed_after_a_restart() {
+        #[derive(Debug)]
+        struct Periodic;
+        impl Protocol for Periodic {
+            type Message = PingMessage;
+
+            fn on_start(&mut self, ctx: &mut dyn Context<Message = PingMessage>) {
+                ctx.set_timer(SimDuration::from_millis(100), 1);
+                ctx.set_timer(SimDuration::from_millis(800), 2);
+            }
+
+            fn on_message(
+                &mut self,
+                _from: NodeId,
+                _message: PingMessage,
+                _ctx: &mut dyn Context<Message = PingMessage>,
+            ) {
+            }
+
+            fn on_timer(&mut self, token: u64, ctx: &mut dyn Context<Message = PingMessage>) {
+                let label = if token == 1 { "tick" } else { "ghost" };
+                let value = u64::from(ctx.node_id().0) * 10_000 + ctx.now().as_millis();
+                ctx.observe(ObservationKind::Custom { label, value });
+                if token == 1 {
+                    ctx.set_timer(SimDuration::from_millis(100), 1);
+                }
+            }
+        }
+
+        let config = NetworkConfig::datacenter(8).with_topology(no_jitter());
+        let ms = |millis| SimTime(SimDuration::from_millis(millis).as_nanos());
+        let faults = FaultPlan::none().with_crash_restart(NodeId(3), ms(250), ms(500));
+        let mut sim = Simulation::new(config, faults, |_| Periodic);
+        sim.run_until(ms(550), 10_000);
+        let laned = |sim: &Simulation<Periodic>, node: u32, epoch: u32| {
+            let ghost = |kind: &&EventKind| {
+                matches!(**kind, EventKind::Timer { node: n, token: 2, epoch: e } if n.0 == node && e == epoch)
+            };
+            sim.queue.lane_kinds().filter(ghost).count()
+        };
+        assert_eq!(laned(&sim, 3, 0), 1, "the dead incarnation's ghost waits in a lane");
+        assert_eq!(laned(&sim, 3, 1), 1, "so does the one armed at the restart");
+        assert_eq!((0..8).map(|node| laned(&sim, node, 0)).sum::<usize>(), 8);
+
+        let report = sim.run_to_report(ms(1_000), 10_000);
+        let mut ghosts = report.metrics.custom_samples("ghost").to_vec();
+        ghosts.sort_unstable();
+        assert_eq!(ghosts, [0, 1, 2, 4, 5, 6, 7].map(|node| node * 10_000 + 800));
+        let node_3_ticks: Vec<u64> = report
+            .metrics
+            .custom_samples("tick")
+            .iter()
+            .filter_map(|&value| (value / 10_000 == 3).then_some(value % 10_000))
+            .collect();
+        assert_eq!(node_3_ticks, vec![100, 200, 600, 700, 800, 900, 1000]);
+        assert_eq!(report.metrics.custom_samples("tick").len(), 7 * 10 + 7);
     }
 
     /// A partition window drops cross-region traffic (sender still charged) and heals
