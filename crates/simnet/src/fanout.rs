@@ -19,7 +19,7 @@
 //! takes one reference per queued handle through [`FanoutTable::incref`]: one for a
 //! unicast `Arrive` push or a self-delivery `Deliver` push, and one per copy, in a
 //! single call, for the peer copies a multicast or broadcast queues as one sorted run
-//! (`crate::shard`; a run entry is a handle like any other until it is popped). An
+//! (`crate::queue`; a run entry is a handle like any other until it is popped). An
 //! `Arrive` that matures into its downlink `Deliver` *transfers* its reference (no
 //! count change). A reference is returned when the handle leaves the schedule:
 //! [`FanoutTable::consume`] when a `Deliver` reaches its callback — a clone of the

@@ -32,7 +32,7 @@ pub mod fault;
 pub mod metrics;
 pub mod network;
 pub mod protocol;
-pub(crate) mod shard;
+pub(crate) mod queue;
 pub mod sim;
 pub mod time;
 

@@ -35,7 +35,7 @@ use crate::fault::{FaultPlan, MessageFate};
 use crate::metrics::{MetricsSink, ObservationKind};
 use crate::network::{NetworkConfig, ResolvedTopology};
 use crate::protocol::{Context, Protocol, SimMessage};
-use crate::shard::ShardedQueue;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use leopard_types::{NodeId, WireSize};
 use rand::rngs::StdRng;
@@ -76,9 +76,9 @@ pub(crate) enum EventKind {
     /// earlier; that artificial head-of-line blocking compounds through the half-duplex
     /// coupling and starves votes at large `n`.
     ///
-    /// A unicast's `Arrive` waits in its receiver's shard heap. A multicast's or
-    /// broadcast's peer copies never enter a shard: they wait together in one sorted
-    /// run (`crate::shard`), which hands each back as this variant when it is popped.
+    /// A unicast's `Arrive` waits in the event heap. A multicast's or broadcast's
+    /// peer copies never enter it: they wait together in one sorted run
+    /// (`crate::queue`), which hands each back as this variant when it is popped.
     Arrive {
         /// The interned fan-out (sender and message).
         fanout: u32,
@@ -99,8 +99,8 @@ pub(crate) enum EventKind {
         to: NodeId,
     },
     /// Fire a timer. It waits in the lane of its delay, beside the fan-out runs, when
-    /// its key is larger than that lane's last one, and otherwise in its node's shard
-    /// heap (`crate::shard`); either way it is popped in `(time, seq)` order.
+    /// its key is larger than that lane's last one, and otherwise in the event heap
+    /// (`crate::queue`); either way it is popped in `(time, seq)` order.
     Timer {
         /// The node whose timer fires.
         node: NodeId,
@@ -113,17 +113,6 @@ pub(crate) enum EventKind {
     },
 }
 
-impl EventKind {
-    /// The shard (owning node) whose state this event touches when it fires.
-    fn owner(&self) -> u32 {
-        match self {
-            EventKind::Start(node) | EventKind::Restart(node) => node.0,
-            EventKind::Arrive { to, .. } | EventKind::Deliver { to, .. } => to.0,
-            EventKind::Timer { node, .. } => node.0,
-        }
-    }
-}
-
 /// An entry in the event queue, popped in order of time, then insertion sequence.
 pub(crate) struct QueuedEvent {
     pub(crate) at: SimTime,
@@ -131,7 +120,7 @@ pub(crate) struct QueuedEvent {
     pub(crate) kind: EventKind,
 }
 
-/// Builds a payload-free queue entry for the shard-queue unit tests.
+/// Builds a payload-free queue entry for the event-queue unit tests.
 #[cfg(test)]
 pub(crate) fn test_event(at: SimTime, seq: u64) -> QueuedEvent {
     QueuedEvent {
@@ -491,7 +480,7 @@ pub struct Simulation<P: Protocol> {
     nodes: Vec<P>,
     node_rngs: Vec<StdRng>,
     net_rng: StdRng,
-    queue: ShardedQueue,
+    queue: EventQueue,
     /// The interned fan-out side table: queue-resident `Arrive`/`Deliver` events
     /// carry a `{fanout, to}` handle into it (see [`crate::fanout`]).
     fanouts: FanoutTable<P::Message>,
@@ -553,7 +542,7 @@ impl<P: Protocol> Simulation<P> {
             nodes,
             node_rngs,
             net_rng,
-            queue: ShardedQueue::new(n),
+            queue: EventQueue::new(n),
             fanouts: FanoutTable::new(),
             scratch: ActionBuffer::default(),
             now: SimTime::ZERO,
@@ -618,25 +607,21 @@ impl<P: Protocol> Simulation<P> {
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         self.seq += 1;
-        let shard = kind.owner();
-        self.queue.push(
-            shard,
-            QueuedEvent {
-                at,
-                seq: self.seq,
-                kind,
-            },
-        );
+        self.queue.push(QueuedEvent {
+            at,
+            seq: self.seq,
+            kind,
+        });
     }
 
-    /// Pushes a matured downlink `Deliver` through the shard's O(1) deliver FIFO
-    /// (see [`crate::shard::Shard`]): the `Arrive` dispatches of a shard fire in
-    /// `(time, seq)` order and each one advances `link_free`, so these keys are
-    /// nondecreasing per shard by construction — no heap sift needed. The seq is
-    /// assigned exactly as [`Self::push_event`] would.
+    /// Appends a matured downlink `Deliver` to its receiver's Deliver FIFO (see
+    /// `crate::queue`): `Arrive`s fire in `(time, seq)` order and each one advances
+    /// the receiver's `link_free`, so one receiver's keys increase by construction —
+    /// an O(1) append, no heap sift. The seq is assigned exactly as
+    /// [`Self::push_event`] would.
     fn push_deliver_event(&mut self, at: SimTime, fanout: u32, to: NodeId) {
         self.seq += 1;
-        self.queue.push_deliver(to.0, at, self.seq, fanout);
+        self.queue.push_deliver(to, at, self.seq, fanout);
     }
 
     fn ensure_started(&mut self) {
@@ -662,7 +647,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Runs until the event queue is exhausted, `deadline` is reached, or `max_events`
     /// events have been processed: classic merge pops in exact `(time, seq)` order
-    /// (see `ShardedQueue::pop_min` in `shard.rs`). The simulation is not consumed, so
+    /// (see `EventQueue::pop_min` in `queue.rs`). The simulation is not consumed, so
     /// a run can be resumed with a later deadline or inspected in between.
     pub fn run_until(&mut self, deadline: SimTime, max_events: u64) {
         self.ensure_started();
@@ -847,7 +832,7 @@ impl<P: Protocol> Simulation<P> {
                 seq: self.seq,
                 kind: EventKind::Timer { node, token, epoch },
             };
-            self.queue.push_timer(node.0, delay, timer);
+            self.queue.push_timer(delay, timer);
         }
         for outgoing in actions.sends.drain(..) {
             match outgoing {
@@ -917,7 +902,7 @@ impl<P: Protocol> Simulation<P> {
     /// the same for every copy is settled once: the sender's crash state, its sent
     /// record (`n − 1` copies, dropped ones included, as a unicast's is) and the table
     /// references, one per queued copy. The copies that survive are queued as one
-    /// sorted run (`crate::shard`).
+    /// sorted run (`crate::queue`).
     fn route_fanout(&mut self, from: NodeId, out: &Outbound, at: SimTime) {
         if self.faults.is_crashed(from, at) {
             return;
