@@ -987,6 +987,10 @@ fn refuse_parallel(config: &ScenarioConfig) {
 pub fn run_scenario<P: ScenarioProtocol>(config: &ScenarioConfig) -> ScenarioReport {
     refuse_parallel(config);
     let (mut sim, progress_timeout) = P::build(config);
+    // The report asks about the warm-up (steady-state throughput) and fig13 about the
+    // quiet instant (recovery); nothing else, so the sink keeps totals, not records.
+    let warmup = SimTime::ZERO + config.effective_warmup();
+    sim.declare_metric_instants(&[warmup, config.quiet_after()]);
     sim.run_until(SimTime::ZERO + config.duration, config.max_events);
     let snapshot = SystemSnapshot::capture(
         &sim,
@@ -1287,6 +1291,53 @@ mod tests {
             report.sim.metrics.traffic.sent_bytes_in(NodeId(2), "statesync") > 0,
             "restarted replica never requested state transfer"
         );
+    }
+
+    /// A harness run declares the warm-up and the quiet instant, so its sink keeps
+    /// totals, not records; a raw simulation of the same seed keeps the records. Both
+    /// answer the windowed maximum and the first confirmations alike at both instants.
+    #[test]
+    fn declared_totals_answer_like_a_raw_simulations_records() {
+        let config = ScenarioConfig::small(4)
+            .with_seed(0x5EED)
+            .with_crash_restart(
+                NodeId(2),
+                SimDuration::from_millis(700),
+                SimDuration::from_millis(1400),
+            )
+            .with_duration(SimDuration::from_secs(3));
+        let (warmup, quiet) = (SimTime::ZERO + config.effective_warmup(), config.quiet_after());
+        assert!(warmup != quiet && warmup > SimTime::ZERO && quiet > SimTime::ZERO);
+        let (mut sim, _) = LeopardReplica::build(&config);
+        sim.run_until(SimTime::ZERO + config.duration, config.max_events);
+        let raw = sim.into_report().metrics;
+        let declared = run_leopard_scenario(&config).sim.metrics;
+        assert!(raw.commit_state_bytes() > declared.commit_state_bytes());
+        assert_eq!(declared.commit_digest(), raw.commit_digest());
+        for start in [warmup, quiet] {
+            let max = raw.max_confirmed_requests_since(config.n, start);
+            assert!(max > 0, "nothing confirmed from {start:?} on");
+            assert_eq!(declared.max_confirmed_requests_since(config.n, start), max);
+            let first = raw.first_confirmations_since(config.n, start);
+            assert!(first.iter().all(Option::is_some), "{first:?}");
+            assert_eq!(declared.first_confirmations_since(config.n, start), first);
+        }
+    }
+
+    /// The sink's commit state of a harness run does not grow with the run: three
+    /// times the duration (and the warm-up) retains exactly the bytes of one.
+    #[test]
+    fn a_longer_run_retains_the_same_commit_state() {
+        let retained = |secs: u64| {
+            let config = ScenarioConfig::small(16).with_duration(SimDuration::from_secs(secs));
+            let metrics = run_leopard_scenario(&config).sim.metrics;
+            (metrics.commit_digest().executions, metrics.commit_state_bytes())
+        };
+        let (short_executions, short_bytes) = retained(1);
+        let (long_executions, long_bytes) = retained(3);
+        assert!(short_executions > 0);
+        assert!(long_executions > 2 * short_executions, "{long_executions} vs {short_executions}");
+        assert_eq!(long_bytes, short_bytes);
     }
 
     #[test]

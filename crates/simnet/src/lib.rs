@@ -38,8 +38,8 @@ pub mod time;
 
 pub use fault::{flapping_windows, CrashWindow, FaultPlan, MessageFate, PartitionWindow};
 pub use metrics::{
-    CommitRecord, LatencyHistogram, LatencyRun, MetricsSink, Observation, ObservationKind,
-    TrafficMatrix,
+    CommitDigest, CommitRecord, LatencyHistogram, LatencyRun, MetricsSink, Observation,
+    ObservationKind, TrafficMatrix,
 };
 pub use network::{LinkConfig, NetworkConfig, ResolvedTopology, StragglerProfile, Topology};
 pub use protocol::{Context, ProgressProbe, Protocol, SimMessage};

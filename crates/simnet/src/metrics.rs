@@ -3,6 +3,7 @@
 
 use crate::time::SimTime;
 use leopard_types::NodeId;
+use std::borrow::Cow;
 
 /// A protocol-level observation emitted through [`crate::Context::observe`].
 ///
@@ -12,9 +13,8 @@ use leopard_types::NodeId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObservationKind {
     /// `count` requests totalling `payload_bytes` became confirmed at this node. The
-    /// sink keeps it as a [`CommitRecord`] without a sequence number, counted exactly
-    /// like a [`Self::BlockCommitted`] of `count` requests; the bundled protocols emit
-    /// only the latter.
+    /// sink counts it exactly like a [`Self::BlockCommitted`] of `count` requests
+    /// without a sequence number; the bundled protocols emit only the latter.
     RequestsConfirmed {
         /// Number of requests confirmed.
         count: u64,
@@ -37,7 +37,7 @@ pub enum ObservationKind {
         count: u64,
     },
     /// A BFTblock (or HotStuff block) was executed at this node, confirming its
-    /// `requests`. The sink keeps it as a [`CommitRecord`], not in the log.
+    /// `requests`. The sink counts it (see [`MetricsSink`]); it never enters the log.
     BlockCommitted {
         /// The serial number / height of the block.
         sequence: u64,
@@ -76,9 +76,10 @@ pub struct Observation {
     pub kind: ObservationKind,
 }
 
-/// One block execution at one node: how [`MetricsSink`] keeps
-/// [`ObservationKind::BlockCommitted`] (and [`ObservationKind::RequestsConfirmed`])
-/// observations, one 24-byte record per (replica, executed block) instead of a log entry.
+/// One block execution at one node: how a [`MetricsSink`] that has not declared its
+/// instants keeps [`ObservationKind::BlockCommitted`] (and
+/// [`ObservationKind::RequestsConfirmed`]) observations, one 24-byte record per
+/// (replica, executed block) instead of a log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitRecord {
     /// Simulated time of the execution.
@@ -383,14 +384,113 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// Per-node confirmation totals from one instant on: what the confirmation queries
+/// ask of the block executions at or after `start`.
+#[derive(Debug, Clone)]
+struct Tally {
+    start: SimTime,
+    /// Requests confirmed at or after `start`, per node.
+    confirmed: Vec<u64>,
+    /// The earliest confirmation at or after `start`, per node. The smallest instant
+    /// seen, not the first: with more than one core a node's completions reach the
+    /// sink out of order.
+    first: Vec<Option<SimTime>>,
+}
+
+impl Tally {
+    fn new(start: SimTime, nodes: usize) -> Self {
+        Self {
+            start,
+            confirmed: vec![0; nodes],
+            first: vec![None; nodes],
+        }
+    }
+
+    /// The totals of `records` from `start` on.
+    fn of_records(start: SimTime, nodes: usize, records: &[CommitRecord]) -> Self {
+        let mut tally = Self::new(start, nodes);
+        for record in records {
+            tally.add(record.at, record.node.as_index(), u64::from(record.requests));
+        }
+        tally
+    }
+
+    fn add(&mut self, at: SimTime, index: usize, requests: u64) {
+        if at < self.start {
+            return;
+        }
+        self.confirmed[index] += requests;
+        let first = &mut self.first[index];
+        if requests > 0 && first.is_none_or(|first| at < first) {
+            *first = Some(at);
+        }
+    }
+
+    fn max_confirmed(&self, nodes: usize) -> u64 {
+        self.confirmed.iter().take(nodes).copied().max().unwrap_or(0)
+    }
+
+    fn first_confirmations(&self, nodes: usize) -> Vec<Option<SimTime>> {
+        (0..nodes).map(|node| self.first.get(node).copied().flatten()).collect()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.confirmed.capacity() * std::mem::size_of::<u64>()
+            + self.first.capacity() * std::mem::size_of::<Option<SimTime>>()
+    }
+}
+
+/// Two checks over the whole stream of block executions, kept as the executions
+/// happen whether or not the sink keeps their [`CommitRecord`]s: two runs with equal
+/// digests executed the same blocks at the same instants in the same order (up to a
+/// 64-bit hash collision).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommitDigest {
+    /// Block executions, confirming requests or not.
+    pub executions: u64,
+    /// [`ObservationKind::BlockCommitted`] executions whose sequence is not the
+    /// previous sequence its node executed plus one (a node's first execution is
+    /// expected at 1). A [`ObservationKind::RequestsConfirmed`] carries no sequence
+    /// and is not counted.
+    pub out_of_order: u64,
+    /// A 64-bit hash of every execution's `(node, sequence, at, requests)`, in
+    /// emission order.
+    pub fingerprint: u64,
+}
+
+impl CommitDigest {
+    fn add(&mut self, record: &CommitRecord) {
+        self.executions += 1;
+        // FxHash's word step: a rotate, an xor and a multiply per word.
+        let words = [
+            u64::from(record.node.0),
+            record.sequence,
+            record.at.as_nanos(),
+            u64::from(record.requests),
+        ];
+        for word in words {
+            self.fingerprint =
+                (self.fingerprint.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+}
+
 /// Collects traffic counters and observations during a run.
+///
+/// # Block executions
+///
+/// A sink keeps one [`CommitRecord`] per block execution until the instants its
+/// confirmation queries will ask about are declared
+/// ([`Self::declare_instants`]); from then on it keeps, per node, only the running
+/// totals from each declared instant on, and any instant can no longer be asked.
+/// The whole-run totals and the [`CommitDigest`] are kept either way.
 #[derive(Debug)]
 pub struct MetricsSink {
     /// Traffic counters.
     pub traffic: TrafficMatrix,
     /// Ordered list of protocol observations, request latencies (see
-    /// [`Self::latency_runs`]) and block executions (see [`Self::commits`]) excepted:
-    /// view changes, retrievals and custom samples.
+    /// [`Self::latency_runs`]) and block executions (see [`Self::commit_digest`])
+    /// excepted: view changes, retrievals and custom samples.
     pub observations: Vec<Observation>,
     /// O(1)-memory histogram of every request-latency sample, for percentile
     /// reporting.
@@ -398,11 +498,17 @@ pub struct MetricsSink {
     /// Request-latency samples in emission order, one entry per observation rather
     /// than per request.
     latency_runs: Vec<LatencyRun>,
-    /// Every block execution in emission order.
-    commits: Vec<CommitRecord>,
-    /// Running per-node confirmed-request totals, maintained incrementally on
-    /// [`Self::observe`] so full-run throughput queries never rescan [`Self::commits`].
-    confirmed_per_node: Vec<u64>,
+    /// Every block execution in emission order, until instants are declared.
+    commits: Option<Vec<CommitRecord>>,
+    /// The per-node totals of the whole run, maintained on [`Self::observe`] so
+    /// whole-run queries never rescan the records.
+    totals: Tally,
+    /// The per-node totals from each declared instant other than zero on.
+    windows: Vec<Tally>,
+    /// The streaming checks over every block execution.
+    digest: CommitDigest,
+    /// The sequence of each node's latest [`ObservationKind::BlockCommitted`].
+    last_sequence: Vec<u64>,
 }
 
 impl MetricsSink {
@@ -414,14 +520,39 @@ impl MetricsSink {
             observations: Vec::new(),
             latency_histogram: LatencyHistogram::new(),
             latency_runs: Vec::new(),
-            commits: Vec::new(),
-            confirmed_per_node: vec![0; nodes],
+            commits: Some(Vec::new()),
+            totals: Tally::new(SimTime::ZERO, nodes),
+            windows: Vec::new(),
+            digest: CommitDigest::default(),
+            last_sequence: vec![0; nodes],
+        }
+    }
+
+    /// Declares every instant the confirmation queries
+    /// ([`Self::max_confirmed_requests_since`], [`Self::first_confirmations_since`])
+    /// will ask about. The sink folds the records it kept so far into per-node
+    /// totals from each instant on, drops them and keeps no further record: its
+    /// commit state no longer grows with the run. Zero is always answerable, from the
+    /// whole-run totals.
+    ///
+    /// # Panics
+    ///
+    /// If instants were declared before.
+    pub fn declare_instants(&mut self, instants: &[SimTime]) {
+        let records = self.commits.take().expect("a metrics sink declares its instants once");
+        let nodes = self.totals.confirmed.len();
+        for &start in instants {
+            if start == SimTime::ZERO || self.windows.iter().any(|window| window.start == start) {
+                continue;
+            }
+            self.windows.push(Tally::of_records(start, nodes, &records));
         }
     }
 
     /// Records an observation. Request latencies go to the histogram and
-    /// [`Self::latency_runs`], block executions to [`Self::commits`]; everything else
-    /// is appended to [`Self::observations`].
+    /// [`Self::latency_runs`], block executions to the per-node totals, the
+    /// [`CommitDigest`] and, until instants are declared, [`Self::commits`];
+    /// everything else is appended to [`Self::observations`].
     ///
     /// # Panics
     ///
@@ -434,7 +565,12 @@ impl MetricsSink {
                 self.record_latencies(node, nanos, count)
             }
             ObservationKind::BlockCommitted { sequence, requests } => {
-                self.record_commit(at, node, sequence, requests)
+                self.record_commit(at, node, sequence, requests);
+                let last = &mut self.last_sequence[node.as_index()];
+                if sequence != *last + 1 {
+                    self.digest.out_of_order += 1;
+                }
+                *last = sequence;
             }
             ObservationKind::RequestsConfirmed { count, .. } => {
                 self.record_commit(at, node, 0, count)
@@ -446,19 +582,26 @@ impl MetricsSink {
     fn record_commit(&mut self, at: SimTime, node: NodeId, sequence: u64, requests: u64) {
         let index = node.as_index();
         assert!(
-            index < self.confirmed_per_node.len(),
+            index < self.last_sequence.len(),
             "metrics sink sized for {} nodes, got node {index}",
-            self.confirmed_per_node.len()
+            self.last_sequence.len()
         );
         let count = u32::try_from(requests)
             .unwrap_or_else(|_| panic!("node {index} confirmed {requests} requests in one block"));
-        self.confirmed_per_node[index] += requests;
-        self.commits.push(CommitRecord {
+        let record = CommitRecord {
             at,
             sequence,
             node,
             requests: count,
-        });
+        };
+        self.digest.add(&record);
+        self.totals.add(at, index, requests);
+        for window in &mut self.windows {
+            window.add(at, index, requests);
+        }
+        if let Some(commits) = &mut self.commits {
+            commits.push(record);
+        }
     }
 
     fn record_latencies(&mut self, node: NodeId, nanos: u64, count: u64) {
@@ -469,32 +612,80 @@ impl MetricsSink {
     }
 
     /// Every block execution, in emission order.
+    ///
+    /// # Panics
+    ///
+    /// If the sink declared its instants and so keeps no records; compare
+    /// [`Self::commit_digest`] instead.
     pub fn commits(&self) -> &[CommitRecord] {
-        &self.commits
+        self.commits.as_deref().expect(
+            "this metrics sink declared its instants and keeps no commit records; \
+             read commit_digest() instead",
+        )
     }
 
     /// The block executions that confirmed at least one request, in emission order.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::commits`].
     pub fn confirmations(&self) -> impl Iterator<Item = &CommitRecord> + '_ {
-        self.commits.iter().filter(|commit| commit.requests > 0)
+        self.commits().iter().filter(|commit| commit.requests > 0)
+    }
+
+    /// The streaming checks over every block execution so far.
+    pub fn commit_digest(&self) -> CommitDigest {
+        self.digest
+    }
+
+    /// Heap bytes the sink holds for block executions: the records, if it keeps
+    /// them, and the per-node totals. Constant over a run once instants are declared.
+    pub fn commit_state_bytes(&self) -> usize {
+        let records = self.commits.as_ref().map_or(0, |commits| {
+            commits.capacity() * std::mem::size_of::<CommitRecord>()
+        });
+        records
+            + self.totals.heap_bytes()
+            + self.windows.iter().map(Tally::heap_bytes).sum::<usize>()
+            + self.last_sequence.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// The per-node totals from `start` on: the whole-run totals for zero, a
+    /// declared instant's, or, while the sink keeps its records, a fold over them.
+    ///
+    /// # Panics
+    ///
+    /// If the sink declared its instants and `start` is neither zero nor one of them.
+    fn tally_since(&self, start: SimTime) -> Cow<'_, Tally> {
+        if start == SimTime::ZERO {
+            return Cow::Borrowed(&self.totals);
+        }
+        if let Some(window) = self.windows.iter().find(|window| window.start == start) {
+            return Cow::Borrowed(window);
+        }
+        let Some(records) = &self.commits else {
+            let declared: Vec<SimTime> = self.windows.iter().map(|window| window.start).collect();
+            panic!(
+                "metrics sink asked about {start:?}, which it did not declare (declared: zero and \
+                 {declared:?})"
+            );
+        };
+        Cow::Owned(Tally::of_records(start, self.totals.confirmed.len(), records))
     }
 
     /// For each node in `0..nodes`, the instant of its first confirmation at or after
     /// `start`, or `None` if it confirmed nothing from then on.
+    ///
+    /// # Panics
+    ///
+    /// If the sink declared its instants and `start` is neither zero nor one of them.
     pub fn first_confirmations_since(&self, nodes: usize, start: SimTime) -> Vec<Option<SimTime>> {
-        let mut first: Vec<Option<SimTime>> = vec![None; nodes];
-        for commit in self.confirmations().filter(|commit| commit.at >= start) {
-            if let Some(slot) = first.get_mut(commit.node.as_index()) {
-                if slot.map_or(true, |at| commit.at < at) {
-                    *slot = Some(commit.at);
-                }
-            }
-        }
-        first
+        self.tally_since(start).first_confirmations(nodes)
     }
 
     /// Total requests confirmed by the block executions of `node`.
     pub fn confirmed_requests_at(&self, node: NodeId) -> u64 {
-        self.confirmed_per_node.get(node.as_index()).copied().unwrap_or(0)
+        self.totals.confirmed.get(node.as_index()).copied().unwrap_or(0)
     }
 
     /// The largest number of confirmed requests reported by any single node.
@@ -502,24 +693,17 @@ impl MetricsSink {
     /// Throughput is measured "from the server's side" in the paper; using the maximum
     /// over nodes avoids double counting while still reflecting system progress.
     pub fn max_confirmed_requests(&self, nodes: usize) -> u64 {
-        self.confirmed_per_node
-            .iter()
-            .take(nodes)
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.totals.max_confirmed(nodes)
     }
 
     /// The largest number of confirmed requests reported by any single node, counting
     /// only block executions at or after `start` (for warm-up-excluding throughput).
+    ///
+    /// # Panics
+    ///
+    /// If the sink declared its instants and `start` is neither zero nor one of them.
     pub fn max_confirmed_requests_since(&self, nodes: usize, start: SimTime) -> u64 {
-        let mut per_node = vec![0u64; nodes];
-        for commit in self.commits.iter().filter(|commit| commit.at >= start) {
-            if let Some(slot) = per_node.get_mut(commit.node.as_index()) {
-                *slot += u64::from(commit.requests);
-            }
-        }
-        per_node.into_iter().max().unwrap_or(0)
+        self.tally_since(start).max_confirmed(nodes)
     }
 
     /// Request-latency samples in emission order, run-length encoded.
@@ -697,6 +881,123 @@ mod tests {
             }
         );
         assert_eq!(committed.confirmations().count(), 3);
+    }
+
+    proptest::proptest! {
+        /// A sink that declared its instants and one that kept the records both answer
+        /// every query about those instants as a direct count over the executions,
+        /// however they interleave: instants climb and fall (a node with several cores
+        /// completes out of order, so its first confirmation is not its earliest),
+        /// blocks may confirm nothing, and the instants are declared after some
+        /// executions. The digest is the same either way.
+        #[test]
+        fn declared_totals_answer_like_the_records(
+            executions in proptest::collection::vec((0u64..40, 0u32..3, 0u64..4), 0..60),
+            instants in proptest::collection::vec(0u64..45, 1..4),
+            declare_after in 0usize..8,
+        ) {
+            let instants: Vec<SimTime> = instants.into_iter().map(SimTime).collect();
+            let mut kept = MetricsSink::with_nodes(3);
+            let mut declared = MetricsSink::with_nodes(3);
+            for (i, &(at, node, requests)) in executions.iter().enumerate() {
+                if i == declare_after {
+                    declared.declare_instants(&instants);
+                }
+                for sink in [&mut kept, &mut declared] {
+                    let kind = ObservationKind::BlockCommitted { sequence: i as u64 % 5, requests };
+                    sink.observe(SimTime(at), NodeId(node), kind);
+                }
+            }
+            if executions.len() <= declare_after {
+                declared.declare_instants(&instants);
+            }
+            for &start in instants.iter().chain([&SimTime::ZERO]) {
+                // (instant, requests) of each execution of `node` from `start` on.
+                let of_node = |node: usize| {
+                    executions
+                        .iter()
+                        .filter(move |&&(at, of, _)| of as usize == node && SimTime(at) >= start)
+                        .map(|&(at, _, requests)| (SimTime(at), requests))
+                };
+                for nodes in [2, 3, 4] {
+                    let max = (0..nodes)
+                        .map(|node| of_node(node).map(|(_, requests)| requests).sum::<u64>())
+                        .max()
+                        .unwrap_or(0);
+                    let first: Vec<Option<SimTime>> = (0..nodes)
+                        .map(|node| of_node(node).filter(|&(_, requests)| requests > 0).min())
+                        .map(|earliest| earliest.map(|(at, _)| at))
+                        .collect();
+                    for sink in [&kept, &declared] {
+                        let answered = sink.max_confirmed_requests_since(nodes, start);
+                        proptest::prop_assert_eq!(answered, max);
+                        let answered = sink.first_confirmations_since(nodes, start);
+                        proptest::prop_assert_eq!(answered, first.clone());
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(declared.commit_digest(), kept.commit_digest());
+            proptest::prop_assert_eq!(
+                declared.max_confirmed_requests(3),
+                kept.max_confirmed_requests(3)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "metrics sink asked about SimTime(7), which it did not declare")]
+    fn a_declared_sink_panics_on_an_undeclared_instant() {
+        let mut sink = MetricsSink::with_nodes(2);
+        sink.declare_instants(&[SimTime(5), SimTime(9)]);
+        let kind = ObservationKind::BlockCommitted { sequence: 1, requests: 2 };
+        sink.observe(SimTime(8), NodeId(0), kind);
+        assert_eq!(sink.max_confirmed_requests_since(2, SimTime(5)), 2);
+        assert_eq!(sink.max_confirmed_requests_since(2, SimTime(9)), 0);
+        assert_eq!(sink.max_confirmed_requests_since(2, SimTime::ZERO), 2);
+        sink.first_confirmations_since(2, SimTime(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no commit records")]
+    fn a_declared_sink_keeps_no_records() {
+        let mut sink = MetricsSink::with_nodes(2);
+        let kind = ObservationKind::BlockCommitted { sequence: 1, requests: 2 };
+        sink.observe(SimTime(1), NodeId(0), kind);
+        assert_eq!(sink.commits().len(), 1);
+        sink.declare_instants(&[SimTime(5)]);
+        sink.commits();
+    }
+
+    /// The digest counts executions, counts each one whose sequence does not follow its
+    /// node's previous one, and its fingerprint sees any one field of one record move.
+    #[test]
+    fn the_commit_digest_sees_order_and_every_field() {
+        let digest = |records: &[(u64, u32, u64, u64)]| {
+            let mut sink = MetricsSink::with_nodes(2);
+            for &(at, node, sequence, requests) in records {
+                let kind = ObservationKind::BlockCommitted { sequence, requests };
+                sink.observe(SimTime(at), NodeId(node), kind);
+            }
+            sink.commit_digest()
+        };
+        let base = [(10, 0, 1, 3), (11, 1, 1, 3), (20, 0, 2, 0), (21, 1, 2, 4)];
+        let reference = digest(&base);
+        assert_eq!((reference.executions, reference.out_of_order), (4, 0));
+        let skipped = digest(&[(10, 0, 1, 3), (20, 0, 3, 0), (21, 0, 3, 1), (22, 1, 2, 1)]);
+        assert_eq!(skipped.out_of_order, 3, "a skip, a repeat and a first execution past 1");
+        for field in 0..4 {
+            let mut moved = base;
+            let record = &mut moved[2];
+            match field {
+                0 => record.0 += 1,
+                1 => record.1 = 1,
+                2 => record.2 = 7,
+                _ => record.3 = 1,
+            }
+            assert_ne!(digest(&moved).fingerprint, reference.fingerprint, "field {field}");
+        }
+        let swapped = [base[1], base[0], base[2], base[3]];
+        assert_ne!(digest(&swapped).fingerprint, reference.fingerprint, "emission order");
     }
 
     #[test]

@@ -37,11 +37,13 @@
 //! A timer a callback arms at `now` with delay `d` is due at `now + d`, and `now`
 //! never decreases, so the timers armed with one delay — the periodic ticks every
 //! replica re-arms — reach the queue already sorted. [`EventQueue::push_timer`]
-//! appends such a timer to its delay's **lane**, a FIFO of packed keys and kinds, when
-//! its key is larger than the lane's last one; a timer that would break the lane's
-//! order (a compute lane finished its callback late), or whose delay finds no lane free
-//! among the [`LANES`], waits in the event heap instead. A lane that drains frees
-//! itself for another delay.
+//! appends such a timer to a **lane** of its delay, a FIFO of packed keys and kinds:
+//! the one whose last key is the largest below the timer's. A timer armed late (a
+//! compute lane finished its callback after the clock) has a larger key than the
+//! on-time ticks armed after it; it sits at one lane's tail, and the on-time ticks
+//! start a second lane of that delay instead of falling back. A timer that no lane
+//! of its delay can take and that finds no lane free among the [`LANES`] waits in the
+//! event heap. A lane that drains frees itself for another delay.
 //!
 //! # Deliver FIFOs
 //!
@@ -73,8 +75,9 @@ fn unpack(key: u128) -> EventKey {
     (SimTime((key >> 64) as u64), key as u64)
 }
 
-/// The most timer delays that hold a lane at once. A steady-state run arms two to
-/// four delays; the rest (one-shot start staggers, rare timeouts) use the event heap.
+/// The most timer lanes at once. A steady-state run arms two to four delays, a few
+/// of them in a second lane behind a late timer; the rest (one-shot start staggers,
+/// rare timeouts) use the event heap.
 const LANES: usize = 8;
 
 /// A run-head payload is a stream's index under a two-bit tag saying which kind of
@@ -162,6 +165,10 @@ impl<T: Copy> QuadHeap<T> {
     /// Hole-based sift-down of the root entry: at each level the smallest of the four
     /// children (one cache line of `keys`) moves up into the hole, until the root
     /// entry's key is no larger; the entry is written once, at its final slot.
+    ///
+    /// A node with four children picks the smallest without a branch: the smaller of
+    /// each pair is a `bool`-indexed offset, the smaller of the two winners one select
+    /// (`setb`/`adc`/`cmov` on x86-64). Keys are unique, so a tie never decides.
     fn sift_down_root(&mut self) {
         let len = self.keys.len();
         if len == 0 {
@@ -171,16 +178,22 @@ impl<T: Copy> QuadHeap<T> {
         let mut hole = 0;
         loop {
             let first = 4 * hole + 1;
-            if first >= len {
+            let min = if first + 4 <= len {
+                let children = &self.keys[first..first + 4];
+                let left = usize::from(children[1] < children[0]);
+                let right = 2 + usize::from(children[3] < children[2]);
+                first + if children[right] < children[left] { right } else { left }
+            } else if first < len {
+                (first + 1..len).fold(first, |min, child| {
+                    if self.keys[child] < self.keys[min] {
+                        child
+                    } else {
+                        min
+                    }
+                })
+            } else {
                 break;
-            }
-            let fence = (first + 4).min(len);
-            let mut min = first;
-            for child in first + 1..fence {
-                if self.keys[child] < self.keys[min] {
-                    min = child;
-                }
-            }
+            };
             if key <= self.keys[min] {
                 break;
             }
@@ -281,8 +294,8 @@ impl<T> Fifo<T> {
     }
 }
 
-/// The timers armed with one delay, in `(time, seq)` order. An empty lane is free;
-/// its `delay` is stale until the next timer starts it.
+/// Timers armed with one delay, in `(time, seq)` order; one delay may hold several
+/// lanes. An empty lane is free; its `delay` is stale until the next timer starts it.
 #[derive(Default)]
 struct Lane {
     delay: u64,
@@ -351,24 +364,33 @@ impl EventQueue {
         fifo.push(key, fanout);
     }
 
-    /// Queues a timer armed with `delay`: at the back of that delay's lane if its key
-    /// is larger than the lane's last one, in a free lane if no lane has the delay,
-    /// and otherwise on the event heap (see the module docs).
+    /// Queues a timer armed with `delay`: at the back of the lane of that delay whose
+    /// last key is the largest below the timer's, else in a free lane, else on the
+    /// event heap (see the module docs).
     pub fn push_timer(&mut self, delay: SimDuration, event: QueuedEvent) {
         let key = pack(event.at, event.seq);
         let delay = delay.as_nanos();
-        let armed_alike = |lane: &Lane| !lane.timers.keys.is_empty() && lane.delay == delay;
-        let lane = match self.lanes.iter().position(armed_alike) {
-            Some(i) if self.lanes[i].timers.keys.back().is_some_and(|&last| last < key) => i,
-            Some(_) => return self.push(event),
-            None => match self.lanes.iter().position(|lane| lane.timers.keys.is_empty()) {
-                Some(i) => {
-                    self.lanes[i].delay = delay;
-                    self.run_heads.push(key, LANE | i as u32);
-                    i
+        let mut best: Option<(usize, u128)> = None;
+        let mut free = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            match lane.timers.keys.back() {
+                None => free = free.or(Some(i)),
+                Some(&last) if lane.delay == delay && last < key => {
+                    if best.is_none_or(|(_, tail)| tail < last) {
+                        best = Some((i, last));
+                    }
                 }
-                None => return self.push(event),
-            },
+                Some(_) => {}
+            }
+        }
+        let lane = match (best, free) {
+            (Some((i, _)), _) => i,
+            (None, Some(i)) => {
+                self.lanes[i].delay = delay;
+                self.run_heads.push(key, LANE | i as u32);
+                i
+            }
+            (None, None) => return self.push(event),
         };
         self.lanes[lane].timers.push(key, event.kind);
     }
@@ -647,9 +669,10 @@ mod tests {
         /// within a few nanoseconds, which the pops drain again, so FIFOs join and
         /// leave the run-head heap over and over. The timers take twelve delays, more
         /// than there are lanes, and some arrive a little late, so they fill lanes,
-        /// fall back to the event heap out of order or when no lane is free, and reuse
-        /// lanes that drained. After every operation and every pop, the run-head heap
-        /// holds exactly one entry per live run, non-empty lane and non-empty FIFO.
+        /// open further lanes of one delay behind a late timer, fall back to the event
+        /// heap when no lane can take them, and reuse lanes that drained. After every
+        /// operation and every pop, the run-head heap holds exactly one entry per live
+        /// run, non-empty lane and non-empty FIFO.
         #[test]
         fn runs_heaps_and_fifos_drain_in_single_heap_order(
             ops in proptest::collection::vec((0u8..5, 0u64..64, 0u64..1 << 20, 0u32..5), 0..160),
@@ -768,31 +791,37 @@ mod tests {
         lanes
     }
 
-    /// A lane takes the timers of its delay while their keys climb; a timer that
-    /// would break the order, or whose delay finds every lane taken, waits in the
-    /// event heap; a drained lane serves the next delay.
+    /// A lane takes timers of its delay while their keys climb. An on-time timer
+    /// armed after a late one starts a second lane of that delay, and a timer goes to
+    /// the lane of its delay whose tail is the largest below it. A timer that no lane
+    /// of its delay can take, once every lane is taken, waits in the event heap; a
+    /// drained lane serves the next delay.
     #[test]
     fn a_lane_holds_one_delay_in_order_and_frees_itself_when_drained() {
         let mut queue = EventQueue::new(4);
         queue.push_timer(SimDuration(10), timer(10, 1, 0));
-        queue.push_timer(SimDuration(10), timer(12, 2, 1));
-        queue.push_timer(SimDuration(10), timer(11, 3, 2)); // armed by a late callback
+        queue.push_timer(SimDuration(10), timer(13, 2, 1)); // armed by a late callback
+        queue.push_timer(SimDuration(10), timer(11, 3, 2)); // on time: a second lane
+        queue.push_timer(SimDuration(10), timer(14, 4, 3)); // behind seq 2, the best fit
+        queue.push_timer(SimDuration(10), timer(12, 5, 0)); // only behind seq 3
+        assert_eq!(lanes(&queue), vec![(10, vec![1, 2, 4]), (10, vec![3, 5])]);
         for (i, delay) in (20..=100).step_by(10).enumerate() {
-            queue.push_timer(SimDuration(delay), timer(delay, 4 + i as u64, 3));
+            queue.push_timer(SimDuration(delay), timer(delay, 6 + i as u64, 3));
         }
-        let mut expected = vec![(10, vec![1, 2])];
-        expected.extend((20..=80).step_by(10).zip(4..).map(|(delay, seq)| (delay, vec![seq])));
-        assert_eq!(lanes(&queue), expected, "seqs 3, 11 and 12 wait in the heap");
-        assert_eq!(queue.events.keys.len(), 3);
-        assert_eq!(queue.len(), 12);
+        queue.push_timer(SimDuration(10), timer(10, 15, 1)); // below both lanes' tails
+        let mut expected = vec![(10, vec![1, 2, 4]), (10, vec![3, 5])];
+        expected.extend((20..=70).step_by(10).zip(6..).map(|(delay, seq)| (delay, vec![seq])));
+        assert_eq!(lanes(&queue), expected, "seqs 12 to 15 wait in the heap");
+        assert_eq!(queue.events.keys.len(), 4);
+        assert_eq!(queue.len(), 15);
 
         let order: Vec<u64> = std::iter::from_fn(|| queue.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, vec![1, 3, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+        assert_eq!(order, vec![1, 15, 3, 5, 2, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14]);
         assert!(lanes(&queue).is_empty() && queue.run_heads.keys.is_empty());
 
-        queue.push_timer(SimDuration(500), timer(600, 13, 1));
-        queue.push_timer(SimDuration(500), timer(600, 14, 2));
-        assert_eq!(lanes(&queue), vec![(500, vec![13, 14])], "a drained lane serves a new delay");
+        queue.push_timer(SimDuration(500), timer(600, 16, 1));
+        queue.push_timer(SimDuration(500), timer(600, 17, 2));
+        assert_eq!(lanes(&queue), vec![(500, vec![16, 17])], "a drained lane serves a new delay");
     }
 
     /// `for_each_kind` visits every queued event exactly once, wherever it waits: the

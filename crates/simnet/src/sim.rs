@@ -587,6 +587,17 @@ impl<P: Protocol> Simulation<P> {
         &self.metrics
     }
 
+    /// Declares every instant the run's confirmation queries will ask about, so the
+    /// metrics sink keeps per-node totals from those instants on instead of a record
+    /// per block execution (see [`MetricsSink::declare_instants`]).
+    ///
+    /// # Panics
+    ///
+    /// If instants were declared before.
+    pub fn declare_metric_instants(&mut self, instants: &[SimTime]) {
+        self.metrics.declare_instants(instants);
+    }
+
     /// Immutable access to a node's protocol state (for tests and assertions).
     pub fn node(&self, node: NodeId) -> &P {
         &self.nodes[node.as_index()]

@@ -78,13 +78,18 @@ impl SimDuration {
     /// The transmission time of `bytes` over a link of `bits_per_second` capacity.
     ///
     /// An unlimited link (`bits_per_second == 0`, by convention) transmits instantly.
+    /// The quotient is taken in `u64` whenever `bytes · 8 · 10⁹` fits (below about
+    /// 2.3 GB, so for every message a run sends) and in `u128` otherwise: the same
+    /// value either way, without a 128-bit division per copy.
     pub fn transmission(bytes: usize, bits_per_second: u64) -> Self {
         if bits_per_second == 0 {
             return SimDuration::ZERO;
         }
-        let bits = bytes as u128 * 8;
-        let nanos = bits * 1_000_000_000u128 / bits_per_second as u128;
-        SimDuration(nanos as u64)
+        let nanos = match (bytes as u64).checked_mul(8_000_000_000) {
+            Some(scaled) => scaled / bits_per_second,
+            None => (bytes as u128 * 8_000_000_000 / u128::from(bits_per_second)) as u64,
+        };
+        SimDuration(nanos)
     }
 
     /// Duration in nanoseconds.
@@ -155,6 +160,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::Strategy;
 
     #[test]
     fn conversions() {
@@ -191,6 +197,38 @@ mod tests {
         // 9.8 Gbps, 128 bytes: about 104 ns.
         let d = SimDuration::transmission(128, 9_800_000_000);
         assert!(d.as_nanos() >= 100 && d.as_nanos() <= 110, "{d:?}");
+    }
+
+    proptest::proptest! {
+        /// The u64 quotient is the u128 formula's, on the unlimited link, on sizes
+        /// whose scaled product overflows u64 and on everything in between.
+        #[test]
+        fn transmission_matches_the_u128_formula(
+            case in (0u8..4, 0u64..1 << 20, 0u8..3, 1_000_000u64..20_000_000_000).prop_map(
+                |(size_class, small, rate_class, link)| {
+                    // Message sizes, any size, the top of usize, and the edge where
+                    // bytes · 8 · 10⁹ leaves u64 (2,305,843,009.2 bytes).
+                    let bytes = match size_class {
+                        0 => small as usize,
+                        1 => (small.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ link) as usize,
+                        2 => usize::MAX - small as usize,
+                        _ => 2_305_843_009 - 512 + small as usize % 1024,
+                    };
+                    // An unlimited link, a tiny one, a real one.
+                    let rate = [0, small % 4, link][usize::from(rate_class)];
+                    (bytes, rate)
+                },
+            ),
+        ) {
+            let (bytes, bits_per_second) = case;
+            let expected = if bits_per_second == 0 {
+                0
+            } else {
+                (bytes as u128 * 8 * 1_000_000_000 / u128::from(bits_per_second)) as u64
+            };
+            let nanos = SimDuration::transmission(bytes, bits_per_second).as_nanos();
+            proptest::prop_assert_eq!(nanos, expected);
+        }
     }
 
     #[test]

@@ -219,7 +219,7 @@ fn repeated_runs_are_bit_identical() {
             report.confirmed_requests,
             metrics.traffic.total_sent_bytes(),
             metrics.observations.iter().map(|o| o.at.as_nanos()).collect::<Vec<_>>(),
-            metrics.commits().to_vec(),
+            metrics.commit_digest(),
         )
     };
     assert_eq!(run(), run());

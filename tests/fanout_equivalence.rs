@@ -29,12 +29,12 @@
 use leopard::harness::chaos::FaultScheduleGenerator;
 use leopard::core::LeopardReplica;
 use leopard::harness::scenario::{run_scenario, ScenarioReport};
-use leopard::simnet::CommitRecord;
+use leopard::simnet::CommitDigest;
 use proptest::prelude::*;
 
 /// The full observable surface of a run: headline totals plus the complete
-/// observation stream with instants and every commit record, so two runs agreeing
-/// here are observationally interchangeable.
+/// observation stream with instants and the digest of every block execution, so two
+/// runs agreeing here are observationally interchangeable.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     events: u64,
@@ -43,7 +43,7 @@ struct Fingerprint {
     recv_bytes: u64,
     views_entered: u64,
     observations: Vec<(u64, u32)>,
-    commits: Vec<CommitRecord>,
+    commits: CommitDigest,
 }
 
 fn fingerprint(report: &ScenarioReport) -> Fingerprint {
@@ -60,7 +60,7 @@ fn fingerprint(report: &ScenarioReport) -> Fingerprint {
             .iter()
             .map(|o| (o.at.as_nanos(), o.node.0))
             .collect(),
-        commits: report.sim.metrics.commits().to_vec(),
+        commits: report.sim.metrics.commit_digest(),
     }
 }
 

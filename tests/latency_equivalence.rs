@@ -80,21 +80,16 @@ fn assert_matches(label: &str, report: &ScenarioReport, captured: &Captured) {
         .collect();
     assert_eq!(regions, captured.regions, "{label}: regions");
 
-    // One commit record per block execution: every replica executes heights 1, 2, 3, …
-    // in order, each once, so its records' sequences must be exactly that run — a
-    // missing or repeated record breaks it.
-    let commits = metrics.commits();
-    let mut executed = vec![0u64; report.n];
-    for commit in commits {
-        let last = &mut executed[commit.node.as_index()];
-        *last += 1;
-        assert_eq!(
-            commit.sequence, *last,
-            "{label}: node {} executed sequence {} as its execution {}",
-            commit.node.0, commit.sequence, *last
-        );
-    }
-    let committed = commits.len();
+    // Every replica executes heights 1, 2, 3, … in order, each once, so the sink's
+    // streaming order check counts no execution whose sequence is not its node's
+    // previous one plus 1; a missing or repeated execution would.
+    let digest = metrics.commit_digest();
+    assert_eq!(
+        digest.out_of_order, 0,
+        "{label}: {} of {} block executions out of sequence",
+        digest.out_of_order, digest.executions
+    );
+    let committed = digest.executions as usize;
     // The log keeps no per-block entry: what is left is the two stage latencies of
     // every datablock at its producer, plus the rare view changes, retrievals and
     // custom samples — fewer than one per replica in these fault-free runs.

@@ -26,11 +26,11 @@ fn assert_equivalent(label: &str, config: ScenarioConfig) -> (ScenarioReport, Sc
         real.confirmed_requests > 0,
         "{label}: the real run confirmed nothing — the comparison would be vacuous"
     );
-    // The confirmation ordering: every commit record (one per block execution, with
-    // its time, node, sequence and request count), in emission order.
+    // The confirmation ordering: the digest of every block execution (its time, node,
+    // sequence and request count), in emission order.
     assert_eq!(
-        real.sim.metrics.commits(),
-        metered.sim.metrics.commits(),
+        real.sim.metrics.commit_digest(),
+        metered.sim.metrics.commit_digest(),
         "{label}: confirmation ordering diverged between real and metered crypto"
     );
     assert_eq!(

@@ -11,19 +11,19 @@
 //!    highest non-leader ids and the system still confirms requests.
 
 use leopard::harness::scenario::{run_leopard_scenario, ScenarioConfig, ScenarioReport};
-use leopard::simnet::{CommitRecord, SimDuration, StragglerProfile, Topology};
+use leopard::simnet::{CommitDigest, SimDuration, StragglerProfile, Topology};
 use proptest::prelude::*;
 
 /// Everything the goldens pin down, extracted for cheap comparison: the instants of
-/// the observation log and every commit record.
-fn fingerprint(report: &ScenarioReport) -> (u64, u64, u64, Vec<u64>, Vec<CommitRecord>) {
+/// the observation log and the digest of every block execution.
+fn fingerprint(report: &ScenarioReport) -> (u64, u64, u64, Vec<u64>, CommitDigest) {
     let metrics = &report.sim.metrics;
     (
         report.sim.events,
         report.confirmed_requests,
         metrics.traffic.total_sent_bytes(),
         metrics.observations.iter().map(|o| o.at.as_nanos()).collect(),
-        metrics.commits().to_vec(),
+        metrics.commit_digest(),
     )
 }
 
