@@ -2,9 +2,10 @@
 //! and the shared key material.
 
 use crate::byzantine::ByzantineBehavior;
+use crate::retrieval::REQUERY_TIMEOUTS;
 use leopard_crypto::provider::{CryptoMode, SharedKeys};
 use leopard_erasure::ReedSolomon;
-use leopard_simnet::SimDuration;
+use leopard_simnet::{LinkConfig, SimDuration};
 use leopard_types::{CostModelKind, ProtocolParams};
 use std::sync::Arc;
 
@@ -58,8 +59,17 @@ pub struct LeopardConfig {
     pub params: ProtocolParams,
     /// How often each producer packs a datablock.
     pub workload: WorkloadMode,
-    /// How long a replica waits for a missing datablock before querying the committee.
+    /// The period of the retrieval tick, the loss detector of the retrieval plane: it
+    /// queries again a retrieval still pending [`REQUERY_TIMEOUTS`] periods after its
+    /// last query, and queries a never-queried missing datablock whose own wake-up was
+    /// lost (to a crash-restart). A missing datablock's first query does not wait for
+    /// it (see [`Self::first_query_wait`]).
     pub retrieval_timeout: SimDuration,
+    /// How long after a replica notes a datablock missing it first queries the
+    /// committee for it, from a one-shot wake-up: long enough that a datablock still in
+    /// honest flight arrives first (derived from the network by the harness, see
+    /// [`Self::first_query_wait_for`]).
+    pub first_query_wait: SimDuration,
     /// Confirmation-progress watchdog: if no BFTblock is confirmed for this long while
     /// work is outstanding, the replica complains (timeout message → view-change).
     pub progress_timeout: SimDuration,
@@ -87,10 +97,14 @@ impl LeopardConfig {
     /// Panics if `aggregate_rps` is zero.
     pub fn paper(n: usize, aggregate_rps: u64) -> Self {
         let params = ProtocolParams::paper_defaults(n);
+        // The paper's network: every replica on the same 9.8 Gbps LAN.
+        let uplink_bps = LinkConfig::paper_default().uplink_bps as f64;
+        let dissemination_secs = (n - 1) as f64 * params.alpha_bytes() as f64 * 8.0 / uplink_bps;
         Self {
             workload: WorkloadMode::paced(&params, aggregate_rps),
             params,
             retrieval_timeout: SimDuration::from_millis(100),
+            first_query_wait: Self::first_query_wait_for(dissemination_secs, SimDuration::ZERO),
             progress_timeout: SimDuration::from_secs(2),
             workload_stop: None,
             byzantine: ByzantineBehavior::Honest,
@@ -110,12 +124,29 @@ impl LeopardConfig {
             workload: WorkloadMode::paced(&params, 2_000),
             params,
             retrieval_timeout: SimDuration::from_millis(50),
+            first_query_wait: Self::MIN_FIRST_QUERY_WAIT,
             progress_timeout: SimDuration::from_millis(500),
             workload_stop: None,
             byzantine: ByzantineBehavior::Honest,
             crypto_mode: CryptoMode::Real,
             cost_model: CostModelKind::Calibrated,
         }
+    }
+
+    /// The shortest [`Self::first_query_wait`] a derivation gives.
+    pub const MIN_FIRST_QUERY_WAIT: SimDuration = SimDuration(10_000_000);
+
+    /// The first-query wait for a network on which one datablock takes
+    /// `dissemination_secs` to leave its producer's uplink for all `n − 1` peers, with
+    /// `headroom` on top for propagation: two dissemination times plus the headroom, at
+    /// least [`Self::MIN_FIRST_QUERY_WAIT`]. One dissemination time is not enough: a
+    /// receiver late in a fan-out also waits behind its own downlink backlog (at n = 400
+    /// on the paper's LAN a copy lands up to 243 ms after its digest was noted missing,
+    /// against 167 ms for one dissemination), and a query sent before its copy lands is
+    /// wasted work on every responder.
+    pub fn first_query_wait_for(dissemination_secs: f64, headroom: SimDuration) -> SimDuration {
+        (SimDuration::from_secs_f64(2.0 * dissemination_secs) + headroom)
+            .max(Self::MIN_FIRST_QUERY_WAIT)
     }
 
     /// Checkpoint period in BFTblocks: `k / 2`, as in the paper.
@@ -173,6 +204,15 @@ impl LeopardConfig {
                 self.params.n
             ));
         }
+        // The first query must come before the loss detector's requery would.
+        let requery_after = self.retrieval_timeout.saturating_mul(REQUERY_TIMEOUTS);
+        if self.first_query_wait == SimDuration::ZERO || self.first_query_wait > requery_after {
+            return Err(format!(
+                "the first-query wait must be positive and at most {REQUERY_TIMEOUTS} retrieval \
+                 timeouts ({requery_after}), got {}",
+                self.first_query_wait
+            ));
+        }
         Ok(())
     }
 }
@@ -211,6 +251,39 @@ mod tests {
         };
         let message = config.validate().unwrap_err();
         assert!(message.contains("pacing"), "{message}");
+    }
+
+    #[test]
+    fn validation_rejects_a_first_query_wait_outside_the_requery_window() {
+        let mut config = LeopardConfig::small_test(4);
+        config.first_query_wait = SimDuration::ZERO;
+        let message = config.validate().unwrap_err();
+        assert!(message.contains("first-query wait"), "{message}");
+        config.first_query_wait = config.retrieval_timeout.saturating_mul(REQUERY_TIMEOUTS);
+        assert!(config.validate().is_ok());
+        config.first_query_wait = SimDuration(config.first_query_wait.as_nanos() + 1);
+        let message = config.validate().unwrap_err();
+        assert!(message.contains("first-query wait"), "{message}");
+    }
+
+    /// The paper's configuration waits two dissemination times on the paper's LAN, and
+    /// a small datablock waits the floor.
+    #[test]
+    fn the_first_query_waits_two_dissemination_times() {
+        // n = 400: 399 peers × 4000 × 128 B × 8 bit / 9.8 Gbps = 166.77 ms.
+        let dissemination_secs = 399.0 * 4000.0 * 128.0 * 8.0 / 9.8e9;
+        assert_eq!(
+            LeopardConfig::paper(400, 130_000).first_query_wait,
+            SimDuration::from_secs_f64(2.0 * dissemination_secs)
+        );
+        assert_eq!(
+            LeopardConfig::first_query_wait_for(0.0, SimDuration::from_millis(3)),
+            LeopardConfig::MIN_FIRST_QUERY_WAIT
+        );
+        assert_eq!(
+            LeopardConfig::first_query_wait_for(0.01, SimDuration::from_millis(3)),
+            SimDuration::from_millis(23)
+        );
     }
 
     #[test]

@@ -39,6 +39,9 @@ const TOKEN_BATCH: u64 = 2;
 const TOKEN_PROPOSE: u64 = 3;
 const TOKEN_PROGRESS: u64 = 4;
 const TOKEN_RETRIEVAL: u64 = 5;
+/// The one-shot wake-up that sends a missing datablock's first query (armed with the
+/// delay `RetrievalManager::note_missing` returns).
+const TOKEN_FIRST_QUERY: u64 = 6;
 
 /// How often a proposer flushes a partial batch (see [`LeopardReplica::propose`]).
 const PROPOSE_INTERVAL: SimDuration = SimDuration(20_000_000); // 20 ms
@@ -245,6 +248,7 @@ impl LeopardReplica {
                 config.params.f(),
                 config.params.n,
                 config.retrieval_timeout,
+                config.first_query_wait,
             ),
             datablock_counter: 1,
             own_datablocks: FastMap::default(),
@@ -796,7 +800,7 @@ impl LeopardReplica {
         }
 
         // Check the availability of every linked datablock.
-        let missing = self.note_missing_links(&block, seq, ctx.now());
+        let missing = self.note_missing_links(&block, seq, ctx);
         if !missing.is_empty() {
             let instance = self.replica_instances.get_mut(&seq.0).expect("just inserted");
             instance.missing_links.extend(missing);
@@ -818,6 +822,9 @@ impl LeopardReplica {
         self.behaviour() == ByzantineBehavior::WithholdVotes || self.in_view_change()
     }
 
+    /// Casts the first-round (prepare) vote for `seq` once the replica holds every
+    /// linked datablock, unless it voted already or the instance confirmed meanwhile (a
+    /// vote for a confirmed instance reaches a proposer that has no use for it).
     fn cast_prepare_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
         if self.votes_muted() {
             return;
@@ -825,7 +832,7 @@ impl LeopardReplica {
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
             return;
         };
-        if instance.prepare_voted || !instance.links_complete() {
+        if instance.prepare_voted || instance.is_confirmed() || !instance.links_complete() {
             return;
         }
         let Some(digest) = instance.block_digest else {
@@ -1005,7 +1012,8 @@ impl LeopardReplica {
     /// quorum can carry the notarized block through a view change, so a possibly-
     /// confirmed block can never be replaced by different content in a later view. A
     /// replica that learns the notarization before the block (reordered delivery, or
-    /// a partition that dropped the PrePrepare) votes when the block arrives.
+    /// a partition that dropped the PrePrepare) votes when the block arrives. A replica
+    /// that learns the confirmation first casts no vote at all.
     fn maybe_commit_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
         let muted = self.votes_muted();
         let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
@@ -1018,7 +1026,7 @@ impl LeopardReplica {
         if let Some(entry) = instance.notarized_entry() {
             instance.prepared = Some(entry);
         }
-        if muted || instance.commit_voted {
+        if muted || instance.commit_voted || instance.is_confirmed() {
             return;
         }
         let (Some(block), Some(notarization_digest)) =
@@ -1084,9 +1092,9 @@ impl LeopardReplica {
             let Some(block) = self.log.get(next.0).cloned() else {
                 break;
             };
-            // Every linked datablock must be locally available before execution (the
-            // periodic retrieval timer fetches the missing ones; nothing to arm here).
-            if !self.note_missing_links(&block, next, ctx.now()).is_empty() {
+            // Every linked datablock must be locally available before execution (a
+            // missing one is queried from the wake-up `note_missing_links` arms).
+            if !self.note_missing_links(&block, next, ctx).is_empty() {
                 break;
             }
 
@@ -1416,16 +1424,23 @@ impl LeopardReplica {
         self.log_confirmed(seq);
         // Any linked datablock this replica does not hold is fetched through the
         // regular retrieval plane (Algorithm 3) before execution.
-        self.note_missing_links(&entry.block, seq, ctx.now());
+        self.note_missing_links(&entry.block, seq, ctx);
     }
 
-    /// Notes every link of `block` this replica does not hold as missing for `seq`, for
-    /// the retrieval timer to fetch, and returns them.
-    fn note_missing_links(&mut self, block: &BftBlock, seq: SeqNum, now: SimTime) -> Vec<Digest> {
+    /// Notes every link of `block` this replica does not hold as missing for `seq`,
+    /// arms the first-query wake-up the retrieval plane asks for, and returns them.
+    fn note_missing_links(
+        &mut self,
+        block: &BftBlock,
+        seq: SeqNum,
+        ctx: &mut Ctx<'_>,
+    ) -> Vec<Digest> {
         let missing: Vec<Digest> =
             block.links.iter().filter(|link| !self.pool.contains(link)).copied().collect();
         for &link in &missing {
-            self.retrieval.note_missing(link, seq, now);
+            if let Some(delay) = self.retrieval.note_missing(link, seq, ctx.now()) {
+                ctx.set_timer(delay, TOKEN_FIRST_QUERY);
+            }
         }
         missing
     }
@@ -1480,6 +1495,8 @@ impl LeopardReplica {
         }
     }
 
+    /// Queries what the retrieval plane says is due: from a first-query wake-up, or
+    /// from the periodic tick (the loss detector).
     fn fire_retrieval_timer(&mut self, ctx: &mut Ctx<'_>) {
         let digests = self.retrieval.digests_to_query(ctx.now());
         if !digests.is_empty() {
@@ -1793,6 +1810,7 @@ impl Protocol for LeopardReplica {
 
     fn on_restart(&mut self, ctx: &mut dyn Context<Message = LeopardMessage>) {
         self.arm_timers(ctx);
+        self.retrieval.on_restart();
         // Rejoin via state transfer instead of replaying from genesis: peers answer
         // with their stable checkpoint proof and the confirmed blocks above it.
         self.begin_state_sync(ctx);
@@ -1887,6 +1905,7 @@ impl Protocol for LeopardReplica {
                 self.fire_retrieval_timer(ctx);
                 ctx.set_timer(self.config.retrieval_timeout, TOKEN_RETRIEVAL);
             }
+            TOKEN_FIRST_QUERY => self.fire_retrieval_timer(ctx),
             _ => {}
         }
     }
@@ -2245,6 +2264,51 @@ mod tests {
         assert!(proposals(&ctx).is_empty());
         replica.on_timer(TOKEN_PROPOSE, &mut ctx);
         assert_eq!(proposals(&ctx), [(SeqNum(2), false)]);
+    }
+
+    /// A replica that confirmed an instance before it held every linked datablock casts
+    /// neither vote once the missing datablock arrives: the proposer has no use for it.
+    /// Noting the datablock missing arms one first-query wake-up.
+    #[test]
+    fn a_confirmed_instance_draws_no_vote() {
+        // n = 4: replica 1 leads view 1; replica 0 is driven.
+        let (mut replica, keys, mut ctx) = driven(0, LeopardConfig::small_test(4));
+        let seq = SeqNum(1);
+        let requests = (0..8).map(|i| leopard_types::Request::new_synthetic(ClientId(1), i, 128));
+        let datablock = Arc::new(Datablock::new(NodeId(2), 1, requests.collect()));
+        let block = Arc::new(BftBlock::new(View(1), seq, vec![datablock.digest()]));
+        let block_digest = block.digest();
+        let notarization = quorum_proof(&keys, &block_digest);
+        let proof_digest = LeopardReplica::notarization_digest(seq, &block_digest, &notarization);
+        let messages = [
+            LeopardMessage::NotarizationProof {
+                seq,
+                block_digest,
+                proof: notarization,
+            },
+            LeopardMessage::ConfirmationProof {
+                seq,
+                proof_digest,
+                proof: quorum_proof(&keys, &proof_digest),
+            },
+            LeopardMessage::PrePrepare {
+                share: share(&keys, 1, &block_digest),
+                block,
+            },
+        ];
+        for message in messages {
+            replica.on_message(NodeId(1), message, &mut ctx);
+        }
+        assert_eq!(ctx.timers, [(SimDuration::from_millis(10), TOKEN_FIRST_QUERY)]);
+        replica.on_message(NodeId(2), LeopardMessage::Datablock(datablock), &mut ctx);
+        assert_eq!(replica.last_executed(), seq);
+        let votes = ctx.sent.iter().filter(|(_, message)| {
+            matches!(
+                message,
+                LeopardMessage::PrepareVote { .. } | LeopardMessage::CommitVote { .. }
+            )
+        });
+        assert_eq!(votes.count(), 0, "voted for a confirmed instance: {:?}", ctx.sent);
     }
 
     /// The clause the safety argument rests on: an honest replica never signs two

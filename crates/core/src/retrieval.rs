@@ -1,13 +1,14 @@
 //! The datablock retrieval mechanism (Algorithm 3).
 //!
-//! A replica that receives a BFTblock linking a datablock it never got starts a timer;
-//! on expiry it multicasts a `Query`. Every replica that holds the datablock answers
-//! with one [`RetrievalChunk`]: *its own* chunk of the datablock's `(f+1, n)` erasure
-//! coding, the Merkle proof of that chunk and the root over all `n` chunks. The same
-//! value is what the responder caches, what `QueryResponse` carries and what the
-//! querier's decoder consumes. The querier validates chunks individually and decodes
-//! as soon as `f+1` chunks under the same root and payload length are available,
-//! then checks that the decoded bytes really hash to the queried digest.
+//! A replica that receives a BFTblock linking a datablock it never got waits one
+//! first-query wait `D` for the copy still in honest flight, then multicasts a `Query`.
+//! Every replica that holds the datablock answers with one [`RetrievalChunk`]: *its
+//! own* chunk of the datablock's `(f+1, n)` erasure coding, the Merkle proof of that
+//! chunk and the root over all `n` chunks. The same value is what the responder caches,
+//! what `QueryResponse` carries and what the querier's decoder consumes. The querier
+//! validates chunks individually and decodes as soon as `f+1` chunks under the same root
+//! and payload length are available, then checks that the decoded bytes really hash to
+//! the queried digest.
 //!
 //! The root commits to all `n` shards, so every responder needs the same Merkle tree;
 //! only its own shard and proof differ. The tree is therefore cached on the datablock
@@ -30,17 +31,24 @@
 //! querier is still charged the modeled decode and digest check.
 //!
 //! A replica's [`RetrievalManager`] holds both sides and is built with what never
-//! changes for the replica: its id (the shard it serves), `f`, `n` and the retrieval
-//! timeout. The `(f+1, n)` Reed–Solomon code is built on the first real-crypto encode
-//! or decode; a metered run never builds it.
+//! changes for the replica: its id (the shard it serves), `f`, `n`, the retrieval
+//! timeout and the first-query wait. The `(f+1, n)` Reed–Solomon code is built on the
+//! first real-crypto encode or decode; a metered run never builds it.
 //!
-//! A retrieval that stays pending is re-queried after [`REQUERY_TIMEOUTS`] retrieval
-//! timeouts: a partition can drop the first `Query` (or its responses) outright, and a
-//! one-shot query would then leave the replica unable to vote on any BFTblock linking
-//! the lost datablock — permanently, across every view change, because re-proposals
-//! carry the same links. Responders answer each received `Query` (the per-datablock
-//! encoding cache makes repeat serves free), so a re-query recovers no matter which
-//! direction the partition dropped.
+//! The manager owns the timing of the queries. A missing datablock is first queried
+//! `D` after it was noted missing, from a one-shot wake-up the replica arms with the
+//! delay [`RetrievalManager::note_missing`] returns: the deadline rounded up to a
+//! multiple of `D`, so the digests due within one quantum share one wake-up and one
+//! `Query`. The periodic retrieval tick (one retrieval timeout) is only the loss
+//! detector: it queries what a lost wake-up left unqueried, and re-queries a retrieval
+//! still pending [`REQUERY_TIMEOUTS`] retrieval timeouts after its last query.
+//!
+//! The re-query exists because a partition can drop the first `Query` (or its
+//! responses) outright, and a one-shot query would then leave the replica unable to vote
+//! on any BFTblock linking the lost datablock — permanently, across every view change,
+//! because re-proposals carry the same links. Responders answer each received `Query`
+//! (the per-datablock encoding cache makes repeat serves free), so a re-query recovers
+//! no matter which direction the partition dropped.
 
 use crate::messages::{RetrievalChunk, RetrievalPayload};
 use leopard_crypto::provider::{ComputeCost, CryptoProvider};
@@ -114,9 +122,8 @@ struct PendingRetrieval {
 
 /// How many retrieval timeouts a pending retrieval waits before querying again. The
 /// interval is far above any fault-free query-to-response round trip (even across the
-/// widest WAN pairing), so healthy runs query exactly once and the simulation's event
-/// stream is unchanged; only a retrieval whose query or responses were lost to a
-/// partition or crash ever reaches the re-query.
+/// widest WAN pairing), so healthy runs query at most once; only a retrieval whose query
+/// or responses were lost to a partition or crash ever reaches the re-query.
 pub const REQUERY_TIMEOUTS: u64 = 8;
 
 /// One replica's retrieval plane: the querier-side manager of all in-progress
@@ -129,6 +136,12 @@ pub struct RetrievalManager {
     n: usize,
     /// How long a pending retrieval waits after its last query before querying again.
     requery_after: SimDuration,
+    /// How long a missing datablock waits for its copy in flight before its first
+    /// query (`D`), and the quantum the first-query wake-ups are rounded up to.
+    first_query_after: SimDuration,
+    /// The latest first-query wake-up armed (`None` before the first, and after a
+    /// restart, which loses every armed timer).
+    wake_armed: Option<SimTime>,
     pending: FastMap<Digest, PendingRetrieval>,
     /// The `(f+1, n)` Reed–Solomon code, built on the first real-crypto encode or
     /// decode, so the Vandermonde construction happens once per replica. A metered run
@@ -169,13 +182,20 @@ pub enum ChunkOutcome {
 
 impl RetrievalManager {
     /// Creates an empty manager for replica `id` of an `n`-replica committee
-    /// tolerating `f` faults, re-querying after [`REQUERY_TIMEOUTS`] ×
-    /// `retrieval_timeout`.
+    /// tolerating `f` faults, querying a missing datablock first `first_query_wait`
+    /// after noting it and again after [`REQUERY_TIMEOUTS`] × `retrieval_timeout`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not one of the `n` replicas.
-    pub fn new(id: NodeId, f: usize, n: usize, retrieval_timeout: SimDuration) -> Self {
+    /// Panics if `id` is not one of the `n` replicas. (`LeopardConfig::validate` rejects
+    /// a zero `first_query_wait`, the wake-up quantum.)
+    pub fn new(
+        id: NodeId,
+        f: usize,
+        n: usize,
+        retrieval_timeout: SimDuration,
+        first_query_wait: SimDuration,
+    ) -> Self {
         assert!(
             id.as_index() < n,
             "RetrievalManager: replica {id:?} is not one of the {n} replicas"
@@ -185,6 +205,8 @@ impl RetrievalManager {
             f,
             n,
             requery_after: retrieval_timeout.saturating_mul(REQUERY_TIMEOUTS),
+            first_query_after: first_query_wait,
+            wake_armed: None,
             pending: FastMap::default(),
             code: None,
             served: FastMap::default(),
@@ -193,13 +215,21 @@ impl RetrievalManager {
 
     /// Registers that BFTblock `seq` needs the missing datablock `digest`.
     ///
-    /// Returns true if this is the first time the datablock is reported missing (i.e.
-    /// the caller should start the retrieval timer).
-    pub fn note_missing(&mut self, digest: Digest, seq: SeqNum, now: SimTime) -> bool {
+    /// Returns the delay of the one-shot wake-up the caller arms to send the first
+    /// query, or `None` if none is needed: the datablock was already missing, or a
+    /// wake-up already armed covers it. The wake-up lands on the first multiple of the
+    /// first-query wait `D` at or after `now + D`, so every datablock noted within one
+    /// quantum is queried by one wake-up, at least `D` after it was noted.
+    pub fn note_missing(
+        &mut self,
+        digest: Digest,
+        seq: SeqNum,
+        now: SimTime,
+    ) -> Option<SimDuration> {
         match self.pending.get_mut(&digest) {
             Some(pending) => {
                 pending.waiting.insert(seq);
-                false
+                None
             }
             None => {
                 let mut waiting = FastSet::default();
@@ -215,9 +245,22 @@ impl RetrievalManager {
                         received_bytes: 0,
                     },
                 );
-                true
+                let quantum = self.first_query_after.as_nanos();
+                let wake = SimTime((now.as_nanos() + quantum).div_ceil(quantum) * quantum);
+                if self.wake_armed.is_some_and(|armed| armed >= wake) {
+                    return None;
+                }
+                self.wake_armed = Some(wake);
+                Some(wake.saturating_since(now))
             }
         }
+    }
+
+    /// Forgets the armed wake-up: a restarted replica lost its timers, so the next
+    /// datablock noted missing arms a new one. (What was noted before the crash is
+    /// queried by the retrieval tick.)
+    pub fn on_restart(&mut self) {
+        self.wake_armed = None;
     }
 
     /// True if `digest` is still being retrieved.
@@ -225,16 +268,17 @@ impl RetrievalManager {
         self.pending.contains_key(digest)
     }
 
-    /// Called when the retrieval timer fires: returns the digests that need to be
-    /// queried — never queried before, or still pending [`REQUERY_TIMEOUTS`] retrieval
-    /// timeouts after the last query (the loss-recovery path) — and stamps them.
+    /// Called when a first-query wake-up or the retrieval tick fires: returns the
+    /// digests that need to be queried — never queried and missing for at least the
+    /// first-query wait, or still pending [`REQUERY_TIMEOUTS`] retrieval timeouts after
+    /// the last query (the loss-recovery path) — and stamps them.
     pub fn digests_to_query(&mut self, now: SimTime) -> Vec<Digest> {
         let mut digests: Vec<Digest> = self
             .pending
             .iter()
-            .filter(|(_, p)| {
-                p.last_query
-                    .is_none_or(|at| now.saturating_since(at) >= self.requery_after)
+            .filter(|(_, p)| match p.last_query {
+                None => now.saturating_since(p.started_at) >= self.first_query_after,
+                Some(at) => now.saturating_since(at) >= self.requery_after,
             })
             .map(|(d, _)| *d)
             .collect();
@@ -533,8 +577,68 @@ mod tests {
         provider_with(mode, calibrated_crypto_costs())
     }
 
+    /// The first-query wait `D` of the managers under test.
+    const WAIT: SimDuration = SimDuration(10_000_000);
+
     fn manager(id: u32, f: usize, n: usize) -> RetrievalManager {
-        RetrievalManager::new(NodeId(id), f, n, SimDuration::from_millis(100))
+        RetrievalManager::new(NodeId(id), f, n, SimDuration::from_millis(100), WAIT)
+    }
+
+    /// `millis` milliseconds after the start.
+    fn at_ms(millis: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(millis)
+    }
+
+    /// A missing digest is not queried before the first-query wait has passed since it
+    /// was noted, and is queried once it has, by its wake-up or by the tick.
+    #[test]
+    fn a_missing_digest_is_first_queried_one_wait_after_it_was_noted() {
+        let digest = sample_datablock(1).digest();
+        let noted = at_ms(3);
+        let mut querier = manager(0, 1, 4);
+        // The wake-up lands on the first multiple of D = 10 ms at or after 13 ms.
+        assert_eq!(
+            querier.note_missing(digest, SeqNum(1), noted),
+            Some(SimDuration::from_millis(17))
+        );
+        let early = noted + SimDuration(WAIT.as_nanos() - 1);
+        assert!(querier.digests_to_query(early).is_empty(), "queried before D");
+        assert_eq!(querier.digests_to_query(noted + WAIT), [digest]);
+        // Stamped: the wake-up at 20 ms finds nothing left to query.
+        assert!(querier.digests_to_query(at_ms(20)).is_empty());
+    }
+
+    /// Digests whose deadlines round up to the same multiple of D share one wake-up,
+    /// and so one `Query`; a digest due past it arms the next.
+    #[test]
+    fn digests_due_within_one_quantum_share_one_query() {
+        let digests: Vec<Digest> = (1..=4).map(|i| sample_datablock(i).digest()).collect();
+        let mut querier = manager(0, 1, 4);
+        let noted = [at_ms(1), at_ms(9), at_ms(10), SimTime(10_001_000)];
+        let wakes: Vec<Option<SimDuration>> = digests
+            .iter()
+            .zip(noted)
+            .map(|(&digest, at)| querier.note_missing(digest, SeqNum(1), at))
+            .collect();
+        let ms = SimDuration::from_millis;
+        assert_eq!(wakes, [Some(ms(19)), None, None, Some(SimDuration(19_999_000))]);
+        let mut first = digests[..3].to_vec();
+        first.sort_unstable();
+        assert_eq!(querier.digests_to_query(at_ms(20)), first);
+        assert_eq!(querier.digests_to_query(at_ms(30)), [digests[3]]);
+    }
+
+    /// A restart loses the armed wake-up, so the next digest noted missing arms its own
+    /// even when its deadline falls before the lost one's.
+    #[test]
+    fn a_restart_forgets_the_armed_wake_up() {
+        let [a, b, c] = [1, 2, 3].map(|i| sample_datablock(i).digest());
+        let mut querier = manager(0, 1, 4);
+        let ms = SimDuration::from_millis;
+        assert_eq!(querier.note_missing(a, SeqNum(1), at_ms(1)), Some(ms(19)));
+        assert_eq!(querier.note_missing(b, SeqNum(1), at_ms(2)), None);
+        querier.on_restart();
+        assert_eq!(querier.note_missing(c, SeqNum(1), at_ms(3)), Some(ms(17)));
     }
 
     /// The chunk bytes and Merkle proof of a real-crypto chunk.
@@ -812,11 +916,16 @@ mod tests {
         let (f, n) = (1, 4);
         let mut manager = manager(0, f, n);
 
-        assert!(manager.note_missing(digest, SeqNum(3), SimTime(1_000)));
-        assert!(!manager.note_missing(digest, SeqNum(4), SimTime(2_000)));
-        assert_eq!(manager.digests_to_query(SimTime(3_000)), vec![digest]);
+        let delay = manager.note_missing(digest, SeqNum(3), SimTime(1_000));
+        assert_eq!(manager.note_missing(digest, SeqNum(4), SimTime(2_000)), None);
+        // Nothing is queried before the first-query wait, everything at the wake-up.
+        assert!(manager.digests_to_query(SimTime(3_000)).is_empty());
+        let wake = SimTime(1_000) + delay.expect("the first note arms a wake-up");
+        assert_eq!(manager.digests_to_query(wake), vec![digest]);
         // Subsequent fires inside the re-query window do not re-query.
-        assert!(manager.digests_to_query(SimTime(100_003_000)).is_empty());
+        assert!(manager
+            .digests_to_query(wake + SimDuration::from_millis(100))
+            .is_empty());
 
         let provider = provider(CryptoMode::Real);
         let mut outcome = ChunkOutcome::Stored;
@@ -829,7 +938,7 @@ mod tests {
             };
             response_bytes += leopard_types::WireSize::wire_size(&response) as u64;
             outcome = manager
-                .add_chunk(digest, chunk, SimTime(5_000_000), &provider)
+                .add_chunk(digest, chunk, wake + SimDuration::from_millis(5), &provider)
                 .0;
         }
         match outcome {
@@ -842,7 +951,8 @@ mod tests {
                 assert_eq!(datablock.digest(), digest);
                 waiting.sort();
                 assert_eq!(waiting, vec![SeqNum(3), SeqNum(4)]);
-                assert_eq!(elapsed_nanos, 4_999_000);
+                // From the note at 1 µs to the recovery 5 ms after the 20 ms wake-up.
+                assert_eq!(elapsed_nanos, 24_999_000);
                 // The bytes counted are the accepted QueryResponses' wire bytes.
                 assert_eq!(received_bytes, response_bytes);
             }
@@ -1264,7 +1374,7 @@ mod tests {
         let digest = sample_datablock(5).digest();
         let timeout = SimDuration::from_millis(100);
         let requery = timeout.saturating_mul(REQUERY_TIMEOUTS);
-        let mut manager = RetrievalManager::new(NodeId(0), 1, 4, timeout);
+        let mut manager = RetrievalManager::new(NodeId(0), 1, 4, timeout, WAIT);
         manager.note_missing(digest, SeqNum(1), SimTime(0));
         let first = SimTime(0) + timeout;
         assert_eq!(manager.digests_to_query(first), vec![digest]);

@@ -555,6 +555,11 @@ impl ScenarioConfig {
         config.retrieval_timeout = config
             .retrieval_timeout
             .max(SimDuration::from_secs_f64(3.0 * dissemination_secs) + wan_headroom);
+        // A missing datablock is first queried two dissemination times plus the same
+        // headroom after it was noted, not at the next retrieval tick, which can come
+        // while the copy is still on the producer's uplink.
+        config.first_query_wait =
+            LeopardConfig::first_query_wait_for(dissemination_secs, wan_headroom);
         config
     }
 
@@ -1182,20 +1187,23 @@ mod tests {
 
     /// The retrieval timeout where the dissemination time sets it, and fig9xl's drain
     /// window at n = 2000 and 4000 (`(n−1)·α·8 / 9.8e9`), captured before the two sites
-    /// shared `dissemination_secs`.
+    /// shared `dissemination_secs`; and the first-query wait of the same configurations,
+    /// captured when it was derived (two dissemination times plus the same headroom).
     #[test]
     fn dissemination_times_are_pinned() {
         let wan = ScenarioConfig::paper(256)
             .with_wan_regions(&["us-east", "eu-west", "ap-northeast", "sa-east"])
             .with_straggler_fraction(0.1);
         let cases = [
-            (ScenarioConfig::paper(600), 751_072_653),
-            (ScenarioConfig::paper(256), 319_738_776),
-            (wan, 3_905_440_000),
-            (ScenarioConfig::paper(64).with_bandwidth_mbps(100), 3_870_720_000),
+            (ScenarioConfig::paper(600), 751_072_653, 500_715_102),
+            (ScenarioConfig::paper(256), 319_738_776, 213_159_184),
+            (wan, 3_905_440_000, 2_860_960_000),
+            (ScenarioConfig::paper(64).with_bandwidth_mbps(100), 3_870_720_000, 2_580_480_000),
         ];
-        for (config, nanos) in cases {
-            assert_eq!(config.leopard_config().retrieval_timeout.as_nanos(), nanos);
+        for (config, timeout, wait) in cases {
+            let leopard = config.leopard_config();
+            assert_eq!(leopard.retrieval_timeout.as_nanos(), timeout);
+            assert_eq!(leopard.first_query_wait.as_nanos(), wait);
         }
         let fleet = leopard_simnet::LinkConfig::paper_default().uplink_bps;
         assert_eq!(ScenarioConfig::paper(2000).dissemination_secs(fleet), 0.8355004081632653);

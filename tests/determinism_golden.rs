@@ -161,26 +161,39 @@ fn leopard_fig9geo_point_matches_captured_golden() {
 /// state-syncs its execution gap instead of waiting out the checkpoint watermark —
 /// the wedge this case pinned heals ~1.4 s sooner (confirmed 42 800 → 65 200) and
 /// one of the two view changes is no longer needed.
+///
+/// Re-captured when a missing datablock's first query moved from the next retrieval
+/// tick to its own deadline (events 78,756 → 79,046, confirmed 65,200 → 62,200, sent
+/// 250,904,315 → 251,343,987 and received 243,161,414 → 243,601,086 bytes; still no
+/// violation and one view). On this WAN the first-query wait D is 572 ms, and wake-ups
+/// land on multiples of D. Replicas 3, 7, 11 and 15 (the partitioned region) note
+/// their missing datablocks at 680–738 ms; the parent's tick queried them at 1,145 ms,
+/// the first multiple of D at or after each deadline is 1,717 ms, so they recover at
+/// 1.91 s instead of 1.34 s. Their Readies come later, the leader's batches differ from
+/// serial 33 on, and by the end of the 6 s run the furthest replica has executed 182
+/// serials linking 311 datablocks instead of 180 linking 326: 15 datablocks of 200
+/// requests fewer. (The rule against voting for a confirmed instance alone reads
+/// 65,600; the first-query timing alone, 63,600.)
 #[test]
 fn chaos_case_matches_captured_golden() {
     let schedule = FaultScheduleGenerator::new(16, 7).schedule(142);
     let report = run_scenario::<LeopardReplica>(&schedule.to_config());
     assert_eq!(report.violations, Vec::<String>::new(), "chaos case 142 regressed");
-    // 78,756 = 88,251 − 9,495 removed 10 ms workload ticks over the 6 s run: 600 on
-    // each of the 14 replicas that never crash; 535 on replica 5 (49 before its crash
-    // at 492 ms, one that fires into the crash window, 485 after its restart at
-    // 1,145 ms) and 560 on replica 13 (65 + 1 + 494 around its [655 ms, 1,053 ms)
-    // window).
-    assert_eq!(report.sim.events, 78_756, "chaos golden: events drifted");
-    assert_eq!(report.confirmed_requests, 65_200, "chaos golden: confirmed drifted");
+    // The removed 10 ms workload ticks were 9,495 of the 6 s run's events (88,251 →
+    // 78,756): 600 on each of the 14 replicas that never crash; 535 on replica 5 (49
+    // before its crash at 492 ms, one that fires into the crash window, 485 after its
+    // restart at 1,145 ms) and 560 on replica 13 (65 + 1 + 494 around its
+    // [655 ms, 1,053 ms) window).
+    assert_eq!(report.sim.events, 79_046, "chaos golden: events drifted");
+    assert_eq!(report.confirmed_requests, 62_200, "chaos golden: confirmed drifted");
     assert_eq!(
         report.sim.metrics.traffic.total_sent_bytes(),
-        250_904_315,
+        251_343_987,
         "chaos golden: sent bytes drifted"
     );
     assert_eq!(
         report.sim.metrics.traffic.total_received_bytes(),
-        243_161_414,
+        243_601_086,
         "chaos golden: received bytes drifted"
     );
     assert_eq!(report.views_entered, 1);

@@ -23,6 +23,17 @@ fn selective_attacker_forces_retrievals_but_not_stalls() {
     assert!(report.average_retrieval_secs.unwrap_or(0.0) < 2.0);
 }
 
+/// Without a fault every datablock reaches every replica by dissemination. A replica
+/// that notes one missing (the PrePrepare linking it outran the copy) waits two
+/// dissemination times before its first query, so the fault-free run retrieves nothing;
+/// querying at the next retrieval tick instead rebuilt 25 datablocks still in flight.
+#[test]
+fn a_fault_free_run_retrieves_nothing() {
+    let report = run_leopard_scenario(&ScenarioConfig::paper(128));
+    assert!(report.confirmed_requests > 0, "the system stalled");
+    assert_eq!(report.retrievals, 0);
+}
+
 #[test]
 fn leader_crash_recovers_via_view_change() {
     let config = ScenarioConfig::small(4)
