@@ -59,11 +59,12 @@ pub struct LeopardConfig {
     pub params: ProtocolParams,
     /// How often each producer packs a datablock.
     pub workload: WorkloadMode,
-    /// The period of the retrieval tick, the loss detector of the retrieval plane: it
-    /// queries again a retrieval still pending [`REQUERY_TIMEOUTS`] periods after its
-    /// last query, and queries a never-queried missing datablock whose own wake-up was
-    /// lost (to a crash-restart). A missing datablock's first query does not wait for
-    /// it (see [`Self::first_query_wait`]).
+    /// The period of the retrieval tick. A tick queries whatever is due: a retrieval
+    /// still pending [`REQUERY_TIMEOUTS`] periods after its last query, and a
+    /// never-queried missing datablock at least [`Self::first_query_wait`] old, whose
+    /// wake-up was lost to a crash-restart or has not fired yet (it lands on the
+    /// deadline rounded up to a multiple of the wait). A missing datablock's first
+    /// query never waits for a tick.
     pub retrieval_timeout: SimDuration,
     /// How long after a replica notes a datablock missing it first queries the
     /// committee for it, from a one-shot wake-up: long enough that a datablock still in

@@ -17,6 +17,7 @@
 //!   it (and a zero cell in `fig9` output comes annotated, never bare).
 
 use crate::instance::LeaderInstance;
+use leopard_simnet::SimTime;
 use leopard_types::SeqNum;
 use std::collections::BTreeMap;
 
@@ -79,6 +80,10 @@ pub struct Pipeline {
     stripe: u64,
     /// Number of stripes (`p`, the proposer count); `1` = single leader.
     stride: u64,
+    /// The guard the last proposal attempt stopped at, and since when it has been the
+    /// one (for progress probes).
+    guard: StallReason,
+    guard_since: SimTime,
 }
 
 impl Pipeline {
@@ -91,6 +96,8 @@ impl Pipeline {
             k,
             stripe: 0,
             stride: 1,
+            guard: StallReason::None,
+            guard_since: SimTime(0),
         }
     }
 
@@ -182,6 +189,24 @@ impl Pipeline {
             StallReason::AwaitingReady
         } else {
             StallReason::None
+        }
+    }
+
+    /// Tracks when the currently blocking guard last changed (for progress probes).
+    pub(crate) fn record_stall(&mut self, reason: StallReason, now: SimTime) {
+        if self.guard != reason {
+            self.guard = reason;
+            self.guard_since = now;
+        }
+    }
+
+    /// Since when `guard` has blocked: the instant it was recorded, if it is the guard
+    /// the last attempt recorded, else `now`.
+    pub(crate) fn stalled_since(&self, guard: StallReason, now: SimTime) -> SimTime {
+        if self.guard == guard {
+            self.guard_since
+        } else {
+            now
         }
     }
 }

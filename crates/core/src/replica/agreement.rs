@@ -1,7 +1,7 @@
 //! Algorithm 2: the two-round agreement on BFTblocks, the confirmed log and
 //! in-order execution.
 
-use super::{charge, Ctx, LeopardReplica, DEFERRED_PRE_PREPARE_CAP};
+use super::{charge, Ctx, LeopardReplica};
 use crate::byzantine::ByzantineBehavior;
 use crate::checkpoint::{checkpoint_digest, state_digest, CheckpointState};
 use crate::messages::LeopardMessage;
@@ -103,9 +103,7 @@ impl LeopardReplica {
             // leader's re-proposals race the NewView that announces the view. Hold
             // the proposal and replay it from `enter_view` — leader identity and the
             // share are validated then, against the entered view.
-            if self.deferred_pre_prepares.len() < DEFERRED_PRE_PREPARE_CAP {
-                self.deferred_pre_prepares.push((from, block, share));
-            }
+            self.pacemaker.defer(from, block, share);
             return;
         }
         if block.id.view != self.view || self.in_view_change() {
@@ -119,7 +117,7 @@ impl LeopardReplica {
         }
         let digest = block.digest();
         charge(ctx, self.keys.provider.model().hash(block.wire_size()));
-        if share.signer != from.signer_index() || !self.verify_share(&share, &digest, ctx) {
+        if !self.verify_share(from, &share, &digest, ctx) {
             return;
         }
         let seq = block.id.seq;
@@ -167,13 +165,7 @@ impl LeopardReplica {
         }
 
         // Record the link time of our own datablocks (latency breakdown).
-        for link in &block.links {
-            if let Some(timing) = self.own_datablocks.get_mut(link) {
-                if timing.linked_at.is_none() {
-                    timing.linked_at = Some(ctx.now());
-                }
-            }
-        }
+        self.producer.note_linked(&block.links, ctx.now());
 
         // Check the availability of every linked datablock.
         let missing = self.note_missing_links(&block, seq, ctx);
@@ -479,23 +471,7 @@ impl LeopardReplica {
                 let datablock = self.pool.get(link).expect("checked above").clone();
                 request_count += datablock.len() as u64;
                 // Latency of our own requests, then its breakdown by stage.
-                if let Some(timing) = self.own_datablocks.remove(link) {
-                    ctx.observe(ObservationKind::RequestLatencies {
-                        nanos: ctx.now().saturating_since(timing.created_at).as_nanos(),
-                        count: datablock.len() as u64,
-                    });
-                    let linked = timing.linked_at.unwrap_or(ctx.now());
-                    let dissemination = linked.saturating_since(timing.created_at).as_nanos();
-                    let agreement = ctx.now().saturating_since(linked).as_nanos();
-                    ctx.observe(ObservationKind::Custom {
-                        label: "latency_dissemination",
-                        value: dissemination,
-                    });
-                    ctx.observe(ObservationKind::Custom {
-                        label: "latency_agreement",
-                        value: agreement,
-                    });
-                }
+                self.producer.observe_executed(link, datablock.len() as u64, ctx);
             }
             self.confirmed_requests += request_count;
             ctx.observe(ObservationKind::BlockCommitted {

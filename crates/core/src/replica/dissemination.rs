@@ -7,16 +7,74 @@ use crate::instance::LeaderInstance;
 use crate::messages::LeopardMessage;
 use crate::pipeline::StallReason;
 use leopard_crypto::Digest;
-use leopard_simnet::SimTime;
-use leopard_types::{BftBlock, ClientId, Datablock, NodeId, RequestRun, SeqNum, WireSize};
+use leopard_simnet::{ObservationKind, SimTime};
+use leopard_types::{
+    BftBlock, ClientId, Datablock, FastMap, NodeId, RequestRun, SeqNum, WireSize,
+};
 use std::sync::Arc;
 
 /// Latency bookkeeping for a datablock this replica produced (its requests were
 /// created with it).
 #[derive(Debug, Clone, Copy)]
-pub(super) struct DatablockTiming {
-    pub(super) created_at: SimTime,
-    pub(super) linked_at: Option<SimTime>,
+struct DatablockTiming {
+    created_at: SimTime,
+    linked_at: Option<SimTime>,
+}
+
+/// The saturated producer's own state: the counter of its next datablock and the
+/// latency bookkeeping of the datablocks it produced that have not executed yet.
+pub(super) struct Producer {
+    /// The counter `k` of the next datablock; the first is 1.
+    counter: u64,
+    own: FastMap<Digest, DatablockTiming>,
+}
+
+impl Producer {
+    pub(super) fn new() -> Self {
+        Self {
+            counter: 1,
+            own: FastMap::default(),
+        }
+    }
+
+    /// Records `now` as the link time of each of this replica's datablocks among
+    /// `links` that was not linked before (latency breakdown).
+    pub(super) fn note_linked(&mut self, links: &[Digest], now: SimTime) {
+        for link in links {
+            if let Some(timing) = self.own.get_mut(link) {
+                if timing.linked_at.is_none() {
+                    timing.linked_at = Some(now);
+                }
+            }
+        }
+    }
+
+    /// If `link` is this replica's datablock, observes the latency of its `requests`
+    /// requests, executed now, then its breakdown by stage, and forgets it.
+    pub(super) fn observe_executed(&mut self, link: &Digest, requests: u64, ctx: &mut Ctx<'_>) {
+        if let Some(timing) = self.own.remove(link) {
+            ctx.observe(ObservationKind::RequestLatencies {
+                nanos: ctx.now().saturating_since(timing.created_at).as_nanos(),
+                count: requests,
+            });
+            let linked = timing.linked_at.unwrap_or(ctx.now());
+            let dissemination = linked.saturating_since(timing.created_at).as_nanos();
+            let agreement = ctx.now().saturating_since(linked).as_nanos();
+            ctx.observe(ObservationKind::Custom {
+                label: "latency_dissemination",
+                value: dissemination,
+            });
+            ctx.observe(ObservationKind::Custom {
+                label: "latency_agreement",
+                value: agreement,
+            });
+        }
+    }
+
+    /// True while a datablock this replica produced has not executed.
+    pub(super) fn has_unexecuted(&self) -> bool {
+        !self.own.is_empty()
+    }
 }
 
 impl LeopardReplica {
@@ -41,16 +99,16 @@ impl LeopardReplica {
         let count = self.config.params.datablock_size as u32;
         let requests = RequestRun {
             client: ClientId(self.id.0),
-            first_seq: (self.datablock_counter - 1) * u64::from(count),
+            first_seq: (self.producer.counter - 1) * u64::from(count),
             count,
             size: self.config.params.payload_size as u32,
         };
-        let datablock = Arc::new(Datablock::from_run(self.id, self.datablock_counter, requests));
-        self.datablock_counter += 1;
+        let datablock = Arc::new(Datablock::from_run(self.id, self.producer.counter, requests));
+        self.producer.counter += 1;
         let digest = datablock.digest();
         // Producing the datablock hashes its encoded bytes once.
         charge(ctx, self.keys.provider.model().hash(datablock.wire_size()));
-        self.own_datablocks.insert(
+        self.producer.own.insert(
             digest,
             DatablockTiming {
                 created_at: ctx.now(),
@@ -95,19 +153,19 @@ impl LeopardReplica {
             return;
         }
         // Never extend the serial space from a view this replica did not anchor
-        // (see `anchored_view`): without the quorum evidence the pipeline frontier
-        // may sit below serials an earlier view notarized under the shifted stripe
-        // map, and replicas reset those instances on view entry — a fresh block at
-        // such a serial forks the log. Staying mute here costs one view of this
+        // (see `Pacemaker::anchored_view`): without the quorum evidence the pipeline
+        // frontier may sit below serials an earlier view notarized under the shifted
+        // stripe map, and replicas reset those instances on view entry — a fresh block
+        // at such a serial forks the log. Staying mute here costs one view of this
         // stripe's throughput at most: the stall feeds the complaint path and the
         // next view change re-anchors every live proposer.
-        if self.view != self.anchored_view {
+        if self.view != self.pacemaker.anchored_view() {
             return;
         }
         loop {
             let reason = self.pipeline_guard();
             if reason != StallReason::None {
-                self.record_stall(reason, ctx.now());
+                self.pipeline.record_stall(reason, ctx.now());
                 return;
             }
             if !flush
@@ -116,7 +174,7 @@ impl LeopardReplica {
             {
                 // Work is in flight and the batch is partial: let it fill. Not a
                 // stall — the next confirmation or the flush tick picks it up.
-                self.record_stall(StallReason::None, ctx.now());
+                self.pipeline.record_stall(StallReason::None, ctx.now());
                 return;
             }
             let links = self.ready.take_ready(self.config.params.bftblock_size);
@@ -158,7 +216,7 @@ impl LeopardReplica {
             || !self.is_proposer()
             // Dummies extend the serial space just like real proposals — an
             // un-anchored view must not fill either (see `propose`).
-            || self.view != self.anchored_view
+            || self.view != self.pacemaker.anchored_view()
             || self.pipeline.in_flight() > 0
         {
             return;
@@ -168,14 +226,6 @@ impl LeopardReplica {
         {
             let seq = self.pipeline.take_seq();
             self.broadcast_proposal(Arc::new(BftBlock::dummy(self.view, seq)), true, ctx);
-        }
-    }
-
-    /// Tracks when the currently blocking guard last changed (for progress probes).
-    fn record_stall(&mut self, reason: StallReason, now: SimTime) {
-        if self.stall_guard != reason {
-            self.stall_guard = reason;
-            self.stall_guard_since = now;
         }
     }
 

@@ -29,19 +29,20 @@ use crate::messages::LeopardMessage;
 use crate::pipeline::{Pipeline, StallReason};
 use crate::pool::{DatablockPool, ReadyTracker};
 use crate::retrieval::RetrievalManager;
-use crate::view_change::ViewChangeState;
 use agreement::{Round, SerialLog};
-use dissemination::DatablockTiming;
+use dissemination::Producer;
 use leopard_crypto::provider::ComputeCost;
 use leopard_crypto::threshold::{CombinedSignature, SignatureShare};
 use leopard_crypto::{Digest, SharedKeys};
 use leopard_simnet::{Context, ProgressProbe, Protocol, SimDuration, SimTime};
 #[cfg(debug_assertions)]
-use leopard_types::BftBlockId;
-use leopard_types::{digest_stripe, BftBlock, FastMap, NodeId, SeqNum, View};
+use leopard_types::{BftBlockId, FastMap};
+use leopard_types::{digest_stripe, BftBlock, NodeId, SeqNum, View};
 use rand::Rng;
+use recovery::StateSync;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use views::Pacemaker;
 
 /// Periodic timer tokens.
 const TOKEN_BATCH: u64 = 2;
@@ -54,12 +55,6 @@ const TOKEN_FIRST_QUERY: u64 = 6;
 
 /// How often a proposer flushes a partial batch (see [`LeopardReplica::propose`]).
 const PROPOSE_INTERVAL: SimDuration = SimDuration(20_000_000); // 20 ms
-
-/// Bound on buffered future-view PrePrepares (see `deferred_pre_prepares`). A full
-/// re-proposal sweep is at most `max_parallel_instances` blocks; the slack covers a
-/// couple of view transitions arriving back-to-back. Beyond the cap, entries are
-/// dropped — the view-change stall path recovers the loss, just more slowly.
-const DEFERRED_PRE_PREPARE_CAP: usize = 256;
 
 /// A Leopard replica.
 pub struct LeopardReplica {
@@ -75,8 +70,7 @@ pub struct LeopardReplica {
     replica_instances: BTreeMap<u64, ReplicaInstance>,
     checkpoints: CheckpointState,
     retrieval: RetrievalManager,
-    datablock_counter: u64,
-    own_datablocks: FastMap<Digest, DatablockTiming>,
+    producer: Producer,
 
     // --- log / execution ---
     log: SerialLog,
@@ -88,48 +82,16 @@ pub struct LeopardReplica {
     // space hostage: an idle proposer fills its residue class with dummy blocks up
     // to this mark so execution (which is strictly sequential) can drain past it.
     highest_confirmed_seen: u64,
-    // The latest view whose ViewChange quorum this replica assembled itself (the
-    // genesis view counts: nothing precedes it). Proposing fresh blocks is only
-    // safe in an anchored view: the quorum evidence is what bumps `pipeline`
-    // past every serial an earlier view may have notarized, and stripe ownership
-    // shifts by one replica per view — a proposer that entered the view through a
-    // peer's NewView or a state-sync view claim has no such frontier and could
-    // double-assign a serial another proposer's block already holds.
-    anchored_view: View,
 
-    // --- stall diagnostics (leader side) ---
-    stall_guard: StallReason,
-    stall_guard_since: SimTime,
-
-    // --- view-change state ---
-    view_changes: ViewChangeState,
-    // When the view change in progress started; `None` while not changing views.
-    view_change_started_at: Option<SimTime>,
-    // PrePrepares for views ahead of this replica. The new leader's re-proposals
-    // race the NewView announcement through the network; a re-proposal delivered
-    // first used to be silently dropped — and PrePrepares are never re-sent, so a
-    // straggler could permanently miss the re-proposed block and the serial number
-    // would never regain a quorum. Buffered (bounded) and replayed on `enter_view`.
-    deferred_pre_prepares: Vec<(NodeId, Arc<BftBlock>, SignatureShare)>,
-    // Consecutive view changes without progress double the effective progress
-    // timeout (capped at 8x). A configured timeout below the network's agreement
-    // round otherwise fires mid-agreement forever: every view is abandoned before
-    // its re-proposals can confirm, and the system thrashes into a permanent stall.
-    progress_backoff: u32,
-
-    // --- watchdog ---
-    confirmed_at_last_check: u64,
+    // --- view change and the progress watchdog ---
+    pacemaker: Pacemaker,
     // Every PrepareVote signed, by the voted block's view and serial (debug builds
     // check the clause the safety argument rests on: never two blocks for one).
     #[cfg(debug_assertions)]
     signed_prepares: FastMap<BftBlockId, Digest>,
 
     // --- state transfer (catch-up after a crash-restart or partition heal) ---
-    state_sync_at: Option<SimTime>,
-    // The peers the current sync round asked, each with the view it claimed once it
-    // answered.
-    state_sync_peers: Vec<(NodeId, Option<View>)>,
-    state_sync_round: u64,
+    state_sync: StateSync,
 }
 
 impl std::fmt::Debug for LeopardReplica {
@@ -177,26 +139,16 @@ impl LeopardReplica {
                 config.retrieval_timeout,
                 config.first_query_wait,
             ),
-            datablock_counter: 1,
-            own_datablocks: FastMap::default(),
+            producer: Producer::new(),
             log: SerialLog::default(),
             last_executed: SeqNum(0),
             confirmed_requests: 0,
             last_confirmation_at: None,
             highest_confirmed_seen: 0,
-            anchored_view: View::initial(),
-            stall_guard: StallReason::None,
-            stall_guard_since: SimTime(0),
-            view_changes: ViewChangeState::new(),
-            view_change_started_at: None,
-            deferred_pre_prepares: Vec::new(),
-            progress_backoff: 0,
-            confirmed_at_last_check: 0,
+            pacemaker: Pacemaker::new(),
             #[cfg(debug_assertions)]
             signed_prepares: FastMap::default(),
-            state_sync_at: None,
-            state_sync_peers: Vec::new(),
-            state_sync_round: 0,
+            state_sync: StateSync::default(),
             view: View::initial(),
             config,
             keys,
@@ -228,7 +180,7 @@ impl LeopardReplica {
     /// True while a view change is in progress: from this replica's complaint until
     /// it enters the next view.
     fn in_view_change(&self) -> bool {
-        self.view_change_started_at.is_some()
+        self.pacemaker.in_view_change()
     }
 
     // ------------------------------------------------------------------
@@ -376,8 +328,18 @@ impl LeopardReplica {
         share
     }
 
-    /// Verifies a single signature share, charging the modeled cost.
-    fn verify_share(&self, share: &SignatureShare, digest: &Digest, ctx: &mut Ctx<'_>) -> bool {
+    /// Verifies a single signature share sent by `from`: false at no cost if `from`
+    /// did not sign it, else the verdict of the check, charging its modeled cost.
+    fn verify_share(
+        &self,
+        from: NodeId,
+        share: &SignatureShare,
+        digest: &Digest,
+        ctx: &mut Ctx<'_>,
+    ) -> bool {
+        if share.signer != from.signer_index() {
+            return false;
+        }
         let (ok, cost) = self.keys.provider.verify_share(share, digest);
         charge(ctx, cost);
         ok
@@ -543,10 +505,8 @@ impl Protocol for LeopardReplica {
         };
         let stalled_since = if stall == StallReason::None {
             None
-        } else if self.stall_guard == guard {
-            Some(self.stall_guard_since)
         } else {
-            Some(now)
+            Some(self.pipeline.stalled_since(guard, now))
         };
         Some(ProgressProbe {
             last_confirmation_at: self.last_confirmation_at,

@@ -8,9 +8,80 @@ use crate::messages::{ConfirmedEntry, LeopardMessage, RetrievalChunk, StateTrans
 use crate::retrieval::ChunkOutcome;
 use leopard_crypto::threshold::CombinedSignature;
 use leopard_crypto::{hash_parts, Digest};
-use leopard_simnet::ObservationKind;
+use leopard_simnet::{ObservationKind, SimDuration, SimTime};
 use leopard_types::{BftBlock, NodeId, SeqNum, View, WireSize};
 use std::sync::Arc;
+
+/// State transfer's rounds (catch-up after a crash-restart or partition heal): when
+/// the current round began, the peers it asked and the views they claimed, and how
+/// many rounds ran.
+#[derive(Default)]
+pub(super) struct StateSync {
+    started_at: Option<SimTime>,
+    // The peers the current round asked, each with the view it claimed once it
+    // answered.
+    peers: Vec<(NodeId, Option<View>)>,
+    round: u64,
+}
+
+impl StateSync {
+    /// Opens a round at `now` for replica `id` of `n` and returns the `f + 1` peers it
+    /// asks (at least one of them honest). The set rotates one position per round, so
+    /// a recovery-plane adversary that happens to sit among the first `f + 1` ids (a
+    /// silent or lying state responder) cannot starve every retry of its honest
+    /// majority forever.
+    fn begin(
+        &mut self,
+        now: SimTime,
+        id: NodeId,
+        n: usize,
+        f: usize,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        self.started_at = Some(now);
+        self.peers.clear();
+        let offset = (self.round as usize) % n;
+        self.round += 1;
+        let mut remaining = f + 1;
+        for index in 0..n {
+            let peer = NodeId(((index + offset) % n) as u32);
+            if peer == id {
+                continue;
+            }
+            self.peers.push((peer, None));
+            remaining -= 1;
+            if remaining == 0 {
+                break;
+            }
+        }
+        self.peers.iter().map(|&(peer, _)| peer)
+    }
+
+    /// True while the round begun last is younger than `cooldown`.
+    fn cooling_down(&self, now: SimTime, cooldown: SimDuration) -> bool {
+        self.started_at
+            .is_some_and(|at| now.saturating_since(at) < cooldown)
+    }
+
+    /// Records `from`'s claim that it is in `view`. Returns `None` if the current
+    /// round did not ask `from`: the response is an unsolicited push from an arbitrary
+    /// (possibly Byzantine) replica. Otherwise returns the view to rejoin, if any.
+    ///
+    /// A replica rejoins a view it missed while down, but never on the word of a
+    /// single responder. View claims are unsigned metadata, so a lying responder could
+    /// inflate one and wedge the replica in a view nobody else is in (it would neither
+    /// vote nor complain usefully until the next genuine view change). Instead, once
+    /// all `f + 1` responders of the round answered, the replica adopts the highest
+    /// view they all corroborate, the lowest claim: at least one of them is honest, so
+    /// it is one an honest replica has genuinely entered. A responder's first claim in
+    /// a round counts.
+    fn record_claim(&mut self, from: NodeId, view: View) -> Option<Option<View>> {
+        let asked = self.peers.iter().position(|p| p.0 == from)?;
+        self.peers[asked].1.get_or_insert(view);
+        // `None < Some`, so the minimum is `Some(None)` while one has not answered.
+        let claims = self.peers.iter().map(|&(_, claim)| claim);
+        claims.min()
+    }
+}
 
 impl LeopardReplica {
     pub(super) fn handle_checkpoint_share(
@@ -27,7 +98,7 @@ impl LeopardReplica {
         let digest = checkpoint_digest(seq, &state_digest);
         // Checkpoints are rare (one per k/2 blocks), so shares are verified on arrival
         // rather than batched; the combine still skips re-verification.
-        if share.signer != from.signer_index() || !self.verify_share(&share, &digest, ctx) {
+        if !self.verify_share(from, &share, &digest, ctx) {
             return;
         }
         if let Some(shares) = self
@@ -111,32 +182,15 @@ impl LeopardReplica {
     // State transfer (catch-up after a crash-restart or partition heal)
     // ------------------------------------------------------------------
 
-    /// Asks `f + 1` peers (guaranteeing at least one honest responder) for everything
-    /// confirmed past this replica's execution point. The responder set rotates one
-    /// position per round, so a recovery-plane adversary that happens to sit among the
-    /// first `f + 1` ids (a silent or lying state responder) cannot starve every
-    /// retry of its honest majority forever.
+    /// Asks `f + 1` peers (see [`StateSync::begin`]) for everything confirmed past
+    /// this replica's execution point.
     pub(super) fn begin_state_sync(&mut self, ctx: &mut Ctx<'_>) {
-        self.state_sync_at = Some(ctx.now());
-        self.state_sync_peers.clear();
         let request = LeopardMessage::StateRequest {
             last_executed: self.last_executed,
         };
-        let n = self.n();
-        let offset = (self.state_sync_round as usize) % n;
-        self.state_sync_round += 1;
-        let mut remaining = self.f() + 1;
-        for index in 0..n {
-            let peer = NodeId(((index + offset) % n) as u32);
-            if peer == self.id {
-                continue;
-            }
-            self.state_sync_peers.push((peer, None));
+        let (n, f) = (self.n(), self.f());
+        for peer in self.state_sync.begin(ctx.now(), self.id, n, f) {
             ctx.send(peer, request.clone());
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
         }
     }
 
@@ -146,10 +200,8 @@ impl LeopardReplica {
         if self.in_view_change() {
             return;
         }
-        if let Some(at) = self.state_sync_at {
-            if ctx.now().saturating_since(at) < self.config.progress_timeout {
-                return;
-            }
+        if self.state_sync.cooling_down(ctx.now(), self.config.progress_timeout) {
+            return;
         }
         self.begin_state_sync(ctx);
     }
@@ -219,9 +271,8 @@ impl LeopardReplica {
             entries,
         } = response;
         // Only solicited responses are processed: the sender must be one of the peers
-        // the current sync round actually asked. Anything else is an unsolicited push
-        // from an arbitrary (possibly Byzantine) replica.
-        let Some(asked) = self.state_sync_peers.iter().position(|p| p.0 == from) else {
+        // the current sync round actually asked.
+        let Some(corroborated) = self.state_sync.record_claim(from, view) else {
             return;
         };
         // Adopt the responder's stable checkpoint if its proof verifies and it is newer
@@ -232,17 +283,9 @@ impl LeopardReplica {
         for entry in entries {
             self.install_confirmed_entry(entry, ctx);
         }
-        // Rejoin a view this replica missed while down — but never on the word of a
-        // single responder. View claims are unsigned metadata, so a lying responder
-        // could inflate one and wedge this replica in a view nobody else is in (it
-        // would neither vote nor complain usefully until the next genuine view
-        // change). Instead, once all f+1 responders of this sync round answered,
-        // adopt the highest view they all corroborate, the lowest claim: at least one
-        // of them is honest, so it is one an honest replica has genuinely entered.
-        // (`None < Some`, so the minimum is `Some(None)` while one has not answered.)
-        self.state_sync_peers[asked].1.get_or_insert(view);
-        let claims = self.state_sync_peers.iter().map(|&(_, claim)| claim);
-        if let Some(Some(lowest)) = claims.min() {
+        // Rejoin a view this replica missed while down, once the whole round
+        // corroborates it (see `StateSync::record_claim`).
+        if let Some(lowest) = corroborated {
             self.enter_view(lowest, ctx);
         }
         self.try_execute(ctx);
@@ -351,8 +394,9 @@ impl LeopardReplica {
         }
     }
 
-    /// Queries what the retrieval plane says is due: from a first-query wake-up, or
-    /// from the periodic tick (the loss detector).
+    /// Queries what the retrieval plane says is due, from a first-query wake-up or from
+    /// the periodic tick (which sends a first query itself when it fires between a
+    /// datablock's deadline and its wake-up).
     pub(super) fn fire_retrieval_timer(&mut self, ctx: &mut Ctx<'_>) {
         let digests = self.retrieval.digests_to_query(ctx.now());
         if !digests.is_empty() {
@@ -360,5 +404,54 @@ impl LeopardReplica {
                 digests: digests.into(),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Replica 3 of n = 7 (f = 2) opens a state-sync round at `now`: the peers asked.
+    fn round(sync: &mut StateSync, now: SimTime) -> Vec<NodeId> {
+        sync.begin(now, NodeId(3), 7, 2).collect()
+    }
+
+    /// A round adopts the lowest view its `f + 1` responders claim, and only once all
+    /// have answered; an unsolicited responder counts for nothing.
+    #[test]
+    fn state_sync_adopts_the_lowest_claim_once_the_round_answered() {
+        let mut sync = StateSync::default();
+        assert_eq!(round(&mut sync, SimTime::ZERO), [NodeId(0), NodeId(1), NodeId(2)]);
+        // A lying responder claims view + 64; nothing is adopted on its word.
+        assert_eq!(sync.record_claim(NodeId(1), View(66)), Some(None));
+        // Replica 4 was not asked: its claim, lower than any other, is ignored.
+        assert_eq!(sync.record_claim(NodeId(4), View(1)), None);
+        assert_eq!(sync.record_claim(NodeId(0), View(2)), Some(None));
+        // A responder's second claim changes nothing, and the round is still open.
+        assert_eq!(sync.record_claim(NodeId(0), View(1)), Some(None));
+        // The last answer completes the round: the lowest claim wins.
+        assert_eq!(sync.record_claim(NodeId(2), View(3)), Some(Some(View(2))));
+    }
+
+    /// Each round starts one position further round the committee, skipping the
+    /// replica itself, forgets the last round's claims, and restarts the cooldown.
+    #[test]
+    fn state_sync_rotates_its_peers_each_round() {
+        let mut sync = StateSync::default();
+        let cooldown = SimDuration::from_millis(100);
+        assert!(!sync.cooling_down(SimTime::ZERO, cooldown));
+        round(&mut sync, SimTime::ZERO);
+        assert_eq!(sync.record_claim(NodeId(0), View(1)), Some(None));
+        let later = SimTime::ZERO + SimDuration::from_millis(99);
+        assert!(sync.cooling_down(later, cooldown));
+        let start = SimTime::ZERO + cooldown;
+        assert!(!sync.cooling_down(start, cooldown));
+        assert_eq!(round(&mut sync, start), [NodeId(1), NodeId(2), NodeId(4)]);
+        assert!(sync.cooling_down(later + cooldown, cooldown));
+        // Replica 0 is not asked this round: its answer to the last one is ignored.
+        assert_eq!(sync.record_claim(NodeId(0), View(1)), None);
+        assert_eq!(round(&mut sync, start), [NodeId(2), NodeId(4), NodeId(5)]);
+        let rounds: Vec<Vec<NodeId>> = (0..4).map(|_| round(&mut sync, start)).collect();
+        assert_eq!(rounds[3], [NodeId(6), NodeId(0), NodeId(1)]);
     }
 }

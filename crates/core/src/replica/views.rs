@@ -2,10 +2,79 @@
 
 use super::{Ctx, LeopardReplica};
 use crate::messages::{LeopardMessage, NotarizedEntry};
-use crate::view_change::{timeout_digest, view_change_wire_size};
-use leopard_simnet::{ObservationKind, SimDuration};
+use crate::view_change::{timeout_digest, view_change_wire_size, ViewChangeState};
+use leopard_crypto::threshold::SignatureShare;
+use leopard_simnet::{ObservationKind, SimDuration, SimTime};
 use leopard_types::{BftBlock, NodeId, SeqNum, View, WireSize};
 use std::sync::Arc;
+
+/// Bound on buffered future-view PrePrepares (see [`Pacemaker::defer`]). A full
+/// re-proposal sweep is at most `max_parallel_instances` blocks; the slack covers a
+/// couple of view transitions arriving back-to-back. Beyond the cap, entries are
+/// dropped — the view-change stall path recovers the loss, just more slowly.
+const DEFERRED_PRE_PREPARE_CAP: usize = 256;
+
+/// What drives this replica from view to view: the complaint and ViewChange records,
+/// the view change in progress, the PrePrepares that raced ahead of their view, the
+/// progress back-off and the watchdog's confirmation mark.
+pub(super) struct Pacemaker {
+    view_changes: ViewChangeState,
+    // When the view change in progress started; `None` while not changing views.
+    started_at: Option<SimTime>,
+    // PrePrepares for views ahead of this replica. The new leader's re-proposals
+    // race the NewView announcement through the network; a re-proposal delivered
+    // first used to be silently dropped — and PrePrepares are never re-sent, so a
+    // straggler could permanently miss the re-proposed block and the serial number
+    // would never regain a quorum. Buffered (bounded) and replayed on `enter_view`.
+    deferred: Vec<(NodeId, Arc<BftBlock>, SignatureShare)>,
+    // Consecutive view changes without progress double the effective progress
+    // timeout (capped at 8x). A configured timeout below the network's agreement
+    // round otherwise fires mid-agreement forever: every view is abandoned before
+    // its re-proposals can confirm, and the system thrashes into a permanent stall.
+    backoff: u32,
+    // The replica's confirmed requests when the progress watchdog last fired.
+    confirmed_at_last_check: u64,
+    // The latest view whose ViewChange quorum this replica assembled itself (the
+    // genesis view counts: nothing precedes it). Proposing fresh blocks is only
+    // safe in an anchored view: the quorum evidence is what bumps `pipeline`
+    // past every serial an earlier view may have notarized, and stripe ownership
+    // shifts by one replica per view — a proposer that entered the view through a
+    // peer's NewView or a state-sync view claim has no such frontier and could
+    // double-assign a serial another proposer's block already holds.
+    anchored_view: View,
+}
+
+impl Pacemaker {
+    pub(super) fn new() -> Self {
+        Self {
+            view_changes: ViewChangeState::new(),
+            started_at: None,
+            deferred: Vec::new(),
+            backoff: 0,
+            confirmed_at_last_check: 0,
+            anchored_view: View::initial(),
+        }
+    }
+
+    /// True while a view change is in progress: from this replica's complaint until
+    /// it enters the next view.
+    pub(super) fn in_view_change(&self) -> bool {
+        self.started_at.is_some()
+    }
+
+    /// The latest view whose ViewChange quorum this replica assembled itself.
+    pub(super) fn anchored_view(&self) -> View {
+        self.anchored_view
+    }
+
+    /// Holds `from`'s PrePrepare for a view this replica has not entered, to replay it
+    /// from `enter_view` (dropped beyond [`DEFERRED_PRE_PREPARE_CAP`]).
+    pub(super) fn defer(&mut self, from: NodeId, block: Arc<BftBlock>, share: SignatureShare) {
+        if self.deferred.len() < DEFERRED_PRE_PREPARE_CAP {
+            self.deferred.push((from, block, share));
+        }
+    }
+}
 
 impl LeopardReplica {
     // ------------------------------------------------------------------
@@ -16,14 +85,14 @@ impl LeopardReplica {
     pub(super) fn current_progress_timeout(&self) -> SimDuration {
         self.config
             .progress_timeout
-            .saturating_mul(1u64 << self.progress_backoff.min(3))
+            .saturating_mul(1u64 << self.pacemaker.backoff.min(3))
     }
 
     fn outstanding_work(&self) -> bool {
         // A confirmed instance whose block never arrived still owes work: execution
         // is stuck at it, and only a state sync can fill it. Without counting it the
         // replica believes it is idle and never repairs the gap.
-        !self.own_datablocks.is_empty()
+        self.producer.has_unexecuted()
             || self
                 .replica_instances
                 .values()
@@ -31,15 +100,15 @@ impl LeopardReplica {
     }
 
     pub(super) fn fire_progress_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let progressed = self.confirmed_requests > self.confirmed_at_last_check
-            || self.last_executed.0 > 0 && self.confirmed_requests == self.confirmed_at_last_check && !self.outstanding_work();
+        let progressed = self.confirmed_requests > self.pacemaker.confirmed_at_last_check
+            || self.last_executed.0 > 0 && self.confirmed_requests == self.pacemaker.confirmed_at_last_check && !self.outstanding_work();
         let stalled = !progressed && self.outstanding_work();
-        self.confirmed_at_last_check = self.confirmed_requests;
+        self.pacemaker.confirmed_at_last_check = self.confirmed_requests;
         if progressed {
-            self.progress_backoff = 0;
+            self.pacemaker.backoff = 0;
             return;
         }
-        if let Some(started) = self.view_change_started_at {
+        if let Some(started) = self.pacemaker.started_at {
             // The view change itself stalled: the incoming leader never produced a
             // NewView (crashed or Byzantine). Give it one full (backed-off) timeout,
             // then advance locally and complain in the next view so the cluster can
@@ -92,7 +161,7 @@ impl LeopardReplica {
 
     fn complain(&mut self, ctx: &mut Ctx<'_>) {
         let view = self.view;
-        self.view_changes.mark_complained(view);
+        self.pacemaker.view_changes.mark_complained(view);
         let digest = timeout_digest(view);
         let share = self.sign(&digest, ctx);
         ctx.broadcast(LeopardMessage::Timeout { view, share });
@@ -108,12 +177,10 @@ impl LeopardReplica {
         if view.0 < self.view.0 {
             return;
         }
-        if share.signer != from.signer_index()
-            || !self.verify_share(&share, &timeout_digest(view), ctx)
-        {
+        if !self.verify_share(from, &share, &timeout_digest(view), ctx) {
             return;
         }
-        let count = self.view_changes.record_timeout(view, from);
+        let count = self.pacemaker.view_changes.record_timeout(view, from);
         if count <= self.f() {
             return;
         }
@@ -123,18 +190,18 @@ impl LeopardReplica {
         // this, replicas that advanced locally past a stalled view change would be
         // split across views, each complaining where nobody listens.
         self.enter_view(view, ctx);
-        if !self.view_changes.has_complained(view) {
+        if !self.pacemaker.view_changes.has_complained(view) {
             self.complain(ctx);
         }
         // Abandon the view once 2f+1 replicas complained.
-        if count >= self.quorum() && self.view_changes.mark_abandoned(view) {
+        if count >= self.quorum() && self.pacemaker.view_changes.mark_abandoned(view) {
             self.start_view_change(ctx);
         }
     }
 
     fn start_view_change(&mut self, ctx: &mut Ctx<'_>) {
         let old_view = self.view;
-        self.view_change_started_at = Some(ctx.now());
+        self.pacemaker.started_at = Some(ctx.now());
         let new_view = old_view.next();
 
         // Collect every notarized-or-better block above the stable checkpoint, in
@@ -183,9 +250,9 @@ impl LeopardReplica {
             .filter(|entry| self.verify_combined(&entry.proof, &entry.block.digest(), ctx))
             .collect();
         let bytes = view_change_wire_size(&valid);
-        self.view_changes
+        self.pacemaker.view_changes
             .record_view_change(new_view, from, checkpoint_seq, valid, bytes);
-        if let Some(payload) = self.view_changes.build_new_view(new_view, self.quorum()) {
+        if let Some(payload) = self.pacemaker.view_changes.build_new_view(new_view, self.quorum()) {
             // Become a proposer of the new view. If a peer's NewView already brought
             // this replica in, it stays (keeping its votes) and still re-proposes its
             // own stripe below, which no other proposer covers.
@@ -221,7 +288,7 @@ impl LeopardReplica {
             self.pipeline.bump_next_seq(SeqNum(highest + 1));
             // The frontier now clears everything the quorum evidence could have
             // notarized — fresh proposals in this view are safe.
-            self.anchored_view = new_view;
+            self.pacemaker.anchored_view = new_view;
             // Event-driven pipeline: the new leader extends with whatever became ready
             // while the view-change was in flight.
             self.propose(ctx, true);
@@ -252,14 +319,14 @@ impl LeopardReplica {
         }
         self.view = view;
         // Nothing reads the view-change records of the views now behind.
-        self.view_changes.forget_views_before(view);
+        self.pacemaker.view_changes.forget_views_before(view);
         // The proposer rotation shifted by one: re-anchor the pipeline onto this
         // replica's stripe of the new view (no-op for a single proposer).
         self.anchor_pipeline_stripe();
         // Each view entered without intervening progress doubles the patience before
         // the next complaint (reset by `fire_progress_timer` once confirmations flow).
-        self.progress_backoff = (self.progress_backoff + 1).min(3);
-        if let Some(started) = self.view_change_started_at.take() {
+        self.pacemaker.backoff = (self.pacemaker.backoff + 1).min(3);
+        if let Some(started) = self.pacemaker.started_at.take() {
             ctx.observe(ObservationKind::Custom {
                 label: "view_change_nanos",
                 value: ctx.now().saturating_since(started).as_nanos(),
@@ -271,11 +338,11 @@ impl LeopardReplica {
         for instance in self.replica_instances.values_mut() {
             instance.reset_for_new_view();
         }
-        self.confirmed_at_last_check = self.confirmed_requests;
+        self.pacemaker.confirmed_at_last_check = self.confirmed_requests;
         // Replay proposals that arrived for this view before we entered it (they
         // raced the NewView). `handle_pre_prepare` buffers those for still-future
         // views again and drops stale ones.
-        for (from, block, share) in std::mem::take(&mut self.deferred_pre_prepares) {
+        for (from, block, share) in std::mem::take(&mut self.pacemaker.deferred) {
             self.handle_pre_prepare(from, block, share, ctx);
         }
     }

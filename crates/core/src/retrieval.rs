@@ -39,9 +39,12 @@
 //! `D` after it was noted missing, from a one-shot wake-up the replica arms with the
 //! delay [`RetrievalManager::note_missing`] returns: the deadline rounded up to a
 //! multiple of `D`, so the digests due within one quantum share one wake-up and one
-//! `Query`. The periodic retrieval tick (one retrieval timeout) is only the loss
-//! detector: it queries what a lost wake-up left unqueried, and re-queries a retrieval
-//! still pending [`REQUERY_TIMEOUTS`] retrieval timeouts after its last query.
+//! `Query`. The periodic retrieval tick (one retrieval timeout) queries whatever is due
+//! when it fires: it re-queries a retrieval still pending [`REQUERY_TIMEOUTS`]
+//! retrieval timeouts after its last query, and sends the first query of any
+//! datablock missing for at least `D`. That covers a wake-up lost to a crash-restart,
+//! and a tick that lands between a datablock's deadline and its wake-up (the deadline
+//! rounded up) sends that first query itself.
 //!
 //! The re-query exists because a partition can drop the first `Query` (or its
 //! responses) outright, and a one-shot query would then leave the replica unable to vote

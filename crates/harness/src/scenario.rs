@@ -89,7 +89,7 @@ pub struct ScenarioConfig {
     pub workload_stop: Option<SimDuration>,
     /// Reserved, always `false`: the simulator has one event engine, and the
     /// runners panic if this is set. Read only by the benchmark's mirror
-    /// (`benchmark/src/mirror.rs`); goes with the mirror (ROADMAP item 2(d)).
+    /// (`benchmark/src/mirror.rs`); goes with the mirror (ROADMAP item 22).
     pub parallel: bool,
     /// Number of concurrent BFTblock proposers (the PR 9 multi-proposer agreement
     /// plane). `1` is the classic single-leader protocol, bit for bit.
@@ -254,7 +254,8 @@ impl ScenarioConfig {
     }
 
     /// Crashes `node` at offset `at` and restarts it at `until`; the restarted replica
-    /// rejoins via state transfer (see `leopard_core::replica`'s catch-up path).
+    /// rejoins via state transfer (see the catch-up path in `leopard_core::replica`'s
+    /// recovery plane, `crates/core/src/replica/recovery.rs`).
     ///
     /// # Panics
     ///
@@ -530,12 +531,15 @@ impl ScenarioConfig {
         // Scale-aware retrieval timeout: disseminating one datablock to `n − 1` peers
         // serialises `(n−1)·α` bytes through the producer's uplink, which at paper
         // scale exceeds the 100 ms default (≈ 114 ms at n = 256, ≈ 250 ms at n = 600).
-        // A timeout below that made every replica query for datablocks that were still
-        // in honest flight — at n = 256 the resulting ~270k spurious responses were
-        // 74% of the full fig9 sweep's wall-clock and a storm of pointless modeled
-        // erasure work. Three dissemination times of headroom keeps the timer a
-        // genuine loss detector (fig12's retrieval runs use small datablocks, where
-        // the 100 ms floor still applies).
+        // When the tick sent every first query, a shorter period made every replica
+        // query for datablocks still in honest flight (at n = 256, ~270k spurious
+        // responses, 74% of the full fig9 sweep's wall-clock; DESIGN.md §6.5). First
+        // queries now wait the first-query wait below, ticks included, so the factor
+        // no longer guards them: it sets the re-query interval (`REQUERY_TIMEOUTS`
+        // periods) and how often every replica's tick fires, and it stays at three
+        // dissemination times because any other factor moves the schedule of every
+        // retrieving run (fig12's retrieval runs use small datablocks, where the
+        // 100 ms floor still applies).
         // Under a topology the slowest producer's uplink bounds honest dissemination
         // (a straggler's 1 Gbps NIC), and WAN propagation
         // adds up to `max_one_way_latency` per hop of query/response — so the timeout
