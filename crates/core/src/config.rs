@@ -62,9 +62,8 @@ pub struct LeopardConfig {
     /// The period of the retrieval tick. A tick queries whatever is due: a retrieval
     /// still pending [`REQUERY_TIMEOUTS`] periods after its last query, and a
     /// never-queried missing datablock at least [`Self::first_query_wait`] old, whose
-    /// wake-up was lost to a crash-restart or has not fired yet (it lands on the
-    /// deadline rounded up to a multiple of the wait). A missing datablock's first
-    /// query never waits for a tick.
+    /// wake-up was lost to a crash-restart. A missing datablock's first query never
+    /// waits for a tick: its wake-up fires exactly the wait after it was noted.
     pub retrieval_timeout: SimDuration,
     /// How long after a replica notes a datablock missing it first queries the
     /// committee for it, from a one-shot wake-up: long enough that a datablock still in

@@ -395,8 +395,8 @@ impl LeopardReplica {
     }
 
     /// Queries what the retrieval plane says is due, from a first-query wake-up or from
-    /// the periodic tick (which sends a first query itself when it fires between a
-    /// datablock's deadline and its wake-up).
+    /// the periodic tick (which sends a first query itself only for a datablock whose
+    /// wake-up a crash-restart lost).
     pub(super) fn fire_retrieval_timer(&mut self, ctx: &mut Ctx<'_>) {
         let digests = self.retrieval.digests_to_query(ctx.now());
         if !digests.is_empty() {

@@ -36,15 +36,13 @@
 //! first real-crypto encode or decode; a metered run never builds it.
 //!
 //! The manager owns the timing of the queries. A missing datablock is first queried
-//! `D` after it was noted missing, from a one-shot wake-up the replica arms with the
-//! delay [`RetrievalManager::note_missing`] returns: the deadline rounded up to a
-//! multiple of `D`, so the digests due within one quantum share one wake-up and one
-//! `Query`. The periodic retrieval tick (one retrieval timeout) queries whatever is due
-//! when it fires: it re-queries a retrieval still pending [`REQUERY_TIMEOUTS`]
-//! retrieval timeouts after its last query, and sends the first query of any
-//! datablock missing for at least `D`. That covers a wake-up lost to a crash-restart,
-//! and a tick that lands between a datablock's deadline and its wake-up (the deadline
-//! rounded up) sends that first query itself.
+//! exactly `D` after it was noted missing, from a one-shot wake-up the replica arms with
+//! the delay [`RetrievalManager::note_missing`] returns (`D` itself); the digests noted
+//! at one instant share one wake-up and one `Query`. The periodic retrieval tick (one
+//! retrieval timeout) queries whatever is due when it fires: it re-queries a retrieval
+//! still pending [`REQUERY_TIMEOUTS`] retrieval timeouts after its last query, and
+//! sends the first query of any datablock missing for at least `D`, which covers a
+//! wake-up lost to a crash-restart.
 //!
 //! The re-query exists because a partition can drop the first `Query` (or its
 //! responses) outright, and a one-shot query would then leave the replica unable to vote
@@ -140,10 +138,11 @@ pub struct RetrievalManager {
     /// How long a pending retrieval waits after its last query before querying again.
     requery_after: SimDuration,
     /// How long a missing datablock waits for its copy in flight before its first
-    /// query (`D`), and the quantum the first-query wake-ups are rounded up to.
+    /// query (`D`): the delay of every first-query wake-up.
     first_query_after: SimDuration,
     /// The latest first-query wake-up armed (`None` before the first, and after a
-    /// restart, which loses every armed timer).
+    /// restart, which loses every armed timer): a digest noted at the same instant
+    /// shares it.
     wake_armed: Option<SimTime>,
     pending: FastMap<Digest, PendingRetrieval>,
     /// The `(f+1, n)` Reed–Solomon code, built on the first real-crypto encode or
@@ -191,7 +190,7 @@ impl RetrievalManager {
     /// # Panics
     ///
     /// Panics if `id` is not one of the `n` replicas. (`LeopardConfig::validate` rejects
-    /// a zero `first_query_wait`, the wake-up quantum.)
+    /// a zero `first_query_wait`.)
     pub fn new(
         id: NodeId,
         f: usize,
@@ -219,10 +218,9 @@ impl RetrievalManager {
     /// Registers that BFTblock `seq` needs the missing datablock `digest`.
     ///
     /// Returns the delay of the one-shot wake-up the caller arms to send the first
-    /// query, or `None` if none is needed: the datablock was already missing, or a
-    /// wake-up already armed covers it. The wake-up lands on the first multiple of the
-    /// first-query wait `D` at or after `now + D`, so every datablock noted within one
-    /// quantum is queried by one wake-up, at least `D` after it was noted.
+    /// query — the first-query wait `D`, so the wake-up lands at exactly `now + D` — or
+    /// `None` if none is needed: the datablock was already missing, or a datablock noted
+    /// at this same instant already armed the wake-up, so both go out in one `Query`.
     pub fn note_missing(
         &mut self,
         digest: Digest,
@@ -248,13 +246,12 @@ impl RetrievalManager {
                         received_bytes: 0,
                     },
                 );
-                let quantum = self.first_query_after.as_nanos();
-                let wake = SimTime((now.as_nanos() + quantum).div_ceil(quantum) * quantum);
-                if self.wake_armed.is_some_and(|armed| armed >= wake) {
+                let wake = now + self.first_query_after;
+                if self.wake_armed == Some(wake) {
                     return None;
                 }
                 self.wake_armed = Some(wake);
-                Some(wake.saturating_since(now))
+                Some(self.first_query_after)
             }
         }
     }
@@ -592,56 +589,52 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(millis)
     }
 
-    /// A missing digest is not queried before the first-query wait has passed since it
-    /// was noted, and is queried once it has, by its wake-up or by the tick.
+    /// A missing digest arms a wake-up exactly the first-query wait `D` after it was
+    /// noted: it is not queried one nanosecond earlier, and is queried at `noted + D`.
     #[test]
     fn a_missing_digest_is_first_queried_one_wait_after_it_was_noted() {
         let digest = sample_datablock(1).digest();
         let noted = at_ms(3);
         let mut querier = manager(0, 1, 4);
-        // The wake-up lands on the first multiple of D = 10 ms at or after 13 ms.
-        assert_eq!(
-            querier.note_missing(digest, SeqNum(1), noted),
-            Some(SimDuration::from_millis(17))
-        );
+        assert_eq!(querier.note_missing(digest, SeqNum(1), noted), Some(WAIT));
         let early = noted + SimDuration(WAIT.as_nanos() - 1);
         assert!(querier.digests_to_query(early).is_empty(), "queried before D");
         assert_eq!(querier.digests_to_query(noted + WAIT), [digest]);
-        // Stamped: the wake-up at 20 ms finds nothing left to query.
+        // Stamped: a later tick finds nothing left to query.
         assert!(querier.digests_to_query(at_ms(20)).is_empty());
     }
 
-    /// Digests whose deadlines round up to the same multiple of D share one wake-up,
-    /// and so one `Query`; a digest due past it arms the next.
+    /// Digests noted at one instant share one wake-up, and so one `Query`; a digest
+    /// noted later, even one nanosecond later, arms its own wake-up at its own deadline
+    /// and goes out in its own `Query`.
     #[test]
-    fn digests_due_within_one_quantum_share_one_query() {
+    fn digests_noted_at_one_instant_share_one_query() {
         let digests: Vec<Digest> = (1..=4).map(|i| sample_datablock(i).digest()).collect();
         let mut querier = manager(0, 1, 4);
-        let noted = [at_ms(1), at_ms(9), at_ms(10), SimTime(10_001_000)];
+        let (first, second) = (at_ms(1), at_ms(1) + SimDuration(1));
+        let noted = [first, first, first, second];
         let wakes: Vec<Option<SimDuration>> = digests
             .iter()
             .zip(noted)
             .map(|(&digest, at)| querier.note_missing(digest, SeqNum(1), at))
             .collect();
-        let ms = SimDuration::from_millis;
-        assert_eq!(wakes, [Some(ms(19)), None, None, Some(SimDuration(19_999_000))]);
-        let mut first = digests[..3].to_vec();
-        first.sort_unstable();
-        assert_eq!(querier.digests_to_query(at_ms(20)), first);
-        assert_eq!(querier.digests_to_query(at_ms(30)), [digests[3]]);
+        assert_eq!(wakes, [Some(WAIT), None, None, Some(WAIT)]);
+        let mut together = digests[..3].to_vec();
+        together.sort_unstable();
+        assert_eq!(querier.digests_to_query(first + WAIT), together);
+        assert_eq!(querier.digests_to_query(second + WAIT), [digests[3]]);
     }
 
-    /// A restart loses the armed wake-up, so the next digest noted missing arms its own
-    /// even when its deadline falls before the lost one's.
+    /// A restart loses the armed wake-up, so a digest noted afterwards arms its own
+    /// even when it is noted at the instant the lost one was armed for.
     #[test]
     fn a_restart_forgets_the_armed_wake_up() {
         let [a, b, c] = [1, 2, 3].map(|i| sample_datablock(i).digest());
         let mut querier = manager(0, 1, 4);
-        let ms = SimDuration::from_millis;
-        assert_eq!(querier.note_missing(a, SeqNum(1), at_ms(1)), Some(ms(19)));
-        assert_eq!(querier.note_missing(b, SeqNum(1), at_ms(2)), None);
+        assert_eq!(querier.note_missing(a, SeqNum(1), at_ms(1)), Some(WAIT));
+        assert_eq!(querier.note_missing(b, SeqNum(1), at_ms(1)), None);
         querier.on_restart();
-        assert_eq!(querier.note_missing(c, SeqNum(1), at_ms(3)), Some(ms(17)));
+        assert_eq!(querier.note_missing(c, SeqNum(1), at_ms(1)), Some(WAIT));
     }
 
     /// The chunk bytes and Merkle proof of a real-crypto chunk.
@@ -919,11 +912,12 @@ mod tests {
         let (f, n) = (1, 4);
         let mut manager = manager(0, f, n);
 
-        let delay = manager.note_missing(digest, SeqNum(3), SimTime(1_000));
+        assert_eq!(manager.note_missing(digest, SeqNum(3), SimTime(1_000)), Some(WAIT));
         assert_eq!(manager.note_missing(digest, SeqNum(4), SimTime(2_000)), None);
         // Nothing is queried before the first-query wait, everything at the wake-up.
-        assert!(manager.digests_to_query(SimTime(3_000)).is_empty());
-        let wake = SimTime(1_000) + delay.expect("the first note arms a wake-up");
+        let early = SimTime(1_000) + SimDuration(WAIT.as_nanos() - 1);
+        assert!(manager.digests_to_query(early).is_empty());
+        let wake = SimTime(1_000) + WAIT;
         assert_eq!(manager.digests_to_query(wake), vec![digest]);
         // Subsequent fires inside the re-query window do not re-query.
         assert!(manager
@@ -954,8 +948,8 @@ mod tests {
                 assert_eq!(datablock.digest(), digest);
                 waiting.sort();
                 assert_eq!(waiting, vec![SeqNum(3), SeqNum(4)]);
-                // From the note at 1 µs to the recovery 5 ms after the 20 ms wake-up.
-                assert_eq!(elapsed_nanos, 24_999_000);
+                // From the note at 1 µs to the recovery 5 ms after the wake-up D later.
+                assert_eq!(elapsed_nanos, 15_000_000);
                 // The bytes counted are the accepted QueryResponses' wire bytes.
                 assert_eq!(received_bytes, response_bytes);
             }

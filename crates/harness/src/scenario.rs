@@ -1166,6 +1166,31 @@ mod tests {
         assert!(report.average_retrieval_secs.is_some());
     }
 
+    /// Under the selective attack every first `Query` leaves exactly the first-query
+    /// wait `D` after its datablock was noted missing, so every retrieval takes `D`
+    /// plus one LAN round trip and decode (about 1.4 ms here), never up to `2D`.
+    #[test]
+    fn each_withheld_datablock_is_retrieved_one_wait_after_its_note() {
+        let config = ScenarioConfig::withholding(4);
+        let wait = config.leopard_config().first_query_wait.as_nanos();
+        let report = run_leopard_scenario(&config);
+        let times: Vec<u64> = report
+            .sim
+            .metrics
+            .observations
+            .iter()
+            .filter_map(|observation| match observation.kind {
+                ObservationKind::RetrievalCompleted { nanos, .. } => Some(nanos),
+                _ => None,
+            })
+            .collect();
+        assert!(!times.is_empty(), "the attack forced no retrieval");
+        for nanos in times {
+            assert!(nanos >= wait, "a retrieval of {nanos} ns was queried before D");
+            assert!(nanos < wait + wait / 4, "a retrieval of {nanos} ns waited past D");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "workload.aggregate_rps must be positive")]
     fn zero_offered_load_panics_with_the_field_name() {

@@ -174,6 +174,13 @@ fn leopard_fig9geo_point_matches_captured_golden() {
 /// serials linking 311 datablocks instead of 180 linking 326: 15 datablocks of 200
 /// requests fewer. (The rule against voting for a confirmed instance alone reads
 /// 65,600; the first-query timing alone, 63,600.)
+///
+/// Re-captured when each first query moved to exactly D after its note, no longer
+/// rounded up to a multiple of D (events 79,046 → 79,817, confirmed 62,200 → 66,200,
+/// sent 251,343,987 → 251,358,930 and received 243,601,086 → 243,616,029 bytes; still
+/// no violation and one view). The partitioned region's wake-ups now fire at
+/// 1,252–1,310 ms, each D after its note at 680–738 ms, not all at 1,717 ms, so its
+/// four replicas recover their datablocks at 1.44–1.51 s instead of 1.91 s.
 #[test]
 fn chaos_case_matches_captured_golden() {
     let schedule = FaultScheduleGenerator::new(16, 7).schedule(142);
@@ -184,16 +191,16 @@ fn chaos_case_matches_captured_golden() {
     // before its crash at 492 ms, one that fires into the crash window, 485 after its
     // restart at 1,145 ms) and 560 on replica 13 (65 + 1 + 494 around its
     // [655 ms, 1,053 ms) window).
-    assert_eq!(report.sim.events, 79_046, "chaos golden: events drifted");
-    assert_eq!(report.confirmed_requests, 62_200, "chaos golden: confirmed drifted");
+    assert_eq!(report.sim.events, 79_817, "chaos golden: events drifted");
+    assert_eq!(report.confirmed_requests, 66_200, "chaos golden: confirmed drifted");
     assert_eq!(
         report.sim.metrics.traffic.total_sent_bytes(),
-        251_343_987,
+        251_358_930,
         "chaos golden: sent bytes drifted"
     );
     assert_eq!(
         report.sim.metrics.traffic.total_received_bytes(),
-        243_601_086,
+        243_616_029,
         "chaos golden: received bytes drifted"
     );
     assert_eq!(report.views_entered, 1);
