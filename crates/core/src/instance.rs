@@ -1,11 +1,121 @@
 //! Per-serial-number agreement instance bookkeeping (Algorithm 2), for both the leader
-//! and non-leader replicas.
+//! and non-leader replicas, and the watermark window both are kept in.
 
 use crate::messages::NotarizedEntry;
 use leopard_crypto::threshold::CombinedSignature;
 use leopard_crypto::{Digest, ShareCollector};
 use leopard_types::{BftBlock, FastSet};
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// How many checkpoint windows of `k·p` serials a [`SerialWindow`] admits above its
+/// base. Honest replicas vote only on `lw + 1 ..= lw + k·p`, but notarizations,
+/// confirmations and state-transfer entries of serials ahead of a lagging replica's
+/// watermark still arrive; the widest span the tests and the full fault profiles
+/// reach is about 13 windows, so 64 leaves about 5× headroom.
+const SPAN_WINDOWS: u64 = 64;
+
+/// Per-serial state over the serials a replica works on (Algorithm 4's watermark
+/// window): one slot per serial from `base`, the low watermark plus one, upwards.
+///
+/// Slots are boxed: an empty one costs 8 bytes, so the ring's spare capacity stays
+/// small next to the 240-byte [`ReplicaInstance`] it would otherwise hold inline. The
+/// span is bounded: a serial at or beyond `base + 64·k·p` has no slot. A
+/// `NotarizationProof` signs only its block digest, not the serial it names, so a
+/// replayed proof can name any serial; without the bound it would make the window
+/// allocate a slot for every serial up to it.
+#[derive(Debug)]
+pub(crate) struct SerialWindow<T> {
+    /// The serial of the front slot: the low watermark plus one.
+    base: u64,
+    /// The number of serials from `base` that may hold a slot.
+    span: u64,
+    slots: VecDeque<Option<Box<T>>>,
+}
+
+impl<T> SerialWindow<T> {
+    /// An empty window at watermark 0 for a checkpoint window of `window` (`k·p`)
+    /// serials.
+    pub(crate) fn new(window: usize) -> Self {
+        Self {
+            base: 1,
+            span: (window as u64).saturating_mul(SPAN_WINDOWS),
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// The slot index of `seq`, if `seq` lies inside the span.
+    fn offset(&self, seq: u64) -> Option<usize> {
+        let offset = seq.checked_sub(self.base)?;
+        (offset < self.span).then_some(offset as usize)
+    }
+
+    /// The slot of `seq`, growing the window to reach it, or `None` outside the span.
+    fn slot(&mut self, seq: u64) -> Option<&mut Option<Box<T>>> {
+        let offset = self.offset(seq)?;
+        if offset >= self.slots.len() {
+            self.slots.resize_with(offset + 1, || None);
+        }
+        Some(&mut self.slots[offset])
+    }
+
+    /// The state at `seq`, created empty if absent, or `None` outside the span.
+    pub(crate) fn entry(&mut self, seq: u64) -> Option<&mut T>
+    where
+        T: Default,
+    {
+        Some(self.slot(seq)?.get_or_insert_with(Box::default))
+    }
+
+    /// Puts `value` at `seq`, replacing what was there; drops it if `seq` lies
+    /// outside the span.
+    pub(crate) fn insert(&mut self, seq: u64, value: T) {
+        if let Some(slot) = self.slot(seq) {
+            *slot = Some(Box::new(value));
+        }
+    }
+
+    /// The state at `seq`, if any.
+    pub(crate) fn get(&self, seq: u64) -> Option<&T> {
+        self.slots.get(self.offset(seq)?)?.as_deref()
+    }
+
+    /// The state at `seq`, if any, mutably.
+    pub(crate) fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
+        let offset = self.offset(seq)?;
+        self.slots.get_mut(offset)?.as_deref_mut()
+    }
+
+    /// Drops every serial at or below `watermark` and moves the base to
+    /// `watermark + 1`; an older watermark changes nothing. Gives the ring's memory
+    /// back once its capacity exceeds four times what is left.
+    pub(crate) fn prune_through(&mut self, watermark: u64) {
+        let base = watermark.saturating_add(1);
+        if base <= self.base {
+            return;
+        }
+        let dropped = (base - self.base).min(self.slots.len() as u64) as usize;
+        self.slots.drain(..dropped);
+        self.base = base;
+        if self.slots.capacity() > 4 * self.slots.len() {
+            self.slots.shrink_to(2 * self.slots.len());
+        }
+    }
+
+    /// `(seq, state)` of every occupied serial, in serial order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(offset, slot)| Some((base + offset as u64, slot.as_deref()?)))
+    }
+
+    /// Every occupied serial's state, mutably, in serial order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
+        self.slots.iter_mut().flatten().map(|state| &mut **state)
+    }
+}
 
 /// The leader's state for one agreement instance: what it reads to collect the two
 /// voting rounds. The proofs it forms are broadcast, not kept.
@@ -173,6 +283,95 @@ mod tests {
         instance.held_confirmation = Some((leopard_crypto::hash_bytes(b"held"), proof()));
         instance.confirmation = confirmed.then(proof);
         instance
+    }
+
+    /// Window 2 (`k·p` = 2) spans the 128 serials `base ..= base + 127`.
+    fn new_window() -> SerialWindow<u64> {
+        SerialWindow::new(2)
+    }
+
+    #[test]
+    fn window_entry_and_get_inside_below_and_beyond_the_span() {
+        let mut window = new_window();
+        assert_eq!(window.entry(1).copied(), Some(0));
+        *window.entry(128).expect("the last serial of the span") = 128;
+        assert!(window.entry(129).is_none() && window.entry(u64::MAX).is_none());
+        assert!(window.entry(0).is_none());
+        window.insert(129, 129);
+        assert!(window.get(129).is_none());
+        assert!(window.slots.len() == 128, "a refused serial grew the ring");
+        assert_eq!(window.get(128), Some(&128));
+        assert_eq!(window.get(1), Some(&0));
+        assert!(window.get(2).is_none() && window.get(129).is_none() && window.get(0).is_none());
+        *window.get_mut(1).expect("occupied") = 1;
+        assert!(window.get_mut(2).is_none());
+        window.insert(2, 2);
+        assert_eq!(window.get(2), Some(&2));
+
+        // Past a watermark the span moves with the base.
+        window.prune_through(10);
+        assert!(window.entry(10).is_none() && window.get(10).is_none());
+        assert!(window.entry(138).is_some() && window.entry(139).is_none());
+    }
+
+    #[test]
+    fn window_prunes_past_its_end_and_ignores_an_older_watermark() {
+        let mut window = new_window();
+        for seq in [3, 5, 6] {
+            window.insert(seq, seq);
+        }
+        window.prune_through(4);
+        assert_eq!(window.iter().collect::<Vec<_>>(), [(5, &5), (6, &6)]);
+        // An older watermark (or the same one) is a no-op.
+        window.prune_through(2);
+        window.prune_through(4);
+        assert_eq!(window.iter().collect::<Vec<_>>(), [(5, &5), (6, &6)]);
+        assert!(window.entry(4).is_none());
+        // A watermark past every occupied serial empties the ring and moves the base
+        // there, not to the end of the ring.
+        window.prune_through(50);
+        assert!(window.slots.is_empty() && window.iter().next().is_none());
+        assert!(window.entry(50).is_none());
+        window.insert(51, 51);
+        assert_eq!(window.slots.len(), 1);
+        assert_eq!(window.iter().collect::<Vec<_>>(), [(51, &51)]);
+    }
+
+    #[test]
+    fn window_iterates_in_serial_order() {
+        let mut window = new_window();
+        for seq in [9, 2, 40, 7, 3] {
+            window.insert(seq, seq * 10);
+        }
+        let seqs: Vec<(u64, u64)> = window.iter().map(|(seq, &value)| (seq, value)).collect();
+        assert_eq!(seqs, [(2, 20), (3, 30), (7, 70), (9, 90), (40, 400)]);
+        for value in window.values_mut() {
+            *value += 1;
+        }
+        window.prune_through(3);
+        let values: Vec<u64> = window.iter().map(|(_, &value)| value).collect();
+        assert_eq!(values, [71, 91, 401]);
+    }
+
+    #[test]
+    fn window_gives_capacity_back_after_a_wide_prune() {
+        let mut window = new_window();
+        for seq in 1..=120 {
+            window.insert(seq, seq);
+        }
+        assert!(window.slots.capacity() >= 120);
+        // Three serials left: the ring shrinks to at most twice that.
+        window.prune_through(117);
+        assert_eq!(window.iter().count(), 3);
+        assert!(window.slots.capacity() <= 6, "capacity {}", window.slots.capacity());
+        // A prune that leaves most of the ring keeps its capacity.
+        let mut narrow = new_window();
+        for seq in 1..=16 {
+            narrow.insert(seq, seq);
+        }
+        let capacity = narrow.slots.capacity();
+        narrow.prune_through(8);
+        assert_eq!(narrow.slots.capacity(), capacity);
     }
 
     #[test]

@@ -9,17 +9,18 @@
 //!
 //! [`Pipeline`] replaces that with event-driven bookkeeping:
 //!
-//! * it owns the per-serial-number [`LeaderInstance`] map; the in-flight count is a
-//!   count over that map (at most `k` instances per stripe between checkpoints),
-//!   taken when a proposal is attempted, so it cannot drift from the instances;
+//! * it owns the per-serial-number [`LeaderInstance`]s, in the same watermark window
+//!   the replica keeps its own instances in (a ring from the low watermark up, pruned
+//!   at each checkpoint); the in-flight count is a count over that window's
+//!   unconfirmed instances (at most `k` per stripe between checkpoints), taken when a
+//!   proposal is attempted, so it cannot drift from the instances;
 //! * its stall condition is a first-class value, [`StallReason`], computed from the
 //!   same guards `propose()` uses — so a stalled run can *name* the guard that blocks
 //!   it (and a zero cell in `fig9` output comes annotated, never bare).
 
-use crate::instance::LeaderInstance;
+use crate::instance::{LeaderInstance, SerialWindow};
 use leopard_simnet::SimTime;
 use leopard_types::SeqNum;
-use std::collections::BTreeMap;
 
 /// Why the leader's proposal pipeline is (or would be) unable to extend right now.
 ///
@@ -68,8 +69,8 @@ impl std::fmt::Display for StallReason {
 /// serial number, and the parallelism bound `k` — with a queryable [`StallReason`].
 #[derive(Debug)]
 pub struct Pipeline {
-    /// Per-serial-number leader state, keyed by serial number.
-    instances: BTreeMap<u64, LeaderInstance>,
+    /// Per-serial-number leader state, from the low watermark up.
+    instances: SerialWindow<LeaderInstance>,
     /// The serial number the next proposal will use.
     next_seq: SeqNum,
     /// The parallelism bound `k` (`max_parallel_instances`).
@@ -88,10 +89,11 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Creates an empty pipeline with parallelism bound `k` (stripe `0` of `1`:
-    /// the single-leader pipeline).
-    pub fn new(k: usize) -> Self {
+    /// the single-leader pipeline) under a checkpoint window of `window` (`k·p`)
+    /// serials.
+    pub fn new(k: usize, window: usize) -> Self {
         Self {
-            instances: BTreeMap::new(),
+            instances: SerialWindow::new(window),
             next_seq: SeqNum::first(),
             k,
             stripe: 0,
@@ -142,13 +144,14 @@ impl Pipeline {
     /// Number of unconfirmed instances.
     pub fn in_flight(&self) -> usize {
         self.instances
-            .values()
-            .filter(|instance| !instance.confirmed)
+            .iter()
+            .filter(|(_, instance)| !instance.confirmed)
             .count()
     }
 
     /// Inserts the instance at `seq`, replacing the old view's instance at the same
-    /// serial number on a view-change re-proposal.
+    /// serial number on a view-change re-proposal. A serial at or below the low
+    /// watermark, or beyond the window's span, is not tracked: its votes are ignored.
     pub fn insert(&mut self, seq: SeqNum, instance: LeaderInstance) {
         self.instances.insert(seq.0, instance);
     }
@@ -156,14 +159,14 @@ impl Pipeline {
     /// Mutable access to the instance at `seq` for vote collection; setting its
     /// `confirmed` flag frees the pipeline slot.
     pub fn get_mut(&mut self, seq: SeqNum) -> Option<&mut LeaderInstance> {
-        self.instances.get_mut(&seq.0)
+        self.instances.get_mut(seq.0)
     }
 
     /// Drops every instance at or below `watermark` (checkpoint garbage collection).
     /// Unconfirmed instances below the watermark free their slot: a quorum checkpoint
     /// proves the chain is durable past them.
     pub fn prune_through(&mut self, watermark: SeqNum) {
-        self.instances = self.instances.split_off(&(watermark.0 + 1));
+        self.instances.prune_through(watermark.0);
     }
 
     /// The first guard that blocks proposing right now, or [`StallReason::None`] if the
@@ -226,7 +229,7 @@ mod tests {
 
     #[test]
     fn counter_tracks_insert_confirm_prune() {
-        let mut pipeline = Pipeline::new(4);
+        let mut pipeline = Pipeline::new(4, 4);
         assert_eq!(pipeline.in_flight(), 0);
         let s1 = pipeline.take_seq();
         pipeline.insert(s1, instance(s1));
@@ -248,7 +251,7 @@ mod tests {
 
     #[test]
     fn stall_reasons_follow_guard_precedence() {
-        let mut pipeline = Pipeline::new(2);
+        let mut pipeline = Pipeline::new(2, 2);
         // Stable checkpoint at 0 with k = 2: the window admits serial numbers 1..=2.
         let hw = crate::checkpoint::CheckpointState::new().high_watermark(2);
         assert_eq!(hw, SeqNum(2));
@@ -274,7 +277,7 @@ mod tests {
     #[test]
     fn striped_pipeline_walks_its_residue_class() {
         // Stripe 1 of 4: serials 2, 6, 10, …
-        let mut pipeline = Pipeline::new(8);
+        let mut pipeline = Pipeline::new(8, 32);
         pipeline.set_stripe(1, 4);
         assert_eq!(pipeline.take_seq(), SeqNum(2));
         assert_eq!(pipeline.take_seq(), SeqNum(6));
@@ -295,7 +298,7 @@ mod tests {
     #[test]
     fn single_stripe_is_the_classic_pipeline() {
         // `set_stripe(0, 1)` must not perturb the sequential counter at all.
-        let mut pipeline = Pipeline::new(4);
+        let mut pipeline = Pipeline::new(4, 4);
         pipeline.set_stripe(0, 1);
         assert_eq!(pipeline.take_seq(), SeqNum(1));
         assert_eq!(pipeline.take_seq(), SeqNum(2));
@@ -305,7 +308,7 @@ mod tests {
 
     #[test]
     fn bump_next_seq_is_monotonic() {
-        let mut pipeline = Pipeline::new(4);
+        let mut pipeline = Pipeline::new(4, 4);
         pipeline.bump_next_seq(SeqNum(7));
         assert_eq!(pipeline.next_seq(), SeqNum(7));
         pipeline.bump_next_seq(SeqNum(3));
@@ -316,7 +319,7 @@ mod tests {
 
     #[test]
     fn get_mut_finds_only_inserted_instances() {
-        let mut pipeline = Pipeline::new(4);
+        let mut pipeline = Pipeline::new(4, 4);
         let s1 = pipeline.take_seq();
         pipeline.insert(s1, instance(s1));
         let digest = instance(s1).block_digest;

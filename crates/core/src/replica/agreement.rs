@@ -126,7 +126,9 @@ impl LeopardReplica {
         if seq.0 <= lw || seq.0 > lw + window {
             return;
         }
-        let instance = self.replica_instances.entry(seq.0).or_default();
+        let Some(instance) = self.replica_instances.entry(seq.0) else {
+            return;
+        };
         if let Some(existing) = instance.block_digest {
             if existing != digest {
                 // A later view legitimately re-proposes a block this replica already
@@ -170,7 +172,7 @@ impl LeopardReplica {
         // Check the availability of every linked datablock.
         let missing = self.note_missing_links(&block, seq, ctx);
         if !missing.is_empty() {
-            let instance = self.replica_instances.get_mut(&seq.0).expect("just inserted");
+            let instance = self.replica_instances.get_mut(seq.0).expect("just inserted");
             instance.missing_links.extend(missing);
             return;
         }
@@ -197,7 +199,7 @@ impl LeopardReplica {
         if self.votes_muted() {
             return;
         }
-        let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
+        let Some(instance) = self.replica_instances.get_mut(seq.0) else {
             return;
         };
         if instance.prepare_voted || instance.is_confirmed() || !instance.links_complete() {
@@ -242,7 +244,7 @@ impl LeopardReplica {
     }
 
     pub(super) fn resolve_missing_link(&mut self, seq: SeqNum, digest: Digest, ctx: &mut Ctx<'_>) {
-        let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
+        let Some(instance) = self.replica_instances.get_mut(seq.0) else {
             return;
         };
         instance.missing_links.remove(&digest);
@@ -345,7 +347,9 @@ impl LeopardReplica {
             return;
         }
         let muted = self.votes_muted();
-        let instance = self.replica_instances.entry(seq.0).or_default();
+        let Some(instance) = self.replica_instances.entry(seq.0) else {
+            return;
+        };
         if instance.block_digest.is_some() && instance.block_digest != Some(block_digest) {
             // Notarization of an endorsed re-proposal — the same content this replica
             // already confirmed, re-stamped by a later view. Cast the commit vote for
@@ -384,7 +388,7 @@ impl LeopardReplica {
     /// that learns the confirmation first casts no vote at all.
     fn maybe_commit_vote(&mut self, seq: SeqNum, ctx: &mut Ctx<'_>) {
         let muted = self.votes_muted();
-        let Some(instance) = self.replica_instances.get_mut(&seq.0) else {
+        let Some(instance) = self.replica_instances.get_mut(seq.0) else {
             return;
         };
         // Wherever a commit vote could fire, the evidence may have just become
@@ -417,11 +421,14 @@ impl LeopardReplica {
         if !self.verify_combined(&proof, &proof_digest, ctx) {
             return;
         }
-        let lw = self.checkpoints.low_watermark().0;
-        if seq.0 <= lw && self.log.get(seq.0).is_some() {
+        // At or below the watermark the serial is checkpointed: a held proof there
+        // could never be applied, since `handle_notarization` drops those serials.
+        if seq <= self.checkpoints.low_watermark() {
             return;
         }
-        let instance = self.replica_instances.entry(seq.0).or_default();
+        let Some(instance) = self.replica_instances.entry(seq.0) else {
+            return;
+        };
         if instance.is_confirmed() {
             return;
         }
@@ -445,7 +452,7 @@ impl LeopardReplica {
     /// instance holds its block, enters the block in the log — the log's one writer.
     pub(super) fn log_confirmed(&mut self, seq: SeqNum) {
         self.highest_confirmed_seen = self.highest_confirmed_seen.max(seq.0);
-        if let Some(block) = self.replica_instances.get(&seq.0).and_then(|i| i.block.clone()) {
+        if let Some(block) = self.replica_instances.get(seq.0).and_then(|i| i.block.clone()) {
             self.log.insert(seq.0, block);
         }
     }

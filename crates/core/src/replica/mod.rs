@@ -24,7 +24,7 @@ mod views;
 use crate::byzantine::ByzantineBehavior;
 use crate::checkpoint::CheckpointState;
 use crate::config::{LeopardConfig, WorkloadMode};
-use crate::instance::ReplicaInstance;
+use crate::instance::{ReplicaInstance, SerialWindow};
 use crate::messages::LeopardMessage;
 use crate::pipeline::{Pipeline, StallReason};
 use crate::pool::{DatablockPool, ReadyTracker};
@@ -40,7 +40,6 @@ use leopard_types::{BftBlockId, FastMap};
 use leopard_types::{digest_stripe, BftBlock, NodeId, SeqNum, View};
 use rand::Rng;
 use recovery::StateSync;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use views::Pacemaker;
 
@@ -67,7 +66,7 @@ pub struct LeopardReplica {
     pool: DatablockPool,
     ready: ReadyTracker,
     pipeline: Pipeline,
-    replica_instances: BTreeMap<u64, ReplicaInstance>,
+    replica_instances: SerialWindow<ReplicaInstance>,
     checkpoints: CheckpointState,
     retrieval: RetrievalManager,
     producer: Producer,
@@ -125,12 +124,14 @@ impl LeopardReplica {
         config
             .validate()
             .unwrap_or_else(|message| panic!("invalid Leopard config: {message}"));
+        let k = config.params.max_parallel_instances;
+        let window = k * config.params.proposers;
         let mut replica = Self {
             id,
             pool: DatablockPool::new(),
             ready: ReadyTracker::new(),
-            pipeline: Pipeline::new(config.params.max_parallel_instances),
-            replica_instances: BTreeMap::new(),
+            pipeline: Pipeline::new(k, window),
+            replica_instances: SerialWindow::new(window),
             checkpoints: CheckpointState::new(),
             retrieval: RetrievalManager::new(
                 id,

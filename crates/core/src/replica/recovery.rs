@@ -160,7 +160,7 @@ impl LeopardReplica {
         self.retrieval.prune(executed_links.iter().copied());
         self.ready.prune(executed_links);
         self.pipeline.prune_through(seq);
-        self.replica_instances.retain(|&s, _| s > seq.0);
+        self.replica_instances.prune_through(seq.0);
         #[cfg(debug_assertions)]
         self.signed_prepares.retain(|id, _| id.seq > seq);
         // The system checkpointed past this replica's execution point: it missed
@@ -219,7 +219,7 @@ impl LeopardReplica {
                 None => (SeqNum(0), state_digest(SeqNum(0)), None),
             };
         let mut entries = Vec::new();
-        for (&seq, instance) in &self.replica_instances {
+        for (seq, instance) in self.replica_instances.iter() {
             if seq <= last_executed.0 || !instance.is_confirmed() {
                 continue;
             }
@@ -307,7 +307,9 @@ impl LeopardReplica {
         if !self.verify_combined(&entry.confirmation, &notarization_digest, ctx) {
             return;
         }
-        let instance = self.replica_instances.entry(seq.0).or_default();
+        let Some(instance) = self.replica_instances.entry(seq.0) else {
+            return;
+        };
         // An instance that confirmed block-less (the proof arrived but the PrePrepare
         // was lost to a crash or partition) still needs the entry — the block is
         // exactly what state transfer exists to deliver. Only a fully-populated

@@ -162,7 +162,7 @@ fn a_late_view_change_quorum_keeps_the_votes_cast_in_its_view() {
         .filter(|observation| matches!(observation, ObservationKind::ViewChange { .. }))
         .count();
     assert_eq!(entries, 1, "view 2 entered twice");
-    assert!(replica.replica_instances[&2].prepare_voted);
+    assert!(replica.replica_instances.get(2).unwrap().prepare_voted);
 
     // Neither the same block again nor a conflicting one draws a second vote.
     replica.on_message(NodeId(3), propose(&block), &mut ctx);
@@ -473,6 +473,99 @@ fn a_checkpoint_adopted_by_state_transfer_collects_the_executed_datablocks() {
             !replica.pool().contains(&datablock.digest()),
             "executed datablock {:?} outlived the adopted checkpoint",
             datablock.id
+        );
+    }
+}
+
+/// The serials that hold an agreement instance at `replica`, in serial order.
+fn instance_serials(replica: &LeopardReplica) -> Vec<u64> {
+    replica.replica_instances.iter().map(|(seq, _)| seq).collect()
+}
+
+/// A `NotarizationProof` signs only its block digest, so a valid proof can be replayed
+/// under any serial. One named far beyond the watermark window plants no instance: it
+/// would never be pruned, and the progress watchdog would count it as unconfirmed
+/// work forever.
+#[test]
+fn a_replayed_proof_far_beyond_the_window_plants_no_instance() {
+    let (mut replica, keys, mut ctx) = driven(3, LeopardConfig::small_test(4));
+    let block_digest = BftBlock::new(View(1), SeqNum(2), Vec::new()).digest();
+    let proof = quorum_proof(&keys, &block_digest);
+    let notarize = |seq| LeopardMessage::NotarizationProof {
+        seq: SeqNum(seq),
+        block_digest,
+        proof,
+    };
+    let lw = replica.low_watermark().0;
+    for seq in [u64::MAX, lw + 1_000_000] {
+        replica.on_message(NodeId(0), notarize(seq), &mut ctx);
+        let proof_digest = LeopardReplica::notarization_digest(SeqNum(seq), &block_digest, &proof);
+        let confirm = LeopardMessage::ConfirmationProof {
+            seq: SeqNum(seq),
+            proof_digest,
+            proof: quorum_proof(&keys, &proof_digest),
+        };
+        replica.on_message(NodeId(0), confirm, &mut ctx);
+    }
+    assert_eq!(instance_serials(&replica), [] as [u64; 0]);
+    assert!(!replica.outstanding_work());
+    // The same proof inside the window is taken.
+    replica.on_message(NodeId(0), notarize(2), &mut ctx);
+    assert_eq!(instance_serials(&replica), [2]);
+}
+
+/// A confirmation proof at or below the low watermark is not held: the serial is
+/// checkpointed, so no notarization can ever come to apply it. Above the watermark
+/// a proof that beat its notarization is held.
+#[test]
+fn a_confirmation_at_or_below_the_watermark_is_not_held() {
+    let (mut replica, keys, mut ctx) = driven(3, LeopardConfig::small_test(4));
+    let state = state_digest(SeqNum(2));
+    let checkpoint = LeopardMessage::CheckpointProof {
+        seq: SeqNum(2),
+        state_digest: state,
+        proof: quorum_proof(&keys, &checkpoint_digest(SeqNum(2), &state)),
+    };
+    replica.on_message(NodeId(0), checkpoint, &mut ctx);
+    assert_eq!(replica.low_watermark(), SeqNum(2));
+    let confirm = |seq| {
+        let proof_digest = leopard_crypto::hash_bytes(&[seq as u8]);
+        LeopardMessage::ConfirmationProof {
+            seq: SeqNum(seq),
+            proof_digest,
+            proof: quorum_proof(&keys, &proof_digest),
+        }
+    };
+    for seq in [1, 2] {
+        replica.on_message(NodeId(0), confirm(seq), &mut ctx);
+    }
+    assert_eq!(instance_serials(&replica), [] as [u64; 0]);
+    assert!(!replica.outstanding_work());
+    replica.on_message(NodeId(0), confirm(3), &mut ctx);
+    assert_eq!(instance_serials(&replica), [3]);
+    let instance = replica.replica_instances.get(3).expect("held at 3");
+    assert!(instance.held_confirmation.is_some() && !instance.is_confirmed());
+}
+
+/// After a fault-free run at n = 16 every replica checkpointed, and no replica's
+/// window holds an instance at or below its low watermark.
+#[test]
+fn no_instance_outlives_its_checkpoint() {
+    let n = 16;
+    let config = LeopardConfig::small_test(n);
+    let keys = LeopardConfig::shared_keys(&config, 7);
+    let mut sim = Simulation::new(NetworkConfig::datacenter(n), FaultPlan::none(), move |id| {
+        LeopardReplica::new(id, config.clone(), keys.clone())
+    });
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(2), 10_000_000);
+    for node in (0..n as u32).map(NodeId) {
+        let replica = sim.node(node);
+        let lw = replica.low_watermark().0;
+        assert!(lw > 0, "replica {node:?} never checkpointed");
+        let serials = instance_serials(replica);
+        assert!(
+            serials.iter().all(|&seq| seq > lw),
+            "replica {node:?} at watermark {lw} holds {serials:?}"
         );
     }
 }

@@ -88,15 +88,15 @@ impl LeopardReplica {
             .saturating_mul(1u64 << self.pacemaker.backoff.min(3))
     }
 
-    fn outstanding_work(&self) -> bool {
+    pub(super) fn outstanding_work(&self) -> bool {
         // A confirmed instance whose block never arrived still owes work: execution
         // is stuck at it, and only a state sync can fill it. Without counting it the
         // replica believes it is idle and never repairs the gap.
         self.producer.has_unexecuted()
             || self
                 .replica_instances
-                .values()
-                .any(|instance| !instance.is_confirmed() || instance.block.is_none())
+                .iter()
+                .any(|(_, instance)| !instance.is_confirmed() || instance.block.is_none())
     }
 
     pub(super) fn fire_progress_timer(&mut self, ctx: &mut Ctx<'_>) {
@@ -130,7 +130,7 @@ impl LeopardReplica {
             let gap = self.last_executed.0 + 1;
             let confirmed_blockless = self
                 .replica_instances
-                .get(&gap)
+                .get(gap)
                 .map_or(false, |instance| instance.is_confirmed() && instance.block.is_none());
             if confirmed_blockless {
                 self.maybe_state_sync(ctx);
@@ -204,13 +204,13 @@ impl LeopardReplica {
         self.pacemaker.started_at = Some(ctx.now());
         let new_view = old_view.next();
 
-        // Collect every notarized-or-better block above the stable checkpoint, in
-        // serial order: the live evidence (which may have re-notarized under a newer
-        // view) or else the prepared evidence that survived earlier view entries.
-        let lw = self.checkpoints.low_watermark().0;
+        // Collect every notarized-or-better block above the stable checkpoint (the
+        // window holds nothing else), in serial order: the live evidence (which may
+        // have re-notarized under a newer view) or else the prepared evidence that
+        // survived earlier view entries.
         let notarized: Vec<NotarizedEntry> = self
             .replica_instances
-            .range(lw + 1..)
+            .iter()
             .filter_map(|(_, instance)| {
                 instance.notarized_entry().or_else(|| instance.prepared.clone())
             })
