@@ -4,7 +4,7 @@
 use crate::messages::NotarizedEntry;
 use leopard_crypto::threshold::CombinedSignature;
 use leopard_crypto::{Digest, ShareCollector};
-use leopard_types::{BftBlock, FastSet};
+use leopard_types::BftBlock;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ const SPAN_WINDOWS: u64 = 64;
 /// window): one slot per serial from `base`, the low watermark plus one, upwards.
 ///
 /// Slots are boxed: an empty one costs 8 bytes, so the ring's spare capacity stays
-/// small next to the 240-byte [`ReplicaInstance`] it would otherwise hold inline. The
+/// small next to the 168-byte [`ReplicaInstance`] it would otherwise hold inline. The
 /// span is bounded: a serial at or beyond `base + 64·k·p` has no slot. A
 /// `NotarizationProof` signs only its block digest, not the serial it names, so a
 /// replayed proof can name any serial; without the bound it would make the window
@@ -149,6 +149,10 @@ impl LeaderInstance {
 }
 
 /// A non-leader replica's state for one agreement instance.
+///
+/// It is at most 168 bytes (DESIGN.md §2.6): the fields every instance uses sit
+/// inline, the missing links are a `Vec` that holds memory only while a link is
+/// missing, and the two view-change fields a fault-free run never sets are boxed.
 #[derive(Debug)]
 pub struct ReplicaInstance {
     /// The block, once received (a replica can learn the serial number from votes or a
@@ -161,8 +165,9 @@ pub struct ReplicaInstance {
     pub prepare_voted: bool,
     /// True once the second-round vote was cast.
     pub commit_voted: bool,
-    /// Digests of linked datablocks this replica has not received yet.
-    pub missing_links: FastSet<Digest>,
+    /// Digests of linked datablocks this replica has not received yet (a digest the
+    /// block links twice is listed twice); its memory is released once it empties.
+    pub missing_links: Vec<Digest>,
     /// The notarization proof once received.
     pub notarization: Option<CombinedSignature>,
     /// Digest of the notarization proof.
@@ -176,7 +181,7 @@ pub struct ReplicaInstance {
     /// the block must still vote for the identical-content twin or replicas that
     /// missed the original confirmation could never assemble a quorum for the serial
     /// number again. The confirmed state above is never touched by an endorsement.
-    pub endorsed_repropose: Option<Digest>,
+    pub endorsed_repropose: Option<Box<Digest>>,
     /// PBFT's "prepared" evidence: the last notarized block + proof seen here, kept
     /// through [`Self::reset_for_new_view`] until a quorum checkpoint covers the serial.
     /// A block that may have confirmed elsewhere must keep appearing in this replica's
@@ -187,7 +192,7 @@ pub struct ReplicaInstance {
     /// notarization binding it to a block. Accepting it blind would attach whatever
     /// block shows up next at this serial — under a view-change race, different
     /// content than the quorum signed — so it is held until the notarization arrives.
-    pub(crate) held_confirmation: Option<(Digest, CombinedSignature)>,
+    pub(crate) held_confirmation: Option<Box<(Digest, CombinedSignature)>>,
 }
 
 impl Default for ReplicaInstance {
@@ -204,7 +209,7 @@ impl ReplicaInstance {
             block_digest: None,
             prepare_voted: false,
             commit_voted: false,
-            missing_links: FastSet::default(),
+            missing_links: Vec::new(),
             notarization: None,
             notarization_digest: None,
             confirmation: None,
@@ -217,6 +222,15 @@ impl ReplicaInstance {
     /// True once every linked datablock is locally available.
     pub fn links_complete(&self) -> bool {
         self.missing_links.is_empty()
+    }
+
+    /// Strikes `digest` (every listing of it) off the missing links, and releases
+    /// their memory once none is left.
+    pub(crate) fn resolve_link(&mut self, digest: &Digest) {
+        self.missing_links.retain(|link| link != digest);
+        if self.missing_links.is_empty() {
+            self.missing_links = Vec::new();
+        }
     }
 
     /// True once the block is confirmed: a confirmation proof is held.
@@ -276,11 +290,11 @@ mod tests {
         instance.block = Some(block);
         instance.prepare_voted = true;
         instance.commit_voted = true;
-        instance.missing_links.insert(leopard_crypto::hash_bytes(b"link"));
+        instance.missing_links.push(leopard_crypto::hash_bytes(b"link"));
         instance.notarization = Some(proof());
         instance.notarization_digest = Some(leopard_crypto::hash_bytes(b"notarized"));
         instance.prepared = instance.notarized_entry();
-        instance.held_confirmation = Some((leopard_crypto::hash_bytes(b"held"), proof()));
+        instance.held_confirmation = Some(Box::new((leopard_crypto::hash_bytes(b"held"), proof())));
         instance.confirmation = confirmed.then(proof);
         instance
     }
@@ -383,6 +397,12 @@ mod tests {
     }
 
     #[test]
+    fn a_replica_instance_fits_in_168_bytes() {
+        let size = std::mem::size_of::<ReplicaInstance>();
+        assert!(size <= 168, "ReplicaInstance is {size} bytes");
+    }
+
+    #[test]
     fn replica_instance_defaults() {
         let instance = ReplicaInstance::new();
         assert!(instance.links_complete());
@@ -398,7 +418,7 @@ mod tests {
         let mut instance = voted_instance(false);
         assert!(!instance.is_confirmed());
         let prepared = instance.prepared.clone().expect("stashed");
-        let held = instance.held_confirmation.expect("held");
+        let held = instance.held_confirmation.clone().expect("held");
         instance.reset_for_new_view();
         assert!(instance.block.is_none() && instance.block_digest.is_none());
         assert!(!instance.prepare_voted && !instance.commit_voted);

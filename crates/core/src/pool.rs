@@ -12,21 +12,32 @@ use std::sync::Arc;
 /// ROADMAP item 6(a)).
 ///
 /// The counters seen are kept exactly, as a per-producer watermark plus the few that
-/// arrived above it (DESIGN.md §5.7): an in-order producer costs one map entry, not a
+/// arrived above it (DESIGN.md §5.7): an in-order producer costs one 8-byte slot, not a
 /// hash set of its own.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DatablockPool {
     by_digest: FastMap<Digest, Arc<Datablock>>,
-    /// Producer → `w`: every counter `1..=w` of that producer has been seen.
-    watermarks: FastMap<NodeId, u64>,
-    /// Counters seen that their producer's watermark does not cover: above it, or 0.
+    /// The number of replicas, `n`: producers `0..n` have a watermark slot.
+    producers: usize,
+    /// `watermarks[p] = w`: every counter `1..=w` of producer `p` has been seen. Empty
+    /// until the first datablock of a producer below `n`, then `n` slots long.
+    watermarks: Vec<u64>,
+    /// Counters seen that their producer's watermark does not cover: above it, or 0,
+    /// and every counter of a producer at or above `n`. Only a recovered datablock can
+    /// name such a producer (a Byzantine proposer can link a crafted one), and that
+    /// wire value must not size the watermark vector.
     above_watermark: FastSet<DatablockId>,
 }
 
 impl DatablockPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty pool for a system of `n` replicas; allocates nothing.
+    pub fn new(n: usize) -> Self {
+        Self {
+            by_digest: FastMap::default(),
+            producers: n,
+            watermarks: Vec::new(),
+            above_watermark: FastSet::default(),
+        }
     }
 
     /// Number of stored datablocks.
@@ -54,7 +65,11 @@ impl DatablockPool {
     /// Records `id` as seen; false if it had been seen before.
     fn mark_seen(&mut self, id: DatablockId) -> bool {
         let DatablockId { producer, counter } = id;
-        let watermark = self.watermarks.get(&producer).copied().unwrap_or(0);
+        let slot = producer.0 as usize;
+        if slot >= self.producers {
+            return self.above_watermark.insert(id);
+        }
+        let watermark = self.watermarks.get(slot).copied().unwrap_or(0);
         if (1..=watermark).contains(&counter) {
             return false;
         }
@@ -73,7 +88,10 @@ impl DatablockPool {
             }
             watermark = next;
         }
-        self.watermarks.insert(producer, watermark);
+        if self.watermarks.is_empty() {
+            self.watermarks = vec![0; self.producers];
+        }
+        self.watermarks[slot] = watermark;
         true
     }
 
@@ -87,10 +105,10 @@ impl DatablockPool {
         self.by_digest.contains_key(digest)
     }
 
-    /// Iterates over the digests of every stored datablock (used by the harness
-    /// invariant checker to snapshot retrieval completeness).
-    pub fn digests(&self) -> impl Iterator<Item = &Digest> + '_ {
-        self.by_digest.keys()
+    /// Every stored datablock, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn datablocks(&self) -> impl Iterator<Item = &Arc<Datablock>> + '_ {
+        self.by_digest.values()
     }
 
     /// Removes datablocks whose digests appear in `digests` (garbage collection after a
@@ -204,7 +222,7 @@ mod tests {
 
     #[test]
     fn pool_inserts_and_deduplicates_by_counter() {
-        let mut pool = DatablockPool::new();
+        let mut pool = DatablockPool::new(4);
         let a = datablock(1, 1, 1);
         let digest = pool.insert(a.clone()).unwrap();
         assert!(pool.contains(&digest));
@@ -225,7 +243,7 @@ mod tests {
 
     #[test]
     fn pruning_removes_blocks_but_keeps_counter_history() {
-        let mut pool = DatablockPool::new();
+        let mut pool = DatablockPool::new(4);
         let a = datablock(1, 1, 1);
         let digest = pool.insert(a).unwrap();
         pool.prune([digest]);
@@ -237,27 +255,26 @@ mod tests {
 
     #[test]
     fn in_order_producers_leave_nothing_above_the_watermark() {
-        let mut pool = DatablockPool::new();
+        let mut pool = DatablockPool::new(4);
         for counter in 1..=50 {
             for producer in 0..4 {
                 assert!(pool.insert(datablock(producer, counter, counter)).is_some());
             }
         }
         assert!(pool.above_watermark.is_empty());
-        assert_eq!(pool.watermarks.len(), 4);
-        assert!(pool.watermarks.values().all(|&watermark| watermark == 50));
+        assert_eq!(pool.watermarks, [50; 4]);
     }
 
     #[test]
     fn early_counters_are_absorbed_once_the_gap_closes() {
-        let mut pool = DatablockPool::new();
+        let mut pool = DatablockPool::new(4);
         for counter in [3, 4, 2] {
             assert!(pool.insert(datablock(1, counter, counter)).is_some());
         }
         assert_eq!(pool.above_watermark.len(), 3);
         assert!(pool.insert(datablock(1, 1, 1)).is_some());
         assert!(pool.above_watermark.is_empty());
-        assert_eq!(pool.watermarks[&NodeId(1)], 4);
+        assert_eq!(pool.watermarks[1], 4);
         for counter in 1..=4 {
             assert!(pool.insert(datablock(1, counter, 99)).is_none());
         }
@@ -265,18 +282,36 @@ mod tests {
 
     #[test]
     fn the_watermark_stops_at_the_last_counter() {
-        let mut pool = DatablockPool::new();
+        let mut pool = DatablockPool::new(4);
         // Reaching u64::MAX - 2 in order takes 2^64 datablocks; start the watermark there.
-        pool.watermarks.insert(NodeId(1), u64::MAX - 2);
+        pool.watermarks = vec![0, u64::MAX - 2, 0, 0];
         assert!(pool.insert(datablock(1, u64::MAX, 1)).is_some());
         assert!(pool.insert(datablock(1, u64::MAX - 1, 2)).is_some());
-        assert_eq!(pool.watermarks[&NodeId(1)], u64::MAX);
+        assert_eq!(pool.watermarks[1], u64::MAX);
         assert!(pool.above_watermark.is_empty());
         assert!(pool.insert(datablock(1, u64::MAX, 3)).is_none());
         assert!(pool.insert(datablock(1, 7, 4)).is_none());
         // Counter 0 lies below every watermark's range: seen once, like any other.
         assert!(pool.insert(datablock(1, 0, 5)).is_some());
         assert!(pool.insert(datablock(1, 0, 6)).is_none());
+    }
+
+    #[test]
+    fn producers_beyond_n_never_size_the_watermarks() {
+        let n = 4;
+        let mut pool = DatablockPool::new(n);
+        assert_eq!(pool.watermarks.capacity(), 0, "construction allocated");
+        for producer in [n as u32 + 5, u32::MAX] {
+            assert!(pool.insert(datablock(producer, 1, 1)).is_some());
+            assert!(pool.insert(datablock(producer, 1, 2)).is_none());
+            assert!(pool.insert(datablock(producer, 2, 3)).is_some());
+            assert!(pool.insert(datablock(producer, 2, 4)).is_none());
+        }
+        assert!(pool.watermarks.len() <= n, "{} watermarks", pool.watermarks.len());
+        assert_eq!(pool.above_watermark.len(), 4);
+        // A producer below n takes the dense path: n slots, allocated once.
+        assert!(pool.insert(datablock(3, 1, 5)).is_some());
+        assert_eq!(pool.watermarks, [0, 0, 0, 1]);
     }
 
     /// The counter-uniqueness rule as a plain set per producer: what the watermark
@@ -296,10 +331,11 @@ mod tests {
         fn watermark_accepts_exactly_what_a_set_per_producer_accepts(
             ops in proptest::collection::vec((0u8..10, 0usize..5, 0u64..12), 0..300),
         ) {
+            // n = 8: the first three producers have a watermark, the last two do not.
             let producers = [0, 1, 7, 1 << 20, u32::MAX];
             let edges = [0, 1 << 63, u64::MAX - 1, u64::MAX];
             let mut next = [1u64; 5];
-            let mut pool = DatablockPool::new();
+            let mut pool = DatablockPool::new(8);
             let mut model = SetPerProducer::default();
             let mut accepted = Vec::new();
             for (step, &(kind, p, c)) in ops.iter().enumerate() {

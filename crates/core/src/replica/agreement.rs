@@ -60,13 +60,6 @@ impl SerialLog {
         self.slots.get(Self::slot(seq)?)?.as_ref()
     }
 
-    /// `(seq, block)` of every confirmed serial, in serial order.
-    pub(super) fn iter(&self) -> impl Iterator<Item = (u64, &Arc<BftBlock>)> + '_ {
-        (1..)
-            .zip(&self.slots)
-            .filter_map(|(seq, slot)| Some((seq, slot.as_ref()?)))
-    }
-
     /// The links of the logged serials at or below `min(watermark, last_executed)` that
     /// no earlier call returned, in serial order: the executed datablocks a checkpoint
     /// at `watermark` lets the replica drop. Each call walks only the serials past the
@@ -144,10 +137,10 @@ impl LeopardReplica {
                         .block
                         .as_ref()
                         .map_or(false, |held| held.links == block.links && held.dummy == block.dummy);
-                if !same_content || instance.endorsed_repropose == Some(digest) {
+                if !same_content || instance.endorsed_repropose.as_deref() == Some(&digest) {
                     return;
                 }
-                instance.endorsed_repropose = Some(digest);
+                instance.endorsed_repropose = Some(Box::new(digest));
                 if !self.votes_muted() {
                     self.send_vote(Round::Prepare, block.id, digest, ctx);
                 }
@@ -173,7 +166,7 @@ impl LeopardReplica {
         let missing = self.note_missing_links(&block, seq, ctx);
         if !missing.is_empty() {
             let instance = self.replica_instances.get_mut(seq.0).expect("just inserted");
-            instance.missing_links.extend(missing);
+            instance.missing_links = missing;
             return;
         }
         self.cast_prepare_vote(seq, ctx);
@@ -247,7 +240,7 @@ impl LeopardReplica {
         let Some(instance) = self.replica_instances.get_mut(seq.0) else {
             return;
         };
-        instance.missing_links.remove(&digest);
+        instance.resolve_link(&digest);
         if instance.links_complete() && !instance.prepare_voted {
             self.cast_prepare_vote(seq, ctx);
             self.maybe_commit_vote(seq, ctx);
@@ -354,7 +347,7 @@ impl LeopardReplica {
             // Notarization of an endorsed re-proposal — the same content this replica
             // already confirmed, re-stamped by a later view. Cast the commit vote for
             // the twin without touching the confirmed state (see `endorsed_repropose`).
-            if instance.endorsed_repropose == Some(block_digest) && !muted {
+            if instance.endorsed_repropose.as_deref() == Some(&block_digest) && !muted {
                 instance.endorsed_repropose = None;
                 let notarization_digest = Self::notarization_digest(seq, &block_digest, &proof);
                 let twin = BftBlockId::new(self.view, seq);
@@ -370,8 +363,8 @@ impl LeopardReplica {
         // the binding digest is known, a held proof that matches can be applied.
         let held = instance
             .held_confirmation
-            .take_if(|(held, _)| *held == notarization_digest);
-        if let Some((held_digest, held_proof)) = held {
+            .take_if(|held| held.0 == notarization_digest);
+        if let Some((held_digest, held_proof)) = held.map(|held| *held) {
             self.handle_confirmation(seq, held_digest, held_proof, ctx);
         }
         self.maybe_commit_vote(seq, ctx);
@@ -438,7 +431,7 @@ impl LeopardReplica {
             // No notarization yet: the proof cannot be bound to a block (see
             // `held_confirmation`). Hold it; `handle_notarization` replays it.
             None => {
-                instance.held_confirmation = Some((proof_digest, proof));
+                instance.held_confirmation = Some(Box::new((proof_digest, proof)));
                 return;
             }
         }

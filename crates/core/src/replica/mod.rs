@@ -128,7 +128,7 @@ impl LeopardReplica {
         let window = k * config.params.proposers;
         let mut replica = Self {
             id,
-            pool: DatablockPool::new(),
+            pool: DatablockPool::new(config.params.n),
             ready: ReadyTracker::new(),
             pipeline: Pipeline::new(k, window),
             replica_instances: SerialWindow::new(window),
@@ -256,12 +256,13 @@ impl LeopardReplica {
         &self.config
     }
 
-    /// Iterates over the confirmed log in serial-number order.
-    pub fn log_entries(&self) -> impl Iterator<Item = (SeqNum, &Arc<BftBlock>)> + '_ {
-        self.log.iter().map(|(seq, block)| (SeqNum(seq), block))
+    /// The confirmed log, one slot per serial: the block confirmed at serial `i + 1`
+    /// is at index `i`, and a serial not (yet) logged here is `None`.
+    pub fn log_slots(&self) -> &[Option<Arc<BftBlock>>] {
+        &self.log.slots
     }
 
-    /// The local datablock pool (used by the harness invariant checker to snapshot
+    /// The local datablock pool (read in place by the harness invariant checker for
     /// retrieval completeness).
     pub fn pool(&self) -> &DatablockPool {
         &self.pool

@@ -373,6 +373,30 @@ fn a_confirmed_instance_draws_no_vote() {
     assert_eq!(votes.count(), 0, "voted for a confirmed instance: {:?}", ctx.sent);
 }
 
+/// A block that links one missing datablock twice waits for it once: its arrival
+/// casts the prepare vote and leaves the instance's missing-link list holding no
+/// memory.
+#[test]
+fn a_datablock_linked_twice_is_resolved_by_one_arrival() {
+    // n = 4: replica 1 leads view 1; replica 0 is driven.
+    let (mut replica, keys, mut ctx) = driven(0, LeopardConfig::small_test(4));
+    let seq = SeqNum(1);
+    let requests = (0..8).map(|i| leopard_types::Request::new_synthetic(ClientId(1), i, 128));
+    let datablock = Arc::new(Datablock::new(NodeId(2), 1, requests.collect()));
+    let block = Arc::new(BftBlock::new(View(1), seq, vec![datablock.digest(); 2]));
+    let block_digest = block.digest();
+    let share = share(&keys, 1, &block_digest);
+    replica.on_message(NodeId(1), LeopardMessage::PrePrepare { share, block }, &mut ctx);
+    let instance = replica.replica_instances.get(seq.0).expect("an instance");
+    assert_eq!(instance.missing_links, [datablock.digest(); 2]);
+    assert!(prepare_votes(&ctx, seq).is_empty());
+    replica.on_message(NodeId(2), LeopardMessage::Datablock(datablock), &mut ctx);
+    assert_eq!(prepare_votes(&ctx, seq), [block_digest]);
+    let instance = replica.replica_instances.get(seq.0).expect("an instance");
+    assert!(instance.links_complete());
+    assert_eq!(instance.missing_links.capacity(), 0);
+}
+
 /// The clause the safety argument rests on: an honest replica never signs two
 /// different PrepareVotes for one (view, serial).
 #[cfg(debug_assertions)]
@@ -599,17 +623,20 @@ fn serial_log_keeps_one_slot_per_serial_in_order() {
     for seq in [3, 1, 40, 2] {
         log.insert(seq, block(seq));
     }
-    let seqs: Vec<(u64, u64)> = log
-        .iter()
-        .map(|(seq, block)| (seq, block.id.seq.0))
-        .collect();
+    let logged = |log: &SerialLog| -> Vec<(u64, u64)> {
+        (1..)
+            .zip(&log.slots)
+            .filter_map(|(seq, slot)| Some((seq, slot.as_ref()?.id.seq.0)))
+            .collect()
+    };
+    let seqs = logged(&log);
     assert_eq!(seqs, [(1, 1), (2, 2), (3, 3), (40, 40)]);
     assert!(log.get(4).is_none() && log.get(41).is_none() && log.get(u64::MAX).is_none());
     // Re-inserting a serial replaces its block, like the map it replaced.
     let twin = Arc::new(BftBlock::new(View(2), SeqNum(2), Vec::new()));
     log.insert(2, twin.clone());
     assert!(Arc::ptr_eq(log.get(2).unwrap(), &twin));
-    assert_eq!(log.iter().count(), 4);
+    assert_eq!(logged(&log).len(), 4);
     // Growth is 25 %, not doubling (which would hold 2048 slots here).
     for seq in 41..=1100 {
         log.insert(seq, block(seq));
@@ -675,8 +702,7 @@ fn producer_numbers_requests_by_datablock_counter() {
     let mut checked = 0;
     for node in 0..n as u32 {
         let pool = sim.node(NodeId(node)).pool();
-        for digest in pool.digests() {
-            let datablock = pool.get(digest).expect("a listed digest");
+        for datablock in pool.datablocks() {
             let (producer, k) = (datablock.id.producer, datablock.id.counter);
             let expected = RequestRun {
                 client: ClientId(producer.0),

@@ -22,12 +22,14 @@
 //!   views far in excess of the faults that provoked them is a view-change
 //!   livelock even if requests eventually confirm.
 //!
-//! The checker is deliberately split into a *snapshot* (extracted from a live
-//! [`Simulation`]) and a *pure* [`SystemSnapshot::check`] over it, so the
-//! mutation tests below can seed known-bad states (a forked log, a permanent
-//! stall, an unretrievable datablock) and prove the checker flags each one.
+//! The checker is deliberately split into a *snapshot* (borrowed from a live
+//! [`Simulation`]: each replica's log and pool are read in place, not copied) and a
+//! *pure* [`SystemSnapshot::check`] over it, so the mutation tests below can seed
+//! known-bad states (a forked log, a permanent stall, an unretrievable datablock)
+//! and prove the checker flags each one.
 
 use crate::scenario::ScenarioProtocol;
+use leopard_core::pool::DatablockPool;
 use leopard_crypto::Digest;
 use leopard_simnet::{SimDuration, SimTime, Simulation};
 use leopard_types::{fault_bound, BftBlock, FastSet, NodeId};
@@ -143,9 +145,10 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One replica's state distilled to what the invariants need.
+/// One replica's state distilled to what the invariants need: its scalars copied,
+/// its log and pool borrowed from the replica.
 #[derive(Debug, Clone)]
-pub struct ReplicaSnapshot {
+pub struct ReplicaSnapshot<'a> {
     /// The replica's identifier.
     pub node: NodeId,
     /// False for replicas configured with a Byzantine behaviour — their state is
@@ -160,40 +163,62 @@ pub struct ReplicaSnapshot {
     /// The view the replica ended the run in (views start at 1).
     pub view: u64,
     /// The confirmed log.
-    pub log: ConfirmedLog,
-    /// Digests of the datablocks in the replica's pool.
-    pub pool: FastSet<Digest>,
+    pub log: ConfirmedLog<'a>,
+    /// The replica's datablock pool, for lookup; `None` where blocks carry their own
+    /// payload (HotStuff).
+    pub pool: Option<&'a DatablockPool>,
 }
 
-/// A replica's confirmed log, in its protocol's shape.
-#[derive(Debug, Clone)]
-pub enum ConfirmedLog {
-    /// Leopard: `(seq, BFTblock)`, the replica's own blocks shared, not copied. Honest
-    /// replicas must agree on the links: a view change re-proposes the same links under
-    /// a new block digest (the digest covers the view).
-    Linked(Vec<(u64, Arc<BftBlock>)>),
-    /// HotStuff: `(height, block digest)`, the replica's own committed log shared, not
-    /// copied. Honest replicas must agree on the digest: chained blocks are never
-    /// re-proposed.
-    Chained(Arc<Vec<(u64, Digest)>>),
-}
-
-impl ConfirmedLog {
-    /// `(seq, block digest, what honest replicas must agree on)` per entry.
-    fn entries(&self) -> impl Iterator<Item = (u64, Digest, &[Digest])> + '_ {
-        // One chain over both shapes, the other one empty, so both arms share a type.
-        let (linked, chained) = match self {
-            Self::Linked(log) => (&log[..], &[][..]),
-            Self::Chained(log) => (&[][..], &log[..]),
-        };
-        let chained = chained.iter().map(|(seq, d)| (*seq, *d, std::slice::from_ref(d)));
-        linked.iter().map(|(seq, block)| (*seq, block.digest(), &block.links[..])).chain(chained)
+impl ReplicaSnapshot<'_> {
+    /// True if this replica's pool holds the datablock `digest`.
+    fn holds(&self, digest: &Digest) -> bool {
+        self.pool.is_some_and(|pool| pool.contains(digest))
     }
 }
 
-/// A checkable snapshot of the whole system at the end of a run.
+/// A replica's confirmed log, in its protocol's shape, borrowed from the replica.
+#[derive(Debug, Clone, Copy)]
+pub enum ConfirmedLog<'a> {
+    /// Leopard: one slot per serial, the block confirmed at serial `i + 1` at index
+    /// `i` (see `LeopardReplica::log_slots`). Honest replicas must agree on the links:
+    /// a view change re-proposes the same links under a new block digest (the digest
+    /// covers the view).
+    Linked(&'a [Option<Arc<BftBlock>>]),
+    /// HotStuff: `(height, block digest)` per executed block. Honest replicas must
+    /// agree on the digest: chained blocks are never re-proposed.
+    Chained(&'a [(u64, Digest)]),
+}
+
+impl<'a> ConfirmedLog<'a> {
+    /// `(seq, block digest, what honest replicas must agree on)` per entry.
+    fn entries(self) -> impl Iterator<Item = (u64, Digest, &'a [Digest])> {
+        // One chain over both shapes, the other one empty, so both arms share a type.
+        let (linked, chained) = match self {
+            Self::Linked(log) => (log, &[][..]),
+            Self::Chained(log) => (&[][..], log),
+        };
+        let chained = chained.iter().map(|(seq, d)| (*seq, *d, std::slice::from_ref(d)));
+        linked_blocks(linked, 0)
+            .map(|(seq, block)| (seq, block.digest(), &block.links[..]))
+            .chain(chained)
+    }
+}
+
+/// `(seq, block)` of every logged serial above `low_watermark` of a Leopard log.
+fn linked_blocks(
+    log: &[Option<Arc<BftBlock>>],
+    low_watermark: u64,
+) -> impl Iterator<Item = (u64, &BftBlock)> {
+    let from = usize::try_from(low_watermark).map_or(log.len(), |lw| lw.min(log.len()));
+    (low_watermark.saturating_add(1)..)
+        .zip(&log[from..])
+        .filter_map(|(seq, slot)| Some((seq, &**slot.as_ref()?)))
+}
+
+/// A checkable snapshot of the whole system at the end of a run, borrowing the
+/// replicas' state: it lives no longer than the simulation it was captured from.
 #[derive(Debug, Clone)]
-pub struct SystemSnapshot {
+pub struct SystemSnapshot<'a> {
     /// Number of replicas.
     pub n: usize,
     /// The fault bound `f = ⌊(n − 1) / 3⌋`.
@@ -212,17 +237,18 @@ pub struct SystemSnapshot {
     /// Most views honest replicas may enter beyond the initial one.
     pub view_thrash_bound: u64,
     /// Per-replica snapshots, indexed by node id.
-    pub replicas: Vec<ReplicaSnapshot>,
+    pub replicas: Vec<ReplicaSnapshot<'a>>,
 }
 
-impl SystemSnapshot {
-    /// Extracts a snapshot from a finished (but not yet consumed) simulation.
+impl<'a> SystemSnapshot<'a> {
+    /// Reads a snapshot off a finished (but not yet consumed) simulation, copying
+    /// nothing but each replica's scalars.
     ///
     /// `quiet_after` should be the latest instant any scheduled fault acts (see
     /// [`crate::ScenarioConfig::quiet_after`]); `stall_bound` the longest tolerated
     /// post-quiesce confirmation gap.
     pub fn capture<P: ScenarioProtocol>(
-        sim: &Simulation<P>,
+        sim: &'a Simulation<P>,
         n: usize,
         quiet_after: SimTime,
         stall_bound: SimDuration,
@@ -257,7 +283,7 @@ impl SystemSnapshot {
         violations
     }
 
-    fn honest_replicas(&self) -> impl Iterator<Item = &ReplicaSnapshot> + '_ {
+    fn honest_replicas(&self) -> impl Iterator<Item = &ReplicaSnapshot<'a>> + '_ {
         self.replicas.iter().filter(|r| r.honest)
     }
 
@@ -323,25 +349,22 @@ impl SystemSnapshot {
     fn check_retrieval(&self, violations: &mut Vec<Violation>) {
         let needed = self.f + 1;
         for replica in self.honest_replicas().filter(|r| r.live) {
-            let ConfirmedLog::Linked(log) = &replica.log else {
+            let ConfirmedLog::Linked(log) = replica.log else {
                 continue;
             };
-            for (seq, block) in log {
-                if *seq <= replica.low_watermark {
-                    continue;
-                }
+            for (seq, block) in linked_blocks(log, replica.low_watermark) {
                 for link in &block.links {
-                    if replica.pool.contains(link) {
+                    if replica.holds(link) {
                         continue;
                     }
                     let holders = self
                         .honest_replicas()
-                        .filter(|r| r.live && r.pool.contains(link))
+                        .filter(|r| r.live && r.holds(link))
                         .count();
                     if holders < needed {
                         violations.push(Violation::UnretrievableDatablock {
                             node: replica.node,
-                            seq: *seq,
+                            seq,
                             link: *link,
                             holders,
                             needed,
@@ -376,70 +399,96 @@ impl SystemSnapshot {
 mod tests {
     use super::*;
     use leopard_crypto::hash_bytes;
-    use leopard_types::{SeqNum, View};
+    use leopard_types::{ClientId, Datablock, Request, SeqNum, View};
 
     fn digest(tag: &str) -> Digest {
         hash_bytes(tag.as_bytes())
     }
 
-    /// The BFTblock of `view` at `seq` linking the datablocks tagged `links`.
-    fn block(view: u64, seq: u64, links: &[&str]) -> Arc<BftBlock> {
-        let links = links.iter().map(|tag| digest(tag)).collect();
-        Arc::new(BftBlock::new(View(view), SeqNum(seq), links))
+    /// Producer 0's datablock `counter`.
+    fn datablock(counter: u64) -> Arc<Datablock> {
+        let request = Request::new_synthetic(ClientId(0), counter, 64);
+        Arc::new(Datablock::new(NodeId(0), counter, vec![request]))
     }
 
-    fn linked(replica: &mut ReplicaSnapshot) -> &mut Vec<(u64, Arc<BftBlock>)> {
-        match &mut replica.log {
-            ConfirmedLog::Linked(log) => log,
-            ConfirmedLog::Chained(_) => unreachable!("the healthy snapshot is Leopard-shaped"),
+    /// The digest of [`datablock`] `counter`.
+    fn link(counter: u64) -> Digest {
+        datablock(counter).digest()
+    }
+
+    /// The BFTblock of `view` at `seq` linking `links`.
+    fn block(view: u64, seq: u64, links: &[Digest]) -> Option<Arc<BftBlock>> {
+        Some(Arc::new(BftBlock::new(View(view), SeqNum(seq), links.to_vec())))
+    }
+
+    /// The state of a healthy 4-replica system, owned here as the replicas own it, for
+    /// snapshots to borrow: identical logs (every replica shares the same two blocks,
+    /// as replicas do) and every linked datablock in every pool.
+    struct Replicas {
+        logs: Vec<Vec<Option<Arc<BftBlock>>>>,
+        pools: Vec<DatablockPool>,
+    }
+
+    impl Replicas {
+        fn healthy() -> Self {
+            let log = vec![block(1, 1, &[link(1)]), block(1, 2, &[link(2)])];
+            let pools = (0..4)
+                .map(|_| {
+                    let mut pool = DatablockPool::new(4);
+                    for counter in [1, 2] {
+                        pool.insert(datablock(counter)).expect("a fresh counter");
+                    }
+                    pool
+                })
+                .collect();
+            Self {
+                logs: vec![log; 4],
+                pools,
+            }
         }
-    }
 
-    /// A healthy 4-replica system: identical logs (every replica shares the same two
-    /// blocks, as replicas do), every link everywhere, fresh confirmations.
-    fn healthy_snapshot() -> SystemSnapshot {
-        let link_a = digest("link-a");
-        let link_b = digest("link-b");
-        let block_1 = block(1, 1, &["link-a"]);
-        let block_2 = block(1, 2, &["link-b"]);
-        let replicas = (0..4)
-            .map(|i| ReplicaSnapshot {
-                node: NodeId(i),
-                honest: true,
-                live: true,
-                low_watermark: 0,
-                last_confirmation_at: Some(SimTime(4_900_000_000)),
-                view: 1,
-                log: ConfirmedLog::Linked(vec![(1, block_1.clone()), (2, block_2.clone())]),
-                pool: [link_a, link_b].into_iter().collect(),
-            })
-            .collect();
-        SystemSnapshot {
-            n: 4,
-            f: 1,
-            end_time: SimTime(5_000_000_000),
-            quiet_after: SimTime(1_000_000_000),
-            stall_bound: SimDuration::from_secs(2),
-            disturbances: 1,
-            view_thrash_bound: 8,
-            replicas,
+        /// A snapshot of this state with fresh confirmations, every replica honest,
+        /// live and in view 1.
+        fn snapshot(&self) -> SystemSnapshot<'_> {
+            let replicas = (0..4)
+                .map(|i| ReplicaSnapshot {
+                    node: NodeId(i as u32),
+                    honest: true,
+                    live: true,
+                    low_watermark: 0,
+                    last_confirmation_at: Some(SimTime(4_900_000_000)),
+                    view: 1,
+                    log: ConfirmedLog::Linked(&self.logs[i]),
+                    pool: Some(&self.pools[i]),
+                })
+                .collect();
+            SystemSnapshot {
+                n: 4,
+                f: 1,
+                end_time: SimTime(5_000_000_000),
+                quiet_after: SimTime(1_000_000_000),
+                stall_bound: SimDuration::from_secs(2),
+                disturbances: 1,
+                view_thrash_bound: 8,
+                replicas,
+            }
         }
     }
 
     #[test]
     fn healthy_snapshot_has_no_violations() {
-        assert_eq!(healthy_snapshot().check(), Vec::new());
+        assert_eq!(Replicas::healthy().snapshot().check(), Vec::new());
     }
 
     #[test]
     fn checker_flags_a_forked_log() {
-        let mut snapshot = healthy_snapshot();
+        let mut state = Replicas::healthy();
         // Mutation: replica 3 confirmed a different block at seq 2 — different
         // digest AND different committed content.
-        let evil = block(1, 2, &["evil-payload-2"]);
-        linked(&mut snapshot.replicas[3])[1].1 = evil.clone();
-        let violations = snapshot.check();
-        let honest = block(1, 2, &["link-b"]).digest();
+        let evil = block(1, 2, &[digest("evil-payload-2")]);
+        state.logs[3][1] = evil.clone();
+        let violations = state.snapshot().check();
+        let honest = block(1, 2, &[link(2)]).unwrap().digest();
         assert!(
             violations.iter().any(|v| *v
                 == Violation::SafetyFork {
@@ -447,7 +496,7 @@ mod tests {
                     node_a: NodeId(0),
                     digest_a: honest,
                     node_b: NodeId(3),
-                    digest_b: evil.digest(),
+                    digest_b: evil.as_ref().unwrap().digest(),
                 }),
             "fork not flagged: {violations:?}"
         );
@@ -461,8 +510,9 @@ mod tests {
 
     #[test]
     fn byzantine_logs_are_excluded_from_safety() {
-        let mut snapshot = healthy_snapshot();
-        linked(&mut snapshot.replicas[3])[1].1 = block(1, 2, &["evil-payload-2"]);
+        let mut state = Replicas::healthy();
+        state.logs[3][1] = block(1, 2, &[digest("evil-payload-2")]);
+        let mut snapshot = state.snapshot();
         assert!(!snapshot.check().is_empty());
         // The same divergent log on a Byzantine replica says nothing.
         snapshot.replicas[3].honest = false;
@@ -471,7 +521,8 @@ mod tests {
 
     #[test]
     fn checker_flags_a_permanent_stall() {
-        let mut snapshot = healthy_snapshot();
+        let state = Replicas::healthy();
+        let mut snapshot = state.snapshot();
         // Mutation: replica 2 stopped confirming right after the quiesce instant.
         snapshot.replicas[2].last_confirmation_at = Some(SimTime(1_100_000_000));
         let violations = snapshot.check();
@@ -486,7 +537,8 @@ mod tests {
 
     #[test]
     fn never_confirming_after_quiesce_is_a_stall() {
-        let mut snapshot = healthy_snapshot();
+        let state = Replicas::healthy();
+        let mut snapshot = state.snapshot();
         snapshot.replicas[1].last_confirmation_at = None;
         let violations = snapshot.check();
         assert!(violations
@@ -496,22 +548,23 @@ mod tests {
 
     #[test]
     fn reproposed_blocks_with_identical_links_are_not_a_fork() {
-        let mut snapshot = healthy_snapshot();
+        let mut state = Replicas::healthy();
         // A view change re-proposed seq 2 under the new view at replica 3: the block
         // digest changes (it covers the view) but the committed content is identical.
-        let reproposal = block(2, 2, &["link-b"]);
-        assert_ne!(reproposal.digest(), linked(&mut snapshot.replicas[0])[1].1.digest());
-        linked(&mut snapshot.replicas[3])[1].1 = reproposal;
-        assert_eq!(snapshot.check(), Vec::new());
+        let reproposal = block(2, 2, &[link(2)]);
+        let original = state.logs[0][1].as_ref().unwrap().digest();
+        assert_ne!(reproposal.as_ref().unwrap().digest(), original);
+        state.logs[3][1] = reproposal;
+        assert_eq!(state.snapshot().check(), Vec::new());
     }
 
     #[test]
     fn a_dummy_replacing_a_confirmed_block_is_a_fork() {
-        let mut snapshot = healthy_snapshot();
+        let mut state = Replicas::healthy();
         // A second view change filled seq 2 with a dummy at replica 3, although the
         // others confirmed real content there.
-        linked(&mut snapshot.replicas[3])[1].1 = Arc::new(BftBlock::dummy(View(3), SeqNum(2)));
-        let violations = snapshot.check();
+        state.logs[3][1] = Some(Arc::new(BftBlock::dummy(View(3), SeqNum(2))));
+        let violations = state.snapshot().check();
         assert!(
             violations.iter().any(|v| matches!(
                 v,
@@ -523,18 +576,22 @@ mod tests {
 
     #[test]
     fn hotstuff_logs_fork_on_differing_block_digests() {
-        let mut snapshot = healthy_snapshot();
-        let chain =
-            |tip| ConfirmedLog::Chained(Arc::new(vec![(1, digest("block-1")), (2, digest(tip))]));
-        for replica in &mut snapshot.replicas {
-            replica.log = chain("block-2");
-            replica.pool.clear(); // HotStuff blocks carry their payload: nothing to retrieve
-        }
-        assert_eq!(snapshot.check(), Vec::new());
+        let state = Replicas::healthy();
+        let chain = |tip| vec![(1, digest("block-1")), (2, digest(tip))];
+        let mut chains = vec![chain("block-2"); 4];
+        let check = |chains: &[Vec<(u64, Digest)>]| {
+            let mut snapshot = state.snapshot();
+            for (replica, chain) in snapshot.replicas.iter_mut().zip(chains) {
+                replica.log = ConfirmedLog::Chained(chain);
+                replica.pool = None; // HotStuff blocks carry their payload: nothing to retrieve
+            }
+            snapshot.check()
+        };
+        assert_eq!(check(&chains), Vec::new());
         // Mutation: replica 3 committed a different block at height 2.
-        snapshot.replicas[3].log = chain("evil-block-2");
+        chains[3] = chain("evil-block-2");
         assert_eq!(
-            snapshot.check(),
+            check(&chains),
             vec![Violation::SafetyFork {
                 seq: 2,
                 node_a: NodeId(0),
@@ -547,7 +604,8 @@ mod tests {
 
     #[test]
     fn liveness_is_not_judged_on_short_runs() {
-        let mut snapshot = healthy_snapshot();
+        let state = Replicas::healthy();
+        let mut snapshot = state.snapshot();
         snapshot.replicas[2].last_confirmation_at = None;
         // The run barely outlasts the last disturbance: no verdict.
         snapshot.quiet_after = SimTime(4_000_000_000);
@@ -556,27 +614,29 @@ mod tests {
 
     #[test]
     fn crashed_replicas_are_exempt_from_liveness_but_not_safety() {
-        let mut snapshot = healthy_snapshot();
-        snapshot.replicas[2].live = false;
-        snapshot.replicas[2].last_confirmation_at = None;
-        assert_eq!(snapshot.check(), Vec::new());
+        let mut state = Replicas::healthy();
+        let crashed = |state: &Replicas| {
+            let mut snapshot = state.snapshot();
+            snapshot.replicas[2].live = false;
+            snapshot.replicas[2].last_confirmation_at = None;
+            snapshot.check()
+        };
+        assert_eq!(crashed(&state), Vec::new());
         // ... but its confirmed log still participates in the fork check.
-        linked(&mut snapshot.replicas[2])[0].1 = block(1, 1, &["evil-payload-1"]);
-        assert!(snapshot
-            .check()
+        state.logs[2][0] = block(1, 1, &[digest("evil-payload-1")]);
+        assert!(crashed(&state)
             .iter()
             .any(|v| matches!(v, Violation::SafetyFork { seq: 1, .. })));
     }
 
     #[test]
     fn checker_flags_an_unretrievable_datablock() {
-        let mut snapshot = healthy_snapshot();
-        let lost = digest("link-b");
+        let mut state = Replicas::healthy();
         // Mutation: the datablock behind seq 2 vanished from every pool.
-        for replica in &mut snapshot.replicas {
-            replica.pool.remove(&lost);
+        for pool in &mut state.pools {
+            pool.prune([link(2)]);
         }
-        let violations = snapshot.check();
+        let violations = state.snapshot().check();
         assert!(
             violations.iter().any(|v| matches!(
                 v,
@@ -588,31 +648,38 @@ mod tests {
 
     #[test]
     fn a_quorum_of_holders_keeps_a_missing_link_retrievable() {
-        let mut snapshot = healthy_snapshot();
-        let link = digest("link-b");
+        let mut state = Replicas::healthy();
         // Replica 0 is missing the datablock, but f + 1 = 2 honest live peers hold it.
-        snapshot.replicas[0].pool.remove(&link);
-        snapshot.replicas[1].pool.remove(&link);
-        assert_eq!(snapshot.check(), Vec::new());
+        state.pools[0].prune([link(2)]);
+        state.pools[1].prune([link(2)]);
+        assert_eq!(state.snapshot().check(), Vec::new());
         // One more loss drops the holder count below f + 1.
-        snapshot.replicas[2].pool.remove(&link);
-        assert!(!snapshot.check().is_empty());
+        state.pools[2].prune([link(2)]);
+        assert!(!state.snapshot().check().is_empty());
     }
 
     #[test]
     fn pruned_entries_below_the_watermark_are_not_checked() {
-        let mut snapshot = healthy_snapshot();
-        let link = digest("link-a");
+        let mut state = Replicas::healthy();
+        for pool in &mut state.pools {
+            pool.prune([link(1)]);
+        }
+        let mut snapshot = state.snapshot();
         for replica in &mut snapshot.replicas {
             replica.low_watermark = 1; // seq 1 checkpointed and pruned everywhere
-            replica.pool.remove(&link);
         }
         assert_eq!(snapshot.check(), Vec::new());
+        // Above the watermark the same loss is flagged.
+        for replica in &mut snapshot.replicas {
+            replica.low_watermark = 0;
+        }
+        assert!(!snapshot.check().is_empty());
     }
 
     #[test]
     fn checker_flags_view_change_thrash() {
-        let mut snapshot = healthy_snapshot();
+        let state = Replicas::healthy();
+        let mut snapshot = state.snapshot();
         // Mutation: replica 1 ended the run 42 views in — far more than the single
         // scheduled disturbance (bound 8) can explain.
         snapshot.replicas[1].view = 43;
@@ -633,7 +700,8 @@ mod tests {
 
     #[test]
     fn views_within_the_bound_are_not_thrash() {
-        let mut snapshot = healthy_snapshot();
+        let state = Replicas::healthy();
+        let mut snapshot = state.snapshot();
         for replica in &mut snapshot.replicas {
             replica.view = 9; // exactly bound views past the initial view
         }
@@ -642,7 +710,8 @@ mod tests {
 
     #[test]
     fn byzantine_views_are_excluded_from_thrash() {
-        let mut snapshot = healthy_snapshot();
+        let state = Replicas::healthy();
+        let mut snapshot = state.snapshot();
         snapshot.replicas[3].honest = false;
         snapshot.replicas[3].view = 1000; // a Byzantine replica may claim anything
         assert_eq!(snapshot.check(), Vec::new());

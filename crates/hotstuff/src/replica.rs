@@ -9,7 +9,7 @@ use leopard_crypto::threshold::SignatureShare;
 use leopard_crypto::{Digest, ShareCollector, SharedKeys};
 use leopard_simnet::{Context, ObservationKind, ProgressProbe, Protocol, SimDuration, SimTime};
 use leopard_types::{ClientId, FastMap, NodeId, View, WireSize};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const TOKEN_WORKLOAD: u64 = 1;
 const TOKEN_PROPOSE: u64 = 2;
@@ -25,13 +25,6 @@ fn charge(ctx: &mut Ctx<'_>, cost: ComputeCost) {
     if !cost.is_zero() {
         ctx.charge_compute(SimDuration::from_nanos(cost.as_nanos()));
     }
-}
-
-/// The committed log every replica starts from. Sharing one empty log means building a
-/// replica allocates nothing for it; its first commit copies it (`Arc::make_mut`).
-fn empty_committed_log() -> Arc<Vec<(u64, Digest)>> {
-    static EMPTY: OnceLock<Arc<Vec<(u64, Digest)>>> = OnceLock::new();
-    Arc::clone(EMPTY.get_or_init(Arc::default))
 }
 
 /// A chained-HotStuff replica.
@@ -66,9 +59,9 @@ pub struct HotStuffReplica {
     /// Height of the latest committed block. `try_commit` executes every block it
     /// commits in the same call, so this is also the executed-height watermark.
     committed_height: u64,
-    /// `(height, digest)` of every executed block, oldest first. Snapshots share it;
-    /// `execute` appends through `Arc::make_mut`, so a shared copy stays as it was.
-    committed: Arc<Vec<(u64, Digest)>>,
+    /// `(height, digest)` of every executed block, oldest first. The invariant
+    /// checker reads it in place.
+    committed: Vec<(u64, Digest)>,
     /// Total requests confirmed by this replica.
     confirmed_requests: u64,
     confirmed_at_last_check: u64,
@@ -108,7 +101,7 @@ impl HotStuffReplica {
             awaiting_qc: None,
             last_voted_height: 0,
             committed_height: 0,
-            committed: empty_committed_log(),
+            committed: Vec::new(),
             confirmed_requests: 0,
             confirmed_at_last_check: 0,
             last_confirmation_at: None,
@@ -154,7 +147,7 @@ impl HotStuffReplica {
 
     /// `(height, digest)` of every block this replica executed, in execution order:
     /// its committed chain, oldest first, one entry per `BlockCommitted` it emitted.
-    pub fn committed_log(&self) -> &Arc<Vec<(u64, Digest)>> {
+    pub fn committed_log(&self) -> &[(u64, Digest)] {
         &self.committed
     }
 
@@ -367,7 +360,7 @@ impl HotStuffReplica {
     /// above the previous committed height and every executed block at or below it,
     /// so no block executes twice.
     fn execute(&mut self, block: &Arc<HotStuffBlock>, ctx: &mut Ctx<'_>) {
-        Arc::make_mut(&mut self.committed).push((block.height, block.digest()));
+        self.committed.push((block.height, block.digest()));
         let count = block.len() as u64;
         self.confirmed_requests += count;
         self.last_confirmation_at = Some(ctx.now());
