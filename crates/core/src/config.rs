@@ -59,14 +59,12 @@ pub struct LeopardConfig {
     pub params: ProtocolParams,
     /// How often each producer packs a datablock.
     pub workload: WorkloadMode,
-    /// The period of the retrieval tick. A tick queries whatever is due: a retrieval
-    /// still pending [`REQUERY_TIMEOUTS`] periods after its last query, and a
-    /// never-queried missing datablock at least [`Self::first_query_wait`] old, whose
-    /// wake-up was lost to a crash-restart. A missing datablock's first query never
-    /// waits for a tick: its wake-up fires exactly the wait after it was noted.
+    /// The re-query spacing: a retrieval still pending [`REQUERY_TIMEOUTS`] of these
+    /// after its last query is queried again (its query or the responses were lost).
+    /// A missing datablock's first query waits [`Self::first_query_wait`] instead.
     pub retrieval_timeout: SimDuration,
     /// How long after a replica notes a datablock missing it first queries the
-    /// committee for it, from a one-shot wake-up: long enough that a datablock still in
+    /// committee for it, from the retrieval wake-up: long enough that a datablock still in
     /// honest flight arrives first (derived from the network by the harness, see
     /// [`Self::first_query_wait_for`]).
     pub first_query_wait: SimDuration,

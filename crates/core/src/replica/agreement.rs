@@ -461,7 +461,7 @@ impl LeopardReplica {
                 break;
             };
             // Every linked datablock must be locally available before execution (a
-            // missing one is queried from the wake-up `note_missing_links` arms).
+            // missing one is noted and queried from the retrieval wake-up).
             if !self.note_missing_links(&block, next, ctx).is_empty() {
                 break;
             }

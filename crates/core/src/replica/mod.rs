@@ -47,10 +47,8 @@ use views::Pacemaker;
 const TOKEN_BATCH: u64 = 2;
 const TOKEN_PROPOSE: u64 = 3;
 const TOKEN_PROGRESS: u64 = 4;
+/// The retrieval wake-up: one armed per replica, with the delays `RetrievalManager` returns.
 const TOKEN_RETRIEVAL: u64 = 5;
-/// The one-shot wake-up that sends a missing datablock's first query (armed with the
-/// delay `RetrievalManager::note_missing` returns).
-const TOKEN_FIRST_QUERY: u64 = 6;
 
 /// How often a proposer flushes a partial batch (see [`LeopardReplica::propose`]).
 const PROPOSE_INTERVAL: SimDuration = SimDuration(20_000_000); // 20 ms
@@ -378,7 +376,6 @@ impl LeopardReplica {
         ctx.set_timer(stagger, TOKEN_BATCH);
         ctx.set_timer(PROPOSE_INTERVAL, TOKEN_PROPOSE);
         ctx.set_timer(self.config.progress_timeout, TOKEN_PROGRESS);
-        ctx.set_timer(self.config.retrieval_timeout, TOKEN_RETRIEVAL);
     }
 }
 
@@ -391,7 +388,9 @@ impl Protocol for LeopardReplica {
 
     fn on_restart(&mut self, ctx: &mut dyn Context<Message = LeopardMessage>) {
         self.arm_timers(ctx);
-        self.retrieval.on_restart();
+        if let Some(delay) = self.retrieval.on_restart(ctx.now()) {
+            ctx.set_timer(delay, TOKEN_RETRIEVAL);
+        }
         // Rejoin via state transfer instead of replaying from genesis: peers answer
         // with their stable checkpoint proof and the confirmed blocks above it.
         self.begin_state_sync(ctx);
@@ -482,11 +481,7 @@ impl Protocol for LeopardReplica {
                 self.fire_progress_timer(ctx);
                 ctx.set_timer(self.current_progress_timeout(), TOKEN_PROGRESS);
             }
-            TOKEN_RETRIEVAL => {
-                self.fire_retrieval_timer(ctx);
-                ctx.set_timer(self.config.retrieval_timeout, TOKEN_RETRIEVAL);
-            }
-            TOKEN_FIRST_QUERY => self.fire_retrieval_timer(ctx),
+            TOKEN_RETRIEVAL => self.fire_retrieval_timer(ctx),
             _ => {}
         }
     }

@@ -1,7 +1,7 @@
 //! Algorithm 4's checkpoints, state transfer, and the replica's side of Algorithm 3's
 //! retrieval.
 
-use super::{charge, Ctx, LeopardReplica, TOKEN_FIRST_QUERY};
+use super::{charge, Ctx, LeopardReplica, TOKEN_RETRIEVAL};
 use crate::byzantine::ByzantineBehavior;
 use crate::checkpoint::{checkpoint_digest, state_digest};
 use crate::messages::{ConfirmedEntry, LeopardMessage, RetrievalChunk, StateTransfer};
@@ -329,7 +329,7 @@ impl LeopardReplica {
     }
 
     /// Notes every link of `block` this replica does not hold as missing for `seq`,
-    /// arms the first-query wake-up the retrieval plane asks for, and returns them.
+    /// arms the retrieval wake-up if the retrieval plane asks for it, and returns them.
     pub(super) fn note_missing_links(
         &mut self,
         block: &BftBlock,
@@ -340,7 +340,7 @@ impl LeopardReplica {
             block.links.iter().filter(|link| !self.pool.contains(link)).copied().collect();
         for &link in &missing {
             if let Some(delay) = self.retrieval.note_missing(link, seq, ctx.now()) {
-                ctx.set_timer(delay, TOKEN_FIRST_QUERY);
+                ctx.set_timer(delay, TOKEN_RETRIEVAL);
             }
         }
         missing
@@ -396,15 +396,15 @@ impl LeopardReplica {
         }
     }
 
-    /// Queries what the retrieval plane says is due, from a first-query wake-up or from
-    /// the periodic tick (which sends a first query itself only for a datablock whose
-    /// wake-up a crash-restart lost).
+    /// The retrieval wake-up fired: queries what the retrieval plane says is due, then
+    /// arms the wake-up for the next deadline.
     pub(super) fn fire_retrieval_timer(&mut self, ctx: &mut Ctx<'_>) {
         let digests = self.retrieval.digests_to_query(ctx.now());
         if !digests.is_empty() {
-            ctx.multicast(LeopardMessage::Query {
-                digests: digests.into(),
-            });
+            ctx.multicast(LeopardMessage::Query { digests: digests.into() });
+        }
+        if let Some(delay) = self.retrieval.rearm(ctx.now()) {
+            ctx.set_timer(delay, TOKEN_RETRIEVAL);
         }
     }
 }

@@ -2,6 +2,7 @@ use super::*;
 use crate::checkpoint::{checkpoint_digest, state_digest};
 use crate::instance::LeaderInstance;
 use crate::messages::{ConfirmedEntry, StateTransfer};
+use crate::retrieval::REQUERY_TIMEOUTS;
 use leopard_simnet::ObservationKind;
 use leopard_types::{ClientId, Datablock, RequestRun};
 use leopard_simnet::{FaultPlan, NetworkConfig, Simulation};
@@ -17,6 +18,9 @@ struct Recorder {
     /// Every message sent: `Some(to)` for a unicast, `None` for a fan-out.
     sent: Vec<(Option<NodeId>, LeopardMessage)>,
     timers: Vec<(SimDuration, u64)>,
+    /// The compute charged since the test last cleared it: the engine lands a
+    /// callback's timers this much after its start.
+    charged: SimDuration,
     observations: Vec<ObservationKind>,
     rng: StdRng,
 }
@@ -52,7 +56,9 @@ impl Context for Recorder {
         self.timers.push((delay, token));
     }
 
-    fn charge_compute(&mut self, _cost: SimDuration) {}
+    fn charge_compute(&mut self, cost: SimDuration) {
+        self.charged = self.charged + cost;
+    }
 
     fn observe(&mut self, observation: ObservationKind) {
         self.observations.push(observation);
@@ -73,6 +79,7 @@ fn driven(id: u32, config: LeopardConfig) -> (LeopardReplica, Arc<SharedKeys>, R
         n: config.params.n,
         sent: Vec::new(),
         timers: Vec::new(),
+        charged: SimDuration::ZERO,
         observations: Vec::new(),
         rng: StdRng::seed_from_u64(u64::from(id)),
     };
@@ -330,7 +337,7 @@ fn an_idle_stripe_fills_its_serials_below_the_highest_confirmation() {
 
 /// A replica that confirmed an instance before it held every linked datablock casts
 /// neither vote once the missing datablock arrives: the proposer has no use for it.
-/// Noting the datablock missing arms one first-query wake-up.
+/// Noting the datablock missing arms the retrieval wake-up, one first-query wait on.
 #[test]
 fn a_confirmed_instance_draws_no_vote() {
     // n = 4: replica 1 leads view 1; replica 0 is driven.
@@ -361,7 +368,7 @@ fn a_confirmed_instance_draws_no_vote() {
     for message in messages {
         replica.on_message(NodeId(1), message, &mut ctx);
     }
-    assert_eq!(ctx.timers, [(SimDuration::from_millis(10), TOKEN_FIRST_QUERY)]);
+    assert_eq!(ctx.timers, [(SimDuration::from_millis(10), TOKEN_RETRIEVAL)]);
     replica.on_message(NodeId(2), LeopardMessage::Datablock(datablock), &mut ctx);
     assert_eq!(replica.last_executed(), seq);
     let votes = ctx.sent.iter().filter(|(_, message)| {
@@ -371,6 +378,127 @@ fn a_confirmed_instance_draws_no_vote() {
         )
     });
     assert_eq!(votes.count(), 0, "voted for a confirmed instance: {:?}", ctx.sent);
+}
+
+/// Leopard's view-1 leader (replica 1) sends replica 0 the PrePrepare for `seq` linking
+/// one datablock replica 0 does not hold, at `at`; returns the datablock's digest.
+fn link_missing(
+    replica: &mut LeopardReplica,
+    keys: &SharedKeys,
+    ctx: &mut Recorder,
+    seq: SeqNum,
+    at: SimTime,
+) -> Digest {
+    ctx.now = at;
+    let requests = (0..8).map(|i| leopard_types::Request::new_synthetic(ClientId(1), i, 128));
+    let datablock = Datablock::new(NodeId(2), seq.0, requests.collect());
+    let block = Arc::new(BftBlock::new(View(1), seq, vec![datablock.digest()]));
+    let share = share(keys, 1, &block.digest());
+    replica.on_message(NodeId(1), LeopardMessage::PrePrepare { share, block }, ctx);
+    datablock.digest()
+}
+
+/// Fires the retrieval wake-up at `at`, after clearing the recorded timers.
+fn fire_retrieval(replica: &mut LeopardReplica, ctx: &mut Recorder, at: SimTime) {
+    ctx.now = at;
+    ctx.timers.clear();
+    replica.on_timer(TOKEN_RETRIEVAL, ctx);
+}
+
+/// The digest lists of every `Query` `ctx` recorded, in order.
+fn queries(ctx: &Recorder) -> Vec<Vec<Digest>> {
+    ctx.sent
+        .iter()
+        .filter_map(|(_, message)| match message {
+            LeopardMessage::Query { digests } => Some(digests.to_vec()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A query whose responses are all lost is sent again exactly `REQUERY_TIMEOUTS`
+/// retrieval timeouts after it, and again after that, from the one wake-up.
+#[test]
+fn a_lost_query_is_sent_again_one_requery_interval_later() {
+    let (mut replica, keys, mut ctx) = driven(0, LeopardConfig::small_test(4));
+    let wait = replica.config().first_query_wait;
+    let requery = replica.config().retrieval_timeout.saturating_mul(REQUERY_TIMEOUTS);
+    let digest = link_missing(&mut replica, &keys, &mut ctx, SeqNum(1), SimTime::ZERO);
+    assert_eq!(ctx.timers, [(wait, TOKEN_RETRIEVAL)]);
+    let first = SimTime::ZERO + ctx.charged + wait;
+    fire_retrieval(&mut replica, &mut ctx, first);
+    assert_eq!(ctx.timers, [(requery, TOKEN_RETRIEVAL)]);
+    fire_retrieval(&mut replica, &mut ctx, first + requery);
+    assert_eq!(ctx.timers, [(requery, TOKEN_RETRIEVAL)]);
+    assert_eq!(queries(&ctx), [[digest], [digest]]);
+}
+
+/// The handler that notes a datablock missing charges compute, so the wake-up it arms
+/// lands that much after the datablock's deadline. The late fire still counts as
+/// reaching the deadline: it re-arms for a datablock noted while it was in flight,
+/// which is queried at exactly its own deadline. Each is queried once.
+#[test]
+fn a_charged_noting_handler_still_queries_each_datablock_once_at_its_deadline() {
+    let (mut replica, keys, mut ctx) = driven(0, LeopardConfig::small_test(4));
+    let wait = replica.config().first_query_wait;
+    let a = link_missing(&mut replica, &keys, &mut ctx, SeqNum(1), SimTime::ZERO);
+    let charged = ctx.charged;
+    assert!(charged > SimDuration::ZERO, "the PrePrepare handler charged nothing");
+    assert_eq!(ctx.timers, [(wait, TOKEN_RETRIEVAL)]);
+    // Noted while the wake-up is in flight, due after it lands: nothing more is armed.
+    ctx.timers.clear();
+    let noted = SimTime::ZERO + charged + SimDuration(wait.as_nanos() / 2);
+    let b = link_missing(&mut replica, &keys, &mut ctx, SeqNum(2), noted);
+    assert!(ctx.timers.is_empty(), "armed a second wake-up: {:?}", ctx.timers);
+    let landed = SimTime::ZERO + charged + wait;
+    fire_retrieval(&mut replica, &mut ctx, landed);
+    assert_eq!(queries(&ctx), [[a]]);
+    assert_eq!(ctx.timers, [((noted + wait) - landed, TOKEN_RETRIEVAL)]);
+    fire_retrieval(&mut replica, &mut ctx, noted + wait);
+    assert_eq!(queries(&ctx), [[a], [b]]);
+}
+
+/// A crash loses the armed wake-up; with no periodic tick left, the restart re-arms
+/// it for what is still pending, at once for a deadline the crash outlasted.
+#[test]
+fn a_restart_queries_a_datablock_noted_before_the_crash() {
+    let (mut replica, keys, mut ctx) = driven(0, LeopardConfig::small_test(4));
+    let wait = replica.config().first_query_wait;
+    let digest = link_missing(&mut replica, &keys, &mut ctx, SeqNum(1), SimTime::ZERO);
+    ctx.timers.clear();
+    let restart = SimTime::ZERO + wait.saturating_mul(2);
+    ctx.now = restart;
+    replica.on_restart(&mut ctx);
+    let retrieval: Vec<_> = ctx.timers.iter().filter(|(_, token)| *token == TOKEN_RETRIEVAL).collect();
+    assert_eq!(retrieval, [&(SimDuration::ZERO, TOKEN_RETRIEVAL)]);
+    assert!(queries(&ctx).is_empty());
+    fire_retrieval(&mut replica, &mut ctx, restart);
+    assert_eq!(queries(&ctx), [[digest]]);
+}
+
+/// A ViewChange that claims a stable checkpoint at serial `u64::MAX` overflows
+/// neither the gap range nor the next serial: the new proposer re-proposes no gap
+/// and proposes nothing at serial 0. (That such a claim is believed at all, and
+/// wedges the proposer, is open: the claim carries no proof.)
+#[test]
+fn a_checkpoint_claim_at_the_last_serial_proposes_no_gap_and_no_serial_zero() {
+    // n = 4: replica 2 leads view 2.
+    let (mut replica, _, mut ctx) = driven(2, LeopardConfig::small_test(4));
+    for (from, claim) in [(0, 0), (1, 0), (3, u64::MAX)] {
+        let message = LeopardMessage::ViewChange {
+            new_view: View(2),
+            checkpoint_seq: SeqNum(claim),
+            notarized: Vec::new(),
+        };
+        replica.on_message(NodeId(from), message, &mut ctx);
+    }
+    assert_eq!(replica.view(), View(2));
+    replica.on_timer(TOKEN_PROPOSE, &mut ctx);
+    let proposed = proposals(&ctx);
+    assert!(
+        proposed.iter().all(|&(seq, dummy)| seq != SeqNum(0) && !dummy),
+        "proposed {proposed:?}"
+    );
 }
 
 /// A block that links one missing datablock twice waits for it once: its arrival

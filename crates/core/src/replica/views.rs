@@ -285,7 +285,7 @@ impl LeopardReplica {
             // Entries come sorted and every gap lies below the last one.
             let last_entry = payload.entries.last().map_or(0, |e| e.block.id.seq.0);
             let highest = last_entry.max(payload.stable_checkpoint.0);
-            self.pipeline.bump_next_seq(SeqNum(highest + 1));
+            self.pipeline.bump_next_seq(SeqNum(highest.saturating_add(1)));
             // The frontier now clears everything the quorum evidence could have
             // notarized — fresh proposals in this view are safe.
             self.pacemaker.anchored_view = new_view;

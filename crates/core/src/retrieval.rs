@@ -35,15 +35,11 @@
 //! timeout and the first-query wait. The `(f+1, n)` Reed–Solomon code is built on the
 //! first real-crypto encode or decode; a metered run never builds it.
 //!
-//! The manager owns the timing of the queries. A missing datablock is first queried
-//! exactly `D` after it was noted missing, from a one-shot wake-up the replica arms with
-//! the delay [`RetrievalManager::note_missing`] returns (`D` itself); the digests noted
-//! at one instant share one wake-up and one `Query`. The periodic retrieval tick (one
-//! retrieval timeout) queries whatever is due when it fires: it re-queries a retrieval
-//! still pending [`REQUERY_TIMEOUTS`] retrieval timeouts after its last query, and
-//! sends the first query of any datablock missing for at least `D`, which covers a
-//! wake-up lost to a crash-restart.
-//!
+//! The manager owns the timing of the queries, on one clock: a replica keeps one
+//! wake-up armed for the earliest deadline among its pending retrievals — `D` after a
+//! datablock was noted missing, [`REQUERY_TIMEOUTS`] retrieval timeouts after its last
+//! query. A fire queries everything due in one `Query` and re-arms for the next
+//! deadline; a restart, which loses the armed wake-up, re-arms from what is pending.
 //! The re-query exists because a partition can drop the first `Query` (or its
 //! responses) outright, and a one-shot query would then leave the replica unable to vote
 //! on any BFTblock linking the lost datablock — permanently, across every view change,
@@ -138,12 +134,11 @@ pub struct RetrievalManager {
     /// How long a pending retrieval waits after its last query before querying again.
     requery_after: SimDuration,
     /// How long a missing datablock waits for its copy in flight before its first
-    /// query (`D`): the delay of every first-query wake-up.
+    /// query (`D`).
     first_query_after: SimDuration,
-    /// The latest first-query wake-up armed (`None` before the first, and after a
-    /// restart, which loses every armed timer): a digest noted at the same instant
-    /// shares it.
-    wake_armed: Option<SimTime>,
+    /// The deadline the replica's wake-up is armed for (`None` before the first note,
+    /// once a fire reaches it, and after a restart, which loses every armed timer).
+    armed: Option<SimTime>,
     pending: FastMap<Digest, PendingRetrieval>,
     /// The `(f+1, n)` Reed–Solomon code, built on the first real-crypto encode or
     /// decode, so the Vandermonde construction happens once per replica. A metered run
@@ -208,7 +203,7 @@ impl RetrievalManager {
             n,
             requery_after: retrieval_timeout.saturating_mul(REQUERY_TIMEOUTS),
             first_query_after: first_query_wait,
-            wake_armed: None,
+            armed: None,
             pending: FastMap::default(),
             code: None,
             served: FastMap::default(),
@@ -217,50 +212,62 @@ impl RetrievalManager {
 
     /// Registers that BFTblock `seq` needs the missing datablock `digest`.
     ///
-    /// Returns the delay of the one-shot wake-up the caller arms to send the first
-    /// query — the first-query wait `D`, so the wake-up lands at exactly `now + D` — or
-    /// `None` if none is needed: the datablock was already missing, or a datablock noted
-    /// at this same instant already armed the wake-up, so both go out in one `Query`.
+    /// Returns the delay of the wake-up the caller arms (`D`), or `None` if none is
+    /// needed: the datablock was already missing, or the armed wake-up fires no later.
     pub fn note_missing(
         &mut self,
         digest: Digest,
         seq: SeqNum,
         now: SimTime,
     ) -> Option<SimDuration> {
-        match self.pending.get_mut(&digest) {
-            Some(pending) => {
-                pending.waiting.insert(seq);
-                None
-            }
-            None => {
-                let mut waiting = FastSet::default();
-                waiting.insert(seq);
-                self.pending.insert(
-                    digest,
-                    PendingRetrieval {
-                        waiting,
-                        chunks: FastMap::default(),
-                        metered_datablock: None,
-                        started_at: now,
-                        last_query: None,
-                        received_bytes: 0,
-                    },
-                );
-                let wake = now + self.first_query_after;
-                if self.wake_armed == Some(wake) {
-                    return None;
-                }
-                self.wake_armed = Some(wake);
-                Some(self.first_query_after)
-            }
+        if let Some(pending) = self.pending.get_mut(&digest) {
+            pending.waiting.insert(seq);
+            return None;
+        }
+        let pending = PendingRetrieval {
+            waiting: [seq].into_iter().collect(),
+            chunks: FastMap::default(),
+            metered_datablock: None,
+            started_at: now,
+            last_query: None,
+            received_bytes: 0,
+        };
+        self.pending.insert(digest, pending);
+        self.arm(now + self.first_query_after, now)
+    }
+
+    /// Arms the wake-up for `deadline` unless one is armed no later; returns its delay.
+    fn arm(&mut self, deadline: SimTime, now: SimTime) -> Option<SimDuration> {
+        if self.armed.is_some_and(|armed| armed <= deadline) {
+            return None;
+        }
+        self.armed = Some(deadline);
+        Some(deadline.saturating_since(now))
+    }
+
+    /// Called when the wake-up fires, after [`Self::digests_to_query`]: forgets an armed
+    /// deadline the fire reached or passed (a wake-up lands late when its arming handler
+    /// charged compute) and arms for the earliest pending deadline, returning its delay.
+    pub fn rearm(&mut self, now: SimTime) -> Option<SimDuration> {
+        self.armed = self.armed.filter(|&armed| armed > now);
+        let next = self.pending.values().map(|p| self.due_at(p)).min()?;
+        self.arm(next, now)
+    }
+
+    /// When `pending` is next queried: `D` after its note, then [`REQUERY_TIMEOUTS`]
+    /// retrieval timeouts after its last query.
+    fn due_at(&self, pending: &PendingRetrieval) -> SimTime {
+        match pending.last_query {
+            None => pending.started_at + self.first_query_after,
+            Some(at) => at + self.requery_after,
         }
     }
 
-    /// Forgets the armed wake-up: a restarted replica lost its timers, so the next
-    /// datablock noted missing arms a new one. (What was noted before the crash is
-    /// queried by the retrieval tick.)
-    pub fn on_restart(&mut self) {
-        self.wake_armed = None;
+    /// A restarted replica lost its armed wake-up: arms for what is still pending (at
+    /// once for a deadline the crash outlasted), as [`Self::rearm`].
+    pub fn on_restart(&mut self, now: SimTime) -> Option<SimDuration> {
+        self.armed = None;
+        self.rearm(now)
     }
 
     /// True if `digest` is still being retrieved.
@@ -268,20 +275,13 @@ impl RetrievalManager {
         self.pending.contains_key(digest)
     }
 
-    /// Called when a first-query wake-up or the retrieval tick fires: returns the
-    /// digests that need to be queried — never queried and missing for at least the
-    /// first-query wait, or still pending [`REQUERY_TIMEOUTS`] retrieval timeouts after
-    /// the last query (the loss-recovery path) — and stamps them.
+    /// Called when the wake-up fires: returns the digests that are due — never queried
+    /// and missing for at least the first-query wait, or still pending
+    /// [`REQUERY_TIMEOUTS`] retrieval timeouts after the last query (the loss-recovery
+    /// path) — and stamps them.
     pub fn digests_to_query(&mut self, now: SimTime) -> Vec<Digest> {
-        let mut digests: Vec<Digest> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| match p.last_query {
-                None => now.saturating_since(p.started_at) >= self.first_query_after,
-                Some(at) => now.saturating_since(at) >= self.requery_after,
-            })
-            .map(|(d, _)| *d)
-            .collect();
+        let mut digests: Vec<Digest> =
+            self.pending.iter().filter(|(_, p)| self.due_at(p) <= now).map(|(d, _)| *d).collect();
         digests.sort_unstable();
         for digest in &digests {
             if let Some(pending) = self.pending.get_mut(digest) {
@@ -600,13 +600,13 @@ mod tests {
         let early = noted + SimDuration(WAIT.as_nanos() - 1);
         assert!(querier.digests_to_query(early).is_empty(), "queried before D");
         assert_eq!(querier.digests_to_query(noted + WAIT), [digest]);
-        // Stamped: a later tick finds nothing left to query.
+        // Stamped: a later fire finds nothing left to query.
         assert!(querier.digests_to_query(at_ms(20)).is_empty());
     }
 
-    /// Digests noted at one instant share one wake-up, and so one `Query`; a digest
-    /// noted later, even one nanosecond later, arms its own wake-up at its own deadline
-    /// and goes out in its own `Query`.
+    /// One wake-up is armed at a time: a digest noted while it is armed for an earlier
+    /// deadline arms nothing, and the fire at that deadline queries what is due in one
+    /// `Query` and re-arms for the next deadline, exactly `D` after the later note.
     #[test]
     fn digests_noted_at_one_instant_share_one_query() {
         let digests: Vec<Digest> = (1..=4).map(|i| sample_datablock(i).digest()).collect();
@@ -618,23 +618,50 @@ mod tests {
             .zip(noted)
             .map(|(&digest, at)| querier.note_missing(digest, SeqNum(1), at))
             .collect();
-        assert_eq!(wakes, [Some(WAIT), None, None, Some(WAIT)]);
+        assert_eq!(wakes, [Some(WAIT), None, None, None]);
         let mut together = digests[..3].to_vec();
         together.sort_unstable();
         assert_eq!(querier.digests_to_query(first + WAIT), together);
+        assert_eq!(querier.rearm(first + WAIT), Some(SimDuration(1)));
         assert_eq!(querier.digests_to_query(second + WAIT), [digests[3]]);
+        // All four queried: the next deadline is the first three's re-query.
+        let requery = SimDuration::from_millis(100).saturating_mul(REQUERY_TIMEOUTS);
+        assert_eq!(querier.rearm(second + WAIT), Some(SimDuration(requery.as_nanos() - 1)));
     }
 
-    /// A restart loses the armed wake-up, so a digest noted afterwards arms its own
-    /// even when it is noted at the instant the lost one was armed for.
+    /// A wake-up can land after its deadline (its arming handler charged compute): the
+    /// late fire still clears the armed deadline, so the fire re-arms for a digest noted
+    /// in between, and a fire before the armed deadline arms nothing more.
     #[test]
-    fn a_restart_forgets_the_armed_wake_up() {
-        let [a, b, c] = [1, 2, 3].map(|i| sample_datablock(i).digest());
+    fn a_late_fire_clears_the_armed_deadline() {
+        let [a, b] = [1, 2].map(|i| sample_datablock(i).digest());
         let mut querier = manager(0, 1, 4);
         assert_eq!(querier.note_missing(a, SeqNum(1), at_ms(1)), Some(WAIT));
-        assert_eq!(querier.note_missing(b, SeqNum(1), at_ms(1)), None);
-        querier.on_restart();
-        assert_eq!(querier.note_missing(c, SeqNum(1), at_ms(1)), Some(WAIT));
+        assert_eq!(querier.note_missing(b, SeqNum(2), at_ms(5)), None);
+        let late = at_ms(1) + WAIT + SimDuration::from_millis(2);
+        assert_eq!(querier.digests_to_query(late), [a]);
+        assert_eq!(querier.rearm(late), Some(SimDuration::from_millis(2)));
+        // A stray fire before the new deadline leaves it armed.
+        assert_eq!(querier.rearm(late + SimDuration(1)), None);
+        assert_eq!(querier.digests_to_query(at_ms(5) + WAIT), [b]);
+    }
+
+    /// A restart loses the armed wake-up: the replica re-arms for the earliest pending
+    /// deadline, at once for one the crash outlasted, and with nothing pending arms
+    /// nothing.
+    #[test]
+    fn a_restart_forgets_the_armed_wake_up() {
+        let [a, b] = [1, 2].map(|i| sample_datablock(i).digest());
+        let mut querier = manager(0, 1, 4);
+        assert_eq!(querier.on_restart(at_ms(1)), None);
+        assert_eq!(querier.note_missing(a, SeqNum(1), at_ms(1)), Some(WAIT));
+        assert_eq!(querier.note_missing(b, SeqNum(1), at_ms(2)), None);
+        assert_eq!(querier.on_restart(at_ms(3)), Some(SimDuration::from_millis(8)));
+        let outlasted = at_ms(2) + WAIT;
+        assert_eq!(querier.on_restart(outlasted), Some(SimDuration::ZERO));
+        let mut both = vec![a, b];
+        both.sort_unstable();
+        assert_eq!(querier.digests_to_query(outlasted), both);
     }
 
     /// The chunk bytes and Merkle proof of a real-crypto chunk.

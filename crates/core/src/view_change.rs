@@ -130,7 +130,9 @@ impl ViewChangeState {
         }
         let highest = by_seq.keys().next_back().copied().unwrap_or(max_checkpoint.0);
         let mut gaps = Vec::new();
-        for seq in (max_checkpoint.0 + 1)..=highest {
+        // The serials in (checkpoint, highest], without overflowing at an (unproven)
+        // claim of `u64::MAX`.
+        for seq in (max_checkpoint.0..highest).map(|below| below + 1) {
             if !by_seq.contains_key(&seq) {
                 gaps.push(SeqNum(seq));
             }

@@ -530,14 +530,14 @@ impl ScenarioConfig {
         // Scale-aware retrieval timeout: disseminating one datablock to `n − 1` peers
         // serialises `(n−1)·α` bytes through the producer's uplink, which at paper
         // scale exceeds the 100 ms default (≈ 114 ms at n = 256, ≈ 250 ms at n = 600).
-        // When the tick sent every first query, a shorter period made every replica
-        // query for datablocks still in honest flight (at n = 256, ~270k spurious
-        // responses, 74% of the full fig9 sweep's wall-clock; DESIGN.md §6.5). First
-        // queries now wait the first-query wait below, ticks included, so the factor
-        // no longer guards them: it sets the re-query interval (`REQUERY_TIMEOUTS`
-        // periods) and how often every replica's tick fires, and it stays at three
+        // When a periodic tick sent every first query, a shorter period made every
+        // replica query for datablocks still in honest flight (at n = 256, ~270k
+        // spurious responses, 74% of the full fig9 sweep's wall-clock; DESIGN.md §6.5).
+        // First queries now wait the first-query wait below, so the factor no longer
+        // guards them: it sets only the re-query spacing (a retrieval is queried again
+        // `REQUERY_TIMEOUTS` timeouts after its last query), and it stays at three
         // dissemination times because any other factor moves the schedule of every
-        // retrieving run (fig12's retrieval runs use small datablocks, where the
+        // run that re-queries (fig12's retrieval runs use small datablocks, where the
         // 100 ms floor still applies).
         // Under a topology the slowest producer's uplink bounds honest dissemination
         // (a straggler's 1 Gbps NIC), and WAN propagation
@@ -559,8 +559,8 @@ impl ScenarioConfig {
             .retrieval_timeout
             .max(SimDuration::from_secs_f64(3.0 * dissemination_secs) + wan_headroom);
         // A missing datablock is first queried two dissemination times plus the same
-        // headroom after it was noted, not at the next retrieval tick, which can come
-        // while the copy is still on the producer's uplink.
+        // headroom after it was noted, by when a copy still in honest flight (on the
+        // producer's uplink or behind the receiver's downlink backlog) has landed.
         config.first_query_wait =
             LeopardConfig::first_query_wait_for(dissemination_secs, wan_headroom);
         config

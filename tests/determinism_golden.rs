@@ -22,6 +22,12 @@
 //! constants dropped by exactly the removed 10 ms workload ticks (a timer chain whose
 //! handler did nothing under the saturated producer); every other constant passed
 //! uncaptured.
+//!
+//! When the periodic retrieval tick and the per-note first-query wake-ups became one
+//! armed wake-up per replica, the four Leopard `events` constants dropped by exactly
+//! the retrieval timer events removed; every other constant passed uncaptured. The
+//! three fault-free runs never noted a datablock missing, so they lost exactly their
+//! ticks and arm no wake-up.
 
 use leopard::core::LeopardReplica;
 use leopard::harness::chaos::FaultScheduleGenerator;
@@ -62,8 +68,9 @@ fn leopard_quick_scale_matches_recaptured_golden() {
         &report,
         &Golden {
             // 45,083 = 49,883 − 16 · 300: the removed 10 ms workload tick, 300 per
-            // replica over the 3 s run.
-            events: 45_083,
+            // replica over the 3 s run. 44,603 = 45,083 − 16 · 30: the removed 100 ms
+            // retrieval tick, 30 per replica.
+            events: 44_603,
             confirmed: 386_000,
             sent_bytes: 845_385_150,
             recv_bytes: 845_385_150,
@@ -96,8 +103,9 @@ fn leopard_small_scale_matches_recaptured_golden() {
         &report,
         &Golden {
             // 23,658 = 25,058 − 7 · 200: the removed 10 ms workload tick, 200 per
-            // replica over the 2 s run.
-            events: 23_658,
+            // replica over the 2 s run. 23,518 = 23,658 − 7 · 20: the removed 100 ms
+            // retrieval tick, 20 per replica.
+            events: 23_518,
             confirmed: 3_984,
             sent_bytes: 4_230_750,
             recv_bytes: 4_230_750,
@@ -137,8 +145,10 @@ fn leopard_fig9geo_point_matches_captured_golden() {
         &report,
         &Golden {
             // 28,174 = 32,974 − 16 · 300: the removed 10 ms workload tick, 300 per
-            // replica over the 3 s run.
-            events: 28_174,
+            // replica over the 3 s run. 28,126 = 28,174 − 16 · 3: the removed retrieval
+            // tick, 3 per replica (its period is 3 dissemination times plus the WAN
+            // headroom, about 0.9 s here).
+            events: 28_126,
             confirmed: 294_000,
             sent_bytes: 844_733_759,
             recv_bytes: 844_733_759,
@@ -181,6 +191,18 @@ fn leopard_fig9geo_point_matches_captured_golden() {
 /// no violation and one view). The partitioned region's wake-ups now fire at
 /// 1,252–1,310 ms, each D after its note at 680–738 ms, not all at 1,717 ms, so its
 /// four replicas recover their datablocks at 1.44–1.51 s instead of 1.91 s.
+///
+/// Re-captured when the retrieval tick and the per-note wake-ups became one armed
+/// wake-up per replica (events 79,817 → 79,662; confirmed, both byte totals, the
+/// execution count and the out-of-order count unchanged, still no violation and one
+/// view). The 155 events are the retrieval timer events removed: 190 before (157 tick
+/// and 31 wake-up fires, and two ticks that fired into the crash windows of replicas
+/// 5 and 13), 35 wake-ups now. The same 31 queries go out in the same order, and 24 of
+/// them leave 0.6–1.1 µs earlier: they are sent from a wake-up that an earlier fire
+/// re-armed, which lands at exactly the note plus D, where the parent's per-note
+/// wake-up landed after the noting handler's charged compute. The retrievals and the
+/// executions they gate move by as much, so the commit fingerprint moves; no count
+/// does.
 #[test]
 fn chaos_case_matches_captured_golden() {
     let schedule = FaultScheduleGenerator::new(16, 7).schedule(142);
@@ -191,7 +213,7 @@ fn chaos_case_matches_captured_golden() {
     // before its crash at 492 ms, one that fires into the crash window, 485 after its
     // restart at 1,145 ms) and 560 on replica 13 (65 + 1 + 494 around its
     // [655 ms, 1,053 ms) window).
-    assert_eq!(report.sim.events, 79_817, "chaos golden: events drifted");
+    assert_eq!(report.sim.events, 79_662, "chaos golden: events drifted");
     assert_eq!(report.confirmed_requests, 66_200, "chaos golden: confirmed drifted");
     assert_eq!(
         report.sim.metrics.traffic.total_sent_bytes(),

@@ -26,7 +26,8 @@ fn selective_attacker_forces_retrievals_but_not_stalls() {
 /// Without a fault every datablock reaches every replica by dissemination. A replica
 /// that notes one missing (the PrePrepare linking it outran the copy) waits two
 /// dissemination times before its first query, so the fault-free run retrieves nothing;
-/// querying at the next retrieval tick instead rebuilt 25 datablocks still in flight.
+/// querying at the next tick of a periodic retrieval timer instead rebuilt 25 datablocks
+/// still in flight.
 #[test]
 fn a_fault_free_run_retrieves_nothing() {
     let report = run_leopard_scenario(&ScenarioConfig::paper(128));
